@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (AllRhoInfeasible, InfeasibleComplement, NonPositiveResult,
                      SolverFailure)
@@ -172,6 +171,9 @@ def _optimize(objective: Callable[[np.ndarray], float], x0s: Sequence[np.ndarray
     opts.patience evaluations. Every evaluated point flows through the
     tracking objective, so the caller recovers the overall best from there.
     """
+    # Imported here so that commands which never calibrate skip its cost.
+    from scipy.optimize import minimize
+
     patience_stops = 0
     normal_stops = 0
     for x0 in x0s:

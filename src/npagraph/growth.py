@@ -1,8 +1,14 @@
 """Monte-Carlo growth of attachment graphs and measurement of grown graphs.
 
-A single growth run is strictly sequential; replications are independent given
-distinct RngStream ids and can be fanned out by the caller. Identical spec and
-stream reproduce a bit-identical graph.
+`grow_npa` has two exact samplers for the same attachment law. Plain linear
+weights (rule "linear", no table, no cap M, g <= 1, so f_k = k for every
+degree) take the endpoint-list sampler: a draw proportional to degree is a
+uniform pick from the list of arc endpoints (Batagelj & Brandes, PRE 71,
+036113, 2005), so the whole run is drawn up front and resolved with numpy.
+Every other weight function takes the degree-bucket sampler, one Python draw
+per arc end. Replications are independent given distinct RngStream ids and
+can be fanned out by the caller. Identical spec and stream reproduce a
+bit-identical graph within one version of the package.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyGraph, MalformedLine, NoEdges, ZeroTotalWeight
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
-                     EdgeDegreeMatrix, Graph, NpaModelSpec)
+                     EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec)
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,10 @@ class _DegreeBuckets:
 # Preferential-attachment growth
 # ---------------------------------------------------------------------------
 
+_NO_TARGET = ("every existing vertex is outside the positive-weight degree "
+              "range; no attachment target available")
+
+
 def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> GrowthTrace:
     """Grow a graph to n vertices by repeated increments.
 
@@ -136,11 +146,67 @@ def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> GrowthTrace:
     picks an existing vertex with probability proportional to its degree
     weight, all x ends sampled with replacement against the degrees as they
     were before the increment. Duplicate targets yield parallel arcs.
+
+    Weights with f_k = k at every degree (rule "linear", no table, M None,
+    g <= 1) are grown by the endpoint-list sampler; all other weights by the
+    degree-bucket sampler. The two draw differently from the same stream, so
+    the same seed gives different graphs of the same law.
     """
     gen = rng.generator()
     seed = spec.seed_graph.build(spec.weights.g)
     if n < seed.vertex_count:
         raise ValueError(f"n = {n} is below the seed size {seed.vertex_count}")
+    steps = n - seed.vertex_count
+    w = spec.weights
+    if w.rule == "linear" and not w.table and w.M is None and w.g <= 1:
+        pairs = _grow_endpoint_list(seed, spec.increments, steps, gen)
+    else:
+        pairs = _grow_degree_buckets(seed, spec, steps, gen)
+    graph = Graph(n, pairs, directed=True)
+    return GrowthTrace(final_graph=graph, steps=steps,
+                       arc_count=graph.edge_count - seed.edge_count)
+
+
+def _grow_endpoint_list(seed: Graph, increments: IncrementDistribution,
+                        steps: int, gen: np.random.Generator) -> np.ndarray:
+    """Arcs of a run with f_k = k, drawn up front from the endpoint list.
+
+    Arc i contributes endpoint 2i (its source) and 2i + 1 (its target) to the
+    list, so a vertex of degree d holds d entries. Each new arc picks a
+    uniform entry among those of the arcs before its increment: an even entry
+    is a known source, an odd one the target of a strictly earlier arc, which
+    pointer jumping resolves.
+    """
+    r_cum = np.cumsum(increments.prob_array())
+    idx = np.searchsorted(r_cum, gen.random(steps), side="right")
+    # A draw above a cumulative sum that rounds below 1 takes the top count.
+    x = increments.min_arcs + np.minimum(idx, len(r_cum) - 1)
+    e0 = seed.edge_count
+    new_v = np.arange(seed.vertex_count, seed.vertex_count + steps, dtype=np.int64)
+    src = np.concatenate([seed.pairs[:, 0], np.repeat(new_v, x)])
+    if e0 == 0 and len(src):
+        raise ZeroTotalWeight(_NO_TARGET)
+    before = np.repeat(e0 + np.cumsum(x) - x, x)
+    pos = gen.integers(0, 2 * before)
+    arc = pos >> 1
+    odd = (pos & 1).astype(bool)
+    dst = np.concatenate([seed.pairs[:, 1], np.where(odd, -1, src[arc])])
+    link = np.arange(len(src), dtype=np.int64)
+    todo = e0 + np.flatnonzero(odd)
+    link[todo] = arc[odd]
+    # Invariant: an unresolved arc has the target of its link, and links
+    # only point to earlier arcs, so the jumps end at resolved ones.
+    while todo.size:
+        nxt = link[todo]
+        dst[todo] = dst[nxt]
+        link[todo] = link[nxt]
+        todo = todo[dst[todo] < 0]
+    return np.column_stack([src, dst])
+
+
+def _grow_degree_buckets(seed: Graph, spec: NpaModelSpec, steps: int,
+                         gen: np.random.Generator) -> list[tuple[int, int]]:
+    """Arcs of a run with any weight function, one bucket draw per arc end."""
     buckets = _DegreeBuckets(spec.weights, capacity_hint=64)
     for d in seed.degrees():
         buckets.add_vertex(int(d))
@@ -148,16 +214,12 @@ def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> GrowthTrace:
 
     r_cum = np.cumsum(spec.increments.prob_array())
     r_min = spec.increments.min_arcs
-    arc_count = 0
-    steps = n - seed.vertex_count
     for _ in range(steps):
         x = r_min + int(np.searchsorted(r_cum, gen.random(), side="right"))
         if x > 0:
             cum = buckets.cumulative()
             if not cum[-1] > 0.0:
-                raise ZeroTotalWeight(
-                    "every existing vertex is outside the positive-weight degree "
-                    "range; no attachment target available")
+                raise ZeroTotalWeight(_NO_TARGET)
             targets = [buckets.sample(gen, cum) for _ in range(x)]
         else:
             targets = []
@@ -165,9 +227,7 @@ def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> GrowthTrace:
         for t in targets:
             edges.append((new_v, t))
             buckets.promote(t)
-        arc_count += x
-    graph = Graph(len(buckets.degree), edges, directed=True)
-    return GrowthTrace(final_graph=graph, steps=steps, arc_count=arc_count)
+    return edges
 
 
 def grow_ba_tree(n: int, rng: RngStream) -> GrowthTrace:
@@ -307,25 +367,27 @@ def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
 
 
 def _prune_small_components(graph: Graph) -> tuple[np.ndarray, int, int]:
-    """Mask of vertices in components of size >= 3, plus removal counts."""
-    parent = np.arange(graph.vertex_count, dtype=np.int64)
+    """Mask of vertices in components of size >= 3, plus removal counts.
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in graph.pairs:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-
-    roots = np.array([find(int(v)) for v in range(graph.vertex_count)])
-    sizes = np.bincount(roots, minlength=graph.vertex_count)
-    comp_size = sizes[roots]
+    Components are found by min-label hooking: every edge whose ends carry
+    different labels hooks the larger root onto the smaller label, then
+    pointer jumping flattens each tree back to its root.
+    """
+    label = np.arange(graph.vertex_count, dtype=np.int64)
+    a, b = graph.pairs[:, 0], graph.pairs[:, 1]
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            break
+        la, lb = la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    comp_size = np.bincount(label, minlength=graph.vertex_count)[label]
     keep = comp_size >= 3
     removed_isolated = int(np.count_nonzero(comp_size == 1))
     removed_pairs = int(np.count_nonzero(comp_size == 2))
@@ -427,11 +489,18 @@ def measure_arc_dd(graph: Graph, u: int) -> EdgeDegreeMatrix:
 # Edge-list text interchange
 # ---------------------------------------------------------------------------
 
+_WRITE_CHUNK_ROWS = 1 << 16
+
+
 def write_edge_list(graph: Graph, out: TextIO) -> None:
+    """Header lines, then one "a b" line per pair, formatted a chunk at a time."""
     out.write(f"# Nodes: {graph.vertex_count} Edges: {graph.edge_count}\n")
     out.write(f"# Directed: {'true' if graph.directed else 'false'}\n")
-    for a, b in graph.pairs:
-        out.write(f"{a} {b}\n")
+    flat = graph.pairs.ravel()
+    step = 2 * _WRITE_CHUNK_ROWS
+    for lo in range(0, len(flat), step):
+        chunk = flat[lo:lo + step].tolist()
+        out.write("%d %d\n" * (len(chunk) // 2) % tuple(chunk))
 
 
 def read_edge_list(lines: Iterable[str]) -> Graph:

@@ -225,6 +225,18 @@ class TestEnvironment:
         assert proc.returncode == 0
         assert "solve" in proc.stdout and "calibrate" in proc.stdout
 
+    def test_import_leaves_optimizer_unloaded(self):
+        # Only calibration needs scipy.optimize; every other command would
+        # pay for its import at start-up.
+        import subprocess
+        import sys
+        code = ("import sys, npagraph.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestCompareCommand:
     def _write_edd(self, path: Path, perturb=0.0) -> Path:

@@ -1,14 +1,17 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
                       IncrementDistribution, NpaModelSpec, RngStream,
-                      WeightFunction, ZeroTotalWeight, grow_aer,
+                      SeedGraphSpec, WeightFunction, ZeroTotalWeight, grow_aer,
                       grow_aer_unpruned, grow_aer_with_stats, grow_ba_tree,
                       grow_composite, grow_npa, measure_arc_dd, measure_edd,
                       measure_vdd, read_edge_list, write_edge_list)
+from npagraph import growth
 from npagraph.errors import EmptyGraph, NoEdges
 
 
@@ -103,6 +106,122 @@ class TestGrowNpa:
     def test_n_below_seed_rejected(self):
         with pytest.raises(ValueError):
             grow_ba_tree(1, RngStream(0))
+
+
+# ---------------------------------------------------------------------------
+# The two samplers of linear-weight growth
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["endpoint_list", "degree_buckets"])
+def linear_weights(request, monkeypatch):
+    """f_k = k at every degree from g, grown by one sampler with the other
+    disabled. The degree-bucket sampler is reached through a cap M that no
+    run of these tests can reach."""
+    def disabled(*_args):
+        raise AssertionError("the other sampler was taken")
+
+    if request.param == "endpoint_list":
+        monkeypatch.setattr(growth, "_grow_degree_buckets", disabled)
+        return lambda g=1: WeightFunction.linear(g=g)
+    monkeypatch.setattr(growth, "_grow_endpoint_list", disabled)
+    return lambda g=1: WeightFunction.linear(g=g, M=10**6)
+
+
+def _arc_multiset_law(n: int, x: int, weight) -> dict[tuple, float]:
+    """Probability of each final sorted arc list, enumerated increment by
+    increment from the default two-vertex seed: each of the x arc ends picks
+    vertex v with probability weight(deg v) / sum of weights, all against
+    the degrees before the increment."""
+    law = {((0, 1),): 1.0}
+    for new in range(2, n):
+        nxt: dict[tuple, float] = {}
+        for arcs, p in law.items():
+            deg = Counter(v for arc in arcs for v in arc)
+            w = np.array([weight(deg[v]) for v in range(new)], dtype=float)
+            probs = w / w.sum()
+            for targets in np.ndindex(*(new,) * x):
+                q = p * float(np.prod(probs[list(targets)]))
+                if q > 0.0:
+                    key = tuple(sorted(arcs + tuple((new, t) for t in targets)))
+                    nxt[key] = nxt.get(key, 0.0) + q
+        law = nxt
+    return law
+
+
+def _chi_square_p(observed: Counter, law: dict[tuple, float], reps: int) -> float:
+    """Chi-square p-value, pooling outcomes expected fewer than 5 times."""
+    assert set(observed) <= set(law)
+    keys = sorted(law, key=law.get, reverse=True)
+    big = [k for k in keys if law[k] * reps >= 5.0]
+    small = [k for k in keys if law[k] * reps < 5.0]
+    obs = [observed[k] for k in big]
+    exp = [law[k] * reps for k in big]
+    if small:
+        obs.append(sum(observed[k] for k in small))
+        exp.append(sum(law[k] for k in small) * reps)
+    exp = np.array(exp) * reps / sum(exp)  # float rounding of the enumeration
+    return float(chisquare(obs, exp).pvalue)
+
+
+class TestLinearSamplers:
+    @pytest.mark.parametrize("x, reps", [(1, 4000), (2, 6000)])
+    def test_exact_law_at_n5(self, linear_weights, x, reps):
+        model = NpaModelSpec(
+            weights=linear_weights(),
+            increments=IncrementDistribution(min_arcs=x, probs=(1.0,)))
+        observed = Counter(
+            tuple(sorted(map(tuple, grow_npa(model, 5, RngStream(404, rep))
+                             .final_graph.pairs.tolist())))
+            for rep in range(reps))
+        law = _arc_multiset_law(5, x, weight=float)
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        assert _chi_square_p(observed, law, reps) > 1e-3
+        # The same counts against uniform attachment: the test has power.
+        uniform = _arc_multiset_law(5, x, weight=lambda d: float(d > 0))
+        assert _chi_square_p(observed, uniform, reps) < 1e-6
+
+    def test_n_equal_to_seed_size(self, linear_weights):
+        model = NpaModelSpec(
+            weights=linear_weights(),
+            increments=IncrementDistribution(min_arcs=1, probs=(1.0,)))
+        trace = grow_npa(model, 2, RngStream(1))
+        assert trace.steps == 0 and trace.arc_count == 0
+        assert trace.final_graph.vertex_count == 2
+        assert trace.final_graph.pairs.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_zero_arc_increments_are_never_targets(self, linear_weights, g):
+        model = NpaModelSpec(
+            weights=linear_weights(g),
+            increments=IncrementDistribution(min_arcs=0, probs=(0.3, 0.3, 0.4)))
+        trace = grow_npa(model, 3000, RngStream(8))
+        g_ = trace.final_graph
+        assert g_.vertex_count == 3000
+        assert g_.edge_count == 1 + trace.arc_count
+        assert (g_.pairs[:, 0] != g_.pairs[:, 1]).all()
+        # A vertex that arrived with no arcs has degree 0, hence weight 0.
+        sources = np.unique(g_.pairs[:, 0])
+        silent = np.setdiff1d(np.arange(2, 3000), sources)
+        assert len(silent) > 500
+        assert (g_.degrees()[silent] == 0).all()
+
+    def test_isolated_seed_vertex_is_never_a_target(self, linear_weights):
+        model = NpaModelSpec(
+            weights=linear_weights(),
+            increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.5)),
+            seed_graph=SeedGraphSpec(name=None, vertices=3, edges=((0, 1),)))
+        g_ = grow_npa(model, 500, RngStream(12)).final_graph
+        assert g_.vertex_count == 500
+        assert g_.degrees()[2] == 0
+        assert set(g_.pairs[:, 1].tolist()) >= {0, 1}
+
+    def test_edgeless_seed_raises(self, linear_weights):
+        model = NpaModelSpec(
+            weights=linear_weights(),
+            increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
+            seed_graph=SeedGraphSpec(name=None, vertices=2, edges=()))
+        with pytest.raises(ZeroTotalWeight):
+            grow_npa(model, 10, RngStream(2))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +342,35 @@ class TestGrowAer:
         packed = full.pairs[:, 0] * 3000 + full.pairs[:, 1]
         assert len(np.unique(packed)) == len(packed)
 
+    @pytest.mark.parametrize("n1, a, seed", [(400, 1.2, 1), (2000, 2.2, 2),
+                                             (3000, 2.75, 3)])
+    def test_prune_mask_matches_components(self, n1, a, seed):
+        full, _ = grow_aer_unpruned(AerModelSpec(n1=n1, a=a), RngStream(seed))
+        keep, isolated, pairs = growth._prune_small_components(full)
+        expected = np.zeros(n1, dtype=bool)
+        sizes = [len(c) for c in _components(full)]
+        for comp in _components(full):
+            expected[list(comp)] = len(comp) >= 3
+        assert np.array_equal(keep, expected)
+        assert isolated == sizes.count(1)
+        assert pairs == 2 * sizes.count(2)
+
+    def test_prune_long_path_with_shuffled_ids(self):
+        # A 20000-vertex path, 300 two-vertex components and 400 isolated
+        # vertices, under one random relabelling.
+        n = 20000 + 600 + 400
+        perm = np.random.default_rng(5).permutation(n)
+        path = np.column_stack([np.arange(19999), np.arange(1, 20000)])
+        duos = np.arange(20000, 20600).reshape(-1, 2)
+        graph = Graph(n, perm[np.concatenate([path, duos])])
+        keep, isolated, pairs = growth._prune_small_components(graph)
+        expected = np.zeros(n, dtype=bool)
+        for comp in _components(graph):
+            expected[list(comp)] = len(comp) >= 3
+        assert np.array_equal(keep, expected)
+        assert keep.sum() == 20000
+        assert (isolated, pairs) == (400, 600)
+
     def test_carry_convention_close_but_distinct_law(self):
         spec = AerModelSpec(n1=5000, a=2.75)
         _, a = grow_aer_with_stats(spec, RngStream(66))
@@ -313,6 +461,22 @@ class TestEdgeListIo:
         assert back.vertex_count == g.vertex_count
         assert back.directed == g.directed
         assert np.array_equal(back.pairs, g.pairs)
+
+    def test_written_text_exact(self):
+        g = Graph(4, [(0, 1), (2, 0), (3, 12)], directed=True)
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        assert buf.getvalue() == ("# Nodes: 4 Edges: 3\n"
+                                  "# Directed: true\n"
+                                  "0 1\n2 0\n3 12\n")
+
+    def test_written_text_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(growth, "_WRITE_CHUNK_ROWS", 2)
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        assert buf.getvalue().splitlines()[2:] == [
+            "0 1", "1 2", "2 3", "3 4", "4 5"]
 
     def test_isolated_vertices_preserved(self):
         g = Graph(10, [(0, 1)])
