@@ -15,17 +15,16 @@ from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, GammaNotConvex,
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec,
                      SeedGraphSpec, WeightFunction, dump_model, load_model,
-                     mean_increment, model_from_dict, model_to_dict,
-                     validate_model)
+                     model_from_dict, model_to_dict, validate_model)
 from .solver import (SolverOptions, VddSolution, complement_mean, complement_vdd,
                      edge_share, mix_edd, mix_vdd, register_edd_variant,
                      solve_arc_dd, solve_vdd, symmetrize)
 from .growth import (AerRunStats, GrowthTrace, RngStream, grow_aer,
-                     grow_aer_unpruned, grow_aer_with_stats, grow_ba_tree,
-                     grow_composite, grow_npa, measure_arc_dd, measure_edd,
-                     measure_vdd, read_edge_list, write_edge_list)
-from .datasets import (DatasetSummary, ParseStats, empirical_edd, empirical_vdd,
-                       load_edge_list, parse_edge_list, smooth_vdd, summarize)
+                     grow_aer_unpruned, grow_aer_with_stats, grow_composite,
+                     grow_npa, measure_arc_dd, measure_edd, measure_vdd,
+                     read_edge_list, write_edge_list)
+from .datasets import (DatasetSummary, ParseStats, load_edge_list,
+                       parse_edge_list, smooth_vdd, summarize)
 from .calibrate import (CalibrateOptions, CalibrationResult, CalibrationTarget,
                         OptimizerTrace, calibrate_composite, calibrate_single,
                         edd_distance, gowalla_increments, preset_brightkite,

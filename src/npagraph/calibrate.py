@@ -351,7 +351,7 @@ _AER_CACHE: dict[tuple, dict] = {}
 class ComponentProfile:
     """What composite mixing needs to know about a fixed first component."""
 
-    spec: Union[BaTreeSpec, AerModelSpec, NpaModelSpec]
+    spec: Union[NpaModelSpec, AerModelSpec]
     m: float
     vdd: DegreeDistribution
     edd: EdgeDegreeMatrix  # kind = edge, at least the target extent
@@ -367,12 +367,11 @@ def component_profile(spec, target: CalibrationTarget,
     mixture, since pruning removes whole vertices but barely reshapes edges.
     """
     extent = max(target.u, target.edd.max_degree)
-    if isinstance(spec, (BaTreeSpec, NpaModelSpec)):
-        model = spec.to_npa() if isinstance(spec, BaTreeSpec) else spec
-        sol = solve_vdd(model, opts.solver)
-        theta = symmetrize(solve_arc_dd(model, sol,
+    if isinstance(spec, NpaModelSpec):
+        sol = solve_vdd(spec, opts.solver)
+        theta = symmetrize(solve_arc_dd(spec, sol,
                                         replace(opts.solver, u_max=extent)))
-        return ComponentProfile(spec=spec, m=model.increments.mean,
+        return ComponentProfile(spec=spec, m=spec.increments.mean,
                                 vdd=sol.q, edd=theta)
     if isinstance(spec, AerModelSpec):
         est = aer_component_estimate(spec, extent, reps=opts.aer_reps,

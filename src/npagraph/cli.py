@@ -18,9 +18,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .calibrate import (CalibrateOptions, CalibrationTarget, calibrate_composite,
-                        calibrate_single, edd_distance, preset_brightkite,
-                        preset_gowalla, select_u)
+from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, CalibrateOptions,
+                        CalibrationTarget, calibrate_composite, calibrate_single,
+                        edd_distance, preset_brightkite, preset_gowalla,
+                        select_u)
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, MalformedLine,
                      NpaGraphError, SolverFailure, ValidationError,
                      ZeroTotalWeight)
@@ -69,8 +70,6 @@ def _load_spec(path: str):
 def cmd_solve(params: dict) -> int:
     out = Path(params["out"])
     spec = _load_spec(params["spec"])
-    if isinstance(spec, BaTreeSpec):
-        spec = spec.to_npa()
     if not isinstance(spec, NpaModelSpec):
         print("solve expects a growth-model spec", file=sys.stderr)
         return EXIT_INPUT
@@ -107,8 +106,6 @@ def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
     elif isinstance(spec, AerModelSpec):
         graph = grow_aer(spec, rng)
     else:
-        if isinstance(spec, BaTreeSpec):
-            spec = spec.to_npa()
         graph = grow_npa(spec, n, rng).final_graph
     out = Path(out_dir)
     with open(out / f"graph_rep{rep}.txt", "w", newline="\n") as fh:
@@ -205,7 +202,7 @@ def cmd_calibrate(params: dict) -> int:
                                       opts=opts)
         else:
             first = BaTreeSpec() if params["first"] == "ba-tree" else AerModelSpec(
-                n1=int(round(0.35 * opts.total_n)), a=params["aer_a"])
+                n1=int(round(GOWALLA_RHO * opts.total_n)), a=params["aer_a"])
             result = calibrate_composite(target, first, opts=opts)
     except AllRhoInfeasible as exc:
         _write_json(out / "report.json", {"error": str(exc)})
@@ -360,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-min", dest="rho_min", type=float, default=0.025)
     p.add_argument("--rho-max", dest="rho_max", type=float, default=0.975)
     p.add_argument("--rho-step", dest="rho_step", type=float, default=0.025)
-    p.add_argument("--aer-a", dest="aer_a", type=float, default=2.75)
+    p.add_argument("--aer-a", dest="aer_a", type=float,
+                   default=GOWALLA_AER_MEAN_DEGREE)
     _add_out(p)
 
     p = sub.add_parser("compare", help="distance between two edge matrices")

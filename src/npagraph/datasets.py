@@ -16,16 +16,11 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import EmptyGraph, EmptyInput, InsufficientTail, MalformedLine
-from .growth import measure_edd, measure_vdd
+from .errors import EmptyGraph, EmptyInput, InsufficientTail
+from .growth import _edge_tokens
 from .models import DegreeDistribution, Graph
 
 log = logging.getLogger(__name__)
-
-# Shared implementations: the empirical distributions of an ingested network
-# are measured exactly like those of a grown graph.
-empirical_vdd = measure_vdd
-empirical_edd = measure_edd
 
 
 @dataclass(frozen=True)
@@ -42,63 +37,37 @@ class DatasetSummary:
                 "mean_degree": self.mean_degree, "derived_m": self.derived_m}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParseStats:
-    lines_read: int = 0
-    comment_lines: int = 0
-    self_loops_dropped: int = 0
-    duplicates_collapsed: int = 0
+    self_loops_dropped: int
+    duplicates_collapsed: int
 
 
 def parse_edge_list(lines: Iterable[str], return_stats: bool = False
                     ) -> Union[Graph, tuple[Graph, ParseStats]]:
-    """Parse whitespace-separated node-id pairs into an undirected simple graph.
+    """Parse node-id pairs into an undirected simple graph.
 
-    Comment lines start with '#' (or '%'). A line that is not two integers
-    raises MalformedLine with its line number.
+    The text follows the edge-list syntax of the growth module: two integer
+    ids per line, separated by spaces or tabs; '#' and '%' start comments,
+    blank lines are skipped, and any other line raises MalformedLine with
+    its line number. Self-loops are dropped, ids are remapped to the dense
+    range 0 .. n-1 in increasing order (kept as labels), and duplicate or
+    reversed pairs collapse to one edge.
     """
-    stats = ParseStats()
-    us: list[int] = []
-    vs: list[int] = []
-    for ln_no, raw in enumerate(lines, 1):
-        stats.lines_read += 1
-        s = raw.strip()
-        if not s:
-            continue
-        if s[0] in "#%":
-            stats.comment_lines += 1
-            continue
-        parts = s.split()
-        if len(parts) != 2:
-            raise MalformedLine(ln_no, raw.rstrip("\n"))
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLine(ln_no, raw.rstrip("\n")) from None
-        if a == b:
-            stats.self_loops_dropped += 1
-            continue
-        us.append(a)
-        vs.append(b)
-    if not us:
+    raw = _edge_tokens(lines)
+    is_loop = raw[:, 0] == raw[:, 1]
+    kept = raw[~is_loop]
+    if not len(kept):
         raise EmptyInput("edge list holds no usable edges")
-    if stats.self_loops_dropped:
-        log.warning("dropped %d self-loop(s)", stats.self_loops_dropped)
-
-    u = np.asarray(us, dtype=np.int64)
-    v = np.asarray(vs, dtype=np.int64)
-    ids = np.unique(np.concatenate([u, v]))
-    iu = np.searchsorted(ids, u)
-    iv = np.searchsorted(ids, v)
-    lo = np.minimum(iu, iv)
-    hi = np.maximum(iu, iv)
-    packed = lo * np.int64(len(ids)) + hi
-    uniq = np.unique(packed)
-    stats.duplicates_collapsed = len(packed) - len(uniq)
-    pairs = np.column_stack([uniq // len(ids), uniq % len(ids)])
-    graph = Graph(len(ids), pairs, directed=False, labels=ids)
+    loops = int(np.count_nonzero(is_loop))
+    if loops:
+        log.warning("dropped %d self-loop(s)", loops)
+    ids, dense = np.unique(kept, return_inverse=True)
+    graph = Graph(len(ids), dense.reshape(-1, 2), directed=False,
+                  labels=ids).to_undirected(collapse_parallel=True)
     if return_stats:
-        return graph, stats
+        return graph, ParseStats(self_loops_dropped=loops,
+                                 duplicates_collapsed=len(kept) - graph.edge_count)
     return graph
 
 

@@ -13,14 +13,17 @@ bit-identical graph within one version of the package.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
+import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
 
 import numpy as np
 
 from .errors import EmptyGraph, MalformedLine, NoEdges, ZeroTotalWeight
-from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
+from .models import (AerModelSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec)
 
 
@@ -230,11 +233,6 @@ def _grow_degree_buckets(seed: Graph, spec: NpaModelSpec, steps: int,
     return edges
 
 
-def grow_ba_tree(n: int, rng: RngStream) -> GrowthTrace:
-    """Grow the fixed single-arc linear-weight tree model to n vertices."""
-    return grow_npa(BaTreeSpec().to_npa(), n, rng)
-
-
 # ---------------------------------------------------------------------------
 # Autocorrelated random graph
 # ---------------------------------------------------------------------------
@@ -410,9 +408,7 @@ def grow_composite(spec: CompositeSpec, rng: RngStream,
     parts: list[Graph] = []
     for idx, ((model, _rho), budget) in enumerate(zip(spec.components, budgets)):
         sub = rng.substream(idx)
-        if isinstance(model, BaTreeSpec):
-            parts.append(grow_npa(model.to_npa(), budget, sub).final_graph)
-        elif isinstance(model, NpaModelSpec):
+        if isinstance(model, NpaModelSpec):
             parts.append(grow_npa(model, budget, sub).final_graph)
         elif isinstance(model, AerModelSpec):
             aer = model if model.n1 == budget else AerModelSpec(n1=budget, a=model.a)
@@ -504,32 +500,56 @@ def write_edge_list(graph: Graph, out: TextIO) -> None:
 
 
 def read_edge_list(lines: Iterable[str]) -> Graph:
-    """Exact inverse of write_edge_list; keeps duplicates and vertex count."""
-    n_header = None
-    directed = False
-    pairs: list[tuple[int, int]] = []
-    max_id = -1
+    """Exact inverse of write_edge_list; keeps duplicates and vertex count.
+
+    The pairs follow the syntax of _edge_tokens. The leading comment block
+    may give "Nodes: N" and "Directed: true"; the vertex count is the larger
+    of N and the largest id plus one, so a header-only text gives N isolated
+    vertices.
+    """
+    lines = list(lines)
+    header = " ".join(itertools.takewhile(
+        lambda s: not s.strip() or s.lstrip()[0] in "#%", lines))
+    nodes = re.search(r"Nodes:\s*(\d+)", header)
+    directed = re.search(r"Directed:\s*true", header, re.IGNORECASE)
+    pairs = _edge_tokens(lines)
+    n = int(nodes.group(1)) if nodes else 0
+    return Graph(max(n, int(pairs.max(initial=-1)) + 1), pairs,
+                 directed=directed is not None)
+
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _edge_tokens(lines: Iterable[str]) -> np.ndarray:
+    """The (E, 2) int64 array of the id pairs in edge-list text, in file order.
+
+    A data line holds two integer ids separated by spaces or tabs. Text from
+    a '#' or '%' to the end of its line is a comment, so a pair may carry a
+    trailing comment; blank lines are skipped, and CRLF line ends are
+    accepted. Any other line, or an id outside int64, raises MalformedLine
+    with its 1-based line number. The text is parsed in one np.loadtxt call;
+    lines are scanned one by one only after that call has failed.
+    """
+    if not hasattr(lines, "seek"):
+        lines = list(lines)
+    try:
+        with warnings.catch_warnings():  # comment-only text is no error here
+            warnings.simplefilter("ignore", UserWarning)
+            pairs = np.loadtxt(lines, dtype=np.int64, comments=("#", "%"),
+                               ndmin=2)
+    except ValueError:
+        pairs = None
+    if pairs is not None and (pairs.shape[1] == 2 or pairs.size == 0):
+        return pairs.reshape(-1, 2)
+    if hasattr(lines, "seek"):
+        lines.seek(0)
     for ln_no, raw in enumerate(lines, 1):
-        s = raw.strip()
-        if not s:
-            continue
-        if s.startswith("#"):
-            if "Nodes:" in s:
-                try:
-                    n_header = int(s.split("Nodes:")[1].split()[0])
-                except (ValueError, IndexError):
-                    pass
-            if "Directed:" in s:
-                directed = "true" in s.split("Directed:")[1].lower()
-            continue
-        parts = s.split()
-        if len(parts) != 2:
-            raise MalformedLine(ln_no, raw.rstrip("\n"))
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLine(ln_no, raw.rstrip("\n")) from None
-        pairs.append((a, b))
-        max_id = max(max_id, a, b)
-    n = n_header if n_header is not None else max_id + 1
-    return Graph(max(n, max_id + 1), pairs, directed=directed)
+        tokens = re.split("[#%]", raw, maxsplit=1)[0].split()
+        if tokens and (len(tokens) != 2 or not all(
+                _INT_TOKEN.fullmatch(t) and -2**63 <= int(t) < 2**63
+                for t in tokens)):
+            raise MalformedLine(ln_no, raw.rstrip("\r\n"))
+    # Only a carriage return inside a line, which np.loadtxt reads as a line
+    # break, gets here.
+    raise MalformedLine(0, "a carriage return inside a line")

@@ -224,11 +224,6 @@ class IncrementDistribution:
         return cls(min_arcs=int(d["min_arcs"]), probs=tuple(float(p) for p in d["probs"]))
 
 
-def mean_increment(d: IncrementDistribution) -> float:
-    """Mean number of arcs per increment, recomputed from the probabilities."""
-    return d.mean
-
-
 # ---------------------------------------------------------------------------
 # Degree distribution
 # ---------------------------------------------------------------------------
@@ -462,7 +457,10 @@ class Graph:
         if collapse_parallel and len(pairs):
             lo = np.minimum(pairs[:, 0], pairs[:, 1])
             hi = np.maximum(pairs[:, 0], pairs[:, 1])
-            packed = np.unique(lo * np.int64(self.vertex_count) + hi)
+            # return_counts keeps np.unique on its sort path; NumPy >= 2.3
+            # otherwise hashes, which is many times slower on int64 keys.
+            packed, _ = np.unique(lo * np.int64(self.vertex_count) + hi,
+                                  return_counts=True)
             pairs = np.column_stack([packed // self.vertex_count,
                                      packed % self.vertex_count])
         return Graph(self.vertex_count, pairs, directed=False, labels=self.labels)
@@ -574,15 +572,20 @@ class NpaModelSpec:
 
 
 @dataclass(frozen=True)
-class BaTreeSpec:
-    """Fixed special case: every increment brings one arc and weights are linear."""
+class BaTreeSpec(NpaModelSpec):
+    """The growth model where every increment brings one arc and f_k = k.
+
+    Its fields are fixed to that law; it serializes as {"type": "ba_tree"}.
+    """
+
+    weights: WeightFunction = field(default=WeightFunction.linear(g=1), init=False)
+    increments: IncrementDistribution = field(
+        default=IncrementDistribution(min_arcs=1, probs=(1.0,)), init=False)
+    seed_graph: SeedGraphSpec = field(default=SeedGraphSpec(), init=False)
 
     def to_npa(self) -> NpaModelSpec:
-        return NpaModelSpec(weights=WeightFunction.linear(g=1),
-                            increments=IncrementDistribution(min_arcs=1, probs=(1.0,)))
-
-    def violations(self) -> list[Violation]:
-        return []
+        """The same model as a plain spec, which serializes as "npa"."""
+        return NpaModelSpec(self.weights, self.increments, self.seed_graph)
 
     def to_dict(self) -> dict:
         return {"type": "ba_tree"}
@@ -620,7 +623,7 @@ class AerModelSpec:
         return {"type": "aer", "n1": self.n1, "a": self.a}
 
 
-ComponentModel = Union[NpaModelSpec, AerModelSpec, BaTreeSpec]
+ComponentModel = Union[NpaModelSpec, AerModelSpec]
 
 
 @dataclass(frozen=True)
@@ -660,7 +663,7 @@ class CompositeSpec:
                 "metadata": self.metadata}
 
 
-ModelSpec = Union[NpaModelSpec, AerModelSpec, BaTreeSpec, CompositeSpec]
+ModelSpec = Union[NpaModelSpec, AerModelSpec, CompositeSpec]
 
 
 def validate_model(spec: ModelSpec) -> ModelSpec:

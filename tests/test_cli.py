@@ -164,6 +164,12 @@ class TestIngestCommand:
         data.write_text("0 1\nbroken\n")
         assert main(["ingest", str(data), "--out", str(tmp_path / "o")]) == 2
 
+    def test_oversized_id_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "net.txt"
+        data.write_text("0 1\n99999999999999999999 1\n")
+        assert main(["ingest", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestRerunDeterminism:
     def _assert_twin_runs(self, first, second):
@@ -297,6 +303,31 @@ class TestCalibrateCommand:
         fitted = json.loads((out / "model.json").read_text())
         assert fitted["type"] == "npa"
         assert (out / "edd_compare.csv").exists()
+
+    def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
+        from npagraph import AerModelSpec, AllRhoInfeasible, cli
+        from npagraph.calibrate import GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO
+        model = BaTreeSpec()
+        opts = SolverOptions(k_max=2000)
+        sol = solve_vdd(model, opts)
+        theta = symmetrize(solve_arc_dd(model, sol, replace(opts, u_max=8)))
+        target_dir = tmp_path / "target"
+        target_dir.mkdir()
+        (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
+        (target_dir / "edd.csv").write_text(edd_to_csv(theta))
+        seen = []
+
+        def capture(target, first, opts):
+            seen.append((first, opts.total_n))
+            raise AllRhoInfeasible("captured")
+
+        monkeypatch.setattr(cli, "calibrate_composite", capture)
+        code = main(["calibrate", str(target_dir), "--mode", "composite",
+                     "--first", "aer", "--u", "8", "--out", str(tmp_path / "o")])
+        assert code == 4
+        (first, total_n), = seen
+        assert first == AerModelSpec(n1=round(GOWALLA_RHO * total_n),
+                                     a=GOWALLA_AER_MEAN_DEGREE)
 
     def test_missing_target_exit_2(self, tmp_path):
         assert main(["calibrate", str(tmp_path / "void"),

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npagraph import (EmptyInput, Graph, InsufficientTail, MalformedLine,
-                      empirical_edd, empirical_vdd, load_edge_list,
-                      parse_edge_list, smooth_vdd, summarize, write_edge_list)
+                      ParseStats, load_edge_list, measure_edd, measure_vdd,
+                      parse_edge_list, read_edge_list, smooth_vdd, summarize,
+                      write_edge_list)
 from npagraph.models import DegreeDistribution
 
 
@@ -72,6 +73,92 @@ class TestParseEdgeList:
             g2.degrees()[g2.degrees() > 0])
 
 
+# ---------------------------------------------------------------------------
+# Edge-list syntax, shared by both readers
+# ---------------------------------------------------------------------------
+
+READERS = [pytest.param(parse_edge_list, id="parse_edge_list"),
+           pytest.param(read_edge_list, id="read_edge_list")]
+# A seekable text stream, and lines that can be iterated only once.
+FORMS = [pytest.param(io.StringIO, id="stream"),
+         pytest.param(lambda text: iter(text.splitlines(keepends=True)),
+                      id="iterator")]
+
+
+def _edges(graph):
+    """Edges in original ids, each as a sorted pair, in a sorted list."""
+    ids = graph.labels if graph.labels is not None else np.arange(
+        graph.vertex_count)
+    return sorted(tuple(sorted((int(ids[a]), int(ids[b]))))
+                  for a, b in graph.pairs)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("reader", READERS)
+class TestEdgeListSyntax:
+    @pytest.mark.parametrize("text, line_no", [
+        ("# c\n\n0 1\n% c\n \t \n0 x\n1 2\n", 6),
+        ("0 1\n7\n", 2),
+        ("7\n", 1),
+        ("0 1\n1 2 3\n", 2),
+        ("1 2 3\n", 1),
+        ("0 1\r\n1 2.5\r\n", 2),
+        ("# Nodes: 3\n0 1\n99999999999999999999 1\n", 3),
+        ("-9223372036854775809 1\n", 1),
+    ])
+    def test_malformed_line_number(self, reader, form, text, line_no):
+        with pytest.raises(MalformedLine) as err:
+            reader(form(text))
+        assert err.value.line_no == line_no
+        assert err.value.content == text.splitlines()[line_no - 1]
+
+    def test_accepted_syntax(self, reader, form):
+        text = ("% konect\r\n# snap\r\n0\t1\r\n\r\n1   2 # note\r\n"
+                "  2 3  \r\n+3 4\r\n")
+        graph = reader(form(text))
+        assert _edges(graph) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def test_header_only(self, reader, form):
+        text = "# Nodes: 5 Edges: 0\n# Directed: true\n"
+        if reader is parse_edge_list:
+            with pytest.raises(EmptyInput):
+                reader(form(text))
+            return
+        graph = reader(form(text))
+        assert graph.vertex_count == 5
+        assert graph.edge_count == 0
+
+
+class TestParseAgainstSets:
+    """parse_edge_list against the same simple graph built with Python sets."""
+
+    ids = st.integers(-2**63, 2**63 - 1) | st.integers(0, 6)
+
+    @given(st.lists(st.tuples(ids, ids) | st.sampled_from(["# c", "", "%"]),
+                    max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_simple_graph(self, items):
+        lines = [f"{x[0]} {x[1]}" if isinstance(x, tuple) else x
+                 for x in items]
+        pairs = [x for x in items if isinstance(x, tuple)]
+        kept = [(a, b) for a, b in pairs if a != b]
+        edges = {frozenset(p) for p in kept}
+        if not edges:
+            with pytest.raises(EmptyInput):
+                parse_edge_list(lines)
+            return
+        graph, stats = parse_edge_list(lines, return_stats=True)
+        labels = sorted(set().union(*edges))
+        assert [int(v) for v in graph.labels] == labels
+        assert graph.vertex_count == len(labels)
+        assert graph.edge_count == len(edges)
+        assert {frozenset((int(graph.labels[a]), int(graph.labels[b])))
+                for a, b in graph.pairs} == edges
+        assert stats == ParseStats(
+            self_loops_dropped=len(pairs) - len(kept),
+            duplicates_collapsed=len(kept) - len(edges))
+
+
 class TestSummarize:
     def test_triangle(self):
         s = summarize(Graph(3, [(0, 1), (1, 2), (2, 0)]))
@@ -85,11 +172,11 @@ class TestSummarize:
     def test_consistent_with_vdd_mean(self):
         g = parse_edge_list(["0 1", "1 2", "2 3", "3 0", "0 2"])
         s = summarize(g)
-        assert s.mean_degree == pytest.approx(empirical_vdd(g).mean(), abs=1e-12)
+        assert s.mean_degree == pytest.approx(measure_vdd(g).mean(), abs=1e-12)
 
     def test_edd_mass_complete(self):
         g = parse_edge_list(["0 1", "1 2", "2 3", "0 2"])
-        theta = empirical_edd(g, 2)
+        theta = measure_edd(g, 2)
         assert theta.stored_mass() + theta.truncation_mass == pytest.approx(
             1.0, abs=1e-12)
 

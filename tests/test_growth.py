@@ -8,9 +8,9 @@ from scipy.stats import chisquare
 from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
                       IncrementDistribution, NpaModelSpec, RngStream,
                       SeedGraphSpec, WeightFunction, ZeroTotalWeight, grow_aer,
-                      grow_aer_unpruned, grow_aer_with_stats, grow_ba_tree,
-                      grow_composite, grow_npa, measure_arc_dd, measure_edd,
-                      measure_vdd, read_edge_list, write_edge_list)
+                      grow_aer_unpruned, grow_aer_with_stats, grow_composite,
+                      grow_npa, measure_arc_dd, measure_edd, measure_vdd,
+                      read_edge_list, write_edge_list)
 from npagraph import growth
 from npagraph.errors import EmptyGraph, NoEdges
 
@@ -40,22 +40,22 @@ def _components(graph: Graph) -> list[set[int]]:
 
 class TestGrowNpa:
     def test_reproducible_bit_identical(self):
-        a = grow_ba_tree(500, RngStream(123, 4)).final_graph
-        b = grow_ba_tree(500, RngStream(123, 4)).final_graph
+        a = grow_npa(BaTreeSpec(), 500, RngStream(123, 4)).final_graph
+        b = grow_npa(BaTreeSpec(), 500, RngStream(123, 4)).final_graph
         assert np.array_equal(a.pairs, b.pairs)
 
     def test_different_stream_differs(self):
-        a = grow_ba_tree(500, RngStream(123, 0)).final_graph
-        b = grow_ba_tree(123, RngStream(123, 1)).final_graph
+        a = grow_npa(BaTreeSpec(), 500, RngStream(123, 0)).final_graph
+        b = grow_npa(BaTreeSpec(), 123, RngStream(123, 1)).final_graph
         assert not np.array_equal(a.pairs[:100], b.pairs[:100])
 
     def test_tree_minimal(self):
-        g = grow_ba_tree(2, RngStream(1)).final_graph
+        g = grow_npa(BaTreeSpec(), 2, RngStream(1)).final_graph
         assert g.vertex_count == 2
         assert g.edge_count == 1
 
     def test_tree_edge_count_and_acyclic(self):
-        g = grow_ba_tree(1000, RngStream(5)).final_graph
+        g = grow_npa(BaTreeSpec(), 1000, RngStream(5)).final_graph
         assert g.edge_count == g.vertex_count - 1
         comps = _components(g)
         assert len(comps) == 1  # connected with n - 1 edges: a tree
@@ -89,7 +89,7 @@ class TestGrowNpa:
         assert g.degrees().max() <= 6
 
     def test_ba_degree_distribution_close(self):
-        g = grow_ba_tree(100000, RngStream(21)).final_graph
+        g = grow_npa(BaTreeSpec(), 100000, RngStream(21)).final_graph
         vdd = measure_vdd(g)
         assert vdd.prob(1) == pytest.approx(2.0 / 3.0, abs=0.01)
 
@@ -105,7 +105,7 @@ class TestGrowNpa:
 
     def test_n_below_seed_rejected(self):
         with pytest.raises(ValueError):
-            grow_ba_tree(1, RngStream(0))
+            grow_npa(BaTreeSpec(), 1, RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ class TestMeasure:
         assert theta.truncation_mass == pytest.approx(1.0)
 
     def test_edd_mass_accounting(self):
-        g = grow_ba_tree(2000, RngStream(2)).final_graph
+        g = grow_npa(BaTreeSpec(), 2000, RngStream(2)).final_graph
         theta = measure_edd(g, 10)
         assert theta.stored_mass() + theta.truncation_mass == pytest.approx(
             1.0, abs=1e-12)
@@ -294,6 +294,28 @@ class TestMeasure:
 # ---------------------------------------------------------------------------
 # Autocorrelated graphs
 # ---------------------------------------------------------------------------
+
+class TestBaTreeSpec:
+    """The BA tree is an NpaModelSpec with fixed fields, not a separate kind."""
+
+    def test_grows_like_its_npa_form(self):
+        a = grow_npa(BaTreeSpec(), 3000, RngStream(17)).final_graph
+        b = grow_npa(BaTreeSpec().to_npa(), 3000, RngStream(17)).final_graph
+        assert np.array_equal(a.pairs, b.pairs)
+
+    def test_solves_like_its_npa_form(self):
+        from npagraph import solve_vdd
+        a = solve_vdd(BaTreeSpec()).q
+        b = solve_vdd(BaTreeSpec().to_npa()).q
+        assert a.min_degree == b.min_degree
+        assert np.array_equal(a.probs, b.probs)
+
+    def test_serialized_kind_kept(self):
+        from npagraph import dump_model, load_model
+        assert isinstance(BaTreeSpec(), NpaModelSpec)
+        assert load_model(dump_model(BaTreeSpec())) == BaTreeSpec()
+        assert BaTreeSpec().to_dict() == {"type": "ba_tree"}
+
 
 class TestGrowAer:
     def test_reproducible(self):
@@ -454,7 +476,7 @@ class TestGrowComposite:
 
 class TestEdgeListIo:
     def test_round_trip_exact(self):
-        g = grow_ba_tree(200, RngStream(3)).final_graph
+        g = grow_npa(BaTreeSpec(), 200, RngStream(3)).final_graph
         buf = io.StringIO()
         write_edge_list(g, buf)
         back = read_edge_list(io.StringIO(buf.getvalue()))

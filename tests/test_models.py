@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                       EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec,
                       SeedGraphSpec, ValidationError, WeightFunction, dump_model,
-                      load_model, mean_increment, validate_model)
+                      load_model, validate_model)
 
 GOWALLA_M = 7.376292489902686  # frozen: mean of the normalized preset table
 
@@ -73,16 +73,16 @@ class TestWeightFunction:
 class TestIncrementDistribution:
     def test_point_mass_mean(self):
         d = IncrementDistribution(min_arcs=1, probs=(1.0,))
-        assert mean_increment(d) == 1.0
+        assert d.mean == 1.0
 
     def test_two_point_mean(self):
         d = IncrementDistribution(min_arcs=1, probs=(0.5, 0.5))
-        assert mean_increment(d) == 1.5
+        assert d.mean == 1.5
 
     def test_gowalla_table_mean_frozen(self):
         from npagraph import gowalla_increments
         inc, _raw = gowalla_increments()
-        assert mean_increment(inc) == pytest.approx(GOWALLA_M, abs=1e-12)
+        assert inc.mean == pytest.approx(GOWALLA_M, abs=1e-12)
 
     def test_non_normalized(self):
         d = IncrementDistribution(min_arcs=1, probs=(0.5, 0.4))
@@ -102,7 +102,7 @@ class TestIncrementDistribution:
         probs = tuple(x / total for x in raw)
         d = IncrementDistribution(min_arcs=g, probs=probs)
         back = IncrementDistribution.from_dict(json.loads(json.dumps(d.to_dict())))
-        assert mean_increment(back) == mean_increment(d)
+        assert back.mean == d.mean
 
 
 # ---------------------------------------------------------------------------
