@@ -5,7 +5,7 @@ grows graphs by simulation, ingests real network edge lists, and calibrates
 one- and two-component models against empirical degree distributions.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, GammaNotConvex,
                      InfeasibleComplement, InsufficientTail, MalformedLine,
@@ -17,8 +17,8 @@ from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution
                      SeedGraphSpec, WeightFunction, dump_model, load_model,
                      model_from_dict, model_to_dict, validate_model)
 from .solver import (SolverOptions, VddSolution, complement_mean, complement_vdd,
-                     edge_share, mix_edd, mix_vdd, register_edd_variant,
-                     solve_arc_dd, solve_vdd, symmetrize)
+                     edge_share, mix_edd, mix_vdd, solve_arc_dd, solve_vdd,
+                     symmetrize)
 from .growth import (AerRunStats, GrowthTrace, RngStream, grow_aer,
                      grow_aer_unpruned, grow_aer_with_stats, grow_composite,
                      grow_npa, measure_arc_dd, measure_edd, measure_vdd,

@@ -76,7 +76,11 @@ class CalibrationTarget:
 
 @dataclass
 class OptimizerTrace:
-    """Summary of one optimization run; best_history is non-increasing."""
+    """Summary of a calibration's optimizer runs.
+
+    Counts and best_history (non-increasing) cover every run; stalled is
+    the flag of the fit that is reported.
+    """
 
     evaluations: int = 0
     restarts: int = 0
@@ -164,39 +168,46 @@ def _shaped_seed(values: np.ndarray, floor: float = 1e-6) -> np.ndarray:
 
 
 def _optimize(objective: Callable[[np.ndarray], float], x0s: Sequence[np.ndarray],
-              opts: CalibrateOptions, trace: OptimizerTrace) -> None:
+              opts: CalibrateOptions, trace: OptimizerTrace
+              ) -> tuple[np.ndarray | None, float, bool]:
     """Derivative-free simplex minimization restarted from several seeds.
 
-    A restart is abandoned when the best value has not improved for
-    opts.patience evaluations. Every evaluated point flows through the
-    tracking objective, so the caller recovers the overall best from there.
+    Returns this run's best evaluated point (None when no evaluation was
+    finite), its value, and whether every restart was cut off by patience.
+    A restart is abandoned when this run's best value has not improved for
+    opts.patience evaluations. The trace accumulates evaluations, restarts
+    and the best value over all runs that share it.
     """
     # Imported here so that commands which never calibrate skip its cost.
     from scipy.optimize import minimize
 
+    best_x = None
+    best_f = math.inf
     patience_stops = 0
-    normal_stops = 0
     for x0 in x0s:
         since_improve = 0
-        aborted = [False]
+        aborted = False
 
         def wrapped(x: np.ndarray) -> float:
-            nonlocal since_improve
+            nonlocal best_x, best_f, since_improve
             val = objective(x)
             trace.evaluations += 1
-            if val < trace.best_objective:
-                trace.best_objective = val
-                trace.best_history.append(val)
+            if val < best_f:
+                best_x, best_f = np.array(x), val
                 since_improve = 0
             else:
                 since_improve += 1
+            if val < trace.best_objective:
+                trace.best_objective = val
+                trace.best_history.append(val)
             return val
 
         def callback(_xk) -> None:
             # The simplex loop treats StopIteration from a callback as a
             # clean early termination, so record the abort separately.
+            nonlocal aborted
             if since_improve > opts.patience:
-                aborted[0] = True
+                aborted = True
                 raise StopIteration
 
         minimize(wrapped, np.asarray(x0, dtype=np.float64),
@@ -205,26 +216,9 @@ def _optimize(objective: Callable[[np.ndarray], float], x0s: Sequence[np.ndarray
                  options={"maxfev": opts.max_evals_per_restart,
                           "xatol": opts.xatol, "fatol": opts.fatol,
                           "disp": False})
-        if aborted[0]:
-            patience_stops += 1
-        else:
-            normal_stops += 1
+        patience_stops += aborted
         trace.restarts += 1
-    trace.stalled = normal_stops == 0 and patience_stops > 0
-
-
-def _tracking_objective(raw: Callable[[np.ndarray], float]):
-    """Wrap an objective so the best evaluated point is always recoverable."""
-    state = {"x": None, "f": math.inf}
-
-    def fun(x: np.ndarray) -> float:
-        val = raw(x)
-        if val < state["f"]:
-            state["f"] = val
-            state["x"] = np.array(x)
-        return val
-
-    return fun, state
+    return best_x, best_f, bool(x0s) and patience_stops == len(x0s)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +268,10 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
             return math.inf
         return opts.alpha_vdd * tv + dist
 
-    fun1, best1 = _tracking_objective(phase1_raw)
     seeds = _simplex_seeds(target, opts, dim)
-    _optimize(fun1, seeds, opts, trace)
-    if best1["x"] is None:
+    best_theta, best_obj, stalled = _optimize(phase1_raw, seeds, opts, trace)
+    if best_theta is None:
         raise SolverFailure("every candidate model failed to solve")
-    best_theta = best1["x"]
-    best_obj = best1["f"]
     best_weight = WeightFunction.linear(g=opts.r_min)
     phase = 1
 
@@ -299,21 +290,21 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
                 return math.inf
             return opts.alpha_vdd * tv + dist
 
-        fun2, best2 = _tracking_objective(phase2_raw)
         seeds2 = [np.concatenate([best_theta, [0.0]])]
         seeds2.extend(np.concatenate([s, [0.0]]) for s in seeds[:2])
-        _optimize(fun2, seeds2, opts, trace)
+        x2, f2, stalled2 = _optimize(phase2_raw, seeds2, opts, trace)
         # Strictly better only: on ties the model with fewer parameters wins.
-        if best2["x"] is not None and best2["f"] < best_obj:
-            best_theta = best2["x"][:-1]
-            best_weight = WeightFunction.power(math.exp(best2["x"][-1]),
-                                               g=opts.r_min)
-            best_obj = best2["f"]
+        if x2 is not None and f2 < best_obj:
+            best_theta = x2[:-1]
+            best_weight = WeightFunction.power(math.exp(x2[-1]), g=opts.r_min)
+            best_obj = f2
+            stalled = stalled2
             phase = 2
 
     model = _candidate_model(best_theta, best_weight, opts)
     tv, dist, sol, theta = _model_quality(model, target, opts, g_cmp)
     trace.phase = phase
+    trace.stalled = stalled
     report = {
         "weight_mode": weight_mode,
         "phase": phase,
@@ -441,7 +432,9 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     distribution and mean are implied by the mixture equations; its increment
     probabilities are then fitted so the mixed edge matrix best matches the
     target. rho itself is refined on a grid that shrinks by rho_refine_factor
-    around the best coarse value on each outer iteration.
+    around the best coarse value on each outer iteration; grid values are
+    rounded to 12 decimals and each is fitted at most once. The trace's
+    stalled flag is that of the reported fit.
     """
     profile = component_profile(first_component, target, opts)
     m_total = target.m
@@ -449,14 +442,19 @@ def calibrate_composite(target: CalibrationTarget, first_component,
 
     grid = np.arange(opts.rho_min, opts.rho_max + 1e-12, opts.rho_step)
     grid_log: list[dict] = []
+    tried: set[float] = set()
     best: dict | None = None
     trace = OptimizerTrace()
     step = opts.rho_step
     for outer in range(opts.outer_iterations):
         for rho in grid:
-            entry = {"rho": float(rho), "outer": outer}
+            rho = round(float(rho), 12)
+            if rho in tried:
+                continue
+            tried.add(rho)
+            entry = {"rho": rho, "outer": outer}
             try:
-                result = _fit_complement(target, profile, float(rho), m_total,
+                result = _fit_complement(target, profile, rho, m_total,
                                          g_cmp, opts, trace)
             except (InfeasibleComplement, NonPositiveResult) as exc:
                 entry["skipped"] = str(exc)
@@ -476,6 +474,7 @@ def calibrate_composite(target: CalibrationTarget, first_component,
         grid = np.arange(lo, hi + 1e-12, step)
 
     rho = best["rho"]
+    trace.stalled = best["stalled"]
     complement: NpaModelSpec = best["model"]
     m2 = complement.increments.mean
     m_mix = rho * profile.m + (1.0 - rho) * m2
@@ -529,18 +528,18 @@ def _fit_complement(target: CalibrationTarget, profile: ComponentProfile,
             return math.inf
         return opts.alpha_vdd * tv + dist
 
-    fun, best = _tracking_objective(raw)
     ks = np.arange(opts.r_min, opts.r_max + 1, dtype=float)
     seeds = [_shaped_seed(q2_target.aligned(opts.r_min, opts.r_max))[1:],
              np.zeros(dim - 1),
              _shaped_seed(np.power(ks, -2.0))[1:]][:opts.restarts]
-    _optimize(fun, seeds, opts, trace)
-    if best["x"] is None:
+    best_x, _, stalled = _optimize(raw, seeds, opts, trace)
+    if best_x is None:
         raise InfeasibleComplement(f"no complement model solved at rho = {rho}")
-    model = _candidate_model(best["x"], WeightFunction.linear(g=opts.r_min), opts)
+    model = _candidate_model(best_x, WeightFunction.linear(g=opts.r_min), opts)
     tv, dist = mixed_quality(model)
     return {"rho": rho, "model": model, "objective": opts.alpha_vdd * tv + dist,
-            "tv": tv, "distance": dist, "m2_target": m2_target}
+            "tv": tv, "distance": dist, "m2_target": m2_target,
+            "stalled": stalled}
 
 
 # ---------------------------------------------------------------------------

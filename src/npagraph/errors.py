@@ -39,11 +39,11 @@ class SolverFailure(NpaGraphError):
 
 
 class NoConvergence(SolverFailure):
-    """The mean-weight fixed point could not be bracketed or iterated to tolerance."""
+    """The model has no stationary mean weight that the solver can bracket."""
 
 
 class TruncationTooSevere(SolverFailure):
-    """Probability mass beyond the truncation bound is too large; raise the cutoff."""
+    """Arc-matrix mass is missing beyond what truncation explains; raise u_max."""
 
 
 class ZeroTotalWeight(NpaGraphError):

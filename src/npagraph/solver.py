@@ -4,7 +4,8 @@ The vertex degree recurrence
     Q_k = (r_k * phi + m * f_{k-1} * Q_{k-1}) / (phi + m * f_k)
 is solved for the mean weight phi as a fixed point of
     phi -> sum_k f_k * Q_k(phi);
-the control quantity mean_degree = sum_k k * Q_k must then equal twice the
+when f_k = k the weight is the degree and phi = 2 m in closed form.
+The control quantity mean_degree = sum_k k * Q_k must equal twice the
 mean increment arc count, and the residual is always reported.
 
 Moments include closed-form or numeric tail corrections beyond the stored
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,30 +31,33 @@ GAMMA_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Truncation extents and fixed-point controls.
+    """Truncation extents and the mean-weight bisection tolerance.
+
+    k_max is the last stored vertex degree; the mass beyond it is recorded as
+    the distribution's truncation_mass, never raised. u_max is the extent of
+    the arc matrix. fp_tolerance is the relative bracket width at which the
+    bisection for the mean weight stops; weights f_k = k need no search.
 
     edd_variant selects the directed-recurrence form. "printed" is the
-    denominator m*(l*f_l + m*f_k + m*f_l); the registered alternative
-    "mean-weight" replaces the l*f_l term with the mean weight, which makes
-    the recurrence conserve probability mass. The printed form is the default
-    and any systematic discrepancy is surfaced by the simulation cross-check
-    rather than silently corrected.
+    denominator m*(l*f_l + m*f_k + m*f_l); "mean-weight" replaces the l*f_l
+    term with the mean weight, which makes the recurrence conserve
+    probability mass. The printed form is the default and any systematic
+    discrepancy is surfaced by the simulation cross-check rather than
+    silently corrected.
     """
 
     k_max: int = 10000
     u_max: int = 300
     fp_tolerance: float = 1e-10
-    fp_max_iter: int = 10000
     edd_variant: str = "printed"
     edd_mass_tolerance: float = 1e-3
-    vdd_truncation_limit: float = 1e-6
 
     def check(self, g: int) -> None:
         if not (self.k_max >= self.u_max >= g):
             raise ValueError(
                 f"need k_max >= u_max >= g, got {self.k_max}, {self.u_max}, {g}")
-        if self.fp_tolerance <= 0 or self.fp_max_iter <= 0:
-            raise ValueError("tolerances and iteration caps must be positive")
+        if self.fp_tolerance <= 0:
+            raise ValueError("the fixed-point tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,59 +304,42 @@ class _VddEngine:
 
 
 def _fixed_point(engine: _VddEngine, opts: SolverOptions) -> float:
-    """Solve phi = sum f_k Q_k(phi) by bracketing and bisection.
+    """The mean weight phi solving phi = sum f_k Q_k(phi).
 
-    Falls back to damped direct iteration when no sign change is found on a
-    geometric grid, which only happens for degenerate weight setups.
+    When the weight is the degree at every computed degree and in the tail,
+    sum f_k Q_k(phi) is the mean degree m phi / (phi - m), whose only fixed
+    point is phi = 2 m, returned exactly. Other weights are bracketed by
+    doubling phi from 1 and bisected until the bracket is narrower than
+    opts.fp_tolerance relative to phi, or cannot shrink further. A residual
+    that is not positive at phi = 1e-9, or still positive after 200
+    doublings, means there is no stationary regime to bracket.
     """
+    if engine.asym == ("linear", 1.0) and np.array_equal(engine.f, engine.ks):
+        return 2.0 * engine.m
+
     def residual(phi: float) -> float:
         s = engine.weighted_sum(phi)
         return math.inf if math.isinf(s) else s - phi
 
     lo = 1e-9
+    if residual(lo) <= 0.0:
+        raise NoConvergence("no positive residual at phi = 1e-9; cannot bracket")
     hi = 1.0
-    r_lo = residual(lo)
-    if r_lo <= 0.0:
-        # Hunt downward for a positive residual.
-        while lo > 1e-300 and r_lo <= 0.0:
-            hi, lo = lo, lo * 1e-3
-            r_lo = residual(lo)
-        if r_lo <= 0.0:
-            raise NoConvergence("no positive residual at any phi; cannot bracket")
-    r_hi = residual(hi)
-    doublings = 0
-    while r_hi > 0.0:
-        lo = hi
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            return _damped_iteration(engine, opts)
-        r_hi = residual(hi)
-    for _ in range(opts.fp_max_iter):
+    for _ in range(200):
+        if residual(hi) <= 0.0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NoConvergence("mean weight diverges; no stationary regime")
+    while hi - lo > opts.fp_tolerance * max(1.0, hi):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if residual(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= opts.fp_tolerance * max(1.0, hi):
-            break
     return 0.5 * (lo + hi)
-
-
-def _damped_iteration(engine: _VddEngine, opts: SolverOptions) -> float:
-    phi = max(engine.f[engine.f > 0].min(), 1e-6) if np.any(engine.f > 0) else 1.0
-    for _ in range(opts.fp_max_iter):
-        if phi > 1e300:
-            raise NoConvergence("mean weight diverges; no stationary regime")
-        s = engine.weighted_sum(phi)
-        if math.isinf(s):
-            phi *= 2.0
-            continue
-        nxt = 0.5 * (phi + s)
-        if abs(nxt - phi) <= opts.fp_tolerance * max(1.0, abs(nxt)):
-            return nxt
-        phi = nxt
-    raise NoConvergence("damped iteration hit the cap without converging")
 
 
 def solve_vdd(model: NpaModelSpec, opts: SolverOptions = SolverOptions()) -> VddSolution:
@@ -361,7 +348,9 @@ def solve_vdd(model: NpaModelSpec, opts: SolverOptions = SolverOptions()) -> Vdd
     Returns the distribution up to opts.k_max, the mean weight, the mean
     degree (tail-corrected; for finite M the summation naturally extends to
     the saturation degree M + 1), and the control residual against twice the
-    mean increment arc count.
+    mean increment arc count. The mass beyond opts.k_max is recorded as
+    q.truncation_mass, whatever its size; the mean weight already accounts
+    for it through the same tail sums.
     """
     opts.check(model.g)
     engine = _VddEngine(model, opts)
@@ -385,10 +374,6 @@ def solve_vdd(model: NpaModelSpec, opts: SolverOptions = SolverOptions()) -> Vdd
         truncation = 0.0
     if truncation < 0.0:
         raise NoConvergence(f"stored mass exceeds 1 by {-truncation!r}")
-    if truncation > opts.vdd_truncation_limit:
-        raise TruncationTooSevere(
-            f"truncated vertex mass {truncation:.3e} exceeds "
-            f"{opts.vdd_truncation_limit:.1e}; raise k_max")
 
     mean_degree = float((engine.ks[:len(stored)] * stored).sum()) + tail_kmass
     q = DegreeDistribution(min_degree=engine.g, probs=stored,
@@ -402,34 +387,6 @@ def solve_vdd(model: NpaModelSpec, opts: SolverOptions = SolverOptions()) -> Vdd
 # Directed (arc) degree matrix
 # ---------------------------------------------------------------------------
 
-def _denominator_printed(l_deg: float, f_l: float, f_k: np.ndarray, m: float,
-                         phi: float) -> np.ndarray:
-    return m * (l_deg * f_l + m * f_k + m * f_l)
-
-
-def _denominator_mean_weight(l_deg: float, f_l: float, f_k: np.ndarray, m: float,
-                             phi: float) -> np.ndarray:
-    return m * (phi + m * f_k + m * f_l)
-
-
-# name -> (denominator, conserves_mass). The printed form does not conserve
-# probability mass, so truncation cannot be told apart from its imbalance and
-# the strict mass check only applies to conserving variants.
-EDD_VARIANTS: dict[str, tuple[Callable, bool]] = {
-    "printed": (_denominator_printed, False),
-    "mean-weight": (_denominator_mean_weight, True),
-}
-
-
-def register_edd_variant(name: str, denominator: Callable,
-                         conserves_mass: bool = True) -> None:
-    """Register an alternative recurrence denominator for research comparison.
-
-    denominator(l, f_l, f_k_vector, m, mean_weight) -> vector over k.
-    """
-    EDD_VARIANTS[name] = (denominator, conserves_mass)
-
-
 def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
                  opts: SolverOptions = SolverOptions()) -> EdgeDegreeMatrix:
     """Joint (tail degree, head degree) arc probabilities, row by row.
@@ -440,10 +397,12 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
     Deterministic: equal inputs give bit-identical matrices.
     """
     opts.check(model.g)
-    try:
-        denom, conserves_mass = EDD_VARIANTS[opts.edd_variant]
-    except KeyError:
-        raise ValueError(f"unknown recurrence variant {opts.edd_variant!r}") from None
+    if opts.edd_variant not in ("printed", "mean-weight"):
+        raise ValueError(f"unknown recurrence variant {opts.edd_variant!r}")
+    # The printed form does not conserve probability mass, so truncation
+    # cannot be told apart from its imbalance and the strict mass check only
+    # applies to the mean-weight form.
+    conserves_mass = opts.edd_variant == "mean-weight"
     g = model.g
     u = opts.u_max
     m = model.increments.mean
@@ -464,7 +423,8 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
     for li in range(n):
         l_deg = g + li
         below = mat[li - 1] if li > 0 else np.zeros(n)
-        den = denom(float(l_deg), float(f[li]), f, m, phi)
+        f_l = float(f[li])
+        den = m * ((phi if conserves_mass else l_deg * f_l) + m * f + m * f_l)
         # Guard cells where the variant's denominator vanishes (saturated
         # degrees under the printed form); their stationary share is set to 0.
         safe = np.where(den > 0.0, den, 1.0)

@@ -223,6 +223,14 @@ class TestCalibrateComposite:
         res, _ = fitted
         assert validate_model(res.model) is res.model
 
+    def test_grid_fits_each_rho_once(self, fitted):
+        # The refined grid overlaps the coarse one; a rho already fitted is
+        # not fitted again, and grid values carry no float-step residue.
+        res, _ = fitted
+        rhos = [e["rho"] for e in res.report["grid"] if "objective" in e]
+        assert len({round(r, 9) for r in rhos}) == len(rhos)
+        assert all(r == round(r, 12) for r in rhos)
+
     def test_infeasible_rho_skipped_with_log(self):
         # Complement has no degree-1 vertices, so large rho forces a negative
         # complement share at degree 1 and those grid points must be skipped.

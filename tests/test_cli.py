@@ -376,28 +376,33 @@ class TestCalibrateCommand:
         report = json.loads((out / "report.json").read_text())
         assert "error" in report
 
-    def test_composite_mode_with_rho_flags(self, tmp_path):
-        from dataclasses import replace as _replace
-        from npagraph import BaTreeSpec, mix_edd, mix_vdd
-        opts = SolverOptions(k_max=4000, fp_tolerance=1e-9)
+    def _composite_target(self, path: Path, probs, rho: float, u: int) -> Path:
+        """Exact target of a BA tree (share rho) plus a linear-weight
+        complement with increments probs from one arc."""
+        from npagraph import mix_edd, mix_vdd
+        opts = SolverOptions(k_max=4000)
         ba = BaTreeSpec().to_npa()
         comp = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
-            increments=IncrementDistribution(min_arcs=1, probs=(0.4, 0.6)))
-        rho = 0.3
+            increments=IncrementDistribution(min_arcs=1, probs=probs))
         sol1, sol2 = solve_vdd(ba, opts), solve_vdd(comp, opts)
-        th1 = symmetrize(solve_arc_dd(ba, sol1, _replace(opts, u_max=12)))
-        th2 = symmetrize(solve_arc_dd(comp, sol2, _replace(opts, u_max=12)))
+        th1 = symmetrize(solve_arc_dd(ba, sol1, replace(opts, u_max=u)))
+        th2 = symmetrize(solve_arc_dd(comp, sol2, replace(opts, u_max=u)))
         m2 = comp.increments.mean
         m_tot = rho + (1 - rho) * m2
-        target_dir = tmp_path / "target"
+        target_dir = path / "target"
         target_dir.mkdir()
         (target_dir / "vdd.csv").write_text(vdd_to_csv(
             mix_vdd([(sol1.q, rho), (sol2.q, 1 - rho)])))
         (target_dir / "edd.csv").write_text(edd_to_csv(
             mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)], m_tot)))
         (target_dir / "summary.json").write_text(json.dumps(
-            {"derived_m": m_tot, "selected_u": 12}))
+            {"derived_m": m_tot, "selected_u": u}))
+        return target_dir
+
+    def test_composite_mode_with_rho_flags(self, tmp_path):
+        rho = 0.3
+        target_dir = self._composite_target(tmp_path, (0.4, 0.6), rho, 12)
         out = tmp_path / "fit"
         code = main(["calibrate", str(target_dir), "--mode", "composite",
                      "--first", "ba-tree", "--rmax", "2",
@@ -408,3 +413,19 @@ class TestCalibrateCommand:
         assert abs(report["details"]["rho"] - rho) <= 0.05 + 1e-9
         fitted = json.loads((out / "model.json").read_text())
         assert fitted["type"] == "composite"
+
+    def test_planted_composite_not_stalled(self, tmp_path):
+        # BA tree plus r = (0.3, 0.7) from one arc, rho = 0.3. Each rho's fit
+        # has its own patience, so fits after the best rho run to their end
+        # and the reported fit is not flagged as stalled.
+        rho = 0.3
+        target_dir = self._composite_target(tmp_path, (0.3, 0.7), rho, 20)
+        out = tmp_path / "fit"
+        code = main(["calibrate", str(target_dir), "--mode", "composite",
+                     "--first", "ba-tree", "--rmax", "3",
+                     "--rho-min", "0.25", "--rho-max", "0.35",
+                     "--rho-step", "0.05", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["stalled"] is False
+        assert abs(report["details"]["rho"] - rho) <= 0.01 + 1e-9

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       GammaNotConvex, InfeasibleComplement, IncrementDistribution,
-                      NonPositiveResult, NpaModelSpec, SolverOptions,
-                      TruncationTooSevere, WeightFunction, WeightsNotConvex,
+                      NoConvergence, NonPositiveResult, NpaModelSpec,
+                      SolverOptions, WeightFunction, WeightsNotConvex,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph.solver import edd_from_csv, edd_to_csv, vdd_from_csv, vdd_to_csv
@@ -81,14 +81,50 @@ class TestSolveVdd:
         # With unit weights the mean weight is exactly 1.
         assert sol.mean_weight == pytest.approx(1.0, abs=1e-9)
 
-    def test_truncation_too_severe_raised(self):
+    def test_truncation_recorded_not_raised(self):
+        # The Gowalla increments leave 1.7e-6 of vertex mass beyond degree
+        # 10000; it is carried as truncation_mass rather than raised.
         from npagraph.calibrate import gowalla_increments
         inc, _ = gowalla_increments()
         heavy = NpaModelSpec(weights=WeightFunction.linear(g=1), increments=inc)
-        with pytest.raises(TruncationTooSevere):
-            solve_vdd(heavy, SolverOptions(k_max=10000))
-        sol = solve_vdd(heavy, SolverOptions(k_max=40000))
-        assert sol.control_residual < 1e-6
+        short = solve_vdd(heavy, SolverOptions(k_max=10000))
+        long = solve_vdd(heavy, SolverOptions(k_max=40000))
+        assert np.array_equal(short.q.probs, long.q.probs[:10000])
+        beyond = float(long.q.probs[10000:].sum()) + long.q.truncation_mass
+        assert short.q.truncation_mass > 1e-6
+        assert abs(short.q.truncation_mass - beyond) < 1e-12
+        assert short.control_residual < 1e-6
+
+    @given(g=st.integers(min_value=1, max_value=3),
+           raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                        max_size=8).filter(lambda r: sum(r) > 0.01),
+           form=st.sampled_from(["linear", "power", "table"]))
+    @settings(max_examples=40, deadline=None)
+    def test_linear_weights_mean_weight_closed_form(self, g, raw, form):
+        # With f_k = k the weight is the degree, so phi = 2 m solves the
+        # fixed point and solve_vdd returns it without a search.
+        from npagraph.solver import _VddEngine
+        weights = {"linear": WeightFunction.linear(g=g),
+                   "power": WeightFunction.power(1.0, g=g),
+                   "table": WeightFunction.from_table(
+                       g, range(g, g + 5), rule="linear")}[form]
+        probs = tuple(p / sum(raw) for p in raw)
+        model = NpaModelSpec(weights=weights,
+                             increments=IncrementDistribution(min_arcs=g,
+                                                              probs=probs))
+        two_m = 2.0 * model.increments.mean
+        engine = _VddEngine(model, SolverOptions())
+        assert abs(engine.weighted_sum(two_m) - two_m) <= 1e-9 * two_m
+        assert solve_vdd(model).mean_weight == two_m
+
+    def test_unbracketable_capped_linear_raises(self):
+        # Capped at M = 3 with every increment bringing at least two arcs,
+        # no phi has a positive residual.
+        model = NpaModelSpec(
+            weights=WeightFunction.linear(g=1, M=3),
+            increments=IncrementDistribution(min_arcs=1, probs=(0.0, 0.5, 0.5)))
+        with pytest.raises(NoConvergence):
+            solve_vdd(model)
 
     def test_g_zero_support(self):
         model = NpaModelSpec(
@@ -338,8 +374,7 @@ class TestMixEdd:
 class TestCsv:
     def test_vdd_round_trip(self):
         sol = solve_vdd(BaTreeSpec().to_npa(), SolverOptions(k_max=50,
-                                                             u_max=20,
-                                                             vdd_truncation_limit=1.0))
+                                                             u_max=20))
         back = vdd_from_csv(vdd_to_csv(sol.q))
         assert np.array_equal(back.probs, sol.q.probs)
         assert back.min_degree == sol.q.min_degree
