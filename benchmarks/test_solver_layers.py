@@ -1,0 +1,43 @@
+"""Layer benchmarks of the solver (pytest-benchmark).
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest benchmarks/test_solver_layers.py \
+        --benchmark-json=layers.json
+
+This directory sits outside the test paths in pyproject.toml, so the
+ordinary test run does not collect it. The inputs use only the public API,
+so the same file times any version of the solver.
+"""
+
+import pytest
+
+from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
+                      SolverOptions, WeightFunction, solve_arc_dd, solve_vdd)
+
+# A candidate of the kind the calibration search solves thousands of times:
+# linear weights, four increment sizes, the 20 x 20 window of its targets.
+CANDIDATE = NpaModelSpec(
+    weights=WeightFunction.linear(g=1),
+    increments=IncrementDistribution(min_arcs=1, probs=(0.4, 0.3, 0.2, 0.1)))
+CALIBRATION_OPTS = SolverOptions(k_max=4000, u_max=20)
+
+
+def test_arc_dd_calibration_candidate(benchmark):
+    vdd = solve_vdd(CANDIDATE, CALIBRATION_OPTS)
+    mat = benchmark(solve_arc_dd, CANDIDATE, vdd, CALIBRATION_OPTS)
+    assert mat.entries.shape == (20, 20)
+
+
+@pytest.mark.parametrize("variant", ["printed", "mean-weight"])
+def test_arc_dd_ba_u300(benchmark, variant):
+    model = BaTreeSpec().to_npa()
+    opts = SolverOptions(u_max=300, edd_variant=variant)
+    vdd = solve_vdd(model, opts)
+    mat = benchmark(solve_arc_dd, model, vdd, opts)
+    assert mat.entries.shape == (300, 300)
+
+
+def test_vdd_calibration_candidate(benchmark):
+    sol = benchmark(solve_vdd, CANDIDATE, CALIBRATION_OPTS)
+    assert sol.control_residual < 1e-6

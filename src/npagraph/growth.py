@@ -502,10 +502,11 @@ def write_edge_list(graph: Graph, out: TextIO) -> None:
 def read_edge_list(lines: Iterable[str]) -> Graph:
     """Exact inverse of write_edge_list; keeps duplicates and vertex count.
 
-    The pairs follow the syntax of _edge_tokens. The leading comment block
-    may give "Nodes: N" and "Directed: true"; the vertex count is the larger
-    of N and the largest id plus one, so a header-only text gives N isolated
-    vertices.
+    The pairs follow the syntax of _edge_tokens; ids are vertex numbers, so
+    the first line with a negative id raises MalformedLine. The leading
+    comment block may give "Nodes: N" and "Directed: true"; the vertex count
+    is the larger of N and the largest id plus one, so a header-only text
+    gives N isolated vertices.
     """
     lines = list(lines)
     header = " ".join(itertools.takewhile(
@@ -513,6 +514,11 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
     nodes = re.search(r"Nodes:\s*(\d+)", header)
     directed = re.search(r"Directed:\s*true", header, re.IGNORECASE)
     pairs = _edge_tokens(lines)
+    if pairs.size and pairs.min() < 0:
+        ln_no, raw = next(
+            (i, s) for i, s in enumerate(lines, 1)
+            if any(int(t) < 0 for t in re.split("[#%]", s, maxsplit=1)[0].split()))
+        raise MalformedLine(ln_no, raw.rstrip("\r\n"))
     n = int(nodes.group(1)) if nodes else 0
     return Graph(max(n, int(pairs.max(initial=-1)) + 1), pairs,
                  directed=directed is not None)

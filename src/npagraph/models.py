@@ -430,6 +430,10 @@ class Graph:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("pairs must be an (E, 2) array")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.vertex_count):
+            raise ValueError(
+                f"vertex ids must lie in [0, {self.vertex_count}), got "
+                f"{arr.min()} .. {arr.max()}")
         self.pairs = arr
         self.directed = bool(directed)
         self.labels = labels

@@ -88,11 +88,11 @@ def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     n = len(a)
     out = np.empty(n, dtype=np.float64)
-    boundaries = [0] + [int(i) for i in np.flatnonzero(b == 0.0) if i > 0] + [n]
+    boundaries = [0, *(np.flatnonzero(b[1:] == 0.0) + 1).tolist(), n]
     for s, e in zip(boundaries, boundaries[1:]):
         if s >= e:
             continue
-        q0 = a[s] + (b[s] * out[s - 1] if s > 0 and b[s] != 0.0 else 0.0)
+        q0 = a[s]  # b[s] is 0 at every boundary after the first
         out[s] = q0
         if e - s > 1:
             prod = np.cumprod(b[s + 1:e])
@@ -389,11 +389,13 @@ def solve_vdd(model: NpaModelSpec, opts: SolverOptions = SolverOptions()) -> Vdd
 
 def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
                  opts: SolverOptions = SolverOptions()) -> EdgeDegreeMatrix:
-    """Joint (tail degree, head degree) arc probabilities, row by row.
+    """Joint (tail degree, head degree) arc probabilities.
 
-    Row l depends on row l - 1 and, within the row, on the previous column,
-    so the computation runs with l ascending and k scanned as a first-order
-    recurrence. Any term that refers to degree g - 1 contributes zero.
+    Each cell obeys X[l, k] = src[l, k] + up[l, k] X[l-1, k]
+    + left[l, k] X[l, k-1] (Krapivsky & Redner, PRE 63, 066123, 2001).
+    Both neighbours of a cell lie on the anti-diagonal before its own, so
+    the matrix is swept by anti-diagonals, each in one vectorised step.
+    Any term that refers to degree g - 1 contributes zero.
     Deterministic: equal inputs give bit-identical matrices.
     """
     opts.check(model.g)
@@ -406,33 +408,49 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
     g = model.g
     u = opts.u_max
     m = model.increments.mean
-    phi = vdd.mean_weight
     n = u - g + 1
 
     f_all = model.weights.weights_upto(u + 1)
     f = f_all[g:u + 1]
     f_prev = np.zeros(n)
     f_prev[1:] = f_all[g:u]
-    q_vdd = vdd.q.aligned(g, u)
     q_vdd_prev = np.zeros(n)
-    q_vdd_prev[1:] = q_vdd[:-1]
-    r = np.array([model.increments.prob(g + i) for i in range(n)])
+    q_vdd_prev[1:] = vdd.q.aligned(g, u)[:-1]
+    inc = model.increments
+    r = np.zeros(n)
+    r_arr = inc.prob_array()[:max(0, u + 1 - inc.min_arcs)]
+    r[inc.min_arcs - g:inc.min_arcs - g + len(r_arr)] = r_arr
+    ls = np.arange(g, u + 1, dtype=np.float64)
 
-    mat = np.zeros((n, n), dtype=np.float64)
+    # Coefficients of every cell, laid out like the grid below. Where the
+    # variant's denominator vanishes (saturated degrees under the printed
+    # form) it is set to infinity, so all three coefficients, and with them
+    # the cell's stationary share, are 0.
+    a_l = np.full(n, vdd.mean_weight) if conserves_mass else ls * f
+    den = m * (a_l[:, None] + m * f + m * f[:, None])
+    den[den <= 0.0] = np.inf
     m2 = m * m
-    for li in range(n):
-        l_deg = g + li
-        below = mat[li - 1] if li > 0 else np.zeros(n)
-        f_l = float(f[li])
-        den = m * ((phi if conserves_mass else l_deg * f_l) + m * f + m * f_l)
-        # Guard cells where the variant's denominator vanishes (saturated
-        # degrees under the printed form); their stationary share is set to 0.
-        safe = np.where(den > 0.0, den, 1.0)
-        const = (f_prev * l_deg * r[li] * q_vdd_prev + f_prev[li] * m2 * below) / safe
-        carry = (f_prev * m2) / safe
-        const[den <= 0.0] = 0.0
-        carry[den <= 0.0] = 0.0
-        mat[li] = _affine_scan(const, carry)
+    src, up, left = np.zeros((3, n + 1, n + 1))
+    src[1:, 1:] = np.outer(ls * r, f_prev * q_vdd_prev) / den
+    up[1:, 1:] = (f_prev * m2)[:, None] / den
+    left[1:, 1:] = (f_prev * m2) / den
+
+    # Cell (i, j) of the matrix sits at (i + 1, j + 1) of a zero-bordered
+    # grid of width w = n + 1. In the flat grid, anti-diagonal d is a slice of
+    # stride w - 1 = n, and its upper and left neighbours are the same slice
+    # shifted back by w and by 1.
+    w = n + 1
+    grid = np.zeros((w, w))
+    x, s_f, u_f, l_f = (a.reshape(-1) for a in (grid, src, up, left))
+    for d in range(2 * n - 1):
+        i_lo = max(0, d - n + 1)
+        i_hi = min(d, n - 1)
+        first = (i_lo + 1) * w + d - i_lo + 1
+        stop = (i_hi + 1) * w + d - i_hi + 2
+        cells = slice(first, stop, n)
+        x[cells] = (s_f[cells] + u_f[cells] * x[first - w:stop - w:n]
+                    + l_f[cells] * x[first - 1:stop - 1:n])
+    mat = grid[1:, 1:].copy()
 
     total = float(mat.sum())
     deficit = 1.0 - total

@@ -50,6 +50,11 @@ class TestParseEdgeList:
         back = {(g.labels[a], g.labels[b]) for a, b in g.pairs}
         assert back == {(5, 100), (5, 9)}
 
+    def test_negative_labels_relabeled(self):
+        g = parse_edge_list(["-5 3", "3 7"])
+        assert list(g.labels) == [-5, 3, 7]
+        assert sorted(map(sorted, g.pairs.tolist())) == [[0, 1], [1, 2]]
+
     def test_gzip_file(self, tmp_path):
         path = tmp_path / "net.txt.gz"
         with gzip.open(path, "wt") as fh:

@@ -485,10 +485,10 @@ class TestEdgeListIo:
         assert np.array_equal(back.pairs, g.pairs)
 
     def test_written_text_exact(self):
-        g = Graph(4, [(0, 1), (2, 0), (3, 12)], directed=True)
+        g = Graph(13, [(0, 1), (2, 0), (3, 12)], directed=True)
         buf = io.StringIO()
         write_edge_list(g, buf)
-        assert buf.getvalue() == ("# Nodes: 4 Edges: 3\n"
+        assert buf.getvalue() == ("# Nodes: 13 Edges: 3\n"
                                   "# Directed: true\n"
                                   "0 1\n2 0\n3 12\n")
 
@@ -512,3 +512,18 @@ class TestEdgeListIo:
         with pytest.raises(MalformedLine) as err:
             read_edge_list(io.StringIO("0 1\n0 x y\n"))
         assert err.value.line_no == 2
+
+    def test_negative_id_is_malformed(self):
+        # Used to surface later as an untyped ValueError from np.bincount.
+        from npagraph import MalformedLine
+        with pytest.raises(MalformedLine) as err:
+            read_edge_list(["0 1", "-1 2"])
+        assert err.value.line_no == 2
+        with pytest.raises(MalformedLine) as err:
+            read_edge_list(io.StringIO("# Nodes: 5\n\n0 1  # ok\n2 -3\n"))
+        assert err.value.line_no == 4
+        assert err.value.content == "2 -3"
+
+    def test_minus_zero_is_vertex_zero(self):
+        back = read_edge_list(["-0 1"])
+        assert back.pairs.tolist() == [[0, 1]]

@@ -265,6 +265,17 @@ class TestGraph:
         und = g.to_undirected(collapse_parallel=True)
         assert und.edge_count == 1
 
+    @pytest.mark.parametrize("pairs", [[(0, 5)], [(0, 2)], [(-1, 1)],
+                                       [(0, 1), (1, -2)]])
+    def test_ids_outside_vertex_range_rejected(self, pairs):
+        # Graph(2, [(0, 5)]).degrees() used to return [1, 0] silently.
+        with pytest.raises(ValueError):
+            Graph(2, pairs)
+
+    def test_ids_at_range_edges_accepted(self):
+        assert list(Graph(2, [(0, 1)]).degrees()) == [1, 1]
+        assert Graph(0, []).edge_count == 0
+
 
 # ---------------------------------------------------------------------------
 # Spec serialization

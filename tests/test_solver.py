@@ -140,6 +140,114 @@ class TestSolveVdd:
 # Arc matrix
 # ---------------------------------------------------------------------------
 
+def arc_reference(model, vdd, u, variant):
+    """The arc recurrence cell by cell, and each cell's source term.
+
+    X[l, k] = (f_{k-1} l r_l Q_{k-1} + m^2 f_{l-1} X[l-1, k]
+               + m^2 f_{k-1} X[l, k-1]) / den[l, k],
+    den = m (A_l + m f_k + m f_l) with A_l = l f_l (printed) or phi
+    (mean-weight); a cell whose den is not positive is 0, and terms at
+    degree g - 1 are 0.
+    """
+    g = model.g
+    m = model.increments.mean
+    phi = vdd.mean_weight
+    f = [model.weights.weight(k) for k in range(u + 2)]
+    x = np.zeros((u - g + 1, u - g + 1))
+    src = np.zeros_like(x)
+    for l in range(g, u + 1):
+        for k in range(g, u + 1):
+            a = phi if variant == "mean-weight" else l * f[l]
+            den = m * (a + m * f[k] + m * f[l])
+            if den <= 0.0:
+                continue
+            f_k1 = f[k - 1] if k > g else 0.0
+            f_l1 = f[l - 1] if l > g else 0.0
+            up = x[l - g - 1, k - g] if l > g else 0.0
+            left = x[l - g, k - g - 1] if k > g else 0.0
+            s = f_k1 * l * model.increments.prob(l) * vdd.q.prob(k - 1) / den
+            src[l - g, k - g] = s
+            x[l - g, k - g] = s + m * m * (f_l1 * up + f_k1 * left) / den
+    return x, src
+
+
+@st.composite
+def arc_cases(draw):
+    g = draw(st.integers(0, 2))
+    rule = draw(st.sampled_from(["linear", "power", "constant"]))
+    # A cap below 2 g + 5 leaves some increments no stationary regime; a
+    # cap below u makes the printed denominator vanish beyond it.
+    M = draw(st.one_of(st.none(), st.integers(2 * g + 5, 30)))
+    u = draw(st.integers(max(g, 1) if M is None else M + 1, 40))
+    if rule == "linear":
+        weights = WeightFunction.linear(g=g, M=M)
+    elif rule == "power":
+        weights = WeightFunction.power(draw(st.sampled_from([0.5, 0.8, 1.0])),
+                                       g=g, M=M)
+    else:
+        weights = WeightFunction.constant(draw(st.sampled_from([0.5, 2.0])),
+                                          g=g, M=M)
+    if g == 0 and rule != "constant":
+        # f_0 = 0 under the linear and power rules; a table entry makes
+        # degree 0 a valid attachment target.
+        weights = WeightFunction.from_table(0, [0.5], M=M, rule=rule,
+                                            alpha=weights.alpha)
+    # At g = 0 a lone r_0 would mean no arcs at all (m = 0).
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=1 + (g == 0),
+                        max_size=3))
+    probs = tuple(p / sum(raw) for p in raw)
+    model = NpaModelSpec(weights=weights,
+                         increments=IncrementDistribution(min_arcs=g, probs=probs))
+    variant = draw(st.sampled_from(["printed", "mean-weight"]))
+    return model, u, variant
+
+
+class TestArcKernel:
+    @given(case=arc_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_recurrence(self, case):
+        model, u, variant = case
+        assert model.violations() == []
+        # The mass check is tested on its own; at small u it would reject
+        # cases whose values are still worth comparing.
+        opts = SolverOptions(k_max=max(u, 400), u_max=u, edd_variant=variant,
+                             edd_mass_tolerance=1.0)
+        vdd = solve_vdd(model, opts)
+        got = solve_arc_dd(model, vdd, opts).entries
+        ref, src = arc_reference(model, vdd, u, variant)
+        big = ref >= 1e-12
+        assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * ref[big])
+        assert np.all(got[ref == 0.0] == 0.0)
+        # up and left terms are never negative; the source term is the
+        # test's own, so allow its last-digit rounding.
+        assert np.all(got >= src * (1.0 - 1e-15))
+
+    def test_capped_printed_denominator_vanishes(self):
+        # Beyond M both weights vanish, so the printed den is 0 there.
+        model = NpaModelSpec(weights=WeightFunction.linear(g=1, M=6),
+                             increments=IncrementDistribution(1, (0.5, 0.5)))
+        opts = SolverOptions(k_max=400, u_max=12)
+        vdd = solve_vdd(model, opts)
+        got = solve_arc_dd(model, vdd, opts).entries
+        ref, _ = arc_reference(model, vdd, 12, "printed")
+        assert np.all(got[6:, 6:] == 0.0)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+    def test_ba_printed_u300_no_cell_flushed_to_zero(self, ba_solution):
+        # A cumulative-product scan underflowed and zeroed about 20k of the
+        # far cells (all below 1e-47) that the recurrence keeps positive.
+        # Rows beyond l = 173 fall below the smallest normal double, where
+        # values keep only a few bits, so the comparison stops there.
+        model = BaTreeSpec().to_npa()
+        got = solve_arc_dd(model, ba_solution, SolverOptions(u_max=300)).entries
+        ref, _ = arc_reference(model, ba_solution, 300, "printed")
+        normal = ref >= np.finfo(np.float64).tiny
+        assert np.count_nonzero(normal) > 40000
+        assert np.all(got[normal] > 0.0)
+        assert np.all(np.abs(got[normal] - ref[normal]) <= 1e-12 * ref[normal])
+        assert np.all(got[~normal] < np.finfo(np.float64).tiny)
+
+
 class TestSolveArcDd:
     def test_deterministic_bit_identical(self, ba_solution):
         model = BaTreeSpec().to_npa()
