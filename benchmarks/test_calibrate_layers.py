@@ -1,0 +1,69 @@
+"""Layer benchmarks of calibration (pytest-benchmark).
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest benchmarks/test_calibrate_layers.py \
+        --benchmark-json=calibrate_layers.json
+
+This directory sits outside the test paths in pyproject.toml, so the
+ordinary test run does not collect it. The targets are the exact planted
+targets of the end-to-end benchmark's calibrate workload, built with the
+public API only, so the same file times any version of the calibration.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
+                      SolverOptions, WeightFunction, mix_edd, mix_vdd,
+                      solve_arc_dd, solve_vdd, symmetrize)
+from npagraph.calibrate import (CalibrateOptions, CalibrationTarget,
+                                calibrate_composite, calibrate_single)
+
+SOLVER = SolverOptions(k_max=4000, fp_tolerance=1e-9)
+U = 20
+
+
+def _linear(probs):
+    return NpaModelSpec(weights=WeightFunction.linear(g=1),
+                        increments=IncrementDistribution(min_arcs=1, probs=probs))
+
+
+def _solved(model):
+    sol = solve_vdd(model, SOLVER)
+    return sol.q, symmetrize(solve_arc_dd(model, sol, replace(SOLVER, u_max=U)))
+
+
+@pytest.fixture(scope="module")
+def single_target():
+    model = _linear((0.4, 0.3, 0.2, 0.1))
+    q, theta = _solved(model)
+    return CalibrationTarget(vdd=q, edd=theta, u=U,
+                             mean_increment=model.increments.mean)
+
+
+@pytest.fixture(scope="module")
+def composite_target():
+    rho, complement = 0.3, _linear((0.3, 0.7))
+    (q1, th1), (q2, th2) = _solved(BaTreeSpec().to_npa()), _solved(complement)
+    m2 = complement.increments.mean
+    m_mix = rho + (1.0 - rho) * m2
+    return CalibrationTarget(
+        vdd=mix_vdd([(q1, rho), (q2, 1.0 - rho)]),
+        edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1.0 - rho)], m_mix),
+        u=U, mean_increment=m_mix)
+
+
+def test_single_fit_rmax50(benchmark, single_target):
+    res = benchmark(calibrate_single, single_target, "linear",
+                    CalibrateOptions(r_max=50, solver=SOLVER))
+    assert res.distance >= 0.0
+
+
+def test_composite_one_rho(benchmark, composite_target):
+    # The first component's profile (one BA solve) is part of the step.
+    opts = CalibrateOptions(r_max=3, solver=SOLVER, rho_min=0.3, rho_max=0.3,
+                            outer_iterations=1)
+    res = benchmark(calibrate_composite, composite_target, BaTreeSpec(), opts)
+    assert res.report["rho"] == 0.3

@@ -1,31 +1,34 @@
 """Calibration of growth models against empirical degree distributions.
 
-The driving objective is the Euclidean distance between the model's edge
-degree matrix and the empirical one over a degree window, optionally combined
-with the total-variation error of the vertex degree distribution. Natural
-linear weights are tried first; a parametric power-weight family is only
-brought in when the linear phase misses tolerance, and on ties the model with
-fewer free parameters wins.
+The increment law of a candidate is not searched for: for fixed weights the
+stationary vertex degree recurrence is linear in it, so it follows from the
+target's vertex distribution by one linear program. Each candidate is scored
+by the Euclidean distance between the model's edge degree matrix and the
+empirical one over a degree window, plus the total-variation error of the
+vertex degree distribution. Natural linear weights are tried first; a
+parametric power-weight family is only brought in when the linear phase
+misses tolerance, and on ties the model with fewer free parameters wins.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import (AllRhoInfeasible, InfeasibleComplement, NonPositiveResult,
-                     SolverFailure)
+from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
+                     NonPositiveResult, SolverFailure)
 from .growth import RngStream, grow_aer_unpruned, measure_edd
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, IncrementDistribution, NpaModelSpec,
                      WeightFunction)
-from .solver import (SolverOptions, VddSolution, complement_mean, complement_vdd,
-                     edge_share, mix_edd, mix_vdd, solve_arc_dd, solve_vdd,
-                     symmetrize)
+from .solver import (SolverOptions, VddSolution, _tail_sums, complement_mean,
+                     complement_vdd, edge_share, mix_edd, mix_vdd, solve_arc_dd,
+                     solve_vdd, symmetrize)
 
 log = logging.getLogger(__name__)
 
@@ -38,6 +41,10 @@ GOWALLA_RK_COEFF = 0.3004
 GOWALLA_RK_SHIFT = 0.1259
 GOWALLA_RK_EXPONENT = -1.2562
 GOWALLA_RK_SUPPORT = 50
+
+ALPHA_MIN = 0.01  # lower end of the table-free search over f_k = k**alpha
+ALPHA_XATOL = 1e-5
+AER_CACHE_SIZE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -76,19 +83,27 @@ class CalibrationTarget:
 
 @dataclass
 class OptimizerTrace:
-    """Summary of a calibration's optimizer runs.
+    """Summary of the candidate models a calibration solved.
 
-    Counts and best_history (non-increasing) cover every run; stalled is
-    the flag of the fit that is reported.
+    evaluations counts every candidate put through the solver and
+    solver_failures those that failed to solve; best_history holds the best
+    objective each time it improved, so it never increases.
     """
 
     evaluations: int = 0
-    restarts: int = 0
     best_objective: float = math.inf
     best_history: list = field(default_factory=list)
     solver_failures: int = 0
-    stalled: bool = False
     phase: int = 1
+
+    def record(self, objective: float | None) -> None:
+        """One candidate solved with this objective, or failed (None)."""
+        self.evaluations += 1
+        if objective is None:
+            self.solver_failures += 1
+        elif objective < self.best_objective:
+            self.best_objective = objective
+            self.best_history.append(objective)
 
 
 @dataclass
@@ -102,17 +117,12 @@ class CalibrationResult:
 
 @dataclass(frozen=True)
 class CalibrateOptions:
-    """Knobs for the simplex search and composite refinement."""
+    """Increment support, objective weighting and the composite rho grid."""
 
     r_min: int = 1
     r_max: int = 50
     alpha_vdd: float = 1.0
     solver: SolverOptions = SolverOptions(k_max=4000, fp_tolerance=1e-9)
-    restarts: int = 3
-    max_evals_per_restart: int = 600
-    patience: int = 120
-    xatol: float = 1e-6
-    fatol: float = 1e-10
     phase2_threshold: float = 1e-3
     rho_step: float = 0.025
     rho_min: float = 0.025
@@ -153,95 +163,110 @@ def select_u(target_edd: EdgeDegreeMatrix, mass_fraction: float = 0.95) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Simplex search over increment probabilities
+# Inversion of the vertex degree recurrence
 # ---------------------------------------------------------------------------
 
-def _softmax(theta: np.ndarray) -> np.ndarray:
-    z = np.exp(theta - theta.max())
-    return z / z.sum()
+def _invert_vdd(q: DegreeDistribution, weight: WeightFunction, m: float,
+                phi: float, u: int, opts: CalibrateOptions
+                ) -> IncrementDistribution:
+    """Increments on [r_min, r_max] with mean m whose stationary vertex
+    distribution under weights f and mean weight phi is closest to q in
+    total variation.
 
-
-def _shaped_seed(values: np.ndarray, floor: float = 1e-6) -> np.ndarray:
-    v = np.maximum(values, floor)
-    t = np.log(v)
-    return t - t[0]
-
-
-def _optimize(objective: Callable[[np.ndarray], float], x0s: Sequence[np.ndarray],
-              opts: CalibrateOptions, trace: OptimizerTrace
-              ) -> tuple[np.ndarray | None, float, bool]:
-    """Derivative-free simplex minimization restarted from several seeds.
-
-    Returns this run's best evaluated point (None when no evaluation was
-    finite), its value, and whether every restart was cut off by patience.
-    A restart is abandoned when this run's best value has not improved for
-    opts.patience evaluations. The trace accumulates evaluations, restarts
-    and the best value over all runs that share it.
+    For fixed m and phi the recurrence
+        (phi + m f_k) Q_k - m f_{k-1} Q_{k-1} - phi r_k = 0
+    is linear in (r, Q) (Krapivsky, Redner & Leyvraz, PRL 85, 4629, 2000),
+    so the fit is one linear program with a variable Q_k and one equality
+    row per degree k through D = max(r_max, u). Beyond D no increment
+    starts, so Q_k = c_k Q_D with c_k fixed; that tail is compared in bins
+    that double in width up to k_max, plus one bucket for the mass beyond
+    k_max, which keeps the program small whatever k_max is. Raises
+    InfeasibleComplement when m lies outside [r_min, r_max], where no
+    increment law has mean m.
     """
     # Imported here so that commands which never calibrate skip its cost.
-    from scipy.optimize import minimize
+    from scipy import sparse
+    from scipy.optimize import linprog
 
-    best_x = None
-    best_f = math.inf
-    patience_stops = 0
-    for x0 in x0s:
-        since_improve = 0
-        aborted = False
+    if not opts.r_min <= m <= opts.r_max:
+        raise InfeasibleComplement(
+            f"mean increment {m!r} lies outside [{opts.r_min}, {opts.r_max}]")
+    g = weight.g
+    d = max(opts.r_max, u)
+    k_max = max(opts.solver.k_max, 2 * d)  # at least one tail bin
+    n = d - g + 1
+    f = weight.weights_upto(k_max)
+    c = np.cumprod(m * f[d:k_max] / (phi + m * f[d + 1:]))
+    starts = (d + 1) * (2 ** np.arange(int(math.log2(k_max / (d + 1))) + 1) - 1)
+    c_beyond = _tail_sums(weight.asymptote(), phi, m, float(c[-1]), k_max)[0]
+    if not math.isfinite(c_beyond):
+        raise NoConvergence(f"the degree tail diverges at phi = {phi!r}")
+    q_beyond = q.truncation_mass + float(q.probs[max(0, k_max + 1 - q.min_degree):].sum())
+    observed = np.concatenate([q.aligned(g, d),
+                               np.add.reduceat(q.aligned(d + 1, k_max), starts),
+                               [q_beyond]])
+    on_q_d = np.zeros(n)
+    on_q_d[-1] = 1.0
+    compared = sparse.vstack([sparse.identity(n), np.outer(
+        np.append(np.add.reduceat(c, starts), c_beyond), on_q_d)])
 
-        def wrapped(x: np.ndarray) -> float:
-            nonlocal best_x, best_f, since_improve
-            val = objective(x)
-            trace.evaluations += 1
-            if val < best_f:
-                best_x, best_f = np.array(x), val
-                since_improve = 0
-            else:
-                since_improve += 1
-            if val < trace.best_objective:
-                trace.best_objective = val
-                trace.best_history.append(val)
-            return val
+    # Columns: Q_g..Q_D, r_{r_min}..r_{r_max}, then the positive and the
+    # negative part of each compared difference.
+    ks = np.arange(opts.r_min, opts.r_max + 1, dtype=np.float64)
+    n_r, n_cmp = len(ks), len(observed)
+    unit = sparse.identity(n_cmp)
+    a_eq = sparse.bmat([
+        [sparse.diags([phi + m * f[g:d + 1], -m * f[g:d]], [0, -1]),
+         -phi * sparse.eye(n, n_r, k=g - opts.r_min), None, None],
+        [None, np.ones((1, n_r)), None, None],
+        [None, ks[None, :], None, None],
+        [compared, None, -unit, unit]], format="csr")
+    b_eq = np.concatenate([np.zeros(n), [1.0, m], observed])
+    cost = np.concatenate([np.zeros(n + n_r), np.ones(2 * n_cmp)])
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    if res.status == 2:
+        raise InfeasibleComplement(f"no increment law fits: {res.message}")
+    if res.status != 0:
+        raise NoConvergence(f"increment fit failed: {res.message}")
+    r = _with_mean(res.x[n:n + n_r], ks, m)
+    return IncrementDistribution(min_arcs=opts.r_min, probs=tuple(r.tolist()))
 
-        def callback(_xk) -> None:
-            # The simplex loop treats StopIteration from a callback as a
-            # clean early termination, so record the abort separately.
-            nonlocal aborted
-            if since_improve > opts.patience:
-                aborted = True
-                raise StopIteration
 
-        minimize(wrapped, np.asarray(x0, dtype=np.float64),
-                 method="Nelder-Mead",
-                 callback=callback,
-                 options={"maxfev": opts.max_evals_per_restart,
-                          "xatol": opts.xatol, "fatol": opts.fatol,
-                          "disp": False})
-        patience_stops += aborted
-        trace.restarts += 1
-    return best_x, best_f, bool(x0s) and patience_stops == len(x0s)
+def _with_mean(r: np.ndarray, ks: np.ndarray, m: float) -> np.ndarray:
+    """r made a distribution with mean exactly m.
+
+    The program meets its equality rows only to the solver's feasibility
+    tolerance. Tilting r_k by 1 + t (k - mean) keeps the sum at 1 and moves
+    the mean by t times the variance, so one step lands on m.
+    """
+    r = np.maximum(r, 0.0)
+    r = r / r.sum()
+    mean = float(ks @ r)
+    var = float(((ks - mean) ** 2) @ r)
+    if var > 0.0:
+        r = np.maximum(r * (1.0 + (m - mean) / var * (ks - mean)), 0.0)
+        r = r / r.sum()
+    return r
+
+
+def _mean_weight(q: DegreeDistribution, weight: WeightFunction) -> float:
+    """sum_k f_k Q_k over the stored degrees of q."""
+    return float((weight.weights_upto(q.max_degree)[q.min_degree:] * q.probs).sum())
 
 
 # ---------------------------------------------------------------------------
 # Single-component calibration
 # ---------------------------------------------------------------------------
 
-def _candidate_model(theta: np.ndarray, weight: WeightFunction,
-                     opts: CalibrateOptions) -> NpaModelSpec:
-    full = np.concatenate([[0.0], theta])
-    r = _softmax(full)
-    inc = IncrementDistribution(min_arcs=opts.r_min, probs=tuple(r))
-    return NpaModelSpec(weights=weight, increments=inc)
-
-
 def _model_quality(model: NpaModelSpec, target: CalibrationTarget,
                    opts: CalibrateOptions, g_cmp: int
-                   ) -> tuple[float, float, VddSolution, EdgeDegreeMatrix]:
+                   ) -> tuple[float, float, VddSolution]:
     sol = solve_vdd(model, opts.solver)
     tv = sol.q.tv_distance(target.vdd)
     theta = symmetrize(solve_arc_dd(model, sol, replace(opts.solver,
                                                         u_max=target.u)))
     dist = edd_distance(theta, target.edd, g_cmp, target.u)
-    return tv, dist, sol, theta
+    return tv, dist, sol
 
 
 def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
@@ -249,94 +274,77 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
                      ) -> CalibrationResult:
     """Fit the increment distribution (and optionally a power weight exponent).
 
-    Phase 1 fixes natural linear weights and searches {r_k} on the simplex
-    over [r_min, r_max]. Phase 2, entered only in "table-free" mode when
-    phase 1 misses the threshold, additionally varies the weight exponent.
+    The mean increment m is the target's, clamped into [r_min, r_max]. Phase
+    1 fixes natural linear weights, whose mean weight is phi = 2m by the
+    control identity, and inverts the vertex recurrence for {r_k}. Phase 2,
+    entered only in "table-free" mode when phase 1 misses the threshold,
+    searches the exponent alpha of f_k = k**alpha over (0, 1] by bounded
+    Brent steps; at each alpha, phi is the target's sum f_k Q_k and {r_k}
+    is inverted again. Uncapped superlinear weights have no stationary
+    distribution, so the range loses nothing. Every candidate is scored by
+    its solved vertex distribution and edge matrix.
     """
     if weight_mode not in ("linear", "table-free"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     g_cmp = max(opts.r_min, target.edd.min_degree)
-    dim = opts.r_max - opts.r_min + 1
-    trace = OptimizerTrace(phase=1)
+    m = min(max(target.m, float(opts.r_min)), float(opts.r_max))
+    trace = OptimizerTrace()
 
-    def phase1_raw(theta: np.ndarray) -> float:
-        model = _candidate_model(theta, WeightFunction.linear(g=opts.r_min), opts)
+    def fit(weight: WeightFunction, phi: float) -> tuple:
+        """(objective, model, tv, distance, solution); objective is
+        infinite and model None when the candidate fails to solve."""
         try:
-            tv, dist, _, _ = _model_quality(model, target, opts, g_cmp)
+            inc = _invert_vdd(target.vdd, weight, m, phi, target.u, opts)
+            model = NpaModelSpec(weights=weight, increments=inc)
+            tv, dist, sol = _model_quality(model, target, opts, g_cmp)
         except SolverFailure:
-            trace.solver_failures += 1
-            return math.inf
-        return opts.alpha_vdd * tv + dist
+            trace.record(None)
+            return math.inf, None, math.inf, math.inf, None
+        objective = opts.alpha_vdd * tv + dist
+        trace.record(objective)
+        return objective, model, tv, dist, sol
 
-    seeds = _simplex_seeds(target, opts, dim)
-    best_theta, best_obj, stalled = _optimize(phase1_raw, seeds, opts, trace)
-    if best_theta is None:
-        raise SolverFailure("every candidate model failed to solve")
-    best_weight = WeightFunction.linear(g=opts.r_min)
+    best = fit(WeightFunction.linear(g=opts.r_min), 2.0 * m)
     phase = 1
+    if weight_mode == "table-free" and best[0] > opts.phase2_threshold:
+        from scipy.optimize import minimize_scalar
+        fits = []
 
-    if weight_mode == "table-free" and best_obj > opts.phase2_threshold:
-        trace.phase = 2
+        def at(alpha: float) -> float:
+            weight = WeightFunction.power(float(alpha), g=opts.r_min)
+            fits.append(fit(weight, _mean_weight(target.vdd, weight)))
+            return fits[-1][0]
 
-        def phase2_raw(x: np.ndarray) -> float:
-            theta, log_alpha = x[:-1], x[-1]
-            alpha = math.exp(log_alpha)
-            weight = WeightFunction.power(alpha, g=opts.r_min)
-            model = _candidate_model(theta, weight, opts)
-            try:
-                tv, dist, _, _ = _model_quality(model, target, opts, g_cmp)
-            except SolverFailure:
-                trace.solver_failures += 1
-                return math.inf
-            return opts.alpha_vdd * tv + dist
-
-        seeds2 = [np.concatenate([best_theta, [0.0]])]
-        seeds2.extend(np.concatenate([s, [0.0]]) for s in seeds[:2])
-        x2, f2, stalled2 = _optimize(phase2_raw, seeds2, opts, trace)
+        minimize_scalar(at, bounds=(ALPHA_MIN, 1.0), method="bounded",
+                        options={"xatol": ALPHA_XATOL})
+        alt = min(fits, key=lambda c: c[0])
         # Strictly better only: on ties the model with fewer parameters wins.
-        if x2 is not None and f2 < best_obj:
-            best_theta = x2[:-1]
-            best_weight = WeightFunction.power(math.exp(x2[-1]), g=opts.r_min)
-            best_obj = f2
-            stalled = stalled2
-            phase = 2
-
-    model = _candidate_model(best_theta, best_weight, opts)
-    tv, dist, sol, theta = _model_quality(model, target, opts, g_cmp)
+        if alt[0] < best[0]:
+            best, phase = alt, 2
+    objective, model, tv, dist, sol = best
+    if model is None:
+        raise SolverFailure("every candidate model failed to solve")
     trace.phase = phase
-    trace.stalled = stalled
     report = {
         "weight_mode": weight_mode,
         "phase": phase,
-        "objective": opts.alpha_vdd * tv + dist,
+        "objective": objective,
         "mean_increment": model.increments.mean,
+        "mean_increment_target": m,
         "mean_weight": sol.mean_weight,
         "control_residual": sol.control_residual,
         "window": [g_cmp, target.u],
         "target_meta": dict(target.source_meta),
     }
     if phase == 2:
-        report["weight_exponent"] = best_weight.alpha
+        report["weight_exponent"] = model.weights.alpha
     return CalibrationResult(model=model, distance=dist, vdd_tv_error=tv,
                              iterations=trace, report=report)
-
-
-def _simplex_seeds(target: CalibrationTarget, opts: CalibrateOptions,
-                   dim: int) -> list[np.ndarray]:
-    ks = np.arange(opts.r_min, opts.r_max + 1, dtype=float)
-    uniform = np.zeros(dim - 1)
-    shaped_full = _shaped_seed(target.vdd.aligned(opts.r_min, opts.r_max))
-    power_full = _shaped_seed(np.power(ks, -2.0))
-    seeds = [shaped_full[1:], uniform, power_full[1:]]
-    return seeds[:opts.restarts]
 
 
 # ---------------------------------------------------------------------------
 # First-component characterization for composite calibration
 # ---------------------------------------------------------------------------
-
-_AER_CACHE: dict[tuple, dict] = {}
-
 
 @dataclass(frozen=True, eq=False)
 class ComponentProfile:
@@ -377,13 +385,17 @@ def aer_component_estimate(spec: AerModelSpec, u: int, reps: int = 10,
                            seed: int = 987654321) -> dict:
     """Pooled Monte-Carlo vertex and edge distributions, cached per spec.
 
+    The AER_CACHE_SIZE most recently used estimates are kept.
     Returns {"pruned": {"vdd", "edd"}, "unpruned": {"vdd", "edd"}}.
     """
-    key = (spec.n1, float(spec.a), u, reps, seed)
-    if key in _AER_CACHE:
-        return _AER_CACHE[key]
+    return _aer_estimate(spec.n1, float(spec.a), u, reps, seed)
+
+
+@functools.lru_cache(maxsize=AER_CACHE_SIZE)
+def _aer_estimate(n1: int, a: float, u: int, reps: int, seed: int) -> dict:
     from .growth import _prune_small_components  # shared pruning rule
 
+    spec = AerModelSpec(n1=n1, a=a)
     variants = {"pruned": {"counts": None, "edd": None, "edges": 0, "verts": 0},
                 "unpruned": {"counts": None, "edd": None, "edges": 0, "verts": 0}}
     for rep in range(reps):
@@ -407,7 +419,6 @@ def aer_component_estimate(spec: AerModelSpec, u: int, reps: int = 10,
         edd = EdgeDegreeMatrix(min_degree=1, entries=entries, kind="edge",
                                truncation_mass=1.0 - float(entries.sum()))
         out[name] = {"vdd": vdd, "edd": edd}
-    _AER_CACHE[key] = out
     return out
 
 
@@ -430,11 +441,12 @@ def calibrate_composite(target: CalibrationTarget, first_component,
 
     For each candidate vertex fraction rho, the complement's target vertex
     distribution and mean are implied by the mixture equations; its increment
-    probabilities are then fitted so the mixed edge matrix best matches the
-    target. rho itself is refined on a grid that shrinks by rho_refine_factor
-    around the best coarse value on each outer iteration; grid values are
-    rounded to 12 decimals and each is fitted at most once. The trace's
-    stalled flag is that of the reported fit.
+    probabilities are the inversion of that vertex distribution at that mean
+    (a rho whose mean lies outside [r_min, r_max] is skipped), and the rho
+    whose mixed model best matches the target wins. rho itself is refined on
+    a grid that shrinks by rho_refine_factor around the best coarse value on
+    each outer iteration; grid values are rounded to 12 decimals and each is
+    fitted at most once.
     """
     profile = component_profile(first_component, target, opts)
     m_total = target.m
@@ -474,7 +486,6 @@ def calibrate_composite(target: CalibrationTarget, first_component,
         grid = np.arange(lo, hi + 1e-12, step)
 
     rho = best["rho"]
-    trace.stalled = best["stalled"]
     complement: NpaModelSpec = best["model"]
     m2 = complement.increments.mean
     m_mix = rho * profile.m + (1.0 - rho) * m2
@@ -504,42 +515,28 @@ def _fit_complement(target: CalibrationTarget, profile: ComponentProfile,
                     opts: CalibrateOptions, trace: OptimizerTrace) -> dict:
     m2_target = complement_mean(m_total, profile.m, rho)
     q2_target = complement_vdd(target.vdd, profile.vdd, rho)
-    dim = opts.r_max - opts.r_min + 1
-
-    def mixed_quality(model: NpaModelSpec) -> tuple[float, float]:
+    weight = WeightFunction.linear(g=opts.r_min)
+    model = NpaModelSpec(weights=weight, increments=_invert_vdd(
+        q2_target, weight, m2_target, 2.0 * m2_target, target.u, opts))
+    try:
         sol = solve_vdd(model, opts.solver)
         theta2 = symmetrize(solve_arc_dd(model, sol,
                                          replace(opts.solver, u_max=target.u)))
-        m2 = model.increments.mean
-        m_mix = rho * profile.m + (1.0 - rho) * m2
-        mixed_edd = mix_edd([(profile.edd, profile.m, rho),
-                             (theta2, m2, 1.0 - rho)], m_mix)
-        mixed_vdd = mix_vdd([(profile.vdd, rho), (sol.q, 1.0 - rho)])
-        tv = mixed_vdd.tv_distance(target.vdd)
-        dist = edd_distance(mixed_edd, target.edd, g_cmp, target.u)
-        return tv, dist
-
-    def raw(theta: np.ndarray) -> float:
-        model = _candidate_model(theta, WeightFunction.linear(g=opts.r_min), opts)
-        try:
-            tv, dist = mixed_quality(model)
-        except SolverFailure:
-            trace.solver_failures += 1
-            return math.inf
-        return opts.alpha_vdd * tv + dist
-
-    ks = np.arange(opts.r_min, opts.r_max + 1, dtype=float)
-    seeds = [_shaped_seed(q2_target.aligned(opts.r_min, opts.r_max))[1:],
-             np.zeros(dim - 1),
-             _shaped_seed(np.power(ks, -2.0))[1:]][:opts.restarts]
-    best_x, _, stalled = _optimize(raw, seeds, opts, trace)
-    if best_x is None:
-        raise InfeasibleComplement(f"no complement model solved at rho = {rho}")
-    model = _candidate_model(best_x, WeightFunction.linear(g=opts.r_min), opts)
-    tv, dist = mixed_quality(model)
-    return {"rho": rho, "model": model, "objective": opts.alpha_vdd * tv + dist,
-            "tv": tv, "distance": dist, "m2_target": m2_target,
-            "stalled": stalled}
+    except SolverFailure as exc:
+        trace.record(None)
+        raise InfeasibleComplement(
+            f"the complement model at rho = {rho} failed to solve: {exc}") from exc
+    m2 = model.increments.mean
+    m_mix = rho * profile.m + (1.0 - rho) * m2
+    mixed_edd = mix_edd([(profile.edd, profile.m, rho),
+                         (theta2, m2, 1.0 - rho)], m_mix)
+    mixed_vdd = mix_vdd([(profile.vdd, rho), (sol.q, 1.0 - rho)])
+    tv = mixed_vdd.tv_distance(target.vdd)
+    dist = edd_distance(mixed_edd, target.edd, g_cmp, target.u)
+    objective = opts.alpha_vdd * tv + dist
+    trace.record(objective)
+    return {"rho": rho, "model": model, "objective": objective,
+            "tv": tv, "distance": dist, "m2_target": m2_target}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every command writes a manifest.json capturing its resolved parameters and
 the toolkit version; `npagraph rerun manifest.json --out DIR` re-executes the
 recorded run and reproduces the data files byte for byte. Exit codes:
-0 success, 2 input error, 3 compute error, 4 optimization incomplete.
+0 success, 2 input error, 3 compute error, 4 no feasible vertex fraction in
+a composite calibration.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
                        vdd_counts_csv)
 from .solver import (SolverOptions, edd_from_csv, edd_to_csv, solve_arc_dd,
                      solve_vdd, symmetrize, vdd_from_csv, vdd_to_csv)
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -211,18 +214,24 @@ def cmd_calibrate(params: dict) -> int:
         return EXIT_INCOMPLETE
 
     _write(out / "model.json", dump_model(result.model) + "\n")
-    _write_json(out / "report.json", {
+    report = {
         "distance": result.distance,
         "vdd_tv_error": result.vdd_tv_error,
         "evaluations": result.iterations.evaluations,
-        "stalled": result.iterations.stalled,
         "details": result.report,
-    })
-    comparison = _comparison_csv(result, target, opts)
+    }
+    try:
+        comparison = _comparison_csv(result, target, opts)
+    except SolverFailure as exc:
+        # The comparison is a convenience output, never fatal.
+        comparison = None
+        report["comparison_error"] = f"{type(exc).__name__}: {exc}"
+        log.warning("edd_compare.csv not written: %s", report["comparison_error"])
+    _write_json(out / "report.json", report)
     if comparison is not None:
         _write(out / "edd_compare.csv", comparison)
     _write_manifest(out, "calibrate", params)
-    return EXIT_INCOMPLETE if result.iterations.stalled else EXIT_OK
+    return EXIT_OK
 
 
 def _comparison_csv(result, target: CalibrationTarget,
@@ -231,22 +240,19 @@ def _comparison_csv(result, target: CalibrationTarget,
     from .calibrate import component_profile
     from .solver import mix_edd
     model = result.model
-    try:
-        if isinstance(model, NpaModelSpec):
-            sol = solve_vdd(model, opts.solver)
-            theta = symmetrize(solve_arc_dd(
-                model, sol, replace(opts.solver, u_max=target.u)))
-        elif isinstance(model, CompositeSpec):
-            parts = []
-            for comp, rho in model.components:
-                profile = component_profile(comp, target, opts)
-                parts.append((profile.edd, profile.m, rho))
-            m_mix = sum(m_i * rho for _, m_i, rho in parts)
-            theta = mix_edd(parts, m_mix)
-        else:
-            return None
-    except SolverFailure:
-        return None  # comparison is a convenience output, never fatal
+    if isinstance(model, NpaModelSpec):
+        sol = solve_vdd(model, opts.solver)
+        theta = symmetrize(solve_arc_dd(
+            model, sol, replace(opts.solver, u_max=target.u)))
+    elif isinstance(model, CompositeSpec):
+        parts = []
+        for comp, rho in model.components:
+            profile = component_profile(comp, target, opts)
+            parts.append((profile.edd, profile.m, rho))
+        m_mix = sum(m_i * rho for _, m_i, rho in parts)
+        theta = mix_edd(parts, m_mix)
+    else:
+        return None
     g = max(1, theta.min_degree, target.edd.min_degree)
     lines = ["l,k,model,target"]
     a = theta.window(g, target.u)

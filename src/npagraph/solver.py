@@ -409,6 +409,11 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
     u = opts.u_max
     m = model.increments.mean
     n = u - g + 1
+    if m == 0.0:
+        # Increments that bring no arcs leave no arc law to solve: every
+        # variant returns the empty matrix with all of its mass truncated.
+        return EdgeDegreeMatrix(min_degree=g, entries=np.zeros((n, n)),
+                                kind="arc", truncation_mass=1.0)
 
     f_all = model.weights.weights_upto(u + 1)
     f = f_all[g:u + 1]

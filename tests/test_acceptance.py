@@ -192,8 +192,7 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph):
     opts = CalibrateOptions(
         r_max=40,
         solver=SolverOptions(k_max=20000, fp_tolerance=1e-9),
-        rho_min=rho, rho_max=rho, outer_iterations=1,
-        max_evals_per_restart=1500, patience=300)
+        rho_min=rho, rho_max=rho, outer_iterations=1)
     result = calibrate_composite(target, BaTreeSpec(), opts)
 
     from npagraph.calibrate import component_profile
@@ -254,8 +253,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path):
     opts = CalibrateOptions(r_max=8,
                             solver=SolverOptions(k_max=6000,
                                                  fp_tolerance=1e-9),
-                            rho_min=rho, rho_max=rho, outer_iterations=1,
-                            max_evals_per_restart=500, patience=120)
+                            rho_min=rho, rho_max=rho, outer_iterations=1)
     result = calibrate_composite(target, BaTreeSpec(), opts)
 
     from npagraph.calibrate import component_profile
@@ -363,8 +361,7 @@ def test_criterion_09_calibration_round_trip():
         vdd=mix_vdd([(sol1.q, rho), (sol2.q, 1 - rho)]),
         edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)], m_tot),
         u=20, mean_increment=m_tot)
-    copts = CalibrateOptions(r_max=3, solver=sopts, rho_min=0.1, rho_max=0.6,
-                             max_evals_per_restart=300, patience=80)
+    copts = CalibrateOptions(r_max=3, solver=sopts, rho_min=0.1, rho_max=0.6)
     cres = calibrate_composite(ctarget, BaTreeSpec(), copts)
     assert abs(cres.report["rho"] - rho) <= copts.rho_step + 1e-9
     elapsed = time.perf_counter() - start

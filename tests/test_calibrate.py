@@ -2,17 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       EdgeDegreeMatrix, IncrementDistribution, NpaModelSpec,
-                      SolverOptions, WeightFunction, WindowExceedsMatrix,
+                      RngStream, SolverOptions, WeightFunction,
+                      WindowExceedsMatrix, grow_npa, measure_edd, measure_vdd,
                       mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize,
                       validate_model)
-from npagraph.calibrate import (CalibrateOptions, CalibrationTarget,
-                                aer_component_estimate, calibrate_composite,
-                                calibrate_single, edd_distance,
-                                gowalla_increments, preset_brightkite,
-                                preset_gowalla, select_u)
+from npagraph.calibrate import (AER_CACHE_SIZE, CalibrateOptions,
+                                CalibrationTarget, aer_component_estimate,
+                                calibrate_composite, calibrate_single,
+                                edd_distance, gowalla_increments,
+                                preset_brightkite, preset_gowalla, select_u)
 
 SOPTS = SolverOptions(k_max=4000, fp_tolerance=1e-9)
 
@@ -103,15 +105,13 @@ class TestCalibrateSingle:
     def test_best_history_monotone(self):
         target = _target_from(_model((0.7, 0.3)), u=15)
         res = calibrate_single(target, "linear",
-                               CalibrateOptions(r_max=3, solver=SOPTS,
-                                                max_evals_per_restart=150))
+                               CalibrateOptions(r_max=3, solver=SOPTS))
         hist = res.iterations.best_history
         assert all(a >= b for a, b in zip(hist, hist[1:]))
 
     def test_distance_reproducible_from_model(self):
         target = _target_from(_model((0.6, 0.4)), u=15)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS,
-                                max_evals_per_restart=200)
+        opts = CalibrateOptions(r_max=3, solver=SOPTS)
         res = calibrate_single(target, "linear", opts)
         sol = solve_vdd(res.model, opts.solver)
         theta = symmetrize(solve_arc_dd(res.model, sol,
@@ -122,8 +122,7 @@ class TestCalibrateSingle:
     def test_result_model_validates(self):
         target = _target_from(_model((0.5, 0.5)), u=12)
         res = calibrate_single(target, "linear",
-                               CalibrateOptions(r_max=3, solver=SOPTS,
-                                                max_evals_per_restart=120))
+                               CalibrateOptions(r_max=3, solver=SOPTS))
         assert validate_model(res.model) is res.model
 
     def test_unknown_mode_rejected(self):
@@ -144,9 +143,7 @@ class TestCalibrateSingle:
         # the exponent search must engage and improve the fit.
         true = _model((0.6, 0.4), weights=WeightFunction.power(0.8, g=1))
         target = _target_from(true, u=15)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS,
-                                max_evals_per_restart=250, patience=80,
-                                phase2_threshold=1e-4)
+        opts = CalibrateOptions(r_max=3, solver=SOPTS, phase2_threshold=1e-4)
         linear_only = calibrate_single(target, "linear", opts)
         full = calibrate_single(target, "table-free", opts)
         assert full.report["phase"] == 2
@@ -155,16 +152,98 @@ class TestCalibrateSingle:
         obj_full = full.distance + full.vdd_tv_error
         assert obj_full < obj_linear
 
-    def test_patience_stall_flag(self):
+    def test_trace_counts_solved_candidates(self):
+        # A linear fit inverts the recurrence once and solves that one
+        # candidate; the trace carries no restart or stall state.
         target = _target_from(_model((0.5, 0.5)), u=12)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS, patience=0,
-                                max_evals_per_restart=40)
-        res = calibrate_single(target, "linear", opts)
-        # With zero patience every restart aborts early; the best candidate
-        # so far is still returned, flagged as stalled.
-        assert res.iterations.stalled
-        assert res.model is not None
-        assert res.distance >= 0.0
+        res = calibrate_single(target, "linear",
+                               CalibrateOptions(r_max=3, solver=SOPTS))
+        trace = res.iterations
+        assert (trace.evaluations, trace.solver_failures, trace.phase) == (1, 0, 1)
+        assert trace.best_history == [trace.best_objective]
+        assert trace.best_objective == pytest.approx(
+            res.distance + res.vdd_tv_error, abs=1e-15)
+        assert not hasattr(trace, "stalled")
+
+    def test_default_rmax_recovers_planted(self):
+        # The planted model of the calibration round trip, at the default
+        # r_max = 50, where a simplex search over the 49-dimensional
+        # simplex stopped at r_1 = 0.28.
+        true = _model((0.4, 0.3, 0.2, 0.1))
+        res = calibrate_single(_target_from(true, u=20), "linear",
+                               CalibrateOptions())
+        assert res.distance < 1e-3
+        for k in range(1, 51):
+            assert res.model.increments.prob(k) == pytest.approx(
+                true.increments.prob(k), abs=0.05)
+
+    @given(st.lists(st.integers(0, 10), min_size=1, max_size=6)
+           .filter(lambda w: w[-1] > 0))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_target_recovered(self, weights):
+        probs = tuple(w / sum(weights) for w in weights)
+        true = _model(probs)
+        res = calibrate_single(_target_from(true, u=15), "linear",
+                               CalibrateOptions(r_max=6, solver=SOPTS))
+        for k in range(1, 7):
+            assert abs(res.model.increments.prob(k)
+                       - true.increments.prob(k)) <= 1e-6
+
+    def test_mean_increment_is_the_target_mean(self):
+        target = _target_from(_model((0.2, 0.5, 0.3)), u=15)
+        res = calibrate_single(target, "linear",
+                               CalibrateOptions(r_max=8, solver=SOPTS))
+        assert abs(res.model.increments.mean - target.m) <= 1e-9
+        assert res.report["mean_increment_target"] == target.m
+
+    def test_mean_increment_clamped_into_support(self):
+        # A grown tree measures a mean increment just below 1, which no
+        # increment law on [1, r_max] has: the fit takes the nearest, 1.
+        tree = _target_from(_model((1.0,)), u=10)
+        low = CalibrationTarget(vdd=tree.vdd, edd=tree.edd, u=10,
+                                mean_increment=0.9998)
+        res = calibrate_single(low, "linear",
+                               CalibrateOptions(r_max=4, solver=SOPTS))
+        assert abs(res.model.increments.mean - 1.0) <= 1e-9
+        assert res.report["mean_increment_target"] == 1.0
+        high = CalibrationTarget(vdd=tree.vdd, edd=tree.edd, u=10,
+                                 mean_increment=7.5)
+        res = calibrate_single(high, "linear",
+                               CalibrateOptions(r_max=4, solver=SOPTS))
+        assert abs(res.model.increments.mean - 4.0) <= 1e-9
+
+
+# Objectives (EDD window distance plus VDD total variation) that the
+# Nelder-Mead simplex search of version 0.4.0 reached on the targets below,
+# by r_max. A fit may not do worse at r_max = 50; at r_max = 5, where the
+# simplex searched only four free parameters, it may do at most 1 % worse.
+NOISY_SIMPLEX_OBJECTIVES = {
+    "r4": {50: 0.20953640026092385, 5: 0.032931521363501394},
+    "r2": {50: 0.2643824917485511, 5: 0.027046227459259147},
+    "pow10": {50: 0.06264777530585919},
+}
+
+
+def _noisy_target(probs, seed):
+    graph = grow_npa(_model(probs), 100000, RngStream(seed)).final_graph
+    edd = measure_edd(graph, 100)
+    return CalibrationTarget(vdd=measure_vdd(graph), edd=edd,
+                             u=min(select_u(edd), 40))
+
+
+@pytest.mark.parametrize("name, probs, seed", [
+    ("r4", (0.4, 0.3, 0.2, 0.1), 4101),
+    ("r2", (0.3, 0.7), 4102),
+    ("pow10", tuple(np.arange(1, 11) ** -1.5 / (np.arange(1, 11) ** -1.5).sum()),
+     4103),
+])
+def test_noisy_target_no_worse_than_simplex(name, probs, seed):
+    target = _noisy_target(probs, seed)
+    for r_max, simplex in NOISY_SIMPLEX_OBJECTIVES[name].items():
+        res = calibrate_single(target, "linear", CalibrateOptions(r_max=r_max))
+        objective = res.distance + res.vdd_tv_error
+        bound = simplex if r_max == 50 else 1.01 * simplex
+        assert objective <= bound, (r_max, objective, simplex)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +269,7 @@ def _composite_target(rho=0.3, u=20):
 def fitted():
     target = _composite_target(rho=0.3)
     opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.225,
-                            rho_max=0.375, max_evals_per_restart=250,
-                            patience=60)
+                            rho_max=0.375)
     return calibrate_composite(target, BaTreeSpec(), opts), target
 
 
@@ -250,12 +328,16 @@ class TestCalibrateComposite:
             edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)], m_tot),
             u=u, mean_increment=m_tot)
         opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.05,
-                                rho_max=0.35, max_evals_per_restart=120,
-                                patience=40, outer_iterations=1)
+                                rho_max=0.35, outer_iterations=1)
         res = calibrate_composite(target, BaTreeSpec(), opts)
         skipped = [e for e in res.report["grid"] if "skipped" in e]
         assert skipped
         assert all(e["rho"] > 0.1 for e in skipped)
+
+    def test_complement_mean_achieved(self, fitted):
+        res, _ = fitted
+        assert abs(res.report["m_complement_achieved"]
+                   - res.report["m_complement_target"]) <= 1e-9
 
     def test_all_rho_infeasible(self):
         comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
@@ -285,6 +367,17 @@ class TestAerEstimate:
         # Pruning removes isolated vertices: no degree-0 mass remains.
         assert est1["pruned"]["vdd"].min_degree >= 1
         assert est1["unpruned"]["vdd"].min_degree == 0
+
+    def test_cache_evicts_least_recent(self):
+        specs = [AerModelSpec(n1=60 + i, a=2.0) for i in range(AER_CACHE_SIZE + 1)]
+        first = aer_component_estimate(specs[0], u=10, reps=1, seed=5)
+        for spec in specs[1:]:
+            aer_component_estimate(spec, u=10, reps=1, seed=5)
+        again = aer_component_estimate(specs[0], u=10, reps=1, seed=5)
+        assert again is not first
+        assert again["pruned"]["vdd"].to_dict() == first["pruned"]["vdd"].to_dict()
+        assert aer_component_estimate(specs[-1], u=10, reps=1, seed=5) is \
+            aer_component_estimate(specs[-1], u=10, reps=1, seed=5)
 
 
 # ---------------------------------------------------------------------------

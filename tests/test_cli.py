@@ -304,6 +304,33 @@ class TestCalibrateCommand:
         assert fitted["type"] == "npa"
         assert (out / "edd_compare.csv").exists()
 
+    def test_comparison_failure_reported(self, tmp_path, monkeypatch, caplog):
+        # The fit succeeds; only the model-vs-target comparison fails to
+        # solve, which is written into report.json and logged, not fatal.
+        from npagraph import NoConvergence, cli
+        model = BaTreeSpec().to_npa()
+        opts = SolverOptions(k_max=2000)
+        sol = solve_vdd(model, opts)
+        theta = symmetrize(solve_arc_dd(model, sol, replace(opts, u_max=8)))
+        target_dir = tmp_path / "target"
+        target_dir.mkdir()
+        (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
+        (target_dir / "edd.csv").write_text(edd_to_csv(theta))
+
+        def fail(*args, **kwargs):
+            raise NoConvergence("planted failure")
+
+        monkeypatch.setattr(cli, "solve_vdd", fail)
+        out = tmp_path / "fit"
+        with caplog.at_level("WARNING", logger="npagraph.cli"):
+            code = main(["calibrate", str(target_dir), "--rmax", "2",
+                         "--u", "8", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["comparison_error"] == "NoConvergence: planted failure"
+        assert not (out / "edd_compare.csv").exists()
+        assert "planted failure" in caplog.text
+
     def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
         from npagraph import AerModelSpec, AllRhoInfeasible, cli
         from npagraph.calibrate import GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO
@@ -415,9 +442,9 @@ class TestCalibrateCommand:
         assert fitted["type"] == "composite"
 
     def test_planted_composite_not_stalled(self, tmp_path):
-        # BA tree plus r = (0.3, 0.7) from one arc, rho = 0.3. Each rho's fit
-        # has its own patience, so fits after the best rho run to their end
-        # and the reported fit is not flagged as stalled.
+        # BA tree plus r = (0.3, 0.7) from one arc, rho = 0.3. Every rho of
+        # the grid is fitted by one inverted candidate, and the command exits
+        # 0 with no stall state left to report.
         rho = 0.3
         target_dir = self._composite_target(tmp_path, (0.3, 0.7), rho, 20)
         out = tmp_path / "fit"
@@ -427,5 +454,7 @@ class TestCalibrateCommand:
                      "--rho-step", "0.05", "--out", str(out)])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["stalled"] is False
+        assert "stalled" not in report
+        fitted = [e for e in report["details"]["grid"] if "objective" in e]
+        assert report["evaluations"] == len(fitted)
         assert abs(report["details"]["rho"] - rho) <= 0.01 + 1e-9

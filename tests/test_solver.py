@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +308,18 @@ class TestSolveArcDd:
         # up as a negative truncation remainder instead of being hidden.
         assert mat.stored_mass() > 1.05
         assert mat.truncation_mass < 0.0
+
+    def test_no_arcs_same_empty_matrix_under_both_variants(self):
+        # r_0 = 1 gives mean increment 0: no arcs, so no arc law.
+        model = NpaModelSpec(weights=WeightFunction.constant(1.0, g=0),
+                             increments=IncrementDistribution(0, (1.0,)))
+        opts = SolverOptions(k_max=200, u_max=10)
+        vdd = solve_vdd(model, opts)
+        for variant in ("printed", "mean-weight"):
+            mat = solve_arc_dd(model, vdd, replace(opts, edd_variant=variant))
+            assert mat.entries.shape == (11, 11)
+            assert np.all(mat.entries == 0.0)
+            assert mat.truncation_mass == 1.0
 
     def test_unknown_variant_rejected(self, ba_solution):
         with pytest.raises(ValueError):
