@@ -14,6 +14,7 @@ import pytest
 
 from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
                       SolverOptions, WeightFunction, solve_arc_dd, solve_vdd)
+from npagraph.validation import reference_models
 
 # A candidate of the kind the calibration search solves thousands of times:
 # linear weights, four increment sizes, the 20 x 20 window of its targets.
@@ -40,4 +41,18 @@ def test_arc_dd_ba_u300(benchmark, variant):
 
 def test_vdd_calibration_candidate(benchmark):
     sol = benchmark(solve_vdd, CANDIDATE, CALIBRATION_OPTS)
+    assert sol.control_residual < 1e-6
+
+
+# Power weights bisect the mean weight, and every step sums the tail beyond
+# k_max: power(0.8) settles it in the exact chunks, power(0.9999) needs the
+# incomplete-gamma remainder by its continued fraction.
+@pytest.mark.parametrize("model", [
+    reference_models()["sublinear"],
+    NpaModelSpec(weights=WeightFunction.power(0.9999, g=1),
+                 increments=IncrementDistribution(min_arcs=1,
+                                                  probs=(0.5, 0.3, 0.2))),
+], ids=["sublinear", "power_0_9999"])
+def test_vdd_power_weights(benchmark, model):
+    sol = benchmark(solve_vdd, model, CALIBRATION_OPTS)
     assert sol.control_residual < 1e-6

@@ -5,7 +5,7 @@ grows graphs by simulation, ingests real network edge lists, and calibrates
 one- and two-component models against empirical degree distributions.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, GammaNotConvex,
                      InfeasibleComplement, InsufficientTail, MalformedLine,
@@ -15,7 +15,7 @@ from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, GammaNotConvex,
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec,
                      SeedGraphSpec, WeightFunction, dump_model, load_model,
-                     model_from_dict, model_to_dict, validate_model)
+                     model_from_dict, validate_model)
 from .solver import (SolverOptions, VddSolution, complement_mean, complement_vdd,
                      edge_share, mix_edd, mix_vdd, solve_arc_dd, solve_vdd,
                      symmetrize)

@@ -26,9 +26,9 @@ from .growth import RngStream, grow_aer_unpruned, measure_edd
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, IncrementDistribution, NpaModelSpec,
                      WeightFunction)
-from .solver import (SolverOptions, VddSolution, _tail_sums, complement_mean,
-                     complement_vdd, edge_share, mix_edd, mix_vdd, solve_arc_dd,
-                     solve_vdd, symmetrize)
+from .solver import (SolverOptions, VddSolution, complement_mean, complement_vdd,
+                     edge_share, mix_edd, mix_vdd, solve_arc_dd, solve_vdd,
+                     symmetrize)
 
 log = logging.getLogger(__name__)
 
@@ -108,10 +108,14 @@ class OptimizerTrace:
 
 @dataclass
 class CalibrationResult:
+    """The fitted model, its scores, and its edge matrix (kind edge, at
+    least the comparison window) from which the distance was taken."""
+
     model: Union[NpaModelSpec, CompositeSpec]
     distance: float
     vdd_tv_error: float
     iterations: OptimizerTrace
+    edd: EdgeDegreeMatrix
     report: dict = field(default_factory=dict)
 
 
@@ -198,9 +202,8 @@ def _invert_vdd(q: DegreeDistribution, weight: WeightFunction, m: float,
     f = weight.weights_upto(k_max)
     c = np.cumprod(m * f[d:k_max] / (phi + m * f[d + 1:]))
     starts = (d + 1) * (2 ** np.arange(int(math.log2(k_max / (d + 1))) + 1) - 1)
-    c_beyond = _tail_sums(weight.asymptote(), phi, m, float(c[-1]), k_max)[0]
-    if not math.isfinite(c_beyond):
-        raise NoConvergence(f"the degree tail diverges at phi = {phi!r}")
+    # Summing the recurrence over k > k_max: phi sum Q_k = m f_kmax Q_kmax.
+    c_beyond = float(c[-1]) * f[k_max] / (phi / m)
     q_beyond = q.truncation_mass + float(q.probs[max(0, k_max + 1 - q.min_degree):].sum())
     observed = np.concatenate([q.aligned(g, d),
                                np.add.reduceat(q.aligned(d + 1, k_max), starts),
@@ -260,13 +263,13 @@ def _mean_weight(q: DegreeDistribution, weight: WeightFunction) -> float:
 
 def _model_quality(model: NpaModelSpec, target: CalibrationTarget,
                    opts: CalibrateOptions, g_cmp: int
-                   ) -> tuple[float, float, VddSolution]:
+                   ) -> tuple[float, float, VddSolution, EdgeDegreeMatrix]:
     sol = solve_vdd(model, opts.solver)
     tv = sol.q.tv_distance(target.vdd)
     theta = symmetrize(solve_arc_dd(model, sol, replace(opts.solver,
                                                         u_max=target.u)))
     dist = edd_distance(theta, target.edd, g_cmp, target.u)
-    return tv, dist, sol
+    return tv, dist, sol, theta
 
 
 def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
@@ -291,18 +294,19 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     trace = OptimizerTrace()
 
     def fit(weight: WeightFunction, phi: float) -> tuple:
-        """(objective, model, tv, distance, solution); objective is
-        infinite and model None when the candidate fails to solve."""
+        """(objective, model, tv, distance, solution, edge matrix);
+        objective is infinite and model None when the candidate fails to
+        solve."""
         try:
             inc = _invert_vdd(target.vdd, weight, m, phi, target.u, opts)
             model = NpaModelSpec(weights=weight, increments=inc)
-            tv, dist, sol = _model_quality(model, target, opts, g_cmp)
+            tv, dist, sol, theta = _model_quality(model, target, opts, g_cmp)
         except SolverFailure:
             trace.record(None)
-            return math.inf, None, math.inf, math.inf, None
+            return math.inf, None, math.inf, math.inf, None, None
         objective = opts.alpha_vdd * tv + dist
         trace.record(objective)
-        return objective, model, tv, dist, sol
+        return objective, model, tv, dist, sol, theta
 
     best = fit(WeightFunction.linear(g=opts.r_min), 2.0 * m)
     phase = 1
@@ -321,7 +325,7 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
         # Strictly better only: on ties the model with fewer parameters wins.
         if alt[0] < best[0]:
             best, phase = alt, 2
-    objective, model, tv, dist, sol = best
+    objective, model, tv, dist, sol, theta = best
     if model is None:
         raise SolverFailure("every candidate model failed to solve")
     trace.phase = phase
@@ -339,7 +343,7 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     if phase == 2:
         report["weight_exponent"] = model.weights.alpha
     return CalibrationResult(model=model, distance=dist, vdd_tv_error=tv,
-                             iterations=trace, report=report)
+                             iterations=trace, edd=theta, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +511,7 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     }
     return CalibrationResult(model=composite, distance=best["distance"],
                              vdd_tv_error=best["tv"], iterations=trace,
-                             report=report)
+                             edd=best["edd"], report=report)
 
 
 def _fit_complement(target: CalibrationTarget, profile: ComponentProfile,
@@ -536,7 +540,8 @@ def _fit_complement(target: CalibrationTarget, profile: ComponentProfile,
     objective = opts.alpha_vdd * tv + dist
     trace.record(objective)
     return {"rho": rho, "model": model, "objective": objective,
-            "tv": tv, "distance": dist, "m2_target": m2_target}
+            "tv": tv, "distance": dist, "m2_target": m2_target,
+            "edd": mixed_edd}
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,12 @@ from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, MalformedLine,
                      ZeroTotalWeight)
 from .growth import (RngStream, grow_aer, grow_composite, grow_npa, measure_edd,
                      measure_vdd, write_edge_list)
-from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, NpaModelSpec,
-                     dump_model, load_model, validate_model)
+from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, EdgeDegreeMatrix,
+                     NpaModelSpec, dump_model, load_model, validate_model)
 from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
                        vdd_counts_csv)
 from .solver import (SolverOptions, edd_from_csv, edd_to_csv, solve_arc_dd,
                      solve_vdd, symmetrize, vdd_from_csv, vdd_to_csv)
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -214,45 +212,20 @@ def cmd_calibrate(params: dict) -> int:
         return EXIT_INCOMPLETE
 
     _write(out / "model.json", dump_model(result.model) + "\n")
-    report = {
+    _write_json(out / "report.json", {
         "distance": result.distance,
         "vdd_tv_error": result.vdd_tv_error,
         "evaluations": result.iterations.evaluations,
         "details": result.report,
-    }
-    try:
-        comparison = _comparison_csv(result, target, opts)
-    except SolverFailure as exc:
-        # The comparison is a convenience output, never fatal.
-        comparison = None
-        report["comparison_error"] = f"{type(exc).__name__}: {exc}"
-        log.warning("edd_compare.csv not written: %s", report["comparison_error"])
-    _write_json(out / "report.json", report)
-    if comparison is not None:
-        _write(out / "edd_compare.csv", comparison)
+    })
+    _write(out / "edd_compare.csv", _comparison_csv(result.edd, target))
     _write_manifest(out, "calibrate", params)
     return EXIT_OK
 
 
-def _comparison_csv(result, target: CalibrationTarget,
-                    opts: CalibrateOptions) -> str | None:
-    """Model vs target edge probabilities over the comparison window."""
-    from .calibrate import component_profile
-    from .solver import mix_edd
-    model = result.model
-    if isinstance(model, NpaModelSpec):
-        sol = solve_vdd(model, opts.solver)
-        theta = symmetrize(solve_arc_dd(
-            model, sol, replace(opts.solver, u_max=target.u)))
-    elif isinstance(model, CompositeSpec):
-        parts = []
-        for comp, rho in model.components:
-            profile = component_profile(comp, target, opts)
-            parts.append((profile.edd, profile.m, rho))
-        m_mix = sum(m_i * rho for _, m_i, rho in parts)
-        theta = mix_edd(parts, m_mix)
-    else:
-        return None
+def _comparison_csv(theta: EdgeDegreeMatrix, target: CalibrationTarget) -> str:
+    """A fit's edge probabilities against the target's over the
+    comparison window."""
     g = max(1, theta.min_degree, target.edd.min_degree)
     lines = ["l,k,model,target"]
     a = theta.window(g, target.u)

@@ -59,16 +59,17 @@ class NoEdges(NpaGraphError):
 
 
 class MalformedLine(NpaGraphError):
-    """An edge-list line could not be parsed as two integer node ids."""
+    """An input line could not be parsed: an edge-list line as two integer
+    node ids, or a row of a degree-distribution CSV."""
 
     def __init__(self, line_no: int, content: str):
         self.line_no = line_no
         self.content = content
-        super().__init__(f"line {line_no}: cannot parse {content!r} as an edge")
+        super().__init__(f"line {line_no}: cannot parse {content!r}")
 
 
 class EmptyInput(NpaGraphError):
-    """The edge-list input contained no edges."""
+    """The input held no edges, or a degree-distribution CSV no rows."""
 
 
 class WindowExceedsMatrix(NpaGraphError):

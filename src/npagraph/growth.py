@@ -396,14 +396,8 @@ def _prune_small_components(graph: Graph) -> tuple[np.ndarray, int, int]:
 # Composite growth
 # ---------------------------------------------------------------------------
 
-def grow_composite(spec: CompositeSpec, rng: RngStream,
-                   bridge_edges: int = 0) -> Graph:
-    """Grow each component at its vertex budget and take the disjoint union.
-
-    With bridge_edges > 0, that many extra edges are added, each joining
-    uniformly chosen vertices of two distinct components, making the
-    composition loosely connected instead of isolated.
-    """
+def grow_composite(spec: CompositeSpec, rng: RngStream) -> Graph:
+    """Grow each component at its vertex budget and take the disjoint union."""
     budgets = spec.budgets()
     parts: list[Graph] = []
     for idx, ((model, _rho), budget) in enumerate(zip(spec.components, budgets)):
@@ -415,20 +409,7 @@ def grow_composite(spec: CompositeSpec, rng: RngStream,
             parts.append(grow_aer(aer, sub))
         else:
             raise TypeError(f"cannot grow component of type {type(model).__name__}")
-    union = Graph.disjoint_union(parts, directed=False)
-    if bridge_edges > 0 and len(parts) >= 2:
-        gen = rng.substream(len(parts)).generator()
-        offsets = np.cumsum([0] + [p.vertex_count for p in parts])
-        extra = []
-        for _ in range(bridge_edges):
-            ca, cb = gen.choice(len(parts), size=2, replace=False)
-            va = offsets[ca] + int(gen.integers(parts[ca].vertex_count))
-            vb = offsets[cb] + int(gen.integers(parts[cb].vertex_count))
-            extra.append((va, vb))
-        union = Graph(union.vertex_count,
-                      np.concatenate([union.pairs, np.array(extra, dtype=np.int64)]),
-                      directed=False)
-    return union
+    return Graph.disjoint_union(parts, directed=False)
 
 
 # ---------------------------------------------------------------------------

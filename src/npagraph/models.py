@@ -176,13 +176,6 @@ class IncrementDistribution:
     min_arcs: int
     probs: tuple[float, ...]
 
-    @classmethod
-    def from_dict_probs(cls, probs: Mapping[int, float]) -> "IncrementDistribution":
-        if not probs:
-            return cls(min_arcs=0, probs=())
-        lo, hi = min(probs), max(probs)
-        return cls(min_arcs=lo, probs=tuple(float(probs.get(k, 0.0)) for k in range(lo, hi + 1)))
-
     @property
     def max_arcs(self) -> int:
         return self.min_arcs + len(self.probs) - 1
@@ -446,14 +439,6 @@ class Graph:
         d = np.bincount(self.pairs.reshape(-1), minlength=self.vertex_count)
         return d[:self.vertex_count]
 
-    @property
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.pairs:
-            adj[u].append(int(v))
-            adj[v].append(int(u))
-        return adj
-
     def to_undirected(self, collapse_parallel: bool = False) -> "Graph":
         if not self.directed and not collapse_parallel:
             return self
@@ -686,10 +671,6 @@ def validate_model(spec: ModelSpec) -> ModelSpec:
 # Spec (de)serialization
 # ---------------------------------------------------------------------------
 
-def model_to_dict(spec: ModelSpec) -> dict:
-    return spec.to_dict()
-
-
 def model_from_dict(d: Mapping) -> ModelSpec:
     kind = d.get("type")
     if kind == "npa":
@@ -710,7 +691,7 @@ def model_from_dict(d: Mapping) -> ModelSpec:
 
 
 def dump_model(spec: ModelSpec) -> str:
-    return json.dumps(model_to_dict(spec), indent=2, sort_keys=True)
+    return json.dumps(spec.to_dict(), indent=2, sort_keys=True)
 
 
 def load_model(text: str) -> ModelSpec:

@@ -8,9 +8,14 @@ when f_k = k the weight is the degree and phi = 2 m in closed form.
 The control quantity mean_degree = sum_k k * Q_k must equal twice the
 mean increment arc count, and the residual is always reported.
 
-Moments include closed-form or numeric tail corrections beyond the stored
-truncation point, otherwise power-law tails would bias the fixed point and
-the control residual far above the advertised tolerances.
+Moments include the tail beyond the computed range k <= K, otherwise
+power-law tails would bias the fixed point and the control residual far
+above the advertised tolerances. Summing the recurrence over k > K, once
+as it stands and once times k, gives the tail exactly:
+    phi sum_{k>K} Q_k = m f_K Q_K,
+    phi sum_{k>K} k Q_k = m ((K + 1) f_K Q_K + sum_{k>K} f_k Q_k),
+where the last sum is the tail degree mass for linear weights and v times
+the tail mass for constant ones; power weights sum it numerically.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (GammaNotConvex, InfeasibleComplement, NoConvergence,
-                     NonPositiveResult, TruncationTooSevere, WeightsNotConvex)
+from .errors import (EmptyInput, GammaNotConvex, InfeasibleComplement,
+                     MalformedLine, NoConvergence, NonPositiveResult,
+                     TruncationTooSevere, WeightsNotConvex)
 from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
 COMPLEMENT_CLAMP_TOL = 1e-6
@@ -104,136 +110,111 @@ def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tail sums beyond the stored truncation point
+# Tail sums beyond the computed range
 # ---------------------------------------------------------------------------
 
-def _tail_sums(asym: tuple, phi: float, m: float, q_top: float,
-               k_top: int) -> tuple[float, float, float]:
-    """(sum Q_k, sum k Q_k, sum f_k Q_k) over k > k_top.
+def _tail_sums(asym: tuple, phi: float, m: float, q_top: float, k_top: int,
+               f_top: float) -> tuple[float, float, float]:
+    """(sum Q_k, sum k Q_k, sum f_k Q_k) over k > K = k_top, where r_k = 0.
 
-    Assumes r_k = 0 beyond k_top, so the recurrence there is the pure ratio
-    Q_k = Q_{k-1} * m f_{k-1} / (phi + m f_k). Linear and constant weights
-    telescope in closed form; other powers are continued numerically.
-    Returns infinities when the tail mean diverges, which the fixed-point
-    bracketing interprets as "phi too small".
+    The first two follow from the third by the summation identities in the
+    module docstring, given Q_K = q_top and f_K = f_top. Returns infinities
+    when the tail mean diverges, which the fixed-point bracketing interprets
+    as "phi too small".
     """
     kind = asym[0]
     if kind == "finite" or q_top <= 0.0:
         return 0.0, 0.0, 0.0
+    rate = phi / m
+    head = q_top * f_top
+    t_mass = head / rate
     if kind == "linear":
-        coeff = asym[1]
-        c = phi / (m * coeff)
-        if c <= 1.0 + 1e-12:
+        if rate <= 1.0 + 1e-12:
             return math.inf, math.inf, math.inf
-        t_mass = q_top * k_top / c
-        t_kmass = q_top * k_top * (k_top + 1) / (c - 1.0)
-        return t_mass, t_kmass, coeff * t_kmass
+        t_kmass = head * (k_top + 1) / (rate - 1.0)
+        return t_mass, t_kmass, t_kmass
     if kind == "constant":
-        v = asym[1]
-        ratio = m * v / (phi + m * v)
-        t_mass = q_top * ratio / (1.0 - ratio)
-        t_kmass = q_top * (k_top * ratio / (1.0 - ratio) + ratio / (1.0 - ratio) ** 2)
-        return t_mass, t_kmass, v * t_mass
-    # General power tail, Q_k = Q_{k-1} * m (k-1)^a / (phi + m k^a).
-    alpha = asym[1]
-    if alpha > 1.0:
-        # Uncapped superlinear weights: Q_k ~ k**(-alpha), so the weighted
-        # sum of f_k Q_k ~ sum of 1 diverges and no fixed point exists.
-        # Such models need a finite maximum degree.
-        return math.inf, math.inf, math.inf
-    # A few exact chunks settle fast-decaying tails and expose divergence;
-    # the surviving slow remainder closes in one incomplete-gamma step.
-    sums = _chunked_power_tail(alpha, phi, m, q_top, k_top, max_chunks=8)
-    if sums is not None:
-        return sums
-    return _chunked_power_tail(alpha, phi, m, q_top, k_top, max_chunks=2048,
-                               force=True)
+        t_fmass = asym[1] * t_mass
+    else:
+        t_fmass = _power_tail_weight(asym[1], phi, m, q_top, k_top)
+        if math.isinf(t_fmass):
+            return math.inf, math.inf, math.inf
+    return t_mass, (head * (k_top + 1) + t_fmass) / rate, t_fmass
 
 
-def _chunked_power_tail(alpha: float, phi: float, m: float, q_top: float,
-                        k_top: int, max_chunks: int, force: bool = False):
+def _power_tail_weight(alpha: float, phi: float, m: float, q_top: float,
+                       k_top: int) -> float:
+    """sum f_k Q_k over k > k_top for f_k = k**alpha with alpha < 1.
+
+    Up to eight exact chunks settle fast-decaying tails and expose
+    divergence; a slow remainder closes in one incomplete-gamma step. The
+    chunks stop once the geometric estimate of the remaining sum k Q_k falls
+    below 1e-13.
+    """
     chunk = 4096
-    t_mass = t_kmass = t_fmass = 0.0
+    t_fmass = 0.0
     q_prev = q_top
     k = k_top
     prev_sk = None
-    ratio = 1.0
-    s_k = 0.0
-    for _ in range(max_chunks):
+    for _ in range(8):
         ks = np.arange(k + 1, k + 1 + chunk, dtype=np.float64)
         f_now = np.power(ks, alpha)
         f_prev = np.power(ks - 1.0, alpha)
         qs = q_prev * np.cumprod(m * f_prev / (phi + m * f_now))
         s_k = float((ks * qs).sum())
-        t_mass += float(qs.sum())
-        t_kmass += s_k
         t_fmass += float((f_now * qs).sum())
         q_prev = float(qs[-1])
         k = int(ks[-1])
         if q_prev == 0.0 or s_k == 0.0:
-            return t_mass, t_kmass, t_fmass
+            return t_fmass
         if prev_sk is not None:
             if s_k >= prev_sk:
                 # Contributions are not shrinking: the tail diverges (this is
                 # how a too-small phi presents during bracketing).
-                return math.inf, math.inf, math.inf
+                return math.inf
             ratio = s_k / prev_sk
             if s_k * ratio / (1.0 - ratio) < 1e-13:
-                return t_mass, t_kmass, t_fmass
+                return t_fmass
         prev_sk = s_k
-    rate = phi / m
-    remainders = [_stretched_tail_moment(p, alpha, rate, k, q_prev)
-                  for p in (0.0, 1.0, alpha)]
-    if all(r is not None for r in remainders):
-        return (t_mass + remainders[0], t_kmass + remainders[1],
-                t_fmass + remainders[2])
-    if not force:
-        return None  # incomplete gamma underflowed; retry with long chunking
-    scale = ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return (t_mass + float(qs.sum()) * scale,
-            t_kmass + s_k * scale,
-            t_fmass + float((f_now * qs).sum()) * scale)
+    return t_fmass + _stretched_tail_moment(alpha, phi / m, k, q_prev)
 
 
-def _stretched_tail_moment(p: float, alpha: float, rate: float, k0: int,
-                           q0: float):
-    """sum_{k > k0} k^p Q_k for Q_k ~ q0 (k0/k)^alpha exp(-rate (k^b - k0^b)/b).
+def _stretched_tail_moment(alpha: float, rate: float, k0: int, q0: float) -> float:
+    """sum_{k > k0} k^alpha Q_k for Q_k ~ q0 (k0/k)^alpha exp(-rate (k^b - k0^b)/b),
+    b = 1 - alpha.
 
-    The continuous form telescopes to an upper incomplete gamma function;
-    relative accuracy is O(1/k0). When the regularized gamma underflows, the
-    exp(t0) prefactor cancels it symbolically and the value follows from the
-    log-space continued fraction instead. Returns None only when neither
-    route applies (the caller then falls back to direct summation).
+    The continuous form telescopes to an upper incomplete gamma function of
+    order s = 1/b; relative accuracy is O(1/k0). When the regularized gamma
+    underflows, the exp(t0) prefactor cancels it symbolically and the value
+    follows from the log-space continued fraction instead.
     """
     from scipy.special import gammaincc, gammaln
-    if q0 <= 0.0:
-        return 0.0
     b = 1.0 - alpha
     cb = rate / b
-    s = (p - alpha + 1.0) / b
+    s = 1.0 / b
     t0 = cb * k0 ** b
     reg = float(gammaincc(s, t0))
     if reg > 0.0:
         ln = (math.log(q0) + alpha * math.log(k0) + t0 - math.log(b)
               - s * math.log(cb) + float(gammaln(s)) + math.log(reg))
     else:
-        ln_h = _ln_upper_gamma_cf(s, t0)
-        if ln_h is None:
-            return None
-        ln = math.log(q0) + (p + 1.0) * math.log(k0) - math.log(b) + ln_h
+        ln = (math.log(q0) + (alpha + 1.0) * math.log(k0) - math.log(b)
+              + _ln_upper_gamma_cf(s, t0))
     if ln > 700.0:
         return math.inf
     return math.exp(ln)
 
 
-def _ln_upper_gamma_cf(s: float, x: float):
+def _ln_upper_gamma_cf(s: float, x: float) -> float:
     """log of the continued-fraction factor h in Gamma(s, x) = x^s e^-x h.
 
     Lentz evaluation; converges for x well above s, which is exactly the
-    regime where the regularized gamma underflows.
+    regime where the regularized gamma underflows. Raises NoConvergence
+    outside that regime or when 400 terms do not settle.
     """
     if x < s + 2.0:
-        return None
+        raise NoConvergence(f"continued fraction of Gamma({s!r}, {x!r}) "
+                            "needs x >= s + 2")
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -253,7 +234,8 @@ def _ln_upper_gamma_cf(s: float, x: float):
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             return math.log(h)
-    return None
+    raise NoConvergence(f"continued fraction of Gamma({s!r}, {x!r}) did not "
+                        "settle in 400 terms")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +276,8 @@ class _VddEngine:
         return _affine_scan(self.r * phi / den, self.m * self.fprev / den)
 
     def tails(self, phi: float, q: np.ndarray) -> tuple[float, float, float]:
-        return _tail_sums(self.asym, phi, self.m, float(q[-1]), self.k_top)
+        return _tail_sums(self.asym, phi, self.m, float(q[-1]), self.k_top,
+                          float(self.f[-1]))
 
     def weighted_sum(self, phi: float) -> float:
         q = self.distribution(phi)
@@ -602,14 +585,27 @@ def vdd_to_csv(q: DegreeDistribution) -> str:
 
 
 def vdd_from_csv(text: str) -> DegreeDistribution:
-    """Read degree,probability rows; a middle count column is accepted too."""
-    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("degree")]
+    """Read degree,probability rows; a middle count column is accepted too.
+
+    Raises MalformedLine for a row that does not parse or has a negative
+    degree, and EmptyInput when there is no row.
+    """
     degrees = []
     probs = []
-    for ln in rows:
+    for no, ln in enumerate(text.splitlines(), 1):
+        if not ln or ln.startswith("degree"):
+            continue
         parts = ln.split(",")
-        degrees.append(int(parts[0]))
-        probs.append(float(parts[-1]))
+        try:
+            k = int(parts[0])
+            if k < 0 or len(parts) not in (2, 3):
+                raise ValueError
+            degrees.append(k)
+            probs.append(float(parts[-1]))
+        except ValueError:
+            raise MalformedLine(no, ln) from None
+    if not degrees:
+        raise EmptyInput("no degree,probability rows")
     lo = min(degrees)
     arr = np.zeros(max(degrees) - lo + 1)
     for k, p in zip(degrees, probs):
@@ -625,11 +621,23 @@ def edd_to_csv(mx: EdgeDegreeMatrix) -> str:
 
 
 def edd_from_csv(text: str, kind: str = "edge") -> EdgeDegreeMatrix:
-    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("l,")]
+    """Read l,k,probability rows. Raises MalformedLine for a row that does
+    not parse or has a negative degree, and EmptyInput when there is no
+    row."""
     triplets = []
-    for ln in rows:
-        l_s, k_s, p_s = ln.split(",")
-        triplets.append((int(l_s), int(k_s), float(p_s)))
+    for no, ln in enumerate(text.splitlines(), 1):
+        if not ln or ln.startswith("l,"):
+            continue
+        try:
+            l_s, k_s, p_s = ln.split(",")
+            l, k = int(l_s), int(k_s)
+            if l < 0 or k < 0:
+                raise ValueError
+            triplets.append((l, k, float(p_s)))
+        except ValueError:
+            raise MalformedLine(no, ln) from None
+    if not triplets:
+        raise EmptyInput("no l,k,probability rows")
     lo = min(min(l, k) for l, k, _ in triplets)
     hi = max(max(l, k) for l, k, _ in triplets)
     entries = np.zeros((hi - lo + 1, hi - lo + 1))

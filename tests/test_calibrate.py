@@ -118,6 +118,9 @@ class TestCalibrateSingle:
                                         replace(opts.solver, u_max=target.u)))
         again = edd_distance(theta, target.edd, 1, target.u)
         assert again == pytest.approx(res.distance, abs=1e-9)
+        # The result carries that same matrix.
+        assert np.array_equal(res.edd.window(1, target.u), theta.window(1, target.u))
+        assert edd_distance(res.edd, target.edd, 1, target.u) == res.distance
 
     def test_result_model_validates(self):
         target = _target_from(_model((0.5, 0.5)), u=12)
@@ -290,6 +293,20 @@ class TestCalibrateComposite:
         m2 = res.model.components[1][0].increments.mean
         gamma = m1 * rho / (rho * m1 + (1 - rho) * m2)
         assert abs(gamma - res.report["gamma"]) < 1e-12
+
+    def test_result_edd_is_the_scored_mixture(self, fitted):
+        res, target = fitted
+        m1 = res.report["m_first"]
+        (first, rho), (second, rho2) = res.model.components
+        m2 = second.increments.mean
+        opts = replace(SOPTS, u_max=target.u)
+        parts = [(symmetrize(solve_arc_dd(spec, solve_vdd(spec, opts), opts)),
+                  m, share)
+                 for spec, m, share in ((first, m1, rho), (second, m2, rho2))]
+        mixed = mix_edd(parts, rho * m1 + rho2 * m2)
+        assert np.allclose(res.edd.window(1, target.u),
+                           mixed.window(1, target.u), rtol=1e-12, atol=1e-15)
+        assert edd_distance(res.edd, target.edd, *res.report["window"]) == res.distance
 
     def test_objective_best_at_reported_rho(self, fitted):
         res, _ = fitted

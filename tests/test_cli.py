@@ -279,8 +279,38 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(b), "--out", str(tmp_path / "z")]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("text", ["l,k,probability\n",
+                                      "l,k,probability\n1,1,0.5\n1,2\n"])
+    def test_unreadable_matrix_is_input_error(self, tmp_path, capsys, text):
+        a = self._write_edd(tmp_path / "a.csv")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["compare", str(a), str(bad), "--out", str(tmp_path / "c")]) == 2
+        assert "input error" in capsys.readouterr().err
+
 
 class TestCalibrateCommand:
+    @pytest.mark.parametrize("name,text", [
+        ("edd.csv", "l,k,probability\n"),
+        ("edd.csv", "l,k,probability\n1,2\n"),
+        ("vdd.csv", "degree,probability\n"),
+        ("vdd.csv", "degree,probability\n1,0.5\n2\n"),
+    ])
+    def test_unreadable_target_is_input_error(self, tmp_path, capsys, name, text):
+        model = BaTreeSpec().to_npa()
+        opts = SolverOptions(k_max=2000, u_max=8)
+        sol = solve_vdd(model, opts)
+        target_dir = tmp_path / "target"
+        target_dir.mkdir()
+        (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
+        (target_dir / "edd.csv").write_text(edd_to_csv(symmetrize(
+            solve_arc_dd(model, sol, opts))))
+        (target_dir / name).write_text(text)
+        code = main(["calibrate", str(target_dir), "--rmax", "2", "--out",
+                     str(tmp_path / "fit")])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_single_mode_on_synthetic_target(self, tmp_path):
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
@@ -303,33 +333,6 @@ class TestCalibrateCommand:
         fitted = json.loads((out / "model.json").read_text())
         assert fitted["type"] == "npa"
         assert (out / "edd_compare.csv").exists()
-
-    def test_comparison_failure_reported(self, tmp_path, monkeypatch, caplog):
-        # The fit succeeds; only the model-vs-target comparison fails to
-        # solve, which is written into report.json and logged, not fatal.
-        from npagraph import NoConvergence, cli
-        model = BaTreeSpec().to_npa()
-        opts = SolverOptions(k_max=2000)
-        sol = solve_vdd(model, opts)
-        theta = symmetrize(solve_arc_dd(model, sol, replace(opts, u_max=8)))
-        target_dir = tmp_path / "target"
-        target_dir.mkdir()
-        (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
-        (target_dir / "edd.csv").write_text(edd_to_csv(theta))
-
-        def fail(*args, **kwargs):
-            raise NoConvergence("planted failure")
-
-        monkeypatch.setattr(cli, "solve_vdd", fail)
-        out = tmp_path / "fit"
-        with caplog.at_level("WARNING", logger="npagraph.cli"):
-            code = main(["calibrate", str(target_dir), "--rmax", "2",
-                         "--u", "8", "--out", str(out)])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["comparison_error"] == "NoConvergence: planted failure"
-        assert not (out / "edd_compare.csv").exists()
-        assert "planted failure" in caplog.text
 
     def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
         from npagraph import AerModelSpec, AllRhoInfeasible, cli

@@ -453,13 +453,6 @@ class TestGrowComposite:
         direct = grow_npa(model, 500, RngStream(10).substream(0)).final_graph
         assert np.array_equal(g.pairs, direct.pairs)
 
-    def test_bridge_edges(self):
-        spec = self._spec(1000)
-        g0 = grow_composite(spec, RngStream(11))
-        g3 = grow_composite(spec, RngStream(11), bridge_edges=3)
-        assert g3.edge_count == g0.edge_count + 3
-        assert len(_components(g3)) == 1
-
     def test_aer_component_budget_override(self):
         spec = CompositeSpec(
             components=((AerModelSpec(n1=999, a=2.0), 0.5),

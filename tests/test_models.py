@@ -236,10 +236,9 @@ class TestEdgeDegreeMatrix:
 # ---------------------------------------------------------------------------
 
 class TestGraph:
-    def test_degrees_and_adjacency(self):
+    def test_degrees(self):
         g = Graph(3, [(0, 1), (1, 2)])
         assert list(g.degrees()) == [1, 2, 1]
-        assert g.adjacency[1] == [0, 2]
         assert g.edge_count == 2
 
     def test_degree_sum_is_twice_edges(self):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
-                      GammaNotConvex, InfeasibleComplement, IncrementDistribution,
-                      NoConvergence, NonPositiveResult, NpaModelSpec,
-                      SolverOptions, WeightFunction, WeightsNotConvex,
+                      EmptyInput, GammaNotConvex, InfeasibleComplement,
+                      IncrementDistribution, MalformedLine, NoConvergence,
+                      NonPositiveResult, NpaModelSpec, SolverOptions,
+                      WeightFunction, WeightsNotConvex,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph.solver import edd_from_csv, edd_to_csv, vdd_from_csv, vdd_to_csv
@@ -136,6 +138,105 @@ class TestSolveVdd:
         assert sol.q.min_degree == 0
         assert sol.q.prob(0) > 0.0
         assert sol.control_residual < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Tail beyond the computed range
+# ---------------------------------------------------------------------------
+
+def direct_tail_mass(f, phi, m, q_top, k_top):
+    """sum_{k > k_top} Q_k of the pure-ratio recurrence, summed term by term
+    in doubling chunks until a chunk adds less than 1e-17 of the total."""
+    total, q, k, chunk = 0.0, q_top, k_top, 1 << 12
+    while True:
+        ks = np.arange(k + 1, k + 1 + chunk, dtype=np.float64)
+        qs = q * np.cumprod(m * f(ks - 1.0) / (phi + m * f(ks)))
+        part = float(qs.sum())
+        total += part
+        q, k, chunk = float(qs[-1]), k + chunk, min(2 * chunk, 1 << 22)
+        if q == 0.0 or part < 1e-17 * total:
+            return total
+
+
+def three_arc_power(alpha, g=1):
+    return NpaModelSpec(
+        weights=WeightFunction.power(alpha, g=g),
+        increments=IncrementDistribution(min_arcs=g, probs=(0.5, 0.3, 0.2)))
+
+
+class TestTailSums:
+    @pytest.mark.parametrize("alpha", [0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("k_max", [100, 4000, 10000])
+    def test_near_linear_power_control(self, alpha, g, k_max):
+        # The tail degree mass follows from the tail weight sum by the
+        # summation identity, so the control identity holds to the bisection
+        # tolerance whatever the accuracy of that numeric sum.
+        sol = solve_vdd(three_arc_power(alpha, g),
+                        SolverOptions(k_max=k_max, u_max=min(k_max, 300)))
+        assert sol.control_residual < 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 0.9])
+    @pytest.mark.parametrize("k_max", [100, 4000, 10000])
+    def test_power_tail_mass_matches_direct_sum(self, alpha, k_max):
+        # k_max is the last computed degree here, so tail_mass is the sum
+        # over k > k_max alone.
+        model = three_arc_power(alpha)
+        sol = solve_vdd(model, SolverOptions(k_max=k_max, u_max=100))
+        q_top = sol.q.probs[-1]
+        assert q_top > 0.0
+        expected = direct_tail_mass(lambda k: k ** alpha, sol.mean_weight,
+                                    model.increments.mean, q_top, k_max)
+        assert sol.tail_mass == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("k_max", [10, 100])
+    def test_constant_tail_sums_match_direct_sum(self, v, k_max):
+        model = NpaModelSpec(
+            weights=WeightFunction.constant(v, g=1),
+            increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.3, 0.2)))
+        sol = solve_vdd(model, SolverOptions(k_max=k_max, u_max=k_max))
+        phi, m, q_top = sol.mean_weight, model.increments.mean, sol.q.probs[-1]
+        expected = direct_tail_mass(lambda k: np.full_like(k, v), phi, m,
+                                    q_top, k_max)
+        assert sol.tail_mass == pytest.approx(expected, rel=1e-11, abs=0.0)
+        ks = np.arange(k_max + 1, k_max + 4001, dtype=np.float64)
+        qs = q_top * (m * v / (phi + m * v)) ** (ks - k_max)
+        assert sol.tail_degree_mass == pytest.approx(float((ks * qs).sum()),
+                                                     rel=1e-11)
+
+    def test_upper_gamma_continued_fraction(self):
+        from scipy.special import gammaincc, gammaln
+        from npagraph.solver import _ln_upper_gamma_cf
+        compared = 0
+        for s in (1.5, 2.0, 5.0, 10.0, 100.0, 1000.0):
+            for x in (s + 2.0, s + 10.0, 2.0 * s + 2.0, 5.0 * s + 10.0):
+                reg = float(gammaincc(s, x))
+                if reg == 0.0:
+                    continue
+                ref = math.log(reg) + float(gammaln(s)) - s * math.log(x) + x
+                assert _ln_upper_gamma_cf(s, x) == pytest.approx(ref, rel=1e-12)
+                compared += 1
+        assert compared >= 20
+        with pytest.raises(NoConvergence):
+            _ln_upper_gamma_cf(10.0, 11.0)
+
+    def test_power_0_9999_solves_through_continued_fraction(self, monkeypatch):
+        import npagraph.solver as solver
+        calls = []
+        original = solver._ln_upper_gamma_cf
+
+        def counted(s, x):
+            calls.append(s)
+            return original(s, x)
+
+        monkeypatch.setattr(solver, "_ln_upper_gamma_cf", counted)
+        sol = solve_vdd(three_arc_power(0.9999), SolverOptions(k_max=4000))
+        assert calls
+        assert sol.control_residual < 1e-9
+        assert 0.0 < sol.q.truncation_mass < 1e-6
+        # The mean weight sits just below the linear value 2 m.
+        assert 3.39 < sol.mean_weight < 2.0 * 1.7
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +609,35 @@ class TestCsv:
         m = EdgeDegreeMatrix(min_degree=1, entries=raw, kind="arc")
         back = edd_from_csv(edd_to_csv(m), kind="arc")
         assert np.array_equal(back.entries, m.entries)
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("degree,probability\n1,0.5\n2\n", 3),
+        ("degree,probability\n1,0.5\ntwo,0.5\n", 3),
+        ("1,0.5\n2,x\n", 2),
+        ("degree,count,probability\n1,3,0.5\n2,1,0.2,0.3\n", 3),
+        ("degree,probability\n-2,0.5\n1,0.5\n", 2),
+    ])
+    def test_vdd_malformed_row(self, text, line_no):
+        with pytest.raises(MalformedLine) as err:
+            vdd_from_csv(text)
+        assert err.value.line_no == line_no
+        assert err.value.content == text.splitlines()[line_no - 1]
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("l,k,probability\n1,2\n", 2),
+        ("l,k,probability\n1,1,0.5\n1,2,0.1,0.4\n", 3),
+        ("l,k,probability\n1,1,0.5\n\n1,b,0.5\n", 4),
+        ("l,k,probability\n-1,1,0.5\n1,1,0.5\n", 2),
+    ])
+    def test_edd_malformed_row(self, text, line_no):
+        with pytest.raises(MalformedLine) as err:
+            edd_from_csv(text)
+        assert err.value.line_no == line_no
+
+    def test_header_only_is_empty(self):
+        with pytest.raises(EmptyInput):
+            vdd_from_csv("degree,probability\n")
+        with pytest.raises(EmptyInput):
+            vdd_from_csv("")
+        with pytest.raises(EmptyInput):
+            edd_from_csv("l,k,probability\n")
