@@ -32,8 +32,9 @@ from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, EdgeDegreeMatrix,
                      NpaModelSpec, dump_model, load_model, validate_model)
 from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
                        vdd_counts_csv)
-from .solver import (SolverOptions, edd_from_csv, edd_to_csv, solve_arc_dd,
-                     solve_vdd, symmetrize, vdd_from_csv, vdd_to_csv)
+from .solver import (SolverOptions, _matrix_csv, edd_from_csv, edd_to_csv,
+                     solve_arc_dd, solve_vdd, symmetrize, vdd_from_csv,
+                     vdd_to_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -227,13 +228,8 @@ def _comparison_csv(theta: EdgeDegreeMatrix, target: CalibrationTarget) -> str:
     """A fit's edge probabilities against the target's over the
     comparison window."""
     g = max(1, theta.min_degree, target.edd.min_degree)
-    lines = ["l,k,model,target"]
-    a = theta.window(g, target.u)
-    b = target.edd.window(g, target.u)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            lines.append(f"{g + i},{g + j},{a[i, j]!r},{b[i, j]!r}")
-    return "\n".join(lines) + "\n"
+    return _matrix_csv("l,k,model,target", g, theta.window(g, target.u),
+                       target.edd.window(g, target.u))
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +243,8 @@ def cmd_compare(params: dict) -> int:
     g = params["g"] if params["g"] is not None else max(a.min_degree, b.min_degree)
     u = params["u"] if params["u"] is not None else min(a.max_degree, b.max_degree)
     distance = edd_distance(a, b, g, u)
-    lines = ["l,k,difference"]
-    diff = a.window(g, u) - b.window(g, u)
-    for i in range(diff.shape[0]):
-        for j in range(diff.shape[1]):
-            lines.append(f"{g + i},{g + j},{diff[i, j]!r}")
-    _write(out / "diff.csv", "\n".join(lines) + "\n")
+    _write(out / "diff.csv",
+           _matrix_csv("l,k,difference", g, a.window(g, u) - b.window(g, u)))
     _write_json(out / "distance.json", {"distance": distance, "g": g, "u": u})
     _write_manifest(out, "compare", params)
     print(repr(distance))

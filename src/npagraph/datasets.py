@@ -19,6 +19,7 @@ import numpy as np
 from .errors import EmptyGraph, EmptyInput, InsufficientTail
 from .growth import _edge_tokens
 from .models import DegreeDistribution, Graph
+from .solver import _column_csv
 
 log = logging.getLogger(__name__)
 
@@ -95,18 +96,18 @@ def vdd_counts_csv(graph: Graph, smoothed: DegreeDistribution) -> str:
     (possibly smoothed) probabilities used downstream."""
     counts = np.bincount(graph.degrees(),
                          minlength=smoothed.max_degree + 1)
-    lines = ["degree,count,probability"]
-    for k, p in smoothed.to_rows():
-        lines.append(f"{k},{int(counts[k]) if k < len(counts) else 0},{p!r}")
-    return "\n".join(lines) + "\n"
+    degrees = range(smoothed.min_degree, smoothed.max_degree + 1)
+    return _column_csv("degree,count,probability", degrees,
+                       counts[degrees.start:degrees.stop].tolist(),
+                       smoothed.probs.tolist())
 
 
 def id_map_csv(graph: Graph) -> str:
     """dense_id,original_id mapping retained from parsing."""
-    lines = ["dense_id,original_id"]
-    if graph.labels is not None:
-        lines.extend(f"{i},{int(orig)}" for i, orig in enumerate(graph.labels))
-    return "\n".join(lines) + "\n"
+    labels = np.asarray([] if graph.labels is None else graph.labels,
+                        dtype=np.int64)
+    return _column_csv("dense_id,original_id", range(len(labels)),
+                       labels.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -294,10 +294,6 @@ class DegreeDistribution:
             out.append(Violation("NonNormalized", f"total mass {total!r} differs from 1"))
         return out
 
-    def to_rows(self) -> Iterable[tuple[int, float]]:
-        for i, p in enumerate(self.probs):
-            yield self.min_degree + i, float(p)
-
     def to_dict(self) -> dict:
         return {"min_degree": self.min_degree, "probs": self.probs.tolist(),
                 "truncation_mass": self.truncation_mass}
@@ -381,12 +377,6 @@ class EdgeDegreeMatrix:
         if self.kind == "edge" and not self.is_symmetric():
             out.append(Violation("NonNormalized", "edge matrix is not symmetric"))
         return out
-
-    def to_rows(self) -> Iterable[tuple[int, int, float]]:
-        n = self.entries.shape[0]
-        for i in range(n):
-            for j in range(n):
-                yield self.min_degree + i, self.min_degree + j, float(self.entries[i, j])
 
     def to_dict(self) -> dict:
         return {"min_degree": self.min_degree, "kind": self.kind,

@@ -20,6 +20,7 @@ the tail mass for constant ones; power weights sum it numerically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -578,70 +579,118 @@ def mix_edd(parts: Sequence[tuple[EdgeDegreeMatrix, float, float]],
 # CSV interchange
 # ---------------------------------------------------------------------------
 
+# A degree-distribution file is a header line, then one line per cell:
+# integer fields, then the cell's values as repr() writes them. The writer
+# formats many lines in one % operation, and the reader parses the file in one
+# np.loadtxt call; only a file that call rejects is scanned line by line, to
+# name the first bad row.
+
+def _lines(prefix: str, *columns: Sequence) -> str:
+    """One line per position of the equally long columns of Python ints and
+    floats: `prefix`, then the values comma separated as repr() writes
+    them."""
+    line = prefix + ",".join(["%r"] * len(columns)) + "\n"
+    return (line * len(columns[0])) % tuple(
+        itertools.chain.from_iterable(zip(*columns)))
+
+
+def _column_csv(header: str, *columns: Sequence) -> str:
+    return header + "\n" + _lines("", *columns)
+
+
+def _matrix_csv(header: str, lo: int, *matrices: np.ndarray) -> str:
+    """One l,k,values line per cell of equally sized square matrices over
+    degrees lo, lo + 1, ..., in row-major order. The lines are formatted a
+    matrix row at a time, so only one row of cells is held as Python
+    floats."""
+    degrees = range(lo, lo + len(matrices[0]))
+    return header + "\n" + "".join([
+        _lines(f"{l},", degrees, *(mx[i].tolist() for mx in matrices))
+        for i, l in enumerate(degrees)])
+
+
+def _read_csv(text: str, header: str, skip: str,
+              columns: tuple[int, ...]) -> np.ndarray:
+    """The rows of a degree-distribution file as a structured array with
+    integer fields f0, f1, ... and a float last field.
+
+    Lines starting with `skip` (the header, however often it repeats) and
+    empty lines are skipped. Every row has as many fields as the first one,
+    one of `columns`. A row that does not parse, or has a negative integer
+    field, raises MalformedLine with its 1-based line number; no row at all
+    raises EmptyInput.
+    """
+    lines = text.splitlines()
+    data = [ln for ln in lines if not ln.startswith(skip)]
+    first = next(filter(None, data), None)
+    if first is None:
+        raise EmptyInput(f"no {header} rows")
+    width = first.count(",") + 1
+    width = width if width in columns else columns[0]
+    dtype = np.dtype(",".join(["i8"] * (width - 1) + ["f8"]))
+    try:
+        rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1)
+    except ValueError:
+        rows = None
+    if rows is not None and all(rows[f].min() >= 0 for f in dtype.names[:-1]):
+        return rows
+    for no, ln in enumerate(lines, 1):
+        if ln and not ln.startswith(skip) and not _parses(ln, width):
+            raise MalformedLine(no, ln)
+    # Not reached while _parses agrees with np.loadtxt.
+    raise MalformedLine(0, "a row np.loadtxt rejects")
+
+
+def _parses(line: str, width: int) -> bool:
+    """Whether np.loadtxt takes the line as `width` fields, all but the
+    last non-negative int64s. Python's int() and float() accept what
+    np.loadtxt does, and also '_' separators and non-ASCII digits."""
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != width or not all(f.isascii() and "_" not in f
+                                         for f in fields):
+        return False
+    try:
+        float(fields[-1])
+        return all(0 <= int(f) < 2**63 for f in fields[:-1])
+    except ValueError:
+        return False
+
+
 def vdd_to_csv(q: DegreeDistribution) -> str:
-    lines = ["degree,probability"]
-    lines.extend(f"{k},{p!r}" for k, p in q.to_rows())
-    return "\n".join(lines) + "\n"
+    return _column_csv("degree,probability",
+                       range(q.min_degree, q.max_degree + 1), q.probs.tolist())
 
 
 def vdd_from_csv(text: str) -> DegreeDistribution:
-    """Read degree,probability rows; a middle count column is accepted too.
+    """Read degree,probability rows; a middle count column is accepted too,
+    in every row or in none.
 
     Raises MalformedLine for a row that does not parse or has a negative
     degree, and EmptyInput when there is no row.
     """
-    degrees = []
-    probs = []
-    for no, ln in enumerate(text.splitlines(), 1):
-        if not ln or ln.startswith("degree"):
-            continue
-        parts = ln.split(",")
-        try:
-            k = int(parts[0])
-            if k < 0 or len(parts) not in (2, 3):
-                raise ValueError
-            degrees.append(k)
-            probs.append(float(parts[-1]))
-        except ValueError:
-            raise MalformedLine(no, ln) from None
-    if not degrees:
-        raise EmptyInput("no degree,probability rows")
-    lo = min(degrees)
-    arr = np.zeros(max(degrees) - lo + 1)
-    for k, p in zip(degrees, probs):
-        arr[k - lo] = p
+    rows = _read_csv(text, "degree,probability", "degree", (2, 3))
+    degrees = rows["f0"]
+    lo = int(degrees.min())
+    arr = np.zeros(int(degrees.max()) - lo + 1)
+    arr[degrees - lo] = rows[rows.dtype.names[-1]]
     return DegreeDistribution(min_degree=lo, probs=arr,
                               truncation_mass=max(0.0, 1.0 - float(arr.sum())))
 
 
 def edd_to_csv(mx: EdgeDegreeMatrix) -> str:
-    lines = ["l,k,probability"]
-    lines.extend(f"{l},{k},{p!r}" for l, k, p in mx.to_rows())
-    return "\n".join(lines) + "\n"
+    return _matrix_csv("l,k,probability", mx.min_degree, mx.entries)
 
 
 def edd_from_csv(text: str, kind: str = "edge") -> EdgeDegreeMatrix:
     """Read l,k,probability rows. Raises MalformedLine for a row that does
     not parse or has a negative degree, and EmptyInput when there is no
     row."""
-    triplets = []
-    for no, ln in enumerate(text.splitlines(), 1):
-        if not ln or ln.startswith("l,"):
-            continue
-        try:
-            l_s, k_s, p_s = ln.split(",")
-            l, k = int(l_s), int(k_s)
-            if l < 0 or k < 0:
-                raise ValueError
-            triplets.append((l, k, float(p_s)))
-        except ValueError:
-            raise MalformedLine(no, ln) from None
-    if not triplets:
-        raise EmptyInput("no l,k,probability rows")
-    lo = min(min(l, k) for l, k, _ in triplets)
-    hi = max(max(l, k) for l, k, _ in triplets)
+    rows = _read_csv(text, "l,k,probability", "l,", (3,))
+    l, k = rows["f0"], rows["f1"]
+    lo = int(min(l.min(), k.min()))
+    hi = int(max(l.max(), k.max()))
     entries = np.zeros((hi - lo + 1, hi - lo + 1))
-    for l, k, p in triplets:
-        entries[l - lo, k - lo] = p
+    entries[l - lo, k - lo] = rows["f2"]
     return EdgeDegreeMatrix(min_degree=lo, entries=entries, kind=kind,
                             truncation_mass=1.0 - float(entries.sum()))

@@ -8,7 +8,7 @@ from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
                       SolverOptions, WeightFunction, dump_model, solve_arc_dd,
                       solve_vdd, symmetrize)
 from npagraph.cli import main
-from npagraph.solver import edd_to_csv, vdd_to_csv
+from npagraph.solver import edd_from_csv, edd_to_csv, vdd_to_csv
 
 
 def _write_ba_spec(path: Path) -> Path:
@@ -279,6 +279,20 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(b), "--out", str(tmp_path / "z")]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.125)
 
+    def test_diff_cells_are_plain_floats(self, tmp_path):
+        a = self._write_edd(tmp_path / "a.csv")
+        b = self._write_edd(tmp_path / "b.csv", perturb=0.125)
+        out = tmp_path / "d"
+        assert main(["compare", str(a), str(b), "--g", "2", "--out", str(out)]) == 0
+        ma, mb = (edd_from_csv(p.read_text()) for p in (a, b))
+        diff = ma.window(2, 10) - mb.window(2, 10)
+        lines = (out / "diff.csv").read_text().splitlines()
+        assert lines[0] == "l,k,difference"
+        assert len(lines) == 1 + diff.size
+        for line in lines[1:]:
+            l, k, value = line.split(",")
+            assert float(value) == diff[int(l) - 2, int(k) - 2]
+
     @pytest.mark.parametrize("text", ["l,k,probability\n",
                                       "l,k,probability\n1,1,0.5\n1,2\n"])
     def test_unreadable_matrix_is_input_error(self, tmp_path, capsys, text):
@@ -333,6 +347,38 @@ class TestCalibrateCommand:
         fitted = json.loads((out / "model.json").read_text())
         assert fitted["type"] == "npa"
         assert (out / "edd_compare.csv").exists()
+
+    def test_comparison_cells_are_plain_floats(self, tmp_path, monkeypatch):
+        from npagraph import cli
+        fits = []
+        real = cli.calibrate_single
+
+        def spy(*args, **kwargs):
+            fits.append(real(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(cli, "calibrate_single", spy)
+        model = BaTreeSpec().to_npa()
+        opts = SolverOptions(k_max=2000, u_max=8)
+        sol = solve_vdd(model, opts)
+        theta = symmetrize(solve_arc_dd(model, sol, opts))
+        target_dir = tmp_path / "target"
+        target_dir.mkdir()
+        (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
+        (target_dir / "edd.csv").write_text(edd_to_csv(theta))
+        out = tmp_path / "fit"
+        assert main(["calibrate", str(target_dir), "--rmax", "2", "--u", "6",
+                     "--out", str(out)]) == 0
+        g = max(1, fits[0].edd.min_degree, theta.min_degree)
+        model_cells, target_cells = fits[0].edd.window(g, 6), theta.window(g, 6)
+        lines = (out / "edd_compare.csv").read_text().splitlines()
+        assert lines[0] == "l,k,model,target"
+        assert len(lines) == 1 + model_cells.size
+        for line in lines[1:]:
+            l, k, fit, target = line.split(",")
+            i, j = int(l) - g, int(k) - g
+            assert float(fit) == model_cells[i, j]
+            assert float(target) == target_cells[i, j]
 
     def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
         from npagraph import AerModelSpec, AllRhoInfeasible, cli

@@ -9,6 +9,7 @@ from npagraph import (EmptyInput, Graph, InsufficientTail, MalformedLine,
                       ParseStats, load_edge_list, measure_edd, measure_vdd,
                       parse_edge_list, read_edge_list, smooth_vdd, summarize,
                       write_edge_list)
+from npagraph.datasets import id_map_csv, vdd_counts_csv
 from npagraph.models import DegreeDistribution
 
 
@@ -162,6 +163,35 @@ class TestParseAgainstSets:
         assert stats == ParseStats(
             self_loops_dropped=len(pairs) - len(kept),
             duplicates_collapsed=len(kept) - len(edges))
+
+
+class TestDatasetCsv:
+    """The ingest CSVs keep the bytes of the 0.6.0 writers, one f-string per
+    row, reproduced here as the reference."""
+
+    def _graph(self):
+        ids = np.array([[10, 3], [3, 7], [7, 10], [10, 42], [42, 5]])
+        return parse_edge_list(f"{a} {b}" for a, b in ids)
+
+    @pytest.mark.parametrize("smooth", ["none", "log-bin"])
+    def test_vdd_counts_bytes(self, smooth):
+        graph = self._graph()
+        q = smooth_vdd(measure_vdd(graph), smooth)
+        counts = np.bincount(graph.degrees(), minlength=q.max_degree + 1)
+        lines = ["degree,count,probability"]
+        lines.extend(f"{q.min_degree + i},{int(counts[q.min_degree + i])},{float(p)!r}"
+                     for i, p in enumerate(q.probs))
+        assert vdd_counts_csv(graph, q) == "\n".join(lines) + "\n"
+
+    def test_id_map_bytes(self):
+        graph = self._graph()
+        lines = ["dense_id,original_id"]
+        lines.extend(f"{i},{int(orig)}" for i, orig in enumerate(graph.labels))
+        assert id_map_csv(graph) == "\n".join(lines) + "\n"
+        assert id_map_csv(graph).splitlines()[1:3] == ["0,3", "1,5"]
+
+    def test_id_map_without_labels(self):
+        assert id_map_csv(Graph(3, np.array([[0, 1]]))) == "dense_id,original_id\n"
 
 
 class TestSummarize:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       EmptyInput, GammaNotConvex, InfeasibleComplement,
@@ -641,3 +642,122 @@ class TestCsv:
             vdd_from_csv("")
         with pytest.raises(EmptyInput):
             edd_from_csv("l,k,probability\n")
+
+
+def vdd_csv_060(q: DegreeDistribution) -> str:
+    """The 0.6.0 writer, one f-string per row: the byte reference."""
+    lines = ["degree,probability"]
+    lines.extend(f"{q.min_degree + i},{float(p)!r}" for i, p in enumerate(q.probs))
+    return "\n".join(lines) + "\n"
+
+
+def edd_csv_060(mx: EdgeDegreeMatrix) -> str:
+    n = mx.entries.shape[0]
+    lines = ["l,k,probability"]
+    lines.extend(f"{mx.min_degree + i},{mx.min_degree + j},{float(mx.entries[i, j])!r}"
+                 for i in range(n) for j in range(n))
+    return "\n".join(lines) + "\n"
+
+
+cells = st.one_of(st.just(0.0), st.just(-0.0),
+                  st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+                  st.floats(1e-300, 1.0))
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.integers(0, 3),
+           probs=arrays(np.float64, st.integers(0, 40), elements=cells))
+    def test_vdd(self, lo, probs):
+        q = DegreeDistribution(min_degree=lo, probs=probs)
+        text = vdd_to_csv(q)
+        assert text == vdd_csv_060(q)
+        if not len(probs):
+            with pytest.raises(EmptyInput):
+                vdd_from_csv(text)
+            return
+        back = vdd_from_csv(text)
+        assert back.min_degree == lo
+        assert back.probs.tobytes() == probs.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.integers(0, 3), n=st.integers(0, 40), data=st.data())
+    def test_edd(self, lo, n, data):
+        entries = data.draw(arrays(np.float64, (n, n), elements=cells))
+        mx = EdgeDegreeMatrix(min_degree=lo, entries=entries, kind="arc")
+        text = edd_to_csv(mx)
+        assert text == edd_csv_060(mx)
+        if not n:
+            with pytest.raises(EmptyInput):
+                edd_from_csv(text)
+            return
+        back = edd_from_csv(text, kind="arc")
+        assert back.min_degree == lo
+        assert back.entries.tobytes() == entries.tobytes()
+
+
+class TestCsvSyntax:
+    """Rows are read by np.loadtxt: fields may be padded with whitespace and
+    signed with +, but must be ASCII numbers without '_' separators."""
+
+    @pytest.mark.parametrize("text", [
+        "l,k,probability\n 1 , 2 ,0.25 \n2,\t1,\xa00.75\n",
+        "l,k,probability\n+1,+2,+0.25\n+2,1,0.75\n",
+        "l,k,probability\r\n1,2,0.25\r\n2,1,0.75\r\n",
+        "\nl,k,probability\n\n1,2,0.25\n\n2,1,0.75\n\n",
+        "l,k,probability\n1,2,0.25\nl,k,probability\n2,1,0.75\n",
+        "1,2,2.5e-1\n2,1,.75\n",
+    ])
+    def test_edd_accepted(self, text):
+        mx = edd_from_csv(text)
+        assert mx.min_degree == 1
+        assert mx.entries.tolist() == [[0.0, 0.25], [0.75, 0.0]]
+
+    @pytest.mark.parametrize("text", [
+        "degree,probability\n 1 , 0.25 \n+2,+0.75\n",
+        "degree,probability\r\n1,0.25\r\n\r\n2,0.75\r\n",
+        "degree,count,probability\n1,1,0.25\ndegree,count,probability\n2,3,0.75\n",
+    ])
+    def test_vdd_accepted(self, text):
+        q = vdd_from_csv(text)
+        assert q.min_degree == 1
+        assert q.probs.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("l,k,probability\n1,1,0.5\n1_0,1,0.5\n", 3),
+        ("l,k,probability\n1,1,1_0\n", 2),
+        ("l,k,probability\n1,1,0.5\n\u0661,1,0.5\n", 3),
+        ("l,k,probability\n1,1,0.\u0665\n", 2),
+        ("l,k,probability\n1,1,0.5\n99999999999999999999,1,0.5\n", 3),
+        ("l,k,probability\n1,1,0.5\n \n", 3),
+    ])
+    def test_edd_rejected(self, text, line_no):
+        with pytest.raises(MalformedLine) as err:
+            edd_from_csv(text)
+        assert err.value.line_no == line_no
+        assert err.value.content == text.splitlines()[line_no - 1]
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("degree,probability\n1_0,0.5\n", 2),
+        ("degree,probability\n1,0.5\n\u0662,0.5\n", 3),
+        ("degree,probability\n1,0.5\n2,3,0.5\n", 3),
+        ("degree,count,probability\n1,x,0.5\n", 2),
+        ("degree,count,probability\n1,-3,0.5\n", 2),
+    ])
+    def test_vdd_rejected(self, text, line_no):
+        with pytest.raises(MalformedLine) as err:
+            vdd_from_csv(text)
+        assert err.value.line_no == line_no
+        assert err.value.content == text.splitlines()[line_no - 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789+-.eE_, \t\xa0\u0661infatyNA",
+                   min_size=1, max_size=14))
+    def test_bad_row_is_named(self, line):
+        """Whatever np.loadtxt rejects, the line scan names the row."""
+        text = f"l,k,probability\n1,1,0.5\n{line}\n"
+        try:
+            edd_from_csv(text)
+        except MalformedLine as err:
+            assert err.line_no == 3
+            assert err.content == line
