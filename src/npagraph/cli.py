@@ -217,6 +217,8 @@ def cmd_calibrate(params: dict) -> int:
         "distance": result.distance,
         "vdd_tv_error": result.vdd_tv_error,
         "evaluations": result.iterations.evaluations,
+        "solver_failures": result.iterations.solver_failures,
+        "failure_types": result.iterations.failure_types,
         "details": result.report,
     })
     _write(out / "edd_compare.csv", _comparison_csv(result.edd, target))

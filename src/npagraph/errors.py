@@ -39,7 +39,9 @@ class SolverFailure(NpaGraphError):
 
 
 class NoConvergence(SolverFailure):
-    """The model has no stationary mean weight that the solver can bracket."""
+    """A solver did not reach its answer: no stationary mean weight could be
+    bracketed, a series did not converge, or the increment fit of a
+    calibration hit its simplex pivot cap."""
 
 
 class TruncationTooSevere(SolverFailure):

@@ -3,18 +3,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
-                      EdgeDegreeMatrix, IncrementDistribution, NpaModelSpec,
-                      RngStream, SolverOptions, WeightFunction,
+                      DegreeDistribution, EdgeDegreeMatrix,
+                      IncrementDistribution, InfeasibleComplement,
+                      NoConvergence, NpaModelSpec, RngStream, SolverOptions,
+                      TruncationTooSevere, WeightFunction,
                       WindowExceedsMatrix, grow_npa, measure_edd, measure_vdd,
                       mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize,
                       validate_model)
+from npagraph import calibrate
 from npagraph.calibrate import (AER_CACHE_SIZE, CalibrateOptions,
-                                CalibrationTarget, aer_component_estimate,
-                                calibrate_composite, calibrate_single,
-                                edd_distance, gowalla_increments,
-                                preset_brightkite, preset_gowalla, select_u)
+                                CalibrationTarget, OptimizerTrace,
+                                aer_component_estimate, calibrate_composite,
+                                calibrate_single, edd_distance,
+                                gowalla_increments, preset_brightkite,
+                                preset_gowalla, select_u)
 
 SOPTS = SolverOptions(k_max=4000, fp_tolerance=1e-9)
 
@@ -84,6 +89,168 @@ class TestSelectU:
         m = EdgeDegreeMatrix(min_degree=1, entries=np.full((4, 4), 0.01),
                              kind="edge", truncation_mass=0.84)
         assert select_u(m, mass_fraction=0.99) == 4
+
+
+# ---------------------------------------------------------------------------
+# Inversion of the vertex degree recurrence
+# ---------------------------------------------------------------------------
+
+LINEAR = WeightFunction.linear(g=1)
+
+
+def _noisy_vdd(probs, sigma, seed):
+    """The solved vertex distribution of a linear-weight model, each
+    probability times a log-normal factor, renormalised."""
+    q = solve_vdd(_model(probs), SOPTS).q
+    noisy = np.asarray(q.probs) * np.exp(
+        np.random.default_rng(seed).normal(0.0, sigma, len(q.probs)))
+    noisy *= (1.0 - q.truncation_mass) / noisy.sum()
+    return DegreeDistribution(min_degree=q.min_degree, probs=noisy,
+                              truncation_mass=q.truncation_mass)
+
+
+def _l1(q, m, u, opts, r):
+    a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, opts)
+    return float(np.abs(a @ r - observed).sum())
+
+
+def _highs_increments(q, m, u, opts):
+    """The same L1 program solved by HiGHS, with the same final tilt."""
+    a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, opts)
+    ks = np.arange(opts.r_min, opts.r_max + 1, dtype=float)
+    n_cmp, n_r = a.shape
+    unit, empty = np.eye(n_cmp), np.zeros((1, n_cmp))
+    a_eq = np.block([[a, -unit, unit],
+                     [np.ones((1, n_r)), empty, empty],
+                     [ks[None, :], empty, empty]])
+    res = linprog(np.concatenate([np.zeros(n_r), np.ones(2 * n_cmp)]),
+                  A_eq=a_eq, b_eq=np.concatenate([observed, [1.0, m]]),
+                  bounds=(0.0, None), method="highs")
+    assert res.status == 0, res.message
+    return calibrate._with_mean(res.x[:n_r], ks, m)
+
+
+def _check_against_highs(q, m, u, r_max):
+    opts = CalibrateOptions(r_max=r_max, solver=SOPTS)
+    r = np.array(calibrate._invert_vdd(q, LINEAR, m, 2.0 * m, u, opts).probs)
+    ks = np.arange(1, r_max + 1)
+    assert abs(r.sum() - 1.0) <= 1e-12
+    assert abs(ks @ r - m) <= 1e-12
+    assert r.min() >= -1e-12
+    # The true L1 at each r: HiGHS's own objective value is only as exact
+    # as its feasibility tolerance.
+    highs = _highs_increments(q, m, u, opts)
+    assert _l1(q, m, u, opts, r) <= _l1(q, m, u, opts, highs) + 1e-12
+
+
+class TestInvertVdd:
+    @pytest.mark.parametrize("probs", [(0.4, 0.3, 0.2, 0.1), (0.3, 0.7),
+                                       (0.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("u", [10, 60])
+    def test_program_reproduces_the_solved_vdd(self, probs, u):
+        # At the planted increments the compared rows are the solver's own
+        # vertex distribution: the head, the doubling tail bins and the mass
+        # beyond k_max.
+        true = _model(probs)
+        q = solve_vdd(true, SOPTS).q
+        m = true.increments.mean
+        opts = CalibrateOptions(r_max=50, solver=SOPTS)
+        a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, opts)
+        r = np.zeros(50)
+        r[:len(probs)] = probs
+        assert np.allclose(a @ r, observed, rtol=1e-10, atol=1e-15)
+
+    @given(weights=st.lists(st.integers(0, 10), min_size=1, max_size=6)
+           .filter(lambda w: w[-1] > 0),
+           r_max=st.sampled_from([1, 3, 5, 20, 50]),
+           sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1),
+           u=st.sampled_from([10, 15, 20]),
+           m_at=st.none() | st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_no_worse_than_highs(self, weights, r_max, sigma, seed, u, m_at):
+        # m is the model's own mean, or anywhere in [1, r_max]: a mean the
+        # target does not bear puts tiny entries into the tail rows, where
+        # an unguarded pivot leaves the basis singular.
+        probs = tuple(w / sum(weights) for w in weights)
+        m = (min(_model(probs).increments.mean, float(r_max)) if m_at is None
+             else 1.0 + m_at * (r_max - 1))
+        _check_against_highs(_noisy_vdd(probs, sigma, seed), m, u, r_max)
+
+    @pytest.mark.parametrize("probs, sigma, r_max, m, u", [
+        ((0.4, 0.3, 0.2, 0.1), 0.3, 5, 1.0, 15),    # m == r_min
+        ((0.4, 0.3, 0.2, 0.1), 0.3, 5, 5.0, 15),    # m == r_max
+        ((0.4, 0.3, 0.2, 0.1), 0.3, 20, 3.0, 15),   # integer m
+        ((0.4, 0.3, 0.2, 0.1), 0.3, 50, 50.0, 15),
+        ((0.4, 0.3, 0.2, 0.1), 0.3, 3, 2.5, 15),
+        # Exact targets at means they do not bear; without the pivot
+        # tolerance these end suboptimal, singular or at the pivot cap.
+        ((0.5, 0.5), 0.0, 20, 3.0, 15),
+        ((0.3, 0.7), 0.0, 20, 10.5, 10),
+        ((0.3, 0.7), 0.0, 50, 25.5, 15),
+    ])
+    def test_edge_means_no_worse_than_highs(self, probs, sigma, r_max, m, u):
+        _check_against_highs(_noisy_vdd(probs, sigma, 7), m, u, r_max)
+
+    def test_one_point_support(self):
+        q = _noisy_vdd((0.0, 0.0, 1.0), 0.3, 8)
+        opts = CalibrateOptions(r_min=3, r_max=3, solver=SOPTS)
+        weight = WeightFunction.linear(g=3)
+        inc = calibrate._invert_vdd(q, weight, 3.0, 6.0, 12, opts)
+        assert (inc.min_arcs, inc.probs) == (3, (1.0,))
+        with pytest.raises(InfeasibleComplement):
+            calibrate._invert_vdd(q, weight, 3.5, 7.0, 12, opts)
+
+    def test_mean_outside_support_is_infeasible(self):
+        q = _noisy_vdd((0.5, 0.5), 0.3, 9)
+        opts = CalibrateOptions(r_max=4, solver=SOPTS)
+        for m in (0.999, 4.001):
+            with pytest.raises(InfeasibleComplement):
+                calibrate._invert_vdd(q, LINEAR, m, 2.0 * m, 12, opts)
+
+    def test_pivot_cap_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(calibrate, "SIMPLEX_PIVOTS_PER_COLUMN", 0)
+        q = _noisy_vdd((0.5, 0.5), 0.3, 10)
+        with pytest.raises(NoConvergence):
+            calibrate._invert_vdd(q, LINEAR, 1.5, 3.0, 12,
+                                  CalibrateOptions(r_max=4, solver=SOPTS))
+
+
+class TestOptimizerTrace:
+    def test_failures_counted_by_type(self):
+        trace = OptimizerTrace()
+        trace.record(0.5)
+        trace.record_failure(NoConvergence("x"))
+        trace.record_failure(NoConvergence("y"))
+        trace.record_failure(TruncationTooSevere("z"))
+        trace.record(0.25)
+        assert (trace.evaluations, trace.solver_failures) == (5, 3)
+        assert trace.failure_types == {"NoConvergence": 2,
+                                       "TruncationTooSevere": 1}
+        assert trace.best_history == [0.5, 0.25]
+
+    def test_composite_records_a_failed_increment_fit(self, monkeypatch):
+        # An increment fit that fails skips its rho, and the trace names
+        # the failure by type.
+        real = calibrate._l1_fit
+        calls = []
+
+        def first_fails(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NoConvergence("cap")
+            return real(*args)
+
+        monkeypatch.setattr(calibrate, "_l1_fit", first_fails)
+        opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.25,
+                                rho_max=0.35, rho_step=0.05,
+                                outer_iterations=1)
+        res = calibrate_composite(_composite_target(), BaTreeSpec(), opts)
+        trace = res.iterations
+        assert (trace.evaluations, trace.solver_failures) == (3, 1)
+        assert trace.failure_types == {"NoConvergence": 1}
+        skipped = [e for e in res.report["grid"] if "skipped" in e]
+        assert [e["rho"] for e in skipped] == [0.25]
 
 
 # ---------------------------------------------------------------------------

@@ -232,8 +232,8 @@ class TestEnvironment:
         assert "solve" in proc.stdout and "calibrate" in proc.stdout
 
     def test_import_leaves_optimizer_unloaded(self):
-        # Only calibration needs scipy.optimize; every other command would
-        # pay for its import at start-up.
+        # No command imports scipy.optimize at start-up; only the power-weight
+        # exponent search of a table-free calibration loads it, when it runs.
         import subprocess
         import sys
         code = ("import sys, npagraph.cli; "
@@ -452,6 +452,31 @@ class TestCalibrateCommand:
         report = json.loads((out / "report.json").read_text())
         assert "error" in report
 
+    def test_linear_fits_load_no_optimizer(self, tmp_path):
+        # The increment fit is a numpy simplex: a linear single fit at the
+        # default --rmax and a composite on the BA tree load neither
+        # scipy.optimize nor scipy.sparse.
+        import subprocess
+        import sys
+        target = self._composite_target(tmp_path, (0.3, 0.7), 0.3, 12)
+        code = (
+            "import sys\n"
+            "from npagraph.cli import main\n"
+            f"t, out = {str(target)!r}, {str(tmp_path)!r}\n"
+            "assert main(['calibrate', t, '--out', out + '/single']) == 0\n"
+            "assert main(['calibrate', t, '--mode', 'composite', '--first',\n"
+            "             'ba-tree', '--rmax', '3', '--rho-min', '0.25',\n"
+            "             '--rho-max', '0.35', '--rho-step', '0.05',\n"
+            "             '--out', out + '/composite']) == 0\n"
+            "print([m for m in ('scipy.optimize', 'scipy.sparse')\n"
+            "       if m in sys.modules])\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "single" / "model.json").exists()
+        assert (tmp_path / "composite" / "model.json").exists()
+
     def _composite_target(self, path: Path, probs, rho: float, u: int) -> Path:
         """Exact target of a BA tree (share rho) plus a linear-weight
         complement with increments probs from one arc."""
@@ -506,4 +531,5 @@ class TestCalibrateCommand:
         assert "stalled" not in report
         fitted = [e for e in report["details"]["grid"] if "objective" in e]
         assert report["evaluations"] == len(fitted)
+        assert (report["solver_failures"], report["failure_types"]) == (0, {})
         assert abs(report["details"]["rho"] - rho) <= 0.01 + 1e-9
