@@ -9,15 +9,20 @@ This directory sits outside the test paths in pyproject.toml, so the
 ordinary test run does not collect it. The targets are the exact planted
 targets of the end-to-end benchmark's calibrate workload, built with the
 public API only, so the same file times any version of the calibration.
+The increment fit alone is timed through calibrate._invert_vdd, whose
+signature every version since 0.5.0 shares, on a noisy target at extents
+up to the 500 that ingest allows by default.
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
-                      SolverOptions, WeightFunction, mix_edd, mix_vdd,
-                      solve_arc_dd, solve_vdd, symmetrize)
+from npagraph import (BaTreeSpec, DegreeDistribution, IncrementDistribution,
+                      NpaModelSpec, SolverOptions, WeightFunction, mix_edd,
+                      mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
+from npagraph import calibrate
 from npagraph.calibrate import (CalibrateOptions, CalibrationTarget,
                                 calibrate_composite, calibrate_single)
 
@@ -67,3 +72,19 @@ def test_composite_one_rho(benchmark, composite_target):
                             outer_iterations=1)
     res = benchmark(calibrate_composite, composite_target, BaTreeSpec(), opts)
     assert res.report["rho"] == 0.3
+
+
+@pytest.mark.parametrize("u", [20, 100, 300, 500])
+def test_increment_fit_noisy_rmax50(benchmark, u):
+    # The planted single target's vertex distribution, each probability
+    # times a log-normal factor (sigma 0.3), fitted at a mean it does not
+    # bear exactly.
+    q = solve_vdd(_linear((0.4, 0.3, 0.2, 0.1)), SOLVER).q
+    noisy = np.asarray(q.probs) * np.exp(
+        np.random.default_rng(11).normal(0.0, 0.3, len(q.probs)))
+    noisy *= (1.0 - q.truncation_mass) / noisy.sum()
+    target = DegreeDistribution(min_degree=q.min_degree, probs=noisy,
+                                truncation_mass=q.truncation_mass)
+    inc = benchmark(calibrate._invert_vdd, target, WeightFunction.linear(g=1),
+                    2.5, 5.0, u, CalibrateOptions(r_max=50, solver=SOLVER))
+    assert len(inc.probs) == 50

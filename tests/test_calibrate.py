@@ -2,14 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       DegreeDistribution, EdgeDegreeMatrix,
                       IncrementDistribution, InfeasibleComplement,
-                      NoConvergence, NpaModelSpec, RngStream, SolverOptions,
-                      TruncationTooSevere, WeightFunction,
+                      NoConvergence, NpaModelSpec, RngStream, SolverFailure,
+                      SolverOptions, TruncationTooSevere, WeightFunction,
                       WindowExceedsMatrix, grow_npa, measure_edd, measure_vdd,
                       mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize,
                       validate_model)
@@ -132,21 +132,30 @@ def _highs_increments(q, m, u, opts):
 
 def _check_against_highs(q, m, u, r_max):
     opts = CalibrateOptions(r_max=r_max, solver=SOPTS)
-    r = np.array(calibrate._invert_vdd(q, LINEAR, m, 2.0 * m, u, opts).probs)
     ks = np.arange(1, r_max + 1)
+    # The simplex's own basic solution, before _with_mean clips and tilts it.
+    a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, opts)
+    raw = calibrate._l1_fit(a, observed, ks.astype(float), m)
+    assert raw.min() >= -1e-12
+    assert abs(raw.sum() - 1.0) <= 1e-12
+    assert abs(ks @ raw - m) <= 1e-12
+    r = np.array(calibrate._invert_vdd(q, LINEAR, m, 2.0 * m, u, opts).probs)
     assert abs(r.sum() - 1.0) <= 1e-12
     assert abs(ks @ r - m) <= 1e-12
     assert r.min() >= -1e-12
     # The true L1 at each r: HiGHS's own objective value is only as exact
-    # as its feasibility tolerance.
+    # as its feasibility tolerance. So is its mean when its r is one point,
+    # which _with_mean cannot tilt; each column of A sums to 1, so moving
+    # its mean onto m costs at most twice the miss in L1.
     highs = _highs_increments(q, m, u, opts)
-    assert _l1(q, m, u, opts, r) <= _l1(q, m, u, opts, highs) + 1e-12
+    slack = 1e-12 + 2.0 * abs(ks @ highs - m)
+    assert _l1(q, m, u, opts, r) <= _l1(q, m, u, opts, highs) + slack
 
 
 class TestInvertVdd:
     @pytest.mark.parametrize("probs", [(0.4, 0.3, 0.2, 0.1), (0.3, 0.7),
                                        (0.0, 0.0, 1.0)])
-    @pytest.mark.parametrize("u", [10, 60])
+    @pytest.mark.parametrize("u", [10, 60, 500])
     def test_program_reproduces_the_solved_vdd(self, probs, u):
         # At the planted increments the compared rows are the solver's own
         # vertex distribution: the head, the doubling tail bins and the mass
@@ -165,8 +174,9 @@ class TestInvertVdd:
            r_max=st.sampled_from([1, 3, 5, 20, 50]),
            sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
            seed=st.integers(0, 2**32 - 1),
-           u=st.sampled_from([10, 15, 20]),
+           u=st.sampled_from([10, 15, 20, 100, 300]),
            m_at=st.none() | st.floats(0.0, 1.0))
+    @example(weights=[1], r_max=3, sigma=0.05, seed=0, u=10, m_at=1e-9)
     @settings(max_examples=100, deadline=None)
     def test_no_worse_than_highs(self, weights, r_max, sigma, seed, u, m_at):
         # m is the model's own mean, or anywhere in [1, r_max]: a mean the
@@ -188,6 +198,9 @@ class TestInvertVdd:
         ((0.5, 0.5), 0.0, 20, 3.0, 15),
         ((0.3, 0.7), 0.0, 20, 10.5, 10),
         ((0.3, 0.7), 0.0, 50, 25.5, 15),
+        # Long degenerate runs, which stall at the pivot cap unless a
+        # value at 0 is carried from pivot to pivot rather than recomputed.
+        ((7 / 29, 10 / 29, 3 / 29, 9 / 29), 0.0, 200, 68.5, 300),
     ])
     def test_edge_means_no_worse_than_highs(self, probs, sigma, r_max, m, u):
         _check_against_highs(_noisy_vdd(probs, sigma, 7), m, u, r_max)
@@ -229,28 +242,34 @@ class TestOptimizerTrace:
                                        "TruncationTooSevere": 1}
         assert trace.best_history == [0.5, 0.25]
 
-    def test_composite_records_a_failed_increment_fit(self, monkeypatch):
-        # An increment fit that fails skips its rho, and the trace names
-        # the failure by type.
-        real = calibrate._l1_fit
-        calls = []
+    def test_single_records_a_failed_increment_fit(self, monkeypatch):
+        # A linear fit whose increment fit fails has no candidate left; the
+        # trace still names the failure by type.
+        def fails(*args):
+            raise NoConvergence("cap")
 
-        def first_fails(*args):
-            calls.append(args)
-            if len(calls) == 1:
-                raise NoConvergence("cap")
-            return real(*args)
+        monkeypatch.setattr(calibrate, "_l1_fit", fails)
+        target = _target_from(_model((0.4, 0.3, 0.2, 0.1)), u=15)
+        trace = OptimizerTrace()
+        monkeypatch.setattr(calibrate, "OptimizerTrace", lambda: trace)
+        with pytest.raises(SolverFailure):
+            calibrate_single(target, "linear",
+                             CalibrateOptions(r_max=5, solver=SOPTS))
+        assert (trace.evaluations, trace.solver_failures) == (1, 1)
+        assert trace.failure_types == {"NoConvergence": 1}
 
-        monkeypatch.setattr(calibrate, "_l1_fit", first_fails)
+    def test_composite_increment_fit_failure_ends_the_fit(self, monkeypatch):
+        # A failed increment fit is not skipped like an infeasible rho: it
+        # ends the composite fit.
+        def fails(*args):
+            raise NoConvergence("cap")
+
+        monkeypatch.setattr(calibrate, "_l1_fit", fails)
         opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.25,
                                 rho_max=0.35, rho_step=0.05,
                                 outer_iterations=1)
-        res = calibrate_composite(_composite_target(), BaTreeSpec(), opts)
-        trace = res.iterations
-        assert (trace.evaluations, trace.solver_failures) == (3, 1)
-        assert trace.failure_types == {"NoConvergence": 1}
-        skipped = [e for e in res.report["grid"] if "skipped" in e]
-        assert [e["rho"] for e in skipped] == [0.25]
+        with pytest.raises(NoConvergence):
+            calibrate_composite(_composite_target(), BaTreeSpec(), opts)
 
 
 # ---------------------------------------------------------------------------
