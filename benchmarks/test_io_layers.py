@@ -1,4 +1,5 @@
-"""Layer benchmarks of the CSV interchange (pytest-benchmark).
+"""Layer benchmarks of the edge-list reader and the CSV interchange
+(pytest-benchmark).
 
 Run from the root of a checkout:
 
@@ -13,9 +14,17 @@ so the same file times any version of the writers and readers.
 import numpy as np
 import pytest
 
-from npagraph import EdgeDegreeMatrix, Graph
+from npagraph import (EdgeDegreeMatrix, Graph, RngStream, grow_composite,
+                      load_edge_list, measure_edd, preset_gowalla,
+                      write_edge_list)
 from npagraph.datasets import id_map_csv
 from npagraph.solver import edd_from_csv, edd_to_csv
+
+
+@pytest.fixture(scope="module")
+def grown():
+    """The graph `generate --preset gowalla --n 100000` grows at seed 7."""
+    return grow_composite(preset_gowalla(100_000), RngStream(7))
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +41,25 @@ def matrix():
 def test_edd_to_csv(benchmark, matrix):
     text = benchmark(edd_to_csv, matrix)
     assert text.count("\n") == 1 + 500 * 500
+
+
+def test_edd_to_csv_measured(benchmark, grown):
+    """A measured EDD at the extent `ingest` writes: a few hundred distinct
+    values (counts / 2E) among its 250000 cells."""
+    measured = measure_edd(grown, 500)
+    text = benchmark(edd_to_csv, measured)
+    assert text.count("\n") == 1 + 500 * 500
+
+
+def test_load_edge_list(benchmark, grown, tmp_path_factory):
+    """The written edge list of a grown graph behind a KONECT-style '%'
+    header, as `ingest` reads it."""
+    path = tmp_path_factory.mktemp("edges") / "out.gowalla"
+    with open(path, "w") as fh:
+        fh.write("% sym unweighted\n% generated by npagraph\n")
+        write_edge_list(grown, fh)
+    graph = benchmark(load_edge_list, path)
+    assert graph.edge_count > 0
 
 
 def test_edd_from_csv(benchmark, matrix):

@@ -5,13 +5,14 @@ grows graphs by simulation, ingests real network edge lists, and calibrates
 one- and two-component models against empirical degree distributions.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, GammaNotConvex,
-                     InfeasibleComplement, InsufficientTail, MalformedLine,
-                     NoConvergence, NoEdges, NonPositiveResult, NpaGraphError,
-                     SolverFailure, TruncationTooSevere, ValidationError,
-                     WeightsNotConvex, WindowExceedsMatrix, ZeroTotalWeight)
+                     InfeasibleComplement, InputTooLarge, InsufficientTail,
+                     MalformedLine, NoConvergence, NoEdges, NonPositiveResult,
+                     NpaGraphError, SolverFailure, TruncationTooSevere,
+                     ValidationError, WeightsNotConvex, WindowExceedsMatrix,
+                     ZeroTotalWeight)
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec,
                      SeedGraphSpec, WeightFunction, dump_model, load_model,

@@ -23,9 +23,9 @@ from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, CalibrateOptions,
                         CalibrationTarget, calibrate_composite, calibrate_single,
                         edd_distance, preset_brightkite, preset_gowalla,
                         select_u)
-from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, MalformedLine,
-                     NpaGraphError, SolverFailure, ValidationError,
-                     ZeroTotalWeight)
+from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
+                     MalformedLine, NpaGraphError, SolverFailure,
+                     ValidationError, ZeroTotalWeight)
 from .growth import (RngStream, grow_aer, grow_composite, grow_npa, measure_edd,
                      measure_vdd, write_edge_list)
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, EdgeDegreeMatrix,
@@ -361,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler(args)
     except (ValidationError, MalformedLine, EmptyInput, EmptyGraph,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            InputTooLarge, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverFailure, ZeroTotalWeight) as exc:

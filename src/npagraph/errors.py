@@ -74,6 +74,11 @@ class EmptyInput(NpaGraphError):
     """The input held no edges, or a degree-distribution CSV no rows."""
 
 
+class InputTooLarge(NpaGraphError):
+    """A degree-distribution CSV spans more degrees than its dense array can
+    hold in memory."""
+
+
 class WindowExceedsMatrix(NpaGraphError):
     """Requested degree window is not covered by the matrix extent."""
 

@@ -517,14 +517,19 @@ def _edge_tokens(lines: Iterable[str]) -> np.ndarray:
     accepted. Any other line, or an id outside int64, raises MalformedLine
     with its 1-based line number. The text is parsed in one np.loadtxt call;
     lines are scanned one by one only after that call has failed.
+
+    np.loadtxt strips comments in its C tokenizer only when given a single
+    comment string; given two, it runs a Python function on every line. So
+    the lines are streamed to it with each '%' made a '#', which starts a
+    comment just as '%' does, and only '#' is passed.
     """
     if not hasattr(lines, "seek"):
         lines = list(lines)
     try:
         with warnings.catch_warnings():  # comment-only text is no error here
             warnings.simplefilter("ignore", UserWarning)
-            pairs = np.loadtxt(lines, dtype=np.int64, comments=("#", "%"),
-                               ndmin=2)
+            pairs = np.loadtxt((s.replace("%", "#") for s in lines),
+                               dtype=np.int64, comments="#", ndmin=2)
     except ValueError:
         pairs = None
     if pairs is not None and (pairs.shape[1] == 2 or pairs.size == 0):

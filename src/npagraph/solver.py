@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (EmptyInput, GammaNotConvex, InfeasibleComplement,
-                     MalformedLine, NoConvergence, NonPositiveResult,
-                     TruncationTooSevere, WeightsNotConvex)
+                     InputTooLarge, MalformedLine, NoConvergence,
+                     NonPositiveResult, TruncationTooSevere, WeightsNotConvex)
 from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
 COMPLEMENT_CLAMP_TOL = 1e-6
@@ -580,33 +580,45 @@ def mix_edd(parts: Sequence[tuple[EdgeDegreeMatrix, float, float]],
 # ---------------------------------------------------------------------------
 
 # A degree-distribution file is a header line, then one line per cell:
-# integer fields, then the cell's values as repr() writes them. The writer
-# formats many lines in one % operation, and the reader parses the file in one
-# np.loadtxt call; only a file that call rejects is scanned line by line, to
-# name the first bad row.
-
-def _lines(prefix: str, *columns: Sequence) -> str:
-    """One line per position of the equally long columns of Python ints and
-    floats: `prefix`, then the values comma separated as repr() writes
-    them."""
-    line = prefix + ",".join(["%r"] * len(columns)) + "\n"
-    return (line * len(columns[0])) % tuple(
-        itertools.chain.from_iterable(zip(*columns)))
-
+# integer fields, then the cell's values as repr() writes them. The column
+# writer formats many lines in one % operation. The matrix writer formats each
+# distinct value of a matrix once, since a measured EDD holds a few hundred
+# (counts / 2E) among its u^2 cells, and joins each row from those strings.
+# The reader parses the file in one np.loadtxt call; only a file that call
+# rejects is scanned line by line, to name the first bad row.
 
 def _column_csv(header: str, *columns: Sequence) -> str:
-    return header + "\n" + _lines("", *columns)
+    """The header, then one line per position of the equally long columns of
+    Python ints and floats: the values comma separated as repr() writes
+    them."""
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    return header + "\n" + (line * len(columns[0])) % tuple(
+        itertools.chain.from_iterable(zip(*columns)))
 
 
 def _matrix_csv(header: str, lo: int, *matrices: np.ndarray) -> str:
     """One l,k,values line per cell of equally sized square matrices over
-    degrees lo, lo + 1, ..., in row-major order. The lines are formatted a
-    matrix row at a time, so only one row of cells is held as Python
-    floats."""
-    degrees = range(lo, lo + len(matrices[0]))
+    degrees lo, lo + 1, ..., in row-major order. The lines are joined a
+    matrix row at a time from "l,", "k," and the cells' strings."""
+    n = len(matrices[0])
+    keys = [f"{k}," for k in range(lo, lo + n)]
+    cells = [_cell_strings(mx, "," if j < len(matrices) - 1 else "\n")
+             for j, mx in enumerate(matrices)]
     return header + "\n" + "".join([
-        _lines(f"{l},", degrees, *(mx[i].tolist() for mx in matrices))
-        for i, l in enumerate(degrees)])
+        "".join(itertools.chain.from_iterable(zip(
+            itertools.repeat(keys[i], n), keys, *(c[i].tolist() for c in cells))))
+        for i in range(n)])
+
+
+def _cell_strings(mx: np.ndarray, end: str) -> np.ndarray:
+    """An object array shaped like `mx`: each cell's repr() followed by
+    `end`. Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep
+    their own strings."""
+    bits, inv = np.unique(np.ascontiguousarray(mx, dtype=np.float64)
+                          .view(np.int64), return_inverse=True)
+    strings = np.array([f"{v!r}{end}" for v in bits.view(np.float64).tolist()],
+                       dtype=object)
+    return strings[inv.reshape(mx.shape)]
 
 
 def _read_csv(text: str, header: str, skip: str,
@@ -657,6 +669,19 @@ def _parses(line: str, width: int) -> bool:
         return False
 
 
+def _dense_zeros(lo: int, hi: int, ndim: int) -> np.ndarray:
+    """Zeros over degrees lo..hi along each of `ndim` axes; InputTooLarge
+    when they do not fit in memory."""
+    shape = (hi - lo + 1,) * ndim
+    try:
+        return np.zeros(shape)
+    except MemoryError:
+        raise InputTooLarge(
+            f"degrees {lo} to {hi} span {hi - lo + 1}: a dense "
+            f"{' x '.join(map(str, shape))} array does not fit in memory"
+        ) from None
+
+
 def vdd_to_csv(q: DegreeDistribution) -> str:
     return _column_csv("degree,probability",
                        range(q.min_degree, q.max_degree + 1), q.probs.tolist())
@@ -667,12 +692,13 @@ def vdd_from_csv(text: str) -> DegreeDistribution:
     in every row or in none.
 
     Raises MalformedLine for a row that does not parse or has a negative
-    degree, and EmptyInput when there is no row.
+    degree, EmptyInput when there is no row, and InputTooLarge when the
+    degrees span more than memory holds.
     """
     rows = _read_csv(text, "degree,probability", "degree", (2, 3))
     degrees = rows["f0"]
     lo = int(degrees.min())
-    arr = np.zeros(int(degrees.max()) - lo + 1)
+    arr = _dense_zeros(lo, int(degrees.max()), 1)
     arr[degrees - lo] = rows[rows.dtype.names[-1]]
     return DegreeDistribution(min_degree=lo, probs=arr,
                               truncation_mass=max(0.0, 1.0 - float(arr.sum())))
@@ -684,13 +710,14 @@ def edd_to_csv(mx: EdgeDegreeMatrix) -> str:
 
 def edd_from_csv(text: str, kind: str = "edge") -> EdgeDegreeMatrix:
     """Read l,k,probability rows. Raises MalformedLine for a row that does
-    not parse or has a negative degree, and EmptyInput when there is no
-    row."""
+    not parse or has a negative degree, EmptyInput when there is no row,
+    and InputTooLarge when the degrees span more than memory holds."""
     rows = _read_csv(text, "l,k,probability", "l,", (3,))
     l, k = rows["f0"], rows["f1"]
     lo = int(min(l.min(), k.min()))
     hi = int(max(l.max(), k.max()))
-    entries = np.zeros((hi - lo + 1, hi - lo + 1))
+    entries = _dense_zeros(lo, hi, 2)
     entries[l - lo, k - lo] = rows["f2"]
     return EdgeDegreeMatrix(min_degree=lo, entries=entries, kind=kind,
                             truncation_mass=1.0 - float(entries.sum()))
+

@@ -302,6 +302,39 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(bad), "--out", str(tmp_path / "c")]) == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_degree_span_too_large_is_input_error(self, tmp_path):
+        # A three-line file whose degrees span 30000 asks for a 6.7 GiB dense
+        # matrix. Under a 2 GiB address-space limit, set by the child on
+        # itself, the allocation fails and must surface as InputTooLarge.
+        resource = pytest.importorskip("resource")
+        import subprocess
+        import sys
+        small, big = tmp_path / "small.csv", tmp_path / "big.csv"
+        small.write_text("l,k,probability\n1,1,1.0\n")
+        big.write_text("l,k,probability\n1,1,0.5\n30000,1,0.5\n")
+        limit = 2 << 30
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from npagraph import InputTooLarge\n"
+            "from npagraph.cli import main\n"
+            "from npagraph.solver import vdd_from_csv\n"
+            "try:\n"
+            "    vdd_from_csv('degree,probability\\n1,0.5\\n900000000,0.5\\n')\n"
+            "except InputTooLarge as exc:\n"
+            "    print('vdd:', exc)\n"
+            f"sys.exit(main(['compare', {str(small)!r}, {str(big)!r},\n"
+            f"                '--out', {str(tmp_path / 'c')!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.startswith("vdd: degrees 1 to 900000000 span")
+        assert "input error: degrees 1 to 30000 span 30000" in proc.stderr
+        assert not (tmp_path / "c").exists()
+
 
 class TestCalibrateCommand:
     @pytest.mark.parametrize("name,text", [

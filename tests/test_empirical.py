@@ -63,6 +63,24 @@ class TestParseEdgeList:
         g = load_edge_list(path)
         assert g.edge_count == 2
 
+    def test_gzip_file_with_percent_comments(self, tmp_path):
+        path = tmp_path / "out.konect.gz"
+        with gzip.open(path, "wt", newline="") as fh:
+            fh.write("% sym unweighted\r\n% 3 4 4\r\n10 20 % a\r\n"
+                     "20 30\r\n30 10 # b % c\r\n30 40\r\n")
+        g = load_edge_list(path)
+        assert list(g.labels) == [10, 20, 30, 40]
+        assert _edges(g) == [(10, 20), (10, 30), (20, 30), (30, 40)]
+
+    def test_gzip_file_malformed_line(self, tmp_path):
+        path = tmp_path / "net.txt.gz"
+        with gzip.open(path, "wt") as fh:
+            fh.write("% c\n0 1 % ok\n1 2 % ok\n2 % 3\n3 4\n")
+        with pytest.raises(MalformedLine) as err:
+            load_edge_list(path)
+        assert err.value.line_no == 4
+        assert err.value.content == "2 % 3"
+
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
                     min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
@@ -85,10 +103,12 @@ class TestParseEdgeList:
 
 READERS = [pytest.param(parse_edge_list, id="parse_edge_list"),
            pytest.param(read_edge_list, id="read_edge_list")]
-# A seekable text stream, and lines that can be iterated only once.
+# A seekable text stream, lines that can be iterated only once, and a list
+# of lines without their line ends.
 FORMS = [pytest.param(io.StringIO, id="stream"),
          pytest.param(lambda text: iter(text.splitlines(keepends=True)),
-                      id="iterator")]
+                      id="iterator"),
+         pytest.param(str.splitlines, id="unterminated")]
 
 
 def _edges(graph):
@@ -123,6 +143,29 @@ class TestEdgeListSyntax:
                 "  2 3  \r\n+3 4\r\n")
         graph = reader(form(text))
         assert _edges(graph) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_percent_and_hash_comments(self, reader, form, end):
+        # '%' and '#' each start a comment wherever they stand, also inside
+        # a comment the other one started.
+        text = end.join([
+            "% konect header", "0 1 % trailing", "1 2%", "% a # inside",
+            "2 3 # b % inside", "#%", "3 4\t%", "%#% 9 9", "4 5"]) + end
+        graph = reader(form(text))
+        assert _edges(graph) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("lines, line_no", [
+        (["% c", "0 1 % ok", "1 % 2"], 3),
+        (["# a % b", "0 1", "2 x # c % d"], 3),
+        (["0 1 # x", "% 1 2", "3 % 4 5"], 3),
+        (["%", "#", "0 1 2 % three ids"], 3),
+    ])
+    def test_malformed_after_comments(self, reader, form, end, lines, line_no):
+        with pytest.raises(MalformedLine) as err:
+            reader(form(end.join(lines) + end))
+        assert err.value.line_no == line_no
+        assert err.value.content == lines[line_no - 1]
 
     def test_header_only(self, reader, form):
         text = "# Nodes: 5 Edges: 0\n# Directed: true\n"

@@ -1,8 +1,10 @@
 import io
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
@@ -12,7 +14,7 @@ from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
                       grow_npa, measure_arc_dd, measure_edd, measure_vdd,
                       read_edge_list, write_edge_list)
 from npagraph import growth
-from npagraph.errors import EmptyGraph, NoEdges
+from npagraph.errors import EmptyGraph, MalformedLine, NoEdges
 
 
 def _components(graph: Graph) -> list[set[int]]:
@@ -520,3 +522,50 @@ class TestEdgeListIo:
     def test_minus_zero_is_vertex_zero(self):
         back = read_edge_list(["-0 1"])
         assert back.pairs.tolist() == [[0, 1]]
+
+
+def _reference_tokens(lines):
+    """The edge-list syntax spelled out line by line: the pairs, or the
+    1-based number of the first line that is neither a pair nor blank."""
+    pairs = []
+    for ln_no, raw in enumerate(lines, 1):
+        tokens = re.split("[#%]", raw, maxsplit=1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", t)
+                                       for t in tokens):
+            return ln_no
+        pairs.append([int(t) for t in tokens])
+    return pairs
+
+
+# Lines of ids, comment characters, blanks and stray tokens, in any order.
+_piece = st.sampled_from(["0", "17", "-3", "+4", "x", "1.5", "#", "%", "#%",
+                          "%#", " ", "\t", "  "])
+_line = st.lists(_piece, max_size=6).map("".join) | st.tuples(
+    st.integers(-2**63, 2**63 - 1), st.integers(0, 9), st.sampled_from(
+        ["", " # c", "% c", "\t%#x", " #%y"])).map(
+    lambda t: f"{t[0]} {t[1]}{t[2]}")
+
+
+class TestEdgeTokens:
+    """_edge_tokens against the syntax spelled out line by line, and against
+    the np.loadtxt call of 0.8.0, which passed both comment strings."""
+
+    @given(st.lists(_line, max_size=12), st.sampled_from(["\n", "\r\n", ""]))
+    @settings(max_examples=300, deadline=None)
+    def test_against_reference(self, lines, end):
+        lines = [ln + end for ln in lines]
+        expected = _reference_tokens(lines)
+        if isinstance(expected, int):
+            with pytest.raises(MalformedLine) as err:
+                growth._edge_tokens(lines)
+            assert err.value.line_no == expected
+            return
+        pairs = growth._edge_tokens(lines)
+        assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
+        assert pairs.tolist() == expected
+        if expected:
+            old = np.loadtxt(lines, dtype=np.int64, comments=("#", "%"),
+                             ndmin=2)
+            assert old.tolist() == expected

@@ -13,7 +13,8 @@ from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       WeightFunction, WeightsNotConvex,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
-from npagraph.solver import edd_from_csv, edd_to_csv, vdd_from_csv, vdd_to_csv
+from npagraph.solver import (_matrix_csv, edd_from_csv, edd_to_csv,
+                             vdd_from_csv, vdd_to_csv)
 from npagraph.validation import reference_models
 
 
@@ -694,6 +695,53 @@ class TestCsvRoundTrip:
         back = edd_from_csv(text, kind="arc")
         assert back.min_degree == lo
         assert back.entries.tobytes() == entries.tobytes()
+
+
+def matrix_csv_080(header: str, lo: int, *matrices: np.ndarray) -> str:
+    """The cell format of 0.8.0, one f-string per line: the byte reference."""
+    n = len(matrices[0])
+    lines = [header]
+    lines.extend(f"{lo + i},{lo + j}," + ",".join(f"{float(mx[i, j])!r}"
+                                                  for mx in matrices)
+                 for i in range(n) for j in range(n))
+    return "\n".join(lines) + "\n"
+
+
+# Signed zeros, NaNs of either sign and other payloads, infinities,
+# subnormals and ordinary floats.
+any_cell = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -2.2250738585072009e-308, 1 / 3]),
+    st.integers(0, 2**52 - 1).map(
+        lambda p: np.array([0x7FF0000000000001 | p, -1 - p]).view(np.float64)[
+            p % 2].item()),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+class TestMatrixCsv:
+    """_matrix_csv formats each distinct value once; its bytes must still be
+    one repr() per cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lo=st.sampled_from([0, 1, 4]), n=st.integers(0, 12),
+           count=st.integers(1, 3), view=st.booleans(), data=st.data())
+    def test_against_reference(self, lo, n, count, view, data):
+        # A few values drawn once and repeated over the cells, as in a
+        # measured EDD, or each cell drawn on its own.
+        pool = data.draw(st.lists(any_cell, min_size=1, max_size=5))
+        picks = st.sampled_from(pool) if data.draw(st.booleans()) else any_cell
+        matrices = [data.draw(arrays(np.float64, (n + view, n + view),
+                                     elements=picks))[view:, view:]
+                    for _ in range(count)]
+        header = ",".join(["l", "k"] + [f"v{j}" for j in range(count)])
+        assert (_matrix_csv(header, lo, *matrices)
+                == matrix_csv_080(header, lo, *matrices))
+
+    def test_signed_zero_and_nan(self):
+        mx = np.array([[0.0, -0.0], [math.nan, -math.inf]])
+        assert _matrix_csv("l,k,p", 1, mx, mx[::-1]) == (
+            "l,k,p\n1,1,0.0,nan\n1,2,-0.0,-inf\n"
+            "2,1,nan,0.0\n2,2,-inf,-0.0\n")
 
 
 class TestCsvSyntax:
