@@ -1,0 +1,29 @@
+"""Layer benchmarks of preferential-attachment growth (pytest-benchmark).
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest benchmarks/test_growth_layers.py \
+        --benchmark-json=growth_layers.json
+
+This directory sits outside the test paths in pyproject.toml, so the
+ordinary test run does not collect it. Each benchmark grows one reference
+model to 1e5 vertices with grow_npa, through the public API only, so the
+same file times any version of the samplers: "ba" (f_k = k) takes the
+endpoint-list sampler, the three others every other weight function's.
+"""
+
+import pytest
+
+from npagraph import RngStream, grow_npa
+from npagraph.validation import reference_models
+
+N = 100_000
+
+
+@pytest.mark.parametrize("name", ["sublinear", "constant",
+                                  "superlinear_m200", "ba"])
+def test_grow_npa(benchmark, name):
+    model = reference_models()[name]
+    trace = benchmark.pedantic(grow_npa, args=(model, N, RngStream(11)),
+                               rounds=5, iterations=1)
+    assert trace.final_graph.vertex_count == N

@@ -5,10 +5,12 @@ weights (rule "linear", no table, no cap M, g <= 1, so f_k = k for every
 degree) take the endpoint-list sampler: a draw proportional to degree is a
 uniform pick from the list of arc endpoints (Batagelj & Brandes, PRE 71,
 036113, 2005), so the whole run is drawn up front and resolved with numpy.
-Every other weight function takes the degree-bucket sampler, one Python draw
-per arc end. Replications are independent given distinct RngStream ids and
-can be fanned out by the caller. Identical spec and stream reproduce a
-bit-identical graph within one version of the package.
+Every other weight function takes the acceptance sampler: a proposal from
+the vertices and the same endpoint list, accepted with a probability that
+turns its 1 + k proposal weight into f_k, one Python draw per proposal.
+Replications are independent given distinct RngStream ids and can be fanned
+out by the caller. Identical spec and stream reproduce a bit-identical graph
+within one version of the package.
 """
 
 from __future__ import annotations
@@ -54,87 +56,6 @@ class GrowthTrace:
 
 
 # ---------------------------------------------------------------------------
-# Degree-bucketed weighted sampling
-# ---------------------------------------------------------------------------
-
-class _DegreeBuckets:
-    """Vertices grouped by degree for weight-proportional sampling.
-
-    A bucket's weight is count * f_degree; a draw picks a bucket proportional
-    to bucket weight, then a uniform member. Degree updates move one vertex
-    between buckets in O(1); a draw costs one cumulative sum over the distinct
-    degree range.
-    """
-
-    def __init__(self, weights, capacity_hint: int = 64):
-        self._wf = weights
-        self._cap = max(capacity_hint, 8)
-        self._f = weights.weights_upto(self._cap)
-        self.bucket_weight = np.zeros(self._cap + 1, dtype=np.float64)
-        self.members: list[list[int]] = [[] for _ in range(self._cap + 1)]
-        self.degree: list[int] = []
-        self.slot: list[int] = []
-        self.max_degree = 0
-
-    def _ensure(self, d: int) -> None:
-        if d <= self._cap:
-            return
-        new_cap = max(d, self._cap * 2)
-        self._f = self._wf.weights_upto(new_cap)
-        bw = np.zeros(new_cap + 1, dtype=np.float64)
-        bw[:len(self.bucket_weight)] = self.bucket_weight
-        self.bucket_weight = bw
-        self.members.extend([] for _ in range(new_cap + 1 - len(self.members)))
-        self._cap = new_cap
-
-    def add_vertex(self, degree: int) -> int:
-        self._ensure(degree)
-        v = len(self.degree)
-        self.degree.append(degree)
-        bucket = self.members[degree]
-        self.slot.append(len(bucket))
-        bucket.append(v)
-        self.bucket_weight[degree] += self._f[degree]
-        if degree > self.max_degree:
-            self.max_degree = degree
-        return v
-
-    def promote(self, v: int) -> None:
-        d = self.degree[v]
-        self._ensure(d + 1)
-        bucket = self.members[d]
-        s = self.slot[v]
-        last = bucket[-1]
-        bucket[s] = last
-        self.slot[last] = s
-        bucket.pop()
-        nxt = self.members[d + 1]
-        self.slot[v] = len(nxt)
-        nxt.append(v)
-        self.degree[v] = d + 1
-        self.bucket_weight[d] -= self._f[d]
-        self.bucket_weight[d + 1] += self._f[d + 1]
-        if d + 1 > self.max_degree:
-            self.max_degree = d + 1
-
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.bucket_weight[:self.max_degree + 1])
-
-    def sample(self, gen: np.random.Generator, cum: np.ndarray) -> int:
-        total = cum[-1]
-        d = int(np.searchsorted(cum, gen.random() * total, side="right"))
-        # searchsorted cannot land on a zero-weight bucket except through the
-        # float edge where the draw rounds up to the total; walk down to the
-        # nearest weighted bucket then.
-        if d >= len(cum):
-            d = len(cum) - 1
-        while d > 0 and (not self.members[d] or self.bucket_weight[d] <= 0.0):
-            d -= 1
-        bucket = self.members[d]
-        return bucket[int(gen.integers(len(bucket)))]
-
-
-# ---------------------------------------------------------------------------
 # Preferential-attachment growth
 # ---------------------------------------------------------------------------
 
@@ -152,7 +73,7 @@ def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> GrowthTrace:
 
     Weights with f_k = k at every degree (rule "linear", no table, M None,
     g <= 1) are grown by the endpoint-list sampler; all other weights by the
-    degree-bucket sampler. The two draw differently from the same stream, so
+    acceptance sampler. The two draw differently from the same stream, so
     the same seed gives different graphs of the same law.
     """
     gen = rng.generator()
@@ -164,10 +85,19 @@ def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> GrowthTrace:
     if w.rule == "linear" and not w.table and w.M is None and w.g <= 1:
         pairs = _grow_endpoint_list(seed, spec.increments, steps, gen)
     else:
-        pairs = _grow_degree_buckets(seed, spec, steps, gen)
+        pairs = _grow_by_acceptance(seed, spec, steps, gen)
     graph = Graph(n, pairs, directed=True)
     return GrowthTrace(final_graph=graph, steps=steps,
                        arc_count=graph.edge_count - seed.edge_count)
+
+
+def _increment_counts(increments: IncrementDistribution, steps: int,
+                      gen: np.random.Generator) -> np.ndarray:
+    """Arc counts x ~ {r_k} of `steps` increments, drawn in one call."""
+    r_cum = np.cumsum(increments.prob_array())
+    idx = np.searchsorted(r_cum, gen.random(steps), side="right")
+    # A draw above a cumulative sum that rounds below 1 takes the top count.
+    return increments.min_arcs + np.minimum(idx, len(r_cum) - 1)
 
 
 def _grow_endpoint_list(seed: Graph, increments: IncrementDistribution,
@@ -180,10 +110,7 @@ def _grow_endpoint_list(seed: Graph, increments: IncrementDistribution,
     is a known source, an odd one the target of a strictly earlier arc, which
     pointer jumping resolves.
     """
-    r_cum = np.cumsum(increments.prob_array())
-    idx = np.searchsorted(r_cum, gen.random(steps), side="right")
-    # A draw above a cumulative sum that rounds below 1 takes the top count.
-    x = increments.min_arcs + np.minimum(idx, len(r_cum) - 1)
+    x = _increment_counts(increments, steps, gen)
     e0 = seed.edge_count
     new_v = np.arange(seed.vertex_count, seed.vertex_count + steps, dtype=np.int64)
     src = np.concatenate([seed.pairs[:, 0], np.repeat(new_v, x)])
@@ -207,30 +134,61 @@ def _grow_endpoint_list(seed: Graph, increments: IncrementDistribution,
     return np.column_stack([src, dst])
 
 
-def _grow_degree_buckets(seed: Graph, spec: NpaModelSpec, steps: int,
-                         gen: np.random.Generator) -> list[tuple[int, int]]:
-    """Arcs of a run with any weight function, one bucket draw per arc end."""
-    buckets = _DegreeBuckets(spec.weights, capacity_hint=64)
-    for d in seed.degrees():
-        buckets.add_vertex(int(d))
-    edges: list[tuple[int, int]] = [(int(a), int(b)) for a, b in seed.pairs]
+def _grow_by_acceptance(seed: Graph, spec: NpaModelSpec, steps: int,
+                        gen: np.random.Generator) -> np.ndarray:
+    """Arcs of a run with any weight function, by stochastic acceptance.
 
-    r_cum = np.cumsum(spec.increments.prob_array())
-    r_min = spec.increments.min_arcs
-    for _ in range(steps):
-        x = r_min + int(np.searchsorted(r_cum, gen.random(), side="right"))
-        if x > 0:
-            cum = buckets.cumulative()
-            if not cum[-1] > 0.0:
-                raise ZeroTotalWeight(_NO_TARGET)
-            targets = [buckets.sample(gen, cum) for _ in range(x)]
-        else:
-            targets = []
-        new_v = buckets.add_vertex(x)
+    A proposal is uniform over the N vertices and the 2E arc-endpoint entries
+    before the increment, so a vertex of degree k is proposed in proportion
+    to 1 + k; it is accepted with probability f_k / (c (1 + k)), else
+    redrawn, where c is the largest f_d / (1 + d) over d up to the largest
+    degree present. The accepted targets are proportional to f_k (Lipowski
+    & Lipowska, Physica A 391, 2193, 2012).
+    """
+    x = _increment_counts(spec.increments, steps, gen).tolist()
+    ends = seed.pairs.ravel().tolist()
+    deg = seed.degrees().tolist()
+    f: list[float] = []
+    ratio: list[float] = []
+    top, c = -1, 0.0
+    # Uniforms in blocks of 64, 256, ... up to 16384, so short runs draw few.
+    uniforms = (u for i in itertools.count()
+                for u in gen.random(64 << min(2 * i, 8)).tolist())
+
+    def admit(d: int) -> None:
+        # Raise c to cover the degrees top + 1 .. d; tables grow by doubling.
+        nonlocal f, ratio, top, c
+        if d >= len(f):
+            f = spec.weights.weights_upto(2 * d + 64).tolist()
+            ratio = [w / (1 + k) for k, w in enumerate(f)]
+        c = max(c, *ratio[top + 1:d + 1])
+        top = d
+
+    admit(max(deg, default=0))
+    live = sum(f[d] > 0.0 for d in deg)  # vertices that can be accepted
+    for v, xv in enumerate(x, start=len(deg)):
+        if xv and not live:
+            raise ZeroTotalWeight(_NO_TARGET)
+        pool = v + len(ends)  # u < 1 keeps int(u * pool) below pool
+        targets = []
+        while len(targets) < xv:
+            p = int(next(uniforms) * pool)
+            t = p if p < v else ends[p - v]
+            if next(uniforms) * c < ratio[deg[t]]:
+                targets.append(t)
+        # Degrees change only now, so all x ends saw the same degrees.
+        if xv > top:
+            admit(xv)
+        deg.append(xv)
+        live += f[xv] > 0.0
         for t in targets:
-            edges.append((new_v, t))
-            buckets.promote(t)
-    return edges
+            d = deg[t] + 1
+            if d > top:
+                admit(d)
+            live += (f[d] > 0.0) - (f[d - 1] > 0.0)
+            deg[t] = d
+            ends += (v, t)
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

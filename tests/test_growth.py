@@ -40,10 +40,17 @@ def _components(graph: Graph) -> list[set[int]]:
 # Preferential-attachment growth
 # ---------------------------------------------------------------------------
 
+_POWER = NpaModelSpec(
+    weights=WeightFunction.power(0.5, g=1),
+    increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.5)))
+
+
 class TestGrowNpa:
-    def test_reproducible_bit_identical(self):
-        a = grow_npa(BaTreeSpec(), 500, RngStream(123, 4)).final_graph
-        b = grow_npa(BaTreeSpec(), 500, RngStream(123, 4)).final_graph
+    @pytest.mark.parametrize("spec", [BaTreeSpec(), _POWER],
+                             ids=["ba", "power"])
+    def test_reproducible_bit_identical(self, spec):
+        a = grow_npa(spec, 500, RngStream(123, 4)).final_graph
+        b = grow_npa(spec, 500, RngStream(123, 4)).final_graph
         assert np.array_equal(a.pairs, b.pairs)
 
     def test_different_stream_differs(self):
@@ -95,12 +102,17 @@ class TestGrowNpa:
         vdd = measure_vdd(g)
         assert vdd.prob(1) == pytest.approx(2.0 / 3.0, abs=0.01)
 
-    def test_zero_total_weight(self):
+    @pytest.mark.parametrize("weights", [
+        WeightFunction.linear(g=1, M=1), WeightFunction.constant(g=1, M=1),
+        WeightFunction.from_table(1, [2.0], M=1)],
+        ids=["linear", "constant", "table"])
+    def test_zero_total_weight(self, weights):
         # Arrivals with two arcs start saturated (degree 2 > M = 1), so the
         # pool of attachable degree-1 vertices only shrinks and runs dry.
-        # Deliberately unvalidated: this exercises the dynamic growth error.
+        # Deliberately unvalidated: this exercises the dynamic growth error,
+        # which must be raised, not spun on by rejecting every proposal.
         model = NpaModelSpec(
-            weights=WeightFunction.linear(g=1, M=1),
+            weights=weights,
             increments=IncrementDistribution(min_arcs=2, probs=(1.0,)))
         with pytest.raises(ZeroTotalWeight):
             grow_npa(model, 50, RngStream(3))
@@ -111,19 +123,19 @@ class TestGrowNpa:
 
 
 # ---------------------------------------------------------------------------
-# The two samplers of linear-weight growth
+# The two samplers: endpoint list (f_k = k) and acceptance (any weights)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=["endpoint_list", "degree_buckets"])
+@pytest.fixture(params=["endpoint_list", "acceptance"])
 def linear_weights(request, monkeypatch):
     """f_k = k at every degree from g, grown by one sampler with the other
-    disabled. The degree-bucket sampler is reached through a cap M that no
+    disabled. The acceptance sampler is reached through a cap M that no
     run of these tests can reach."""
     def disabled(*_args):
         raise AssertionError("the other sampler was taken")
 
     if request.param == "endpoint_list":
-        monkeypatch.setattr(growth, "_grow_degree_buckets", disabled)
+        monkeypatch.setattr(growth, "_grow_by_acceptance", disabled)
         return lambda g=1: WeightFunction.linear(g=g)
     monkeypatch.setattr(growth, "_grow_endpoint_list", disabled)
     return lambda g=1: WeightFunction.linear(g=g, M=10**6)
@@ -165,21 +177,30 @@ def _chi_square_p(observed: Counter, law: dict[tuple, float], reps: int) -> floa
     return float(chisquare(obs, exp).pvalue)
 
 
+def _observed_arc_lists(model: NpaModelSpec, reps: int) -> Counter:
+    """Sorted final arc lists of `reps` independent runs to n = 5."""
+    return Counter(
+        tuple(sorted(map(tuple, grow_npa(model, 5, RngStream(404, rep))
+                         .final_graph.pairs.tolist())))
+        for rep in range(reps))
+
+
+def _uniform_weight(d: int) -> float:
+    return float(d > 0)
+
+
 class TestLinearSamplers:
     @pytest.mark.parametrize("x, reps", [(1, 4000), (2, 6000)])
     def test_exact_law_at_n5(self, linear_weights, x, reps):
         model = NpaModelSpec(
             weights=linear_weights(),
             increments=IncrementDistribution(min_arcs=x, probs=(1.0,)))
-        observed = Counter(
-            tuple(sorted(map(tuple, grow_npa(model, 5, RngStream(404, rep))
-                             .final_graph.pairs.tolist())))
-            for rep in range(reps))
+        observed = _observed_arc_lists(model, reps)
         law = _arc_multiset_law(5, x, weight=float)
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         assert _chi_square_p(observed, law, reps) > 1e-3
         # The same counts against uniform attachment: the test has power.
-        uniform = _arc_multiset_law(5, x, weight=lambda d: float(d > 0))
+        uniform = _arc_multiset_law(5, x, weight=_uniform_weight)
         assert _chi_square_p(observed, uniform, reps) < 1e-6
 
     def test_n_equal_to_seed_size(self, linear_weights):
@@ -224,6 +245,44 @@ class TestLinearSamplers:
             seed_graph=SeedGraphSpec(name=None, vertices=2, edges=()))
         with pytest.raises(ZeroTotalWeight):
             grow_npa(model, 10, RngStream(2))
+
+
+class TestGeneralWeights:
+    @pytest.mark.parametrize("weights", [
+        WeightFunction.power(0.5),
+        WeightFunction.power(1.5),  # uncapped: c rises with the top degree
+        WeightFunction.linear(M=2),  # zero weight beyond M
+        WeightFunction.constant(2.0),
+        WeightFunction.from_table(1, [3.0, 0.5, 2.0], rule="linear")],
+        ids=["power0.5", "power1.5", "linear_m2", "constant", "table"])
+    def test_exact_law_at_n5(self, weights, monkeypatch):
+        def disabled(*_args):
+            raise AssertionError("the endpoint-list sampler was taken")
+
+        monkeypatch.setattr(growth, "_grow_endpoint_list", disabled)
+        model = NpaModelSpec(
+            weights=weights,
+            increments=IncrementDistribution(min_arcs=2, probs=(1.0,)))
+        reps = 6000
+        observed = _observed_arc_lists(model, reps)
+        law = _arc_multiset_law(5, 2, weight=weights.weight)
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        assert _chi_square_p(observed, law, reps) > 1e-3
+        uniform = _arc_multiset_law(5, 2, weight=_uniform_weight)
+        if law != pytest.approx(uniform, abs=1e-12):
+            assert _chi_square_p(observed, uniform, reps) < 1e-6
+
+    def test_increment_count_clamped_at_the_top(self):
+        # The probabilities sum to 1 by fsum, but their cumulative sum ends
+        # at 0.9999999999999999, below the largest draw of random().
+        increments = IncrementDistribution(1, (0.1,) * 10)
+
+        class TopDraw:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        x = growth._increment_counts(increments, 7, TopDraw())
+        assert x.tolist() == [increments.max_arcs] * 7
 
 
 # ---------------------------------------------------------------------------
