@@ -66,6 +66,20 @@ def test_single_fit_rmax50(benchmark, single_target):
     assert res.distance >= 0.0
 
 
+def test_table_free_single_fit(benchmark):
+    # Phase 2 on the exact target of f_k = k**0.8: the linear fit misses the
+    # threshold, and the exponent search solves a candidate per step.
+    model = NpaModelSpec(weights=WeightFunction.power(0.8, g=1),
+                         increments=IncrementDistribution(min_arcs=1,
+                                                          probs=(0.6, 0.4)))
+    q, theta = _solved(model)
+    target = CalibrationTarget(vdd=q, edd=theta, u=U,
+                               mean_increment=model.increments.mean)
+    res = benchmark(calibrate_single, target, "table-free",
+                    CalibrateOptions(r_max=3, solver=SOLVER))
+    assert res.report["phase"] == 2
+
+
 def test_composite_one_rho(benchmark, composite_target):
     # The first component's profile (one BA solve) is part of the step.
     opts = CalibrateOptions(r_max=3, solver=SOLVER, rho_min=0.3, rho_max=0.3,

@@ -45,14 +45,18 @@ def test_vdd_calibration_candidate(benchmark):
 
 
 # Power weights bisect the mean weight, and every step sums the tail beyond
-# k_max: power(0.8) settles it in the exact chunks, power(0.9999) needs the
-# incomplete-gamma remainder by its continued fraction.
+# k_max: power(0.8) settles it in the exact chunks, power(0.999) and
+# power(0.9999) need the incomplete-gamma remainder, the first by the series
+# of the lower function as well as the continued fraction, the second by the
+# continued fraction alone.
 @pytest.mark.parametrize("model", [
     reference_models()["sublinear"],
+    NpaModelSpec(weights=WeightFunction.power(0.999, g=1),
+                 increments=IncrementDistribution(min_arcs=1, probs=(0.6, 0.4))),
     NpaModelSpec(weights=WeightFunction.power(0.9999, g=1),
                  increments=IncrementDistribution(min_arcs=1,
                                                   probs=(0.5, 0.3, 0.2))),
-], ids=["sublinear", "power_0_9999"])
+], ids=["sublinear", "power_0_999", "power_0_9999"])
 def test_vdd_power_weights(benchmark, model):
     sol = benchmark(solve_vdd, model, CALIBRATION_OPTS)
     assert sol.control_residual < 1e-6

@@ -3,13 +3,13 @@
 The increment law of a candidate is not searched for: for fixed weights the
 stationary vertex degree recurrence is linear in it, so it follows from the
 target's vertex distribution by one small L1 program, solved exactly by a
-simplex in numpy, so a linear fit loads no optimization library. Each
-candidate is scored by the Euclidean distance between the model's edge
-degree matrix and the empirical one over a degree window, plus the
-total-variation error of the vertex degree distribution. Natural linear
-weights are tried first; a parametric power-weight family is only brought
-in when the linear phase misses tolerance, and on ties the model with fewer
-free parameters wins.
+simplex in numpy. Each candidate is scored by the Euclidean distance
+between the model's edge degree matrix and the empirical one over a degree
+window, plus the total-variation error of the vertex degree distribution.
+Natural linear weights are tried first; a parametric power-weight family is
+only brought in when the linear phase misses tolerance, its exponent found
+by a golden-section search, and on ties the model with fewer free
+parameters wins. Nothing here needs more than numpy.
 """
 
 from __future__ import annotations
@@ -46,7 +46,11 @@ GOWALLA_RK_SUPPORT = 50
 
 ALPHA_MIN = 0.01  # lower end of the table-free search over f_k = k**alpha
 ALPHA_XATOL = 1e-5
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # share of a bracket kept per section
+VDD_WEIGHT = 1.0  # weight of the VDD total-variation error in the objective
 AER_CACHE_SIZE = 4
+AER_REPS = 10  # pooled Monte-Carlo replications of an AER first component
+AER_SEED = 987654321
 # The increment fit took at most 139 pivots, 0.27 per column, on 900 random
 # noisy and exact targets with r_max up to 200 and u up to 500.
 SIMPLEX_PIVOTS_PER_COLUMN = 10
@@ -136,11 +140,10 @@ class CalibrationResult:
 
 @dataclass(frozen=True)
 class CalibrateOptions:
-    """Increment support, objective weighting and the composite rho grid."""
+    """Increment support, solver options, phase-2 threshold and rho grid."""
 
     r_min: int = 1
     r_max: int = 50
-    alpha_vdd: float = 1.0
     solver: SolverOptions = SolverOptions(k_max=4000, fp_tolerance=1e-9)
     phase2_threshold: float = 1e-3
     rho_step: float = 0.025
@@ -148,8 +151,6 @@ class CalibrateOptions:
     rho_max: float = 0.975
     rho_refine_factor: int = 5
     outer_iterations: int = 2
-    aer_reps: int = 10
-    aer_seed: int = 987654321
     total_n: int = 100000
 
 
@@ -427,8 +428,8 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     1 fixes natural linear weights, whose mean weight is phi = 2m by the
     control identity, and inverts the vertex recurrence for {r_k}. Phase 2,
     entered only in "table-free" mode when phase 1 misses the threshold,
-    searches the exponent alpha of f_k = k**alpha over (0, 1] by bounded
-    Brent steps; at each alpha, phi is the target's sum f_k Q_k and {r_k}
+    searches the exponent alpha of f_k = k**alpha over (0, 1] by golden
+    sections; at each alpha, phi is the target's sum f_k Q_k and {r_k}
     is inverted again. Uncapped superlinear weights have no stationary
     distribution, so the range loses nothing. Every candidate is scored by
     its solved vertex distribution and edge matrix.
@@ -450,23 +451,21 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
         except SolverFailure as exc:
             trace.record_failure(exc)
             return math.inf, None, math.inf, math.inf, None, None
-        objective = opts.alpha_vdd * tv + dist
+        objective = VDD_WEIGHT * tv + dist
         trace.record(objective)
         return objective, model, tv, dist, sol, theta
 
     best = fit(WeightFunction.linear(g=opts.r_min), 2.0 * m)
     phase = 1
     if weight_mode == "table-free" and best[0] > opts.phase2_threshold:
-        from scipy.optimize import minimize_scalar
         fits = []
 
         def at(alpha: float) -> float:
-            weight = WeightFunction.power(float(alpha), g=opts.r_min)
+            weight = WeightFunction.power(alpha, g=opts.r_min)
             fits.append(fit(weight, _mean_weight(target.vdd, weight)))
             return fits[-1][0]
 
-        minimize_scalar(at, bounds=(ALPHA_MIN, 1.0), method="bounded",
-                        options={"xatol": ALPHA_XATOL})
+        _golden_section(at, ALPHA_MIN, 1.0, ALPHA_XATOL)
         alt = min(fits, key=lambda c: c[0])
         # Strictly better only: on ties the model with fewer parameters wins.
         if alt[0] < best[0]:
@@ -490,6 +489,22 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
         report["weight_exponent"] = model.weights.alpha
     return CalibrationResult(model=model, distance=dist, vdd_tv_error=tv,
                              iterations=trace, edd=theta, report=report)
+
+
+def _golden_section(f, a: float, b: float, xatol: float) -> None:
+    """Narrow [a, b] around a minimum of f until it is at most xatol wide,
+    one new evaluation per step (Kiefer, Proc. AMS 4, 502 (1953))."""
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +538,15 @@ def component_profile(spec, target: CalibrationTarget,
         return ComponentProfile(spec=spec, m=spec.increments.mean,
                                 vdd=sol.q, edd=theta)
     if isinstance(spec, AerModelSpec):
-        est = aer_component_estimate(spec, extent, reps=opts.aer_reps,
-                                     seed=opts.aer_seed)
+        est = aer_component_estimate(spec, extent)
         return ComponentProfile(spec=spec, m=spec.a / 2.0,
                                 vdd=est["pruned"]["vdd"],
                                 edd=est["unpruned"]["edd"])
     raise TypeError(f"unsupported first component {type(spec).__name__}")
 
 
-def aer_component_estimate(spec: AerModelSpec, u: int, reps: int = 10,
-                           seed: int = 987654321) -> dict:
+def aer_component_estimate(spec: AerModelSpec, u: int, reps: int = AER_REPS,
+                           seed: int = AER_SEED) -> dict:
     """Pooled Monte-Carlo vertex and edge distributions, cached per spec.
 
     The AER_CACHE_SIZE most recently used estimates are kept.
@@ -683,7 +697,7 @@ def _fit_complement(target: CalibrationTarget, profile: ComponentProfile,
     mixed_vdd = mix_vdd([(profile.vdd, rho), (sol.q, 1.0 - rho)])
     tv = mixed_vdd.tv_distance(target.vdd)
     dist = edd_distance(mixed_edd, target.edd, g_cmp, target.u)
-    objective = opts.alpha_vdd * tv + dist
+    objective = VDD_WEIGHT * tv + dist
     trace.record(objective)
     return {"rho": rho, "model": model, "objective": objective,
             "tv": tv, "distance": dist, "m2_target": m2_target,

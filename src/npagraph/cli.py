@@ -367,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverFailure, ZeroTotalWeight) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except AllRhoInfeasible as exc:
-        print(f"optimization incomplete: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
     except NpaGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

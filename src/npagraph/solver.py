@@ -185,25 +185,34 @@ def _stretched_tail_moment(alpha: float, rate: float, k0: int, q0: float) -> flo
     b = 1 - alpha.
 
     The continuous form telescopes to an upper incomplete gamma function of
-    order s = 1/b; relative accuracy is O(1/k0). When the regularized gamma
-    underflows, the exp(t0) prefactor cancels it symbolically and the value
-    follows from the log-space continued fraction instead.
+    order s = 1/b, taken in log space; relative accuracy is O(1/k0).
     """
-    from scipy.special import gammaincc, gammaln
     b = 1.0 - alpha
     cb = rate / b
     s = 1.0 / b
     t0 = cb * k0 ** b
-    reg = float(gammaincc(s, t0))
-    if reg > 0.0:
-        ln = (math.log(q0) + alpha * math.log(k0) + t0 - math.log(b)
-              - s * math.log(cb) + float(gammaln(s)) + math.log(reg))
-    else:
-        ln = (math.log(q0) + (alpha + 1.0) * math.log(k0) - math.log(b)
-              + _ln_upper_gamma_cf(s, t0))
+    ln = (math.log(q0) + alpha * math.log(k0) + t0 - math.log(b)
+          - s * math.log(cb) + _ln_upper_gamma(s, t0))
     if ln > 700.0:
         return math.inf
     return math.exp(ln)
+
+
+def _ln_upper_gamma(s: float, x: float) -> float:
+    """log Gamma(s, x) for s, x > 0.
+
+    Below x = s + 2 + sqrt(s) it is Gamma(s) less the series of the lower
+    function, gamma(s, x) = x^s e^-x / s * sum_n prod_{j <= n} x / (s + j),
+    whose terms peak near n = x - s and fade within a few sqrt(s) more; at
+    and above it the continued fraction (Press et al., Numerical Recipes,
+    section 6.2).
+    """
+    if x >= s + 2.0 + math.sqrt(s):
+        return s * math.log(x) - x + _ln_upper_gamma_cf(s, x)
+    terms = np.cumprod(x / (s + np.arange(1.0, 65.0 + 16.0 * math.sqrt(s))))
+    ln_lower = s * math.log(x) - x - math.log(s) + math.log1p(float(terms.sum()))
+    ln_full = math.lgamma(s)
+    return ln_full + math.log1p(-math.exp(ln_lower - ln_full))
 
 
 def _ln_upper_gamma_cf(s: float, x: float) -> float:

@@ -21,6 +21,19 @@ def _tree_bytes(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules a fresh interpreter holds after running code."""
+    import subprocess
+    import sys
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
 class TestSolveCommand:
     def test_ba_solution_files(self, tmp_path):
         spec = _write_ba_spec(tmp_path)
@@ -232,16 +245,36 @@ class TestEnvironment:
         assert "solve" in proc.stdout and "calibrate" in proc.stdout
 
     def test_import_leaves_optimizer_unloaded(self):
-        # No command imports scipy.optimize at start-up; only the power-weight
-        # exponent search of a table-free calibration loads it, when it runs.
-        import subprocess
-        import sys
-        code = ("import sys, npagraph.cli; "
-                "print('scipy.optimize' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        # The runtime needs numpy alone: importing the CLI loads no scipy.
+        assert _scipy_modules_after("import npagraph.cli") == "[]"
+
+    def test_power_weight_solve_loads_no_scipy(self, tmp_path):
+        # The incomplete gamma of the power-weight tail is the package's own.
+        from npagraph.validation import reference_models
+        spec = tmp_path / "sublinear.json"
+        spec.write_text(dump_model(reference_models()["sublinear"]) + "\n")
+        out = tmp_path / "out"
+        code = ("from npagraph.cli import main\n"
+                f"assert main(['solve', {str(spec)!r}, '--umax', '15',\n"
+                f"             '--out', {str(out)!r}]) == 0\n")
+        assert _scipy_modules_after(code) == "[]"
+        assert (out / "solution.json").exists()
+
+    def test_table_free_calibrate_loads_no_scipy(self, tmp_path):
+        # The exponent search of phase 2 is the package's own golden section.
+        from npagraph.validation import reference_models
+        spec = tmp_path / "sublinear.json"
+        spec.write_text(dump_model(reference_models()["sublinear"]) + "\n")
+        target, out = tmp_path / "target", tmp_path / "fit"
+        assert main(["solve", str(spec), "--kmax", "4000", "--umax", "15",
+                     "--out", str(target)]) == 0
+        code = ("from npagraph.cli import main\n"
+                f"assert main(['calibrate', {str(target)!r}, '--weights',\n"
+                "             'table-free', '--rmax', '3', '--u', '15',\n"
+                f"             '--out', {str(out)!r}]) == 0\n")
+        assert _scipy_modules_after(code) == "[]"
+        report = json.loads((out / "report.json").read_text())
+        assert report["details"]["phase"] == 2
 
 
 class TestCompareCommand:
@@ -487,26 +520,17 @@ class TestCalibrateCommand:
 
     def test_linear_fits_load_no_optimizer(self, tmp_path):
         # The increment fit is a numpy simplex: a linear single fit at the
-        # default --rmax and a composite on the BA tree load neither
-        # scipy.optimize nor scipy.sparse.
-        import subprocess
-        import sys
+        # default --rmax and a composite on the BA tree load no scipy module.
         target = self._composite_target(tmp_path, (0.3, 0.7), 0.3, 12)
         code = (
-            "import sys\n"
             "from npagraph.cli import main\n"
             f"t, out = {str(target)!r}, {str(tmp_path)!r}\n"
             "assert main(['calibrate', t, '--out', out + '/single']) == 0\n"
             "assert main(['calibrate', t, '--mode', 'composite', '--first',\n"
             "             'ba-tree', '--rmax', '3', '--rho-min', '0.25',\n"
             "             '--rho-max', '0.35', '--rho-step', '0.05',\n"
-            "             '--out', out + '/composite']) == 0\n"
-            "print([m for m in ('scipy.optimize', 'scipy.sparse')\n"
-            "       if m in sys.modules])\n")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+            "             '--out', out + '/composite']) == 0\n")
+        assert _scipy_modules_after(code) == "[]"
         assert (tmp_path / "single" / "model.json").exists()
         assert (tmp_path / "composite" / "model.json").exists()
 

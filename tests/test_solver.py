@@ -240,6 +240,51 @@ class TestTailSums:
         # The mean weight sits just below the linear value 2 m.
         assert 3.39 < sol.mean_weight < 2.0 * 1.7
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.9, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8])
+    def test_upper_gamma_matches_scipy(self, s):
+        # x / s from 0.2 to 14, and a few sqrt(s) either side of
+        # x = s + 2 + sqrt(s), where the series of the lower function hands
+        # over to the continued fraction. The log is compared relative to
+        # its size, or to 1 where it nears 0.
+        from scipy.special import gammaincc, gammaln
+        from npagraph.solver import _ln_upper_gamma
+        crossover = s + 2.0 + math.sqrt(s)
+        near = crossover + math.sqrt(s) * np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+        compared = below = 0
+        for x in np.concatenate([s * np.linspace(0.2, 14.0, 70), near]):
+            reg = float(gammaincc(s, x))
+            if reg == 0.0:
+                continue
+            ref = float(gammaln(s)) + math.log(reg)
+            assert abs(_ln_upper_gamma(s, x) - ref) <= 1e-12 * max(1.0, abs(ref))
+            compared += 1
+            below += x < crossover
+        assert below >= 1 and compared - below >= 1
+
+    def test_power_0_999_takes_both_gamma_routes(self, monkeypatch):
+        import npagraph.solver as solver
+        calls, fraction = [], []
+        gamma, cf = solver._ln_upper_gamma, solver._ln_upper_gamma_cf
+
+        def counted_gamma(s, x):
+            calls.append(s)
+            return gamma(s, x)
+
+        def counted_cf(s, x):
+            fraction.append(s)
+            return cf(s, x)
+
+        monkeypatch.setattr(solver, "_ln_upper_gamma", counted_gamma)
+        monkeypatch.setattr(solver, "_ln_upper_gamma_cf", counted_cf)
+        model = NpaModelSpec(
+            weights=WeightFunction.power(0.999, g=1),
+            increments=IncrementDistribution(min_arcs=1, probs=(0.6, 0.4)))
+        sol = solve_vdd(model, SolverOptions(k_max=4000))
+        # Each gamma value not taken by the continued fraction summed the
+        # series of the lower function.
+        assert fraction and len(calls) > len(fraction)
+        assert sol.control_residual < 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Arc matrix
