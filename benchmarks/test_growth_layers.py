@@ -10,11 +10,13 @@ ordinary test run does not collect it. Each benchmark grows one reference
 model to 1e5 vertices with grow_npa, through the public API only, so the
 same file times any version of the samplers: "ba" (f_k = k) takes the
 endpoint-list sampler, the three others every other weight function's.
+The AER pair scan is timed at the size of the gowalla preset's AER
+component at n = 1e5, under both conventions for z at a row start.
 """
 
 import pytest
 
-from npagraph import RngStream, grow_npa
+from npagraph import AerModelSpec, RngStream, grow_aer_unpruned, grow_npa
 from npagraph.validation import reference_models
 
 N = 100_000
@@ -27,3 +29,13 @@ def test_grow_npa(benchmark, name):
     trace = benchmark.pedantic(grow_npa, args=(model, N, RngStream(11)),
                                rounds=5, iterations=1)
     assert trace.final_graph.vertex_count == N
+
+
+@pytest.mark.parametrize("carry", [False, True], ids=["row_reset", "carry"])
+def test_grow_aer_unpruned(benchmark, carry):
+    spec = AerModelSpec(n1=35_000, a=2.75)
+    full, stats = benchmark.pedantic(
+        grow_aer_unpruned, args=(spec, RngStream(11), carry),
+        rounds=5, iterations=1)
+    assert full.vertex_count == 35_000
+    assert stats.pre_prune_edge_count > 0

@@ -51,6 +51,15 @@ def test_edd_to_csv_measured(benchmark, grown):
     assert text.count("\n") == 1 + 500 * 500
 
 
+def test_load_edge_list_plain(benchmark, grown, tmp_path_factory):
+    """The edge list as `generate` writes it: a '#' header, then dense ids."""
+    path = tmp_path_factory.mktemp("edges") / "edges.txt"
+    with open(path, "w") as fh:
+        write_edge_list(grown, fh)
+    graph = benchmark(load_edge_list, path)
+    assert graph.vertex_count == grown.vertex_count
+
+
 def test_load_edge_list(benchmark, grown, tmp_path_factory):
     """The written edge list of a grown graph behind a KONECT-style '%'
     header, as `ingest` reads it."""

@@ -8,8 +8,10 @@ ids are remapped to a dense range with the original ids retained on the graph.
 from __future__ import annotations
 
 import gzip
+import itertools
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
@@ -17,7 +19,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import EmptyGraph, EmptyInput, InsufficientTail
-from .growth import _edge_tokens
+from .growth import _edge_tokens, _is_header_line
 from .models import DegreeDistribution, Graph
 from .solver import _column_csv
 
@@ -55,7 +57,44 @@ def parse_edge_list(lines: Iterable[str], return_stats: bool = False
     range 0 .. n-1 in increasing order (kept as labels), and duplicate or
     reversed pairs collapse to one edge.
     """
-    raw = _edge_tokens(lines)
+    return _simple_graph(_edge_tokens(lines), return_stats)
+
+
+def load_edge_list(path: Union[str, Path], return_stats: bool = False):
+    """Read an edge-list file, transparently handling gzip compression.
+
+    Gives what parse_edge_list gives over the file's lines. np.loadtxt reads
+    a path in C chunks, several times faster than it takes lines from a
+    Python iterator, but strips only '#' comments on that route. So the
+    leading comment block ('#' or KONECT's '%') is skipped by its line
+    count, and a file that this read rejects, for example one with a '%'
+    comment further down, goes through parse_edge_list's route, which
+    names the bad line.
+    """
+    path = Path(path)
+    opener = gzip.open if path.suffix == ".gz" else open
+    with opener(path, "rt") as fh:
+        header = sum(1 for _ in itertools.takewhile(_is_header_line, fh))
+        try:
+            with warnings.catch_warnings():  # comment-only text is no error
+                warnings.simplefilter("ignore", UserWarning)
+                pairs = np.loadtxt(str(path), dtype=np.int64, comments="#",
+                                   skiprows=header, ndmin=2)
+        except ValueError:
+            pairs = None
+        if pairs is None or (pairs.shape[1] != 2 and pairs.size):
+            fh.seek(0)
+            pairs = _edge_tokens(fh)
+    return _simple_graph(pairs.reshape(-1, 2), return_stats)
+
+
+def _simple_graph(raw: np.ndarray, return_stats: bool):
+    """The undirected simple graph of an (E, 2) array of id pairs.
+
+    Ids that already are the dense range 0 .. n-1, as `generate` writes
+    them, are kept as they are; np.unique would only sort them to the same
+    labels and the same dense ids.
+    """
     is_loop = raw[:, 0] == raw[:, 1]
     kept = raw[~is_loop]
     if not len(kept):
@@ -63,21 +102,18 @@ def parse_edge_list(lines: Iterable[str], return_stats: bool = False
     loops = int(np.count_nonzero(is_loop))
     if loops:
         log.warning("dropped %d self-loop(s)", loops)
-    ids, dense = np.unique(kept, return_inverse=True)
+    n = int(kept.max()) + 1
+    if kept.min() == 0 and n <= kept.size and np.bincount(
+            kept.ravel(), minlength=n).all():
+        ids, dense = np.arange(n, dtype=np.int64), kept
+    else:
+        ids, dense = np.unique(kept, return_inverse=True)
     graph = Graph(len(ids), dense.reshape(-1, 2), directed=False,
                   labels=ids).to_undirected(collapse_parallel=True)
     if return_stats:
         return graph, ParseStats(self_loops_dropped=loops,
                                  duplicates_collapsed=len(kept) - graph.edge_count)
     return graph
-
-
-def load_edge_list(path: Union[str, Path], return_stats: bool = False):
-    """Read an edge-list file, transparently handling gzip compression."""
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt") as fh:
-        return parse_edge_list(fh, return_stats=return_stats)
 
 
 def summarize(graph: Graph) -> DatasetSummary:

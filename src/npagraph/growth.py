@@ -210,6 +210,11 @@ class AerRunStats:
     removed_pair_vertices: int = 0
 
 
+# Most starter/run pairs drawn in one batch of the AER scan. A run cut at its
+# row end drops the rest of its batch, so a small batch wastes little.
+_AER_BATCH = 1 << 12
+
+
 def grow_aer(spec: AerModelSpec, rng: RngStream,
              carry_z_across_rows: bool = False) -> Graph:
     """Build the autocorrelated random graph and prune trivial components.
@@ -244,14 +249,27 @@ def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
 
     Each slot in the flattened row-by-row scan succeeds with probability
     p_a / 2 after a failure and (p_a + 1) / 2 after a success, so successes
-    arrive as isolated starters followed by geometric runs. The scan jumps
-    between starters with geometric gaps instead of drawing every slot, which
-    is the same two-state chain sampled sparsely.
+    arrive as isolated starters followed by geometric runs. The scan skips
+    from one starter to the next by geometric gaps instead of drawing every
+    slot (Batagelj & Brandes, PRE 71, 036113, 2005), which is the same
+    two-state chain sampled sparsely, and draws the gaps and run lengths a
+    numpy batch at a time:
+
+    - gaps are Geometric(p_a / 2) and run lengths Geometric(1 - (p_a + 1)/2),
+      so one cumsum places every starter and the failure that ends its run;
+    - a run that reaches its row end (or the last slot, when z carries
+      across rows) is cut there, and the chain restarts in state 0 at that
+      boundary without consuming a failure slot; the rest of the batch is
+      dropped and a new one drawn from the boundary. Draws after the cut
+      are independent of it, so dropping them leaves the law unchanged.
+
+    A run that carries across rows counts no adjacency for the pair that
+    straddles a row boundary.
     """
     gen = rng.generator()
     n1 = spec.n1
     p_half = spec.p_a / 2.0
-    c_half = (spec.p_a + 1.0) / 2.0
+    p_stop = 1.0 - (spec.p_a + 1.0) / 2.0
 
     # Row r (0-based source i = r) covers flat slots [row_start[r], row_end[r]);
     # slot s in row r is the pair (r, r + 1 + s - row_start[r]).
@@ -259,51 +277,50 @@ def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
     row_end = np.cumsum(lengths)
     row_start = row_end - lengths
     total_slots = int(row_end[-1])
+    # Expected slots per starter: its gap plus its run and the failure after.
+    cycle = 1.0 / p_half + (1.0 / p_stop if p_stop > 0.0 else total_slots)
 
-    edge_slots: list[int] = []
-    adjacent_total = 0
+    run_starts: list[np.ndarray] = []
+    run_lengths: list[np.ndarray] = []
     pos = 0  # next undetermined slot, chain state 0
     while pos < total_slots:
-        gap = int(gen.geometric(p_half))
-        start = pos + gap - 1
-        if start >= total_slots:
-            break
-        row = int(np.searchsorted(row_end, start, side="right"))
-        boundary = total_slots if carry_z_across_rows else int(row_end[row])
-        j = start
-        run_in_row = 0
-        while True:
-            edge_slots.append(j)
-            run_in_row += 1
-            j += 1
-            if j >= boundary:
-                adjacent_total += run_in_row - 1
-                pos = j  # at a row boundary the chain restarts in state 0
-                break
-            if carry_z_across_rows and j == row_end[row]:
-                # Run crosses into the next row; the pair straddling the
-                # boundary is not a within-row adjacency.
-                adjacent_total += run_in_row - 1
-                row = int(np.searchsorted(row_end, j, side="right"))
-                run_in_row = 0
-            if gen.random() >= c_half:
-                adjacent_total += max(run_in_row - 1, 0)
-                pos = j + 1  # the failed slot itself is determined: no edge
-                break
+        size = int(min((total_slots - pos) / cycle * 1.05 + 64, _AER_BATCH))
+        gaps = gen.geometric(p_half, size)
+        runs = (gen.geometric(p_stop, size) if p_stop > 0.0
+                else np.full(size, total_slots, dtype=np.int64))
+        ends = pos - 1 + np.cumsum(gaps + runs)  # a run's first slot after it
+        starts = ends - runs
+        stop = int(np.searchsorted(starts, total_slots))
+        starts, ends, runs = starts[:stop], ends[:stop], runs[:stop]
+        limit = (np.full(stop, total_slots) if carry_z_across_rows
+                 else row_end[np.searchsorted(row_end, starts, side="right")])
+        cut = np.flatnonzero(ends >= limit)
+        if len(cut):
+            k = int(cut[0])
+            starts, runs = starts[:k + 1], runs[:k + 1].copy()
+            runs[k] = limit[k] - starts[k]
+            pos = int(limit[k])
+        else:
+            pos = total_slots if stop < size else int(ends[-1]) + 1
+        run_starts.append(starts)
+        run_lengths.append(runs)
 
-    edge_total = len(edge_slots)
-    slot_total = total_slots
-    pair_total = int(total_slots - (n1 - 1))
-    if edge_total:
-        slots = np.asarray(edge_slots, dtype=np.int64)
-        rows = np.searchsorted(row_end, slots, side="right")
-        targets = rows + 1 + (slots - row_start[rows])
-        pairs = np.column_stack([rows, targets])
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    full = Graph(n1, pairs, directed=False)
+    starts = np.concatenate(run_starts)
+    runs = np.concatenate(run_lengths)
+    first = np.cumsum(runs) - runs  # index of each run's first slot
+    edge_total = int(runs.sum())
+    slots = np.arange(edge_total) + np.repeat(starts - first, runs)
+    rows = np.searchsorted(row_end, slots, side="right")
+    targets = rows + 1 + (slots - row_start[rows])
+    full = Graph(n1, np.column_stack([rows, targets]), directed=False)
+    # Within-row adjacencies: each run's length less one, less the row
+    # boundaries a carried run crosses.
+    crossed = rows[first + runs - 1] - rows[first]
+    adjacent_total = edge_total - len(runs) - int(crossed.sum())
 
-    p_hat = edge_total / slot_total if slot_total else 0.0
+    pair_total = total_slots - (n1 - 1)
+
+    p_hat = edge_total / total_slots
     p11 = adjacent_total / pair_total if pair_total else 0.0
     denom = p_hat * (1.0 - p_hat)
     r1 = (p11 - p_hat * p_hat) / denom if denom > 0.0 else 0.0
@@ -311,7 +328,7 @@ def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
     stats = AerRunStats(
         pre_prune_edge_count=edge_total,
         pre_prune_mean_degree=2.0 * edge_total / n1,
-        slot_count=slot_total,
+        slot_count=total_slots,
         pair_count=pair_total,
         adjacent_success_count=adjacent_total,
         lag1_autocorrelation=r1,
@@ -387,8 +404,9 @@ def measure_vdd(graph: Graph) -> DegreeDistribution:
 def measure_edd(graph: Graph, u: int) -> EdgeDegreeMatrix:
     """Symmetric endpoint-degree mass of the edges, truncated beyond degree u.
 
-    Every edge puts 1/(2 E) at (d1, d2) and 1/(2 E) at (d2, d1); edges with an
-    endpoint above u go to truncation_mass.
+    Every edge puts 1/(2 E) at (d1, d2) and 1/(2 E) at (d2, d1), so each
+    cell is its endpoint count / (2 E), divided once; edges with an endpoint
+    above u go to truncation_mass.
     """
     if graph.edge_count == 0:
         raise NoEdges("graph has no edges to measure")
@@ -396,25 +414,26 @@ def measure_edd(graph: Graph, u: int) -> EdgeDegreeMatrix:
     d1 = deg[graph.pairs[:, 0]]
     d2 = deg[graph.pairs[:, 1]]
     inside = (d1 <= u) & (d2 <= u)
-    w = 1.0 / (2.0 * graph.edge_count)
-    entries = np.zeros((u, u), dtype=np.float64)
-    np.add.at(entries, (d1[inside] - 1, d2[inside] - 1), w)
-    np.add.at(entries, (d2[inside] - 1, d1[inside] - 1), w)
+    d1, d2 = d1[inside] - 1, d2[inside] - 1
+    counts = np.bincount(np.concatenate([d1 * u + d2, d2 * u + d1]),
+                         minlength=u * u)
+    entries = counts.reshape(u, u) / (2.0 * graph.edge_count)
     trunc = float(np.count_nonzero(~inside)) / graph.edge_count
     return EdgeDegreeMatrix(min_degree=1, entries=entries, kind="edge",
                             truncation_mass=trunc)
 
 
 def measure_arc_dd(graph: Graph, u: int) -> EdgeDegreeMatrix:
-    """Directed (tail degree, head degree) mass of the arcs, 1/E per arc."""
+    """Directed (tail degree, head degree) mass of the arcs: each cell is its
+    arc count / E."""
     if graph.edge_count == 0:
         raise NoEdges("graph has no arcs to measure")
     deg = graph.degrees()
     dl = deg[graph.pairs[:, 0]]
     dk = deg[graph.pairs[:, 1]]
     inside = (dl <= u) & (dk <= u)
-    entries = np.zeros((u, u), dtype=np.float64)
-    np.add.at(entries, (dl[inside] - 1, dk[inside] - 1), 1.0 / graph.edge_count)
+    counts = np.bincount((dl[inside] - 1) * u + dk[inside] - 1, minlength=u * u)
+    entries = counts.reshape(u, u) / graph.edge_count
     trunc = float(np.count_nonzero(~inside)) / graph.edge_count
     return EdgeDegreeMatrix(min_degree=1, entries=entries, kind="arc",
                             truncation_mass=trunc)
@@ -448,8 +467,7 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
     gives N isolated vertices.
     """
     lines = list(lines)
-    header = " ".join(itertools.takewhile(
-        lambda s: not s.strip() or s.lstrip()[0] in "#%", lines))
+    header = " ".join(itertools.takewhile(_is_header_line, lines))
     nodes = re.search(r"Nodes:\s*(\d+)", header)
     directed = re.search(r"Directed:\s*true", header, re.IGNORECASE)
     pairs = _edge_tokens(lines)
@@ -461,6 +479,12 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
     n = int(nodes.group(1)) if nodes else 0
     return Graph(max(n, int(pairs.max(initial=-1)) + 1), pairs,
                  directed=directed is not None)
+
+
+def _is_header_line(line: str) -> bool:
+    """Whether the line may stand in an edge list's leading block: blank, or
+    a '#' or '%' comment."""
+    return not line.strip() or line.lstrip()[0] in "#%"
 
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")

@@ -20,6 +20,7 @@ the tail mass for constant ones; power weights sum it numerically.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -593,8 +594,9 @@ def mix_edd(parts: Sequence[tuple[EdgeDegreeMatrix, float, float]],
 # writer formats many lines in one % operation. The matrix writer formats each
 # distinct value of a matrix once, since a measured EDD holds a few hundred
 # (counts / 2E) among its u^2 cells, and joins each row from those strings.
-# The reader parses the file in one np.loadtxt call; only a file that call
-# rejects is scanned line by line, to name the first bad row.
+# The reader hands the whole text to np.loadtxt as one buffer; only a text
+# that read rejects is split into lines, read again, and then scanned line by
+# line to name the first bad row.
 
 def _column_csv(header: str, *columns: Sequence) -> str:
     """The header, then one line per position of the equally long columns of
@@ -637,24 +639,25 @@ def _read_csv(text: str, header: str, skip: str,
 
     Lines starting with `skip` (the header, however often it repeats) and
     empty lines are skipped. Every row has as many fields as the first one,
-    one of `columns`. A row that does not parse, or has a negative integer
-    field, raises MalformedLine with its 1-based line number; no row at all
-    raises EmptyInput.
+    one of `columns`. A row that does not parse, has a negative integer
+    field, or has a last field (the probability) that is not a finite
+    number >= 0, raises MalformedLine with its 1-based line number; no row
+    at all raises EmptyInput.
+
+    The text goes to np.loadtxt in one buffer, a leading header skipped by
+    count; in that read only \n, \r\n and \r end a line, where
+    str.splitlines also splits at form feeds and Unicode line separators.
+    A repeated header or a bad row fails that read, and the text is read
+    again as a list of its lines without those starting with `skip`.
     """
+    rows, _ = _loadtxt_rows(io.StringIO(text, newline=None),
+                            int(text.startswith(skip)), header, columns)
+    if rows is not None:
+        return rows
     lines = text.splitlines()
-    data = [ln for ln in lines if not ln.startswith(skip)]
-    first = next(filter(None, data), None)
-    if first is None:
-        raise EmptyInput(f"no {header} rows")
-    width = first.count(",") + 1
-    width = width if width in columns else columns[0]
-    dtype = np.dtype(",".join(["i8"] * (width - 1) + ["f8"]))
-    try:
-        rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None,
-                          ndmin=1)
-    except ValueError:
-        rows = None
-    if rows is not None and all(rows[f].min() >= 0 for f in dtype.names[:-1]):
+    rows, width = _loadtxt_rows([ln for ln in lines if not ln.startswith(skip)],
+                                0, header, columns)
+    if rows is not None:
         return rows
     for no, ln in enumerate(lines, 1):
         if ln and not ln.startswith(skip) and not _parses(ln, width):
@@ -663,17 +666,43 @@ def _read_csv(text: str, header: str, skip: str,
     raise MalformedLine(0, "a row np.loadtxt rejects")
 
 
+def _loadtxt_rows(lines, skiprows: int, header: str, columns: tuple[int, ...]
+                  ) -> tuple[np.ndarray | None, int]:
+    """One np.loadtxt read of the lines after the first `skiprows`, as
+    _read_csv's rows, and their width from the first non-empty line. The
+    rows are None when the read fails or a value breaks _parses's rule."""
+    first = next(filter(None, (ln.rstrip("\n") for ln in
+                               itertools.islice(lines, skiprows, None))), None)
+    if first is None:
+        raise EmptyInput(f"no {header} rows")
+    width = first.count(",") + 1
+    width = width if width in columns else columns[0]
+    dtype = np.dtype(",".join(["i8"] * (width - 1) + ["f8"]))
+    if hasattr(lines, "seek"):
+        lines.seek(0)
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          skiprows=skiprows, ndmin=1)
+    except ValueError:
+        return None, width
+    prob = rows[dtype.names[-1]]
+    valid = (all(rows[f].min() >= 0 for f in dtype.names[:-1])
+             and ((prob >= 0.0) & (prob < np.inf)).all())
+    return (rows if valid else None), width
+
+
 def _parses(line: str, width: int) -> bool:
     """Whether np.loadtxt takes the line as `width` fields, all but the
-    last non-negative int64s. Python's int() and float() accept what
-    np.loadtxt does, and also '_' separators and non-ASCII digits."""
+    last non-negative int64s, and the last a finite float >= 0 (-0.0 too).
+    Python's int() and float() accept what np.loadtxt does, and also '_'
+    separators and non-ASCII digits."""
     fields = [f.strip() for f in line.split(",")]
     if len(fields) != width or not all(f.isascii() and "_" not in f
                                          for f in fields):
         return False
     try:
-        float(fields[-1])
-        return all(0 <= int(f) < 2**63 for f in fields[:-1])
+        return 0.0 <= float(fields[-1]) < math.inf and all(
+            0 <= int(f) < 2**63 for f in fields[:-1])
     except ValueError:
         return False
 

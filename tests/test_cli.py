@@ -327,7 +327,9 @@ class TestCompareCommand:
             assert float(value) == diff[int(l) - 2, int(k) - 2]
 
     @pytest.mark.parametrize("text", ["l,k,probability\n",
-                                      "l,k,probability\n1,1,0.5\n1,2\n"])
+                                      "l,k,probability\n1,1,0.5\n1,2\n",
+                                      "l,k,probability\n1,1,0.5\n1,2,nan\n",
+                                      "l,k,probability\n1,1,-0.5\n1,2,1.5\n"])
     def test_unreadable_matrix_is_input_error(self, tmp_path, capsys, text):
         a = self._write_edd(tmp_path / "a.csv")
         bad = tmp_path / "bad.csv"

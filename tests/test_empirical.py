@@ -9,6 +9,7 @@ from npagraph import (EmptyInput, Graph, InsufficientTail, MalformedLine,
                       ParseStats, load_edge_list, measure_edd, measure_vdd,
                       parse_edge_list, read_edge_list, smooth_vdd, summarize,
                       write_edge_list)
+from npagraph import datasets
 from npagraph.datasets import id_map_csv, vdd_counts_csv
 from npagraph.models import DegreeDistribution
 
@@ -176,6 +177,97 @@ class TestEdgeListSyntax:
         graph = reader(form(text))
         assert graph.vertex_count == 5
         assert graph.edge_count == 0
+
+
+class TestLoadEdgeListRoutes:
+    """load_edge_list reads a file by path, its leading comment block skipped
+    by count, and falls back to parse_edge_list's route for what that read
+    rejects; either way it gives what parse_edge_list gives over the same
+    lines."""
+
+    TEXTS = [
+        # the format `generate` writes: '#' header, dense ids
+        "# Nodes: 5 Edges: 4\n# Directed: false\n0 1\n1 2\n2 3\n3 4\n",
+        # KONECT '%' header, tabs, sparse ids
+        "% sym unweighted\n% 4 5 5\n10\t20\n20\t30\n30 10\n30 40\n",
+        # a '%' comment further down, on its own line and trailing a pair
+        "% c\n0 1\n% mid-file\n1 2\n2 3 % trailing\n",
+        # CRLF, blank lines, whitespace-only and indented comment lines
+        "\r\n# c\r\n  % indented\r\n \t \r\n0\t1\r\n\r\n1 2\r\n2 0\r\n",
+        # dense ids with duplicates, reversals and self-loops
+        "0 1\n1 0\n1 1\n2 1\n0 1\n3 2\n3 3\n",
+        # sparse ids with duplicates and self-loops
+        "5 9\n9 5\n100 5\n7 7\n100 9\n",
+        # ids 0 .. n-1 with a hole, and negative ids
+        "0 1\n1 3\n",
+        "-1 2\n2 3\n3 -1\n",
+        # '#' comments after the data starts
+        "0 1 # a\n# b\n1 2\n",
+        # malformed lines, before and after a '%' comment further down
+        "% c\n0 1\n1 x\n",
+        "# c\n0 1\n% m\n2 % 3\n",
+        "0 1\n1 2 3\n",
+        "1\n2\n",
+        "0 1\n99999999999999999999 1\n",
+        # no usable edge
+        "% only\n# comments\n",
+        "",
+        "4 4\n",
+    ]
+
+    @staticmethod
+    def _outcome(read):
+        try:
+            graph, stats = read()
+        except (MalformedLine, EmptyInput) as err:
+            return type(err), getattr(err, "line_no", None), getattr(
+                err, "content", None)
+        return (graph.vertex_count, graph.pairs.tolist(),
+                np.asarray(graph.labels).tolist(), stats)
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_same_as_parse_edge_list(self, tmp_path, text, gz):
+        path = tmp_path / ("net.txt.gz" if gz else "net.txt")
+        opener = gzip.open if gz else open
+        with opener(path, "wt", newline="") as fh:
+            fh.write(text)
+        with opener(path, "rt") as fh:
+            lines = fh.readlines()
+        assert self._outcome(lambda: load_edge_list(path, return_stats=True)) \
+            == self._outcome(lambda: parse_edge_list(lines, return_stats=True))
+
+    @pytest.mark.parametrize("index", [0, 1, 3, 4, 5, 8])
+    def test_header_blocks_read_by_path(self, tmp_path, monkeypatch, index):
+        """Without a '%' past the leading comment block, the line route is
+        never taken."""
+        path = tmp_path / "net.txt"
+        path.write_bytes(self.TEXTS[index].encode())
+        expected = self._outcome(
+            lambda: load_edge_list(path, return_stats=True))
+
+        def refuse(lines):
+            raise AssertionError("line route taken")
+        monkeypatch.setattr(datasets, "_edge_tokens", refuse)
+        assert self._outcome(
+            lambda: load_edge_list(path, return_stats=True)) == expected
+
+    def test_written_graph_keeps_dense_ids(self, tmp_path):
+        """A written graph reads back with the labels and pairs np.unique's
+        remapping would give: the ids themselves."""
+        pairs = np.random.default_rng(3).integers(0, 400, size=(3000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        graph = Graph(400, pairs)
+        path = tmp_path / "out.txt"
+        with open(path, "w") as fh:
+            write_edge_list(graph, fh)
+        back = load_edge_list(path)
+        ids, dense = np.unique(pairs, return_inverse=True)
+        assert ids.tolist() == list(range(400))
+        assert np.asarray(back.labels).tolist() == ids.tolist()
+        expected = Graph(400, dense.reshape(-1, 2)).to_undirected(
+            collapse_parallel=True)
+        assert back.pairs.tolist() == expected.pairs.tolist()
 
 
 class TestParseAgainstSets:

@@ -351,6 +351,27 @@ class TestMeasure:
         assert arc.entries[0, 1] == pytest.approx(1.0)
         assert arc.kind == "arc"
 
+    def test_cells_are_exact_count_ratios(self):
+        """Each cell is its count divided once by 2E (E for arcs), bit for
+        bit, against counts taken one edge at a time."""
+        g = grow_npa(BaTreeSpec(), 3000, RngStream(9)).final_graph
+        deg, u = g.degrees(), 12
+        edge_counts, arc_counts = Counter(), Counter()
+        for a, b in g.pairs.tolist():
+            l, k = int(deg[a]), int(deg[b])
+            if l <= u and k <= u:
+                edge_counts[l, k] += 1
+                edge_counts[k, l] += 1
+                arc_counts[l, k] += 1
+        edd, arc = measure_edd(g, u), measure_arc_dd(g, u)
+        expected_edd, expected_arc = np.zeros((u, u)), np.zeros((u, u))
+        for (l, k), c in edge_counts.items():
+            expected_edd[l - 1, k - 1] = c / (2 * g.edge_count)
+        for (l, k), c in arc_counts.items():
+            expected_arc[l - 1, k - 1] = c / g.edge_count
+        assert edd.entries.tobytes() == expected_edd.tobytes()
+        assert arc.entries.tobytes() == expected_arc.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Autocorrelated graphs
@@ -469,6 +490,76 @@ class TestGrowAer:
             grow_aer_unpruned(spec, RngStream(900, rep))[0].edge_count
             for rep in range(4000))
         assert hits / 4000 == pytest.approx(0.4, abs=0.03)
+
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_exact_slot_law_at_n4(self, carry):
+        # n1 = 4 scans 6 slots in rows of 3, 2 and 1; p_a = 0.6 puts the
+        # draws at 0.3 after a failure and 0.8 after a success.
+        spec, reps = AerModelSpec(n1=4, a=1.8), 20_000
+        observed = Counter()
+        for rep in range(reps):
+            full, stats = grow_aer_unpruned(spec, RngStream(4040, rep), carry)
+            slots = _aer_slots(full, 4)
+            observed[tuple(slots)] += 1
+            assert stats.adjacent_success_count == _aer_adjacent(slots, 4)
+        law = _aer_slot_law(4, spec.p_a, carry)
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        assert _chi_square_p(observed, law, reps) > 1e-4
+        # The same counts against the other convention: the test has power.
+        other = _aer_slot_law(4, spec.p_a, not carry)
+        assert _chi_square_p(observed, other, reps) < 1e-6
+
+    def test_run_to_row_end_keeps_next_row_start(self):
+        # Without carry every row's first slot is drawn at p_a / 2 = 0.2,
+        # also after a run that filled the previous row to its end; a scan
+        # that spent that slot as the run's failure reads about 0.18.
+        spec, reps = AerModelSpec(n1=5, a=1.6), 20_000
+        hits = np.zeros(10)
+        for rep in range(reps):
+            hits += _aer_slots(grow_aer_unpruned(spec, RngStream(5050, rep))[0], 5)
+        row_starts = [4, 7, 9]
+        assert hits[row_starts].sum() / (3 * reps) == pytest.approx(0.2, abs=0.006)
+        # Slot 3 ends row 0 and slot 6 row 1: both runs to a row end occur.
+        assert hits[3] > 0 and hits[6] > 0
+
+
+def _aer_slots(graph: Graph, n1: int) -> np.ndarray:
+    """The 0/1 slot vector of an unpruned AER graph, in scan order."""
+    row_start = np.concatenate([[0], np.cumsum(np.arange(n1 - 1, 0, -1))])
+    i, j = graph.pairs[:, 0], graph.pairs[:, 1]
+    slots = np.zeros(n1 * (n1 - 1) // 2, dtype=np.int64)
+    slots[row_start[i] + j - i - 1] = 1
+    return slots
+
+
+def _aer_adjacent(slots, n1: int) -> int:
+    """Successes whose predecessor in the same row is a success."""
+    count, s = 0, 0
+    for length in range(n1 - 1, 0, -1):
+        row = slots[s:s + length]
+        count += sum(int(a and b) for a, b in zip(row, row[1:]))
+        s += length
+    return count
+
+
+def _aer_slot_law(n1: int, p_a: float, carry: bool) -> dict[tuple, float]:
+    """Exact probability of every slot pattern under the two-state chain:
+    a draw succeeds with p_a / 2 after a failure or a row start (unless
+    carry) and (p_a + 1) / 2 after a success."""
+    row_starts = set(np.cumsum([0] + list(range(n1 - 1, 1, -1))).tolist())
+    count = n1 * (n1 - 1) // 2
+    law = {}
+    for code in range(2 ** count):
+        pattern = tuple((code >> (count - 1 - s)) & 1 for s in range(count))
+        prob, prev = 1.0, 0
+        for s, x in enumerate(pattern):
+            if s in row_starts and not carry:
+                prev = 0
+            p = (p_a + prev) / 2.0
+            prob *= p if x else 1.0 - p
+            prev = x
+        law[pattern] = prob
+    return law
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import replace
 
@@ -13,8 +14,9 @@ from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       WeightFunction, WeightsNotConvex,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
-from npagraph.solver import (_matrix_csv, edd_from_csv, edd_to_csv,
-                             vdd_from_csv, vdd_to_csv)
+from npagraph.solver import (_loadtxt_rows, _matrix_csv, _parses, _read_csv,
+                             edd_from_csv, edd_to_csv, vdd_from_csv,
+                             vdd_to_csv)
 from npagraph.validation import reference_models
 
 
@@ -843,6 +845,28 @@ class TestCsvSyntax:
         assert err.value.line_no == line_no
         assert err.value.content == text.splitlines()[line_no - 1]
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "-nan", "NaN", "inf",
+                                       "-inf", "Infinity", "1e309", "-1e-300"])
+    def test_bad_probability_rejected(self, value):
+        with pytest.raises(MalformedLine) as err:
+            vdd_from_csv(f"degree,probability\n1,0.5\n2,{value}\n")
+        assert (err.value.line_no, err.value.content) == (3, f"2,{value}")
+        with pytest.raises(MalformedLine) as err:
+            edd_from_csv(f"l,k,probability\n1,1,{value}\n1,2,0.5\n")
+        assert (err.value.line_no, err.value.content) == (2, f"1,1,{value}")
+        assert not _parses(f"2,{value}", 2)
+
+    def test_negative_and_too_large_probabilities(self):
+        with pytest.raises(MalformedLine) as err:
+            vdd_from_csv("degree,probability\n1,-0.5\n2,1.5\n")
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-0", "0.0", "1.5", "5e-324"])
+    def test_good_probability_accepted(self, value):
+        q = vdd_from_csv(f"degree,probability\n1,{value}\n")
+        assert q.probs.tobytes() == np.array([float(value)]).tobytes()
+        assert _parses(f"1,{value}", 2)
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="0123456789+-.eE_, \t\xa0\u0661infatyNA",
                    min_size=1, max_size=14))
@@ -854,3 +878,46 @@ class TestCsvSyntax:
         except MalformedLine as err:
             assert err.line_no == 3
             assert err.content == line
+
+
+class TestCsvReaderRoutes:
+    """_read_csv reads the text in one buffer when at most a leading header
+    holds the `skip` prefix, and from its lines otherwise; both give the
+    rows of the line route."""
+
+    @staticmethod
+    def _line_route(text, skip, columns):
+        lines = [ln for ln in text.splitlines() if not ln.startswith(skip)]
+        return _loadtxt_rows(lines, 0, "rows", columns)[0]
+
+    @pytest.mark.parametrize("text, one_buffer", [
+        ("1,0.25\n2,0.75\n", True),
+        ("degree,probability\n1,0.25\n2,0.75", True),
+        ("degree,count,probability\n1,4,0.25\n2,5,0.75\n", True),
+        ("degree,probability\n\n1,0.25\n\n\n2,0.75\n\n", True),
+        ("degree,probability\r\n1,0.25\r\n\r\n2,0.75\r\n", True),
+        ("degree,probability\r1,0.25\r2,0.75\r", True),
+        ("degree,probability\n1,0.25\ndegree,probability\n2,0.75\n", False),
+        ("1,0.25\ndegree,probability\n2,0.75\n", False),
+        ("\ndegree,probability\n1,0.25\n2,0.75\n", False),
+    ])
+    def test_vdd_routes_agree(self, text, one_buffer):
+        rows = _read_csv(text, "degree,probability", "degree", (2, 3))
+        assert np.array_equal(rows, self._line_route(text, "degree", (2, 3)))
+        buffered = _loadtxt_rows(io.StringIO(text, newline=None),
+                                 int(text.startswith("degree")), "rows",
+                                 (2, 3))[0]
+        assert (buffered is not None) == one_buffer
+        if one_buffer:
+            assert buffered.dtype == rows.dtype
+            assert np.array_equal(buffered, rows)
+
+    @pytest.mark.parametrize("text", [
+        "l,k,probability\n1,1,0.5\n1,2,0.25\n2,1,0.25\n",
+        "1,1,0.5\n\n1,2,0.25\n2,1,0.25",
+        "l,k,probability\nl,k,probability\n1,1,0.5\n",
+        "l,k,probability\n1,1,0.5\nl,k,probability\n\n2,2,0.5\n",
+    ])
+    def test_edd_routes_agree(self, text):
+        rows = _read_csv(text, "l,k,probability", "l,", (3,))
+        assert np.array_equal(rows, self._line_route(text, "l,", (3,)))
