@@ -60,3 +60,24 @@ def test_vdd_calibration_candidate(benchmark):
 def test_vdd_power_weights(benchmark, model):
     sol = benchmark(solve_vdd, model, CALIBRATION_OPTS)
     assert sol.control_residual < 1e-6
+
+
+# At default options: a cap whose saturation degree M + 1 = 201 lies far
+# below k_max, constant weights, and a power weight whose increment support
+# is 300 degrees wide (r_k proportional to k**-2.5), over which the
+# recurrence runs degree by degree.
+WIDE_SUPPORT = NpaModelSpec(
+    weights=WeightFunction.power(0.8, g=1),
+    increments=IncrementDistribution(min_arcs=1, probs=tuple(
+        k ** -2.5 / sum(j ** -2.5 for j in range(1, 301))
+        for k in range(1, 301))))
+
+
+@pytest.mark.parametrize("model", [
+    reference_models()["superlinear_m200"],
+    reference_models()["constant"],
+    WIDE_SUPPORT,
+], ids=["superlinear_m200", "constant", "power_support_300"])
+def test_vdd_default_options(benchmark, model):
+    sol = benchmark(solve_vdd, model)
+    assert sol.control_residual < 1e-6

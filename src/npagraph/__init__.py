@@ -5,7 +5,7 @@ grows graphs by simulation, ingests real network edge lists, and calibrates
 one- and two-component models against empirical degree distributions.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, GammaNotConvex,
                      InfeasibleComplement, InputTooLarge, InsufficientTail,

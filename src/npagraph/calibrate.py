@@ -24,10 +24,11 @@ import numpy as np
 
 from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
                      NonPositiveResult, SolverFailure)
-from .growth import RngStream, grow_aer_unpruned, measure_edd
+from .growth import (RngStream, _prune_small_components, grow_aer_unpruned,
+                     measure_edd, measure_vdd)
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
-                     EdgeDegreeMatrix, IncrementDistribution, NpaModelSpec,
-                     WeightFunction)
+                     EdgeDegreeMatrix, Graph, IncrementDistribution,
+                     NpaModelSpec, WeightFunction)
 from .solver import (SolverOptions, VddSolution, complement_mean, complement_vdd,
                      edge_share, mix_edd, mix_vdd, solve_arc_dd, solve_vdd,
                      symmetrize)
@@ -51,6 +52,7 @@ VDD_WEIGHT = 1.0  # weight of the VDD total-variation error in the objective
 AER_CACHE_SIZE = 4
 AER_REPS = 10  # pooled Monte-Carlo replications of an AER first component
 AER_SEED = 987654321
+RHO_REFINE_FACTOR = 5  # a composite's rho grid shrinks by this per outer iteration
 # The increment fit took at most 139 pivots, 0.27 per column, on 900 random
 # noisy and exact targets with r_max up to 200 and u up to 500.
 SIMPLEX_PIVOTS_PER_COLUMN = 10
@@ -149,7 +151,6 @@ class CalibrateOptions:
     rho_step: float = 0.025
     rho_min: float = 0.025
     rho_max: float = 0.975
-    rho_refine_factor: int = 5
     outer_iterations: int = 2
     total_n: int = 100000
 
@@ -545,52 +546,25 @@ def component_profile(spec, target: CalibrationTarget,
     raise TypeError(f"unsupported first component {type(spec).__name__}")
 
 
+@functools.lru_cache(maxsize=AER_CACHE_SIZE)
 def aer_component_estimate(spec: AerModelSpec, u: int, reps: int = AER_REPS,
                            seed: int = AER_SEED) -> dict:
     """Pooled Monte-Carlo vertex and edge distributions, cached per spec.
 
-    The AER_CACHE_SIZE most recently used estimates are kept.
+    The pooled law of the replicates is the one measured on their disjoint
+    union. The AER_CACHE_SIZE most recently used estimates are kept.
     Returns {"pruned": {"vdd", "edd"}, "unpruned": {"vdd", "edd"}}.
     """
-    return _aer_estimate(spec.n1, float(spec.a), u, reps, seed)
-
-
-@functools.lru_cache(maxsize=AER_CACHE_SIZE)
-def _aer_estimate(n1: int, a: float, u: int, reps: int, seed: int) -> dict:
-    from .growth import _prune_small_components  # shared pruning rule
-
-    spec = AerModelSpec(n1=n1, a=a)
-    variants = {"pruned": {"counts": None, "edd": None, "edges": 0, "verts": 0},
-                "unpruned": {"counts": None, "edd": None, "edges": 0, "verts": 0}}
+    variants = {"pruned": [], "unpruned": []}
     for rep in range(reps):
         full, _ = grow_aer_unpruned(spec, RngStream(seed, rep))
         keep, _, _ = _prune_small_components(full)
-        for name, graph in (("unpruned", full), ("pruned", full.induced(keep))):
-            acc = variants[name]
-            counts = np.bincount(graph.degrees(), minlength=u + 1)
-            acc["counts"] = counts if acc["counts"] is None else _pad_add(acc["counts"], counts)
-            edd = measure_edd(graph, u)
-            weighted = edd.entries * graph.edge_count
-            acc["edd"] = weighted if acc["edd"] is None else acc["edd"] + weighted
-            acc["edges"] += graph.edge_count
-            acc["verts"] += graph.vertex_count
+        variants["pruned"].append(full.induced(keep))
+        variants["unpruned"].append(full)
     out = {}
-    for name, acc in variants.items():
-        counts = acc["counts"]
-        lo = int(np.flatnonzero(counts)[0]) if counts.any() else 0
-        vdd = DegreeDistribution(min_degree=lo, probs=counts[lo:] / acc["verts"])
-        entries = acc["edd"] / acc["edges"]
-        edd = EdgeDegreeMatrix(min_degree=1, entries=entries, kind="edge",
-                               truncation_mass=1.0 - float(entries.sum()))
-        out[name] = {"vdd": vdd, "edd": edd}
-    return out
-
-
-def _pad_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=a.dtype)
-    out[:len(a)] += a
-    out[:len(b)] += b
+    for name, graphs in variants.items():
+        union = Graph.disjoint_union(graphs)
+        out[name] = {"vdd": measure_vdd(union), "edd": measure_edd(union, u)}
     return out
 
 
@@ -609,7 +583,7 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     (a rho whose mean lies outside [r_min, r_max], or whose complement fails
     to solve, is skipped), and the rho whose mixed model best matches the
     target wins. rho itself is refined on a grid that shrinks by
-    rho_refine_factor around the best coarse value on each outer iteration;
+    RHO_REFINE_FACTOR around the best coarse value on each outer iteration;
     grid values are rounded to 12 decimals and each is fitted at most once.
     """
     profile = component_profile(first_component, target, opts)
@@ -644,9 +618,9 @@ def calibrate_composite(target: CalibrationTarget, first_component,
         if best is None:
             raise AllRhoInfeasible(
                 "no vertex fraction on the grid admitted a feasible complement")
-        step = step / opts.rho_refine_factor
-        lo = max(opts.rho_min, best["rho"] - opts.rho_refine_factor * step)
-        hi = min(opts.rho_max, best["rho"] + opts.rho_refine_factor * step)
+        step = step / RHO_REFINE_FACTOR
+        lo = max(opts.rho_min, best["rho"] - RHO_REFINE_FACTOR * step)
+        hi = min(opts.rho_max, best["rho"] + RHO_REFINE_FACTOR * step)
         grid = np.arange(lo, hi + 1e-12, step)
 
     rho = best["rho"]

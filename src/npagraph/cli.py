@@ -25,7 +25,7 @@ from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, CalibrateOptions,
                         select_u)
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
                      MalformedLine, NpaGraphError, SolverFailure,
-                     ValidationError, ZeroTotalWeight)
+                     ValidationError, WindowExceedsMatrix, ZeroTotalWeight)
 from .growth import (RngStream, grow_aer, grow_composite, grow_npa, measure_edd,
                      measure_vdd, write_edge_list)
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, EdgeDegreeMatrix,
@@ -361,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler(args)
     except (ValidationError, MalformedLine, EmptyInput, EmptyGraph,
-            InputTooLarge, FileNotFoundError, json.JSONDecodeError) as exc:
+            InputTooLarge, WindowExceedsMatrix, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverFailure, ZeroTotalWeight) as exc:

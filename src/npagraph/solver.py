@@ -4,7 +4,11 @@ The vertex degree recurrence
     Q_k = (r_k * phi + m * f_{k-1} * Q_{k-1}) / (phi + m * f_k)
 is solved for the mean weight phi as a fixed point of
     phi -> sum_k f_k * Q_k(phi);
-when f_k = k the weight is the degree and phi = 2 m in closed form.
+when f_k = k the weight is the degree and phi = 2 m in closed form, and
+when f_k = v it is phi = v, since sum_k Q_k = 1 at every phi. At a given
+phi the recurrence runs step by step over the increment support; beyond it
+no increment starts, so each Q_k is the last of those times one cumulative
+product of the dampings m f_{k-1} / (phi + m f_k).
 The control quantity mean_degree = sum_k k * Q_k must equal twice the
 mean increment arc count, and the residual is always reported.
 
@@ -82,33 +86,6 @@ class VddSolution:
     control_residual: float
     tail_mass: float = 0.0
     tail_degree_mass: float = 0.0
-
-
-# ---------------------------------------------------------------------------
-# Affine scan: Q_i = a_i + b_i * Q_{i-1}
-# ---------------------------------------------------------------------------
-
-def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized first-order linear recurrence with Q_{-1} = 0.
-
-    Computed segment-wise between zeros of b via cumulative products, which
-    keeps the scan exact where a plain cumprod would collapse to zero.
-    """
-    n = len(a)
-    out = np.empty(n, dtype=np.float64)
-    boundaries = [0, *(np.flatnonzero(b[1:] == 0.0) + 1).tolist(), n]
-    for s, e in zip(boundaries, boundaries[1:]):
-        if s >= e:
-            continue
-        q0 = a[s]  # b[s] is 0 at every boundary after the first
-        out[s] = q0
-        if e - s > 1:
-            prod = np.cumprod(b[s + 1:e])
-            seg = a[s + 1:e]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(seg != 0.0, seg / np.where(prod > 0.0, prod, 1.0), 0.0)
-            out[s + 1:e] = prod * (q0 + np.cumsum(terms))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +248,25 @@ class _VddEngine:
             k_need = max(k_need, w.M + 1)
         self.k_top = k_need
         self.k_store = opts.k_max
-        f_all = w.weights_upto(self.k_top)
-        self.f = f_all[self.g:self.k_top + 1]
-        fprev = np.zeros_like(self.f)
-        fprev[1:] = f_all[self.g:self.k_top]
-        self.fprev = fprev
-        self.r = np.zeros_like(self.f)
-        r_arr = inc.prob_array()
-        self.r[inc.min_arcs - self.g:inc.min_arcs - self.g + len(r_arr)] = r_arr
+        self.f = w.weights_upto(self.k_top)[self.g:]
+        self.r = inc.prob_array()
+        self.r_start = inc.min_arcs - self.g
         self.ks = np.arange(self.g, self.k_top + 1, dtype=np.float64)
         self.asym = w.asymptote()
 
     def distribution(self, phi: float) -> np.ndarray:
+        """Q_g..Q_K at mean weight phi, by the recurrence over the increment
+        support and one damping product beyond it; Q_k = 0 below min_arcs."""
         den = phi + self.m * self.f
-        return _affine_scan(self.r * phi / den, self.m * self.fprev / den)
+        damp = self.m * self.f[:-1] / den[1:]  # carries Q_{k-1} to Q_k
+        lo, hi = self.r_start, self.r_start + len(self.r)
+        head = (phi * self.r / den[lo:hi]).tolist()
+        for i, d in enumerate(damp[lo:hi - 1].tolist(), 1):
+            head[i] += d * head[i - 1]
+        q = np.zeros(len(self.f))
+        q[lo:hi] = head
+        q[hi:] = head[-1] * np.cumprod(damp[hi - 1:])
+        return q
 
     def tails(self, phi: float, q: np.ndarray) -> tuple[float, float, float]:
         return _tail_sums(self.asym, phi, self.m, float(q[-1]), self.k_top,
@@ -302,14 +284,18 @@ def _fixed_point(engine: _VddEngine, opts: SolverOptions) -> float:
 
     When the weight is the degree at every computed degree and in the tail,
     sum f_k Q_k(phi) is the mean degree m phi / (phi - m), whose only fixed
-    point is phi = 2 m, returned exactly. Other weights are bracketed by
-    doubling phi from 1 and bisected until the bracket is narrower than
-    opts.fp_tolerance relative to phi, or cannot shrink further. A residual
-    that is not positive at phi = 1e-9, or still positive after 200
-    doublings, means there is no stationary regime to bracket.
+    point is phi = 2 m, returned exactly. When it is a constant v there,
+    sum f_k Q_k(phi) = v sum Q_k = v at every phi, so phi = v. Other weights
+    are bracketed by doubling phi from 1 and bisected until the bracket is
+    narrower than opts.fp_tolerance relative to phi, or cannot shrink
+    further. A residual that is not positive at phi = 1e-9, or still
+    positive after 200 doublings, means there is no stationary regime to
+    bracket.
     """
     if engine.asym == ("linear", 1.0) and np.array_equal(engine.f, engine.ks):
         return 2.0 * engine.m
+    if engine.asym[0] == "constant" and (engine.f == engine.asym[1]).all():
+        return engine.asym[1]
 
     def residual(phi: float) -> float:
         s = engine.weighted_sum(phi)

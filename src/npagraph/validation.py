@@ -12,9 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .growth import RngStream, grow_aer_with_stats, grow_npa, measure_edd
-from .models import (DegreeDistribution, IncrementDistribution, NpaModelSpec,
-                     WeightFunction)
+from .growth import (RngStream, grow_aer_with_stats, grow_npa, measure_edd,
+                     measure_vdd)
+from .models import (DegreeDistribution, Graph, IncrementDistribution,
+                     NpaModelSpec, WeightFunction)
 from .solver import SolverOptions, solve_arc_dd, solve_vdd, symmetrize
 
 
@@ -41,20 +42,11 @@ def reference_models() -> dict[str, NpaModelSpec]:
 
 def pooled_simulated_vdd(model: NpaModelSpec, n: int, reps: int,
                          rng: RngStream) -> DegreeDistribution:
-    """Degree distribution pooled over independent replications."""
-    counts = np.zeros(1, dtype=np.int64)
-    vertices = 0
-    for rep in range(reps):
-        graph = grow_npa(model, n, rng.substream(rep)).final_graph
-        c = np.bincount(graph.degrees())
-        if len(c) > len(counts):
-            c[:len(counts)] += counts
-            counts = c
-        else:
-            counts[:len(c)] += c
-        vertices += graph.vertex_count
-    lo = int(np.flatnonzero(counts)[0])
-    return DegreeDistribution(min_degree=lo, probs=counts[lo:] / vertices)
+    """Degree distribution pooled over independent replications: the one
+    measured on their disjoint union."""
+    return measure_vdd(Graph.disjoint_union(
+        [grow_npa(model, n, rng.substream(rep)).final_graph
+         for rep in range(reps)]))
 
 
 def vdd_agreement(model: NpaModelSpec, n: int = 100000, reps: int = 5,

@@ -337,6 +337,14 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(bad), "--out", str(tmp_path / "c")]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", [["--u", "100000"], ["--g", "0"]])
+    def test_window_outside_matrix_is_input_error(self, tmp_path, capsys,
+                                                  window):
+        a = self._write_edd(tmp_path / "a.csv")
+        assert main(["compare", str(a), str(a), *window,
+                     "--out", str(tmp_path / "c")]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_degree_span_too_large_is_input_error(self, tmp_path):
         # A three-line file whose degrees span 30000 asks for a 6.7 GiB dense
         # matrix. Under a 2 GiB address-space limit, set by the child on

@@ -14,8 +14,8 @@ from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       WeightFunction, WeightsNotConvex,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
-from npagraph.solver import (_loadtxt_rows, _matrix_csv, _parses, _read_csv,
-                             edd_from_csv, edd_to_csv, vdd_from_csv,
+from npagraph.solver import (_VddEngine, _loadtxt_rows, _matrix_csv, _parses,
+                             _read_csv, edd_from_csv, edd_to_csv, vdd_from_csv,
                              vdd_to_csv)
 from npagraph.validation import reference_models
 
@@ -33,6 +33,55 @@ def ba_solution():
 # ---------------------------------------------------------------------------
 # Vertex distribution
 # ---------------------------------------------------------------------------
+
+def vdd_reference(model, phi, k_top):
+    """Q_g..Q_{k_top} at mean weight phi, one degree at a time:
+    Q_k = (r_k phi + m f_{k-1} Q_{k-1}) / (phi + m f_k), Q_{g-1} = 0."""
+    g = model.g
+    m = model.increments.mean
+    f = [model.weights.weight(k) for k in range(k_top + 1)]
+    q, prev = [], 0.0
+    for k in range(g, k_top + 1):
+        f_prev = f[k - 1] if k > g else 0.0
+        prev = ((model.increments.prob(k) * phi + m * f_prev * prev)
+                / (phi + m * f[k]))
+        q.append(prev)
+    return np.array(q)
+
+
+@st.composite
+def vdd_cases(draw):
+    g = draw(st.integers(0, 2))
+    rule = draw(st.sampled_from(["linear", "power", "constant", "table"]))
+    # A cap may fall inside the increment support, so that vertices arrive
+    # with degrees whose weight is 0; the seed's degree max(g, 1) keeps a
+    # positive weight.
+    M = draw(st.one_of(st.none(), st.integers(max(g, 1), g + 12)))
+    if rule == "linear":
+        weights = WeightFunction.linear(g=g, M=M)
+    elif rule == "power":
+        weights = WeightFunction.power(
+            draw(st.sampled_from([0.5, 0.8, 1.0, 1.2])), g=g, M=M)
+    elif rule == "constant":
+        weights = WeightFunction.constant(
+            draw(st.sampled_from([0.5, 1.0, 2.0])), g=g, M=M)
+    else:
+        values = draw(st.lists(st.floats(0.1, 20.0), min_size=1 + (g == 0),
+                               max_size=6))
+        weights = WeightFunction.from_table(g, values)
+    if g == 0 and rule in ("linear", "power"):
+        # f_0 = 0 under these rules; a table entry makes degree 0 a valid
+        # attachment target.
+        weights = WeightFunction.from_table(0, [0.5], M=M, rule=rule,
+                                            alpha=weights.alpha)
+    # At g = 0 a lone r_0 would mean no arcs at all (m = 0).
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=1 + (g == 0),
+                        max_size=8))
+    probs = tuple(p / sum(raw) for p in raw)
+    model = NpaModelSpec(weights=weights,
+                         increments=IncrementDistribution(min_arcs=g, probs=probs))
+    return model, draw(st.floats(0.05, 50.0)), draw(st.integers(20, 2000))
+
 
 class TestSolveVdd:
     def test_ba_hand_unrolled_head(self, ba_solution):
@@ -83,11 +132,15 @@ class TestSolveVdd:
         assert q.prob(202) == 0.0
         assert q.truncation_mass < 1e-12
 
-    def test_constant_weights_geometric(self):
-        model = reference_models()["constant"]
+    @pytest.mark.parametrize("v", [1.0, 0.37, 4.5])
+    def test_constant_weights_mean_weight_closed_form(self, v):
+        # f_k = v gives sum f_k Q_k = v sum Q_k = v at every phi, so the
+        # mean weight is exactly v, found without a search.
+        model = replace(reference_models()["constant"],
+                        weights=WeightFunction.constant(v, g=1))
         sol = solve_vdd(model)
-        # With unit weights the mean weight is exactly 1.
-        assert sol.mean_weight == pytest.approx(1.0, abs=1e-9)
+        assert sol.mean_weight == v
+        assert sol.control_residual <= 1e-12
 
     def test_truncation_recorded_not_raised(self):
         # The Gowalla increments leave 1.7e-6 of vertex mass beyond degree
@@ -111,7 +164,6 @@ class TestSolveVdd:
     def test_linear_weights_mean_weight_closed_form(self, g, raw, form):
         # With f_k = k the weight is the degree, so phi = 2 m solves the
         # fixed point and solve_vdd returns it without a search.
-        from npagraph.solver import _VddEngine
         weights = {"linear": WeightFunction.linear(g=g),
                    "power": WeightFunction.power(1.0, g=g),
                    "table": WeightFunction.from_table(
@@ -133,6 +185,24 @@ class TestSolveVdd:
             increments=IncrementDistribution(min_arcs=1, probs=(0.0, 0.5, 0.5)))
         with pytest.raises(NoConvergence):
             solve_vdd(model)
+
+    @given(case=vdd_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_distribution_matches_scalar_recurrence(self, case):
+        model, phi, k_max = case
+        assert model.violations() == []
+        engine = _VddEngine(model, SolverOptions(k_max=k_max, u_max=model.g))
+        got = engine.distribution(phi)
+        ref = vdd_reference(model, phi, engine.k_top)
+        assert len(got) == len(ref) and not np.isnan(got).any()
+        big = ref >= 1e-290
+        assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * ref[big])
+        # Past the cap and the increment support nothing arrives at degree
+        # k: Q_k is an exact zero.
+        M = model.weights.M
+        if M is not None:
+            top = max(M + 1, model.increments.max_arcs)
+            assert np.all(got[top + 1 - model.g:] == 0.0)
 
     def test_g_zero_support(self):
         model = NpaModelSpec(
