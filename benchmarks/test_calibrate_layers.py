@@ -80,10 +80,10 @@ def test_table_free_single_fit(benchmark):
     assert res.report["phase"] == 2
 
 
-def test_composite_one_rho(benchmark, composite_target):
+def test_composite_one_rho(benchmark, composite_target, monkeypatch):
     # The first component's profile (one BA solve) is part of the step.
-    opts = CalibrateOptions(r_max=3, solver=SOLVER, rho_min=0.3, rho_max=0.3,
-                            outer_iterations=1)
+    monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
+    opts = CalibrateOptions(r_max=3, solver=SOLVER, rho_min=0.3, rho_max=0.3)
     res = benchmark(calibrate_composite, composite_target, BaTreeSpec(), opts)
     assert res.report["rho"] == 0.3
 

@@ -56,7 +56,7 @@ def test_load_edge_list_plain(benchmark, grown, tmp_path_factory):
     path = tmp_path_factory.mktemp("edges") / "edges.txt"
     with open(path, "w") as fh:
         write_edge_list(grown, fh)
-    graph = benchmark(load_edge_list, path)
+    graph, _ = benchmark(load_edge_list, path)
     assert graph.vertex_count == grown.vertex_count
 
 
@@ -67,7 +67,7 @@ def test_load_edge_list(benchmark, grown, tmp_path_factory):
     with open(path, "w") as fh:
         fh.write("% sym unweighted\n% generated by npagraph\n")
         write_edge_list(grown, fh)
-    graph = benchmark(load_edge_list, path)
+    graph, _ = benchmark(load_edge_list, path)
     assert graph.edge_count > 0
 
 

@@ -9,7 +9,8 @@ window, plus the total-variation error of the vertex degree distribution.
 Natural linear weights are tried first; a parametric power-weight family is
 only brought in when the linear phase misses tolerance, its exponent found
 by a golden-section search, and on ties the model with fewer free
-parameters wins. Nothing here needs more than numpy.
+parameters wins. Nothing here needs more than numpy. Settings that no
+workflow varies are the module constants below, not CalibrateOptions fields.
 """
 
 from __future__ import annotations
@@ -49,10 +50,13 @@ ALPHA_MIN = 0.01  # lower end of the table-free search over f_k = k**alpha
 ALPHA_XATOL = 1e-5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # share of a bracket kept per section
 VDD_WEIGHT = 1.0  # weight of the VDD total-variation error in the objective
+PHASE2_THRESHOLD = 1e-3  # table-free fits search alpha above this objective
 AER_CACHE_SIZE = 4
 AER_REPS = 10  # pooled Monte-Carlo replications of an AER first component
 AER_SEED = 987654321
+RHO_OUTER_ITERATIONS = 2  # passes over a composite's ever finer rho grid
 RHO_REFINE_FACTOR = 5  # a composite's rho grid shrinks by this per outer iteration
+TOTAL_N = 100000  # vertex count a calibrated composite is written for
 # The increment fit took at most 139 pivots, 0.27 per column, on 900 random
 # noisy and exact targets with r_max up to 200 and u up to 500.
 SIMPLEX_PIVOTS_PER_COLUMN = 10
@@ -142,17 +146,14 @@ class CalibrationResult:
 
 @dataclass(frozen=True)
 class CalibrateOptions:
-    """Increment support, solver options, phase-2 threshold and rho grid."""
+    """Increment support, solver options and a composite's rho grid."""
 
     r_min: int = 1
     r_max: int = 50
     solver: SolverOptions = SolverOptions(k_max=4000, fp_tolerance=1e-9)
-    phase2_threshold: float = 1e-3
     rho_step: float = 0.025
     rho_min: float = 0.025
     rho_max: float = 0.975
-    outer_iterations: int = 2
-    total_n: int = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +429,7 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     The mean increment m is the target's, clamped into [r_min, r_max]. Phase
     1 fixes natural linear weights, whose mean weight is phi = 2m by the
     control identity, and inverts the vertex recurrence for {r_k}. Phase 2,
-    entered only in "table-free" mode when phase 1 misses the threshold,
+    entered only in "table-free" mode when phase 1 misses PHASE2_THRESHOLD,
     searches the exponent alpha of f_k = k**alpha over (0, 1] by golden
     sections; at each alpha, phi is the target's sum f_k Q_k and {r_k}
     is inverted again. Uncapped superlinear weights have no stationary
@@ -458,7 +459,7 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
 
     best = fit(WeightFunction.linear(g=opts.r_min), 2.0 * m)
     phase = 1
-    if weight_mode == "table-free" and best[0] > opts.phase2_threshold:
+    if weight_mode == "table-free" and best[0] > PHASE2_THRESHOLD:
         fits = []
 
         def at(alpha: float) -> float:
@@ -527,9 +528,9 @@ def component_profile(spec, target: CalibrationTarget,
     """Analytic profile for growth models; pooled Monte-Carlo for the
     autocorrelated graph, which has no distributional recurrence here.
 
-    The Monte-Carlo estimate keeps both the pruned and unpruned variants;
-    the unpruned edge matrix and the pruned vertex distribution feed the
-    mixture, since pruning removes whole vertices but barely reshapes edges.
+    The mixture takes the pruned vertex distribution and the unpruned edge
+    matrix of the Monte-Carlo estimate, since pruning removes whole vertices
+    but barely reshapes edges.
     """
     extent = max(target.u, target.edd.max_degree)
     if isinstance(spec, NpaModelSpec):
@@ -539,33 +540,26 @@ def component_profile(spec, target: CalibrationTarget,
         return ComponentProfile(spec=spec, m=spec.increments.mean,
                                 vdd=sol.q, edd=theta)
     if isinstance(spec, AerModelSpec):
-        est = aer_component_estimate(spec, extent)
-        return ComponentProfile(spec=spec, m=spec.a / 2.0,
-                                vdd=est["pruned"]["vdd"],
-                                edd=est["unpruned"]["edd"])
+        vdd, edd = aer_component_estimate(spec, extent)
+        return ComponentProfile(spec=spec, m=spec.a / 2.0, vdd=vdd, edd=edd)
     raise TypeError(f"unsupported first component {type(spec).__name__}")
 
 
 @functools.lru_cache(maxsize=AER_CACHE_SIZE)
-def aer_component_estimate(spec: AerModelSpec, u: int, reps: int = AER_REPS,
-                           seed: int = AER_SEED) -> dict:
-    """Pooled Monte-Carlo vertex and edge distributions, cached per spec.
+def aer_component_estimate(spec: AerModelSpec, u: int
+                           ) -> tuple[DegreeDistribution, EdgeDegreeMatrix]:
+    """Pooled Monte-Carlo (pruned vertex distribution, unpruned edge matrix
+    up to degree u), cached per spec and u.
 
-    The pooled law of the replicates is the one measured on their disjoint
-    union. The AER_CACHE_SIZE most recently used estimates are kept.
-    Returns {"pruned": {"vdd", "edd"}, "unpruned": {"vdd", "edd"}}.
+    The pooled law of AER_REPS replicates, drawn from seed AER_SEED, is the
+    one measured on their disjoint union; pruning the union prunes each
+    replicate. The AER_CACHE_SIZE most recently used estimates are kept.
     """
-    variants = {"pruned": [], "unpruned": []}
-    for rep in range(reps):
-        full, _ = grow_aer_unpruned(spec, RngStream(seed, rep))
-        keep, _, _ = _prune_small_components(full)
-        variants["pruned"].append(full.induced(keep))
-        variants["unpruned"].append(full)
-    out = {}
-    for name, graphs in variants.items():
-        union = Graph.disjoint_union(graphs)
-        out[name] = {"vdd": measure_vdd(union), "edd": measure_edd(union, u)}
-    return out
+    union = Graph.disjoint_union(
+        [grow_aer_unpruned(spec, RngStream(AER_SEED, rep))[0]
+         for rep in range(AER_REPS)])
+    keep, _, _ = _prune_small_components(union)
+    return measure_vdd(union.induced(keep)), measure_edd(union, u)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +577,10 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     (a rho whose mean lies outside [r_min, r_max], or whose complement fails
     to solve, is skipped), and the rho whose mixed model best matches the
     target wins. rho itself is refined on a grid that shrinks by
-    RHO_REFINE_FACTOR around the best coarse value on each outer iteration;
-    grid values are rounded to 12 decimals and each is fitted at most once.
+    RHO_REFINE_FACTOR around the best coarse value on each of
+    RHO_OUTER_ITERATIONS passes; grid values are rounded to 12 decimals and
+    each is fitted at most once. The composite is written for TOTAL_N
+    vertices.
     """
     profile = component_profile(first_component, target, opts)
     m_total = target.m
@@ -596,7 +592,7 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     best: dict | None = None
     trace = OptimizerTrace()
     step = opts.rho_step
-    for outer in range(opts.outer_iterations):
+    for outer in range(RHO_OUTER_ITERATIONS):
         for rho in grid:
             rho = round(float(rho), 12)
             if rho in tried:
@@ -630,7 +626,7 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     gamma = edge_share(profile.m, rho, m_mix)
     composite = CompositeSpec(
         components=((profile.spec, rho), (complement, 1.0 - rho)),
-        total_n=opts.total_n,
+        total_n=TOTAL_N,
         metadata={"gamma": gamma, "m_first": profile.m, "m_complement": m2})
     report = {
         "rho": rho,

@@ -3,8 +3,8 @@
 Every command writes a manifest.json capturing its resolved parameters and
 the toolkit version; `npagraph rerun manifest.json --out DIR` re-executes the
 recorded run and reproduces the data files byte for byte. Exit codes:
-0 success, 2 input error, 3 compute error, 4 no feasible vertex fraction in
-a composite calibration.
+0 success, 2 input error (a setting outside its range among them), 3
+compute error, 4 no feasible vertex fraction in a composite calibration.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, CalibrateOptions,
-                        CalibrationTarget, calibrate_composite, calibrate_single,
-                        edd_distance, preset_brightkite, preset_gowalla,
-                        select_u)
+from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, TOTAL_N,
+                        CalibrateOptions, CalibrationTarget,
+                        calibrate_composite, calibrate_single, edd_distance,
+                        preset_brightkite, preset_gowalla, select_u)
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
                      MalformedLine, NpaGraphError, SolverFailure,
                      ValidationError, WindowExceedsMatrix, ZeroTotalWeight)
@@ -75,6 +75,10 @@ def cmd_solve(params: dict) -> int:
     if not isinstance(spec, NpaModelSpec):
         print("solve expects a growth-model spec", file=sys.stderr)
         return EXIT_INPUT
+    if not params["kmax"] >= params["umax"] >= spec.g:
+        print(f"need --kmax >= --umax >= g, got {params['kmax']}, "
+              f"{params['umax']}, {spec.g}", file=sys.stderr)
+        return EXIT_INPUT
     opts = SolverOptions(k_max=params["kmax"], u_max=params["umax"],
                          edd_variant=params["variant"])
     sol = solve_vdd(spec, opts)
@@ -106,7 +110,7 @@ def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
         spec = replace(spec, total_n=n) if spec.total_n != n else spec
         graph = grow_composite(spec, rng)
     elif isinstance(spec, AerModelSpec):
-        graph = grow_aer(spec, rng)
+        graph, _ = grow_aer(spec, rng)
     else:
         graph = grow_npa(spec, n, rng).final_graph
     out = Path(out_dir)
@@ -119,16 +123,27 @@ def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
 
 def cmd_generate(params: dict) -> int:
     out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    if params["u"] < 1:
+        print("--u must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     if params.get("preset"):
         spec = {"gowalla": preset_gowalla,
                 "brightkite": preset_brightkite}[params["preset"]](params["n"])
     else:
         spec = _load_spec(params["spec"])
+    n = params["n"]
+    if isinstance(spec, CompositeSpec):
+        validate_model(replace(spec, total_n=n))  # every budget can grow
+    elif isinstance(spec, NpaModelSpec):
+        seed = spec.seed_graph.build(spec.g).vertex_count
+        if n < seed:
+            print(f"--n {n} is below the seed graph's {seed} vertices",
+                  file=sys.stderr)
+            return EXIT_INPUT
     spec_text = dump_model(spec)
     _write(out / "model.json", spec_text + "\n")
     reps = params["reps"]
-    jobs = [(spec_text, params["n"], params["seed"], rep, params["u"], str(out))
+    jobs = [(spec_text, n, params["seed"], rep, params["u"], str(out))
             for rep in range(reps)]
     if params["threads"] > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=params["threads"]) as pool:
@@ -146,7 +161,10 @@ def cmd_generate(params: dict) -> int:
 
 def cmd_ingest(params: dict) -> int:
     out = Path(params["out"])
-    graph, stats = load_edge_list(params["dataset"], return_stats=True)
+    if params["edd_extent"] < 1:
+        print("--edd-extent must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
+    graph, stats = load_edge_list(params["dataset"])
     summary = summarize(graph)
     vdd = measure_vdd(graph)
     if params["smooth"] != "none":
@@ -183,6 +201,13 @@ def cmd_calibrate(params: dict) -> int:
         print(f"target directory {target_dir} lacks vdd.csv / edd.csv",
               file=sys.stderr)
         return EXIT_INPUT
+    opts = CalibrateOptions(r_max=params["rmax"],
+                            rho_min=params["rho_min"],
+                            rho_max=params["rho_max"],
+                            rho_step=params["rho_step"])
+    if opts.r_max < opts.r_min or opts.rho_step <= 0.0:
+        print(f"need --rmax >= {opts.r_min} and --rho-step > 0", file=sys.stderr)
+        return EXIT_INPUT
     vdd = vdd_from_csv(vdd_path.read_text())
     edd = edd_from_csv(edd_path.read_text())
     meta = {}
@@ -192,20 +217,21 @@ def cmd_calibrate(params: dict) -> int:
         mean_inc = meta.get("derived_m")
     u = params["u"] or meta.get("selected_u") or select_u(edd)
     u = min(u, edd.max_degree)
+    if u <= vdd.min_degree:
+        print(f"comparison extent u = {u} must exceed the minimum degree "
+              f"{vdd.min_degree}", file=sys.stderr)
+        return EXIT_INPUT
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u, mean_increment=mean_inc,
                                source_meta=meta)
-    opts = CalibrateOptions(r_max=params["rmax"],
-                            rho_min=params["rho_min"],
-                            rho_max=params["rho_max"],
-                            rho_step=params["rho_step"])
     try:
         if params["mode"] == "single":
             result = calibrate_single(target, weight_mode=params["weights"],
                                       opts=opts)
         else:
             first = BaTreeSpec() if params["first"] == "ba-tree" else AerModelSpec(
-                n1=int(round(GOWALLA_RHO * opts.total_n)), a=params["aer_a"])
-            result = calibrate_composite(target, first, opts=opts)
+                n1=int(round(GOWALLA_RHO * TOTAL_N)), a=params["aer_a"])
+            result = calibrate_composite(target, validate_model(first),
+                                         opts=opts)
     except AllRhoInfeasible as exc:
         _write_json(out / "report.json", {"error": str(exc)})
         _write_manifest(out, "calibrate", params)

@@ -3,6 +3,7 @@
 Datasets are treated as undirected simple graphs: duplicate and reversed pairs
 collapse to one edge, self-loops are dropped with a counted warning, and node
 ids are remapped to a dense range with the original ids retained on the graph.
+Both readers return the graph with those counts, as ParseStats.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class ParseStats:
     duplicates_collapsed: int
 
 
-def parse_edge_list(lines: Iterable[str], return_stats: bool = False
-                    ) -> Union[Graph, tuple[Graph, ParseStats]]:
-    """Parse node-id pairs into an undirected simple graph.
+def parse_edge_list(lines: Iterable[str]) -> tuple[Graph, ParseStats]:
+    """Parse node-id pairs into an undirected simple graph, with the counts
+    of dropped self-loops and collapsed duplicates.
 
     The text follows the edge-list syntax of the growth module: two integer
     ids per line, separated by spaces or tabs; '#' and '%' start comments,
@@ -57,10 +58,10 @@ def parse_edge_list(lines: Iterable[str], return_stats: bool = False
     range 0 .. n-1 in increasing order (kept as labels), and duplicate or
     reversed pairs collapse to one edge.
     """
-    return _simple_graph(_edge_tokens(lines), return_stats)
+    return _simple_graph(_edge_tokens(lines))
 
 
-def load_edge_list(path: Union[str, Path], return_stats: bool = False):
+def load_edge_list(path: Union[str, Path]) -> tuple[Graph, ParseStats]:
     """Read an edge-list file, transparently handling gzip compression.
 
     Gives what parse_edge_list gives over the file's lines. np.loadtxt reads
@@ -85,15 +86,17 @@ def load_edge_list(path: Union[str, Path], return_stats: bool = False):
         if pairs is None or (pairs.shape[1] != 2 and pairs.size):
             fh.seek(0)
             pairs = _edge_tokens(fh)
-    return _simple_graph(pairs.reshape(-1, 2), return_stats)
+    return _simple_graph(pairs.reshape(-1, 2))
 
 
-def _simple_graph(raw: np.ndarray, return_stats: bool):
-    """The undirected simple graph of an (E, 2) array of id pairs.
+def _simple_graph(raw: np.ndarray) -> tuple[Graph, ParseStats]:
+    """The undirected simple graph of an (E, 2) array of id pairs, and its
+    parse counts.
 
     Ids that already are the dense range 0 .. n-1, as `generate` writes
     them, are kept as they are; np.unique would only sort them to the same
-    labels and the same dense ids.
+    labels and the same dense ids. Each edge is kept once, as its (lower,
+    higher) dense id pair, in increasing order.
     """
     is_loop = raw[:, 0] == raw[:, 1]
     kept = raw[~is_loop]
@@ -108,12 +111,16 @@ def _simple_graph(raw: np.ndarray, return_stats: bool):
         ids, dense = np.arange(n, dtype=np.int64), kept
     else:
         ids, dense = np.unique(kept, return_inverse=True)
-    graph = Graph(len(ids), dense.reshape(-1, 2), directed=False,
-                  labels=ids).to_undirected(collapse_parallel=True)
-    if return_stats:
-        return graph, ParseStats(self_loops_dropped=loops,
-                                 duplicates_collapsed=len(kept) - graph.edge_count)
-    return graph
+        n = len(ids)
+    a, b = dense.reshape(-1, 2).T
+    # return_counts keeps np.unique on its sort path; NumPy >= 2.3 otherwise
+    # hashes, which is many times slower on int64 keys.
+    packed, _ = np.unique(np.minimum(a, b) * np.int64(n) + np.maximum(a, b),
+                          return_counts=True)
+    graph = Graph(n, np.column_stack([packed // n, packed % n]),
+                  directed=False, labels=ids)
+    return graph, ParseStats(self_loops_dropped=loops,
+                             duplicates_collapsed=len(kept) - graph.edge_count)
 
 
 def summarize(graph: Graph) -> DatasetSummary:

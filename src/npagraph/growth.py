@@ -8,6 +8,9 @@ uniform pick from the list of arc endpoints (Batagelj & Brandes, PRE 71,
 Every other weight function takes the acceptance sampler: a proposal from
 the vertices and the same endpoint list, accepted with a probability that
 turns its 1 + k proposal weight into f_k, one Python draw per proposal.
+`grow_aer` scans vertex pairs for the autocorrelated random graph and
+prunes its one- and two-vertex components, returning the graph with the
+scan's diagnostics.
 Replications are independent given distinct RngStream ids and can be fanned
 out by the caller. Identical spec and stream reproduce a bit-identical graph
 within one version of the package.
@@ -216,7 +219,7 @@ _AER_BATCH = 1 << 12
 
 
 def grow_aer(spec: AerModelSpec, rng: RngStream,
-             carry_z_across_rows: bool = False) -> Graph:
+             carry_z_across_rows: bool = False) -> tuple[Graph, AerRunStats]:
     """Build the autocorrelated random graph and prune trivial components.
 
     Scans vertex pairs row by row; each draw succeeds with probability
@@ -225,21 +228,14 @@ def grow_aer(spec: AerModelSpec, rng: RngStream,
     (the first draw uses p_a / 2) unless carry_z_across_rows is set, in which
     case the final indicator of the previous row carries over. After the scan,
     isolated vertices and two-vertex components joined by a single edge are
-    removed.
+    removed. Returns the pruned graph and the scan's diagnostics with the
+    removal counts.
     """
-    graph, _ = grow_aer_with_stats(spec, rng, carry_z_across_rows)
-    return graph
-
-
-def grow_aer_with_stats(spec: AerModelSpec, rng: RngStream,
-                        carry_z_across_rows: bool = False
-                        ) -> tuple[Graph, AerRunStats]:
     full, stats = grow_aer_unpruned(spec, rng, carry_z_across_rows)
     keep, removed_isolated, removed_pairs = _prune_small_components(full)
-    pruned = full.induced(keep)
     stats = replace(stats, removed_isolated=removed_isolated,
                     removed_pair_vertices=removed_pairs)
-    return pruned, stats
+    return full.induced(keep), stats
 
 
 def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
@@ -340,31 +336,22 @@ def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
 
 
 def _prune_small_components(graph: Graph) -> tuple[np.ndarray, int, int]:
-    """Mask of vertices in components of size >= 3, plus removal counts.
+    """Mask of vertices in components of size >= 3, plus the counts of
+    removed isolated vertices and of removed vertices in two-vertex
+    components.
 
-    Components are found by min-label hooking: every edge whose ends carry
-    different labels hooks the larger root onto the smaller label, then
-    pointer jumping flattens each tree back to its root.
+    The graph must be simple, as the pair scan makes it: no self-loop and
+    no parallel edge. Then a component of one vertex is a vertex of degree
+    0, and one of two vertices is an edge whose ends both have degree 1.
     """
-    label = np.arange(graph.vertex_count, dtype=np.int64)
+    deg = graph.degrees()
     a, b = graph.pairs[:, 0], graph.pairs[:, 1]
-    while True:
-        la, lb = label[a], label[b]
-        cross = la != lb
-        if not cross.any():
-            break
-        la, lb = la[cross], lb[cross]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-    comp_size = np.bincount(label, minlength=graph.vertex_count)[label]
-    keep = comp_size >= 3
-    removed_isolated = int(np.count_nonzero(comp_size == 1))
-    removed_pairs = int(np.count_nonzero(comp_size == 2))
-    return keep, removed_isolated, removed_pairs
+    lone = (deg[a] == 1) & (deg[b] == 1)
+    in_pair = np.zeros(graph.vertex_count, dtype=bool)
+    in_pair[a[lone]] = in_pair[b[lone]] = True
+    isolated = deg == 0
+    keep = ~(isolated | in_pair)
+    return keep, int(np.count_nonzero(isolated)), 2 * int(np.count_nonzero(lone))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +368,7 @@ def grow_composite(spec: CompositeSpec, rng: RngStream) -> Graph:
             parts.append(grow_npa(model, budget, sub).final_graph)
         elif isinstance(model, AerModelSpec):
             aer = model if model.n1 == budget else AerModelSpec(n1=budget, a=model.a)
-            parts.append(grow_aer(aer, sub))
+            parts.append(grow_aer(aer, sub)[0])
         else:
             raise TypeError(f"cannot grow component of type {type(model).__name__}")
     return Graph.disjoint_union(parts, directed=False)

@@ -67,7 +67,10 @@ class WeightFunction:
         if self.rule == "linear":
             return float(k)
         if self.rule == "power":
-            return float(k) ** self.alpha
+            try:
+                return float(k) ** self.alpha
+            except (OverflowError, ZeroDivisionError):
+                return math.inf  # as np.power gives in weights_upto
         if self.rule == "constant":
             return self.value
         raise ValueError(f"no rule to evaluate weight at degree {k}")
@@ -121,6 +124,8 @@ class WeightFunction:
         return self.g + len(self.table) - 1
 
     def violations(self) -> list[Violation]:
+        """Each weight probed in [g, M] must be positive and finite; one
+        that overflows, like 10.0**400, is infinite."""
         out = []
         if self.g < 0:
             out.append(Violation("EmptySupport", f"minimum degree g = {self.g} is negative"))
@@ -147,7 +152,7 @@ class WeightFunction:
             if not (w > 0.0) or not math.isfinite(w):
                 out.append(Violation(
                     "WeightSignViolation",
-                    f"f_{k} = {w} is not positive inside [g, M]"))
+                    f"f_{k} = {w} is not positive and finite inside [g, M]"))
         return out
 
     def to_dict(self) -> dict:
@@ -294,16 +299,6 @@ class DegreeDistribution:
             out.append(Violation("NonNormalized", f"total mass {total!r} differs from 1"))
         return out
 
-    def to_dict(self) -> dict:
-        return {"min_degree": self.min_degree, "probs": self.probs.tolist(),
-                "truncation_mass": self.truncation_mass}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "DegreeDistribution":
-        return cls(min_degree=int(d["min_degree"]),
-                   probs=np.asarray(d["probs"], dtype=np.float64),
-                   truncation_mass=float(d.get("truncation_mass", 0.0)))
-
 
 # ---------------------------------------------------------------------------
 # Edge / arc degree matrix
@@ -378,18 +373,6 @@ class EdgeDegreeMatrix:
             out.append(Violation("NonNormalized", "edge matrix is not symmetric"))
         return out
 
-    def to_dict(self) -> dict:
-        return {"min_degree": self.min_degree, "kind": self.kind,
-                "entries": self.entries.tolist(),
-                "truncation_mass": self.truncation_mass}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "EdgeDegreeMatrix":
-        return cls(min_degree=int(d["min_degree"]),
-                   entries=np.asarray(d["entries"], dtype=np.float64),
-                   kind=d.get("kind", "edge"),
-                   truncation_mass=float(d.get("truncation_mass", 0.0)))
-
 
 # ---------------------------------------------------------------------------
 # Graph
@@ -428,21 +411,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         d = np.bincount(self.pairs.reshape(-1), minlength=self.vertex_count)
         return d[:self.vertex_count]
-
-    def to_undirected(self, collapse_parallel: bool = False) -> "Graph":
-        if not self.directed and not collapse_parallel:
-            return self
-        pairs = self.pairs
-        if collapse_parallel and len(pairs):
-            lo = np.minimum(pairs[:, 0], pairs[:, 1])
-            hi = np.maximum(pairs[:, 0], pairs[:, 1])
-            # return_counts keeps np.unique on its sort path; NumPy >= 2.3
-            # otherwise hashes, which is many times slower on int64 keys.
-            packed, _ = np.unique(lo * np.int64(self.vertex_count) + hi,
-                                  return_counts=True)
-            pairs = np.column_stack([packed // self.vertex_count,
-                                     packed % self.vertex_count])
-        return Graph(self.vertex_count, pairs, directed=False, labels=self.labels)
 
     def induced(self, keep: np.ndarray) -> "Graph":
         """Subgraph on the vertices flagged in the boolean mask, relabeled densely."""
@@ -593,9 +561,6 @@ class AerModelSpec:
         if not (0.0 < self.p_a <= 1.0):
             out.append(Violation(
                 "NonNormalized", f"base probability p_a = {self.p_a!r} outside (0, 1]"))
-        if (self.p_a + 1.0) / 2.0 > 1.0:
-            out.append(Violation(
-                "NonNormalized", f"conditional probability (p_a + 1)/2 exceeds 1"))
         return out
 
     def to_dict(self) -> dict:
@@ -628,11 +593,15 @@ class CompositeSpec:
         if abs(total - 1.0) > NORMALIZATION_TOL:
             out.append(Violation(
                 "NonNormalized", f"vertex fractions sum to {total!r}, not 1"))
-        for i, budget in enumerate(self.budgets()):
-            if budget < 2:
+        for i, ((model, _rho), budget) in enumerate(zip(self.components,
+                                                        self.budgets())):
+            # A growth component starts from its seed graph, an AER from a pair.
+            least = (model.seed_graph.build(model.g).vertex_count
+                     if isinstance(model, NpaModelSpec) else 2)
+            if budget < least:
                 out.append(Violation(
                     "EmptySupport",
-                    f"component {i} budget rounds to {budget} < 2 vertices"))
+                    f"component {i} budget rounds to {budget} < {least} vertices"))
         return out
 
     def to_dict(self) -> dict:

@@ -39,6 +39,9 @@ from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
 COMPLEMENT_CLAMP_TOL = 1e-6
 GAMMA_TOL = 1e-9
+# Most arc-matrix mass a mass-conserving variant may miss beyond what
+# truncation at u_max explains.
+EDD_MASS_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,15 @@ class SolverOptions:
     term with the mean weight, which makes the recurrence conserve
     probability mass. The printed form is the default and any systematic
     discrepancy is surfaced by the simulation cross-check rather than
-    silently corrected.
+    silently corrected. The mean-weight form raises TruncationTooSevere when
+    its matrix misses more than EDD_MASS_TOLERANCE of mass beyond what
+    truncation explains.
     """
 
     k_max: int = 10000
     u_max: int = 300
     fp_tolerance: float = 1e-10
     edd_variant: str = "printed"
-    edd_mass_tolerance: float = 1e-3
 
     def check(self, g: int) -> None:
         if not (self.k_max >= self.u_max >= g):
@@ -441,7 +445,7 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
     deficit = 1.0 - total
     if conserves_mass:
         bound = _arc_truncation_bound(model, vdd, u)
-        if deficit - bound > opts.edd_mass_tolerance:
+        if deficit - bound > EDD_MASS_TOLERANCE:
             raise TruncationTooSevere(
                 f"arc matrix misses {deficit:.3e} of mass at u_max = {u} but at "
                 f"most {bound:.3e} is attributable to truncation; raise u_max")

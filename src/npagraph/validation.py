@@ -12,8 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .growth import (RngStream, grow_aer_with_stats, grow_npa, measure_edd,
-                     measure_vdd)
+from .growth import RngStream, grow_aer, grow_npa, measure_edd, measure_vdd
 from .models import (DegreeDistribution, Graph, IncrementDistribution,
                      NpaModelSpec, WeightFunction)
 from .solver import SolverOptions, solve_arc_dd, solve_vdd, symmetrize
@@ -131,12 +130,12 @@ def aer_validation(spec, reps: int = 10, rng: RngStream = RngStream(7300)) -> di
     zs = []
     removed_ok = True
     for rep in range(reps):
-        _, stats = grow_aer_with_stats(spec, rng.substream(rep))
+        _, stats = grow_aer(spec, rng.substream(rep))
         mean_degrees.append(stats.pre_prune_mean_degree)
         autocorrs.append(stats.lag1_autocorrelation)
         zs.append(stats.lag1_null_z)
-    _, carry_stats = grow_aer_with_stats(spec, rng.substream(reps),
-                                         carry_z_across_rows=True)
+    _, carry_stats = grow_aer(spec, rng.substream(reps),
+                              carry_z_across_rows=True)
     return {
         "reps": reps,
         "target_mean_degree": spec.a,

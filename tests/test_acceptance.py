@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution, RngStream,
-                      SolverOptions, complement_vdd, edge_share, grow_aer_unpruned,
-                      grow_aer_with_stats, mix_edd, mix_vdd, solve_arc_dd,
+                      SolverOptions, complement_vdd, edge_share, grow_aer,
+                      grow_aer_unpruned, mix_edd, mix_vdd, solve_arc_dd,
                       solve_vdd, symmetrize)
+from npagraph import calibrate
 from npagraph.calibrate import (CalibrateOptions, CalibrationTarget,
                                 calibrate_composite, calibrate_single,
                                 preset_brightkite, select_u)
@@ -62,7 +63,7 @@ def _require_brightkite() -> Path:
 
 @pytest.fixture(scope="module")
 def brightkite_graph():
-    return load_edge_list(_require_brightkite())
+    return load_edge_list(_require_brightkite())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +179,7 @@ def test_criterion_06_brightkite_statistics(brightkite_graph):
 # 7. Composite model closes the probability-range gap
 # ---------------------------------------------------------------------------
 
-def test_criterion_07_brightkite_composite_range(brightkite_graph):
+def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch):
     graph = brightkite_graph
     raw_vdd = measure_vdd(graph)
     vdd = smooth_vdd(raw_vdd, "tail-powerlaw", cut=30)
@@ -189,10 +190,11 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph):
     preset = preset_brightkite()
     first, rho = preset.components[0]
     assert isinstance(first, BaTreeSpec) and rho == 0.225
+    monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
     opts = CalibrateOptions(
         r_max=40,
         solver=SolverOptions(k_max=20000, fp_tolerance=1e-9),
-        rho_min=rho, rho_max=rho, outer_iterations=1)
+        rho_min=rho, rho_max=rho)
     result = calibrate_composite(target, BaTreeSpec(), opts)
 
     from npagraph.calibrate import component_profile
@@ -216,7 +218,8 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph):
     _announce("7 brightkite-composite", f"u={u} ratio={ratio:.3f}")
 
 
-def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path):
+def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
+                                                               monkeypatch):
     """Same pipeline as the dataset criterion, on a bundled synthetic network.
 
     Grows a two-component graph (single-arc tree plus a known linear-weight
@@ -243,17 +246,18 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path):
     grown = grow_composite(spec, RngStream(7700))
     buf = io.StringIO()
     write_edge_list(grown, buf)
-    graph = parse_edge_list(buf.getvalue().splitlines())
+    graph, _ = parse_edge_list(buf.getvalue().splitlines())
 
     vdd = smooth_vdd(measure_vdd(graph), "tail-powerlaw", cut=20)
     edd = measure_edd(graph, 200)
     u = min(select_u(edd, 0.95), 40)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
                                mean_increment=summarize(graph).derived_m)
+    monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
     opts = CalibrateOptions(r_max=8,
                             solver=SolverOptions(k_max=6000,
                                                  fp_tolerance=1e-9),
-                            rho_min=rho, rho_max=rho, outer_iterations=1)
+                            rho_min=rho, rho_max=rho)
     result = calibrate_composite(target, BaTreeSpec(), opts)
 
     from npagraph.calibrate import component_profile
@@ -281,7 +285,7 @@ def test_criterion_08_aer_properties():
     mean_degrees = []
     min_z = np.inf
     for rep in range(10):
-        _, stats = grow_aer_with_stats(spec, RngStream(3800, rep))
+        _, stats = grow_aer(spec, RngStream(3800, rep))
         mean_degrees.append(stats.pre_prune_mean_degree)
         min_z = min(min_z, stats.lag1_null_z)
     avg = float(np.mean(mean_degrees))
@@ -290,7 +294,7 @@ def test_criterion_08_aer_properties():
     assert min_z > 2.326
 
     full, _ = grow_aer_unpruned(spec, RngStream(3800, 0))
-    pruned, stats0 = grow_aer_with_stats(spec, RngStream(3800, 0))
+    pruned, stats0 = grow_aer(spec, RngStream(3800, 0))
     sizes = _component_sizes(full)
     large_before = sorted(s for s in sizes if s >= 3)
     assert sorted(_component_sizes(pruned)) == large_before

@@ -265,9 +265,9 @@ class TestOptimizerTrace:
             raise NoConvergence("cap")
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails)
+        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
         opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.25,
-                                rho_max=0.35, rho_step=0.05,
-                                outer_iterations=1)
+                                rho_max=0.35, rho_step=0.05)
         with pytest.raises(NoConvergence):
             calibrate_composite(_composite_target(), BaTreeSpec(), opts)
 
@@ -327,12 +327,13 @@ class TestCalibrateSingle:
             CalibrationTarget(vdd=target.vdd, edd=target.edd,
                               u=target.edd.max_degree + 5)
 
-    def test_table_free_enters_second_phase(self):
+    def test_table_free_enters_second_phase(self, monkeypatch):
         # A sublinear-weight target cannot be matched by linear weights, so
         # the exponent search must engage and improve the fit.
+        monkeypatch.setattr(calibrate, "PHASE2_THRESHOLD", 1e-4)
         true = _model((0.6, 0.4), weights=WeightFunction.power(0.8, g=1))
         target = _target_from(true, u=15)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS, phase2_threshold=1e-4)
+        opts = CalibrateOptions(r_max=3, solver=SOPTS)
         linear_only = calibrate_single(target, "linear", opts)
         full = calibrate_single(target, "table-free", opts)
         assert full.report["phase"] == 2
@@ -513,7 +514,7 @@ class TestCalibrateComposite:
         assert len({round(r, 9) for r in rhos}) == len(rhos)
         assert all(r == round(r, 12) for r in rhos)
 
-    def test_infeasible_rho_skipped_with_log(self):
+    def test_infeasible_rho_skipped_with_log(self, monkeypatch):
         # Complement has no degree-1 vertices, so large rho forces a negative
         # complement share at degree 1 and those grid points must be skipped.
         comp2 = _model((1.0,), min_arcs=2,
@@ -531,23 +532,52 @@ class TestCalibrateComposite:
             vdd=mix_vdd([(sol1.q, rho), (sol2.q, 1 - rho)]),
             edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)], m_tot),
             u=u, mean_increment=m_tot)
+        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
         opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.05,
-                                rho_max=0.35, outer_iterations=1)
+                                rho_max=0.35)
         res = calibrate_composite(target, BaTreeSpec(), opts)
         skipped = [e for e in res.report["grid"] if "skipped" in e]
         assert skipped
         assert all(e["rho"] > 0.1 for e in skipped)
+
+    def test_aer_first_component(self):
+        # The pooled AER estimate as the first component (rho = 0.3) plus a
+        # linear-weight complement: the fit takes its profile from that
+        # estimate and recovers rho and the complement's increments.
+        aer, u, rho = AerModelSpec(n1=400, a=2.0), 12, 0.3
+        vdd1, edd1 = aer_component_estimate(aer, u)
+        comp2 = _model((0.4, 0.6))
+        sol2 = solve_vdd(comp2, SOPTS)
+        th2 = symmetrize(solve_arc_dd(comp2, sol2, replace(SOPTS, u_max=u)))
+        m1, m2 = aer.a / 2.0, comp2.increments.mean
+        m_tot = rho * m1 + (1 - rho) * m2
+        target = CalibrationTarget(
+            vdd=mix_vdd([(vdd1, rho), (sol2.q, 1 - rho)]),
+            edd=mix_edd([(edd1, m1, rho), (th2, m2, 1 - rho)], m_tot),
+            u=u, mean_increment=m_tot)
+        opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.2,
+                                rho_max=0.4, rho_step=0.05)
+        profile = calibrate.component_profile(aer, target, opts)
+        assert (profile.vdd, profile.edd, profile.m) == (vdd1, edd1, m1)
+        res = calibrate_composite(target, aer, opts)
+        assert res.report["rho"] == rho
+        assert res.model.components[0] == (aer, rho)
+        assert res.distance < 1e-12 and res.vdd_tv_error < 1e-12
+        fitted = res.model.components[1][0].increments
+        for k, p in ((1, 0.4), (2, 0.6), (3, 0.0)):
+            assert fitted.prob(k) == pytest.approx(p, abs=1e-12)
 
     def test_complement_mean_achieved(self, fitted):
         res, _ = fitted
         assert abs(res.report["m_complement_achieved"]
                    - res.report["m_complement_target"]) <= 1e-9
 
-    def test_all_rho_infeasible(self):
+    def test_all_rho_infeasible(self, monkeypatch):
+        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
         comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
         target = _target_from(comp2, u=15)
         opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.4,
-                                rho_max=0.6, outer_iterations=1)
+                                rho_max=0.6)
         with pytest.raises(AllRhoInfeasible):
             calibrate_composite(target, BaTreeSpec(), opts)
 
@@ -556,32 +586,45 @@ class TestCalibrateComposite:
 # First-component estimates
 # ---------------------------------------------------------------------------
 
-class TestAerEstimate:
-    def test_cached_and_well_formed(self):
-        spec = AerModelSpec(n1=800, a=2.0)
-        est1 = aer_component_estimate(spec, u=20, reps=2, seed=5)
-        est2 = aer_component_estimate(spec, u=20, reps=2, seed=5)
-        assert est1 is est2
-        for variant in ("pruned", "unpruned"):
-            vdd = est1[variant]["vdd"]
-            edd = est1[variant]["edd"]
-            assert vdd.stored_mass() == pytest.approx(1.0, abs=1e-12)
-            assert edd.stored_mass() + edd.truncation_mass == pytest.approx(
-                1.0, abs=1e-12)
-        # Pruning removes isolated vertices: no degree-0 mass remains.
-        assert est1["pruned"]["vdd"].min_degree >= 1
-        assert est1["unpruned"]["vdd"].min_degree == 0
+@pytest.fixture
+def aer_cache(monkeypatch):
+    """Seed 5 for the AER replicates, in a cache that holds no other test's
+    estimates and keeps none of these."""
+    monkeypatch.setattr(calibrate, "AER_SEED", 5)
+    aer_component_estimate.cache_clear()
+    yield
+    aer_component_estimate.cache_clear()
 
-    def test_cache_evicts_least_recent(self):
+
+class TestAerEstimate:
+    def test_cached_and_well_formed(self, aer_cache, monkeypatch):
+        monkeypatch.setattr(calibrate, "AER_REPS", 2)
+        spec = AerModelSpec(n1=800, a=2.0)
+        est1 = aer_component_estimate(spec, u=20)
+        est2 = aer_component_estimate(spec, u=20)
+        assert est1 is est2
+        vdd, edd = est1
+        assert vdd.stored_mass() == pytest.approx(1.0, abs=1e-12)
+        assert edd.stored_mass() + edd.truncation_mass == pytest.approx(
+            1.0, abs=1e-12)
+        # Pruning removes isolated vertices: no degree-0 mass remains.
+        assert vdd.min_degree >= 1
+
+    def test_cache_evicts_least_recent(self, aer_cache, monkeypatch):
+        monkeypatch.setattr(calibrate, "AER_REPS", 1)
         specs = [AerModelSpec(n1=60 + i, a=2.0) for i in range(AER_CACHE_SIZE + 1)]
-        first = aer_component_estimate(specs[0], u=10, reps=1, seed=5)
+        first = aer_component_estimate(specs[0], u=10)
         for spec in specs[1:]:
-            aer_component_estimate(spec, u=10, reps=1, seed=5)
-        again = aer_component_estimate(specs[0], u=10, reps=1, seed=5)
+            aer_component_estimate(spec, u=10)
+        again = aer_component_estimate(specs[0], u=10)
         assert again is not first
-        assert again["pruned"]["vdd"].to_dict() == first["pruned"]["vdd"].to_dict()
-        assert aer_component_estimate(specs[-1], u=10, reps=1, seed=5) is \
-            aer_component_estimate(specs[-1], u=10, reps=1, seed=5)
+        (vdd, edd), (vdd0, edd0) = again, first
+        assert (vdd.min_degree, vdd.truncation_mass) == (vdd0.min_degree,
+                                                         vdd0.truncation_mass)
+        assert np.array_equal(vdd.probs, vdd0.probs)
+        assert np.array_equal(edd.entries, edd0.entries)
+        assert aer_component_estimate(specs[-1], u=10) is \
+            aer_component_estimate(specs[-1], u=10)
 
 
 # ---------------------------------------------------------------------------

@@ -49,18 +49,33 @@ class TestSolveCommand:
         assert abs(solution["mean_weight"] - 2.0) < 1e-8
         assert solution["control_residual"] < 1e-6
 
-    def test_invalid_spec_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("weights,probs,code", [
+        ({"g": 1, "M": None, "rule": "linear"}, [0.5, 0.4], "NonNormalized"),
+        # 10**400 overflows: an infinite weight, not a crash.
+        ({"g": 1, "M": 10, "rule": "power", "alpha": 400.0}, [1.0],
+         "WeightSignViolation"),
+    ])
+    def test_invalid_spec_exit_2(self, tmp_path, capsys, weights, probs, code):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "type": "npa",
-            "weights": {"g": 1, "M": None, "rule": "linear"},
-            "increments": {"min_arcs": 1, "probs": [0.5, 0.4]},
+            "weights": weights,
+            "increments": {"min_arcs": 1, "probs": probs},
         }))
         assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert code in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_kmax_below_umax_exit_2(self, tmp_path, capsys):
+        spec = _write_ba_spec(tmp_path)
+        assert main(["solve", str(spec), "--kmax", "5", "--umax", "300",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--kmax >= --umax" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
     def test_rerun_byte_identical(self, tmp_path):
         spec = _write_ba_spec(tmp_path)
@@ -108,6 +123,43 @@ class TestGenerateCommand:
 
     def test_preset_requires_or_spec(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("source,message", [
+        ("spec", "--n 1 is below the seed graph's 2 vertices"),
+        ("gowalla", "EmptySupport: component 0 budget rounds to 0 < 2"),
+        ("brightkite", "EmptySupport: component 0 budget rounds to 0 < 2")])
+    def test_n_below_seed_exit_2(self, tmp_path, capsys, source, message):
+        src = ([str(_write_ba_spec(tmp_path))] if source == "spec"
+               else ["--preset", source])
+        assert main(["generate", *src, "--n", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_u_zero_exit_2(self, tmp_path, capsys):
+        # An edge matrix up to degree 0 has no cells.
+        assert main(["generate", str(_write_ba_spec(tmp_path)), "--n", "100",
+                     "--u", "0", "--out", str(tmp_path / "o")]) == 2
+        assert "--u must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_aer_spec(self, tmp_path):
+        from npagraph import AerModelSpec
+        spec = tmp_path / "aer.json"
+        spec.write_text(dump_model(AerModelSpec(n1=500, a=2.5)) + "\n")
+        out = tmp_path / "aer"
+        assert main(["generate", str(spec), "--seed", "3", "--u", "20",
+                     "--out", str(out)]) == 0
+        rep0 = json.loads((out / "runs.json").read_text())["replications"][0]
+        lines = (out / "graph_rep0.txt").read_text().splitlines()
+        assert f"Nodes: {rep0['vertices']} Edges: {rep0['edges']}" in lines[0]
+        # Pruning removed isolated vertices, so the VDD starts at degree 1.
+        assert 0 < rep0["vertices"] < 500
+        assert (out / "vdd_rep0.csv").read_text().splitlines()[1].startswith("1,")
+        assert main(["rerun", str(out / "manifest.json"),
+                     "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "graph_rep0.txt").read_bytes() == \
+            (out / "graph_rep0.txt").read_bytes()
 
     def test_preset_gowalla_small(self, tmp_path):
         out = tmp_path / "gw"
@@ -176,6 +228,14 @@ class TestIngestCommand:
         data = tmp_path / "net.txt"
         data.write_text("0 1\nbroken\n")
         assert main(["ingest", str(data), "--out", str(tmp_path / "o")]) == 2
+
+    def test_edd_extent_zero_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "net.txt"
+        data.write_text("0 1\n1 2\n")
+        assert main(["ingest", str(data), "--edd-extent", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--edd-extent" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_oversized_id_exit_2(self, tmp_path, capsys):
         data = tmp_path / "net.txt"
@@ -458,7 +518,8 @@ class TestCalibrateCommand:
 
     def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
         from npagraph import AerModelSpec, AllRhoInfeasible, cli
-        from npagraph.calibrate import GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO
+        from npagraph.calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO,
+                                        TOTAL_N)
         model = BaTreeSpec()
         opts = SolverOptions(k_max=2000)
         sol = solve_vdd(model, opts)
@@ -470,20 +531,38 @@ class TestCalibrateCommand:
         seen = []
 
         def capture(target, first, opts):
-            seen.append((first, opts.total_n))
+            seen.append(first)
             raise AllRhoInfeasible("captured")
 
         monkeypatch.setattr(cli, "calibrate_composite", capture)
         code = main(["calibrate", str(target_dir), "--mode", "composite",
                      "--first", "aer", "--u", "8", "--out", str(tmp_path / "o")])
         assert code == 4
-        (first, total_n), = seen
-        assert first == AerModelSpec(n1=round(GOWALLA_RHO * total_n),
-                                     a=GOWALLA_AER_MEAN_DEGREE)
+        assert seen == [AerModelSpec(n1=round(GOWALLA_RHO * TOTAL_N),
+                                     a=GOWALLA_AER_MEAN_DEGREE)]
 
     def test_missing_target_exit_2(self, tmp_path):
         assert main(["calibrate", str(tmp_path / "void"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--u", "1"], "must exceed the minimum degree 1"),
+        (["--rmax", "0"], "--rmax >= 1"),
+        (["--mode", "composite", "--rho-step", "0"], "--rho-step > 0"),
+        (["--mode", "composite", "--rho-step", "-0.05"], "--rho-step > 0"),
+        # p_a = a / (n1 - 1) must lie in (0, 1] for the AER first component.
+        # (Above 1 it is the same violation; unchecked, that scan would fill
+        # every slot of the 35000-vertex graph, gigabytes of pairs.)
+        (["--mode", "composite", "--first", "aer", "--aer-a", "0"],
+         "p_a = 0.0 outside (0, 1]"),
+    ])
+    def test_setting_out_of_range_exit_2(self, tmp_path, capsys, flags,
+                                         message):
+        target = self._composite_target(tmp_path, (0.3, 0.7), 0.3, 12)
+        out = tmp_path / "fit"
+        assert main(["calibrate", str(target), *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ingest_then_calibrate_chain(self, tmp_path):
         # A grown tree round-trips through ingest into a usable target.

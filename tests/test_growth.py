@@ -10,9 +10,9 @@ from scipy.stats import chisquare
 from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
                       IncrementDistribution, NpaModelSpec, RngStream,
                       SeedGraphSpec, WeightFunction, ZeroTotalWeight, grow_aer,
-                      grow_aer_unpruned, grow_aer_with_stats, grow_composite,
-                      grow_npa, measure_arc_dd, measure_edd, measure_vdd,
-                      read_edge_list, write_edge_list)
+                      grow_aer_unpruned, grow_composite, grow_npa,
+                      measure_arc_dd, measure_edd, measure_vdd, read_edge_list,
+                      write_edge_list)
 from npagraph import growth
 from npagraph.errors import EmptyGraph, MalformedLine, NoEdges
 
@@ -34,6 +34,30 @@ def _components(graph: Graph) -> list[set[int]]:
     for v in range(graph.vertex_count):
         groups.setdefault(find(v), set()).add(v)
     return list(groups.values())
+
+
+def _prune_by_labels(graph: Graph) -> tuple[np.ndarray, int, int]:
+    """What growth._prune_small_components gives, from component labels
+    found by min-label hooking: every edge whose ends carry different
+    labels hooks the larger root onto the smaller label, then pointer
+    jumping flattens each tree back to its root. Holds for any graph."""
+    label = np.arange(graph.vertex_count, dtype=np.int64)
+    a, b = graph.pairs[:, 0], graph.pairs[:, 1]
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            break
+        la, lb = la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    comp_size = np.bincount(label, minlength=graph.vertex_count)[label]
+    return (comp_size >= 3, int(np.count_nonzero(comp_size == 1)),
+            int(np.count_nonzero(comp_size == 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +426,13 @@ class TestBaTreeSpec:
 class TestGrowAer:
     def test_reproducible(self):
         spec = AerModelSpec(n1=2000, a=2.5)
-        a = grow_aer(spec, RngStream(31))
-        b = grow_aer(spec, RngStream(31))
+        a, _ = grow_aer(spec, RngStream(31))
+        b, _ = grow_aer(spec, RngStream(31))
         assert np.array_equal(a.pairs, b.pairs)
 
     def test_slot_accounting(self):
         spec = AerModelSpec(n1=100, a=2.0)
-        _, stats = grow_aer_with_stats(spec, RngStream(1))
+        _, stats = grow_aer(spec, RngStream(1))
         assert stats.slot_count == 100 * 99 // 2
         assert stats.pair_count == stats.slot_count - 99
 
@@ -416,20 +440,20 @@ class TestGrowAer:
         spec = AerModelSpec(n1=20000, a=2.75)
         degs = []
         for rep in range(3):
-            _, stats = grow_aer_with_stats(spec, RngStream(77, rep))
+            _, stats = grow_aer(spec, RngStream(77, rep))
             degs.append(stats.pre_prune_mean_degree)
         assert np.mean(degs) == pytest.approx(2.75, rel=0.03)
 
     def test_positive_autocorrelation(self):
         spec = AerModelSpec(n1=20000, a=2.75)
-        _, stats = grow_aer_with_stats(spec, RngStream(78))
+        _, stats = grow_aer(spec, RngStream(78))
         assert stats.lag1_autocorrelation > 0.3
         assert stats.lag1_null_z > 10.0
 
     def test_pruning_removes_only_small_components(self):
         spec = AerModelSpec(n1=1500, a=2.2)
         full, _ = grow_aer_unpruned(spec, RngStream(41))
-        pruned, stats = grow_aer_with_stats(spec, RngStream(41))
+        pruned, stats = grow_aer(spec, RngStream(41))
         sizes_before = sorted(len(c) for c in _components(full))
         sizes_after = sorted(len(c) for c in _components(pruned))
         assert all(s >= 3 for s in sizes_after)
@@ -475,10 +499,34 @@ class TestGrowAer:
         assert keep.sum() == 20000
         assert (isolated, pairs) == (400, 600)
 
+    @given(st.integers(2, 400), st.floats(0.05, 6.0), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_prune_matches_labels_on_aer(self, n1, a, seed):
+        full, _ = grow_aer_unpruned(AerModelSpec(n1=n1, a=min(a, n1 - 1)),
+                                    RngStream(seed))
+        keep, isolated, pairs = growth._prune_small_components(full)
+        ref_keep, ref_isolated, ref_pairs = _prune_by_labels(full)
+        assert np.array_equal(keep, ref_keep)
+        assert (isolated, pairs) == (ref_isolated, ref_pairs)
+
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
+                                      st.integers(0, n - 1)), max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_prune_matches_labels_on_simple_graphs(self, case):
+        n, drawn = case
+        # One edge per unordered pair, in the drawn orientation.
+        edges = {frozenset(e): e for e in drawn if e[0] != e[1]}
+        graph = Graph(n, list(edges.values()))
+        keep, isolated, pairs = growth._prune_small_components(graph)
+        ref_keep, ref_isolated, ref_pairs = _prune_by_labels(graph)
+        assert np.array_equal(keep, ref_keep)
+        assert (isolated, pairs) == (ref_isolated, ref_pairs)
+
     def test_carry_convention_close_but_distinct_law(self):
         spec = AerModelSpec(n1=5000, a=2.75)
-        _, a = grow_aer_with_stats(spec, RngStream(66))
-        _, b = grow_aer_with_stats(spec, RngStream(66), carry_z_across_rows=True)
+        _, a = grow_aer(spec, RngStream(66))
+        _, b = grow_aer(spec, RngStream(66), carry_z_across_rows=True)
         assert b.pre_prune_mean_degree == pytest.approx(
             a.pre_prune_mean_degree, rel=0.25)
 

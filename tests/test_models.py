@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestWeightFunction:
                                       rule="linear")
         codes = [v.code for v in w.violations()]
         assert "WeightSignViolation" in codes
+
+    @pytest.mark.parametrize("w", [WeightFunction.power(400.0, g=1, M=10),
+                                   WeightFunction.power(-1.0, g=0, M=10)],
+                             ids=["overflow", "zero-to-negative"])
+    def test_infinite_weight_is_violation(self, w):
+        # k**alpha overflows at k = 10 in the first, and is 1/0 at k = 0 in
+        # the second; both are infinite weights, not a crash.
+        assert [v.code for v in w.violations()] == ["WeightSignViolation"]
+        assert math.inf in (w.weight(w.g), w.weight(w.M))
 
     def test_pure_table_needs_finite_m(self):
         w = WeightFunction(g=1, M=None, rule=None, table=(1.0, 2.0))
@@ -133,6 +143,17 @@ class TestValidateModel:
             validate_model(spec)
         assert "SupportMismatch" in err.value.codes()
 
+    def test_overflowing_weights_model_violation(self):
+        # The default seed of g = 5 has degree 5, whose weight 5**400
+        # overflows too: the seed total is infinite, not zero.
+        for g in (1, 5):
+            spec = NpaModelSpec(
+                weights=WeightFunction.power(400.0, g=g, M=10),
+                increments=IncrementDistribution(min_arcs=g, probs=(1.0,)))
+            with pytest.raises(ValidationError) as err:
+                validate_model(spec)
+            assert err.value.codes() == ["WeightSignViolation"]
+
     def test_seed_weight_zero(self):
         spec = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
@@ -155,8 +176,9 @@ class TestValidateModel:
         spec = AerModelSpec(n1=35000, a=2.75)
         assert validate_model(spec) is spec
         assert spec.p_a == pytest.approx(2.75 / 34999)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             validate_model(AerModelSpec(n1=3, a=10.0))  # p_a > 1
+        assert err.value.codes() == ["NonNormalized"]
 
     def test_composite_fraction_sum(self):
         ba = BaTreeSpec()
@@ -170,6 +192,18 @@ class TestValidateModel:
         tiny = CompositeSpec(components=((ba, 0.999), (ba, 0.001)), total_n=100)
         with pytest.raises(ValidationError):
             validate_model(tiny)
+
+    def test_composite_budget_below_seed(self):
+        # g = 2 grows from a 3-vertex seed, so a budget of 2 cannot grow.
+        g2 = NpaModelSpec(weights=WeightFunction.linear(g=2),
+                          increments=IncrementDistribution(min_arcs=2,
+                                                           probs=(1.0,)))
+        spec = CompositeSpec(components=((BaTreeSpec(), 0.5), (g2, 0.5)),
+                             total_n=4)
+        with pytest.raises(ValidationError) as err:
+            validate_model(spec)
+        assert err.value.codes() == ["EmptySupport"]
+        assert validate_model(replace(spec, total_n=6)) is not None
 
     def test_composite_budgets(self):
         spec = CompositeSpec(components=((BaTreeSpec(), 0.35),
@@ -258,11 +292,6 @@ class TestGraph:
         sub = g.induced(np.array([True, True, True, False]))
         assert sub.vertex_count == 3
         assert sub.edge_count == 2
-
-    def test_collapse_parallel(self):
-        g = Graph(2, [(0, 1), (1, 0), (0, 1)], directed=True)
-        und = g.to_undirected(collapse_parallel=True)
-        assert und.edge_count == 1
 
     @pytest.mark.parametrize("pairs", [[(0, 5)], [(0, 2)], [(-1, 1)],
                                        [(0, 1), (1, -2)]])

@@ -14,6 +14,7 @@ from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       WeightFunction, WeightsNotConvex,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
+from npagraph import solver
 from npagraph.solver import (_VddEngine, _loadtxt_rows, _matrix_csv, _parses,
                              _read_csv, edd_from_csv, edd_to_csv, vdd_from_csv,
                              vdd_to_csv)
@@ -432,10 +433,11 @@ class TestArcKernel:
         assert model.violations() == []
         # The mass check is tested on its own; at small u it would reject
         # cases whose values are still worth comparing.
-        opts = SolverOptions(k_max=max(u, 400), u_max=u, edd_variant=variant,
-                             edd_mass_tolerance=1.0)
+        opts = SolverOptions(k_max=max(u, 400), u_max=u, edd_variant=variant)
         vdd = solve_vdd(model, opts)
-        got = solve_arc_dd(model, vdd, opts).entries
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "EDD_MASS_TOLERANCE", 1.0)
+            got = solve_arc_dd(model, vdd, opts).entries
         ref, src = arc_reference(model, vdd, u, variant)
         big = ref >= 1e-12
         assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * ref[big])
