@@ -5,7 +5,7 @@ grows graphs by simulation, ingests real network edge lists, and calibrates
 one- and two-component models against empirical degree distributions.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, GammaNotConvex,
                      InfeasibleComplement, InputTooLarge, InsufficientTail,
@@ -22,10 +22,9 @@ from .solver import (SolverOptions, VddSolution, complement_mean, complement_vdd
                      symmetrize)
 from .growth import (AerRunStats, GrowthTrace, RngStream, grow_aer,
                      grow_aer_unpruned, grow_composite, grow_npa,
-                     measure_arc_dd, measure_edd, measure_vdd, read_edge_list,
-                     write_edge_list)
-from .datasets import (DatasetSummary, ParseStats, load_edge_list,
-                       parse_edge_list, smooth_vdd, summarize)
+                     measure_arc_dd, measure_edd, measure_vdd, write_edge_list)
+from .datasets import (DatasetSummary, ParseStats, load_edge_list, smooth_vdd,
+                       summarize)
 from .calibrate import (CalibrateOptions, CalibrationResult, CalibrationTarget,
                         OptimizerTrace, calibrate_composite, calibrate_single,
                         edd_distance, gowalla_increments, preset_brightkite,

@@ -123,9 +123,10 @@ def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
 
 def cmd_generate(params: dict) -> int:
     out = Path(params["out"])
-    if params["u"] < 1:
-        print("--u must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
+    for flag in ("u", "reps"):
+        if params[flag] < 1:
+            print(f"--{flag} must be at least 1", file=sys.stderr)
+            return EXIT_INPUT
     if params.get("preset"):
         spec = {"gowalla": preset_gowalla,
                 "brightkite": preset_brightkite}[params["preset"]](params["n"])
@@ -163,6 +164,10 @@ def cmd_ingest(params: dict) -> int:
     out = Path(params["out"])
     if params["edd_extent"] < 1:
         print("--edd-extent must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
+    if not 0.0 < params["u_mass"] <= 1.0:
+        print(f"need 0 < --u-mass <= 1, got {params['u_mass']}",
+              file=sys.stderr)
         return EXIT_INPUT
     graph, stats = load_edge_list(params["dataset"])
     summary = summarize(graph)
@@ -205,8 +210,12 @@ def cmd_calibrate(params: dict) -> int:
                             rho_min=params["rho_min"],
                             rho_max=params["rho_max"],
                             rho_step=params["rho_step"])
-    if opts.r_max < opts.r_min or opts.rho_step <= 0.0:
+    if opts.r_max < opts.r_min or not opts.rho_step > 0.0:
         print(f"need --rmax >= {opts.r_min} and --rho-step > 0", file=sys.stderr)
+        return EXIT_INPUT
+    if not 0.0 < opts.rho_min <= opts.rho_max < 1.0:
+        print(f"need 0 < --rho-min <= --rho-max < 1, got {opts.rho_min} and "
+              f"{opts.rho_max}", file=sys.stderr)
         return EXIT_INPUT
     vdd = vdd_from_csv(vdd_path.read_text())
     edd = edd_from_csv(edd_path.read_text())

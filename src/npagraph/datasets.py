@@ -3,7 +3,8 @@
 Datasets are treated as undirected simple graphs: duplicate and reversed pairs
 collapse to one edge, self-loops are dropped with a counted warning, and node
 ids are remapped to a dense range with the original ids retained on the graph.
-Both readers return the graph with those counts, as ParseStats.
+`load_edge_list` is the one edge-list reader; it returns the graph with those
+counts, as ParseStats.
 """
 
 from __future__ import annotations
@@ -12,19 +13,22 @@ import gzip
 import itertools
 import logging
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import TextIO, Union
 
 import numpy as np
 
-from .errors import EmptyGraph, EmptyInput, InsufficientTail
-from .growth import _edge_tokens, _is_header_line
+from .errors import EmptyGraph, EmptyInput, InsufficientTail, MalformedLine
 from .models import DegreeDistribution, Graph
 from .solver import _column_csv
 
 log = logging.getLogger(__name__)
+
+# Geometric ratio of consecutive bin edges in "log-bin" smoothing.
+LOG_BIN_BASE = 2.0
 
 
 @dataclass(frozen=True)
@@ -47,30 +51,20 @@ class ParseStats:
     duplicates_collapsed: int
 
 
-def parse_edge_list(lines: Iterable[str]) -> tuple[Graph, ParseStats]:
-    """Parse node-id pairs into an undirected simple graph, with the counts
-    of dropped self-loops and collapsed duplicates.
-
-    The text follows the edge-list syntax of the growth module: two integer
-    ids per line, separated by spaces or tabs; '#' and '%' start comments,
-    blank lines are skipped, and any other line raises MalformedLine with
-    its line number. Self-loops are dropped, ids are remapped to the dense
-    range 0 .. n-1 in increasing order (kept as labels), and duplicate or
-    reversed pairs collapse to one edge.
-    """
-    return _simple_graph(_edge_tokens(lines))
-
-
 def load_edge_list(path: Union[str, Path]) -> tuple[Graph, ParseStats]:
-    """Read an edge-list file, transparently handling gzip compression.
+    """Read an edge-list file, transparently handling gzip compression, as
+    an undirected simple graph with the counts of dropped self-loops and
+    collapsed duplicates.
 
-    Gives what parse_edge_list gives over the file's lines. np.loadtxt reads
-    a path in C chunks, several times faster than it takes lines from a
-    Python iterator, but strips only '#' comments on that route. So the
-    leading comment block ('#' or KONECT's '%') is skipped by its line
-    count, and a file that this read rejects, for example one with a '%'
-    comment further down, goes through parse_edge_list's route, which
-    names the bad line.
+    Lines follow the syntax of _edge_tokens. Self-loops are dropped, ids are
+    remapped to the dense range 0 .. n-1 in increasing order (kept as
+    labels), and duplicate or reversed pairs collapse to one edge.
+    np.loadtxt reads a path in C chunks, several times faster than it takes
+    lines from a Python iterator, but strips only '#' comments on that
+    route. So the leading comment block ('#' or KONECT's '%') is skipped by
+    its line count, and a file that this read rejects, for example one with
+    a '%' comment further down, goes through _edge_tokens over its lines,
+    which names the bad line.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -87,6 +81,52 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, ParseStats]:
             fh.seek(0)
             pairs = _edge_tokens(fh)
     return _simple_graph(pairs.reshape(-1, 2))
+
+
+def _is_header_line(line: str) -> bool:
+    """Whether the line may stand in an edge list's leading block: blank, or
+    a '#' or '%' comment."""
+    return not line.strip() or line.lstrip()[0] in "#%"
+
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _edge_tokens(fh: TextIO) -> np.ndarray:
+    """The (E, 2) int64 array of the id pairs in an open, seekable edge-list
+    text, in file order.
+
+    A data line holds two integer ids separated by spaces or tabs. Text from
+    a '#' or '%' to the end of its line is a comment, so a pair may carry a
+    trailing comment; blank lines are skipped, and CRLF line ends are
+    accepted. Any other line, or an id outside int64, raises MalformedLine
+    with its 1-based line number. The text is parsed in one np.loadtxt call;
+    lines are scanned one by one only after that call has failed.
+
+    np.loadtxt strips comments in its C tokenizer only when given a single
+    comment string; given two, it runs a Python function on every line. So
+    the lines are streamed to it with each '%' made a '#', which starts a
+    comment just as '%' does, and only '#' is passed.
+    """
+    try:
+        with warnings.catch_warnings():  # comment-only text is no error here
+            warnings.simplefilter("ignore", UserWarning)
+            pairs = np.loadtxt((s.replace("%", "#") for s in fh),
+                               dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:
+        pairs = None
+    if pairs is not None and (pairs.shape[1] == 2 or pairs.size == 0):
+        return pairs.reshape(-1, 2)
+    fh.seek(0)
+    for ln_no, raw in enumerate(fh, 1):
+        tokens = re.split("[#%]", raw, maxsplit=1)[0].split()
+        if tokens and (len(tokens) != 2 or not all(
+                _INT_TOKEN.fullmatch(t) and -2**63 <= int(t) < 2**63
+                for t in tokens)):
+            raise MalformedLine(ln_no, raw.rstrip("\r\n"))
+    # Only a carriage return inside a line, which np.loadtxt reads as a line
+    # break, gets here.
+    raise MalformedLine(0, "a carriage return inside a line")
 
 
 def _simple_graph(raw: np.ndarray) -> tuple[Graph, ParseStats]:
@@ -158,32 +198,31 @@ def id_map_csv(graph: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def smooth_vdd(q: DegreeDistribution, method: str = "none",
-               base: float = 2.0, cut: int = 20) -> DegreeDistribution:
+               cut: int = 20) -> DegreeDistribution:
     """Optional smoothing of an empirical degree distribution.
 
     "none" returns the input unchanged. "log-bin" spreads each geometric
-    bin's mass uniformly over the degrees inside it. "tail-powerlaw" fits
+    bin's mass uniformly over the degrees inside it; consecutive bin edges
+    grow by the factor LOG_BIN_BASE. "tail-powerlaw" fits
     C * k**(-beta) by least squares on log-log to the nonzero tail at k >= cut
     and replaces the tail, rescaled so its mass is preserved exactly.
     """
     if method == "none":
         return q
     if method == "log-bin":
-        return _smooth_log_bin(q, base)
+        return _smooth_log_bin(q)
     if method == "tail-powerlaw":
         return _smooth_tail_powerlaw(q, cut)
     raise ValueError(f"unknown smoothing method {method!r}")
 
 
-def _smooth_log_bin(q: DegreeDistribution, base: float) -> DegreeDistribution:
-    if base <= 1.0:
-        raise ValueError("log-bin base must exceed 1")
+def _smooth_log_bin(q: DegreeDistribution) -> DegreeDistribution:
     probs = np.array(q.probs)
     out = np.empty_like(probs)
     start = q.min_degree
     edge = max(start, 1)
     while start <= q.max_degree:
-        nxt = max(edge + 1, int(math.ceil(edge * base)))
+        nxt = max(edge + 1, int(math.ceil(edge * LOG_BIN_BASE)))
         a = start - q.min_degree
         b = min(nxt - 1, q.max_degree) - q.min_degree
         width = b - a + 1

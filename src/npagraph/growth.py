@@ -11,6 +11,8 @@ turns its 1 + k proposal weight into f_k, one Python draw per proposal.
 `grow_aer` scans vertex pairs for the autocorrelated random graph and
 prunes its one- and two-vertex components, returning the graph with the
 scan's diagnostics.
+`write_edge_list` writes a graph as the edge-list text that
+`datasets.load_edge_list` reads.
 Replications are independent given distinct RngStream ids and can be fanned
 out by the caller. Identical spec and stream reproduce a bit-identical graph
 within one version of the package.
@@ -20,14 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
-import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .errors import EmptyGraph, MalformedLine, NoEdges, ZeroTotalWeight
+from .errors import EmptyGraph, NoEdges, ZeroTotalWeight
 from .models import (AerModelSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec)
 
@@ -383,7 +383,7 @@ def measure_vdd(graph: Graph) -> DegreeDistribution:
     if graph.vertex_count == 0:
         raise EmptyGraph("cannot measure an empty graph")
     counts = np.bincount(graph.degrees(), minlength=1)
-    lo = int(np.flatnonzero(counts)[0]) if counts.any() else 0
+    lo = int(np.flatnonzero(counts)[0])
     probs = counts[lo:] / graph.vertex_count
     return DegreeDistribution(min_degree=lo, probs=probs, truncation_mass=0.0)
 
@@ -427,7 +427,7 @@ def measure_arc_dd(graph: Graph, u: int) -> EdgeDegreeMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list text interchange
+# Edge-list output
 # ---------------------------------------------------------------------------
 
 _WRITE_CHUNK_ROWS = 1 << 16
@@ -443,74 +443,3 @@ def write_edge_list(graph: Graph, out: TextIO) -> None:
         chunk = flat[lo:lo + step].tolist()
         out.write("%d %d\n" * (len(chunk) // 2) % tuple(chunk))
 
-
-def read_edge_list(lines: Iterable[str]) -> Graph:
-    """Exact inverse of write_edge_list; keeps duplicates and vertex count.
-
-    The pairs follow the syntax of _edge_tokens; ids are vertex numbers, so
-    the first line with a negative id raises MalformedLine. The leading
-    comment block may give "Nodes: N" and "Directed: true"; the vertex count
-    is the larger of N and the largest id plus one, so a header-only text
-    gives N isolated vertices.
-    """
-    lines = list(lines)
-    header = " ".join(itertools.takewhile(_is_header_line, lines))
-    nodes = re.search(r"Nodes:\s*(\d+)", header)
-    directed = re.search(r"Directed:\s*true", header, re.IGNORECASE)
-    pairs = _edge_tokens(lines)
-    if pairs.size and pairs.min() < 0:
-        ln_no, raw = next(
-            (i, s) for i, s in enumerate(lines, 1)
-            if any(int(t) < 0 for t in re.split("[#%]", s, maxsplit=1)[0].split()))
-        raise MalformedLine(ln_no, raw.rstrip("\r\n"))
-    n = int(nodes.group(1)) if nodes else 0
-    return Graph(max(n, int(pairs.max(initial=-1)) + 1), pairs,
-                 directed=directed is not None)
-
-
-def _is_header_line(line: str) -> bool:
-    """Whether the line may stand in an edge list's leading block: blank, or
-    a '#' or '%' comment."""
-    return not line.strip() or line.lstrip()[0] in "#%"
-
-
-_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
-
-
-def _edge_tokens(lines: Iterable[str]) -> np.ndarray:
-    """The (E, 2) int64 array of the id pairs in edge-list text, in file order.
-
-    A data line holds two integer ids separated by spaces or tabs. Text from
-    a '#' or '%' to the end of its line is a comment, so a pair may carry a
-    trailing comment; blank lines are skipped, and CRLF line ends are
-    accepted. Any other line, or an id outside int64, raises MalformedLine
-    with its 1-based line number. The text is parsed in one np.loadtxt call;
-    lines are scanned one by one only after that call has failed.
-
-    np.loadtxt strips comments in its C tokenizer only when given a single
-    comment string; given two, it runs a Python function on every line. So
-    the lines are streamed to it with each '%' made a '#', which starts a
-    comment just as '%' does, and only '#' is passed.
-    """
-    if not hasattr(lines, "seek"):
-        lines = list(lines)
-    try:
-        with warnings.catch_warnings():  # comment-only text is no error here
-            warnings.simplefilter("ignore", UserWarning)
-            pairs = np.loadtxt((s.replace("%", "#") for s in lines),
-                               dtype=np.int64, comments="#", ndmin=2)
-    except ValueError:
-        pairs = None
-    if pairs is not None and (pairs.shape[1] == 2 or pairs.size == 0):
-        return pairs.reshape(-1, 2)
-    if hasattr(lines, "seek"):
-        lines.seek(0)
-    for ln_no, raw in enumerate(lines, 1):
-        tokens = re.split("[#%]", raw, maxsplit=1)[0].split()
-        if tokens and (len(tokens) != 2 or not all(
-                _INT_TOKEN.fullmatch(t) and -2**63 <= int(t) < 2**63
-                for t in tokens)):
-            raise MalformedLine(ln_no, raw.rstrip("\r\n"))
-    # Only a carriage return inside a line, which np.loadtxt reads as a line
-    # break, gets here.
-    raise MalformedLine(0, "a carriage return inside a line")

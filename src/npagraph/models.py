@@ -503,9 +503,18 @@ class NpaModelSpec:
                 f"increment support starts at {self.increments.min_arcs} but the "
                 f"weight support starts at g = {self.weights.g}; the model uses a "
                 "single minimum degree for both"))
+        if self.seed_graph.edges is None and self.seed_graph.name != "default":
+            out.append(Violation(
+                "EmptySupport",
+                f"unknown seed graph name {self.seed_graph.name!r}; give "
+                "'default' or an explicit edge list"))
         seed = self.seed_graph.build(self.weights.g)
-        total = sum(self.weights.weight(int(k)) for k in seed.degrees())
-        if not total > 0.0:
+        try:
+            weightless = not sum(self.weights.weight(int(k))
+                                 for k in seed.degrees()) > 0.0
+        except ValueError:  # a seed degree without a rule, which the
+            weightless = False  # weights' own violations name
+        if weightless:
             out.append(Violation(
                 "SeedWeightZero",
                 "seed graph has zero total attachment weight; the attachment rule "

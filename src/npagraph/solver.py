@@ -736,16 +736,17 @@ def edd_to_csv(mx: EdgeDegreeMatrix) -> str:
     return _matrix_csv("l,k,probability", mx.min_degree, mx.entries)
 
 
-def edd_from_csv(text: str, kind: str = "edge") -> EdgeDegreeMatrix:
-    """Read l,k,probability rows. Raises MalformedLine for a row that does
-    not parse or has a negative degree, EmptyInput when there is no row,
-    and InputTooLarge when the degrees span more than memory holds."""
+def edd_from_csv(text: str) -> EdgeDegreeMatrix:
+    """Read l,k,probability rows as an edge matrix. Raises MalformedLine for
+    a row that does not parse or has a negative degree, EmptyInput when
+    there is no row, and InputTooLarge when the degrees span more than
+    memory holds."""
     rows = _read_csv(text, "l,k,probability", "l,", (3,))
     l, k = rows["f0"], rows["f1"]
     lo = int(min(l.min(), k.min()))
     hi = int(max(l.max(), k.max()))
     entries = _dense_zeros(lo, hi, 2)
     entries[l - lo, k - lo] = rows["f2"]
-    return EdgeDegreeMatrix(min_degree=lo, entries=entries, kind=kind,
+    return EdgeDegreeMatrix(min_degree=lo, entries=entries,
                             truncation_mass=1.0 - float(entries.sum()))
 

@@ -128,7 +128,6 @@ def aer_validation(spec, reps: int = 10, rng: RngStream = RngStream(7300)) -> di
     mean_degrees = []
     autocorrs = []
     zs = []
-    removed_ok = True
     for rep in range(reps):
         _, stats = grow_aer(spec, rng.substream(rep))
         mean_degrees.append(stats.pre_prune_mean_degree)

@@ -2,8 +2,8 @@
 
 Real-dataset criteria run against the public Brightkite friendship edge list
 when it is available locally (data/ directory or NPAGRAPH_DATA); they skip
-with instructions otherwise, never fake a pass. The directed-recurrence
-cross-check writes its report artifact under reports/.
+with instructions otherwise, never fake a pass. Report artifacts are
+written under each test's temporary directory, never into the repository.
 """
 
 import json
@@ -30,7 +30,6 @@ from npagraph.models import dump_model
 from npagraph.validation import (edd_crosscheck, reference_models,
                                  vdd_agreement)
 
-REPORTS = Path(__file__).resolve().parent.parent / "reports"
 BRIGHTKITE_NODES = 58228
 BRIGHTKITE_EDGES = 214078
 
@@ -114,11 +113,10 @@ def test_criterion_03_simulation_agreement(name):
 # 4. Directed-recurrence cross-check report
 # ---------------------------------------------------------------------------
 
-def test_criterion_04_edd_crosscheck_report():
+def test_criterion_04_edd_crosscheck_report(tmp_path):
     report = edd_crosscheck(BaTreeSpec().to_npa(), n=100000, reps=20,
                             window_u=15, rng=RngStream(3200))
-    REPORTS.mkdir(exist_ok=True)
-    out = REPORTS / "edd_crosscheck_ba.json"
+    out = tmp_path / "edd_crosscheck_ba.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     printed = report["variants"]["printed"]
@@ -179,7 +177,8 @@ def test_criterion_06_brightkite_statistics(brightkite_graph):
 # 7. Composite model closes the probability-range gap
 # ---------------------------------------------------------------------------
 
-def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch):
+def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
+                                                 tmp_path):
     graph = brightkite_graph
     raw_vdd = measure_vdd(graph)
     vdd = smooth_vdd(raw_vdd, "tail-powerlaw", cut=30)
@@ -209,8 +208,7 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch):
     model_max = float(mixed.window(1, u).max())
     target_max = float(edd.window(1, u).max())
     ratio = model_max / target_max
-    REPORTS.mkdir(exist_ok=True)
-    (REPORTS / "brightkite_composite.json").write_text(json.dumps({
+    (tmp_path / "brightkite_composite.json").write_text(json.dumps({
         "u": u, "rho": rho, "model_max_cell": model_max,
         "target_max_cell": target_max, "ratio": ratio,
         "distance": result.distance}, indent=2, sort_keys=True) + "\n")
@@ -231,9 +229,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
     from npagraph.models import (CompositeSpec, IncrementDistribution,
                                  NpaModelSpec, WeightFunction)
     from npagraph import grow_composite
-    from npagraph.datasets import parse_edge_list
     from npagraph.growth import write_edge_list
-    import io
 
     rho = 0.225
     complement = NpaModelSpec(
@@ -244,9 +240,10 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
                                                            1.0 - rho)),
                          total_n=30000)
     grown = grow_composite(spec, RngStream(7700))
-    buf = io.StringIO()
-    write_edge_list(grown, buf)
-    graph, _ = parse_edge_list(buf.getvalue().splitlines())
+    path = tmp_path / "grown.txt"
+    with open(path, "w") as fh:
+        write_edge_list(grown, fh)
+    graph, _ = load_edge_list(path)
 
     vdd = smooth_vdd(measure_vdd(graph), "tail-powerlaw", cut=20)
     edd = measure_edd(graph, 200)

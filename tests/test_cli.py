@@ -49,18 +49,26 @@ class TestSolveCommand:
         assert abs(solution["mean_weight"] - 2.0) < 1e-8
         assert solution["control_residual"] < 1e-6
 
-    @pytest.mark.parametrize("weights,probs,code", [
-        ({"g": 1, "M": None, "rule": "linear"}, [0.5, 0.4], "NonNormalized"),
+    @pytest.mark.parametrize("weights,probs,seed_graph,code", [
+        ({"g": 1, "M": None, "rule": "linear"}, [0.5, 0.4], "default",
+         "NonNormalized"),
         # 10**400 overflows: an infinite weight, not a crash.
-        ({"g": 1, "M": 10, "rule": "power", "alpha": 400.0}, [1.0],
+        ({"g": 1, "M": 10, "rule": "power", "alpha": 400.0}, [1.0], "default",
          "WeightSignViolation"),
+        # No rule and no table: the seed's degree has no weight.
+        ({"g": 1}, [1.0], "default", "EmptySupport"),
+        # Only the default seed graph has a name.
+        ({"g": 1, "M": None, "rule": "linear"}, [1.0], "star",
+         "unknown seed graph name 'star'"),
     ])
-    def test_invalid_spec_exit_2(self, tmp_path, capsys, weights, probs, code):
+    def test_invalid_spec_exit_2(self, tmp_path, capsys, weights, probs,
+                                 seed_graph, code):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "type": "npa",
             "weights": weights,
             "increments": {"min_arcs": 1, "probs": probs},
+            "seed_graph": {"name": seed_graph},
         }))
         assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert code in capsys.readouterr().err
@@ -136,11 +144,15 @@ class TestGenerateCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_u_zero_exit_2(self, tmp_path, capsys):
-        # An edge matrix up to degree 0 has no cells.
+    @pytest.mark.parametrize("flag,value", [
+        ("--u", "0"),  # an edge matrix up to degree 0 has no cells
+        ("--reps", "0"),  # no replication would leave an empty runs.json
+        ("--reps", "-1"),
+    ])
+    def test_setting_below_one_exit_2(self, tmp_path, capsys, flag, value):
         assert main(["generate", str(_write_ba_spec(tmp_path)), "--n", "100",
-                     "--u", "0", "--out", str(tmp_path / "o")]) == 2
-        assert "--u must be at least 1" in capsys.readouterr().err
+                     flag, value, "--out", str(tmp_path / "o")]) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_aer_spec(self, tmp_path):
@@ -229,12 +241,21 @@ class TestIngestCommand:
         data.write_text("0 1\nbroken\n")
         assert main(["ingest", str(data), "--out", str(tmp_path / "o")]) == 2
 
-    def test_edd_extent_zero_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags,message", [
+        (["--edd-extent", "0"], "--edd-extent"),
+        # --u-mass is the share of edge mass the selected window holds.
+        (["--u-mass", "0"], "0 < --u-mass <= 1"),
+        (["--u-mass", "-1"], "0 < --u-mass <= 1"),
+        (["--u-mass", "7"], "0 < --u-mass <= 1"),
+        (["--u-mass", "nan"], "0 < --u-mass <= 1"),
+    ])
+    def test_setting_out_of_range_exit_2(self, tmp_path, capsys, flags,
+                                         message):
         data = tmp_path / "net.txt"
         data.write_text("0 1\n1 2\n")
-        assert main(["ingest", str(data), "--edd-extent", "0",
+        assert main(["ingest", str(data), *flags,
                      "--out", str(tmp_path / "o")]) == 2
-        assert "--edd-extent" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_oversized_id_exit_2(self, tmp_path, capsys):
@@ -550,6 +571,15 @@ class TestCalibrateCommand:
         (["--rmax", "0"], "--rmax >= 1"),
         (["--mode", "composite", "--rho-step", "0"], "--rho-step > 0"),
         (["--mode", "composite", "--rho-step", "-0.05"], "--rho-step > 0"),
+        (["--mode", "composite", "--rho-step", "nan"], "--rho-step > 0"),
+        # rho is the first component's vertex fraction, inside (0, 1).
+        (["--mode", "composite", "--rho-min", "0"], "0 < --rho-min"),
+        (["--mode", "composite", "--rho-min", "-0.5"], "0 < --rho-min"),
+        (["--mode", "composite", "--rho-max", "1"], "--rho-max < 1"),
+        (["--mode", "composite", "--rho-min", "nan"], "0 < --rho-min"),
+        # An empty grid tries no fraction at all.
+        (["--mode", "composite", "--rho-min", "0.5", "--rho-max", "0.3"],
+         "--rho-min <= --rho-max"),
         # p_a = a / (n1 - 1) must lie in (0, 1] for the AER first component.
         # (Above 1 it is the same violation; unchecked, that scan would fill
         # every slot of the 35000-vertex graph, gigabytes of pairs.)

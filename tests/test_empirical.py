@@ -1,5 +1,8 @@
 import gzip
 import io
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,45 +10,60 @@ from hypothesis import given, settings, strategies as st
 
 from npagraph import (EmptyInput, Graph, InsufficientTail, MalformedLine,
                       ParseStats, load_edge_list, measure_edd, measure_vdd,
-                      parse_edge_list, read_edge_list, smooth_vdd, summarize,
-                      write_edge_list)
+                      smooth_vdd, summarize, write_edge_list)
 from npagraph import datasets
 from npagraph.datasets import id_map_csv, vdd_counts_csv
 from npagraph.models import DegreeDistribution
 
 
-class TestParseEdgeList:
+def _load_text(text):
+    """load_edge_list of a file that holds the text as it stands.
+
+    A temporary directory of its own, not tmp_path, so that hypothesis
+    examples do not share one file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.txt"
+        path.write_bytes(text.encode())
+        return load_edge_list(path)
+
+
+def _load_lines(lines):
+    """load_edge_list of a file with one line per item."""
+    return _load_text("".join(f"{line}\n" for line in lines))
+
+
+class TestLoadEdgeList:
     def test_comments_skipped(self):
-        g, _ = parse_edge_list(["# comment", "0 1", "1 2"])
+        g, _ = _load_lines(["# comment", "0 1", "1 2"])
         assert g.vertex_count == 3
         assert g.edge_count == 2
 
     def test_duplicates_and_reversals_collapse(self):
-        g, stats = parse_edge_list(["0 1", "1 0", "0 1"])
+        g, stats = _load_lines(["0 1", "1 0", "0 1"])
         assert g.vertex_count == 2
         assert g.edge_count == 1
         assert stats.duplicates_collapsed == 2
 
     def test_self_loops_dropped_counted(self):
-        g, stats = parse_edge_list(["0 0", "0 1"])
+        g, stats = _load_lines(["0 0", "0 1"])
         assert g.edge_count == 1
         assert stats.self_loops_dropped == 1
 
     def test_malformed_line_number(self):
         with pytest.raises(MalformedLine) as err:
-            parse_edge_list(["0 1", "zero one", "2 3"])
+            _load_lines(["0 1", "zero one", "2 3"])
         assert err.value.line_no == 2
 
     def test_three_tokens_malformed(self):
         with pytest.raises(MalformedLine):
-            parse_edge_list(["0 1 7"])
+            _load_lines(["0 1 7"])
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            parse_edge_list(["# nothing here"])
+            _load_lines(["# nothing here"])
 
     def test_sparse_ids_remapped_with_labels(self):
-        g, _ = parse_edge_list(["100 5", "5 9"])
+        g, _ = _load_lines(["100 5", "5 9"])
         assert g.vertex_count == 3
         assert list(g.labels) == [5, 9, 100]
         # Edge endpoints refer to dense ids consistent with the labels.
@@ -53,9 +71,14 @@ class TestParseEdgeList:
         assert back == {(5, 100), (5, 9)}
 
     def test_negative_labels_relabeled(self):
-        g, _ = parse_edge_list(["-5 3", "3 7"])
+        g, _ = _load_lines(["-5 3", "3 7"])
         assert list(g.labels) == [-5, 3, 7]
         assert sorted(map(sorted, g.pairs.tolist())) == [[0, 1], [1, 2]]
+
+    def test_minus_zero_is_id_zero(self):
+        g, _ = _load_lines(["-0 1"])
+        assert list(g.labels) == [0, 1]
+        assert datasets._edge_tokens(io.StringIO("-0 1\n")).tolist() == [[0, 1]]
 
     def test_gzip_file(self, tmp_path):
         path = tmp_path / "net.txt.gz"
@@ -85,37 +108,21 @@ class TestParseEdgeList:
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
                     min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
-    def test_parse_export_parse_degree_multiset(self, raw_pairs):
-        lines = [f"{a} {b}" for a, b in raw_pairs]
+    def test_load_export_load_degree_multiset(self, raw_pairs):
         try:
-            g1, _ = parse_edge_list(lines)
+            g1, _ = _load_lines(f"{a} {b}" for a, b in raw_pairs)
         except EmptyInput:
             return  # all self-loops
         buf = io.StringIO()
         write_edge_list(g1, buf)
-        g2, _ = parse_edge_list(buf.getvalue().splitlines())
+        g2, _ = _load_text(buf.getvalue())
         assert sorted(g1.degrees()[g1.degrees() > 0]) == sorted(
             g2.degrees()[g2.degrees() > 0])
 
 
 # ---------------------------------------------------------------------------
-# Edge-list syntax, shared by both readers
+# Edge-list syntax, on both routes of the one reader
 # ---------------------------------------------------------------------------
-
-def _parsed_graph(lines):
-    """parse_edge_list's graph, without its parse counts."""
-    return parse_edge_list(lines)[0]
-
-
-READERS = [pytest.param(_parsed_graph, id="parse_edge_list"),
-           pytest.param(read_edge_list, id="read_edge_list")]
-# A seekable text stream, lines that can be iterated only once, and a list
-# of lines without their line ends.
-FORMS = [pytest.param(io.StringIO, id="stream"),
-         pytest.param(lambda text: iter(text.splitlines(keepends=True)),
-                      id="iterator"),
-         pytest.param(str.splitlines, id="unterminated")]
-
 
 def _edges(graph):
     """Edges in original ids, each as a sorted pair, in a sorted list."""
@@ -125,40 +132,53 @@ def _edges(graph):
                   for a, b in graph.pairs)
 
 
-@pytest.mark.parametrize("form", FORMS)
-@pytest.mark.parametrize("reader", READERS)
+def _path_edges(text):
+    """Edges of load_edge_list on a file holding the text."""
+    return _edges(_load_text(text)[0])
+
+
+def _line_edges(text):
+    """Edges of the line route, _edge_tokens over a text stream."""
+    pairs = datasets._edge_tokens(io.StringIO(text))
+    return sorted(tuple(sorted(p)) for p in pairs.tolist())
+
+
+ROUTES = [pytest.param(_path_edges, id="load_edge_list"),
+          pytest.param(_line_edges, id="edge_tokens")]
+
+
+@pytest.mark.parametrize("read", ROUTES)
 class TestEdgeListSyntax:
     @pytest.mark.parametrize("text, line_no", [
         ("# c\n\n0 1\n% c\n \t \n0 x\n1 2\n", 6),
         ("0 1\n7\n", 2),
         ("7\n", 1),
         ("0 1\n1 2 3\n", 2),
+        ("0 1\n0 x y\n", 2),
         ("1 2 3\n", 1),
         ("0 1\r\n1 2.5\r\n", 2),
         ("# Nodes: 3\n0 1\n99999999999999999999 1\n", 3),
         ("-9223372036854775809 1\n", 1),
     ])
-    def test_malformed_line_number(self, reader, form, text, line_no):
+    def test_malformed_line_number(self, read, text, line_no):
         with pytest.raises(MalformedLine) as err:
-            reader(form(text))
+            read(text)
         assert err.value.line_no == line_no
         assert err.value.content == text.splitlines()[line_no - 1]
 
-    def test_accepted_syntax(self, reader, form):
+    def test_accepted_syntax(self, read):
         text = ("% konect\r\n# snap\r\n0\t1\r\n\r\n1   2 # note\r\n"
                 "  2 3  \r\n+3 4\r\n")
-        graph = reader(form(text))
-        assert _edges(graph) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert read(text) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
-    def test_percent_and_hash_comments(self, reader, form, end):
+    def test_percent_and_hash_comments(self, read, end):
         # '%' and '#' each start a comment wherever they stand, also inside
         # a comment the other one started.
         text = end.join([
             "% konect header", "0 1 % trailing", "1 2%", "% a # inside",
             "2 3 # b % inside", "#%", "3 4\t%", "%#% 9 9", "4 5"]) + end
-        graph = reader(form(text))
-        assert _edges(graph) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert read(text) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     @pytest.mark.parametrize("lines, line_no", [
@@ -167,28 +187,73 @@ class TestEdgeListSyntax:
         (["0 1 # x", "% 1 2", "3 % 4 5"], 3),
         (["%", "#", "0 1 2 % three ids"], 3),
     ])
-    def test_malformed_after_comments(self, reader, form, end, lines, line_no):
+    def test_malformed_after_comments(self, read, end, lines, line_no):
         with pytest.raises(MalformedLine) as err:
-            reader(form(end.join(lines) + end))
+            read(end.join(lines) + end)
         assert err.value.line_no == line_no
         assert err.value.content == lines[line_no - 1]
 
-    def test_header_only(self, reader, form):
+    def test_header_only(self, read):
         text = "# Nodes: 5 Edges: 0\n# Directed: true\n"
-        if reader is _parsed_graph:
+        if read is _path_edges:
             with pytest.raises(EmptyInput):
-                reader(form(text))
+                read(text)
             return
-        graph = reader(form(text))
-        assert graph.vertex_count == 5
-        assert graph.edge_count == 0
+        assert read(text) == []
+
+
+def _reference_tokens(lines):
+    """The edge-list syntax spelled out line by line: the pairs, or the
+    1-based number of the first line that is neither a pair nor blank."""
+    pairs = []
+    for ln_no, raw in enumerate(lines, 1):
+        tokens = re.split("[#%]", raw, maxsplit=1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", t)
+                                       for t in tokens):
+            return ln_no
+        pairs.append([int(t) for t in tokens])
+    return pairs
+
+
+# Lines of ids, comment characters, blanks and stray tokens, in any order.
+_piece = st.sampled_from(["0", "17", "-3", "+4", "x", "1.5", "#", "%", "#%",
+                          "%#", " ", "\t", "  "])
+_line = st.lists(_piece, max_size=6).map("".join) | st.tuples(
+    st.integers(-2**63, 2**63 - 1), st.integers(0, 9), st.sampled_from(
+        ["", " # c", "% c", "\t%#x", " #%y"])).map(
+    lambda t: f"{t[0]} {t[1]}{t[2]}")
+
+
+class TestEdgeTokens:
+    """_edge_tokens against the syntax spelled out line by line, and against
+    the np.loadtxt call of 0.8.0, which passed both comment strings."""
+
+    @given(st.lists(_line, max_size=12), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_against_reference(self, lines, end):
+        lines = [ln + end for ln in lines]
+        expected = _reference_tokens(lines)
+        if isinstance(expected, int):
+            with pytest.raises(MalformedLine) as err:
+                datasets._edge_tokens(io.StringIO("".join(lines)))
+            assert err.value.line_no == expected
+            return
+        pairs = datasets._edge_tokens(io.StringIO("".join(lines)))
+        assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
+        assert pairs.tolist() == expected
+        if expected:
+            old = np.loadtxt(lines, dtype=np.int64, comments=("#", "%"),
+                             ndmin=2)
+            assert old.tolist() == expected
 
 
 class TestLoadEdgeListRoutes:
     """load_edge_list reads a file by path, its leading comment block skipped
-    by count, and falls back to parse_edge_list's route for what that read
-    rejects; either way it gives what parse_edge_list gives over the same
-    lines."""
+    by count, and falls back to the line route for what that read rejects;
+    either way it gives the simple graph of _edge_tokens over the same
+    file."""
 
     TEXTS = [
         # the format `generate` writes: '#' header, dense ids
@@ -232,15 +297,17 @@ class TestLoadEdgeListRoutes:
 
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
     @pytest.mark.parametrize("text", TEXTS)
-    def test_same_as_parse_edge_list(self, tmp_path, text, gz):
+    def test_same_as_line_route(self, tmp_path, text, gz):
         path = tmp_path / ("net.txt.gz" if gz else "net.txt")
         opener = gzip.open if gz else open
         with opener(path, "wt", newline="") as fh:
             fh.write(text)
-        with opener(path, "rt") as fh:
-            lines = fh.readlines()
+
+        def line_route():
+            with opener(path, "rt") as fh:
+                return datasets._simple_graph(datasets._edge_tokens(fh))
         assert self._outcome(lambda: load_edge_list(path)) \
-            == self._outcome(lambda: parse_edge_list(lines))
+            == self._outcome(line_route)
 
     @pytest.mark.parametrize("index", [0, 1, 3, 4, 5, 8])
     def test_header_blocks_read_by_path(self, tmp_path, monkeypatch, index):
@@ -251,7 +318,7 @@ class TestLoadEdgeListRoutes:
         expected = self._outcome(
             lambda: load_edge_list(path))
 
-        def refuse(lines):
+        def refuse(fh):
             raise AssertionError("line route taken")
         monkeypatch.setattr(datasets, "_edge_tokens", refuse)
         assert self._outcome(
@@ -274,8 +341,8 @@ class TestLoadEdgeListRoutes:
         assert back.pairs.tolist() == [list(p) for p in sorted(edges)]
 
 
-class TestParseAgainstSets:
-    """parse_edge_list against the same simple graph built with Python sets."""
+class TestLoadAgainstSets:
+    """load_edge_list against the same simple graph built with Python sets."""
 
     ids = st.integers(-2**63, 2**63 - 1) | st.integers(0, 6)
 
@@ -290,9 +357,9 @@ class TestParseAgainstSets:
         edges = {frozenset(p) for p in kept}
         if not edges:
             with pytest.raises(EmptyInput):
-                parse_edge_list(lines)
+                _load_lines(lines)
             return
-        graph, stats = parse_edge_list(lines)
+        graph, stats = _load_lines(lines)
         labels = sorted(set().union(*edges))
         assert [int(v) for v in graph.labels] == labels
         assert graph.vertex_count == len(labels)
@@ -310,7 +377,7 @@ class TestDatasetCsv:
 
     def _graph(self):
         ids = np.array([[10, 3], [3, 7], [7, 10], [10, 42], [42, 5]])
-        return parse_edge_list(f"{a} {b}" for a, b in ids)[0]
+        return _load_lines(f"{a} {b}" for a, b in ids)[0]
 
     @pytest.mark.parametrize("smooth", ["none", "log-bin"])
     def test_vdd_counts_bytes(self, smooth):
@@ -344,12 +411,12 @@ class TestSummarize:
         assert s.mean_degree == pytest.approx(1.0)
 
     def test_consistent_with_vdd_mean(self):
-        g, _ = parse_edge_list(["0 1", "1 2", "2 3", "3 0", "0 2"])
+        g, _ = _load_lines(["0 1", "1 2", "2 3", "3 0", "0 2"])
         s = summarize(g)
         assert s.mean_degree == pytest.approx(measure_vdd(g).mean(), abs=1e-12)
 
     def test_edd_mass_complete(self):
-        g, _ = parse_edge_list(["0 1", "1 2", "2 3", "0 2"])
+        g, _ = _load_lines(["0 1", "1 2", "2 3", "0 2"])
         theta = measure_edd(g, 2)
         assert theta.stored_mass() + theta.truncation_mass == pytest.approx(
             1.0, abs=1e-12)
@@ -387,8 +454,9 @@ class TestSmoothVdd:
 
     def test_log_bin_levels(self):
         q = DegreeDistribution(1, np.array([0.4, 0.3, 0.2, 0.1]))
-        out = smooth_vdd(q, "log-bin", base=2.0)
-        # Bins at base 2 from degree 1: {1}, {2, 3}, {4}.
+        out = smooth_vdd(q, "log-bin")
+        # Bins at LOG_BIN_BASE = 2 from degree 1: {1}, {2, 3}, {4}.
+        assert datasets.LOG_BIN_BASE == 2.0
         assert out.prob(1) == pytest.approx(0.4)
         assert out.prob(2) == pytest.approx(0.25)
         assert out.prob(3) == pytest.approx(0.25)

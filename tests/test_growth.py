@@ -11,10 +11,9 @@ from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
                       IncrementDistribution, NpaModelSpec, RngStream,
                       SeedGraphSpec, WeightFunction, ZeroTotalWeight, grow_aer,
                       grow_aer_unpruned, grow_composite, grow_npa,
-                      measure_arc_dd, measure_edd, measure_vdd, read_edge_list,
-                      write_edge_list)
+                      measure_arc_dd, measure_edd, measure_vdd, write_edge_list)
 from npagraph import growth
-from npagraph.errors import EmptyGraph, MalformedLine, NoEdges
+from npagraph.errors import EmptyGraph, NoEdges
 
 
 def _components(graph: Graph) -> list[set[int]]:
@@ -664,15 +663,24 @@ class TestGrowComposite:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list interchange
+# Edge-list output
 # ---------------------------------------------------------------------------
+
+def _read_back(text):
+    """The graph write_edge_list wrote: the vertex count and direction of
+    its header, and its pairs in file order."""
+    nodes = int(re.search(r"^# Nodes: (\d+)", text, re.MULTILINE).group(1))
+    directed = re.search(r"^# Directed: true$", text, re.MULTILINE)
+    pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
+    return Graph(nodes, pairs.reshape(-1, 2), directed=directed is not None)
+
 
 class TestEdgeListIo:
     def test_round_trip_exact(self):
         g = grow_npa(BaTreeSpec(), 200, RngStream(3)).final_graph
         buf = io.StringIO()
         write_edge_list(g, buf)
-        back = read_edge_list(io.StringIO(buf.getvalue()))
+        back = _read_back(buf.getvalue())
         assert back.vertex_count == g.vertex_count
         assert back.directed == g.directed
         assert np.array_equal(back.pairs, g.pairs)
@@ -697,73 +705,7 @@ class TestEdgeListIo:
         g = Graph(10, [(0, 1)])
         buf = io.StringIO()
         write_edge_list(g, buf)
-        back = read_edge_list(io.StringIO(buf.getvalue()))
+        back = _read_back(buf.getvalue())
         assert back.vertex_count == 10
-
-    def test_malformed_line(self):
-        from npagraph import MalformedLine
-        with pytest.raises(MalformedLine) as err:
-            read_edge_list(io.StringIO("0 1\n0 x y\n"))
-        assert err.value.line_no == 2
-
-    def test_negative_id_is_malformed(self):
-        # Used to surface later as an untyped ValueError from np.bincount.
-        from npagraph import MalformedLine
-        with pytest.raises(MalformedLine) as err:
-            read_edge_list(["0 1", "-1 2"])
-        assert err.value.line_no == 2
-        with pytest.raises(MalformedLine) as err:
-            read_edge_list(io.StringIO("# Nodes: 5\n\n0 1  # ok\n2 -3\n"))
-        assert err.value.line_no == 4
-        assert err.value.content == "2 -3"
-
-    def test_minus_zero_is_vertex_zero(self):
-        back = read_edge_list(["-0 1"])
         assert back.pairs.tolist() == [[0, 1]]
 
-
-def _reference_tokens(lines):
-    """The edge-list syntax spelled out line by line: the pairs, or the
-    1-based number of the first line that is neither a pair nor blank."""
-    pairs = []
-    for ln_no, raw in enumerate(lines, 1):
-        tokens = re.split("[#%]", raw, maxsplit=1)[0].split()
-        if not tokens:
-            continue
-        if len(tokens) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", t)
-                                       for t in tokens):
-            return ln_no
-        pairs.append([int(t) for t in tokens])
-    return pairs
-
-
-# Lines of ids, comment characters, blanks and stray tokens, in any order.
-_piece = st.sampled_from(["0", "17", "-3", "+4", "x", "1.5", "#", "%", "#%",
-                          "%#", " ", "\t", "  "])
-_line = st.lists(_piece, max_size=6).map("".join) | st.tuples(
-    st.integers(-2**63, 2**63 - 1), st.integers(0, 9), st.sampled_from(
-        ["", " # c", "% c", "\t%#x", " #%y"])).map(
-    lambda t: f"{t[0]} {t[1]}{t[2]}")
-
-
-class TestEdgeTokens:
-    """_edge_tokens against the syntax spelled out line by line, and against
-    the np.loadtxt call of 0.8.0, which passed both comment strings."""
-
-    @given(st.lists(_line, max_size=12), st.sampled_from(["\n", "\r\n", ""]))
-    @settings(max_examples=300, deadline=None)
-    def test_against_reference(self, lines, end):
-        lines = [ln + end for ln in lines]
-        expected = _reference_tokens(lines)
-        if isinstance(expected, int):
-            with pytest.raises(MalformedLine) as err:
-                growth._edge_tokens(lines)
-            assert err.value.line_no == expected
-            return
-        pairs = growth._edge_tokens(lines)
-        assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
-        assert pairs.tolist() == expected
-        if expected:
-            old = np.loadtxt(lines, dtype=np.int64, comments=("#", "%"),
-                             ndmin=2)
-            assert old.tolist() == expected

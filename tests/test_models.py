@@ -172,6 +172,27 @@ class TestValidateModel:
             validate_model(spec)
         assert "SeedWeightZero" in err.value.codes()
 
+    def test_weights_without_rule_at_seed_degree(self):
+        # The seed's degree 1 has no table entry and no rule: the weights'
+        # own violation, not a ValueError from the seed weight sum.
+        spec = load_model(json.dumps({
+            "type": "npa", "weights": {"g": 1},
+            "increments": {"min_arcs": 1, "probs": [1.0]}}))
+        with pytest.raises(ValidationError) as err:
+            validate_model(spec)
+        assert err.value.codes() == ["EmptySupport"]
+
+    @pytest.mark.parametrize("name", ["star", None])
+    def test_unknown_seed_graph_name(self, name):
+        spec = NpaModelSpec(
+            weights=WeightFunction.linear(g=1),
+            increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
+            seed_graph=SeedGraphSpec(name=name))
+        with pytest.raises(ValidationError) as err:
+            validate_model(spec)
+        assert err.value.codes() == ["EmptySupport"]
+        assert repr(name) in str(err.value)
+
     def test_aer_spec(self):
         spec = AerModelSpec(n1=35000, a=2.75)
         assert validate_model(spec) is spec

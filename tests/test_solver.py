@@ -523,6 +523,34 @@ class TestSolveArcDd:
         # Missing mass is genuine truncation, bounded by the size-biased tail.
         assert 0.0 < mat.truncation_mass < 0.02
 
+    @staticmethod
+    def _krapivsky_redner(u):
+        """The exact joint law N_kl of the BA tree (Krapivsky & Redner,
+        PRE 63, 066123, 2001), k the new vertex's degree and l its
+        target's, over k, l = 1 .. u."""
+        k = np.arange(1, u + 1, dtype=float)[:, None]
+        l = np.arange(1, u + 1, dtype=float)[None, :]
+        return (4.0 * (l - 1.0) / (k * (k + 1.0) * (k + l) * (k + l + 1.0)
+                                   * (k + l + 2.0))
+                + 12.0 * (l - 1.0) / (k * (k + l - 1.0) * (k + l)
+                                      * (k + l + 1.0) * (k + l + 2.0)))
+
+    @pytest.mark.parametrize("variant", ["mean-weight", "printed"])
+    def test_ba_exact_arc_law(self, variant):
+        model = reference_models()["ba"]
+        opts = SolverOptions(u_max=200, edd_variant=variant)
+        mat = solve_arc_dd(model, solve_vdd(model, opts), opts).entries
+        exact = self._krapivsky_redner(200)
+        nonzero = exact != 0.0
+        assert np.all(mat[~nonzero] == 0.0)
+        if variant == "mean-weight":
+            np.testing.assert_allclose(mat[nonzero], exact[nonzero],
+                                       rtol=1e-13, atol=0.0)
+            assert mat.sum() == pytest.approx(exact.sum(), rel=1e-13)
+        else:
+            # The printed denominator is not the simulated law.
+            assert np.abs(mat - exact).max() > 0.01
+
     def test_printed_variant_mass_excess_reported(self, ba_solution):
         model = BaTreeSpec().to_npa()
         mat = solve_arc_dd(model, ba_solution, SolverOptions(u_max=300))
@@ -728,7 +756,7 @@ class TestCsv:
         raw = rng.random((5, 5))
         raw /= raw.sum()
         m = EdgeDegreeMatrix(min_degree=1, entries=raw, kind="arc")
-        back = edd_from_csv(edd_to_csv(m), kind="arc")
+        back = edd_from_csv(edd_to_csv(m))
         assert np.array_equal(back.entries, m.entries)
 
     @pytest.mark.parametrize("text,line_no", [
@@ -811,7 +839,7 @@ class TestCsvRoundTrip:
             with pytest.raises(EmptyInput):
                 edd_from_csv(text)
             return
-        back = edd_from_csv(text, kind="arc")
+        back = edd_from_csv(text)
         assert back.min_degree == lo
         assert back.entries.tobytes() == entries.tobytes()
 
