@@ -16,14 +16,16 @@ from npagraph.datasets import id_map_csv, vdd_counts_csv
 from npagraph.models import DegreeDistribution
 
 
-def _load_text(text):
-    """load_edge_list of a file that holds the text as it stands.
+def _load_text(text, gz=False):
+    """load_edge_list of a file that holds the text as it stands, gzipped
+    if gz.
 
     A temporary directory of its own, not tmp_path, so that hypothesis
     examples do not share one file."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "net.txt"
-        path.write_bytes(text.encode())
+        path = Path(tmp) / ("net.txt.gz" if gz else "net.txt")
+        path.write_bytes(gzip.compress(text.encode()) if gz
+                         else text.encode())
         return load_edge_list(path)
 
 
@@ -121,7 +123,7 @@ class TestLoadEdgeList:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list syntax, on both routes of the one reader
+# Edge-list syntax, on both routes of the one reader, plain and gzipped
 # ---------------------------------------------------------------------------
 
 def _edges(graph):
@@ -137,6 +139,11 @@ def _path_edges(text):
     return _edges(_load_text(text)[0])
 
 
+def _gz_path_edges(text):
+    """Edges of load_edge_list on a gzipped file holding the text."""
+    return _edges(_load_text(text, gz=True)[0])
+
+
 def _line_edges(text):
     """Edges of the line route, _edge_tokens over a text stream."""
     pairs = datasets._edge_tokens(io.StringIO(text))
@@ -144,9 +151,17 @@ def _line_edges(text):
 
 
 ROUTES = [pytest.param(_path_edges, id="load_edge_list"),
+          pytest.param(_gz_path_edges, id="load_edge_list_gz"),
           pytest.param(_line_edges, id="edge_tokens")]
 
 
+# The text as it stands, and without the line end of its last line.
+FORMS = [pytest.param(lambda text: text, id="terminated"),
+         pytest.param(lambda text: re.sub(r"\r?\n\Z", "", text),
+                      id="unterminated")]
+
+
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("read", ROUTES)
 class TestEdgeListSyntax:
     @pytest.mark.parametrize("text, line_no", [
@@ -160,25 +175,25 @@ class TestEdgeListSyntax:
         ("# Nodes: 3\n0 1\n99999999999999999999 1\n", 3),
         ("-9223372036854775809 1\n", 1),
     ])
-    def test_malformed_line_number(self, read, text, line_no):
+    def test_malformed_line_number(self, read, form, text, line_no):
         with pytest.raises(MalformedLine) as err:
-            read(text)
+            read(form(text))
         assert err.value.line_no == line_no
         assert err.value.content == text.splitlines()[line_no - 1]
 
-    def test_accepted_syntax(self, read):
+    def test_accepted_syntax(self, read, form):
         text = ("% konect\r\n# snap\r\n0\t1\r\n\r\n1   2 # note\r\n"
                 "  2 3  \r\n+3 4\r\n")
-        assert read(text) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert read(form(text)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
-    def test_percent_and_hash_comments(self, read, end):
+    def test_percent_and_hash_comments(self, read, form, end):
         # '%' and '#' each start a comment wherever they stand, also inside
         # a comment the other one started.
         text = end.join([
             "% konect header", "0 1 % trailing", "1 2%", "% a # inside",
             "2 3 # b % inside", "#%", "3 4\t%", "%#% 9 9", "4 5"]) + end
-        assert read(text) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert read(form(text)) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     @pytest.mark.parametrize("lines, line_no", [
@@ -187,15 +202,16 @@ class TestEdgeListSyntax:
         (["0 1 # x", "% 1 2", "3 % 4 5"], 3),
         (["%", "#", "0 1 2 % three ids"], 3),
     ])
-    def test_malformed_after_comments(self, read, end, lines, line_no):
+    def test_malformed_after_comments(self, read, form, end, lines,
+                                      line_no):
         with pytest.raises(MalformedLine) as err:
-            read(end.join(lines) + end)
+            read(form(end.join(lines) + end))
         assert err.value.line_no == line_no
         assert err.value.content == lines[line_no - 1]
 
-    def test_header_only(self, read):
-        text = "# Nodes: 5 Edges: 0\n# Directed: true\n"
-        if read is _path_edges:
+    def test_header_only(self, read, form):
+        text = form("# Nodes: 5 Edges: 0\n# Directed: true\n")
+        if read is not _line_edges:
             with pytest.raises(EmptyInput):
                 read(text)
             return
