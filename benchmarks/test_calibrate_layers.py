@@ -8,25 +8,24 @@ Run from the root of a checkout:
 This directory sits outside the test paths in pyproject.toml, so the
 ordinary test run does not collect it. The targets are the exact planted
 targets of the end-to-end benchmark's calibrate workload, built with the
-public API only, so the same file times any version of the calibration.
-The increment fit alone is timed through calibrate._invert_vdd, whose
-signature every version since 0.5.0 shares, on a noisy target at extents
-up to the 500 that ingest allows by default.
+public API only, so the same file times any version of the calibration
+from 0.16.0 on, where the solver takes its settings as arguments. The
+increment fit alone is timed through calibrate._invert_vdd(q, weight, m,
+phi, u, r_max), the signature 0.16.0 set, on a noisy target at extents up
+to the 500 that ingest allows by default.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from npagraph import (BaTreeSpec, DegreeDistribution, IncrementDistribution,
-                      NpaModelSpec, SolverOptions, WeightFunction, mix_edd,
+                      NpaModelSpec, WeightFunction, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph import calibrate
-from npagraph.calibrate import (CalibrateOptions, CalibrationTarget,
-                                calibrate_composite, calibrate_single)
+from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrateOptions,
+                                CalibrationTarget, calibrate_composite,
+                                calibrate_single)
 
-SOLVER = SolverOptions(k_max=4000, fp_tolerance=1e-9)
 U = 20
 
 
@@ -36,8 +35,8 @@ def _linear(probs):
 
 
 def _solved(model):
-    sol = solve_vdd(model, SOLVER)
-    return sol.q, symmetrize(solve_arc_dd(model, sol, replace(SOLVER, u_max=U)))
+    sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
+    return sol.q, symmetrize(solve_arc_dd(model, sol, U))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ def composite_target():
 
 def test_single_fit_rmax50(benchmark, single_target):
     res = benchmark(calibrate_single, single_target, "linear",
-                    CalibrateOptions(r_max=50, solver=SOLVER))
+                    CalibrateOptions(r_max=50))
     assert res.distance >= 0.0
 
 
@@ -76,14 +75,14 @@ def test_table_free_single_fit(benchmark):
     target = CalibrationTarget(vdd=q, edd=theta, u=U,
                                mean_increment=model.increments.mean)
     res = benchmark(calibrate_single, target, "table-free",
-                    CalibrateOptions(r_max=3, solver=SOLVER))
+                    CalibrateOptions(r_max=3))
     assert res.report["phase"] == 2
 
 
 def test_composite_one_rho(benchmark, composite_target, monkeypatch):
     # The first component's profile (one BA solve) is part of the step.
     monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-    opts = CalibrateOptions(r_max=3, solver=SOLVER, rho_min=0.3, rho_max=0.3)
+    opts = CalibrateOptions(r_max=3, rho_min=0.3, rho_max=0.3)
     res = benchmark(calibrate_composite, composite_target, BaTreeSpec(), opts)
     assert res.report["rho"] == 0.3
 
@@ -93,12 +92,12 @@ def test_increment_fit_noisy_rmax50(benchmark, u):
     # The planted single target's vertex distribution, each probability
     # times a log-normal factor (sigma 0.3), fitted at a mean it does not
     # bear exactly.
-    q = solve_vdd(_linear((0.4, 0.3, 0.2, 0.1)), SOLVER).q
+    q = solve_vdd(_linear((0.4, 0.3, 0.2, 0.1)), K_MAX, FP_TOLERANCE).q
     noisy = np.asarray(q.probs) * np.exp(
         np.random.default_rng(11).normal(0.0, 0.3, len(q.probs)))
     noisy *= (1.0 - q.truncation_mass) / noisy.sum()
     target = DegreeDistribution(min_degree=q.min_degree, probs=noisy,
                                 truncation_mass=q.truncation_mass)
     inc = benchmark(calibrate._invert_vdd, target, WeightFunction.linear(g=1),
-                    2.5, 5.0, u, CalibrateOptions(r_max=50, solver=SOLVER))
+                    2.5, 5.0, u, 50)
     assert len(inc.probs) == 50

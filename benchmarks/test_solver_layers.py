@@ -7,13 +7,14 @@ Run from the root of a checkout:
 
 This directory sits outside the test paths in pyproject.toml, so the
 ordinary test run does not collect it. The inputs use only the public API,
-so the same file times any version of the solver.
+so the same file times any version of the solver from 0.16.0 on, where
+solve_vdd and solve_arc_dd take their settings as arguments.
 """
 
 import pytest
 
 from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
-                      SolverOptions, WeightFunction, solve_arc_dd, solve_vdd)
+                      WeightFunction, solve_arc_dd, solve_vdd)
 from npagraph.validation import reference_models
 
 # A candidate of the kind the calibration search solves thousands of times:
@@ -21,26 +22,25 @@ from npagraph.validation import reference_models
 CANDIDATE = NpaModelSpec(
     weights=WeightFunction.linear(g=1),
     increments=IncrementDistribution(min_arcs=1, probs=(0.4, 0.3, 0.2, 0.1)))
-CALIBRATION_OPTS = SolverOptions(k_max=4000, u_max=20)
+CALIBRATION_K_MAX = 4000
 
 
 def test_arc_dd_calibration_candidate(benchmark):
-    vdd = solve_vdd(CANDIDATE, CALIBRATION_OPTS)
-    mat = benchmark(solve_arc_dd, CANDIDATE, vdd, CALIBRATION_OPTS)
+    vdd = solve_vdd(CANDIDATE, CALIBRATION_K_MAX)
+    mat = benchmark(solve_arc_dd, CANDIDATE, vdd, 20)
     assert mat.entries.shape == (20, 20)
 
 
 @pytest.mark.parametrize("variant", ["printed", "mean-weight"])
 def test_arc_dd_ba_u300(benchmark, variant):
     model = BaTreeSpec().to_npa()
-    opts = SolverOptions(u_max=300, edd_variant=variant)
-    vdd = solve_vdd(model, opts)
-    mat = benchmark(solve_arc_dd, model, vdd, opts)
+    vdd = solve_vdd(model)
+    mat = benchmark(solve_arc_dd, model, vdd, 300, variant)
     assert mat.entries.shape == (300, 300)
 
 
 def test_vdd_calibration_candidate(benchmark):
-    sol = benchmark(solve_vdd, CANDIDATE, CALIBRATION_OPTS)
+    sol = benchmark(solve_vdd, CANDIDATE, CALIBRATION_K_MAX)
     assert sol.control_residual < 1e-6
 
 
@@ -58,11 +58,11 @@ def test_vdd_calibration_candidate(benchmark):
                                                   probs=(0.5, 0.3, 0.2))),
 ], ids=["sublinear", "power_0_999", "power_0_9999"])
 def test_vdd_power_weights(benchmark, model):
-    sol = benchmark(solve_vdd, model, CALIBRATION_OPTS)
+    sol = benchmark(solve_vdd, model, CALIBRATION_K_MAX)
     assert sol.control_residual < 1e-6
 
 
-# At default options: a cap whose saturation degree M + 1 = 201 lies far
+# At the default k_max: a cap whose saturation degree M + 1 = 201 lies far
 # below k_max, constant weights, and a power weight whose increment support
 # is 300 degrees wide (r_k proportional to k**-2.5), over which the
 # recurrence runs degree by degree.

@@ -5,7 +5,7 @@ grows graphs by simulation, ingests real network edge lists, and calibrates
 one- and two-component models against empirical degree distributions.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, GammaNotConvex,
                      InfeasibleComplement, InputTooLarge, InsufficientTail,
@@ -17,9 +17,8 @@ from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution
                      EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec,
                      SeedGraphSpec, WeightFunction, dump_model, load_model,
                      model_from_dict, validate_model)
-from .solver import (SolverOptions, VddSolution, complement_mean, complement_vdd,
-                     edge_share, mix_edd, mix_vdd, solve_arc_dd, solve_vdd,
-                     symmetrize)
+from .solver import (VddSolution, complement_mean, complement_vdd, edge_share,
+                     mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from .growth import (AerRunStats, GrowthTrace, RngStream, grow_aer,
                      grow_aer_unpruned, grow_composite, grow_npa,
                      measure_arc_dd, measure_edd, measure_vdd, write_edge_list)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -30,9 +30,8 @@ from .growth import (RngStream, _prune_small_components, grow_aer_unpruned,
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution,
                      NpaModelSpec, WeightFunction)
-from .solver import (SolverOptions, VddSolution, complement_mean, complement_vdd,
-                     edge_share, mix_edd, mix_vdd, solve_arc_dd, solve_vdd,
-                     symmetrize)
+from .solver import (VddSolution, complement_mean, complement_vdd, edge_share,
+                     mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +45,9 @@ GOWALLA_RK_SHIFT = 0.1259
 GOWALLA_RK_EXPONENT = -1.2562
 GOWALLA_RK_SUPPORT = 50
 
+R_MIN = 1  # least increment arc count, and so the minimum degree of every fit
+K_MAX = 4000  # last vertex degree each candidate's solve stores
+FP_TOLERANCE = 1e-9  # relative bracket width of its mean-weight bisection
 ALPHA_MIN = 0.01  # lower end of the table-free search over f_k = k**alpha
 ALPHA_XATOL = 1e-5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # share of a bracket kept per section
@@ -146,11 +148,9 @@ class CalibrationResult:
 
 @dataclass(frozen=True)
 class CalibrateOptions:
-    """Increment support, solver options and a composite's rho grid."""
+    """The largest increment arc count r_max and a composite's rho grid."""
 
-    r_min: int = 1
     r_max: int = 50
-    solver: SolverOptions = SolverOptions(k_max=4000, fp_tolerance=1e-9)
     rho_step: float = 0.025
     rho_min: float = 0.025
     rho_max: float = 0.975
@@ -189,9 +189,8 @@ def select_u(target_edd: EdgeDegreeMatrix, mass_fraction: float = 0.95) -> int:
 # ---------------------------------------------------------------------------
 
 def _invert_vdd(q: DegreeDistribution, weight: WeightFunction, m: float,
-                phi: float, u: int, opts: CalibrateOptions
-                ) -> IncrementDistribution:
-    """Increments on [r_min, r_max] with mean m whose stationary vertex
+                phi: float, u: int, r_max: int) -> IncrementDistribution:
+    """Increments on [R_MIN, r_max] with mean m whose stationary vertex
     distribution under weights f and mean weight phi is closest to q in
     total variation.
 
@@ -200,25 +199,24 @@ def _invert_vdd(q: DegreeDistribution, weight: WeightFunction, m: float,
     is linear in r (Krapivsky, Redner & Leyvraz, PRL 85, 4629, 2000), so
     Q_g..Q_D = B r for D = max(r_max, u), and the fit is the L1 program of
     _l1_fit over the rows of B and its tail (see _vdd_program). Raises
-    InfeasibleComplement when m lies outside [r_min, r_max], where no
+    InfeasibleComplement when m lies outside [R_MIN, r_max], where no
     increment law has mean m. Inside it the program is always feasible: the
     two-point law on floor(m) and floor(m) + 1, clamped into the support,
     has sum 1 and mean m, and the slack of each compared row absorbs its
     residual. Its objective is bounded below by 0, so the simplex ends at an
     optimum unless it hits its pivot cap (NoConvergence).
     """
-    if not opts.r_min <= m <= opts.r_max:
+    if not R_MIN <= m <= r_max:
         raise InfeasibleComplement(
-            f"mean increment {m!r} lies outside [{opts.r_min}, {opts.r_max}]")
-    ks = np.arange(opts.r_min, opts.r_max + 1, dtype=np.float64)
-    a, observed = _vdd_program(q, weight, m, phi, u, opts)
+            f"mean increment {m!r} lies outside [{R_MIN}, {r_max}]")
+    ks = np.arange(R_MIN, r_max + 1, dtype=np.float64)
+    a, observed = _vdd_program(q, weight, m, phi, u, r_max)
     r = _with_mean(_l1_fit(a, observed, ks, m), ks, m)
-    return IncrementDistribution(min_arcs=opts.r_min, probs=tuple(r.tolist()))
+    return IncrementDistribution(min_arcs=R_MIN, probs=tuple(r.tolist()))
 
 
 def _vdd_program(q: DegreeDistribution, weight: WeightFunction, m: float,
-                 phi: float, u: int, opts: CalibrateOptions
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 phi: float, u: int, r_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(A, observed): the compared vertex probabilities of the model with
     increments r are A r, and observed are the target's.
 
@@ -229,17 +227,17 @@ def _vdd_program(q: DegreeDistribution, weight: WeightFunction, m: float,
     whatever k_max is.
     """
     g = weight.g
-    d = max(opts.r_max, u)
-    k_max = max(opts.solver.k_max, 2 * d)  # at least one tail bin
+    d = max(r_max, u)
+    k_max = max(K_MAX, 2 * d)  # at least one tail bin
     f = weight.weights_upto(k_max)
     # An increment r_j, j >= g, enters Q_j with the factor phi / (phi + m f_j)
     # and reaches each k > j damped by m f_{k-1} / (phi + m f_k); the damping
     # from g is summed in logs, so that no product underflows.
     log_damp = np.concatenate([[0.0], np.cumsum(np.log(
         m * f[g:d] / (phi + m * f[g + 1:d + 1])))])
-    js = np.arange(opts.r_min, opts.r_max + 1)
+    js = np.arange(R_MIN, r_max + 1)
     from_j = np.minimum(log_damp[:, None] - log_damp[np.maximum(js - g, 0)], 0.0)
-    b = np.tril(phi / (phi + m * f[js]) * np.exp(from_j), g - opts.r_min)
+    b = np.tril(phi / (phi + m * f[js]) * np.exp(from_j), g - R_MIN)
     b[:, js < g] = 0.0
     c = np.cumprod(m * f[d:k_max] / (phi + m * f[d + 1:]))
     starts = (d + 1) * (2 ** np.arange(int(math.log2(k_max / (d + 1))) + 1) - 1)
@@ -265,7 +263,7 @@ def _l1_fit(a: np.ndarray, observed: np.ndarray, ks: np.ndarray, m: float
     A basic p_i or s_i is a signed unit column, so a basis is its basic r
     columns and as many tight rows: the sum and mean rows and each compared
     row whose slacks are both nonbasic. Each pivot inverts only the square
-    block of those columns on those rows, at most r_max - r_min + 1 wide
+    block of those columns on those rows, at most r_max - R_MIN + 1 wide
     whatever the number of compared rows. The block is formed afresh at
     every pivot; the values are carried from pivot to pivot, so that a
     degenerate value stays exactly 0.
@@ -410,13 +408,11 @@ def _mean_weight(q: DegreeDistribution, weight: WeightFunction) -> float:
 # Single-component calibration
 # ---------------------------------------------------------------------------
 
-def _model_quality(model: NpaModelSpec, target: CalibrationTarget,
-                   opts: CalibrateOptions, g_cmp: int
+def _model_quality(model: NpaModelSpec, target: CalibrationTarget, g_cmp: int
                    ) -> tuple[float, float, VddSolution, EdgeDegreeMatrix]:
-    sol = solve_vdd(model, opts.solver)
+    sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
     tv = sol.q.tv_distance(target.vdd)
-    theta = symmetrize(solve_arc_dd(model, sol, replace(opts.solver,
-                                                        u_max=target.u)))
+    theta = symmetrize(solve_arc_dd(model, sol, target.u))
     dist = edd_distance(theta, target.edd, g_cmp, target.u)
     return tv, dist, sol, theta
 
@@ -426,7 +422,7 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
                      ) -> CalibrationResult:
     """Fit the increment distribution (and optionally a power weight exponent).
 
-    The mean increment m is the target's, clamped into [r_min, r_max]. Phase
+    The mean increment m is the target's, clamped into [R_MIN, r_max]. Phase
     1 fixes natural linear weights, whose mean weight is phi = 2m by the
     control identity, and inverts the vertex recurrence for {r_k}. Phase 2,
     entered only in "table-free" mode when phase 1 misses PHASE2_THRESHOLD,
@@ -438,8 +434,8 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     """
     if weight_mode not in ("linear", "table-free"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
-    g_cmp = max(opts.r_min, target.edd.min_degree)
-    m = min(max(target.m, float(opts.r_min)), float(opts.r_max))
+    g_cmp = max(R_MIN, target.edd.min_degree)
+    m = min(max(target.m, float(R_MIN)), float(opts.r_max))
     trace = OptimizerTrace()
 
     def fit(weight: WeightFunction, phi: float) -> tuple:
@@ -447,9 +443,9 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
         objective is infinite and model None when the candidate fails to
         solve."""
         try:
-            inc = _invert_vdd(target.vdd, weight, m, phi, target.u, opts)
+            inc = _invert_vdd(target.vdd, weight, m, phi, target.u, opts.r_max)
             model = NpaModelSpec(weights=weight, increments=inc)
-            tv, dist, sol, theta = _model_quality(model, target, opts, g_cmp)
+            tv, dist, sol, theta = _model_quality(model, target, g_cmp)
         except SolverFailure as exc:
             trace.record_failure(exc)
             return math.inf, None, math.inf, math.inf, None, None
@@ -457,13 +453,13 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
         trace.record(objective)
         return objective, model, tv, dist, sol, theta
 
-    best = fit(WeightFunction.linear(g=opts.r_min), 2.0 * m)
+    best = fit(WeightFunction.linear(g=R_MIN), 2.0 * m)
     phase = 1
     if weight_mode == "table-free" and best[0] > PHASE2_THRESHOLD:
         fits = []
 
         def at(alpha: float) -> float:
-            weight = WeightFunction.power(alpha, g=opts.r_min)
+            weight = WeightFunction.power(alpha, g=R_MIN)
             fits.append(fit(weight, _mean_weight(target.vdd, weight)))
             return fits[-1][0]
 
@@ -523,8 +519,7 @@ class ComponentProfile:
     edd: EdgeDegreeMatrix  # kind = edge, at least the target extent
 
 
-def component_profile(spec, target: CalibrationTarget,
-                      opts: CalibrateOptions) -> ComponentProfile:
+def component_profile(spec, target: CalibrationTarget) -> ComponentProfile:
     """Analytic profile for growth models; pooled Monte-Carlo for the
     autocorrelated graph, which has no distributional recurrence here.
 
@@ -534,9 +529,8 @@ def component_profile(spec, target: CalibrationTarget,
     """
     extent = max(target.u, target.edd.max_degree)
     if isinstance(spec, NpaModelSpec):
-        sol = solve_vdd(spec, opts.solver)
-        theta = symmetrize(solve_arc_dd(spec, sol,
-                                        replace(opts.solver, u_max=extent)))
+        sol = solve_vdd(spec, K_MAX, FP_TOLERANCE)
+        theta = symmetrize(solve_arc_dd(spec, sol, extent))
         return ComponentProfile(spec=spec, m=spec.increments.mean,
                                 vdd=sol.q, edd=theta)
     if isinstance(spec, AerModelSpec):
@@ -574,7 +568,7 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     For each candidate vertex fraction rho, the complement's target vertex
     distribution and mean are implied by the mixture equations; its increment
     probabilities are the inversion of that vertex distribution at that mean
-    (a rho whose mean lies outside [r_min, r_max], or whose complement fails
+    (a rho whose mean lies outside [R_MIN, r_max], or whose complement fails
     to solve, is skipped), and the rho whose mixed model best matches the
     target wins. rho itself is refined on a grid that shrinks by
     RHO_REFINE_FACTOR around the best coarse value on each of
@@ -582,9 +576,9 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     each is fitted at most once. The composite is written for TOTAL_N
     vertices.
     """
-    profile = component_profile(first_component, target, opts)
+    profile = component_profile(first_component, target)
     m_total = target.m
-    g_cmp = max(opts.r_min, target.edd.min_degree)
+    g_cmp = max(R_MIN, target.edd.min_degree)
 
     grid = np.arange(opts.rho_min, opts.rho_max + 1e-12, opts.rho_step)
     grid_log: list[dict] = []
@@ -601,7 +595,7 @@ def calibrate_composite(target: CalibrationTarget, first_component,
             entry = {"rho": rho, "outer": outer}
             try:
                 result = _fit_complement(target, profile, rho, m_total,
-                                         g_cmp, opts, trace)
+                                         g_cmp, opts.r_max, trace)
             except (InfeasibleComplement, NonPositiveResult) as exc:
                 entry["skipped"] = str(exc)
                 log.info("rho = %.4f skipped: %s", rho, exc)
@@ -646,16 +640,15 @@ def calibrate_composite(target: CalibrationTarget, first_component,
 
 def _fit_complement(target: CalibrationTarget, profile: ComponentProfile,
                     rho: float, m_total: float, g_cmp: int,
-                    opts: CalibrateOptions, trace: OptimizerTrace) -> dict:
+                    r_max: int, trace: OptimizerTrace) -> dict:
     m2_target = complement_mean(m_total, profile.m, rho)
     q2_target = complement_vdd(target.vdd, profile.vdd, rho)
-    weight = WeightFunction.linear(g=opts.r_min)
+    weight = WeightFunction.linear(g=R_MIN)
     model = NpaModelSpec(weights=weight, increments=_invert_vdd(
-        q2_target, weight, m2_target, 2.0 * m2_target, target.u, opts))
+        q2_target, weight, m2_target, 2.0 * m2_target, target.u, r_max))
     try:
-        sol = solve_vdd(model, opts.solver)
-        theta2 = symmetrize(solve_arc_dd(model, sol,
-                                         replace(opts.solver, u_max=target.u)))
+        sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
+        theta2 = symmetrize(solve_arc_dd(model, sol, target.u))
     except SolverFailure as exc:
         trace.record_failure(exc)
         raise InfeasibleComplement(

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, TOTAL_N,
+from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, R_MIN, TOTAL_N,
                         CalibrateOptions, CalibrationTarget,
                         calibrate_composite, calibrate_single, edd_distance,
                         preset_brightkite, preset_gowalla, select_u)
@@ -32,9 +32,8 @@ from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, EdgeDegreeMatrix,
                      NpaModelSpec, dump_model, load_model, validate_model)
 from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
                        vdd_counts_csv)
-from .solver import (SolverOptions, _matrix_csv, edd_from_csv, edd_to_csv,
-                     solve_arc_dd, solve_vdd, symmetrize, vdd_from_csv,
-                     vdd_to_csv)
+from .solver import (_matrix_csv, edd_from_csv, edd_to_csv, solve_arc_dd,
+                     solve_vdd, symmetrize, vdd_from_csv, vdd_to_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -75,14 +74,13 @@ def cmd_solve(params: dict) -> int:
     if not isinstance(spec, NpaModelSpec):
         print("solve expects a growth-model spec", file=sys.stderr)
         return EXIT_INPUT
-    if not params["kmax"] >= params["umax"] >= spec.g:
-        print(f"need --kmax >= --umax >= g, got {params['kmax']}, "
-              f"{params['umax']}, {spec.g}", file=sys.stderr)
+    if params["kmax"] < spec.g:
+        print(f"need --kmax >= g, got {params['kmax']} and {spec.g}",
+              file=sys.stderr)
         return EXIT_INPUT
-    opts = SolverOptions(k_max=params["kmax"], u_max=params["umax"],
-                         edd_variant=params["variant"])
-    sol = solve_vdd(spec, opts)
-    theta = symmetrize(solve_arc_dd(spec, sol, opts))
+    sol = solve_vdd(spec, params["kmax"])
+    theta = symmetrize(solve_arc_dd(spec, sol, params["umax"],
+                                    params["variant"]))
     _write(out / "vdd.csv", vdd_to_csv(sol.q))
     _write(out / "edd.csv", edd_to_csv(theta))
     _write_json(out / "solution.json", {
@@ -210,8 +208,8 @@ def cmd_calibrate(params: dict) -> int:
                             rho_min=params["rho_min"],
                             rho_max=params["rho_max"],
                             rho_step=params["rho_step"])
-    if opts.r_max < opts.r_min or not opts.rho_step > 0.0:
-        print(f"need --rmax >= {opts.r_min} and --rho-step > 0", file=sys.stderr)
+    if opts.r_max < R_MIN or not opts.rho_step > 0.0:
+        print(f"need --rmax >= {R_MIN} and --rho-step > 0", file=sys.stderr)
         return EXIT_INPUT
     if not 0.0 < opts.rho_min <= opts.rho_max < 1.0:
         print(f"need 0 < --rho-min <= --rho-max < 1, got {opts.rho_min} and "

@@ -45,7 +45,8 @@ class NoConvergence(SolverFailure):
 
 
 class TruncationTooSevere(SolverFailure):
-    """Arc-matrix mass is missing beyond what truncation explains; raise u_max."""
+    """Arc-matrix mass is missing beyond what truncation explains; raise the
+    extent u."""
 
 
 class ZeroTotalWeight(NpaGraphError):

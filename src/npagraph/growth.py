@@ -218,20 +218,17 @@ class AerRunStats:
 _AER_BATCH = 1 << 12
 
 
-def grow_aer(spec: AerModelSpec, rng: RngStream,
-             carry_z_across_rows: bool = False) -> tuple[Graph, AerRunStats]:
+def grow_aer(spec: AerModelSpec, rng: RngStream) -> tuple[Graph, AerRunStats]:
     """Build the autocorrelated random graph and prune trivial components.
 
     Scans vertex pairs row by row; each draw succeeds with probability
     (p_a + z)/2 where z indicates whether the immediately preceding target in
     the same row received an edge. z starts at 0 for each row's first target
-    (the first draw uses p_a / 2) unless carry_z_across_rows is set, in which
-    case the final indicator of the previous row carries over. After the scan,
-    isolated vertices and two-vertex components joined by a single edge are
-    removed. Returns the pruned graph and the scan's diagnostics with the
-    removal counts.
+    (the first draw uses p_a / 2). After the scan, isolated vertices and
+    two-vertex components joined by a single edge are removed. Returns the
+    pruned graph and the scan's diagnostics with the removal counts.
     """
-    full, stats = grow_aer_unpruned(spec, rng, carry_z_across_rows)
+    full, stats = grow_aer_unpruned(spec, rng)
     keep, removed_isolated, removed_pairs = _prune_small_components(full)
     stats = replace(stats, removed_isolated=removed_isolated,
                     removed_pair_vertices=removed_pairs)
@@ -243,6 +240,8 @@ def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
                       ) -> tuple[Graph, AerRunStats]:
     """The raw pair-scan graph before any pruning, with scan diagnostics.
 
+    z starts at 0 for each row's first target unless carry_z_across_rows is
+    set, in which case the final indicator of the previous row carries over.
     Each slot in the flattened row-by-row scan succeeds with probability
     p_a / 2 after a failure and (p_a + 1) / 2 after a success, so successes
     arrive as isolated starters followed by geometric runs. The scan skips

@@ -456,18 +456,35 @@ class SeedGraphSpec:
     vertices: int | None = None
     edges: tuple[tuple[int, int], ...] | None = None
 
+    def _listed_vertex_count(self) -> int:
+        if self.vertices is not None:
+            return self.vertices
+        return 1 + max(max(e) for e in self.edges) if self.edges else 0
+
     def build(self, g: int) -> Graph:
         if self.edges is not None:
-            if self.vertices is not None:
-                n = self.vertices
-            elif self.edges:
-                n = 1 + max(max(e) for e in self.edges)
-            else:
-                n = 0
-            return Graph(n, list(self.edges), directed=True)
+            return Graph(self._listed_vertex_count(), list(self.edges),
+                         directed=True)
         n = max(g, 1) + 1
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         return Graph(n, pairs, directed=True)
+
+    def violations(self) -> list[Violation]:
+        """A name other than the default, or an edge-list id outside [0,
+        vertices); build needs neither."""
+        if self.edges is None:
+            if self.name == "default":
+                return []
+            return [Violation(
+                "EmptySupport",
+                f"unknown seed graph name {self.name!r}; give "
+                "'default' or an explicit edge list")]
+        ids = [i for e in self.edges for i in e]
+        n = self._listed_vertex_count()
+        if ids and not 0 <= min(ids) <= max(ids) < n:
+            return [Violation("SeedIdOutOfRange", f"seed edge ids must lie in "
+                              f"[0, {n}), got {min(ids)} .. {max(ids)}")]
+        return []
 
     def to_dict(self) -> dict:
         if self.edges is not None:
@@ -503,11 +520,9 @@ class NpaModelSpec:
                 f"increment support starts at {self.increments.min_arcs} but the "
                 f"weight support starts at g = {self.weights.g}; the model uses a "
                 "single minimum degree for both"))
-        if self.seed_graph.edges is None and self.seed_graph.name != "default":
-            out.append(Violation(
-                "EmptySupport",
-                f"unknown seed graph name {self.seed_graph.name!r}; give "
-                "'default' or an explicit edge list"))
+        bad_seed = self.seed_graph.violations()
+        if bad_seed:
+            return out + bad_seed
         seed = self.seed_graph.build(self.weights.g)
         try:
             weightless = not sum(self.weights.weight(int(k))
@@ -605,6 +620,8 @@ class CompositeSpec:
         for i, ((model, _rho), budget) in enumerate(zip(self.components,
                                                         self.budgets())):
             # A growth component starts from its seed graph, an AER from a pair.
+            if isinstance(model, NpaModelSpec) and model.seed_graph.violations():
+                continue  # the component's own violations name its seed
             least = (model.seed_graph.build(model.g).vertex_count
                      if isinstance(model, NpaModelSpec) else 2)
             if budget < least:

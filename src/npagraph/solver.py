@@ -34,46 +34,15 @@ import numpy as np
 
 from .errors import (EmptyInput, GammaNotConvex, InfeasibleComplement,
                      InputTooLarge, MalformedLine, NoConvergence,
-                     NonPositiveResult, TruncationTooSevere, WeightsNotConvex)
+                     NonPositiveResult, TruncationTooSevere, WeightsNotConvex,
+                     WindowExceedsMatrix)
 from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
 COMPLEMENT_CLAMP_TOL = 1e-6
 GAMMA_TOL = 1e-9
 # Most arc-matrix mass a mass-conserving variant may miss beyond what
-# truncation at u_max explains.
+# truncation at the extent u explains.
 EDD_MASS_TOLERANCE = 1e-3
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Truncation extents and the mean-weight bisection tolerance.
-
-    k_max is the last stored vertex degree; the mass beyond it is recorded as
-    the distribution's truncation_mass, never raised. u_max is the extent of
-    the arc matrix. fp_tolerance is the relative bracket width at which the
-    bisection for the mean weight stops; weights f_k = k need no search.
-
-    edd_variant selects the directed-recurrence form. "printed" is the
-    denominator m*(l*f_l + m*f_k + m*f_l); "mean-weight" replaces the l*f_l
-    term with the mean weight, which makes the recurrence conserve
-    probability mass. The printed form is the default and any systematic
-    discrepancy is surfaced by the simulation cross-check rather than
-    silently corrected. The mean-weight form raises TruncationTooSevere when
-    its matrix misses more than EDD_MASS_TOLERANCE of mass beyond what
-    truncation explains.
-    """
-
-    k_max: int = 10000
-    u_max: int = 300
-    fp_tolerance: float = 1e-10
-    edd_variant: str = "printed"
-
-    def check(self, g: int) -> None:
-        if not (self.k_max >= self.u_max >= g):
-            raise ValueError(
-                f"need k_max >= u_max >= g, got {self.k_max}, {self.u_max}, {g}")
-        if self.fp_tolerance <= 0:
-            raise ValueError("the fixed-point tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +206,7 @@ def _ln_upper_gamma_cf(s: float, x: float) -> float:
 class _VddEngine:
     """Caches the degree-indexed vectors for repeated evaluations at many phi."""
 
-    def __init__(self, model: NpaModelSpec, opts: SolverOptions):
+    def __init__(self, model: NpaModelSpec, k_max: int):
         w = model.weights
         inc = model.increments
         self.g = w.g
@@ -247,11 +216,11 @@ class _VddEngine:
         # The stored range is k_max; the computation range additionally covers
         # the increment support, the weight table, and the saturation degree
         # M + 1 so tail formulas start in pure-rule territory.
-        k_need = max(opts.k_max, inc.max_arcs + 1, w.table_end() + 2)
+        k_need = max(k_max, inc.max_arcs + 1, w.table_end() + 2)
         if w.M is not None:
             k_need = max(k_need, w.M + 1)
         self.k_top = k_need
-        self.k_store = opts.k_max
+        self.k_store = k_max
         self.f = w.weights_upto(self.k_top)[self.g:]
         self.r = inc.prob_array()
         self.r_start = inc.min_arcs - self.g
@@ -283,7 +252,7 @@ class _VddEngine:
         return s + t_f
 
 
-def _fixed_point(engine: _VddEngine, opts: SolverOptions) -> float:
+def _fixed_point(engine: _VddEngine, fp_tolerance: float) -> float:
     """The mean weight phi solving phi = sum f_k Q_k(phi).
 
     When the weight is the degree at every computed degree and in the tail,
@@ -291,7 +260,7 @@ def _fixed_point(engine: _VddEngine, opts: SolverOptions) -> float:
     point is phi = 2 m, returned exactly. When it is a constant v there,
     sum f_k Q_k(phi) = v sum Q_k = v at every phi, so phi = v. Other weights
     are bracketed by doubling phi from 1 and bisected until the bracket is
-    narrower than opts.fp_tolerance relative to phi, or cannot shrink
+    narrower than fp_tolerance relative to phi, or cannot shrink
     further. A residual that is not positive at phi = 1e-9, or still
     positive after 200 doublings, means there is no stationary regime to
     bracket.
@@ -315,7 +284,7 @@ def _fixed_point(engine: _VddEngine, opts: SolverOptions) -> float:
         lo, hi = hi, 2.0 * hi
     else:
         raise NoConvergence("mean weight diverges; no stationary regime")
-    while hi - lo > opts.fp_tolerance * max(1.0, hi):
+    while hi - lo > fp_tolerance * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
@@ -326,23 +295,29 @@ def _fixed_point(engine: _VddEngine, opts: SolverOptions) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_vdd(model: NpaModelSpec, opts: SolverOptions = SolverOptions()) -> VddSolution:
+def solve_vdd(model: NpaModelSpec, k_max: int = 10000,
+              fp_tolerance: float = 1e-10) -> VddSolution:
     """Solve the stationary vertex degree distribution of a growth model.
 
-    Returns the distribution up to opts.k_max, the mean weight, the mean
-    degree (tail-corrected; for finite M the summation naturally extends to
-    the saturation degree M + 1), and the control residual against twice the
-    mean increment arc count. The mass beyond opts.k_max is recorded as
-    q.truncation_mass, whatever its size; the mean weight already accounts
-    for it through the same tail sums.
+    Returns the distribution up to the last stored degree k_max, the mean
+    weight, the mean degree (tail-corrected; for finite M the summation
+    naturally extends to the saturation degree M + 1), and the control
+    residual against twice the mean increment arc count. The mass beyond
+    k_max is recorded as q.truncation_mass, whatever its size; the mean
+    weight already accounts for it through the same tail sums. fp_tolerance
+    is the relative bracket width at which the bisection for the mean weight
+    stops; weights f_k = k or f_k = v need no search.
     """
-    opts.check(model.g)
-    engine = _VddEngine(model, opts)
+    if k_max < model.g:
+        raise ValueError(f"need k_max >= g, got {k_max} and {model.g}")
+    if not fp_tolerance > 0:
+        raise ValueError("the fixed-point tolerance must be positive")
+    engine = _VddEngine(model, k_max)
     if engine.asym[0] == "power" and engine.asym[1] > 1.0:
         raise NoConvergence(
             "superlinear weights without a degree cap concentrate attachment "
             "on one vertex; no stationary distribution exists")
-    phi = _fixed_point(engine, opts)
+    phi = _fixed_point(engine, fp_tolerance)
     q_full = engine.distribution(phi)
     t_mass, t_kmass, _ = engine.tails(phi, q_full)
     if math.isinf(t_mass):
@@ -371,9 +346,9 @@ def solve_vdd(model: NpaModelSpec, opts: SolverOptions = SolverOptions()) -> Vdd
 # Directed (arc) degree matrix
 # ---------------------------------------------------------------------------
 
-def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
-                 opts: SolverOptions = SolverOptions()) -> EdgeDegreeMatrix:
-    """Joint (tail degree, head degree) arc probabilities.
+def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution, u: int,
+                 variant: str = "printed") -> EdgeDegreeMatrix:
+    """Joint (tail degree, head degree) arc probabilities on [g, u]^2.
 
     Each cell obeys X[l, k] = src[l, k] + up[l, k] X[l-1, k]
     + left[l, k] X[l, k-1] (Krapivsky & Redner, PRE 63, 066123, 2001).
@@ -381,16 +356,30 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
     the matrix is swept by anti-diagonals, each in one vectorised step.
     Any term that refers to degree g - 1 contributes zero.
     Deterministic: equal inputs give bit-identical matrices.
+
+    vdd is the model's solved vertex distribution; it must store every
+    degree up to u, otherwise WindowExceedsMatrix is raised.
+
+    variant selects the directed-recurrence form. "printed" is the
+    denominator m*(l*f_l + m*f_k + m*f_l); "mean-weight" replaces the l*f_l
+    term with the mean weight, which makes the recurrence conserve
+    probability mass. The printed form is the default and any systematic
+    discrepancy is surfaced by the simulation cross-check rather than
+    silently corrected. The mean-weight form raises TruncationTooSevere when
+    its matrix misses more than EDD_MASS_TOLERANCE of mass beyond what
+    truncation explains.
     """
-    opts.check(model.g)
-    if opts.edd_variant not in ("printed", "mean-weight"):
-        raise ValueError(f"unknown recurrence variant {opts.edd_variant!r}")
+    g = model.g
+    if not g <= u <= vdd.q.max_degree:
+        raise WindowExceedsMatrix(
+            f"need g <= u <= the last stored vertex degree, got {g}, {u}, "
+            f"{vdd.q.max_degree}")
+    if variant not in ("printed", "mean-weight"):
+        raise ValueError(f"unknown recurrence variant {variant!r}")
     # The printed form does not conserve probability mass, so truncation
     # cannot be told apart from its imbalance and the strict mass check only
     # applies to the mean-weight form.
-    conserves_mass = opts.edd_variant == "mean-weight"
-    g = model.g
-    u = opts.u_max
+    conserves_mass = variant == "mean-weight"
     m = model.increments.mean
     n = u - g + 1
     if m == 0.0:
@@ -447,8 +436,8 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution,
         bound = _arc_truncation_bound(model, vdd, u)
         if deficit - bound > EDD_MASS_TOLERANCE:
             raise TruncationTooSevere(
-                f"arc matrix misses {deficit:.3e} of mass at u_max = {u} but at "
-                f"most {bound:.3e} is attributable to truncation; raise u_max")
+                f"arc matrix misses {deficit:.3e} of mass at u = {u} but at "
+                f"most {bound:.3e} is attributable to truncation; raise u")
     return EdgeDegreeMatrix(min_degree=g, entries=mat, kind="arc",
                             truncation_mass=deficit)
 
@@ -463,12 +452,9 @@ def _arc_truncation_bound(model: NpaModelSpec, vdd: VddSolution, u: int) -> floa
     m = model.increments.mean
     h = model.increments.max_arcs
     q = vdd.q
-    if u < q.max_degree:
-        ks = np.arange(u + 1, q.max_degree + 1, dtype=np.float64)
-        probs = q.probs[u + 1 - q.min_degree:]
-        stored = float(((ks + np.minimum(ks, h)) * probs).sum())
-    else:
-        stored = 0.0
+    ks = np.arange(u + 1, q.max_degree + 1, dtype=np.float64)
+    probs = q.probs[u + 1 - q.min_degree:]
+    stored = float(((ks + np.minimum(ks, h)) * probs).sum())
     beyond = vdd.tail_degree_mass + h * vdd.tail_mass
     return (stored + beyond) / m
 

@@ -8,14 +8,13 @@ documented next to the agreement of another instead of being patched over.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .growth import RngStream, grow_aer, grow_npa, measure_edd, measure_vdd
+from .growth import (RngStream, grow_aer, grow_aer_unpruned, grow_npa,
+                     measure_edd, measure_vdd)
 from .models import (DegreeDistribution, Graph, IncrementDistribution,
                      NpaModelSpec, WeightFunction)
-from .solver import SolverOptions, solve_arc_dd, solve_vdd, symmetrize
+from .solver import solve_arc_dd, solve_vdd, symmetrize
 
 
 def reference_models() -> dict[str, NpaModelSpec]:
@@ -49,10 +48,9 @@ def pooled_simulated_vdd(model: NpaModelSpec, n: int, reps: int,
 
 
 def vdd_agreement(model: NpaModelSpec, n: int = 100000, reps: int = 5,
-                  rng: RngStream = RngStream(7100),
-                  opts: SolverOptions = SolverOptions()) -> dict:
+                  rng: RngStream = RngStream(7100)) -> dict:
     """Total-variation distance between simulated and solved distributions."""
-    solved = solve_vdd(model, opts)
+    solved = solve_vdd(model)
     measured = pooled_simulated_vdd(model, n, reps, rng)
     return {
         "n": n,
@@ -66,29 +64,31 @@ def vdd_agreement(model: NpaModelSpec, n: int = 100000, reps: int = 5,
 
 def edd_crosscheck(model: NpaModelSpec, n: int = 100000, reps: int = 20,
                    window_u: int = 15, rng: RngStream = RngStream(7200),
-                   opts: SolverOptions = SolverOptions(),
                    variants: tuple[str, ...] = ("printed", "mean-weight")) -> dict:
     """Compare analytic edge matrices against pooled simulation per cell.
 
     Per variant: max absolute deviation on the window, the fraction of cells
     within three Monte-Carlo standard errors, and a flag for a systematic
     discrepancy (fraction below 0.95). The pooled estimate and its standard
-    errors come from reps independent grown graphs.
+    errors come from reps >= 2 independent grown graphs. The edges of one
+    graph are correlated, so a cell's standard error is the spread of its
+    per-replicate values (sample deviation over sqrt(reps)), never below
+    sqrt(1e-12 / (2 E)) for the E pooled edges.
     """
+    if reps < 2:
+        raise ValueError(f"need reps >= 2 for a standard error, got {reps}")
     g = model.g
-    entries = None
+    per_rep = []
+    entries = 0.0
     total_edges = 0
     for rep in range(reps):
         graph = grow_npa(model, n, rng.substream(rep)).final_graph
-        edd = measure_edd(graph, window_u)
-        weighted = edd.entries * graph.edge_count
-        entries = weighted if entries is None else entries + weighted
+        per_rep.append(measure_edd(graph, window_u).entries)
+        entries = entries + per_rep[-1] * graph.edge_count
         total_edges += graph.edge_count
     mc = entries / total_edges
-    # Each edge contributes two half-mass endpoint pairs; treat cells as
-    # binomial shares of 2E endpoint draws for the error scale.
-    se = np.sqrt(np.maximum(mc * (1.0 - mc), 1e-12) / (2.0 * total_edges))
-    lo = g - 1  # measured matrices start at degree 1
+    se = np.maximum(np.std(per_rep, axis=0, ddof=1) / np.sqrt(reps),
+                    np.sqrt(1e-12 / (2.0 * total_edges)))
     report = {
         "model_g": g,
         "n": n,
@@ -97,13 +97,11 @@ def edd_crosscheck(model: NpaModelSpec, n: int = 100000, reps: int = 20,
         "pooled_edges": total_edges,
         "variants": {},
     }
+    sol = solve_vdd(model)
     for variant in variants:
-        theta = symmetrize(solve_arc_dd(
-            model, solve_vdd(model, opts),
-            replace(opts, u_max=window_u, edd_variant=variant)))
-        analytic = theta.aligned(1, window_u)
-        dev = np.abs(analytic - mc)
-        z = dev / np.maximum(se, 1e-15)
+        theta = symmetrize(solve_arc_dd(model, sol, window_u, variant))
+        dev = np.abs(theta.aligned(1, window_u) - mc)  # measured from degree 1
+        z = dev / se
         within = float((z <= 3.0).mean())
         worst = np.unravel_index(int(dev.argmax()), dev.shape)
         report["variants"][variant] = {
@@ -133,8 +131,8 @@ def aer_validation(spec, reps: int = 10, rng: RngStream = RngStream(7300)) -> di
         mean_degrees.append(stats.pre_prune_mean_degree)
         autocorrs.append(stats.lag1_autocorrelation)
         zs.append(stats.lag1_null_z)
-    _, carry_stats = grow_aer(spec, rng.substream(reps),
-                              carry_z_across_rows=True)
+    _, carry_stats = grow_aer_unpruned(spec, rng.substream(reps),
+                                       carry_z_across_rows=True)
     return {
         "reps": reps,
         "target_mean_degree": spec.a,

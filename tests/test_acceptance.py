@@ -9,18 +9,18 @@ written under each test's temporary directory, never into the repository.
 import json
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution, RngStream,
-                      SolverOptions, complement_vdd, edge_share, grow_aer,
+                      complement_vdd, edge_share, grow_aer,
                       grow_aer_unpruned, mix_edd, mix_vdd, solve_arc_dd,
                       solve_vdd, symmetrize)
 from npagraph import calibrate
-from npagraph.calibrate import (CalibrateOptions, CalibrationTarget,
+from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrateOptions,
+                                CalibrationTarget,
                                 calibrate_composite, calibrate_single,
                                 preset_brightkite, select_u)
 from npagraph.cli import main as cli_main
@@ -71,7 +71,7 @@ def brightkite_graph():
 
 def test_criterion_01_ba_closed_form_oracle():
     start = time.perf_counter()
-    sol = solve_vdd(BaTreeSpec().to_npa(), SolverOptions(k_max=10000))
+    sol = solve_vdd(BaTreeSpec().to_npa(), k_max=10000)
     elapsed = time.perf_counter() - start
     ks = np.arange(1, 101, dtype=float)
     exact = 4.0 / (ks * (ks + 1.0) * (ks + 2.0))
@@ -87,7 +87,7 @@ def test_criterion_01_ba_closed_form_oracle():
 
 @pytest.mark.parametrize("name", sorted(reference_models()))
 def test_criterion_02_control_equation(name):
-    sol = solve_vdd(reference_models()[name], SolverOptions(k_max=10000))
+    sol = solve_vdd(reference_models()[name], k_max=10000)
     assert sol.control_residual < 1e-6
     _announce("2 control-equation", f"{name} residual={sol.control_residual:.2e}")
 
@@ -190,18 +190,15 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
     first, rho = preset.components[0]
     assert isinstance(first, BaTreeSpec) and rho == 0.225
     monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-    opts = CalibrateOptions(
-        r_max=40,
-        solver=SolverOptions(k_max=20000, fp_tolerance=1e-9),
-        rho_min=rho, rho_max=rho)
+    monkeypatch.setattr(calibrate, "K_MAX", 20000)
+    opts = CalibrateOptions(r_max=40, rho_min=rho, rho_max=rho)
     result = calibrate_composite(target, BaTreeSpec(), opts)
 
     from npagraph.calibrate import component_profile
-    profile = component_profile(BaTreeSpec(), target, opts)
+    profile = component_profile(BaTreeSpec(), target)
     complement = result.model.components[1][0]
-    sol2 = solve_vdd(complement, opts.solver)
-    th2 = symmetrize(solve_arc_dd(complement, sol2,
-                                  replace(opts.solver, u_max=u)))
+    sol2 = solve_vdd(complement, 20000, FP_TOLERANCE)
+    th2 = symmetrize(solve_arc_dd(complement, sol2, u))
     m2 = complement.increments.mean
     mixed = mix_edd([(profile.edd, 1.0, rho), (th2, m2, 1.0 - rho)],
                     rho + (1.0 - rho) * m2)
@@ -251,18 +248,15 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
                                mean_increment=summarize(graph).derived_m)
     monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-    opts = CalibrateOptions(r_max=8,
-                            solver=SolverOptions(k_max=6000,
-                                                 fp_tolerance=1e-9),
-                            rho_min=rho, rho_max=rho)
+    monkeypatch.setattr(calibrate, "K_MAX", 6000)
+    opts = CalibrateOptions(r_max=8, rho_min=rho, rho_max=rho)
     result = calibrate_composite(target, BaTreeSpec(), opts)
 
     from npagraph.calibrate import component_profile
-    profile = component_profile(BaTreeSpec(), target, opts)
+    profile = component_profile(BaTreeSpec(), target)
     fitted = result.model.components[1][0]
-    sol2 = solve_vdd(fitted, opts.solver)
-    th2 = symmetrize(solve_arc_dd(fitted, sol2,
-                                  replace(opts.solver, u_max=u)))
+    sol2 = solve_vdd(fitted, 6000, FP_TOLERANCE)
+    th2 = symmetrize(solve_arc_dd(fitted, sol2, u))
     m2 = fitted.increments.mean
     mixed = mix_edd([(profile.edd, 1.0, rho), (th2, m2, 1.0 - rho)],
                     rho + (1.0 - rho) * m2)
@@ -329,18 +323,16 @@ def test_criterion_09_calibration_round_trip():
     from npagraph.models import (IncrementDistribution, NpaModelSpec,
                                  WeightFunction)
     start = time.perf_counter()
-    sopts = SolverOptions(k_max=4000, fp_tolerance=1e-9)
-
     planted = NpaModelSpec(
         weights=WeightFunction.linear(g=1),
         increments=IncrementDistribution(min_arcs=1,
                                          probs=(0.4, 0.3, 0.2, 0.1)))
-    sol = solve_vdd(planted, sopts)
-    theta = symmetrize(solve_arc_dd(planted, sol, replace(sopts, u_max=20)))
+    sol = solve_vdd(planted, K_MAX, FP_TOLERANCE)
+    theta = symmetrize(solve_arc_dd(planted, sol, 20))
     target = CalibrationTarget(vdd=sol.q, edd=theta, u=20,
                                mean_increment=planted.increments.mean)
     res = calibrate_single(target, "linear",
-                           CalibrateOptions(r_max=5, solver=sopts))
+                           CalibrateOptions(r_max=5))
     assert res.distance < 1e-3
     for k in range(1, 6):
         assert abs(res.model.increments.prob(k)
@@ -352,17 +344,17 @@ def test_criterion_09_calibration_round_trip():
         increments=IncrementDistribution(min_arcs=1, probs=(0.3, 0.7)))
     ba = BaTreeSpec().to_npa()
     rho = 0.3
-    sol1 = solve_vdd(ba, sopts)
-    sol2 = solve_vdd(complement, sopts)
-    th1 = symmetrize(solve_arc_dd(ba, sol1, replace(sopts, u_max=20)))
-    th2 = symmetrize(solve_arc_dd(complement, sol2, replace(sopts, u_max=20)))
+    sol1 = solve_vdd(ba, K_MAX, FP_TOLERANCE)
+    sol2 = solve_vdd(complement, K_MAX, FP_TOLERANCE)
+    th1 = symmetrize(solve_arc_dd(ba, sol1, 20))
+    th2 = symmetrize(solve_arc_dd(complement, sol2, 20))
     m2 = complement.increments.mean
     m_tot = rho + (1 - rho) * m2
     ctarget = CalibrationTarget(
         vdd=mix_vdd([(sol1.q, rho), (sol2.q, 1 - rho)]),
         edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)], m_tot),
         u=20, mean_increment=m_tot)
-    copts = CalibrateOptions(r_max=3, solver=sopts, rho_min=0.1, rho_max=0.6)
+    copts = CalibrateOptions(r_max=3, rho_min=0.1, rho_max=0.6)
     cres = calibrate_composite(ctarget, BaTreeSpec(), copts)
     assert abs(cres.report["rho"] - rho) <= copts.rho_step + 1e-9
     elapsed = time.perf_counter() - start

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,19 +7,18 @@ from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       DegreeDistribution, EdgeDegreeMatrix,
                       IncrementDistribution, InfeasibleComplement,
                       NoConvergence, NpaModelSpec, RngStream, SolverFailure,
-                      SolverOptions, TruncationTooSevere, WeightFunction,
+                      TruncationTooSevere, WeightFunction,
                       WindowExceedsMatrix, grow_npa, measure_edd, measure_vdd,
                       mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize,
                       validate_model)
 from npagraph import calibrate
-from npagraph.calibrate import (AER_CACHE_SIZE, CalibrateOptions,
+from npagraph.calibrate import (AER_CACHE_SIZE, FP_TOLERANCE, K_MAX,
+                                CalibrateOptions,
                                 CalibrationTarget, OptimizerTrace,
                                 aer_component_estimate, calibrate_composite,
                                 calibrate_single, edd_distance,
                                 gowalla_increments, preset_brightkite,
                                 preset_gowalla, select_u)
-
-SOPTS = SolverOptions(k_max=4000, fp_tolerance=1e-9)
 
 GOWALLA_RAW_R1 = 0.3557221013019485
 GOWALLA_RAW_SUM = 1.000024621589985
@@ -35,8 +32,8 @@ def _model(probs, min_arcs=1, weights=None):
 
 
 def _target_from(model, u=20):
-    sol = solve_vdd(model, SOPTS)
-    theta = symmetrize(solve_arc_dd(model, sol, replace(SOPTS, u_max=u)))
+    sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
+    theta = symmetrize(solve_arc_dd(model, sol, u))
     return CalibrationTarget(vdd=sol.q, edd=theta, u=u,
                              mean_increment=model.increments.mean)
 
@@ -101,7 +98,7 @@ LINEAR = WeightFunction.linear(g=1)
 def _noisy_vdd(probs, sigma, seed):
     """The solved vertex distribution of a linear-weight model, each
     probability times a log-normal factor, renormalised."""
-    q = solve_vdd(_model(probs), SOPTS).q
+    q = solve_vdd(_model(probs), K_MAX, FP_TOLERANCE).q
     noisy = np.asarray(q.probs) * np.exp(
         np.random.default_rng(seed).normal(0.0, sigma, len(q.probs)))
     noisy *= (1.0 - q.truncation_mass) / noisy.sum()
@@ -109,15 +106,15 @@ def _noisy_vdd(probs, sigma, seed):
                               truncation_mass=q.truncation_mass)
 
 
-def _l1(q, m, u, opts, r):
-    a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, opts)
+def _l1(q, m, u, r_max, r):
+    a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, r_max)
     return float(np.abs(a @ r - observed).sum())
 
 
-def _highs_increments(q, m, u, opts):
+def _highs_increments(q, m, u, r_max):
     """The same L1 program solved by HiGHS, with the same final tilt."""
-    a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, opts)
-    ks = np.arange(opts.r_min, opts.r_max + 1, dtype=float)
+    a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, r_max)
+    ks = np.arange(calibrate.R_MIN, r_max + 1, dtype=float)
     n_cmp, n_r = a.shape
     unit, empty = np.eye(n_cmp), np.zeros((1, n_cmp))
     a_eq = np.block([[a, -unit, unit],
@@ -131,15 +128,14 @@ def _highs_increments(q, m, u, opts):
 
 
 def _check_against_highs(q, m, u, r_max):
-    opts = CalibrateOptions(r_max=r_max, solver=SOPTS)
     ks = np.arange(1, r_max + 1)
     # The simplex's own basic solution, before _with_mean clips and tilts it.
-    a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, opts)
+    a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, r_max)
     raw = calibrate._l1_fit(a, observed, ks.astype(float), m)
     assert raw.min() >= -1e-12
     assert abs(raw.sum() - 1.0) <= 1e-12
     assert abs(ks @ raw - m) <= 1e-12
-    r = np.array(calibrate._invert_vdd(q, LINEAR, m, 2.0 * m, u, opts).probs)
+    r = np.array(calibrate._invert_vdd(q, LINEAR, m, 2.0 * m, u, r_max).probs)
     assert abs(r.sum() - 1.0) <= 1e-12
     assert abs(ks @ r - m) <= 1e-12
     assert r.min() >= -1e-12
@@ -147,9 +143,9 @@ def _check_against_highs(q, m, u, r_max):
     # as its feasibility tolerance. So is its mean when its r is one point,
     # which _with_mean cannot tilt; each column of A sums to 1, so moving
     # its mean onto m costs at most twice the miss in L1.
-    highs = _highs_increments(q, m, u, opts)
+    highs = _highs_increments(q, m, u, r_max)
     slack = 1e-12 + 2.0 * abs(ks @ highs - m)
-    assert _l1(q, m, u, opts, r) <= _l1(q, m, u, opts, highs) + slack
+    assert _l1(q, m, u, r_max, r) <= _l1(q, m, u, r_max, highs) + slack
 
 
 class TestInvertVdd:
@@ -161,10 +157,9 @@ class TestInvertVdd:
         # vertex distribution: the head, the doubling tail bins and the mass
         # beyond k_max.
         true = _model(probs)
-        q = solve_vdd(true, SOPTS).q
+        q = solve_vdd(true, K_MAX, FP_TOLERANCE).q
         m = true.increments.mean
-        opts = CalibrateOptions(r_max=50, solver=SOPTS)
-        a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, opts)
+        a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, 50)
         r = np.zeros(50)
         r[:len(probs)] = probs
         assert np.allclose(a @ r, observed, rtol=1e-10, atol=1e-15)
@@ -205,28 +200,26 @@ class TestInvertVdd:
     def test_edge_means_no_worse_than_highs(self, probs, sigma, r_max, m, u):
         _check_against_highs(_noisy_vdd(probs, sigma, 7), m, u, r_max)
 
-    def test_one_point_support(self):
+    def test_one_point_support(self, monkeypatch):
         q = _noisy_vdd((0.0, 0.0, 1.0), 0.3, 8)
-        opts = CalibrateOptions(r_min=3, r_max=3, solver=SOPTS)
+        monkeypatch.setattr(calibrate, "R_MIN", 3)
         weight = WeightFunction.linear(g=3)
-        inc = calibrate._invert_vdd(q, weight, 3.0, 6.0, 12, opts)
+        inc = calibrate._invert_vdd(q, weight, 3.0, 6.0, 12, 3)
         assert (inc.min_arcs, inc.probs) == (3, (1.0,))
         with pytest.raises(InfeasibleComplement):
-            calibrate._invert_vdd(q, weight, 3.5, 7.0, 12, opts)
+            calibrate._invert_vdd(q, weight, 3.5, 7.0, 12, 3)
 
     def test_mean_outside_support_is_infeasible(self):
         q = _noisy_vdd((0.5, 0.5), 0.3, 9)
-        opts = CalibrateOptions(r_max=4, solver=SOPTS)
         for m in (0.999, 4.001):
             with pytest.raises(InfeasibleComplement):
-                calibrate._invert_vdd(q, LINEAR, m, 2.0 * m, 12, opts)
+                calibrate._invert_vdd(q, LINEAR, m, 2.0 * m, 12, 4)
 
     def test_pivot_cap_raises_no_convergence(self, monkeypatch):
         monkeypatch.setattr(calibrate, "SIMPLEX_PIVOTS_PER_COLUMN", 0)
         q = _noisy_vdd((0.5, 0.5), 0.3, 10)
         with pytest.raises(NoConvergence):
-            calibrate._invert_vdd(q, LINEAR, 1.5, 3.0, 12,
-                                  CalibrateOptions(r_max=4, solver=SOPTS))
+            calibrate._invert_vdd(q, LINEAR, 1.5, 3.0, 12, 4)
 
 
 class TestOptimizerTrace:
@@ -254,7 +247,7 @@ class TestOptimizerTrace:
         monkeypatch.setattr(calibrate, "OptimizerTrace", lambda: trace)
         with pytest.raises(SolverFailure):
             calibrate_single(target, "linear",
-                             CalibrateOptions(r_max=5, solver=SOPTS))
+                             CalibrateOptions(r_max=5))
         assert (trace.evaluations, trace.solver_failures) == (1, 1)
         assert trace.failure_types == {"NoConvergence": 1}
 
@@ -266,7 +259,7 @@ class TestOptimizerTrace:
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails)
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.25,
+        opts = CalibrateOptions(r_max=3, rho_min=0.25,
                                 rho_max=0.35, rho_step=0.05)
         with pytest.raises(NoConvergence):
             calibrate_composite(_composite_target(), BaTreeSpec(), opts)
@@ -280,7 +273,7 @@ class TestCalibrateSingle:
     def test_round_trip_recovers_planted(self):
         true = _model((0.5, 0.5))
         target = _target_from(true, u=20)
-        opts = CalibrateOptions(r_max=4, solver=SOPTS)
+        opts = CalibrateOptions(r_max=4)
         res = calibrate_single(target, "linear", opts)
         assert res.distance < 1e-3
         recovered = res.model.increments
@@ -291,17 +284,16 @@ class TestCalibrateSingle:
     def test_best_history_monotone(self):
         target = _target_from(_model((0.7, 0.3)), u=15)
         res = calibrate_single(target, "linear",
-                               CalibrateOptions(r_max=3, solver=SOPTS))
+                               CalibrateOptions(r_max=3))
         hist = res.iterations.best_history
         assert all(a >= b for a, b in zip(hist, hist[1:]))
 
     def test_distance_reproducible_from_model(self):
         target = _target_from(_model((0.6, 0.4)), u=15)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS)
+        opts = CalibrateOptions(r_max=3)
         res = calibrate_single(target, "linear", opts)
-        sol = solve_vdd(res.model, opts.solver)
-        theta = symmetrize(solve_arc_dd(res.model, sol,
-                                        replace(opts.solver, u_max=target.u)))
+        sol = solve_vdd(res.model, K_MAX, FP_TOLERANCE)
+        theta = symmetrize(solve_arc_dd(res.model, sol, target.u))
         again = edd_distance(theta, target.edd, 1, target.u)
         assert again == pytest.approx(res.distance, abs=1e-9)
         # The result carries that same matrix.
@@ -311,7 +303,7 @@ class TestCalibrateSingle:
     def test_result_model_validates(self):
         target = _target_from(_model((0.5, 0.5)), u=12)
         res = calibrate_single(target, "linear",
-                               CalibrateOptions(r_max=3, solver=SOPTS))
+                               CalibrateOptions(r_max=3))
         assert validate_model(res.model) is res.model
 
     def test_unknown_mode_rejected(self):
@@ -333,7 +325,7 @@ class TestCalibrateSingle:
         monkeypatch.setattr(calibrate, "PHASE2_THRESHOLD", 1e-4)
         true = _model((0.6, 0.4), weights=WeightFunction.power(0.8, g=1))
         target = _target_from(true, u=15)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS)
+        opts = CalibrateOptions(r_max=3)
         linear_only = calibrate_single(target, "linear", opts)
         full = calibrate_single(target, "table-free", opts)
         assert full.report["phase"] == 2
@@ -348,7 +340,7 @@ class TestCalibrateSingle:
         # candidate; the trace carries no restart or stall state.
         target = _target_from(_model((0.5, 0.5)), u=12)
         res = calibrate_single(target, "linear",
-                               CalibrateOptions(r_max=3, solver=SOPTS))
+                               CalibrateOptions(r_max=3))
         trace = res.iterations
         assert (trace.evaluations, trace.solver_failures, trace.phase) == (1, 0, 1)
         assert trace.best_history == [trace.best_objective]
@@ -375,7 +367,7 @@ class TestCalibrateSingle:
         probs = tuple(w / sum(weights) for w in weights)
         true = _model(probs)
         res = calibrate_single(_target_from(true, u=15), "linear",
-                               CalibrateOptions(r_max=6, solver=SOPTS))
+                               CalibrateOptions(r_max=6))
         for k in range(1, 7):
             assert abs(res.model.increments.prob(k)
                        - true.increments.prob(k)) <= 1e-6
@@ -383,7 +375,7 @@ class TestCalibrateSingle:
     def test_mean_increment_is_the_target_mean(self):
         target = _target_from(_model((0.2, 0.5, 0.3)), u=15)
         res = calibrate_single(target, "linear",
-                               CalibrateOptions(r_max=8, solver=SOPTS))
+                               CalibrateOptions(r_max=8))
         assert abs(res.model.increments.mean - target.m) <= 1e-9
         assert res.report["mean_increment_target"] == target.m
 
@@ -394,13 +386,13 @@ class TestCalibrateSingle:
         low = CalibrationTarget(vdd=tree.vdd, edd=tree.edd, u=10,
                                 mean_increment=0.9998)
         res = calibrate_single(low, "linear",
-                               CalibrateOptions(r_max=4, solver=SOPTS))
+                               CalibrateOptions(r_max=4))
         assert abs(res.model.increments.mean - 1.0) <= 1e-9
         assert res.report["mean_increment_target"] == 1.0
         high = CalibrationTarget(vdd=tree.vdd, edd=tree.edd, u=10,
                                  mean_increment=7.5)
         res = calibrate_single(high, "linear",
-                               CalibrateOptions(r_max=4, solver=SOPTS))
+                               CalibrateOptions(r_max=4))
         assert abs(res.model.increments.mean - 4.0) <= 1e-9
 
 
@@ -444,10 +436,10 @@ def test_noisy_target_no_worse_than_simplex(name, probs, seed):
 def _composite_target(rho=0.3, u=20):
     comp2 = _model((0.3, 0.7))
     ba = BaTreeSpec().to_npa()
-    sol1 = solve_vdd(ba, SOPTS)
-    sol2 = solve_vdd(comp2, SOPTS)
-    th1 = symmetrize(solve_arc_dd(ba, sol1, replace(SOPTS, u_max=u)))
-    th2 = symmetrize(solve_arc_dd(comp2, sol2, replace(SOPTS, u_max=u)))
+    sol1 = solve_vdd(ba, K_MAX, FP_TOLERANCE)
+    sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
+    th1 = symmetrize(solve_arc_dd(ba, sol1, u))
+    th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
     m2 = comp2.increments.mean
     m_tot = rho * 1.0 + (1 - rho) * m2
     return CalibrationTarget(
@@ -459,7 +451,7 @@ def _composite_target(rho=0.3, u=20):
 @pytest.fixture(scope="module")
 def fitted():
     target = _composite_target(rho=0.3)
-    opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.225,
+    opts = CalibrateOptions(r_max=3, rho_min=0.225,
                             rho_max=0.375)
     return calibrate_composite(target, BaTreeSpec(), opts), target
 
@@ -487,8 +479,8 @@ class TestCalibrateComposite:
         m1 = res.report["m_first"]
         (first, rho), (second, rho2) = res.model.components
         m2 = second.increments.mean
-        opts = replace(SOPTS, u_max=target.u)
-        parts = [(symmetrize(solve_arc_dd(spec, solve_vdd(spec, opts), opts)),
+        parts = [(symmetrize(solve_arc_dd(
+                      spec, solve_vdd(spec, K_MAX, FP_TOLERANCE), target.u)),
                   m, share)
                  for spec, m, share in ((first, m1, rho), (second, m2, rho2))]
         mixed = mix_edd(parts, rho * m1 + rho2 * m2)
@@ -521,11 +513,11 @@ class TestCalibrateComposite:
                        weights=WeightFunction.linear(g=2))
         ba = BaTreeSpec().to_npa()
         rho = 0.1
-        sol1 = solve_vdd(ba, SOPTS)
-        sol2 = solve_vdd(comp2, SOPTS)
+        sol1 = solve_vdd(ba, K_MAX, FP_TOLERANCE)
+        sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
         u = 15
-        th1 = symmetrize(solve_arc_dd(ba, sol1, replace(SOPTS, u_max=u)))
-        th2 = symmetrize(solve_arc_dd(comp2, sol2, replace(SOPTS, u_max=u)))
+        th1 = symmetrize(solve_arc_dd(ba, sol1, u))
+        th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
         m2 = comp2.increments.mean
         m_tot = rho + (1 - rho) * m2
         target = CalibrationTarget(
@@ -533,7 +525,7 @@ class TestCalibrateComposite:
             edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)], m_tot),
             u=u, mean_increment=m_tot)
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.05,
+        opts = CalibrateOptions(r_max=3, rho_min=0.05,
                                 rho_max=0.35)
         res = calibrate_composite(target, BaTreeSpec(), opts)
         skipped = [e for e in res.report["grid"] if "skipped" in e]
@@ -547,17 +539,17 @@ class TestCalibrateComposite:
         aer, u, rho = AerModelSpec(n1=400, a=2.0), 12, 0.3
         vdd1, edd1 = aer_component_estimate(aer, u)
         comp2 = _model((0.4, 0.6))
-        sol2 = solve_vdd(comp2, SOPTS)
-        th2 = symmetrize(solve_arc_dd(comp2, sol2, replace(SOPTS, u_max=u)))
+        sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
+        th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
         m1, m2 = aer.a / 2.0, comp2.increments.mean
         m_tot = rho * m1 + (1 - rho) * m2
         target = CalibrationTarget(
             vdd=mix_vdd([(vdd1, rho), (sol2.q, 1 - rho)]),
             edd=mix_edd([(edd1, m1, rho), (th2, m2, 1 - rho)], m_tot),
             u=u, mean_increment=m_tot)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.2,
+        opts = CalibrateOptions(r_max=3, rho_min=0.2,
                                 rho_max=0.4, rho_step=0.05)
-        profile = calibrate.component_profile(aer, target, opts)
+        profile = calibrate.component_profile(aer, target)
         assert (profile.vdd, profile.edd, profile.m) == (vdd1, edd1, m1)
         res = calibrate_composite(target, aer, opts)
         assert res.report["rho"] == rho
@@ -576,7 +568,7 @@ class TestCalibrateComposite:
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
         comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
         target = _target_from(comp2, u=15)
-        opts = CalibrateOptions(r_max=3, solver=SOPTS, rho_min=0.4,
+        opts = CalibrateOptions(r_max=3, rho_min=0.4,
                                 rho_max=0.6)
         with pytest.raises(AllRhoInfeasible):
             calibrate_composite(target, BaTreeSpec(), opts)

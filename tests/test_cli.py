@@ -1,12 +1,11 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
-                      SolverOptions, WeightFunction, dump_model, solve_arc_dd,
-                      solve_vdd, symmetrize)
+                      WeightFunction, dump_model, solve_arc_dd, solve_vdd,
+                      symmetrize)
 from npagraph.cli import main
 from npagraph.solver import edd_from_csv, edd_to_csv, vdd_to_csv
 
@@ -60,6 +59,9 @@ class TestSolveCommand:
         # Only the default seed graph has a name.
         ({"g": 1, "M": None, "rule": "linear"}, [1.0], "star",
          "unknown seed graph name 'star'"),
+        # A seed edge names a vertex the seed does not have.
+        ({"g": 1, "M": None, "rule": "linear"}, [1.0],
+         {"vertices": 2, "edges": [[0, 5]]}, "SeedIdOutOfRange"),
     ])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, weights, probs,
                                  seed_graph, code):
@@ -68,7 +70,8 @@ class TestSolveCommand:
             "type": "npa",
             "weights": weights,
             "increments": {"min_arcs": 1, "probs": probs},
-            "seed_graph": {"name": seed_graph},
+            "seed_graph": (seed_graph if isinstance(seed_graph, dict)
+                           else {"name": seed_graph}),
         }))
         assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert code in capsys.readouterr().err
@@ -81,7 +84,14 @@ class TestSolveCommand:
         spec = _write_ba_spec(tmp_path)
         assert main(["solve", str(spec), "--kmax", "5", "--umax", "300",
                      "--out", str(tmp_path / "o")]) == 2
-        assert "--kmax >= --umax" in capsys.readouterr().err
+        assert "last stored vertex degree" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kmax,umax", [("0", "0"), ("300", "0")])
+    def test_extent_below_g_exit_2(self, tmp_path, kmax, umax):
+        spec = _write_ba_spec(tmp_path)
+        assert main(["solve", str(spec), "--kmax", kmax, "--umax", umax,
+                     "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
 
@@ -291,9 +301,8 @@ class TestRerunDeterminism:
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(0.7, 0.3)))
-        opts = SolverOptions(k_max=4000, fp_tolerance=1e-9)
-        sol = solve_vdd(model, opts)
-        theta = symmetrize(solve_arc_dd(model, sol, replace(opts, u_max=10)))
+        sol = solve_vdd(model, 4000, 1e-9)
+        theta = symmetrize(solve_arc_dd(model, sol, 10))
         target_dir = tmp_path / "target"
         target_dir.mkdir()
         (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
@@ -361,8 +370,7 @@ class TestEnvironment:
 class TestCompareCommand:
     def _write_edd(self, path: Path, perturb=0.0) -> Path:
         model = BaTreeSpec().to_npa()
-        opts = SolverOptions(k_max=4000, u_max=10)
-        theta = symmetrize(solve_arc_dd(model, solve_vdd(model, opts), opts))
+        theta = symmetrize(solve_arc_dd(model, solve_vdd(model, 4000), 10))
         text = edd_to_csv(theta)
         if perturb:
             lines = text.splitlines()
@@ -469,13 +477,12 @@ class TestCalibrateCommand:
     ])
     def test_unreadable_target_is_input_error(self, tmp_path, capsys, name, text):
         model = BaTreeSpec().to_npa()
-        opts = SolverOptions(k_max=2000, u_max=8)
-        sol = solve_vdd(model, opts)
+        sol = solve_vdd(model, 2000)
         target_dir = tmp_path / "target"
         target_dir.mkdir()
         (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
         (target_dir / "edd.csv").write_text(edd_to_csv(symmetrize(
-            solve_arc_dd(model, sol, opts))))
+            solve_arc_dd(model, sol, 8))))
         (target_dir / name).write_text(text)
         code = main(["calibrate", str(target_dir), "--rmax", "2", "--out",
                      str(tmp_path / "fit")])
@@ -486,9 +493,8 @@ class TestCalibrateCommand:
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.5)))
-        opts = SolverOptions(k_max=2000, fp_tolerance=1e-9)
-        sol = solve_vdd(model, opts)
-        theta = symmetrize(solve_arc_dd(model, sol, replace(opts, u_max=15)))
+        sol = solve_vdd(model, 2000, 1e-9)
+        theta = symmetrize(solve_arc_dd(model, sol, 15))
         target_dir = tmp_path / "target"
         target_dir.mkdir()
         (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
@@ -516,9 +522,8 @@ class TestCalibrateCommand:
 
         monkeypatch.setattr(cli, "calibrate_single", spy)
         model = BaTreeSpec().to_npa()
-        opts = SolverOptions(k_max=2000, u_max=8)
-        sol = solve_vdd(model, opts)
-        theta = symmetrize(solve_arc_dd(model, sol, opts))
+        sol = solve_vdd(model, 2000)
+        theta = symmetrize(solve_arc_dd(model, sol, 8))
         target_dir = tmp_path / "target"
         target_dir.mkdir()
         (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
@@ -542,9 +547,8 @@ class TestCalibrateCommand:
         from npagraph.calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO,
                                         TOTAL_N)
         model = BaTreeSpec()
-        opts = SolverOptions(k_max=2000)
-        sol = solve_vdd(model, opts)
-        theta = symmetrize(solve_arc_dd(model, sol, replace(opts, u_max=8)))
+        sol = solve_vdd(model, 2000)
+        theta = symmetrize(solve_arc_dd(model, sol, 8))
         target_dir = tmp_path / "target"
         target_dir.mkdir()
         (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
@@ -614,15 +618,13 @@ class TestCalibrateCommand:
         assert report["details"]["target_meta"]["smoothing"] == "none"
 
     def test_all_rho_infeasible_exit_4(self, tmp_path):
-        from dataclasses import replace as _replace
         # Target with no degree-1 mass: every candidate fraction makes the
         # complement negative at degree 1 against a tree first component.
-        opts = SolverOptions(k_max=4000, fp_tolerance=1e-9)
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=2),
             increments=IncrementDistribution(min_arcs=2, probs=(1.0,)))
-        sol = solve_vdd(model, opts)
-        theta = symmetrize(solve_arc_dd(model, sol, _replace(opts, u_max=12)))
+        sol = solve_vdd(model, 4000, 1e-9)
+        theta = symmetrize(solve_arc_dd(model, sol, 12))
         target_dir = tmp_path / "target"
         target_dir.mkdir()
         (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
@@ -657,14 +659,13 @@ class TestCalibrateCommand:
         """Exact target of a BA tree (share rho) plus a linear-weight
         complement with increments probs from one arc."""
         from npagraph import mix_edd, mix_vdd
-        opts = SolverOptions(k_max=4000)
         ba = BaTreeSpec().to_npa()
         comp = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=probs))
-        sol1, sol2 = solve_vdd(ba, opts), solve_vdd(comp, opts)
-        th1 = symmetrize(solve_arc_dd(ba, sol1, replace(opts, u_max=u)))
-        th2 = symmetrize(solve_arc_dd(comp, sol2, replace(opts, u_max=u)))
+        sol1, sol2 = solve_vdd(ba, 4000), solve_vdd(comp, 4000)
+        th1 = symmetrize(solve_arc_dd(ba, sol1, u))
+        th2 = symmetrize(solve_arc_dd(comp, sol2, u))
         m2 = comp.increments.mean
         m_tot = rho + (1 - rho) * m2
         target_dir = path / "target"

@@ -163,6 +163,29 @@ class TestValidateModel:
             validate_model(spec)
         assert "SeedWeightZero" in err.value.codes()
 
+    @pytest.mark.parametrize("vertices,edges", [
+        (2, ((0, 5),)), (2, ((0, 1), (2, 1))), (3, ((-1, 2),)),
+        (None, ((0, -1),)), (0, ((0, 0),))])
+    def test_seed_id_out_of_range(self, vertices, edges):
+        # The seed graph is never built: its ids would not index its vertices.
+        spec = NpaModelSpec(
+            weights=WeightFunction.linear(g=1),
+            increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
+            seed_graph=SeedGraphSpec(name=None, vertices=vertices, edges=edges))
+        with pytest.raises(ValidationError) as err:
+            validate_model(spec)
+        assert err.value.codes() == ["SeedIdOutOfRange"]
+        composite = CompositeSpec(components=((BaTreeSpec(), 0.5), (spec, 0.5)),
+                                  total_n=1000)
+        with pytest.raises(ValidationError) as err:
+            validate_model(composite)
+        assert err.value.codes() == ["SeedIdOutOfRange"]
+
+    def test_seed_ids_in_range_build(self):
+        seed = SeedGraphSpec(name=None, vertices=3, edges=((0, 2), (1, 2)))
+        assert seed.violations() == []
+        assert seed.build(1).vertex_count == 3
+
     def test_degenerate_empty_seed(self):
         spec = NpaModelSpec(
             weights=WeightFunction.linear(g=1),

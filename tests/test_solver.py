@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       EmptyInput, GammaNotConvex, InfeasibleComplement,
                       IncrementDistribution, MalformedLine, NoConvergence,
-                      NonPositiveResult, NpaModelSpec, SolverOptions,
-                      WeightFunction, WeightsNotConvex,
+                      NonPositiveResult, NpaModelSpec, WeightFunction,
+                      WeightsNotConvex, WindowExceedsMatrix,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph import solver
@@ -108,7 +108,7 @@ class TestSolveVdd:
     @pytest.mark.parametrize("name", sorted(reference_models()))
     def test_control_equation_all_models(self, name):
         model = reference_models()[name]
-        sol = solve_vdd(model, SolverOptions(k_max=10000))
+        sol = solve_vdd(model, k_max=10000)
         assert sol.control_residual < 1e-6
         assert sol.q.stored_mass() + sol.q.truncation_mass == pytest.approx(
             1.0, abs=1e-12)
@@ -116,14 +116,14 @@ class TestSolveVdd:
     @pytest.mark.parametrize("name", sorted(reference_models()))
     def test_fixed_point_consistency(self, name):
         model = reference_models()[name]
-        opts = SolverOptions()
-        sol = solve_vdd(model, opts)
+        tol = 1e-10
+        sol = solve_vdd(model, fp_tolerance=tol)
         f = model.weights.weights_upto(sol.q.max_degree)[sol.q.min_degree:]
         weighted = float((f * sol.q.probs).sum())
         # The stored part plus the analytic linear tail must return phi.
         if model.weights.asymptote()[0] == "linear":
             weighted += sol.tail_degree_mass
-        assert abs(weighted - sol.mean_weight) < 100 * opts.fp_tolerance
+        assert abs(weighted - sol.mean_weight) < 100 * tol
 
     def test_finite_m_saturation_degree(self):
         model = reference_models()["superlinear_m200"]
@@ -149,8 +149,8 @@ class TestSolveVdd:
         from npagraph.calibrate import gowalla_increments
         inc, _ = gowalla_increments()
         heavy = NpaModelSpec(weights=WeightFunction.linear(g=1), increments=inc)
-        short = solve_vdd(heavy, SolverOptions(k_max=10000))
-        long = solve_vdd(heavy, SolverOptions(k_max=40000))
+        short = solve_vdd(heavy, k_max=10000)
+        long = solve_vdd(heavy, k_max=40000)
         assert np.array_equal(short.q.probs, long.q.probs[:10000])
         beyond = float(long.q.probs[10000:].sum()) + long.q.truncation_mass
         assert short.q.truncation_mass > 1e-6
@@ -174,7 +174,7 @@ class TestSolveVdd:
                              increments=IncrementDistribution(min_arcs=g,
                                                               probs=probs))
         two_m = 2.0 * model.increments.mean
-        engine = _VddEngine(model, SolverOptions())
+        engine = _VddEngine(model, 10000)
         assert abs(engine.weighted_sum(two_m) - two_m) <= 1e-9 * two_m
         assert solve_vdd(model).mean_weight == two_m
 
@@ -192,7 +192,7 @@ class TestSolveVdd:
     def test_distribution_matches_scalar_recurrence(self, case):
         model, phi, k_max = case
         assert model.violations() == []
-        engine = _VddEngine(model, SolverOptions(k_max=k_max, u_max=model.g))
+        engine = _VddEngine(model, k_max)
         got = engine.distribution(phi)
         ref = vdd_reference(model, phi, engine.k_top)
         assert len(got) == len(ref) and not np.isnan(got).any()
@@ -247,8 +247,7 @@ class TestTailSums:
         # The tail degree mass follows from the tail weight sum by the
         # summation identity, so the control identity holds to the bisection
         # tolerance whatever the accuracy of that numeric sum.
-        sol = solve_vdd(three_arc_power(alpha, g),
-                        SolverOptions(k_max=k_max, u_max=min(k_max, 300)))
+        sol = solve_vdd(three_arc_power(alpha, g), k_max=k_max)
         assert sol.control_residual < 1e-9
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 0.9])
@@ -257,7 +256,7 @@ class TestTailSums:
         # k_max is the last computed degree here, so tail_mass is the sum
         # over k > k_max alone.
         model = three_arc_power(alpha)
-        sol = solve_vdd(model, SolverOptions(k_max=k_max, u_max=100))
+        sol = solve_vdd(model, k_max=k_max)
         q_top = sol.q.probs[-1]
         assert q_top > 0.0
         expected = direct_tail_mass(lambda k: k ** alpha, sol.mean_weight,
@@ -270,7 +269,7 @@ class TestTailSums:
         model = NpaModelSpec(
             weights=WeightFunction.constant(v, g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.3, 0.2)))
-        sol = solve_vdd(model, SolverOptions(k_max=k_max, u_max=k_max))
+        sol = solve_vdd(model, k_max=k_max)
         phi, m, q_top = sol.mean_weight, model.increments.mean, sol.q.probs[-1]
         expected = direct_tail_mass(lambda k: np.full_like(k, v), phi, m,
                                     q_top, k_max)
@@ -306,7 +305,7 @@ class TestTailSums:
             return original(s, x)
 
         monkeypatch.setattr(solver, "_ln_upper_gamma_cf", counted)
-        sol = solve_vdd(three_arc_power(0.9999), SolverOptions(k_max=4000))
+        sol = solve_vdd(three_arc_power(0.9999), k_max=4000)
         assert calls
         assert sol.control_residual < 1e-9
         assert 0.0 < sol.q.truncation_mass < 1e-6
@@ -352,7 +351,7 @@ class TestTailSums:
         model = NpaModelSpec(
             weights=WeightFunction.power(0.999, g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(0.6, 0.4)))
-        sol = solve_vdd(model, SolverOptions(k_max=4000))
+        sol = solve_vdd(model, k_max=4000)
         # Each gamma value not taken by the continued fraction summed the
         # series of the lower function.
         assert fraction and len(calls) > len(fraction)
@@ -433,11 +432,10 @@ class TestArcKernel:
         assert model.violations() == []
         # The mass check is tested on its own; at small u it would reject
         # cases whose values are still worth comparing.
-        opts = SolverOptions(k_max=max(u, 400), u_max=u, edd_variant=variant)
-        vdd = solve_vdd(model, opts)
+        vdd = solve_vdd(model, k_max=max(u, 400))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "EDD_MASS_TOLERANCE", 1.0)
-            got = solve_arc_dd(model, vdd, opts).entries
+            got = solve_arc_dd(model, vdd, u, variant).entries
         ref, src = arc_reference(model, vdd, u, variant)
         big = ref >= 1e-12
         assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * ref[big])
@@ -450,9 +448,8 @@ class TestArcKernel:
         # Beyond M both weights vanish, so the printed den is 0 there.
         model = NpaModelSpec(weights=WeightFunction.linear(g=1, M=6),
                              increments=IncrementDistribution(1, (0.5, 0.5)))
-        opts = SolverOptions(k_max=400, u_max=12)
-        vdd = solve_vdd(model, opts)
-        got = solve_arc_dd(model, vdd, opts).entries
+        vdd = solve_vdd(model, k_max=400)
+        got = solve_arc_dd(model, vdd, 12).entries
         ref, _ = arc_reference(model, vdd, 12, "printed")
         assert np.all(got[6:, 6:] == 0.0)
         assert np.all(np.abs(got - ref) <= 1e-12 * ref)
@@ -463,7 +460,7 @@ class TestArcKernel:
         # Rows beyond l = 173 fall below the smallest normal double, where
         # values keep only a few bits, so the comparison stops there.
         model = BaTreeSpec().to_npa()
-        got = solve_arc_dd(model, ba_solution, SolverOptions(u_max=300)).entries
+        got = solve_arc_dd(model, ba_solution, 300).entries
         ref, _ = arc_reference(model, ba_solution, 300, "printed")
         normal = ref >= np.finfo(np.float64).tiny
         assert np.count_nonzero(normal) > 40000
@@ -475,42 +472,38 @@ class TestArcKernel:
 class TestSolveArcDd:
     def test_deterministic_bit_identical(self, ba_solution):
         model = BaTreeSpec().to_npa()
-        opts = SolverOptions(u_max=20)
-        a = solve_arc_dd(model, ba_solution, opts)
-        b = solve_arc_dd(model, ba_solution, opts)
+        a = solve_arc_dd(model, ba_solution, 20)
+        b = solve_arc_dd(model, ba_solution, 20)
         assert np.array_equal(a.entries, b.entries)
 
     def test_entries_nonnegative(self, ba_solution):
         model = BaTreeSpec().to_npa()
         for variant in ("printed", "mean-weight"):
-            mat = solve_arc_dd(model, ba_solution,
-                               SolverOptions(u_max=30, edd_variant=variant))
+            mat = solve_arc_dd(model, ba_solution, 30, variant)
             assert (mat.entries >= 0.0).all()
 
     def test_head_degree_one_impossible(self, ba_solution):
         # An arc's head gains the arc itself on top of at least degree g.
         model = BaTreeSpec().to_npa()
-        mat = solve_arc_dd(model, ba_solution, SolverOptions(u_max=15))
+        mat = solve_arc_dd(model, ba_solution, 15)
         assert np.all(mat.entries[:, 0] == 0.0)
 
     def test_printed_head_values(self, ba_solution):
         # Hand-unrolled from the printed recurrence at l = 1:
         # Q_{1,2} = f_1 * 1 * r_1 * Q_1 / (1*f_1 + f_2 + f_1) = (2/3)/4
         model = BaTreeSpec().to_npa()
-        mat = solve_arc_dd(model, ba_solution, SolverOptions(u_max=10))
+        mat = solve_arc_dd(model, ba_solution, 10)
         assert mat.entries[0, 1] == pytest.approx((2.0 / 3.0) / 4.0, abs=1e-9)
 
     def test_mean_weight_variant_head_values(self, ba_solution):
         # Same cell under the mass-conserving denominator: (2/3)/5.
         model = BaTreeSpec().to_npa()
-        mat = solve_arc_dd(model, ba_solution,
-                           SolverOptions(u_max=10, edd_variant="mean-weight"))
+        mat = solve_arc_dd(model, ba_solution, 10, "mean-weight")
         assert mat.entries[0, 1] == pytest.approx((2.0 / 3.0) / 5.0, abs=1e-9)
 
     def test_row_tails_decay(self, ba_solution):
         model = BaTreeSpec().to_npa()
-        mat = solve_arc_dd(model, ba_solution,
-                           SolverOptions(u_max=40, edd_variant="mean-weight"))
+        mat = solve_arc_dd(model, ba_solution, 40, "mean-weight")
         for row in mat.entries[:5]:
             mode = int(row.argmax())
             tail = row[mode:]
@@ -518,8 +511,7 @@ class TestSolveArcDd:
 
     def test_mass_conservation_mean_weight_variant(self, ba_solution):
         model = BaTreeSpec().to_npa()
-        mat = solve_arc_dd(model, ba_solution,
-                           SolverOptions(u_max=300, edd_variant="mean-weight"))
+        mat = solve_arc_dd(model, ba_solution, 300, "mean-weight")
         # Missing mass is genuine truncation, bounded by the size-biased tail.
         assert 0.0 < mat.truncation_mass < 0.02
 
@@ -538,8 +530,7 @@ class TestSolveArcDd:
     @pytest.mark.parametrize("variant", ["mean-weight", "printed"])
     def test_ba_exact_arc_law(self, variant):
         model = reference_models()["ba"]
-        opts = SolverOptions(u_max=200, edd_variant=variant)
-        mat = solve_arc_dd(model, solve_vdd(model, opts), opts).entries
+        mat = solve_arc_dd(model, solve_vdd(model), 200, variant).entries
         exact = self._krapivsky_redner(200)
         nonzero = exact != 0.0
         assert np.all(mat[~nonzero] == 0.0)
@@ -553,7 +544,7 @@ class TestSolveArcDd:
 
     def test_printed_variant_mass_excess_reported(self, ba_solution):
         model = BaTreeSpec().to_npa()
-        mat = solve_arc_dd(model, ba_solution, SolverOptions(u_max=300))
+        mat = solve_arc_dd(model, ba_solution, 300)
         # The printed denominator does not conserve mass; the surplus shows
         # up as a negative truncation remainder instead of being hidden.
         assert mat.stored_mass() > 1.05
@@ -563,18 +554,40 @@ class TestSolveArcDd:
         # r_0 = 1 gives mean increment 0: no arcs, so no arc law.
         model = NpaModelSpec(weights=WeightFunction.constant(1.0, g=0),
                              increments=IncrementDistribution(0, (1.0,)))
-        opts = SolverOptions(k_max=200, u_max=10)
-        vdd = solve_vdd(model, opts)
+        vdd = solve_vdd(model, k_max=200)
         for variant in ("printed", "mean-weight"):
-            mat = solve_arc_dd(model, vdd, replace(opts, edd_variant=variant))
+            mat = solve_arc_dd(model, vdd, 10, variant)
             assert mat.entries.shape == (11, 11)
             assert np.all(mat.entries == 0.0)
             assert mat.truncation_mass == 1.0
 
-    def test_unknown_variant_rejected(self, ba_solution):
+    def test_vdd_needs_no_arc_extent(self):
+        sol = solve_vdd(reference_models()["linear"], k_max=100)
+        assert sol.q.max_degree == 100
+        assert sol.control_residual < 1e-6
+
+    @pytest.mark.parametrize("k_max,fp_tolerance", [(0, 1e-10), (100, 0.0)])
+    def test_vdd_settings_out_of_range(self, k_max, fp_tolerance):
         with pytest.raises(ValueError):
-            solve_arc_dd(BaTreeSpec().to_npa(), ba_solution,
-                         SolverOptions(edd_variant="bogus"))
+            solve_vdd(reference_models()["linear"], k_max, fp_tolerance)
+
+    @pytest.mark.parametrize("variant", ["printed", "mean-weight"])
+    @pytest.mark.parametrize("u", [0, 101, 300])
+    def test_extent_outside_stored_vdd_rejected(self, variant, u):
+        # Degrees above 100 are not stored, so the matrix would read their
+        # vertex probabilities as zeros; g = 1 bounds it from below.
+        model = reference_models()["linear"]
+        with pytest.raises(WindowExceedsMatrix, match="last stored vertex"):
+            solve_arc_dd(model, solve_vdd(model, k_max=100), u, variant)
+
+    def test_extent_at_stored_vdd_accepted(self):
+        model = reference_models()["linear"]
+        mat = solve_arc_dd(model, solve_vdd(model, k_max=100), 100)
+        assert mat.max_degree == 100
+
+    def test_unknown_variant_rejected(self, ba_solution):
+        with pytest.raises(ValueError, match="unknown recurrence variant"):
+            solve_arc_dd(BaTreeSpec().to_npa(), ba_solution, 20, "bogus")
 
 
 class TestSymmetrize:
@@ -745,8 +758,7 @@ class TestMixEdd:
 
 class TestCsv:
     def test_vdd_round_trip(self):
-        sol = solve_vdd(BaTreeSpec().to_npa(), SolverOptions(k_max=50,
-                                                             u_max=20))
+        sol = solve_vdd(BaTreeSpec().to_npa(), k_max=50)
         back = vdd_from_csv(vdd_to_csv(sol.q))
         assert np.array_equal(back.probs, sol.q.probs)
         assert back.min_degree == sol.q.min_degree
