@@ -55,7 +55,7 @@ def composite_target():
     m_mix = rho + (1.0 - rho) * m2
     return CalibrationTarget(
         vdd=mix_vdd([(q1, rho), (q2, 1.0 - rho)]),
-        edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1.0 - rho)], m_mix),
+        edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1.0 - rho)]),
         u=U, mean_increment=m_mix)
 
 

@@ -5,9 +5,9 @@ grows graphs by simulation, ingests real network edge lists, and calibrates
 one- and two-component models against empirical degree distributions.
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
-from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, GammaNotConvex,
+from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput,
                      InfeasibleComplement, InputTooLarge, InsufficientTail,
                      MalformedLine, NoConvergence, NoEdges, NonPositiveResult,
                      NpaGraphError, SolverFailure, TruncationTooSevere,

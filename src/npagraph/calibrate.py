@@ -15,16 +15,15 @@ workflow varies are the module constants below, not CalibrateOptions fields.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 
 from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
-                     NonPositiveResult, SolverFailure)
+                     NonPositiveResult, SolverFailure, WindowExceedsMatrix)
 from .growth import (RngStream, _prune_small_components, grow_aer_unpruned,
                      measure_edd, measure_vdd)
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
@@ -53,7 +52,6 @@ ALPHA_XATOL = 1e-5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # share of a bracket kept per section
 VDD_WEIGHT = 1.0  # weight of the VDD total-variation error in the objective
 PHASE2_THRESHOLD = 1e-3  # table-free fits search alpha above this objective
-AER_CACHE_SIZE = 4
 AER_REPS = 10  # pooled Monte-Carlo replications of an AER first component
 AER_SEED = 987654321
 RHO_OUTER_ITERATIONS = 2  # passes over a composite's ever finer rho grid
@@ -88,11 +86,12 @@ class CalibrationTarget:
 
     def __post_init__(self):
         if self.u <= self.vdd.min_degree:
-            raise ValueError(f"comparison extent u = {self.u} must exceed the "
-                             f"minimum degree {self.vdd.min_degree}")
+            raise WindowExceedsMatrix(
+                f"comparison extent u = {self.u} must exceed the minimum "
+                f"degree {self.vdd.min_degree}")
         if self.edd.max_degree < self.u:
-            raise ValueError(f"edge matrix extent {self.edd.max_degree} is "
-                             f"below u = {self.u}")
+            raise WindowExceedsMatrix(f"edge matrix extent {self.edd.max_degree} "
+                                      f"is below u = {self.u}")
 
     @property
     def m(self) -> float:
@@ -107,23 +106,12 @@ class OptimizerTrace:
 
     evaluations counts every candidate put through the solver,
     solver_failures those that failed to solve and failure_types the same
-    failures by exception class name; best_history holds the best objective
-    each time it improved, so it never increases.
+    failures by exception class name.
     """
 
     evaluations: int = 0
-    best_objective: float = math.inf
-    best_history: list = field(default_factory=list)
     solver_failures: int = 0
     failure_types: dict = field(default_factory=dict)
-    phase: int = 1
-
-    def record(self, objective: float) -> None:
-        """One candidate solved with this objective."""
-        self.evaluations += 1
-        if objective < self.best_objective:
-            self.best_objective = objective
-            self.best_history.append(objective)
 
     def record_failure(self, exc: Exception) -> None:
         """One candidate failed to solve with this error."""
@@ -144,6 +132,12 @@ class CalibrationResult:
     iterations: OptimizerTrace
     edd: EdgeDegreeMatrix
     report: dict = field(default_factory=dict)
+
+    @property
+    def objective(self) -> float:
+        """What calibration minimises: the weighted VDD error plus the
+        edge-matrix distance."""
+        return VDD_WEIGHT * self.vdd_tv_error + self.distance
 
 
 @dataclass(frozen=True)
@@ -405,17 +399,46 @@ def _mean_weight(q: DegreeDistribution, weight: WeightFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Single-component calibration
+# Scoring a candidate
 # ---------------------------------------------------------------------------
 
-def _model_quality(model: NpaModelSpec, target: CalibrationTarget, g_cmp: int
-                   ) -> tuple[float, float, VddSolution, EdgeDegreeMatrix]:
+def _solve(model: NpaModelSpec, u: int) -> tuple[VddSolution, EdgeDegreeMatrix]:
+    """The model's solved vertex distribution and its edge matrix up to u."""
     sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
-    tv = sol.q.tv_distance(target.vdd)
-    theta = symmetrize(solve_arc_dd(model, sol, target.u))
-    dist = edd_distance(theta, target.edd, g_cmp, target.u)
-    return tv, dist, sol, theta
+    return sol, symmetrize(solve_arc_dd(model, sol, u))
 
+
+def _score(model: NpaModelSpec, target: CalibrationTarget, g_cmp: int,
+           trace: OptimizerTrace, first: ComponentProfile | None = None,
+           rho: float = 0.0) -> CalibrationResult:
+    """The candidate solved, mixed at vertex share rho with the first
+    component when one is given, and scored on the window [g_cmp, target.u].
+
+    The trace counts a candidate that solves; the caller counts one that
+    fails. The report holds the solve's mean weight and control residual.
+    """
+    sol, theta = _solve(model, target.u)
+    trace.evaluations += 1
+    vdd = sol.q
+    if first is not None:
+        theta = mix_edd([(first.edd, first.m, rho),
+                         (theta, model.increments.mean, 1.0 - rho)])
+        vdd = mix_vdd([(first.vdd, rho), (vdd, 1.0 - rho)])
+    return CalibrationResult(
+        model=model, distance=edd_distance(theta, target.edd, g_cmp, target.u),
+        vdd_tv_error=vdd.tv_distance(target.vdd), iterations=trace, edd=theta,
+        report={"mean_weight": sol.mean_weight,
+                "control_residual": sol.control_residual})
+
+
+def _objective(candidate: CalibrationResult | None) -> float:
+    """A candidate's objective; infinite for one that failed."""
+    return math.inf if candidate is None else candidate.objective
+
+
+# ---------------------------------------------------------------------------
+# Single-component calibration
+# ---------------------------------------------------------------------------
 
 def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
                      opts: CalibrateOptions = CalibrateOptions()
@@ -438,55 +461,45 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     m = min(max(target.m, float(R_MIN)), float(opts.r_max))
     trace = OptimizerTrace()
 
-    def fit(weight: WeightFunction, phi: float) -> tuple:
-        """(objective, model, tv, distance, solution, edge matrix);
-        objective is infinite and model None when the candidate fails to
-        solve."""
+    def fit(weight: WeightFunction, phi: float) -> CalibrationResult | None:
+        """The scored candidate, or None when its inversion or solve fails."""
         try:
             inc = _invert_vdd(target.vdd, weight, m, phi, target.u, opts.r_max)
-            model = NpaModelSpec(weights=weight, increments=inc)
-            tv, dist, sol, theta = _model_quality(model, target, g_cmp)
+            return _score(NpaModelSpec(weights=weight, increments=inc),
+                          target, g_cmp, trace)
         except SolverFailure as exc:
             trace.record_failure(exc)
-            return math.inf, None, math.inf, math.inf, None, None
-        objective = VDD_WEIGHT * tv + dist
-        trace.record(objective)
-        return objective, model, tv, dist, sol, theta
+            return None
 
     best = fit(WeightFunction.linear(g=R_MIN), 2.0 * m)
     phase = 1
-    if weight_mode == "table-free" and best[0] > PHASE2_THRESHOLD:
+    if weight_mode == "table-free" and _objective(best) > PHASE2_THRESHOLD:
         fits = []
 
         def at(alpha: float) -> float:
             weight = WeightFunction.power(alpha, g=R_MIN)
             fits.append(fit(weight, _mean_weight(target.vdd, weight)))
-            return fits[-1][0]
+            return _objective(fits[-1])
 
         _golden_section(at, ALPHA_MIN, 1.0, ALPHA_XATOL)
-        alt = min(fits, key=lambda c: c[0])
+        alt = min(fits, key=_objective)
         # Strictly better only: on ties the model with fewer parameters wins.
-        if alt[0] < best[0]:
+        if _objective(alt) < _objective(best):
             best, phase = alt, 2
-    objective, model, tv, dist, sol, theta = best
-    if model is None:
+    if best is None:
         raise SolverFailure("every candidate model failed to solve")
-    trace.phase = phase
-    report = {
+    best.report.update({
         "weight_mode": weight_mode,
         "phase": phase,
-        "objective": objective,
-        "mean_increment": model.increments.mean,
+        "objective": best.objective,
+        "mean_increment": best.model.increments.mean,
         "mean_increment_target": m,
-        "mean_weight": sol.mean_weight,
-        "control_residual": sol.control_residual,
         "window": [g_cmp, target.u],
         "target_meta": dict(target.source_meta),
-    }
+    })
     if phase == 2:
-        report["weight_exponent"] = model.weights.alpha
-    return CalibrationResult(model=model, distance=dist, vdd_tv_error=tv,
-                             iterations=trace, edd=theta, report=report)
+        best.report["weight_exponent"] = best.model.weights.alpha
+    return best
 
 
 def _golden_section(f, a: float, b: float, xatol: float) -> None:
@@ -529,8 +542,7 @@ def component_profile(spec, target: CalibrationTarget) -> ComponentProfile:
     """
     extent = max(target.u, target.edd.max_degree)
     if isinstance(spec, NpaModelSpec):
-        sol = solve_vdd(spec, K_MAX, FP_TOLERANCE)
-        theta = symmetrize(solve_arc_dd(spec, sol, extent))
+        sol, theta = _solve(spec, extent)
         return ComponentProfile(spec=spec, m=spec.increments.mean,
                                 vdd=sol.q, edd=theta)
     if isinstance(spec, AerModelSpec):
@@ -539,15 +551,14 @@ def component_profile(spec, target: CalibrationTarget) -> ComponentProfile:
     raise TypeError(f"unsupported first component {type(spec).__name__}")
 
 
-@functools.lru_cache(maxsize=AER_CACHE_SIZE)
 def aer_component_estimate(spec: AerModelSpec, u: int
                            ) -> tuple[DegreeDistribution, EdgeDegreeMatrix]:
     """Pooled Monte-Carlo (pruned vertex distribution, unpruned edge matrix
-    up to degree u), cached per spec and u.
+    up to degree u).
 
     The pooled law of AER_REPS replicates, drawn from seed AER_SEED, is the
     one measured on their disjoint union; pruning the union prunes each
-    replicate. The AER_CACHE_SIZE most recently used estimates are kept.
+    replicate.
     """
     union = Graph.disjoint_union(
         [grow_aer_unpruned(spec, RngStream(AER_SEED, rep))[0]
@@ -583,7 +594,7 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     grid = np.arange(opts.rho_min, opts.rho_max + 1e-12, opts.rho_step)
     grid_log: list[dict] = []
     tried: set[float] = set()
-    best: dict | None = None
+    best: CalibrationResult | None = None
     trace = OptimizerTrace()
     step = opts.rho_step
     for outer in range(RHO_OUTER_ITERATIONS):
@@ -594,27 +605,27 @@ def calibrate_composite(target: CalibrationTarget, first_component,
             tried.add(rho)
             entry = {"rho": rho, "outer": outer}
             try:
-                result = _fit_complement(target, profile, rho, m_total,
-                                         g_cmp, opts.r_max, trace)
+                candidate = _fit_complement(target, profile, rho, m_total,
+                                            g_cmp, opts.r_max, trace)
             except (InfeasibleComplement, NonPositiveResult) as exc:
                 entry["skipped"] = str(exc)
                 log.info("rho = %.4f skipped: %s", rho, exc)
                 grid_log.append(entry)
                 continue
-            entry["objective"] = result["objective"]
+            entry["objective"] = candidate.objective
             grid_log.append(entry)
-            if best is None or result["objective"] < best["objective"]:
-                best = result
+            if best is None or candidate.objective < best.objective:
+                best = candidate
         if best is None:
             raise AllRhoInfeasible(
                 "no vertex fraction on the grid admitted a feasible complement")
         step = step / RHO_REFINE_FACTOR
-        lo = max(opts.rho_min, best["rho"] - RHO_REFINE_FACTOR * step)
-        hi = min(opts.rho_max, best["rho"] + RHO_REFINE_FACTOR * step)
+        lo = max(opts.rho_min, best.report["rho"] - RHO_REFINE_FACTOR * step)
+        hi = min(opts.rho_max, best.report["rho"] + RHO_REFINE_FACTOR * step)
         grid = np.arange(lo, hi + 1e-12, step)
 
-    rho = best["rho"]
-    complement: NpaModelSpec = best["model"]
+    rho = best.report["rho"]
+    complement: NpaModelSpec = best.model
     m2 = complement.increments.mean
     m_mix = rho * profile.m + (1.0 - rho) * m2
     gamma = edge_share(profile.m, rho, m_mix)
@@ -627,44 +638,33 @@ def calibrate_composite(target: CalibrationTarget, first_component,
         "gamma": gamma,
         "m_first": profile.m,
         "m_total_target": m_total,
-        "m_complement_target": best["m2_target"],
+        "m_complement_target": best.report["m_complement_target"],
         "m_complement_achieved": m2,
         "grid": grid_log,
         "window": [g_cmp, target.u],
         "target_meta": dict(target.source_meta),
     }
-    return CalibrationResult(model=composite, distance=best["distance"],
-                             vdd_tv_error=best["tv"], iterations=trace,
-                             edd=best["edd"], report=report)
+    return replace(best, model=composite, report=report)
 
 
 def _fit_complement(target: CalibrationTarget, profile: ComponentProfile,
                     rho: float, m_total: float, g_cmp: int,
-                    r_max: int, trace: OptimizerTrace) -> dict:
+                    r_max: int, trace: OptimizerTrace) -> CalibrationResult:
+    """The complement at vertex share 1 - rho, scored mixed with the first
+    component; its report adds rho and the complement's target mean."""
     m2_target = complement_mean(m_total, profile.m, rho)
     q2_target = complement_vdd(target.vdd, profile.vdd, rho)
     weight = WeightFunction.linear(g=R_MIN)
     model = NpaModelSpec(weights=weight, increments=_invert_vdd(
         q2_target, weight, m2_target, 2.0 * m2_target, target.u, r_max))
     try:
-        sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
-        theta2 = symmetrize(solve_arc_dd(model, sol, target.u))
+        candidate = _score(model, target, g_cmp, trace, profile, rho)
     except SolverFailure as exc:
         trace.record_failure(exc)
         raise InfeasibleComplement(
             f"the complement model at rho = {rho} failed to solve: {exc}") from exc
-    m2 = model.increments.mean
-    m_mix = rho * profile.m + (1.0 - rho) * m2
-    mixed_edd = mix_edd([(profile.edd, profile.m, rho),
-                         (theta2, m2, 1.0 - rho)], m_mix)
-    mixed_vdd = mix_vdd([(profile.vdd, rho), (sol.q, 1.0 - rho)])
-    tv = mixed_vdd.tv_distance(target.vdd)
-    dist = edd_distance(mixed_edd, target.edd, g_cmp, target.u)
-    objective = VDD_WEIGHT * tv + dist
-    trace.record(objective)
-    return {"rho": rho, "model": model, "objective": objective,
-            "tv": tv, "distance": dist, "m2_target": m2_target,
-            "edd": mixed_edd}
+    candidate.report.update({"rho": rho, "m_complement_target": m2_target})
+    return candidate
 
 
 # ---------------------------------------------------------------------------

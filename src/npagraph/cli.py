@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, R_MIN, TOTAL_N,
-                        CalibrateOptions, CalibrationTarget,
+                        CalibrateOptions, CalibrationResult, CalibrationTarget,
                         calibrate_composite, calibrate_single, edd_distance,
                         preset_brightkite, preset_gowalla, select_u)
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
@@ -28,12 +28,13 @@ from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
                      ValidationError, WindowExceedsMatrix, ZeroTotalWeight)
 from .growth import (RngStream, grow_aer, grow_composite, grow_npa, measure_edd,
                      measure_vdd, write_edge_list)
-from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, EdgeDegreeMatrix,
-                     NpaModelSpec, dump_model, load_model, validate_model)
+from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, NpaModelSpec,
+                     dump_model, load_model, validate_model)
 from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
                        vdd_counts_csv)
-from .solver import (_matrix_csv, edd_from_csv, edd_to_csv, solve_arc_dd,
-                     solve_vdd, symmetrize, vdd_from_csv, vdd_to_csv)
+from .solver import (VARIANTS, _matrix_csv, edd_from_csv, edd_to_csv,
+                     solve_arc_dd, solve_vdd, symmetrize, vdd_from_csv,
+                     vdd_to_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -224,10 +225,6 @@ def cmd_calibrate(params: dict) -> int:
         mean_inc = meta.get("derived_m")
     u = params["u"] or meta.get("selected_u") or select_u(edd)
     u = min(u, edd.max_degree)
-    if u <= vdd.min_degree:
-        print(f"comparison extent u = {u} must exceed the minimum degree "
-              f"{vdd.min_degree}", file=sys.stderr)
-        return EXIT_INPUT
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u, mean_increment=mean_inc,
                                source_meta=meta)
     try:
@@ -254,17 +251,18 @@ def cmd_calibrate(params: dict) -> int:
         "failure_types": result.iterations.failure_types,
         "details": result.report,
     })
-    _write(out / "edd_compare.csv", _comparison_csv(result.edd, target))
+    _write(out / "edd_compare.csv", _comparison_csv(result, target))
     _write_manifest(out, "calibrate", params)
     return EXIT_OK
 
 
-def _comparison_csv(theta: EdgeDegreeMatrix, target: CalibrationTarget) -> str:
-    """A fit's edge probabilities against the target's over the
-    comparison window."""
-    g = max(1, theta.min_degree, target.edd.min_degree)
-    return _matrix_csv("l,k,model,target", g, theta.window(g, target.u),
-                       target.edd.window(g, target.u))
+def _comparison_csv(result: CalibrationResult, target: CalibrationTarget
+                    ) -> str:
+    """A fit's edge probabilities against the target's over the window it
+    was scored on."""
+    g, u = result.report["window"]
+    return _matrix_csv("l,k,model,target", g, result.edd.window(g, u),
+                       target.edd.window(g, u))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="model spec JSON file")
     p.add_argument("--kmax", type=int, default=10000)
     p.add_argument("--umax", type=int, default=300)
-    p.add_argument("--variant", default="printed",
-                   choices=["printed", "mean-weight"])
+    p.add_argument("--variant", default=VARIANTS[0], choices=VARIANTS)
     _add_out(p)
 
     p = sub.add_parser("generate", help="grow graphs by simulation")

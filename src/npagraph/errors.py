@@ -88,10 +88,6 @@ class WeightsNotConvex(NpaGraphError):
     """Mixture weights are negative or do not sum to one."""
 
 
-class GammaNotConvex(NpaGraphError):
-    """Edge-share weights do not sum to one; the supplied total mean is inconsistent."""
-
-
 class InfeasibleComplement(NpaGraphError):
     """The complement distribution would be negative; the assumed fraction is too large."""
 

@@ -391,6 +391,8 @@ class Graph:
 
     def __init__(self, vertex_count: int, pairs, directed: bool = False, labels=None):
         self.vertex_count = int(vertex_count)
+        if self.vertex_count < 0:
+            raise ValueError(f"vertex count {self.vertex_count} is negative")
         arr = np.asarray(pairs, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
@@ -470,8 +472,8 @@ class SeedGraphSpec:
         return Graph(n, pairs, directed=True)
 
     def violations(self) -> list[Violation]:
-        """A name other than the default, or an edge-list id outside [0,
-        vertices); build needs neither."""
+        """A name other than the default, a negative vertex count, or an
+        edge-list id outside [0, vertices); build needs none of them."""
         if self.edges is None:
             if self.name == "default":
                 return []
@@ -479,8 +481,11 @@ class SeedGraphSpec:
                 "EmptySupport",
                 f"unknown seed graph name {self.name!r}; give "
                 "'default' or an explicit edge list")]
-        ids = [i for e in self.edges for i in e]
         n = self._listed_vertex_count()
+        if n < 0:
+            return [Violation("EmptySupport",
+                              f"seed graph vertex count {n} is negative")]
+        ids = [i for e in self.edges for i in e]
         if ids and not 0 <= min(ids) <= max(ids) < n:
             return [Violation("SeedIdOutOfRange", f"seed edge ids must lie in "
                               f"[0, {n}), got {min(ids)} .. {max(ids)}")]

@@ -32,14 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (EmptyInput, GammaNotConvex, InfeasibleComplement,
-                     InputTooLarge, MalformedLine, NoConvergence,
-                     NonPositiveResult, TruncationTooSevere, WeightsNotConvex,
-                     WindowExceedsMatrix)
+from .errors import (EmptyInput, InfeasibleComplement, InputTooLarge,
+                     MalformedLine, NoConvergence, NonPositiveResult,
+                     TruncationTooSevere, WeightsNotConvex, WindowExceedsMatrix)
 from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
 COMPLEMENT_CLAMP_TOL = 1e-6
-GAMMA_TOL = 1e-9
+# Forms of the directed recurrence solve_arc_dd can run, the default first.
+VARIANTS = ("printed", "mean-weight")
 # Most arc-matrix mass a mass-conserving variant may miss beyond what
 # truncation at the extent u explains.
 EDD_MASS_TOLERANCE = 1e-3
@@ -374,7 +374,7 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution, u: int,
         raise WindowExceedsMatrix(
             f"need g <= u <= the last stored vertex degree, got {g}, {u}, "
             f"{vdd.q.max_degree}")
-    if variant not in ("printed", "mean-weight"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown recurrence variant {variant!r}")
     # The printed form does not conserve probability mass, so truncation
     # cannot be told apart from its imbalance and the strict mass check only
@@ -533,19 +533,18 @@ def edge_share(m_i: float, rho_i: float, m_total: float) -> float:
     return m_i * rho_i / m_total
 
 
-def mix_edd(parts: Sequence[tuple[EdgeDegreeMatrix, float, float]],
-            m_total: float) -> EdgeDegreeMatrix:
+def mix_edd(parts: Sequence[tuple[EdgeDegreeMatrix, float, float]]
+            ) -> EdgeDegreeMatrix:
     """Combine component edge matrices with edge-share weights.
 
     parts holds (matrix, m_i, rho_i); the weight of each component is
-    gamma_i = m_i rho_i / m_total. The shares must sum to one, otherwise the
-    supplied total mean is inconsistent with the components.
+    gamma_i = m_i rho_i / m with the mixture's mean increment
+    m = sum_i m_i rho_i, summed left to right, so the shares sum to one.
     """
+    m_total = 0.0
+    for _, m_i, rho_i in parts:
+        m_total += m_i * rho_i
     gammas = [edge_share(m_i, rho_i, m_total) for _, m_i, rho_i in parts]
-    if abs(math.fsum(gammas) - 1.0) > GAMMA_TOL:
-        raise GammaNotConvex(
-            f"edge shares sum to {math.fsum(gammas)!r}; "
-            f"m_total = {m_total} is inconsistent with the components")
     for matrix, _, _ in parts:
         if matrix.kind != "edge":
             raise ValueError("mix_edd expects edge matrices; symmetrize arcs first")

@@ -12,9 +12,8 @@ import numpy as np
 
 from .growth import (RngStream, grow_aer, grow_aer_unpruned, grow_npa,
                      measure_edd, measure_vdd)
-from .models import (DegreeDistribution, Graph, IncrementDistribution,
-                     NpaModelSpec, WeightFunction)
-from .solver import solve_arc_dd, solve_vdd, symmetrize
+from .models import Graph, IncrementDistribution, NpaModelSpec, WeightFunction
+from .solver import VARIANTS, solve_arc_dd, solve_vdd, symmetrize
 
 
 def reference_models() -> dict[str, NpaModelSpec]:
@@ -38,20 +37,17 @@ def reference_models() -> dict[str, NpaModelSpec]:
     }
 
 
-def pooled_simulated_vdd(model: NpaModelSpec, n: int, reps: int,
-                         rng: RngStream) -> DegreeDistribution:
-    """Degree distribution pooled over independent replications: the one
-    measured on their disjoint union."""
-    return measure_vdd(Graph.disjoint_union(
-        [grow_npa(model, n, rng.substream(rep)).final_graph
-         for rep in range(reps)]))
-
-
 def vdd_agreement(model: NpaModelSpec, n: int = 100000, reps: int = 5,
                   rng: RngStream = RngStream(7100)) -> dict:
-    """Total-variation distance between simulated and solved distributions."""
+    """Total-variation distance between simulated and solved distributions.
+
+    The simulated distribution is pooled over reps independent replications:
+    the one measured on their disjoint union.
+    """
     solved = solve_vdd(model)
-    measured = pooled_simulated_vdd(model, n, reps, rng)
+    measured = measure_vdd(Graph.disjoint_union(
+        [grow_npa(model, n, rng.substream(rep)).final_graph
+         for rep in range(reps)]))
     return {
         "n": n,
         "reps": reps,
@@ -63,11 +59,11 @@ def vdd_agreement(model: NpaModelSpec, n: int = 100000, reps: int = 5,
 
 
 def edd_crosscheck(model: NpaModelSpec, n: int = 100000, reps: int = 20,
-                   window_u: int = 15, rng: RngStream = RngStream(7200),
-                   variants: tuple[str, ...] = ("printed", "mean-weight")) -> dict:
+                   window_u: int = 15, rng: RngStream = RngStream(7200)
+                   ) -> dict:
     """Compare analytic edge matrices against pooled simulation per cell.
 
-    Per variant: max absolute deviation on the window, the fraction of cells
+    Per recurrence variant of solver.VARIANTS: max absolute deviation on the window, the fraction of cells
     within three Monte-Carlo standard errors, and a flag for a systematic
     discrepancy (fraction below 0.95). The pooled estimate and its standard
     errors come from reps >= 2 independent grown graphs. The edges of one
@@ -98,7 +94,7 @@ def edd_crosscheck(model: NpaModelSpec, n: int = 100000, reps: int = 20,
         "variants": {},
     }
     sol = solve_vdd(model)
-    for variant in variants:
+    for variant in VARIANTS:
         theta = symmetrize(solve_arc_dd(model, sol, window_u, variant))
         dev = np.abs(theta.aligned(1, window_u) - mc)  # measured from degree 1
         z = dev / se

@@ -200,8 +200,7 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
     sol2 = solve_vdd(complement, 20000, FP_TOLERANCE)
     th2 = symmetrize(solve_arc_dd(complement, sol2, u))
     m2 = complement.increments.mean
-    mixed = mix_edd([(profile.edd, 1.0, rho), (th2, m2, 1.0 - rho)],
-                    rho + (1.0 - rho) * m2)
+    mixed = mix_edd([(profile.edd, 1.0, rho), (th2, m2, 1.0 - rho)])
     model_max = float(mixed.window(1, u).max())
     target_max = float(edd.window(1, u).max())
     ratio = model_max / target_max
@@ -258,8 +257,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
     sol2 = solve_vdd(fitted, 6000, FP_TOLERANCE)
     th2 = symmetrize(solve_arc_dd(fitted, sol2, u))
     m2 = fitted.increments.mean
-    mixed = mix_edd([(profile.edd, 1.0, rho), (th2, m2, 1.0 - rho)],
-                    rho + (1.0 - rho) * m2)
+    mixed = mix_edd([(profile.edd, 1.0, rho), (th2, m2, 1.0 - rho)])
     ratio = float(mixed.window(1, u).max()) / float(edd.window(1, u).max())
     assert 0.5 <= ratio <= 2.0
     assert result.report["gamma"] == pytest.approx(
@@ -352,7 +350,7 @@ def test_criterion_09_calibration_round_trip():
     m_tot = rho + (1 - rho) * m2
     ctarget = CalibrationTarget(
         vdd=mix_vdd([(sol1.q, rho), (sol2.q, 1 - rho)]),
-        edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)], m_tot),
+        edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)]),
         u=20, mean_increment=m_tot)
     copts = CalibrateOptions(r_max=3, rho_min=0.1, rho_max=0.6)
     cres = calibrate_composite(ctarget, BaTreeSpec(), copts)

@@ -62,6 +62,9 @@ class TestSolveCommand:
         # A seed edge names a vertex the seed does not have.
         ({"g": 1, "M": None, "rule": "linear"}, [1.0],
          {"vertices": 2, "edges": [[0, 5]]}, "SeedIdOutOfRange"),
+        # A seed graph cannot have fewer than no vertices.
+        ({"g": 1, "M": None, "rule": "linear"}, [1.0],
+         {"vertices": -1, "edges": []}, "EmptySupport"),
     ])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, weights, probs,
                                  seed_graph, code):
@@ -164,6 +167,19 @@ class TestGenerateCommand:
                      flag, value, "--out", str(tmp_path / "o")]) == 2
         assert f"{flag} must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_vertex_count_writes_nothing(self, tmp_path, capsys):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({
+            "type": "npa", "weights": {"g": 1, "M": None, "rule": "linear"},
+            "increments": {"min_arcs": 1, "probs": [1.0]},
+            "seed_graph": {"vertices": -1, "edges": []}}))
+        out = tmp_path / "o"
+        for command in (["solve", str(spec)],
+                        ["generate", str(spec), "--n", "100"]):
+            assert main([*command, "--out", str(out)]) == 2
+            assert "EmptySupport" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_aer_spec(self, tmp_path):
         from npagraph import AerModelSpec
@@ -542,6 +558,21 @@ class TestCalibrateCommand:
             assert float(fit) == model_cells[i, j]
             assert float(target) == target_cells[i, j]
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "single", "--rmax", "3"],
+        ["--mode", "composite", "--first", "ba-tree", "--rmax", "3",
+         "--rho-min", "0.25", "--rho-max", "0.35", "--rho-step", "0.05"]])
+    def test_comparison_spans_report_window(self, tmp_path, flags):
+        target = self._composite_target(tmp_path, (0.3, 0.7), 0.3, 12)
+        out = tmp_path / "fit"
+        assert main(["calibrate", str(target), *flags, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        g, u = report["details"]["window"]
+        lines = (out / "edd_compare.csv").read_text().splitlines()[1:]
+        cells = [tuple(int(x) for x in line.split(",")[:2]) for line in lines]
+        assert cells == [(l, k) for l in range(g, u + 1)
+                         for k in range(g, u + 1)]
+
     def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
         from npagraph import AerModelSpec, AllRhoInfeasible, cli
         from npagraph.calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO,
@@ -673,7 +704,7 @@ class TestCalibrateCommand:
         (target_dir / "vdd.csv").write_text(vdd_to_csv(
             mix_vdd([(sol1.q, rho), (sol2.q, 1 - rho)])))
         (target_dir / "edd.csv").write_text(edd_to_csv(
-            mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)], m_tot)))
+            mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)])))
         (target_dir / "summary.json").write_text(json.dumps(
             {"derived_m": m_tot, "selected_u": u}))
         return target_dir

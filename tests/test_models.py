@@ -181,6 +181,23 @@ class TestValidateModel:
             validate_model(composite)
         assert err.value.codes() == ["SeedIdOutOfRange"]
 
+    def test_negative_seed_vertex_count(self):
+        # The seed graph is never built: no graph has a negative vertex count.
+        spec = NpaModelSpec(
+            weights=WeightFunction.linear(g=1),
+            increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
+            seed_graph=SeedGraphSpec(name=None, vertices=-1, edges=()))
+        with pytest.raises(ValidationError) as err:
+            validate_model(spec)
+        assert err.value.codes() == ["EmptySupport"]
+        composite = CompositeSpec(components=((BaTreeSpec(), 0.5), (spec, 0.5)),
+                                  total_n=1000)
+        with pytest.raises(ValidationError) as err:
+            validate_model(composite)
+        assert err.value.codes() == ["EmptySupport"]
+        with pytest.raises(ValueError):
+            Graph(-1, [])
+
     def test_seed_ids_in_range_build(self):
         seed = SeedGraphSpec(name=None, vertices=3, edges=((0, 2), (1, 2)))
         assert seed.violations() == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
-                      EmptyInput, GammaNotConvex, InfeasibleComplement,
+                      EmptyInput, InfeasibleComplement,
                       IncrementDistribution, MalformedLine, NoConvergence,
                       NonPositiveResult, NpaModelSpec, WeightFunction,
                       WeightsNotConvex, WindowExceedsMatrix,
@@ -723,7 +723,7 @@ class TestMixEdd:
 
     def test_single_component_identity(self):
         m = self._edge(np.full((3, 3), 1.0 / 9.0))
-        out = mix_edd([(m, 2.0, 1.0)], 2.0)
+        out = mix_edd([(m, 2.0, 1.0)])
         assert np.allclose(out.entries, m.entries, atol=1e-16)
 
     def test_tree_share_published(self):
@@ -737,19 +737,14 @@ class TestMixEdd:
         raw2 = rng.random((4, 4))
         sym2 = (raw2 + raw2.T) / raw2.sum() / 2.0
         a, b = self._edge(sym1), self._edge(sym2)
-        out = mix_edd([(a, 1.0, 0.3), (b, 2.0, 0.7)], 0.3 * 1.0 + 0.7 * 2.0)
+        out = mix_edd([(a, 1.0, 0.3), (b, 2.0, 0.7)])
         assert np.allclose(out.entries, out.entries.T, atol=0)
-
-    def test_gamma_not_convex(self):
-        m = self._edge(np.full((2, 2), 0.25))
-        with pytest.raises(GammaNotConvex):
-            mix_edd([(m, 1.0, 0.5), (m, 1.0, 0.5)], 2.0)
 
     def test_requires_edge_kind(self):
         arc = EdgeDegreeMatrix(min_degree=1, entries=np.full((2, 2), 0.25),
                                kind="arc")
         with pytest.raises(ValueError):
-            mix_edd([(arc, 1.0, 1.0)], 1.0)
+            mix_edd([(arc, 1.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
