@@ -22,9 +22,8 @@ from npagraph import (BaTreeSpec, DegreeDistribution, IncrementDistribution,
                       NpaModelSpec, WeightFunction, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph import calibrate
-from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrateOptions,
-                                CalibrationTarget, calibrate_composite,
-                                calibrate_single)
+from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
+                                calibrate_composite, calibrate_single)
 
 U = 20
 
@@ -60,8 +59,7 @@ def composite_target():
 
 
 def test_single_fit_rmax50(benchmark, single_target):
-    res = benchmark(calibrate_single, single_target, "linear",
-                    CalibrateOptions(r_max=50))
+    res = benchmark(calibrate_single, single_target, "linear", r_max=50)
     assert res.distance >= 0.0
 
 
@@ -74,16 +72,15 @@ def test_table_free_single_fit(benchmark):
     q, theta = _solved(model)
     target = CalibrationTarget(vdd=q, edd=theta, u=U,
                                mean_increment=model.increments.mean)
-    res = benchmark(calibrate_single, target, "table-free",
-                    CalibrateOptions(r_max=3))
+    res = benchmark(calibrate_single, target, "table-free", r_max=3)
     assert res.report["phase"] == 2
 
 
 def test_composite_one_rho(benchmark, composite_target, monkeypatch):
     # The first component's profile (one BA solve) is part of the step.
     monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-    opts = CalibrateOptions(r_max=3, rho_min=0.3, rho_max=0.3)
-    res = benchmark(calibrate_composite, composite_target, BaTreeSpec(), opts)
+    res = benchmark(calibrate_composite, composite_target, BaTreeSpec(),
+                    r_max=3, rho_min=0.3, rho_max=0.3)
     assert res.report["rho"] == 0.3
 
 

@@ -10,7 +10,8 @@ Natural linear weights are tried first; a parametric power-weight family is
 only brought in when the linear phase misses tolerance, its exponent found
 by a golden-section search, and on ties the model with fewer free
 parameters wins. Nothing here needs more than numpy. Settings that no
-workflow varies are the module constants below, not CalibrateOptions fields.
+workflow varies are the module constants below; the others are arguments of
+the function that reads them.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ FEASIBILITY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Target, options, results
+# Target and results
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -138,16 +139,6 @@ class CalibrationResult:
         """What calibration minimises: the weighted VDD error plus the
         edge-matrix distance."""
         return VDD_WEIGHT * self.vdd_tv_error + self.distance
-
-
-@dataclass(frozen=True)
-class CalibrateOptions:
-    """The largest increment arc count r_max and a composite's rho grid."""
-
-    r_max: int = 50
-    rho_step: float = 0.025
-    rho_min: float = 0.025
-    rho_max: float = 0.975
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +432,7 @@ def _objective(candidate: CalibrationResult | None) -> float:
 # ---------------------------------------------------------------------------
 
 def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
-                     opts: CalibrateOptions = CalibrateOptions()
-                     ) -> CalibrationResult:
+                     r_max: int = 50) -> CalibrationResult:
     """Fit the increment distribution (and optionally a power weight exponent).
 
     The mean increment m is the target's, clamped into [R_MIN, r_max]. Phase
@@ -458,13 +448,13 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     if weight_mode not in ("linear", "table-free"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     g_cmp = max(R_MIN, target.edd.min_degree)
-    m = min(max(target.m, float(R_MIN)), float(opts.r_max))
+    m = min(max(target.m, float(R_MIN)), float(r_max))
     trace = OptimizerTrace()
 
     def fit(weight: WeightFunction, phi: float) -> CalibrationResult | None:
         """The scored candidate, or None when its inversion or solve fails."""
         try:
-            inc = _invert_vdd(target.vdd, weight, m, phi, target.u, opts.r_max)
+            inc = _invert_vdd(target.vdd, weight, m, phi, target.u, r_max)
             return _score(NpaModelSpec(weights=weight, increments=inc),
                           target, g_cmp, trace)
         except SolverFailure as exc:
@@ -571,9 +561,9 @@ def aer_component_estimate(spec: AerModelSpec, u: int
 # Composite calibration
 # ---------------------------------------------------------------------------
 
-def calibrate_composite(target: CalibrationTarget, first_component,
-                        opts: CalibrateOptions = CalibrateOptions()
-                        ) -> CalibrationResult:
+def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
+                        rho_min: float = 0.025, rho_max: float = 0.975,
+                        rho_step: float = 0.025) -> CalibrationResult:
     """Two-component fit: a fixed first component plus a calibrated complement.
 
     For each candidate vertex fraction rho, the complement's target vertex
@@ -581,22 +571,22 @@ def calibrate_composite(target: CalibrationTarget, first_component,
     probabilities are the inversion of that vertex distribution at that mean
     (a rho whose mean lies outside [R_MIN, r_max], or whose complement fails
     to solve, is skipped), and the rho whose mixed model best matches the
-    target wins. rho itself is refined on a grid that shrinks by
-    RHO_REFINE_FACTOR around the best coarse value on each of
-    RHO_OUTER_ITERATIONS passes; grid values are rounded to 12 decimals and
-    each is fitted at most once. The composite is written for TOTAL_N
+    target wins. The first grid runs from rho_min to rho_max in steps of
+    rho_step; it shrinks by RHO_REFINE_FACTOR around the best value on each
+    of RHO_OUTER_ITERATIONS passes; grid values are rounded to 12 decimals
+    and each is fitted at most once. The composite is written for TOTAL_N
     vertices.
     """
-    profile = component_profile(first_component, target)
+    profile = component_profile(first, target)
     m_total = target.m
     g_cmp = max(R_MIN, target.edd.min_degree)
 
-    grid = np.arange(opts.rho_min, opts.rho_max + 1e-12, opts.rho_step)
+    grid = np.arange(rho_min, rho_max + 1e-12, rho_step)
     grid_log: list[dict] = []
     tried: set[float] = set()
     best: CalibrationResult | None = None
     trace = OptimizerTrace()
-    step = opts.rho_step
+    step = rho_step
     for outer in range(RHO_OUTER_ITERATIONS):
         for rho in grid:
             rho = round(float(rho), 12)
@@ -606,7 +596,7 @@ def calibrate_composite(target: CalibrationTarget, first_component,
             entry = {"rho": rho, "outer": outer}
             try:
                 candidate = _fit_complement(target, profile, rho, m_total,
-                                            g_cmp, opts.r_max, trace)
+                                            g_cmp, r_max, trace)
             except (InfeasibleComplement, NonPositiveResult) as exc:
                 entry["skipped"] = str(exc)
                 log.info("rho = %.4f skipped: %s", rho, exc)
@@ -620,8 +610,8 @@ def calibrate_composite(target: CalibrationTarget, first_component,
             raise AllRhoInfeasible(
                 "no vertex fraction on the grid admitted a feasible complement")
         step = step / RHO_REFINE_FACTOR
-        lo = max(opts.rho_min, best.report["rho"] - RHO_REFINE_FACTOR * step)
-        hi = min(opts.rho_max, best.report["rho"] + RHO_REFINE_FACTOR * step)
+        lo = max(rho_min, best.report["rho"] - RHO_REFINE_FACTOR * step)
+        hi = min(rho_max, best.report["rho"] + RHO_REFINE_FACTOR * step)
         grid = np.arange(lo, hi + 1e-12, step)
 
     rho = best.report["rho"]

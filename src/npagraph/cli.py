@@ -15,21 +15,19 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, R_MIN, TOTAL_N,
-                        CalibrateOptions, CalibrationResult, CalibrationTarget,
+                        CalibrationResult, CalibrationTarget,
                         calibrate_composite, calibrate_single, edd_distance,
                         preset_brightkite, preset_gowalla, select_u)
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
                      MalformedLine, NpaGraphError, SolverFailure,
                      ValidationError, WindowExceedsMatrix, ZeroTotalWeight)
-from .growth import (RngStream, grow_aer, grow_composite, grow_npa, measure_edd,
-                     measure_vdd, write_edge_list)
-from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, NpaModelSpec,
-                     dump_model, load_model, validate_model)
+from .growth import RngStream, grow, measure_edd, measure_vdd, write_edge_list
+from .models import (AerModelSpec, BaTreeSpec, NpaModelSpec, dump_model,
+                     load_model, size_violations, validate_model)
 from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
                        vdd_counts_csv)
 from .solver import (VARIANTS, _matrix_csv, edd_from_csv, edd_to_csv,
@@ -103,15 +101,7 @@ def cmd_solve(params: dict) -> int:
 
 def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
                   out_dir: str) -> dict:
-    spec = load_model(spec_text)
-    rng = RngStream(seed, rep)
-    if isinstance(spec, CompositeSpec):
-        spec = replace(spec, total_n=n) if spec.total_n != n else spec
-        graph = grow_composite(spec, rng)
-    elif isinstance(spec, AerModelSpec):
-        graph, _ = grow_aer(spec, rng)
-    else:
-        graph = grow_npa(spec, n, rng).final_graph
+    graph = grow(load_model(spec_text), n, RngStream(seed, rep))
     out = Path(out_dir)
     with open(out / f"graph_rep{rep}.txt", "w", newline="\n") as fh:
         write_edge_list(graph, fh)
@@ -132,14 +122,9 @@ def cmd_generate(params: dict) -> int:
     else:
         spec = _load_spec(params["spec"])
     n = params["n"]
-    if isinstance(spec, CompositeSpec):
-        validate_model(replace(spec, total_n=n))  # every budget can grow
-    elif isinstance(spec, NpaModelSpec):
-        seed = spec.seed_graph.build(spec.g).vertex_count
-        if n < seed:
-            print(f"--n {n} is below the seed graph's {seed} vertices",
-                  file=sys.stderr)
-            return EXIT_INPUT
+    too_small = size_violations(spec, n)
+    if too_small:  # before anything is written
+        raise ValidationError(too_small)
     spec_text = dump_model(spec)
     _write(out / "model.json", spec_text + "\n")
     reps = params["reps"]
@@ -205,16 +190,14 @@ def cmd_calibrate(params: dict) -> int:
         print(f"target directory {target_dir} lacks vdd.csv / edd.csv",
               file=sys.stderr)
         return EXIT_INPUT
-    opts = CalibrateOptions(r_max=params["rmax"],
-                            rho_min=params["rho_min"],
-                            rho_max=params["rho_max"],
-                            rho_step=params["rho_step"])
-    if opts.r_max < R_MIN or not opts.rho_step > 0.0:
+    r_max, rho_step = params["rmax"], params["rho_step"]
+    rho_min, rho_max = params["rho_min"], params["rho_max"]
+    if r_max < R_MIN or not rho_step > 0.0:
         print(f"need --rmax >= {R_MIN} and --rho-step > 0", file=sys.stderr)
         return EXIT_INPUT
-    if not 0.0 < opts.rho_min <= opts.rho_max < 1.0:
-        print(f"need 0 < --rho-min <= --rho-max < 1, got {opts.rho_min} and "
-              f"{opts.rho_max}", file=sys.stderr)
+    if not 0.0 < rho_min <= rho_max < 1.0:
+        print(f"need 0 < --rho-min <= --rho-max < 1, got {rho_min} and "
+              f"{rho_max}", file=sys.stderr)
         return EXIT_INPUT
     vdd = vdd_from_csv(vdd_path.read_text())
     edd = edd_from_csv(edd_path.read_text())
@@ -223,19 +206,19 @@ def cmd_calibrate(params: dict) -> int:
     if summary_path.exists():
         meta = json.loads(summary_path.read_text())
         mean_inc = meta.get("derived_m")
-    u = params["u"] or meta.get("selected_u") or select_u(edd)
-    u = min(u, edd.max_degree)
+    u = params["u"]
+    if u is None:
+        u = meta.get("selected_u") or select_u(edd)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u, mean_increment=mean_inc,
                                source_meta=meta)
     try:
         if params["mode"] == "single":
-            result = calibrate_single(target, weight_mode=params["weights"],
-                                      opts=opts)
+            result = calibrate_single(target, params["weights"], r_max)
         else:
             first = BaTreeSpec() if params["first"] == "ba-tree" else AerModelSpec(
                 n1=int(round(GOWALLA_RHO * TOTAL_N)), a=params["aer_a"])
-            result = calibrate_composite(target, validate_model(first),
-                                         opts=opts)
+            result = calibrate_composite(target, validate_model(first), r_max,
+                                         rho_min, rho_max, rho_step)
     except AllRhoInfeasible as exc:
         _write_json(out / "report.json", {"error": str(exc)})
         _write_manifest(out, "calibrate", params)

@@ -29,6 +29,8 @@ log = logging.getLogger(__name__)
 
 # Geometric ratio of consecutive bin edges in "log-bin" smoothing.
 LOG_BIN_BASE = 2.0
+# Least degree of the tail that "tail-powerlaw" smoothing fits and replaces.
+TAIL_FIT_CUT = 20
 
 
 @dataclass(frozen=True)
@@ -197,22 +199,21 @@ def id_map_csv(graph: Graph) -> str:
 # Smoothing
 # ---------------------------------------------------------------------------
 
-def smooth_vdd(q: DegreeDistribution, method: str = "none",
-               cut: int = 20) -> DegreeDistribution:
+def smooth_vdd(q: DegreeDistribution, method: str = "none") -> DegreeDistribution:
     """Optional smoothing of an empirical degree distribution.
 
     "none" returns the input unchanged. "log-bin" spreads each geometric
     bin's mass uniformly over the degrees inside it; consecutive bin edges
-    grow by the factor LOG_BIN_BASE. "tail-powerlaw" fits
-    C * k**(-beta) by least squares on log-log to the nonzero tail at k >= cut
-    and replaces the tail, rescaled so its mass is preserved exactly.
+    grow by the factor LOG_BIN_BASE. "tail-powerlaw" fits C * k**(-beta) by
+    least squares on log-log to the nonzero tail at k >= TAIL_FIT_CUT and
+    replaces the tail, rescaled so its mass is preserved exactly.
     """
     if method == "none":
         return q
     if method == "log-bin":
         return _smooth_log_bin(q)
     if method == "tail-powerlaw":
-        return _smooth_tail_powerlaw(q, cut)
+        return _smooth_tail_powerlaw(q)
     raise ValueError(f"unknown smoothing method {method!r}")
 
 
@@ -233,15 +234,15 @@ def _smooth_log_bin(q: DegreeDistribution) -> DegreeDistribution:
                               truncation_mass=q.truncation_mass)
 
 
-def _smooth_tail_powerlaw(q: DegreeDistribution, cut: int) -> DegreeDistribution:
+def _smooth_tail_powerlaw(q: DegreeDistribution) -> DegreeDistribution:
     degrees = q.degrees()
     probs = np.array(q.probs)
-    tail = degrees >= cut
+    tail = degrees >= TAIL_FIT_CUT
     fit_points = tail & (probs > 0.0)
     if np.count_nonzero(fit_points) < 5:
         raise InsufficientTail(
             f"only {np.count_nonzero(fit_points)} nonzero points beyond degree "
-            f"{cut}; need at least 5")
+            f"{TAIL_FIT_CUT}; need at least 5")
     slope, intercept = np.polyfit(np.log(degrees[fit_points].astype(float)),
                                   np.log(probs[fit_points]), 1)
     fitted = np.exp(intercept) * np.power(degrees[tail].astype(float), slope)

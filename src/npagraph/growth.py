@@ -11,6 +11,8 @@ turns its 1 + k proposal weight into f_k, one Python draw per proposal.
 `grow_aer` scans vertex pairs for the autocorrelated random graph and
 prunes its one- and two-vertex components, returning the graph with the
 scan's diagnostics.
+`grow` grows any spec to n vertices, a composite as the disjoint union of
+its components, each grown at its budget.
 `write_edge_list` writes a graph as the edge-list text that
 `datasets.load_edge_list` reads.
 Replications are independent given distinct RngStream ids and can be fanned
@@ -29,7 +31,8 @@ import numpy as np
 
 from .errors import EmptyGraph, NoEdges, ZeroTotalWeight
 from .models import (AerModelSpec, CompositeSpec, DegreeDistribution,
-                     EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec)
+                     EdgeDegreeMatrix, Graph, IncrementDistribution, ModelSpec,
+                     NpaModelSpec)
 
 
 @dataclass(frozen=True)
@@ -354,23 +357,27 @@ def _prune_small_components(graph: Graph) -> tuple[np.ndarray, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Composite growth
+# Growth of any spec
 # ---------------------------------------------------------------------------
 
+def grow(spec: ModelSpec, n: int, rng: RngStream) -> Graph:
+    """Grow any model spec to n vertices: a composite at total_n = n, an
+    AER model scanned on n1 = n vertices and pruned, a growth model from its
+    seed graph."""
+    if isinstance(spec, CompositeSpec):
+        return grow_composite(replace(spec, total_n=n), rng)
+    if isinstance(spec, AerModelSpec):
+        return grow_aer(replace(spec, n1=n), rng)[0]
+    return grow_npa(spec, n, rng).final_graph
+
+
 def grow_composite(spec: CompositeSpec, rng: RngStream) -> Graph:
-    """Grow each component at its vertex budget and take the disjoint union."""
-    budgets = spec.budgets()
-    parts: list[Graph] = []
-    for idx, ((model, _rho), budget) in enumerate(zip(spec.components, budgets)):
-        sub = rng.substream(idx)
-        if isinstance(model, NpaModelSpec):
-            parts.append(grow_npa(model, budget, sub).final_graph)
-        elif isinstance(model, AerModelSpec):
-            aer = model if model.n1 == budget else AerModelSpec(n1=budget, a=model.a)
-            parts.append(grow_aer(aer, sub)[0])
-        else:
-            raise TypeError(f"cannot grow component of type {type(model).__name__}")
-    return Graph.disjoint_union(parts, directed=False)
+    """Grow each component at its vertex budget, component i from substream
+    i, and take the disjoint union."""
+    return Graph.disjoint_union([
+        grow(model, budget, rng.substream(i))
+        for i, ((model, _rho), budget) in enumerate(zip(spec.components,
+                                                        spec.budgets()))])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -430,7 +430,9 @@ class Graph:
         return Graph(len(kept), pairs, directed=self.directed, labels=labels)
 
     @staticmethod
-    def disjoint_union(graphs: Sequence["Graph"], directed: bool = False) -> "Graph":
+    def disjoint_union(graphs: Sequence["Graph"]) -> "Graph":
+        """The graphs side by side as one undirected graph, each relabeled
+        after the vertices of those before it."""
         offset = 0
         parts = []
         for gr in graphs:
@@ -438,7 +440,7 @@ class Graph:
                 parts.append(gr.pairs + offset)
             offset += gr.vertex_count
         pairs = np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
-        return Graph(offset, pairs, directed=directed)
+        return Graph(offset, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +598,12 @@ class AerModelSpec:
         return {"type": "aer", "n1": self.n1, "a": self.a}
 
 
-ComponentModel = Union[NpaModelSpec, AerModelSpec]
-
-
 @dataclass(frozen=True)
 class CompositeSpec:
-    """Weighted combination of component models with vertex fractions rho_i."""
+    """Weighted combination of component models with vertex fractions rho_i;
+    a component may itself be a composite."""
 
-    components: tuple[tuple[ComponentModel, float], ...]
+    components: tuple[tuple[ModelSpec, float], ...]
     total_n: int
     metadata: dict = field(default_factory=dict)
 
@@ -612,28 +612,16 @@ class CompositeSpec:
         return [int(round(rho * self.total_n)) for _, rho in self.components]
 
     def violations(self) -> list[Violation]:
-        out = []
+        """The components' own violations and the fractions' sum; when
+        those hold, whatever keeps a component from growing at its budget."""
         if not self.components:
-            out.append(Violation("EmptySupport", "composite has no components"))
-            return out
-        for model, _rho in self.components:
-            out.extend(model.violations())
+            return [Violation("EmptySupport", "composite has no components")]
+        out = [v for model, _rho in self.components for v in model.violations()]
         total = math.fsum(rho for _, rho in self.components)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             out.append(Violation(
                 "NonNormalized", f"vertex fractions sum to {total!r}, not 1"))
-        for i, ((model, _rho), budget) in enumerate(zip(self.components,
-                                                        self.budgets())):
-            # A growth component starts from its seed graph, an AER from a pair.
-            if isinstance(model, NpaModelSpec) and model.seed_graph.violations():
-                continue  # the component's own violations name its seed
-            least = (model.seed_graph.build(model.g).vertex_count
-                     if isinstance(model, NpaModelSpec) else 2)
-            if budget < least:
-                out.append(Violation(
-                    "EmptySupport",
-                    f"component {i} budget rounds to {budget} < {least} vertices"))
-        return out
+        return out or size_violations(self, self.total_n)
 
     def to_dict(self) -> dict:
         return {"type": "composite", "total_n": self.total_n,
@@ -643,6 +631,28 @@ class CompositeSpec:
 
 
 ModelSpec = Union[NpaModelSpec, AerModelSpec, CompositeSpec]
+
+
+def size_violations(spec: ModelSpec, n: int) -> list[Violation]:
+    """What keeps a valid spec from growing to n vertices.
+
+    A growth model starts from its seed graph, so n must cover it; an AER
+    model is scanned on n vertices, so it must be valid at n1 = n; a
+    composite grows each component at its budget of n.
+    """
+    if isinstance(spec, CompositeSpec):
+        budgets = replace(spec, total_n=n).budgets()
+        return [Violation(v.code, f"component {i}: {v.message}")
+                for i, ((model, _rho), budget)
+                in enumerate(zip(spec.components, budgets))
+                for v in size_violations(model, budget)]
+    if isinstance(spec, AerModelSpec):
+        return replace(spec, n1=n).violations()
+    seed = spec.seed_graph.build(spec.g).vertex_count
+    if n < seed:
+        return [Violation("EmptySupport", f"n = {n} is below the seed "
+                          f"graph's {seed} vertices")]
+    return []
 
 
 def validate_model(spec: ModelSpec) -> ModelSpec:

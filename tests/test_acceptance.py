@@ -18,9 +18,8 @@ from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution, RngStream,
                       complement_vdd, edge_share, grow_aer,
                       grow_aer_unpruned, mix_edd, mix_vdd, solve_arc_dd,
                       solve_vdd, symmetrize)
-from npagraph import calibrate
-from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrateOptions,
-                                CalibrationTarget,
+from npagraph import calibrate, datasets
+from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
                                 calibrate_composite, calibrate_single,
                                 preset_brightkite, select_u)
 from npagraph.cli import main as cli_main
@@ -181,7 +180,8 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
                                                  tmp_path):
     graph = brightkite_graph
     raw_vdd = measure_vdd(graph)
-    vdd = smooth_vdd(raw_vdd, "tail-powerlaw", cut=30)
+    monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 30)
+    vdd = smooth_vdd(raw_vdd, "tail-powerlaw")
     edd = measure_edd(graph, 300)
     u = select_u(edd, 0.95)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
@@ -191,8 +191,8 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
     assert isinstance(first, BaTreeSpec) and rho == 0.225
     monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
     monkeypatch.setattr(calibrate, "K_MAX", 20000)
-    opts = CalibrateOptions(r_max=40, rho_min=rho, rho_max=rho)
-    result = calibrate_composite(target, BaTreeSpec(), opts)
+    result = calibrate_composite(target, BaTreeSpec(), r_max=40, rho_min=rho,
+                                 rho_max=rho)
 
     from npagraph.calibrate import component_profile
     profile = component_profile(BaTreeSpec(), target)
@@ -241,15 +241,16 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
         write_edge_list(grown, fh)
     graph, _ = load_edge_list(path)
 
-    vdd = smooth_vdd(measure_vdd(graph), "tail-powerlaw", cut=20)
+    monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 20)
+    vdd = smooth_vdd(measure_vdd(graph), "tail-powerlaw")
     edd = measure_edd(graph, 200)
     u = min(select_u(edd, 0.95), 40)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
                                mean_increment=summarize(graph).derived_m)
     monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
     monkeypatch.setattr(calibrate, "K_MAX", 6000)
-    opts = CalibrateOptions(r_max=8, rho_min=rho, rho_max=rho)
-    result = calibrate_composite(target, BaTreeSpec(), opts)
+    result = calibrate_composite(target, BaTreeSpec(), r_max=8, rho_min=rho,
+                                 rho_max=rho)
 
     from npagraph.calibrate import component_profile
     profile = component_profile(BaTreeSpec(), target)
@@ -329,8 +330,7 @@ def test_criterion_09_calibration_round_trip():
     theta = symmetrize(solve_arc_dd(planted, sol, 20))
     target = CalibrationTarget(vdd=sol.q, edd=theta, u=20,
                                mean_increment=planted.increments.mean)
-    res = calibrate_single(target, "linear",
-                           CalibrateOptions(r_max=5))
+    res = calibrate_single(target, "linear", r_max=5)
     assert res.distance < 1e-3
     for k in range(1, 6):
         assert abs(res.model.increments.prob(k)
@@ -352,9 +352,10 @@ def test_criterion_09_calibration_round_trip():
         vdd=mix_vdd([(sol1.q, rho), (sol2.q, 1 - rho)]),
         edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)]),
         u=20, mean_increment=m_tot)
-    copts = CalibrateOptions(r_max=3, rho_min=0.1, rho_max=0.6)
-    cres = calibrate_composite(ctarget, BaTreeSpec(), copts)
-    assert abs(cres.report["rho"] - rho) <= copts.rho_step + 1e-9
+    step = 0.025
+    cres = calibrate_composite(ctarget, BaTreeSpec(), r_max=3, rho_min=0.1,
+                               rho_max=0.6, rho_step=step)
+    assert abs(cres.report["rho"] - rho) <= step + 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     _announce("9 calibration-round-trip",

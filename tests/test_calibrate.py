@@ -12,13 +12,11 @@ from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize,
                       validate_model)
 from npagraph import calibrate
-from npagraph.calibrate import (FP_TOLERANCE, K_MAX,
-                                CalibrateOptions,
-                                CalibrationTarget, OptimizerTrace,
-                                aer_component_estimate, calibrate_composite,
-                                calibrate_single, edd_distance,
-                                gowalla_increments, preset_brightkite,
-                                preset_gowalla, select_u)
+from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
+                                OptimizerTrace, aer_component_estimate,
+                                calibrate_composite, calibrate_single,
+                                edd_distance, gowalla_increments,
+                                preset_brightkite, preset_gowalla, select_u)
 
 GOWALLA_RAW_R1 = 0.3557221013019485
 GOWALLA_RAW_SUM = 1.000024621589985
@@ -243,8 +241,7 @@ class TestOptimizerTrace:
         trace = OptimizerTrace()
         monkeypatch.setattr(calibrate, "OptimizerTrace", lambda: trace)
         with pytest.raises(SolverFailure):
-            calibrate_single(target, "linear",
-                             CalibrateOptions(r_max=5))
+            calibrate_single(target, "linear", r_max=5)
         assert (trace.evaluations, trace.solver_failures) == (1, 1)
         assert trace.failure_types == {"NoConvergence": 1}
 
@@ -256,10 +253,9 @@ class TestOptimizerTrace:
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails)
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-        opts = CalibrateOptions(r_max=3, rho_min=0.25,
-                                rho_max=0.35, rho_step=0.05)
         with pytest.raises(NoConvergence):
-            calibrate_composite(_composite_target(), BaTreeSpec(), opts)
+            calibrate_composite(_composite_target(), BaTreeSpec(), r_max=3,
+                                rho_min=0.25, rho_max=0.35, rho_step=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +266,7 @@ class TestCalibrateSingle:
     def test_round_trip_recovers_planted(self):
         true = _model((0.5, 0.5))
         target = _target_from(true, u=20)
-        opts = CalibrateOptions(r_max=4)
-        res = calibrate_single(target, "linear", opts)
+        res = calibrate_single(target, "linear", r_max=4)
         assert res.distance < 1e-3
         recovered = res.model.increments
         for k in range(1, 5):
@@ -280,8 +275,7 @@ class TestCalibrateSingle:
 
     def test_distance_reproducible_from_model(self):
         target = _target_from(_model((0.6, 0.4)), u=15)
-        opts = CalibrateOptions(r_max=3)
-        res = calibrate_single(target, "linear", opts)
+        res = calibrate_single(target, "linear", r_max=3)
         sol = solve_vdd(res.model, K_MAX, FP_TOLERANCE)
         theta = symmetrize(solve_arc_dd(res.model, sol, target.u))
         again = edd_distance(theta, target.edd, 1, target.u)
@@ -292,8 +286,7 @@ class TestCalibrateSingle:
 
     def test_result_model_validates(self):
         target = _target_from(_model((0.5, 0.5)), u=12)
-        res = calibrate_single(target, "linear",
-                               CalibrateOptions(r_max=3))
+        res = calibrate_single(target, "linear", r_max=3)
         assert validate_model(res.model) is res.model
 
     def test_unknown_mode_rejected(self):
@@ -315,9 +308,8 @@ class TestCalibrateSingle:
         monkeypatch.setattr(calibrate, "PHASE2_THRESHOLD", 1e-4)
         true = _model((0.6, 0.4), weights=WeightFunction.power(0.8, g=1))
         target = _target_from(true, u=15)
-        opts = CalibrateOptions(r_max=3)
-        linear_only = calibrate_single(target, "linear", opts)
-        full = calibrate_single(target, "table-free", opts)
+        linear_only = calibrate_single(target, "linear", r_max=3)
+        full = calibrate_single(target, "table-free", r_max=3)
         assert full.report["phase"] == 2
         assert full.report["weight_exponent"] == pytest.approx(0.8, abs=1e-4)
         assert full.iterations.evaluations <= 30
@@ -329,8 +321,7 @@ class TestCalibrateSingle:
         # A linear fit inverts the recurrence once and solves that one
         # candidate; the trace carries no restart or stall state.
         target = _target_from(_model((0.5, 0.5)), u=12)
-        res = calibrate_single(target, "linear",
-                               CalibrateOptions(r_max=3))
+        res = calibrate_single(target, "linear", r_max=3)
         trace = res.iterations
         assert (trace.evaluations, trace.solver_failures) == (1, 0)
         assert res.report["phase"] == 1
@@ -342,8 +333,7 @@ class TestCalibrateSingle:
         # r_max = 50, where a simplex search over the 49-dimensional
         # simplex stopped at r_1 = 0.28.
         true = _model((0.4, 0.3, 0.2, 0.1))
-        res = calibrate_single(_target_from(true, u=20), "linear",
-                               CalibrateOptions())
+        res = calibrate_single(_target_from(true, u=20), "linear")
         assert res.distance < 1e-3
         for k in range(1, 51):
             assert res.model.increments.prob(k) == pytest.approx(
@@ -355,16 +345,14 @@ class TestCalibrateSingle:
     def test_exact_target_recovered(self, weights):
         probs = tuple(w / sum(weights) for w in weights)
         true = _model(probs)
-        res = calibrate_single(_target_from(true, u=15), "linear",
-                               CalibrateOptions(r_max=6))
+        res = calibrate_single(_target_from(true, u=15), "linear", r_max=6)
         for k in range(1, 7):
             assert abs(res.model.increments.prob(k)
                        - true.increments.prob(k)) <= 1e-6
 
     def test_mean_increment_is_the_target_mean(self):
         target = _target_from(_model((0.2, 0.5, 0.3)), u=15)
-        res = calibrate_single(target, "linear",
-                               CalibrateOptions(r_max=8))
+        res = calibrate_single(target, "linear", r_max=8)
         assert abs(res.model.increments.mean - target.m) <= 1e-9
         assert res.report["mean_increment_target"] == target.m
 
@@ -374,14 +362,12 @@ class TestCalibrateSingle:
         tree = _target_from(_model((1.0,)), u=10)
         low = CalibrationTarget(vdd=tree.vdd, edd=tree.edd, u=10,
                                 mean_increment=0.9998)
-        res = calibrate_single(low, "linear",
-                               CalibrateOptions(r_max=4))
+        res = calibrate_single(low, "linear", r_max=4)
         assert abs(res.model.increments.mean - 1.0) <= 1e-9
         assert res.report["mean_increment_target"] == 1.0
         high = CalibrationTarget(vdd=tree.vdd, edd=tree.edd, u=10,
                                  mean_increment=7.5)
-        res = calibrate_single(high, "linear",
-                               CalibrateOptions(r_max=4))
+        res = calibrate_single(high, "linear", r_max=4)
         assert abs(res.model.increments.mean - 4.0) <= 1e-9
 
 
@@ -412,7 +398,7 @@ def _noisy_target(probs, seed):
 def test_noisy_target_no_worse_than_simplex(name, probs, seed):
     target = _noisy_target(probs, seed)
     for r_max, simplex in NOISY_SIMPLEX_OBJECTIVES[name].items():
-        res = calibrate_single(target, "linear", CalibrateOptions(r_max=r_max))
+        res = calibrate_single(target, "linear", r_max=r_max)
         objective = res.distance + res.vdd_tv_error
         bound = simplex if r_max == 50 else 1.01 * simplex
         assert objective <= bound, (r_max, objective, simplex)
@@ -440,9 +426,8 @@ def _composite_target(rho=0.3, u=20):
 @pytest.fixture(scope="module")
 def fitted():
     target = _composite_target(rho=0.3)
-    opts = CalibrateOptions(r_max=3, rho_min=0.225,
-                            rho_max=0.375)
-    return calibrate_composite(target, BaTreeSpec(), opts), target
+    return calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.225,
+                               rho_max=0.375), target
 
 
 class TestCalibrateComposite:
@@ -514,9 +499,8 @@ class TestCalibrateComposite:
             edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)]),
             u=u, mean_increment=m_tot)
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-        opts = CalibrateOptions(r_max=3, rho_min=0.05,
-                                rho_max=0.35)
-        res = calibrate_composite(target, BaTreeSpec(), opts)
+        res = calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.05,
+                                  rho_max=0.35)
         skipped = [e for e in res.report["grid"] if "skipped" in e]
         assert skipped
         assert all(e["rho"] > 0.1 for e in skipped)
@@ -536,13 +520,12 @@ class TestCalibrateComposite:
             vdd=mix_vdd([(vdd1, rho), (sol2.q, 1 - rho)]),
             edd=mix_edd([(edd1, m1, rho), (th2, m2, 1 - rho)]),
             u=u, mean_increment=m_tot)
-        opts = CalibrateOptions(r_max=3, rho_min=0.2,
-                                rho_max=0.4, rho_step=0.05)
         profile = calibrate.component_profile(aer, target)
         assert profile.m == m1
         assert np.array_equal(profile.vdd.probs, vdd1.probs)
         assert np.array_equal(profile.edd.entries, edd1.entries)
-        res = calibrate_composite(target, aer, opts)
+        res = calibrate_composite(target, aer, r_max=3, rho_min=0.2,
+                                  rho_max=0.4, rho_step=0.05)
         assert res.report["rho"] == rho
         assert res.model.components[0] == (aer, rho)
         assert res.distance < 1e-12 and res.vdd_tv_error < 1e-12
@@ -559,10 +542,9 @@ class TestCalibrateComposite:
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
         comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
         target = _target_from(comp2, u=15)
-        opts = CalibrateOptions(r_max=3, rho_min=0.4,
-                                rho_max=0.6)
         with pytest.raises(AllRhoInfeasible):
-            calibrate_composite(target, BaTreeSpec(), opts)
+            calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.4,
+                                rho_max=0.6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,27 @@ from npagraph.solver import edd_from_csv, edd_to_csv, vdd_to_csv
 def _write_ba_spec(path: Path) -> Path:
     spec_file = path / "ba.json"
     spec_file.write_text(dump_model(BaTreeSpec().to_npa()) + "\n")
+    return spec_file
+
+
+def _readme_specs() -> dict:
+    """The specs of README.md's schema block by type, the composite with a
+    composite part as "nested"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Model spec schema (JSON)")[1]
+    block = re.sub(r"//[^\n]*", "", block.split("```jsonc\n")[1].split("```")[0])
+    specs = {}
+    for chunk in re.split(r"\n\s*\n", block.strip()):  # one spec per paragraph
+        spec = json.loads(chunk)
+        nested = any(c["model"]["type"] == "composite"
+                     for c in spec.get("components", ()))
+        specs["nested" if nested else spec["type"]] = spec
+    return specs
+
+
+def _write_readme_spec(path: Path, name: str) -> Path:
+    spec_file = path / f"{name}.json"
+    spec_file.write_text(json.dumps(_readme_specs()[name]))
     return spec_file
 
 
@@ -145,14 +167,42 @@ class TestGenerateCommand:
     def test_preset_requires_or_spec(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("source,message", [
-        ("spec", "--n 1 is below the seed graph's 2 vertices"),
-        ("gowalla", "EmptySupport: component 0 budget rounds to 0 < 2"),
-        ("brightkite", "EmptySupport: component 0 budget rounds to 0 < 2")])
-    def test_n_below_seed_exit_2(self, tmp_path, capsys, source, message):
-        src = ([str(_write_ba_spec(tmp_path))] if source == "spec"
-               else ["--preset", source])
-        assert main(["generate", *src, "--n", "1",
+    @pytest.mark.parametrize("name", ["npa", "ba_tree", "aer", "composite",
+                                      "nested"])
+    def test_every_spec_type_grows_to_n(self, tmp_path, name):
+        out = tmp_path / "o"
+        assert main(["generate", str(_write_readme_spec(tmp_path, name)),
+                     "--n", "600", "--seed", "2", "--u", "20",
+                     "--out", str(out)]) == 0
+        vertices = json.loads((out / "runs.json").read_text())[
+            "replications"][0]["vertices"]
+        if name in ("aer", "composite"):  # the README's composite holds an AER
+            assert 0 < vertices <= 600  # pruning removes vertices
+        else:
+            assert vertices == 600
+
+    @pytest.mark.parametrize("source,n,message", [
+        ("spec", 1, "EmptySupport: n = 1 is below the seed graph's 2 vertices"),
+        ("gowalla", 1, "EmptySupport: component 0: n1 = 0 leaves no vertex "
+                       "pairs"),
+        ("brightkite", 1, "EmptySupport: component 0: n = 0 is below the "
+                          "seed graph's 2 vertices"),
+        # An AER model is scanned on --n vertices, p_a = a / (n - 1).
+        ("aer", 2, "NonNormalized: base probability p_a = 2.75 outside (0, 1]"),
+        # The AER component's budget is round(0.35 * 6) = 2.
+        ("composite", 6, "NonNormalized: component 0: base probability "
+                         "p_a = 2.75 outside (0, 1]"),
+        # The inner composite's budget of 2 gives its parts 1 vertex each.
+        ("nested", 4, "EmptySupport: component 1: component 0: n = 1 is "
+                      "below the seed graph's 2 vertices")])
+    def test_n_below_seed_exit_2(self, tmp_path, capsys, source, n, message):
+        if source == "spec":
+            src = [str(_write_ba_spec(tmp_path))]
+        elif source in ("gowalla", "brightkite"):
+            src = ["--preset", source]
+        else:
+            src = [str(_write_readme_spec(tmp_path, source))]
+        assert main(["generate", *src, "--n", str(n),
                      "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -186,8 +236,8 @@ class TestGenerateCommand:
         spec = tmp_path / "aer.json"
         spec.write_text(dump_model(AerModelSpec(n1=500, a=2.5)) + "\n")
         out = tmp_path / "aer"
-        assert main(["generate", str(spec), "--seed", "3", "--u", "20",
-                     "--out", str(out)]) == 0
+        assert main(["generate", str(spec), "--n", "500", "--seed", "3",
+                     "--u", "20", "--out", str(out)]) == 0
         rep0 = json.loads((out / "runs.json").read_text())["replications"][0]
         lines = (out / "graph_rep0.txt").read_text().splitlines()
         assert f"Nodes: {rep0['vertices']} Edges: {rep0['edges']}" in lines[0]
@@ -586,7 +636,7 @@ class TestCalibrateCommand:
         (target_dir / "edd.csv").write_text(edd_to_csv(theta))
         seen = []
 
-        def capture(target, first, opts):
+        def capture(target, first, r_max, rho_min, rho_max, rho_step):
             seen.append(first)
             raise AllRhoInfeasible("captured")
 
@@ -603,6 +653,8 @@ class TestCalibrateCommand:
 
     @pytest.mark.parametrize("flags,message", [
         (["--u", "1"], "must exceed the minimum degree 1"),
+        (["--u", "0"], "u = 0 must exceed the minimum degree 1"),
+        (["--u", "500"], "edge matrix extent 12 is below u = 500"),
         (["--rmax", "0"], "--rmax >= 1"),
         (["--mode", "composite", "--rho-step", "0"], "--rho-step > 0"),
         (["--mode", "composite", "--rho-step", "-0.05"], "--rho-step > 0"),

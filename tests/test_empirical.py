@@ -449,23 +449,26 @@ class TestSmoothVdd:
         q = self._power_law()
         assert smooth_vdd(q, "none") is q
 
-    def test_tail_powerlaw_self_consistency(self):
+    def test_tail_powerlaw_self_consistency(self, monkeypatch):
+        monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 10)
         q = self._power_law()
-        out = smooth_vdd(q, "tail-powerlaw", cut=10)
+        out = smooth_vdd(q, "tail-powerlaw")
         assert np.abs(out.probs - q.probs).max() < 1e-6
 
-    def test_tail_powerlaw_fills_gaps(self):
+    def test_tail_powerlaw_fills_gaps(self, monkeypatch):
+        monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 10)
         q = self._power_law()
         probs = np.array(q.probs)
         probs[50] = 0.0  # a noisy empirical zero inside the tail
         noisy = DegreeDistribution(1, probs / probs.sum())
-        out = smooth_vdd(noisy, "tail-powerlaw", cut=10)
+        out = smooth_vdd(noisy, "tail-powerlaw")
         assert out.prob(51) > 0.0
 
-    def test_mass_preserved(self):
+    def test_mass_preserved(self, monkeypatch):
+        monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 10)
         q = self._power_law()
-        for method, kw in (("log-bin", {}), ("tail-powerlaw", {"cut": 10})):
-            out = smooth_vdd(q, method, **kw)
+        for method in ("log-bin", "tail-powerlaw"):
+            out = smooth_vdd(q, method)
             assert out.stored_mass() == pytest.approx(q.stored_mass(), abs=1e-9)
 
     def test_log_bin_levels(self):
@@ -478,10 +481,11 @@ class TestSmoothVdd:
         assert out.prob(3) == pytest.approx(0.25)
         assert out.prob(4) == pytest.approx(0.1)
 
-    def test_insufficient_tail(self):
+    def test_insufficient_tail(self, monkeypatch):
+        monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 3)
         q = DegreeDistribution(1, np.array([0.7, 0.1, 0.1, 0.05, 0.05]))
         with pytest.raises(InsufficientTail):
-            smooth_vdd(q, "tail-powerlaw", cut=3)
+            smooth_vdd(q, "tail-powerlaw")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
