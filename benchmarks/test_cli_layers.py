@@ -1,0 +1,60 @@
+"""Layer benchmark of one CLI process from start to exit (pytest-benchmark).
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest benchmarks/test_cli_layers.py \
+        --benchmark-json=cli_layers.json
+
+This directory sits outside the test paths in pyproject.toml, so the
+ordinary test run does not collect it. Each round runs
+`python -m npagraph.cli compare` of two small edge matrices in a fresh
+interpreter, so the time is mostly the interpreter's start-up, the imports
+the command loads and the exit. The package is copied without its bytecode
+cache and run with PYTHONDONTWRITEBYTECODE=1, so every round compiles it
+from source, as a fresh checkout does; numpy and the standard library keep
+their installed caches.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from npagraph import BaTreeSpec, solve_arc_dd, solve_vdd, symmetrize
+from npagraph.solver import edd_to_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="module")
+def fresh_package(tmp_path_factory):
+    """A copy of the package without bytecode, and the environment that
+    keeps it so."""
+    root = tmp_path_factory.mktemp("src")
+    shutil.copytree(SRC / "npagraph", root / "npagraph",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
+    return env
+
+
+@pytest.fixture(scope="module")
+def edds(tmp_path_factory):
+    """The BA tree's edge matrix to degree 20, as two files."""
+    model = BaTreeSpec().to_npa()
+    text = edd_to_csv(symmetrize(solve_arc_dd(model, solve_vdd(model, 2000), 20)))
+    root = tmp_path_factory.mktemp("edd")
+    for name in ("a.csv", "b.csv"):
+        (root / name).write_text(text)
+    return root
+
+
+def test_compare_process(benchmark, fresh_package, edds):
+    argv = [sys.executable, "-m", "npagraph.cli", "compare",
+            str(edds / "a.csv"), str(edds / "b.csv"), "--out", str(edds / "out")]
+    proc = benchmark(subprocess.run, argv, env=fresh_package,
+                     capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == 0.0

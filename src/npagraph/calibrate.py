@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
                      NonPositiveResult, SolverFailure, WindowExceedsMatrix)
-from .growth import (RngStream, _prune_small_components, grow_aer_unpruned,
-                     measure_edd, measure_vdd)
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution,
                      NpaModelSpec, WeightFunction)
@@ -550,6 +548,8 @@ def aer_component_estimate(spec: AerModelSpec, u: int
     one measured on their disjoint union; pruning the union prunes each
     replicate.
     """
+    from .growth import (RngStream, _prune_small_components,
+                         grow_aer_unpruned, measure_edd, measure_vdd)
     union = Graph.disjoint_union(
         [grow_aer_unpruned(spec, RngStream(AER_SEED, rep))[0]
          for rep in range(AER_REPS)])

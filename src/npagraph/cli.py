@@ -5,16 +5,20 @@ the toolkit version; `npagraph rerun manifest.json --out DIR` re-executes the
 recorded run and reproduces the data files byte for byte. Exit codes:
 0 success, 2 input error (a setting outside its range among them), 3
 compute error, 4 no feasible vertex fraction in a composite calibration.
+
+A process starts on what every command uses (errors, models, solver and
+calibrate); the growth and edge-list modules, and the process pool of
+`generate --threads`, load inside the commands that call them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -25,11 +29,8 @@ from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, R_MIN, TOTAL_N,
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
                      MalformedLine, NpaGraphError, SolverFailure,
                      ValidationError, WindowExceedsMatrix, ZeroTotalWeight)
-from .growth import RngStream, grow, measure_edd, measure_vdd, write_edge_list
 from .models import (AerModelSpec, BaTreeSpec, NpaModelSpec, dump_model,
                      load_model, size_violations, validate_model)
-from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
-                       vdd_counts_csv)
 from .solver import (VARIANTS, _matrix_csv, edd_from_csv, edd_to_csv,
                      solve_arc_dd, solve_vdd, symmetrize, vdd_from_csv,
                      vdd_to_csv)
@@ -101,6 +102,8 @@ def cmd_solve(params: dict) -> int:
 
 def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
                   out_dir: str) -> dict:
+    from .growth import (RngStream, grow, measure_edd, measure_vdd,
+                         write_edge_list)
     graph = grow(load_model(spec_text), n, RngStream(seed, rep))
     out = Path(out_dir)
     with open(out / f"graph_rep{rep}.txt", "w", newline="\n") as fh:
@@ -131,6 +134,7 @@ def cmd_generate(params: dict) -> int:
     jobs = [(spec_text, n, params["seed"], rep, params["u"], str(out))
             for rep in range(reps)]
     if params["threads"] > 1 and reps > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=params["threads"]) as pool:
             infos = list(pool.map(_generate_one, *zip(*jobs)))
     else:
@@ -153,6 +157,9 @@ def cmd_ingest(params: dict) -> int:
         print(f"need 0 < --u-mass <= 1, got {params['u_mass']}",
               file=sys.stderr)
         return EXIT_INPUT
+    from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
+                           vdd_counts_csv)
+    from .growth import measure_edd, measure_vdd
     graph, stats = load_edge_list(params["dataset"])
     summary = summarize(graph)
     vdd = measure_vdd(graph)
@@ -386,5 +393,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPUTE
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry (`npagraph` and `python -m npagraph.cli`).
+
+    The objects made at start-up (modules, their functions and classes)
+    live until exit, so they are frozen out of the collector: no collection
+    during the command, nor the one at exit, traverses them again. `main`
+    does not freeze, since a caller that runs it in process keeps its own
+    heap, and a frozen object is never collected.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -608,20 +608,32 @@ class CompositeSpec:
     metadata: dict = field(default_factory=dict)
 
     def budgets(self) -> list[int]:
-        """Vertex budget per component: rho_i * total_n rounded to nearest."""
-        return [int(round(rho * self.total_n)) for _, rho in self.components]
+        """Vertex budget per component, apportioned by largest remainder so
+        that the budgets add up to total_n: each quota rho_i * total_n
+        rounded down, and one more vertex for each of the largest
+        fractional parts, the earlier component first on a tie."""
+        quotas = [rho * self.total_n for _, rho in self.components]
+        out = [math.floor(q) for q in quotas]
+        by_remainder = sorted(range(len(quotas)), key=lambda i: out[i] - quotas[i])
+        for i in by_remainder[:max(self.total_n - sum(out), 0)]:
+            out[i] += 1
+        return out
 
     def violations(self) -> list[Violation]:
-        """The components' own violations and the fractions' sum; when
-        those hold, whatever keeps a component from growing at its budget."""
+        """Each component's violations at its budget, and the fractions'
+        sum. A component grows at its budget whatever total_n or n1 its own
+        spec holds, so it is checked at that size alone."""
         if not self.components:
             return [Violation("EmptySupport", "composite has no components")]
-        out = [v for model, _rho in self.components for v in model.violations()]
+        out = [Violation(v.code, f"component {i}: {v.message}")
+               for i, ((model, _rho), budget)
+               in enumerate(zip(self.components, self.budgets()))
+               for v in size_violations(model, budget)]
         total = math.fsum(rho for _, rho in self.components)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             out.append(Violation(
                 "NonNormalized", f"vertex fractions sum to {total!r}, not 1"))
-        return out or size_violations(self, self.total_n)
+        return out
 
     def to_dict(self) -> dict:
         return {"type": "composite", "total_n": self.total_n,
@@ -634,20 +646,20 @@ ModelSpec = Union[NpaModelSpec, AerModelSpec, CompositeSpec]
 
 
 def size_violations(spec: ModelSpec, n: int) -> list[Violation]:
-    """What keeps a valid spec from growing to n vertices.
+    """What keeps a spec from growing to n vertices: its violations at that
+    size.
 
-    A growth model starts from its seed graph, so n must cover it; an AER
-    model is scanned on n vertices, so it must be valid at n1 = n; a
-    composite grows each component at its budget of n.
+    A composite grows each component at its budget of n, and an AER model
+    is scanned on n1 = n vertices; a growth model starts from its seed
+    graph, so n must cover it.
     """
     if isinstance(spec, CompositeSpec):
-        budgets = replace(spec, total_n=n).budgets()
-        return [Violation(v.code, f"component {i}: {v.message}")
-                for i, ((model, _rho), budget)
-                in enumerate(zip(spec.components, budgets))
-                for v in size_violations(model, budget)]
+        return replace(spec, total_n=n).violations()
     if isinstance(spec, AerModelSpec):
         return replace(spec, n1=n).violations()
+    out = spec.violations()
+    if out:
+        return out
     seed = spec.seed_graph.build(spec.g).vertex_count
     if n < seed:
         return [Violation("EmptySupport", f"n = {n} is below the seed "

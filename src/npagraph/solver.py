@@ -66,13 +66,14 @@ class VddSolution:
 # ---------------------------------------------------------------------------
 
 def _tail_sums(asym: tuple, phi: float, m: float, q_top: float, k_top: int,
-               f_top: float) -> tuple[float, float, float]:
+               f_top: float, chunks: list) -> tuple[float, float, float]:
     """(sum Q_k, sum k Q_k, sum f_k Q_k) over k > K = k_top, where r_k = 0.
 
     The first two follow from the third by the summation identities in the
     module docstring, given Q_K = q_top and f_K = f_top. Returns infinities
     when the tail mean diverges, which the fixed-point bracketing interprets
-    as "phi too small".
+    as "phi too small". chunks caches the power tail's weights (see
+    _power_tail_weight) across calls at the same asym and k_top.
     """
     kind = asym[0]
     if kind == "finite" or q_top <= 0.0:
@@ -88,35 +89,36 @@ def _tail_sums(asym: tuple, phi: float, m: float, q_top: float, k_top: int,
     if kind == "constant":
         t_fmass = asym[1] * t_mass
     else:
-        t_fmass = _power_tail_weight(asym[1], phi, m, q_top, k_top)
+        t_fmass = _power_tail_weight(asym[1], phi, m, q_top, k_top, chunks)
         if math.isinf(t_fmass):
             return math.inf, math.inf, math.inf
     return t_mass, (head * (k_top + 1) + t_fmass) / rate, t_fmass
 
 
 def _power_tail_weight(alpha: float, phi: float, m: float, q_top: float,
-                       k_top: int) -> float:
+                       k_top: int, chunks: list) -> float:
     """sum f_k Q_k over k > k_top for f_k = k**alpha with alpha < 1.
 
     Up to eight exact chunks settle fast-decaying tails and expose
     divergence; a slow remainder closes in one incomplete-gamma step. The
     chunks stop once the geometric estimate of the remaining sum k Q_k falls
-    below 1e-13.
+    below 1e-13. Chunk i's degrees and weights depend on neither phi nor
+    q_top, so they are made on first use and kept in chunks.
     """
-    chunk = 4096
+    size = 4096
     t_fmass = 0.0
     q_prev = q_top
-    k = k_top
     prev_sk = None
-    for _ in range(8):
-        ks = np.arange(k + 1, k + 1 + chunk, dtype=np.float64)
-        f_now = np.power(ks, alpha)
-        f_prev = np.power(ks - 1.0, alpha)
+    for i in range(8):
+        if i == len(chunks):
+            ks = np.arange(k_top + 1 + i * size, k_top + 1 + (i + 1) * size,
+                           dtype=np.float64)
+            chunks.append((ks, np.power(ks, alpha), np.power(ks - 1.0, alpha)))
+        ks, f_now, f_prev = chunks[i]
         qs = q_prev * np.cumprod(m * f_prev / (phi + m * f_now))
         s_k = float((ks * qs).sum())
         t_fmass += float((f_now * qs).sum())
         q_prev = float(qs[-1])
-        k = int(ks[-1])
         if q_prev == 0.0 or s_k == 0.0:
             return t_fmass
         if prev_sk is not None:
@@ -128,7 +130,7 @@ def _power_tail_weight(alpha: float, phi: float, m: float, q_top: float,
             if s_k * ratio / (1.0 - ratio) < 1e-13:
                 return t_fmass
         prev_sk = s_k
-    return t_fmass + _stretched_tail_moment(alpha, phi / m, k, q_prev)
+    return t_fmass + _stretched_tail_moment(alpha, phi / m, int(ks[-1]), q_prev)
 
 
 def _stretched_tail_moment(alpha: float, rate: float, k0: int, q0: float) -> float:
@@ -226,6 +228,7 @@ class _VddEngine:
         self.r_start = inc.min_arcs - self.g
         self.ks = np.arange(self.g, self.k_top + 1, dtype=np.float64)
         self.asym = w.asymptote()
+        self.tail_chunks: list = []
 
     def distribution(self, phi: float) -> np.ndarray:
         """Q_g..Q_K at mean weight phi, by the recurrence over the increment
@@ -243,7 +246,7 @@ class _VddEngine:
 
     def tails(self, phi: float, q: np.ndarray) -> tuple[float, float, float]:
         return _tail_sums(self.asym, phi, self.m, float(q[-1]), self.k_top,
-                          float(self.f[-1]))
+                          float(self.f[-1]), self.tail_chunks)
 
     def weighted_sum(self, phi: float) -> float:
         q = self.distribution(phi)

@@ -42,17 +42,18 @@ def _tree_bytes(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules a fresh interpreter holds after running code."""
+def _modules_after(code: str, *roots: str) -> list[str]:
+    """The modules at or under roots that a fresh interpreter holds after
+    running code."""
     import subprocess
     import sys
-    code += ("\nimport sys\n"
-             "print(sorted(m for m in sys.modules\n"
-             "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if any(\n"
+             f"    m == r or m.startswith(r + '.') for r in {roots!r}))))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 class TestSolveCommand:
@@ -180,6 +181,30 @@ class TestGenerateCommand:
             assert 0 < vertices <= 600  # pruning removes vertices
         else:
             assert vertices == 600
+
+    @pytest.mark.parametrize("spec,n", [
+        # Budgets 501 and 500: rounding each half on its own gave 500 twice.
+        ({"type": "composite", "total_n": 1001, "components": [
+            {"rho": 0.5, "model": {"type": "ba_tree"}},
+            {"rho": 0.5, "model": {"type": "ba_tree"}}]}, 1001),
+        # The inner composite's own total_n of 2 would give its parts one
+        # vertex each; it grows at its budget of 500.
+        ({"type": "composite", "total_n": 1000, "components": [
+            {"rho": 0.5, "model": {"type": "ba_tree"}},
+            {"rho": 0.5, "model": {"type": "composite", "total_n": 2,
+                                   "components": [
+                                       {"rho": 0.5, "model": {"type": "ba_tree"}},
+                                       {"rho": 0.5, "model": {"type": "ba_tree"}}]}}]},
+         1000),
+    ], ids=["odd_n", "nested_total_n"])
+    def test_composite_grows_to_exactly_n(self, tmp_path, spec, n):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert main(["generate", str(spec_file), "--n", str(n), "--seed", "4",
+                     "--u", "20", "--out", str(out)]) == 0
+        runs = json.loads((out / "runs.json").read_text())
+        assert runs["replications"][0]["vertices"] == n
 
     @pytest.mark.parametrize("source,n,message", [
         ("spec", 1, "EmptySupport: n = 1 is below the seed graph's 2 vertices"),
@@ -402,7 +427,7 @@ class TestEnvironment:
 
     def test_import_leaves_optimizer_unloaded(self):
         # The runtime needs numpy alone: importing the CLI loads no scipy.
-        assert _scipy_modules_after("import npagraph.cli") == "[]"
+        assert _modules_after("import npagraph.cli", "scipy") == []
 
     def test_power_weight_solve_loads_no_scipy(self, tmp_path):
         # The incomplete gamma of the power-weight tail is the package's own.
@@ -413,7 +438,7 @@ class TestEnvironment:
         code = ("from npagraph.cli import main\n"
                 f"assert main(['solve', {str(spec)!r}, '--umax', '15',\n"
                 f"             '--out', {str(out)!r}]) == 0\n")
-        assert _scipy_modules_after(code) == "[]"
+        assert _modules_after(code, "scipy") == []
         assert (out / "solution.json").exists()
 
     def test_table_free_calibrate_loads_no_scipy(self, tmp_path):
@@ -428,9 +453,84 @@ class TestEnvironment:
                 f"assert main(['calibrate', {str(target)!r}, '--weights',\n"
                 "             'table-free', '--rmax', '3', '--u', '15',\n"
                 f"             '--out', {str(out)!r}]) == 0\n")
-        assert _scipy_modules_after(code) == "[]"
+        assert _modules_after(code, "scipy") == []
         report = json.loads((out / "report.json").read_text())
         assert report["details"]["phase"] == 2
+
+
+def _write_ba_target(path: Path) -> Path:
+    """vdd.csv and edd.csv of the BA tree to degree 8, as ingest writes them."""
+    model = BaTreeSpec().to_npa()
+    sol = solve_vdd(model, 2000)
+    path.mkdir()
+    (path / "vdd.csv").write_text(vdd_to_csv(sol.q))
+    (path / "edd.csv").write_text(edd_to_csv(symmetrize(
+        solve_arc_dd(model, sol, 8))))
+    return path
+
+
+class TestStartup:
+    """A command loads only the modules it calls, and only the process
+    entry freezes the start-up heap. Each check runs in a fresh interpreter."""
+
+    def test_import_loads_no_growth_io_or_pool(self):
+        assert _modules_after("import npagraph.cli", "npagraph.growth",
+                              "npagraph.datasets", "multiprocessing",
+                              "concurrent.futures") == []
+
+    def test_calibrate_and_compare_load_no_growth_or_io(self, tmp_path):
+        target = _write_ba_target(tmp_path / "target")
+        edd = str(target / "edd.csv")
+        code = ("from npagraph.cli import main\n"
+                f"assert main(['calibrate', {str(target)!r}, '--rmax', '2',\n"
+                f"             '--u', '6', '--out', {str(tmp_path / 'fit')!r}]) == 0\n"
+                f"assert main(['compare', {edd!r}, {edd!r},\n"
+                f"             '--out', {str(tmp_path / 'cmp')!r}]) == 0\n")
+        assert _modules_after(code, "npagraph.growth", "npagraph.datasets") == []
+        assert (tmp_path / "fit" / "model.json").exists()
+        assert (tmp_path / "cmp" / "distance.json").exists()
+
+    def test_every_export_resolves(self):
+        code = ("import sys\n"
+                "import npagraph\n"
+                "assert not [m for m in sys.modules if m.startswith('npagraph.')]\n"
+                "missing = [n for n in npagraph.__all__\n"
+                "           if getattr(npagraph, n, None) is None]\n"
+                "assert not missing, missing\n"
+                "assert set(npagraph.__all__) <= set(dir(npagraph))\n")
+        assert _modules_after(code, "npagraph.growth") == ["npagraph.growth"]
+
+    def test_main_leaves_the_heap_unfrozen(self, tmp_path):
+        edd = str(_write_ba_target(tmp_path / "target") / "edd.csv")
+        code = ("import gc\n"
+                "from npagraph.cli import main\n"
+                "before = gc.get_freeze_count()\n"
+                f"assert main(['compare', {edd!r}, {edd!r},\n"
+                f"             '--out', {str(tmp_path / 'cmp')!r}]) == 0\n"
+                "assert gc.get_freeze_count() == before, "
+                "(before, gc.get_freeze_count())\n")
+        _modules_after(code)
+
+    def test_process_entry_freezes(self, tmp_path):
+        import subprocess
+        import sys
+        import tomllib
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts["npagraph"] == "npagraph.cli:run"
+        edd = str(_write_ba_target(tmp_path / "target") / "edd.csv")
+        code = ("import gc, sys\n"
+                "from npagraph.cli import run\n"
+                f"sys.argv = ['npagraph', 'compare', {edd!r}, {edd!r},\n"
+                f"            '--out', {str(tmp_path / 'cmp')!r}]\n"
+                "try:\n"
+                "    run()\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, gc.get_freeze_count() > 0)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True"
 
 
 class TestCompareCommand:
@@ -734,7 +834,7 @@ class TestCalibrateCommand:
             "             'ba-tree', '--rmax', '3', '--rho-min', '0.25',\n"
             "             '--rho-max', '0.35', '--rho-step', '0.05',\n"
             "             '--out', out + '/composite']) == 0\n")
-        assert _scipy_modules_after(code) == "[]"
+        assert _modules_after(code, "scipy") == []
         assert (tmp_path / "single" / "model.json").exists()
         assert (tmp_path / "composite" / "model.json").exists()
 

@@ -272,6 +272,44 @@ class TestValidateModel:
                              total_n=100000)
         assert spec.budgets() == [35000, 65000]
 
+    @pytest.mark.parametrize("rhos,total_n,budgets", [
+        ((0.5, 0.5), 1001, [501, 500]),
+        ((1 / 3, 1 / 3, 1 / 3), 100, [34, 33, 33]),
+        ((0.999, 0.001), 100, [100, 0]),
+        ((0.225, 0.775), 5000, [1125, 3875]),
+    ])
+    def test_composite_budgets_by_largest_remainder(self, rhos, total_n,
+                                                    budgets):
+        spec = CompositeSpec(components=tuple((BaTreeSpec(), r) for r in rhos),
+                             total_n=total_n)
+        assert spec.budgets() == budgets
+
+    @given(raw=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+           total_n=st.integers(0, 10**7))
+    def test_composite_budgets_add_up_to_total_n(self, raw, total_n):
+        rhos = [r / math.fsum(raw) for r in raw]
+        spec = CompositeSpec(components=tuple((BaTreeSpec(), r) for r in rhos),
+                             total_n=total_n)
+        budgets = spec.budgets()
+        assert sum(budgets) == total_n
+        assert all(abs(b - r * total_n) < 1.0 + 1e-6 for b, r in zip(budgets, rhos))
+
+    def test_component_checked_at_its_budget(self):
+        # Growth ignores a component's own total_n or n1: an inner composite
+        # of total_n 2 and an AER model of n1 = 1 both grow at budget 500.
+        ba = BaTreeSpec()
+        inner = CompositeSpec(components=((ba, 0.5), (ba, 0.5)), total_n=2)
+        for part in (inner, AerModelSpec(n1=1, a=2.75)):
+            outer = CompositeSpec(components=((ba, 0.5), (part, 0.5)),
+                                  total_n=1000)
+            assert validate_model(outer) is outer
+        outer = CompositeSpec(components=((ba, 0.5), (inner, 0.5)), total_n=4)
+        with pytest.raises(ValidationError) as err:
+            validate_model(outer)
+        assert [str(v) for v in err.value.violations] == [
+            f"EmptySupport: component 1: component {i}: n = 1 is below the "
+            "seed graph's 2 vertices" for i in (0, 1)]
+
 
 # ---------------------------------------------------------------------------
 # Distributions and matrices

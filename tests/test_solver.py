@@ -263,6 +263,19 @@ class TestTailSums:
                                     model.increments.mean, q_top, k_max)
         assert sol.tail_mass == pytest.approx(expected, rel=1e-11, abs=0.0)
 
+    def test_power_tail_chunks_made_once_per_engine(self):
+        # The tail chunks' degrees and weights depend on neither phi nor
+        # Q_K, so every evaluation after the first reuses the same arrays.
+        engine = _VddEngine(three_arc_power(0.5), 100)
+        first = engine.weighted_sum(3.0)
+        chunks = list(engine.tail_chunks)
+        assert chunks
+        for phi in (2.5, 4.0, 3.0):
+            engine.weighted_sum(phi)
+        assert all(a is b for a, b in zip(chunks, engine.tail_chunks))
+        assert engine.weighted_sum(3.0) == first
+        assert _VddEngine(three_arc_power(0.5), 100).weighted_sum(3.0) == first
+
     @pytest.mark.parametrize("v", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("k_max", [10, 100])
     def test_constant_tail_sums_match_direct_sum(self, v, k_max):
