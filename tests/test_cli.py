@@ -642,13 +642,7 @@ class TestCalibrateCommand:
         ("vdd.csv", "degree,probability\n1,0.5\n2\n"),
     ])
     def test_unreadable_target_is_input_error(self, tmp_path, capsys, name, text):
-        model = BaTreeSpec().to_npa()
-        sol = solve_vdd(model, 2000)
-        target_dir = tmp_path / "target"
-        target_dir.mkdir()
-        (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
-        (target_dir / "edd.csv").write_text(edd_to_csv(symmetrize(
-            solve_arc_dd(model, sol, 8))))
+        target_dir = _write_ba_target(tmp_path / "target")
         (target_dir / name).write_text(text)
         code = main(["calibrate", str(target_dir), "--rmax", "2", "--out",
                      str(tmp_path / "fit")])
