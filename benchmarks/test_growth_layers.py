@@ -11,7 +11,7 @@ model to 1e5 vertices with grow_npa, through the public API only, so the
 same file times any version of the samplers: "ba" (f_k = k) takes the
 endpoint-list sampler, the three others every other weight function's.
 The AER pair scan is timed at the size of the gowalla preset's AER
-component at n = 1e5, under both conventions for z at a row start.
+component at n = 1e5.
 """
 
 import pytest
@@ -31,11 +31,10 @@ def test_grow_npa(benchmark, name):
     assert trace.final_graph.vertex_count == N
 
 
-@pytest.mark.parametrize("carry", [False, True], ids=["row_reset", "carry"])
-def test_grow_aer_unpruned(benchmark, carry):
+def test_grow_aer_unpruned(benchmark):
     spec = AerModelSpec(n1=35_000, a=2.75)
     full, stats = benchmark.pedantic(
-        grow_aer_unpruned, args=(spec, RngStream(11), carry),
+        grow_aer_unpruned, args=(spec, RngStream(11)),
         rounds=5, iterations=1)
     assert full.vertex_count == 35_000
     assert stats.pre_prune_edge_count > 0

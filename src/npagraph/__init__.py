@@ -11,7 +11,7 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyGraph", "EmptyInput",
@@ -29,8 +29,7 @@ _EXPORTS = {
                "mix_edd", "mix_vdd", "solve_arc_dd", "solve_vdd", "symmetrize"),
     "growth": ("AerRunStats", "GrowthTrace", "RngStream", "grow", "grow_aer",
                "grow_aer_unpruned", "grow_composite", "grow_npa",
-               "measure_arc_dd", "measure_edd", "measure_vdd",
-               "write_edge_list"),
+               "measure_edd", "measure_vdd", "write_edge_list"),
     "datasets": ("DatasetSummary", "ParseStats", "load_edge_list", "smooth_vdd",
                  "summarize"),
     "calibrate": ("CalibrationResult", "CalibrationTarget", "OptimizerTrace",

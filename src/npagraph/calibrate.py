@@ -24,7 +24,8 @@ from typing import Union
 import numpy as np
 
 from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
-                     NonPositiveResult, SolverFailure, WindowExceedsMatrix)
+                     NonPositiveResult, NpaGraphError, SolverFailure,
+                     WindowExceedsMatrix)
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution,
                      NpaModelSpec, WeightFunction)
@@ -101,11 +102,11 @@ class CalibrationTarget:
 
 @dataclass
 class OptimizerTrace:
-    """Summary of the candidate models a calibration solved.
+    """Summary of the candidate models a calibration tried.
 
-    evaluations counts every candidate put through the solver,
-    solver_failures those that failed to solve and failure_types the same
-    failures by exception class name.
+    evaluations counts every candidate that could be formed, scored or
+    failed; solver_failures those whose increment fit or solve failed, and
+    failure_types the same failures by exception class name.
     """
 
     evaluations: int = 0
@@ -113,7 +114,7 @@ class OptimizerTrace:
     failure_types: dict = field(default_factory=dict)
 
     def record_failure(self, exc: Exception) -> None:
-        """One candidate failed to solve with this error."""
+        """One candidate's increment fit or solve failed with this error."""
         self.evaluations += 1
         self.solver_failures += 1
         name = type(exc).__name__
@@ -403,8 +404,8 @@ def _score(model: NpaModelSpec, target: CalibrationTarget, g_cmp: int,
     """The candidate solved, mixed at vertex share rho with the first
     component when one is given, and scored on the window [g_cmp, target.u].
 
-    The trace counts a candidate that solves; the caller counts one that
-    fails. The report holds the solve's mean weight and control residual.
+    The trace counts a candidate that solves; _fit counts one that fails.
+    The report holds the solve's mean weight and control residual.
     """
     sol, theta = _solve(model, target.u)
     trace.evaluations += 1
@@ -420,9 +421,48 @@ def _score(model: NpaModelSpec, target: CalibrationTarget, g_cmp: int,
                 "control_residual": sol.control_residual})
 
 
-def _objective(candidate: CalibrationResult | None) -> float:
-    """A candidate's objective; infinite for one that failed."""
-    return math.inf if candidate is None else candidate.objective
+def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
+         g_cmp: int, r_max: int, trace: OptimizerTrace,
+         first: ComponentProfile | None = None, rho: float = 0.0
+         ) -> CalibrationResult | NpaGraphError:
+    """The candidate with these weights whose increments, of mean m, invert
+    the target's VDD, scored by _score; or the error that skipped it.
+
+    With a first component at vertex share rho, the mean and VDD inverted
+    are the complement's, implied by the mixture equations, and the report
+    adds rho and that mean. The mean weight phi is 2m for linear weights
+    (the control identity), otherwise the inverted VDD's sum f_k Q_k.
+
+    One failure rule for every candidate: one that cannot be formed (a
+    complement mean that is not positive, a complement VDD that would be
+    negative, a mean outside [R_MIN, r_max]) is skipped before any solve and
+    not counted; a SolverFailure of its increment fit or of its solve is
+    recorded in the trace, and the candidate is skipped.
+    """
+    q = target.vdd
+    try:
+        if first is not None:
+            m = complement_mean(m, first.m, rho)
+            q = complement_vdd(q, first.vdd, rho)
+        phi = 2.0 * m if weight.rule == "linear" else _mean_weight(q, weight)
+        model = NpaModelSpec(weights=weight, increments=_invert_vdd(
+            q, weight, m, phi, target.u, r_max))
+        candidate = _score(model, target, g_cmp, trace, first, rho)
+    except (InfeasibleComplement, NonPositiveResult) as exc:
+        return exc
+    except SolverFailure as exc:
+        trace.record_failure(exc)
+        return exc
+    if first is not None:
+        candidate.report.update({"rho": rho, "m_complement_target": m})
+    return candidate
+
+
+def _objective(candidate: CalibrationResult | NpaGraphError) -> float:
+    """A candidate's objective; infinite for one that was skipped."""
+    if isinstance(candidate, CalibrationResult):
+        return candidate.objective
+    return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -440,33 +480,23 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     searches the exponent alpha of f_k = k**alpha over (0, 1] by golden
     sections; at each alpha, phi is the target's sum f_k Q_k and {r_k}
     is inverted again. Uncapped superlinear weights have no stationary
-    distribution, so the range loses nothing. Every candidate is scored by
-    its solved vertex distribution and edge matrix.
+    distribution, so the range loses nothing. Every candidate is fitted,
+    scored and, when its increment fit or solve fails, skipped by _fit;
+    when every one fails, SolverFailure is raised.
     """
     if weight_mode not in ("linear", "table-free"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     g_cmp = max(R_MIN, target.edd.min_degree)
     m = min(max(target.m, float(R_MIN)), float(r_max))
     trace = OptimizerTrace()
-
-    def fit(weight: WeightFunction, phi: float) -> CalibrationResult | None:
-        """The scored candidate, or None when its inversion or solve fails."""
-        try:
-            inc = _invert_vdd(target.vdd, weight, m, phi, target.u, r_max)
-            return _score(NpaModelSpec(weights=weight, increments=inc),
-                          target, g_cmp, trace)
-        except SolverFailure as exc:
-            trace.record_failure(exc)
-            return None
-
-    best = fit(WeightFunction.linear(g=R_MIN), 2.0 * m)
+    best = _fit(target, WeightFunction.linear(g=R_MIN), m, g_cmp, r_max, trace)
     phase = 1
     if weight_mode == "table-free" and _objective(best) > PHASE2_THRESHOLD:
         fits = []
 
         def at(alpha: float) -> float:
-            weight = WeightFunction.power(alpha, g=R_MIN)
-            fits.append(fit(weight, _mean_weight(target.vdd, weight)))
+            fits.append(_fit(target, WeightFunction.power(alpha, g=R_MIN), m,
+                             g_cmp, r_max, trace))
             return _objective(fits[-1])
 
         _golden_section(at, ALPHA_MIN, 1.0, ALPHA_XATOL)
@@ -474,8 +504,8 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
         # Strictly better only: on ties the model with fewer parameters wins.
         if _objective(alt) < _objective(best):
             best, phase = alt, 2
-    if best is None:
-        raise SolverFailure("every candidate model failed to solve")
+    if not isinstance(best, CalibrationResult):
+        raise SolverFailure("every candidate model failed to solve") from best
     best.report.update({
         "weight_mode": weight_mode,
         "phase": phase,
@@ -517,24 +547,25 @@ class ComponentProfile:
     spec: Union[NpaModelSpec, AerModelSpec]
     m: float
     vdd: DegreeDistribution
-    edd: EdgeDegreeMatrix  # kind = edge, at least the target extent
+    edd: EdgeDegreeMatrix  # kind = edge, up to the target's extent u
 
 
 def component_profile(spec, target: CalibrationTarget) -> ComponentProfile:
     """Analytic profile for growth models; pooled Monte-Carlo for the
     autocorrelated graph, which has no distributional recurrence here.
 
-    The mixture takes the pruned vertex distribution and the unpruned edge
-    matrix of the Monte-Carlo estimate, since pruning removes whole vertices
-    but barely reshapes edges.
+    The edge matrix stops at target.u: only the window [g, u] is mixed and
+    scored, and none of its cells depends on a larger extent. The mixture
+    takes the pruned vertex distribution and the unpruned edge matrix of
+    the Monte-Carlo estimate, since pruning removes whole vertices but
+    barely reshapes edges.
     """
-    extent = max(target.u, target.edd.max_degree)
     if isinstance(spec, NpaModelSpec):
-        sol, theta = _solve(spec, extent)
+        sol, theta = _solve(spec, target.u)
         return ComponentProfile(spec=spec, m=spec.increments.mean,
                                 vdd=sol.q, edd=theta)
     if isinstance(spec, AerModelSpec):
-        vdd, edd = aer_component_estimate(spec, extent)
+        vdd, edd = aer_component_estimate(spec, target.u)
         return ComponentProfile(spec=spec, m=spec.a / 2.0, vdd=vdd, edd=edd)
     raise TypeError(f"unsupported first component {type(spec).__name__}")
 
@@ -566,20 +597,22 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
                         rho_step: float = 0.025) -> CalibrationResult:
     """Two-component fit: a fixed first component plus a calibrated complement.
 
-    For each candidate vertex fraction rho, the complement's target vertex
-    distribution and mean are implied by the mixture equations; its increment
-    probabilities are the inversion of that vertex distribution at that mean
-    (a rho whose mean lies outside [R_MIN, r_max], or whose complement fails
-    to solve, is skipped), and the rho whose mixed model best matches the
-    target wins. The first grid runs from rho_min to rho_max in steps of
-    rho_step; it shrinks by RHO_REFINE_FACTOR around the best value on each
-    of RHO_OUTER_ITERATIONS passes; grid values are rounded to 12 decimals
-    and each is fitted at most once. The composite is written for TOTAL_N
+    For each candidate vertex fraction rho, _fit forms the complement's
+    target vertex distribution and mean from the mixture equations, inverts
+    them for its increments and scores the mixed model; the rho whose mixed
+    model best matches the target wins. A rho that _fit skips is logged in
+    the grid with its reason: a solver failure, counted in the trace, by its
+    class and message, a complement that cannot be formed by its message.
+    The first grid runs from rho_min to rho_max in steps of rho_step; it
+    shrinks by RHO_REFINE_FACTOR around the best value on each of
+    RHO_OUTER_ITERATIONS passes; grid values are rounded to 12 decimals and
+    each is fitted at most once. The composite is written for TOTAL_N
     vertices.
     """
     profile = component_profile(first, target)
     m_total = target.m
     g_cmp = max(R_MIN, target.edd.min_degree)
+    linear = WeightFunction.linear(g=R_MIN)
 
     grid = np.arange(rho_min, rho_max + 1e-12, rho_step)
     grid_log: list[dict] = []
@@ -594,21 +627,23 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
                 continue
             tried.add(rho)
             entry = {"rho": rho, "outer": outer}
-            try:
-                candidate = _fit_complement(target, profile, rho, m_total,
-                                            g_cmp, r_max, trace)
-            except (InfeasibleComplement, NonPositiveResult) as exc:
-                entry["skipped"] = str(exc)
-                log.info("rho = %.4f skipped: %s", rho, exc)
-                grid_log.append(entry)
-                continue
-            entry["objective"] = candidate.objective
+            candidate = _fit(target, linear, m_total, g_cmp, r_max, trace,
+                             profile, rho)
+            if isinstance(candidate, CalibrationResult):
+                entry["objective"] = candidate.objective
+                if best is None or candidate.objective < best.objective:
+                    best = candidate
+            else:
+                entry["skipped"] = (f"{type(candidate).__name__}: {candidate}"
+                                    if isinstance(candidate, SolverFailure)
+                                    else str(candidate))
+                log.info("rho = %.4f skipped: %s", rho, entry["skipped"])
             grid_log.append(entry)
-            if best is None or candidate.objective < best.objective:
-                best = candidate
         if best is None:
             raise AllRhoInfeasible(
-                "no vertex fraction on the grid admitted a feasible complement")
+                "no vertex fraction on the grid admitted a feasible complement"
+                + "".join(f"; {count} failed with {name}"
+                          for name, count in trace.failure_types.items()))
         step = step / RHO_REFINE_FACTOR
         lo = max(rho_min, best.report["rho"] - RHO_REFINE_FACTOR * step)
         hi = min(rho_max, best.report["rho"] + RHO_REFINE_FACTOR * step)
@@ -635,26 +670,6 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
         "target_meta": dict(target.source_meta),
     }
     return replace(best, model=composite, report=report)
-
-
-def _fit_complement(target: CalibrationTarget, profile: ComponentProfile,
-                    rho: float, m_total: float, g_cmp: int,
-                    r_max: int, trace: OptimizerTrace) -> CalibrationResult:
-    """The complement at vertex share 1 - rho, scored mixed with the first
-    component; its report adds rho and the complement's target mean."""
-    m2_target = complement_mean(m_total, profile.m, rho)
-    q2_target = complement_vdd(target.vdd, profile.vdd, rho)
-    weight = WeightFunction.linear(g=R_MIN)
-    model = NpaModelSpec(weights=weight, increments=_invert_vdd(
-        q2_target, weight, m2_target, 2.0 * m2_target, target.u, r_max))
-    try:
-        candidate = _score(model, target, g_cmp, trace, profile, rho)
-    except SolverFailure as exc:
-        trace.record_failure(exc)
-        raise InfeasibleComplement(
-            f"the complement model at rho = {rho} failed to solve: {exc}") from exc
-    candidate.report.update({"rho": rho, "m_complement_target": m2_target})
-    return candidate
 
 
 # ---------------------------------------------------------------------------

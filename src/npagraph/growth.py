@@ -238,31 +238,25 @@ def grow_aer(spec: AerModelSpec, rng: RngStream) -> tuple[Graph, AerRunStats]:
     return full.induced(keep), stats
 
 
-def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
-                      carry_z_across_rows: bool = False
+def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream
                       ) -> tuple[Graph, AerRunStats]:
     """The raw pair-scan graph before any pruning, with scan diagnostics.
 
-    z starts at 0 for each row's first target unless carry_z_across_rows is
-    set, in which case the final indicator of the previous row carries over.
-    Each slot in the flattened row-by-row scan succeeds with probability
-    p_a / 2 after a failure and (p_a + 1) / 2 after a success, so successes
-    arrive as isolated starters followed by geometric runs. The scan skips
-    from one starter to the next by geometric gaps instead of drawing every
-    slot (Batagelj & Brandes, PRE 71, 036113, 2005), which is the same
-    two-state chain sampled sparsely, and draws the gaps and run lengths a
-    numpy batch at a time:
+    z starts at 0 for each row's first target. Each slot in the flattened
+    row-by-row scan succeeds with probability p_a / 2 after a failure and
+    (p_a + 1) / 2 after a success, so successes arrive as isolated starters
+    followed by geometric runs. The scan skips from one starter to the next
+    by geometric gaps instead of drawing every slot (Batagelj & Brandes,
+    PRE 71, 036113, 2005), which is the same two-state chain sampled
+    sparsely, and draws the gaps and run lengths a numpy batch at a time:
 
     - gaps are Geometric(p_a / 2) and run lengths Geometric(1 - (p_a + 1)/2),
       so one cumsum places every starter and the failure that ends its run;
-    - a run that reaches its row end (or the last slot, when z carries
-      across rows) is cut there, and the chain restarts in state 0 at that
-      boundary without consuming a failure slot; the rest of the batch is
-      dropped and a new one drawn from the boundary. Draws after the cut
-      are independent of it, so dropping them leaves the law unchanged.
-
-    A run that carries across rows counts no adjacency for the pair that
-    straddles a row boundary.
+    - a run that reaches its row end is cut there, and the chain restarts
+      in state 0 at that boundary without consuming a failure slot; the
+      rest of the batch is dropped and a new one drawn from the boundary.
+      Draws after the cut are independent of it, so dropping them leaves
+      the law unchanged.
     """
     gen = rng.generator()
     n1 = spec.n1
@@ -290,8 +284,7 @@ def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
         starts = ends - runs
         stop = int(np.searchsorted(starts, total_slots))
         starts, ends, runs = starts[:stop], ends[:stop], runs[:stop]
-        limit = (np.full(stop, total_slots) if carry_z_across_rows
-                 else row_end[np.searchsorted(row_end, starts, side="right")])
+        limit = row_end[np.searchsorted(row_end, starts, side="right")]
         cut = np.flatnonzero(ends >= limit)
         if len(cut):
             k = int(cut[0])
@@ -311,10 +304,9 @@ def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream,
     rows = np.searchsorted(row_end, slots, side="right")
     targets = rows + 1 + (slots - row_start[rows])
     full = Graph(n1, np.column_stack([rows, targets]), directed=False)
-    # Within-row adjacencies: each run's length less one, less the row
-    # boundaries a carried run crosses.
-    crossed = rows[first + runs - 1] - rows[first]
-    adjacent_total = edge_total - len(runs) - int(crossed.sum())
+    # Within-row adjacencies: each run's length less one, as no run crosses
+    # a row end.
+    adjacent_total = edge_total - len(runs)
 
     pair_total = total_slots - (n1 - 1)
 
@@ -413,22 +405,6 @@ def measure_edd(graph: Graph, u: int) -> EdgeDegreeMatrix:
     entries = counts.reshape(u, u) / (2.0 * graph.edge_count)
     trunc = float(np.count_nonzero(~inside)) / graph.edge_count
     return EdgeDegreeMatrix(min_degree=1, entries=entries, kind="edge",
-                            truncation_mass=trunc)
-
-
-def measure_arc_dd(graph: Graph, u: int) -> EdgeDegreeMatrix:
-    """Directed (tail degree, head degree) mass of the arcs: each cell is its
-    arc count / E."""
-    if graph.edge_count == 0:
-        raise NoEdges("graph has no arcs to measure")
-    deg = graph.degrees()
-    dl = deg[graph.pairs[:, 0]]
-    dk = deg[graph.pairs[:, 1]]
-    inside = (dl <= u) & (dk <= u)
-    counts = np.bincount((dl[inside] - 1) * u + dk[inside] - 1, minlength=u * u)
-    entries = counts.reshape(u, u) / graph.edge_count
-    trunc = float(np.count_nonzero(~inside)) / graph.edge_count
-    return EdgeDegreeMatrix(min_degree=1, entries=entries, kind="arc",
                             truncation_mass=trunc)
 
 

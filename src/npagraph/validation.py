@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .growth import (RngStream, grow_aer, grow_aer_unpruned, grow_npa,
-                     measure_edd, measure_vdd)
+from .growth import RngStream, grow_aer, grow_npa, measure_edd, measure_vdd
 from .models import Graph, IncrementDistribution, NpaModelSpec, WeightFunction
 from .solver import VARIANTS, solve_arc_dd, solve_vdd, symmetrize
 
@@ -113,12 +112,7 @@ def edd_crosscheck(model: NpaModelSpec, n: int = 100000, reps: int = 20,
 
 
 def aer_validation(spec, reps: int = 10, rng: RngStream = RngStream(7300)) -> dict:
-    """Mean-degree and autocorrelation diagnostics over replications.
-
-    Includes the run under the carry-across-rows convention for the first
-    draw of each row, so the sensitivity of the mean degree to that choice is
-    reported instead of assumed negligible.
-    """
+    """Mean-degree and autocorrelation diagnostics over replications."""
     mean_degrees = []
     autocorrs = []
     zs = []
@@ -127,8 +121,6 @@ def aer_validation(spec, reps: int = 10, rng: RngStream = RngStream(7300)) -> di
         mean_degrees.append(stats.pre_prune_mean_degree)
         autocorrs.append(stats.lag1_autocorrelation)
         zs.append(stats.lag1_null_z)
-    _, carry_stats = grow_aer_unpruned(spec, rng.substream(reps),
-                                       carry_z_across_rows=True)
     return {
         "reps": reps,
         "target_mean_degree": spec.a,
@@ -136,7 +128,4 @@ def aer_validation(spec, reps: int = 10, rng: RngStream = RngStream(7300)) -> di
         "mean_degree_per_rep": mean_degrees,
         "lag1_autocorrelation_avg": float(np.mean(autocorrs)),
         "lag1_null_z_min": float(np.min(zs)),
-        "carry_convention_mean_degree": carry_stats.pre_prune_mean_degree,
-        "row_reset_vs_carry_delta": float(
-            np.mean(mean_degrees) - carry_stats.pre_prune_mean_degree),
     }

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,9 +10,10 @@ from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       IncrementDistribution, InfeasibleComplement,
                       NoConvergence, NpaModelSpec, RngStream, SolverFailure,
                       TruncationTooSevere, WeightFunction,
-                      WindowExceedsMatrix, grow_npa, measure_edd, measure_vdd,
-                      mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize,
-                      validate_model)
+                      WindowExceedsMatrix, complement_mean, grow_npa,
+                      measure_edd, measure_vdd, mix_edd, mix_vdd, solve_arc_dd,
+                      solve_vdd, symmetrize, validate_model)
+from npagraph.solver import edd_to_csv, vdd_to_csv
 from npagraph import calibrate
 from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
                                 OptimizerTrace, aer_component_estimate,
@@ -245,17 +248,80 @@ class TestOptimizerTrace:
         assert (trace.evaluations, trace.solver_failures) == (1, 1)
         assert trace.failure_types == {"NoConvergence": 1}
 
-    def test_composite_increment_fit_failure_ends_the_fit(self, monkeypatch):
-        # A failed increment fit is not skipped like an infeasible rho: it
-        # ends the composite fit.
+    def test_phase2_skips_a_failed_exponent(self, monkeypatch):
+        # The first exponent the golden-section search tries fails its
+        # increment fit: it is counted and skipped, and the search still
+        # finds the planted exponent.
+        monkeypatch.setattr(calibrate, "PHASE2_THRESHOLD", 1e-4)
+        real, calls = calibrate._l1_fit, []
+
+        def fails_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NoConvergence("cap")
+            return real(*args)
+
+        monkeypatch.setattr(calibrate, "_l1_fit", fails_second)
+        true = _model((0.6, 0.4), weights=WeightFunction.power(0.8, g=1))
+        res = calibrate_single(_target_from(true, u=15), "table-free", r_max=3)
+        assert res.report["phase"] == 2
+        assert res.report["weight_exponent"] == pytest.approx(0.8, abs=1e-4)
+        trace = res.iterations
+        assert (trace.evaluations, trace.solver_failures) == (len(calls), 1)
+        assert trace.failure_types == {"NoConvergence": 1}
+
+    def test_composite_skips_a_rho_whose_increment_fit_fails(self, monkeypatch):
+        # The increment fit fails at rho = 0.25 only: that rho is skipped,
+        # logged by the failure's class and counted, and the planted rho of
+        # 0.3 is still recovered.
+        target = _composite_target()
+        failing_mean = complement_mean(target.m, 1.0, 0.25)
+        real = calibrate._l1_fit
+
+        def fails_at_025(a, observed, ks, m):
+            if m == failing_mean:
+                raise NoConvergence("cap")
+            return real(a, observed, ks, m)
+
+        monkeypatch.setattr(calibrate, "_l1_fit", fails_at_025)
+        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
+        res = calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.25,
+                                  rho_max=0.35, rho_step=0.05)
+        assert res.report["rho"] == 0.3
+        grid = {e["rho"]: e for e in res.report["grid"]}
+        assert sorted(grid) == [0.25, 0.3, 0.35]
+        assert grid[0.25]["skipped"] == "NoConvergence: cap"
+        assert all("objective" in grid[rho] for rho in (0.3, 0.35))
+        assert (res.iterations.evaluations, res.iterations.solver_failures) == (3, 1)
+        assert res.iterations.failure_types == {"NoConvergence": 1}
+
+    def test_composite_fails_when_every_increment_fit_fails(self, monkeypatch,
+                                                            tmp_path):
+        # Every rho is skipped: the fit raises AllRhoInfeasible naming the
+        # failures it counted, and the command exits 4.
         def fails(*args):
             raise NoConvergence("cap")
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails)
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-        with pytest.raises(NoConvergence):
-            calibrate_composite(_composite_target(), BaTreeSpec(), r_max=3,
-                                rho_min=0.25, rho_max=0.35, rho_step=0.05)
+        target = _composite_target()
+        with pytest.raises(AllRhoInfeasible, match="3 failed with NoConvergence"):
+            calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.25,
+                                rho_max=0.35, rho_step=0.05)
+
+        from npagraph.cli import main
+        target_dir = tmp_path / "target"
+        target_dir.mkdir()
+        (target_dir / "vdd.csv").write_text(vdd_to_csv(target.vdd))
+        (target_dir / "edd.csv").write_text(edd_to_csv(target.edd))
+        (target_dir / "summary.json").write_text(json.dumps(
+            {"derived_m": target.m, "selected_u": target.u}))
+        out = tmp_path / "fit"
+        assert main(["calibrate", str(target_dir), "--mode", "composite",
+                     "--rmax", "3", "--rho-min", "0.25", "--rho-max", "0.35",
+                     "--rho-step", "0.05", "--out", str(out)]) == 4
+        report = json.loads((out / "report.json").read_text())
+        assert "NoConvergence" in report["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +489,23 @@ def _composite_target(rho=0.3, u=20):
         u=u, mean_increment=m_tot)
 
 
+def _degree2_target(rho=0.1, u=15):
+    """A BA tree at vertex share rho mixed with a complement that has no
+    degree-1 vertices: above rho the complement's degree-1 share would be
+    negative."""
+    comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
+    ba = BaTreeSpec().to_npa()
+    sol1 = solve_vdd(ba, K_MAX, FP_TOLERANCE)
+    sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
+    th1 = symmetrize(solve_arc_dd(ba, sol1, u))
+    th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
+    m2 = comp2.increments.mean
+    return CalibrationTarget(
+        vdd=mix_vdd([(sol1.q, rho), (sol2.q, 1 - rho)]),
+        edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)]),
+        u=u, mean_increment=rho + (1 - rho) * m2)
+
+
 @pytest.fixture(scope="module")
 def fitted():
     target = _composite_target(rho=0.3)
@@ -483,27 +566,48 @@ class TestCalibrateComposite:
     def test_infeasible_rho_skipped_with_log(self, monkeypatch):
         # Complement has no degree-1 vertices, so large rho forces a negative
         # complement share at degree 1 and those grid points must be skipped.
-        comp2 = _model((1.0,), min_arcs=2,
-                       weights=WeightFunction.linear(g=2))
-        ba = BaTreeSpec().to_npa()
-        rho = 0.1
-        sol1 = solve_vdd(ba, K_MAX, FP_TOLERANCE)
-        sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
-        u = 15
-        th1 = symmetrize(solve_arc_dd(ba, sol1, u))
-        th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
-        m2 = comp2.increments.mean
-        m_tot = rho + (1 - rho) * m2
-        target = CalibrationTarget(
-            vdd=mix_vdd([(sol1.q, rho), (sol2.q, 1 - rho)]),
-            edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)]),
-            u=u, mean_increment=m_tot)
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-        res = calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.05,
-                                  rho_max=0.35)
+        res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=3,
+                                  rho_min=0.05, rho_max=0.35)
         skipped = [e for e in res.report["grid"] if "skipped" in e]
         assert skipped
         assert all(e["rho"] > 0.1 for e in skipped)
+
+    def test_infeasible_rho_is_not_counted(self, monkeypatch):
+        # A rho whose complement cannot be formed is skipped before any
+        # solve: the trace counts only the rhos fitted, and the grid logs
+        # the plain message, without a class name.
+        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
+        res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=3,
+                                  rho_min=0.05, rho_max=0.35)
+        grid = res.report["grid"]
+        fitted = [e for e in grid if "objective" in e]
+        skipped = [e["skipped"] for e in grid if "skipped" in e]
+        assert skipped and len(fitted) + len(skipped) == len(grid)
+        trace = res.iterations
+        assert (trace.evaluations, trace.solver_failures) == (len(fitted), 0)
+        assert trace.failure_types == {}
+        assert not any(reason.startswith(("InfeasibleComplement",
+                                          "NonPositiveResult"))
+                       for reason in skipped)
+
+    @pytest.mark.parametrize("first", [BaTreeSpec(), AerModelSpec(n1=400, a=2.0)],
+                             ids=["ba_tree", "aer"])
+    def test_profile_stops_at_target_u(self, first, monkeypatch):
+        # The first component is profiled up to the target's u, not to its
+        # edge matrix's extent, and each cell of [1, u] is the one a profile
+        # up to that extent holds.
+        monkeypatch.setattr(calibrate, "AER_REPS", 2)
+        wide_target = _target_from(_model((0.5, 0.5)), u=30)
+        target = CalibrationTarget(vdd=wide_target.vdd, edd=wide_target.edd,
+                                   u=12, mean_increment=wide_target.m)
+        profile = calibrate.component_profile(first, target)
+        wide = calibrate.component_profile(first, wide_target)
+        assert (profile.edd.max_degree, wide.edd.max_degree) == (12, 30)
+        assert (profile.edd.window(1, 12).tobytes()
+                == wide.edd.window(1, 12).tobytes())
+        assert np.array_equal(profile.vdd.probs, wide.vdd.probs)
+        assert profile.m == wide.m
 
     def test_aer_first_component(self):
         # The pooled AER estimate as the first component (rho = 0.3) plus a

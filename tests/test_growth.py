@@ -11,7 +11,7 @@ from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
                       IncrementDistribution, NpaModelSpec, RngStream,
                       SeedGraphSpec, WeightFunction, ZeroTotalWeight, grow_aer,
                       grow_aer_unpruned, grow_composite, grow_npa,
-                      measure_arc_dd, measure_edd, measure_vdd, write_edge_list)
+                      measure_edd, measure_vdd, write_edge_list)
 from npagraph import growth
 from npagraph.errors import EmptyGraph, NoEdges
 
@@ -367,33 +367,21 @@ class TestMeasure:
         with pytest.raises(NoEdges):
             measure_edd(Graph(3, []), 5)
 
-    def test_arc_dd_directed(self):
-        g = Graph(3, [(1, 0), (2, 0)], directed=True)
-        arc = measure_arc_dd(g, 3)
-        # Both arcs go from degree-1 tails into the degree-2 head.
-        assert arc.entries[0, 1] == pytest.approx(1.0)
-        assert arc.kind == "arc"
-
     def test_cells_are_exact_count_ratios(self):
-        """Each cell is its count divided once by 2E (E for arcs), bit for
-        bit, against counts taken one edge at a time."""
+        """Each cell is its count divided once by 2E, bit for bit, against
+        counts taken one edge at a time."""
         g = grow_npa(BaTreeSpec(), 3000, RngStream(9)).final_graph
         deg, u = g.degrees(), 12
-        edge_counts, arc_counts = Counter(), Counter()
+        edge_counts = Counter()
         for a, b in g.pairs.tolist():
             l, k = int(deg[a]), int(deg[b])
             if l <= u and k <= u:
                 edge_counts[l, k] += 1
                 edge_counts[k, l] += 1
-                arc_counts[l, k] += 1
-        edd, arc = measure_edd(g, u), measure_arc_dd(g, u)
-        expected_edd, expected_arc = np.zeros((u, u)), np.zeros((u, u))
+        expected = np.zeros((u, u))
         for (l, k), c in edge_counts.items():
-            expected_edd[l - 1, k - 1] = c / (2 * g.edge_count)
-        for (l, k), c in arc_counts.items():
-            expected_arc[l - 1, k - 1] = c / g.edge_count
-        assert edd.entries.tobytes() == expected_edd.tobytes()
-        assert arc.entries.tobytes() == expected_arc.tobytes()
+            expected[l - 1, k - 1] = c / (2 * g.edge_count)
+        assert measure_edd(g, u).entries.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +510,6 @@ class TestGrowAer:
         assert np.array_equal(keep, ref_keep)
         assert (isolated, pairs) == (ref_isolated, ref_pairs)
 
-    def test_carry_convention_close_but_distinct_law(self):
-        spec = AerModelSpec(n1=5000, a=2.75)
-        _, a = grow_aer_unpruned(spec, RngStream(66))
-        _, b = grow_aer_unpruned(spec, RngStream(66), carry_z_across_rows=True)
-        assert b.pre_prune_mean_degree == pytest.approx(
-            a.pre_prune_mean_degree, rel=0.25)
-
     def test_first_draw_uses_half_base_probability(self):
         # A two-vertex graph has exactly one slot, always a row start, so the
         # edge frequency across seeds estimates p_a / 2.
@@ -538,22 +519,22 @@ class TestGrowAer:
             for rep in range(4000))
         assert hits / 4000 == pytest.approx(0.4, abs=0.03)
 
-    @pytest.mark.parametrize("carry", [False, True])
-    def test_exact_slot_law_at_n4(self, carry):
+    def test_exact_slot_law_at_n4(self):
         # n1 = 4 scans 6 slots in rows of 3, 2 and 1; p_a = 0.6 puts the
-        # draws at 0.3 after a failure and 0.8 after a success.
+        # draws at 0.3 after a failure or a row start and 0.8 after a success.
         spec, reps = AerModelSpec(n1=4, a=1.8), 20_000
         observed = Counter()
         for rep in range(reps):
-            full, stats = grow_aer_unpruned(spec, RngStream(4040, rep), carry)
+            full, stats = grow_aer_unpruned(spec, RngStream(4040, rep))
             slots = _aer_slots(full, 4)
             observed[tuple(slots)] += 1
             assert stats.adjacent_success_count == _aer_adjacent(slots, 4)
-        law = _aer_slot_law(4, spec.p_a, carry)
+        law = _aer_slot_law(4, spec.p_a, carry=False)
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         assert _chi_square_p(observed, law, reps) > 1e-4
-        # The same counts against the other convention: the test has power.
-        other = _aer_slot_law(4, spec.p_a, not carry)
+        # The same counts against a chain whose state carries across rows:
+        # the test has power.
+        other = _aer_slot_law(4, spec.p_a, carry=True)
         assert _chi_square_p(observed, other, reps) < 1e-6
 
     def test_run_to_row_end_keeps_next_row_start(self):
