@@ -11,15 +11,14 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyGraph", "EmptyInput",
                "InfeasibleComplement", "InputTooLarge", "InsufficientTail",
-               "MalformedLine", "NoConvergence", "NoEdges", "NonPositiveResult",
-               "NpaGraphError", "SolverFailure", "TruncationTooSevere",
-               "ValidationError", "WeightsNotConvex", "WindowExceedsMatrix",
-               "ZeroTotalWeight"),
+               "MalformedLine", "NoConvergence", "NoEdges", "NpaGraphError",
+               "SolverFailure", "TruncationTooSevere", "ValidationError",
+               "WeightsNotConvex", "WindowExceedsMatrix", "ZeroTotalWeight"),
     "models": ("AerModelSpec", "BaTreeSpec", "CompositeSpec",
                "DegreeDistribution", "EdgeDegreeMatrix", "Graph",
                "IncrementDistribution", "NpaModelSpec", "SeedGraphSpec",

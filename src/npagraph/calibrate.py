@@ -24,8 +24,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
-                     NonPositiveResult, NpaGraphError, SolverFailure,
-                     WindowExceedsMatrix)
+                     NpaGraphError, SolverFailure, WindowExceedsMatrix)
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution,
                      NpaModelSpec, WeightFunction)
@@ -105,18 +104,20 @@ class OptimizerTrace:
     """Summary of the candidate models a calibration tried.
 
     evaluations counts every candidate that could be formed, scored or
-    failed; solver_failures those whose increment fit or solve failed, and
-    failure_types the same failures by exception class name.
+    failed; failure_types those whose increment fit or solve failed, by
+    exception class name, and solver_failures their sum.
     """
 
     evaluations: int = 0
-    solver_failures: int = 0
     failure_types: dict = field(default_factory=dict)
+
+    @property
+    def solver_failures(self) -> int:
+        return sum(self.failure_types.values())
 
     def record_failure(self, exc: Exception) -> None:
         """One candidate's increment fit or solve failed with this error."""
         self.evaluations += 1
-        self.solver_failures += 1
         name = type(exc).__name__
         self.failure_types[name] = self.failure_types.get(name, 0) + 1
 
@@ -430,14 +431,15 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
 
     With a first component at vertex share rho, the mean and VDD inverted
     are the complement's, implied by the mixture equations, and the report
-    adds rho and that mean. The mean weight phi is 2m for linear weights
-    (the control identity), otherwise the inverted VDD's sum f_k Q_k.
+    adds rho and that mean. The complement VDD is the exact inverse of the
+    mixture, negative entries kept, so the L1 fit weighs them like any
+    other misfit. The mean weight phi is 2m for linear weights (the control
+    identity), otherwise the inverted VDD's sum f_k Q_k.
 
-    One failure rule for every candidate: one that cannot be formed (a
-    complement mean that is not positive, a complement VDD that would be
-    negative, a mean outside [R_MIN, r_max]) is skipped before any solve and
-    not counted; a SolverFailure of its increment fit or of its solve is
-    recorded in the trace, and the candidate is skipped.
+    One failure rule for every candidate: one that cannot be formed, its
+    mean outside [R_MIN, r_max] (InfeasibleComplement), is skipped before
+    any solve and not counted; a SolverFailure of its increment fit or of
+    its solve is recorded in the trace, and the candidate is skipped.
     """
     q = target.vdd
     try:
@@ -448,7 +450,7 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
         model = NpaModelSpec(weights=weight, increments=_invert_vdd(
             q, weight, m, phi, target.u, r_max))
         candidate = _score(model, target, g_cmp, trace, first, rho)
-    except (InfeasibleComplement, NonPositiveResult) as exc:
+    except InfeasibleComplement as exc:
         return exc
     except SolverFailure as exc:
         trace.record_failure(exc)
@@ -600,9 +602,12 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     For each candidate vertex fraction rho, _fit forms the complement's
     target vertex distribution and mean from the mixture equations, inverts
     them for its increments and scores the mixed model; the rho whose mixed
-    model best matches the target wins. A rho that _fit skips is logged in
-    the grid with its reason: a solver failure, counted in the trace, by its
-    class and message, a complement that cannot be formed by its message.
+    model best matches the target wins. The complement's distribution may
+    go negative where the first component's tail outweighs the target's,
+    and no tolerance skips such a rho: the fit decides. A rho that _fit
+    skips is logged in the grid with its reason: a solver failure, counted
+    in the trace, by its class and message, a complement mean outside
+    [R_MIN, r_max] by its message.
     The first grid runs from rho_min to rho_max in steps of rho_step; it
     shrinks by RHO_REFINE_FACTOR around the best value on each of
     RHO_OUTER_ITERATIONS passes; grid values are rounded to 12 decimals and

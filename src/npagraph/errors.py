@@ -89,11 +89,8 @@ class WeightsNotConvex(NpaGraphError):
 
 
 class InfeasibleComplement(NpaGraphError):
-    """The complement distribution would be negative; the assumed fraction is too large."""
-
-
-class NonPositiveResult(NpaGraphError):
-    """The complement mean is not positive; the assumed fraction is infeasible."""
+    """The complement's mean has no increment law on [R_MIN, r_max], or is not
+    positive at all; the assumed vertex fraction is infeasible."""
 
 
 class InsufficientTail(NpaGraphError):

@@ -54,11 +54,9 @@ class RngStream:
 
 @dataclass(frozen=True)
 class GrowthTrace:
-    """Result of one growth run: the graph, increments applied, arcs added."""
+    """Result of one growth run: the grown graph."""
 
     final_graph: Graph
-    steps: int
-    arc_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +91,7 @@ def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> GrowthTrace:
     else:
         pairs = _grow_by_acceptance(seed, spec, steps, gen)
     graph = Graph(n, pairs, directed=True)
-    return GrowthTrace(final_graph=graph, steps=steps,
-                       arc_count=graph.edge_count - seed.edge_count)
+    return GrowthTrace(final_graph=graph)
 
 
 def _increment_counts(increments: IncrementDistribution, steps: int,

@@ -33,11 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (EmptyInput, InfeasibleComplement, InputTooLarge,
-                     MalformedLine, NoConvergence, NonPositiveResult,
-                     TruncationTooSevere, WeightsNotConvex, WindowExceedsMatrix)
+                     MalformedLine, NoConvergence, TruncationTooSevere,
+                     WeightsNotConvex, WindowExceedsMatrix)
 from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
-COMPLEMENT_CLAMP_TOL = 1e-6
 # Forms of the directed recurrence solve_arc_dd can run, the default first.
 VARIANTS = ("printed", "mean-weight")
 # Most arc-matrix mass a mass-conserving variant may miss beyond what
@@ -494,8 +493,11 @@ def complement_vdd(q_total: DegreeDistribution, q_first: DegreeDistribution,
                    rho: float) -> DegreeDistribution:
     """Second component implied by a two-part mixture: (Q - rho Q') / (1 - rho).
 
-    Small negative values (each within 1e-6) are clamped to zero and the
-    result renormalized; larger negativity means the assumed rho is too big.
+    The exact inverse of mix_vdd, entry by entry and in the truncated mass,
+    so mixing the result with q_first at rho gives q_total back. Negative
+    entries are kept: where rho exceeds the first component's share of a
+    degree the result is no distribution, and a fit that takes it as its
+    observations, not a tolerance here, decides whether that rho is any good.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho = {rho!r} must lie strictly inside (0, 1)")
@@ -503,20 +505,6 @@ def complement_vdd(q_total: DegreeDistribution, q_first: DegreeDistribution,
     hi = max(q_total.max_degree, q_first.max_degree)
     vals = (q_total.aligned(lo, hi) - rho * q_first.aligned(lo, hi)) / (1.0 - rho)
     trunc = (q_total.truncation_mass - rho * q_first.truncation_mass) / (1.0 - rho)
-    worst = float(min(vals.min(initial=0.0), trunc))
-    if worst < -COMPLEMENT_CLAMP_TOL:
-        raise InfeasibleComplement(
-            f"complement probability {worst!r} is negative beyond tolerance; "
-            f"rho = {rho} is too large")
-    clamped = bool(np.any(vals < 0.0) or trunc < 0.0)
-    if clamped:
-        vals = np.maximum(vals, 0.0)
-        trunc = max(trunc, 0.0)
-        total = float(vals.sum()) + trunc
-        if total <= 0.0:
-            raise InfeasibleComplement("complement has no mass after clamping")
-        vals = vals / total
-        trunc = trunc / total
     return DegreeDistribution(min_degree=lo, probs=vals, truncation_mass=trunc)
 
 
@@ -526,7 +514,7 @@ def complement_mean(m: float, m_first: float, rho: float) -> float:
         raise ValueError(f"rho = {rho!r} must lie strictly inside (0, 1)")
     result = (m - rho * m_first) / (1.0 - rho)
     if result <= 0.0:
-        raise NonPositiveResult(
+        raise InfeasibleComplement(
             f"complement mean {result!r} is not positive; rho = {rho} infeasible")
     return result
 

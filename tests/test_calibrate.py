@@ -6,13 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
-                      DegreeDistribution, EdgeDegreeMatrix,
+                      CompositeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       IncrementDistribution, InfeasibleComplement,
                       NoConvergence, NpaModelSpec, RngStream, SolverFailure,
                       TruncationTooSevere, WeightFunction,
-                      WindowExceedsMatrix, complement_mean, grow_npa,
-                      measure_edd, measure_vdd, mix_edd, mix_vdd, solve_arc_dd,
-                      solve_vdd, symmetrize, validate_model)
+                      WindowExceedsMatrix, complement_mean, grow_composite,
+                      grow_npa, measure_edd, measure_vdd, mix_edd, mix_vdd,
+                      solve_arc_dd, solve_vdd, symmetrize, validate_model)
 from npagraph.solver import edd_to_csv, vdd_to_csv
 from npagraph import calibrate
 from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
@@ -490,9 +490,10 @@ def _composite_target(rho=0.3, u=20):
 
 
 def _degree2_target(rho=0.1, u=15):
-    """A BA tree at vertex share rho mixed with a complement that has no
-    degree-1 vertices: above rho the complement's degree-1 share would be
-    negative."""
+    """A BA tree at vertex share rho mixed with a complement of two-arc
+    increments: the target's mean increment is rho + 2 (1 - rho), so above
+    rho the complement's mean exceeds 2 and has no increment law at
+    r_max = 2."""
     comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
     ba = BaTreeSpec().to_npa()
     sol1 = solve_vdd(ba, K_MAX, FP_TOLERANCE)
@@ -564,31 +565,32 @@ class TestCalibrateComposite:
         assert all(r == round(r, 12) for r in rhos)
 
     def test_infeasible_rho_skipped_with_log(self, monkeypatch):
-        # Complement has no degree-1 vertices, so large rho forces a negative
-        # complement share at degree 1 and those grid points must be skipped.
+        # Above rho = 0.1 the complement's mean exceeds r_max = 2, so those
+        # grid points are skipped and the true rho is the best of the rest.
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-        res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=3,
+        res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=2,
                                   rho_min=0.05, rho_max=0.35)
         skipped = [e for e in res.report["grid"] if "skipped" in e]
-        assert skipped
+        assert len(skipped) == 10
         assert all(e["rho"] > 0.1 for e in skipped)
+        assert res.report["rho"] == 0.1
 
     def test_infeasible_rho_is_not_counted(self, monkeypatch):
         # A rho whose complement cannot be formed is skipped before any
         # solve: the trace counts only the rhos fitted, and the grid logs
         # the plain message, without a class name.
         monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
-        res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=3,
+        res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=2,
                                   rho_min=0.05, rho_max=0.35)
         grid = res.report["grid"]
         fitted = [e for e in grid if "objective" in e]
         skipped = [e["skipped"] for e in grid if "skipped" in e]
-        assert skipped and len(fitted) + len(skipped) == len(grid)
+        assert (len(fitted), len(skipped)) == (3, 10)
+        assert len(fitted) + len(skipped) == len(grid)
         trace = res.iterations
         assert (trace.evaluations, trace.solver_failures) == (len(fitted), 0)
         assert trace.failure_types == {}
-        assert not any(reason.startswith(("InfeasibleComplement",
-                                          "NonPositiveResult"))
+        assert not any(reason.startswith("InfeasibleComplement")
                        for reason in skipped)
 
     @pytest.mark.parametrize("first", [BaTreeSpec(), AerModelSpec(n1=400, a=2.0)],
@@ -647,8 +649,39 @@ class TestCalibrateComposite:
         comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
         target = _target_from(comp2, u=15)
         with pytest.raises(AllRhoInfeasible):
-            calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.4,
+            calibrate_composite(target, BaTreeSpec(), r_max=2, rho_min=0.4,
                                 rho_max=0.6)
+
+
+def _grown_composite_target(seed):
+    """A BA tree at vertex share 0.225 plus a linear complement, grown to
+    1e5 vertices and measured, unsmoothed."""
+    spec = CompositeSpec(
+        components=((BaTreeSpec(), 0.225),
+                    (_model((0.35, 0.3, 0.2, 0.1, 0.05)), 0.775)),
+        total_n=100000)
+    graph = grow_composite(spec, RngStream(seed))
+    edd = measure_edd(graph, 100)
+    return CalibrationTarget(vdd=measure_vdd(graph), edd=edd,
+                             u=min(select_u(edd), 40))
+
+
+def test_measured_composite_rho_set_by_the_fit():
+    # A measured target has no vertices at its highest degrees, where the
+    # BA tree's tail is still positive, so the complement's VDD goes
+    # negative there well below the true share. The fit, not a tolerance
+    # on that negativity, must set rho: every rho is fitted unless its
+    # complement mean leaves [1, r_max], and the fitted rho is stable across
+    # seeds. It lies above 0.225 by the bias of the printed arc law.
+    rhos = []
+    for seed in range(7700, 7704):
+        res = calibrate_composite(_grown_composite_target(seed), BaTreeSpec(),
+                                  r_max=50)
+        rhos.append(res.report["rho"])
+        assert all(e["skipped"].startswith(("mean increment", "complement mean"))
+                   for e in res.report["grid"] if "skipped" in e), seed
+    assert all(0.2 <= rho <= 0.3 for rho in rhos), rhos
+    assert max(rhos) - min(rhos) <= 0.02, rhos
 
 
 # ---------------------------------------------------------------------------

@@ -795,8 +795,8 @@ class TestCalibrateCommand:
         assert report["details"]["target_meta"]["smoothing"] == "none"
 
     def test_all_rho_infeasible_exit_4(self, tmp_path):
-        # Target with no degree-1 mass: every candidate fraction makes the
-        # complement negative at degree 1 against a tree first component.
+        # Target of two-arc increments: against a tree first component every
+        # candidate fraction puts the complement's mean above --rmax 2.
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=2),
             increments=IncrementDistribution(min_arcs=2, probs=(1.0,)))
@@ -810,7 +810,7 @@ class TestCalibrateCommand:
             {"derived_m": model.increments.mean, "selected_u": 12}))
         out = tmp_path / "fit"
         code = main(["calibrate", str(target_dir), "--mode", "composite",
-                     "--rho-min", "0.3", "--rho-max", "0.5",
+                     "--rmax", "2", "--rho-min", "0.3", "--rho-max", "0.5",
                      "--rho-step", "0.1", "--out", str(out)])
         assert code == 4
         report = json.loads((out / "report.json").read_text())

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       EmptyInput, InfeasibleComplement,
                       IncrementDistribution, MalformedLine, NoConvergence,
-                      NonPositiveResult, NpaModelSpec, WeightFunction,
+                      NpaModelSpec, WeightFunction,
                       WeightsNotConvex, WindowExceedsMatrix,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
@@ -686,23 +686,19 @@ class TestComplementVdd:
         out = complement_vdd(q_total, q1, 1e-9)
         assert np.abs(out.probs - q_total.probs).max() < 1e-8
 
-    def test_infeasible(self):
-        q_total = DegreeDistribution(1, np.array([0.5, 0.5]))
+    def test_negative_entries_kept(self):
+        # Above the first component's share of degree 1 the complement goes
+        # negative there; it is kept as it is, still of total mass 1, and
+        # mixing it back gives the target exactly.
+        q_total = DegreeDistribution(1, np.array([0.5, 0.4]), truncation_mass=0.1)
         q1 = DegreeDistribution(1, np.array([1.0, 0.0]))
-        with pytest.raises(InfeasibleComplement):
-            complement_vdd(q_total, q1, 0.9)
-
-    def test_small_negative_clamped_and_renormalized(self):
-        q_total = DegreeDistribution(1, np.array([0.2, 0.8]))
-        q1 = DegreeDistribution(1, np.array([1.0, 0.0]))
-        rho = 0.2 + 5e-8  # drives the first entry slightly negative
-        raw = (q_total.probs - rho * q1.probs) / (1.0 - rho)
-        assert raw[0] < 0.0 and raw[0] > -1e-6
-        out = complement_vdd(q_total, q1, rho)
-        assert out.prob(1) == 0.0
-        assert (out.probs >= 0.0).all()
+        out = complement_vdd(q_total, q1, 0.9)
+        assert out.prob(1) == pytest.approx(-4.0, abs=1e-12)
         assert out.stored_mass() + out.truncation_mass == pytest.approx(1.0,
                                                                         abs=1e-12)
+        back = mix_vdd([(q1, 0.9), (out, 0.1)])
+        assert np.allclose(back.probs, q_total.probs, rtol=0.0, atol=1e-12)
+        assert back.truncation_mass == pytest.approx(0.1, abs=1e-12)
 
     def test_rho_bounds(self):
         q = DegreeDistribution(1, np.array([1.0]))
@@ -725,7 +721,7 @@ class TestComplementMean:
         assert complement_mean(2.0, 3.0, 0.5) == pytest.approx(1.0)
 
     def test_non_positive(self):
-        with pytest.raises(NonPositiveResult):
+        with pytest.raises(InfeasibleComplement):
             complement_mean(1.0, 3.0, 0.5)
 
 
