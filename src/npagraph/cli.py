@@ -2,8 +2,14 @@
 
 Every command writes a manifest.json capturing its resolved parameters and
 the toolkit version; `npagraph rerun manifest.json --out DIR` re-executes the
-recorded run and reproduces the data files byte for byte. Exit codes:
-0 success, 2 input error (a setting outside its range among them), 3
+recorded run and reproduces the data files byte for byte.
+
+The parser alone checks the settings: a flag's type holds its range,
+`generate` takes a spec or --preset in a mutually exclusive group, and
+--rho-min <= --rho-max follows the parse. `rerun` parses the command line
+its manifest records, so a manifest is checked like a typed command.
+What depends on input data raises a typed error that `main` maps to an exit
+code: 0 success, 2 input error (a setting the parser rejects among them), 3
 compute error, 4 no feasible vertex fraction in a composite calibration.
 
 A process starts on what every command uses (errors, models, solver and
@@ -28,7 +34,8 @@ from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, R_MIN, TOTAL_N,
                         preset_brightkite, preset_gowalla, select_u)
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
                      MalformedLine, NpaGraphError, SolverFailure,
-                     ValidationError, WindowExceedsMatrix, ZeroTotalWeight)
+                     ValidationError, Violation, WindowExceedsMatrix,
+                     ZeroTotalWeight)
 from .models import (AerModelSpec, BaTreeSpec, NpaModelSpec, dump_model,
                      load_model, size_violations, validate_model)
 from .solver import (VARIANTS, _matrix_csv, edd_from_csv, edd_to_csv,
@@ -64,20 +71,13 @@ def _load_spec(path: str):
     return validate_model(load_model(Path(path).read_text()))
 
 
-# ---------------------------------------------------------------------------
-# solve
-# ---------------------------------------------------------------------------
-
 def cmd_solve(params: dict) -> int:
     out = Path(params["out"])
     spec = _load_spec(params["spec"])
     if not isinstance(spec, NpaModelSpec):
-        print("solve expects a growth-model spec", file=sys.stderr)
-        return EXIT_INPUT
-    if params["kmax"] < spec.g:
-        print(f"need --kmax >= g, got {params['kmax']} and {spec.g}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ValidationError([Violation(
+            "UnsupportedModel",
+            f"solve expects a growth-model spec, got {type(spec).__name__}")])
     sol = solve_vdd(spec, params["kmax"])
     theta = symmetrize(solve_arc_dd(spec, sol, params["umax"],
                                     params["variant"]))
@@ -96,10 +96,6 @@ def cmd_solve(params: dict) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# generate
-# ---------------------------------------------------------------------------
-
 def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
                   out_dir: str) -> dict:
     from .growth import (RngStream, grow, measure_edd, measure_vdd,
@@ -115,11 +111,7 @@ def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
 
 def cmd_generate(params: dict) -> int:
     out = Path(params["out"])
-    for flag in ("u", "reps"):
-        if params[flag] < 1:
-            print(f"--{flag} must be at least 1", file=sys.stderr)
-            return EXIT_INPUT
-    if params.get("preset"):
+    if params["preset"]:
         spec = {"gowalla": preset_gowalla,
                 "brightkite": preset_brightkite}[params["preset"]](params["n"])
     else:
@@ -144,19 +136,8 @@ def cmd_generate(params: dict) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# ingest
-# ---------------------------------------------------------------------------
-
 def cmd_ingest(params: dict) -> int:
     out = Path(params["out"])
-    if params["edd_extent"] < 1:
-        print("--edd-extent must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
-    if not 0.0 < params["u_mass"] <= 1.0:
-        print(f"need 0 < --u-mass <= 1, got {params['u_mass']}",
-              file=sys.stderr)
-        return EXIT_INPUT
     from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
                            vdd_counts_csv)
     from .growth import measure_edd, measure_vdd
@@ -183,41 +164,20 @@ def cmd_ingest(params: dict) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# calibrate
-# ---------------------------------------------------------------------------
-
 def cmd_calibrate(params: dict) -> int:
     out = Path(params["out"])
     target_dir = Path(params["target"])
-    vdd_path = target_dir / "vdd.csv"
-    edd_path = target_dir / "edd.csv"
-    summary_path = target_dir / "summary.json"
-    if not vdd_path.exists() or not edd_path.exists():
-        print(f"target directory {target_dir} lacks vdd.csv / edd.csv",
-              file=sys.stderr)
-        return EXIT_INPUT
-    r_max, rho_step = params["rmax"], params["rho_step"]
-    rho_min, rho_max = params["rho_min"], params["rho_max"]
-    if r_max < R_MIN or not rho_step > 0.0:
-        print(f"need --rmax >= {R_MIN} and --rho-step > 0", file=sys.stderr)
-        return EXIT_INPUT
-    if not 0.0 < rho_min <= rho_max < 1.0:
-        print(f"need 0 < --rho-min <= --rho-max < 1, got {rho_min} and "
-              f"{rho_max}", file=sys.stderr)
-        return EXIT_INPUT
-    vdd = vdd_from_csv(vdd_path.read_text())
-    edd = edd_from_csv(edd_path.read_text())
-    meta = {}
-    mean_inc = None
-    if summary_path.exists():
-        meta = json.loads(summary_path.read_text())
-        mean_inc = meta.get("derived_m")
+    vdd = vdd_from_csv((target_dir / "vdd.csv").read_text())
+    edd = edd_from_csv((target_dir / "edd.csv").read_text())
+    summary = target_dir / "summary.json"
+    meta = json.loads(summary.read_text()) if summary.exists() else {}
     u = params["u"]
     if u is None:
         u = meta.get("selected_u") or select_u(edd)
-    target = CalibrationTarget(vdd=vdd, edd=edd, u=u, mean_increment=mean_inc,
+    target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
+                               mean_increment=meta.get("derived_m"),
                                source_meta=meta)
+    r_max = params["rmax"]
     try:
         if params["mode"] == "single":
             result = calibrate_single(target, params["weights"], r_max)
@@ -225,7 +185,8 @@ def cmd_calibrate(params: dict) -> int:
             first = BaTreeSpec() if params["first"] == "ba-tree" else AerModelSpec(
                 n1=int(round(GOWALLA_RHO * TOTAL_N)), a=params["aer_a"])
             result = calibrate_composite(target, validate_model(first), r_max,
-                                         rho_min, rho_max, rho_step)
+                                         params["rho_min"], params["rho_max"],
+                                         params["rho_step"])
     except AllRhoInfeasible as exc:
         _write_json(out / "report.json", {"error": str(exc)})
         _write_manifest(out, "calibrate", params)
@@ -255,10 +216,6 @@ def _comparison_csv(result: CalibrationResult, target: CalibrationTarget
                        target.edd.window(g, u))
 
 
-# ---------------------------------------------------------------------------
-# compare
-# ---------------------------------------------------------------------------
-
 def cmd_compare(params: dict) -> int:
     out = Path(params["out"])
     a = edd_from_csv(Path(params["edd_a"]).read_text())
@@ -274,19 +231,6 @@ def cmd_compare(params: dict) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# rerun
-# ---------------------------------------------------------------------------
-
-def cmd_rerun(params: dict) -> int:
-    manifest = json.loads(Path(params["manifest"]).read_text())
-    command = manifest["command"]
-    inner = dict(manifest["params"])
-    if params["out"]:
-        inner["out"] = params["out"]
-    return _DISPATCH[command](inner)
-
-
 _DISPATCH = {
     "solve": cmd_solve,
     "generate": cmd_generate,
@@ -296,15 +240,25 @@ _DISPATCH = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Argument parsing
-# ---------------------------------------------------------------------------
+def _ranged(kind, within, need: str):
+    """An argparse type: the text read by kind, rejected unless within holds
+    for it. NaN fails every range, since each of its comparisons is false."""
+    def read(text: str):
+        value = kind(text)
+        if not within(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    read.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return read
+
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
-    """Output directory; NPAGRAPH_OUT provides the default when set."""
+    """Output directory; NPAGRAPH_OUT provides the default when set. -v is
+    no setting of the run: like --help it stays out of the parsed settings
+    unless given, so no manifest records it."""
     default = os.environ.get("NPAGRAPH_OUT")
     parser.add_argument("--out", default=default, required=default is None)
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    parser.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Growing-graph degree distributions: solve, simulate, "
                     "ingest, calibrate.")
     sub = parser.add_subparsers(dest="command", required=True)
+    at_least_1 = _ranged(int, lambda v: v >= 1, "at least 1")
+    fraction = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
     p = sub.add_parser("solve", help="solve analytic degree distributions")
     p.add_argument("spec", help="model spec JSON file")
@@ -322,12 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
 
     p = sub.add_parser("generate", help="grow graphs by simulation")
-    p.add_argument("spec", nargs="?", help="model spec JSON file")
-    p.add_argument("--preset", choices=["gowalla", "brightkite"])
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("spec", nargs="?", help="model spec JSON file")
+    source.add_argument("--preset", choices=["gowalla", "brightkite"])
     p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--u", type=int, default=300,
+    p.add_argument("--seed", default=0,
+                   type=_ranged(int, lambda v: v >= 0, "at least 0"))
+    p.add_argument("--reps", type=at_least_1, default=1)
+    p.add_argument("--u", type=at_least_1, default=300,
                    help="extent of the measured edge matrix")
     p.add_argument("--threads", type=int, default=1)
     _add_out(p)
@@ -336,8 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="edge-list file (optionally .gz)")
     p.add_argument("--smooth", default="none",
                    choices=["none", "log-bin", "tail-powerlaw"])
-    p.add_argument("--u-mass", dest="u_mass", type=float, default=0.95)
-    p.add_argument("--edd-extent", dest="edd_extent", type=int, default=500)
+    p.add_argument("--u-mass", dest="u_mass", default=0.95,
+                   type=_ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
+    p.add_argument("--edd-extent", dest="edd_extent", type=at_least_1,
+                   default=500)
     _add_out(p)
 
     p = sub.add_parser("calibrate", help="fit a model to an ingested target")
@@ -346,10 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--first", default="ba-tree", choices=["ba-tree", "aer"])
     p.add_argument("--weights", default="linear", choices=["linear", "table-free"])
     p.add_argument("--u", type=int, default=None)
-    p.add_argument("--rmax", type=int, default=50)
-    p.add_argument("--rho-min", dest="rho_min", type=float, default=0.025)
-    p.add_argument("--rho-max", dest="rho_max", type=float, default=0.975)
-    p.add_argument("--rho-step", dest="rho_step", type=float, default=0.025)
+    p.add_argument("--rmax", default=50, type=_ranged(
+        int, lambda v: v >= R_MIN, f"at least {R_MIN}"))
+    p.add_argument("--rho-min", dest="rho_min", type=fraction, default=0.025)
+    p.add_argument("--rho-max", dest="rho_max", type=fraction, default=0.975)
+    p.add_argument("--rho-step", dest="rho_step", default=0.025,
+                   type=_ranged(float, lambda v: v > 0.0, "above 0"))
     p.add_argument("--aer-a", dest="aer_a", type=float,
                    default=GOWALLA_AER_MEAN_DEGREE)
     _add_out(p)
@@ -364,22 +326,58 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerun", help="re-execute a recorded manifest")
     p.add_argument("manifest")
     p.add_argument("--out", default=None)
-    p.add_argument("-v", "--verbose", action="count", default=0)
+    p.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _replay(commands: dict, args: dict) -> list[str]:
+    """The command line a manifest records: each setting of its command as
+    --flag=value and each positional in order, a null one left out; rerun's
+    own --out, when given, replaces the recorded one."""
+    rerun = commands["rerun"]
+    manifest = json.loads(Path(args["manifest"]).read_text())
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if command not in list(_DISPATCH) or not isinstance(manifest.get("params"), dict):
+        rerun.error(f"a manifest holds 'params' and a 'command' of "
+                    f"{', '.join(_DISPATCH)}, got command {command!r}")
+    params = {**manifest["params"], "out": args["out"] or manifest["params"].get("out")}
+    argv = [command]
+    for action in commands[command]._actions:
+        if action.default is argparse.SUPPRESS:  # --help and -v are no settings
+            continue
+        if action.dest not in params:
+            rerun.error(f"the {command} manifest lacks {action.dest!r}")
+        value = params[action.dest]
+        if value is not None:
+            argv.append(f"{action.option_strings[-1]}={value}"
+                        if action.option_strings else str(value))
+    return argv
+
+
+def _parse(argv: list[str] | None) -> tuple[str, dict]:
+    """The command and its settings, each checked by the parser; `rerun`
+    parses the command line its manifest records."""
     parser = build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
     args = vars(parser.parse_args(argv))
-    command = args.pop("command")
     if args.pop("verbose", 0):
         logging.basicConfig(level=logging.INFO)
-    if command == "generate" and not args.get("spec") and not args.get("preset"):
-        print("generate needs a spec file or --preset", file=sys.stderr)
-        return EXIT_INPUT
-    handler = cmd_rerun if command == "rerun" else _DISPATCH[command]
+    if args["command"] == "rerun":
+        args = vars(parser.parse_args(_replay(commands, args)))
+    command = args.pop("command")
+    if command == "calibrate" and not args["rho_min"] <= args["rho_max"]:
+        commands[command].error(f"need --rho-min <= --rho-max, got "
+                                f"{args['rho_min']} and {args['rho_max']}")
+    return command, args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        return handler(args)
+        command, params = _parse(argv)
+        return _DISPATCH[command](params)
+    except SystemExit as exc:  # the parser's: --help, or a rejected setting
+        return exc.code
     except (ValidationError, MalformedLine, EmptyInput, EmptyGraph,
             InputTooLarge, WindowExceedsMatrix, FileNotFoundError,
             json.JSONDecodeError) as exc:

@@ -21,7 +21,8 @@ class Violation:
 
 
 class ValidationError(NpaGraphError):
-    """A model spec violates one or more invariants.
+    """A model spec, a setting checked against one, or a degree
+    distribution read from a file violates one or more invariants.
 
     Carries the full list of violations, not just the first one found.
     """

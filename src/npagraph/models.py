@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -161,10 +161,10 @@ class WeightFunction:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "WeightFunction":
-        return cls(g=int(d["g"]), M=None if d.get("M") is None else int(d["M"]),
-                   rule=d.get("rule"), alpha=float(d.get("alpha", 1.0)),
-                   value=float(d.get("value", 1.0)),
-                   table=tuple(float(v) for v in d.get("table", ())))
+        return cls(g=_read(d, "g", int), M=_read(d, "M", int, None),
+                   rule=d.get("rule"), alpha=_read(d, "alpha", float, 1.0),
+                   value=_read(d, "value", float, 1.0),
+                   table=_read(d, "table", _floats, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,8 @@ class IncrementDistribution:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "IncrementDistribution":
-        return cls(min_arcs=int(d["min_arcs"]), probs=tuple(float(p) for p in d["probs"]))
+        return cls(min_arcs=_read(d, "min_arcs", int),
+                   probs=_read(d, "probs", _floats))
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +501,11 @@ class SeedGraphSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SeedGraphSpec":
-        if "edges" in d and d["edges"] is not None:
-            return cls(name=None,
-                       vertices=None if d.get("vertices") is None else int(d["vertices"]),
-                       edges=tuple((int(a), int(b)) for a, b in d["edges"]))
+        edges = _read(d, "edges", lambda es: tuple((int(a), int(b))
+                                                   for a, b in es), None)
+        if edges is not None:
+            return cls(name=None, vertices=_read(d, "vertices", int, None),
+                       edges=edges)
         return cls(name=d.get("name", "default"))
 
 
@@ -683,22 +685,52 @@ def validate_model(spec: ModelSpec) -> ModelSpec:
 # Spec (de)serialization
 # ---------------------------------------------------------------------------
 
+def _read(d: Mapping, key: str, convert: Callable, *default):
+    """convert(d[key]); the default instead, when one is given and d lacks
+    the key or holds null there. A d that is not a JSON object, a missing
+    key without a default, or a value that convert rejects raises
+    ValidationError naming the key."""
+    if not isinstance(d, Mapping):
+        problem = f"expected a JSON object holding {key!r}, got {d!r}"
+    elif default and d.get(key) is None:
+        return default[0]
+    elif key not in d:
+        problem = f"missing key {key!r}"
+    else:
+        try:
+            return convert(d[key])
+        except (TypeError, ValueError):
+            problem = f"key {key!r} holds {d[key]!r}"
+    raise ValidationError([Violation("MalformedSpec", problem)])
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 def model_from_dict(d: Mapping) -> ModelSpec:
-    kind = d.get("type")
+    """The spec a JSON object describes. A malformed object (a missing key,
+    a value of the wrong kind, not an object at all) raises ValidationError
+    naming the key, as does an unknown type; the invariants are checked by
+    validate_model."""
+    kind = _read(d, "type", str, None)
     if kind == "npa":
         return NpaModelSpec(
-            weights=WeightFunction.from_dict(d["weights"]),
-            increments=IncrementDistribution.from_dict(d["increments"]),
-            seed_graph=SeedGraphSpec.from_dict(d.get("seed_graph", {"name": "default"})))
+            weights=_read(d, "weights", WeightFunction.from_dict),
+            increments=_read(d, "increments", IncrementDistribution.from_dict),
+            seed_graph=_read(d, "seed_graph", SeedGraphSpec.from_dict,
+                             SeedGraphSpec()))
     if kind == "ba_tree":
         return BaTreeSpec()
     if kind == "aer":
-        return AerModelSpec(n1=int(d["n1"]), a=float(d["a"]))
+        return AerModelSpec(n1=_read(d, "n1", int), a=_read(d, "a", float))
     if kind == "composite":
-        comps = tuple((model_from_dict(c["model"]), float(c["rho"]))
-                      for c in d["components"])
-        return CompositeSpec(components=comps, total_n=int(d["total_n"]),
-                             metadata=dict(d.get("metadata", {})))
+        return CompositeSpec(
+            components=_read(d, "components", lambda cs: tuple(
+                (_read(c, "model", model_from_dict), _read(c, "rho", float))
+                for c in cs)),
+            total_n=_read(d, "total_n", int),
+            metadata=_read(d, "metadata", dict, {}))
     raise ValidationError([Violation("EmptySupport", f"unknown model type {kind!r}")])
 
 

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import (EmptyInput, InfeasibleComplement, InputTooLarge,
                      MalformedLine, NoConvergence, TruncationTooSevere,
-                     WeightsNotConvex, WindowExceedsMatrix)
+                     ValidationError, Violation, WeightsNotConvex,
+                     WindowExceedsMatrix)
 from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
 # Forms of the directed recurrence solve_arc_dd can run, the default first.
@@ -308,10 +309,12 @@ def solve_vdd(model: NpaModelSpec, k_max: int = 10000,
     k_max is recorded as q.truncation_mass, whatever its size; the mean
     weight already accounts for it through the same tail sums. fp_tolerance
     is the relative bracket width at which the bisection for the mean weight
-    stops; weights f_k = k or f_k = v need no search.
+    stops; weights f_k = k or f_k = v need no search. A k_max below g stores
+    no degree and raises ValidationError.
     """
     if k_max < model.g:
-        raise ValueError(f"need k_max >= g, got {k_max} and {model.g}")
+        raise ValidationError([Violation(
+            "EmptySupport", f"need k_max >= g, got {k_max} and {model.g}")])
     if not fp_tolerance > 0:
         raise ValueError("the fixed-point tolerance must be positive")
     engine = _VddEngine(model, k_max)
@@ -696,16 +699,21 @@ def vdd_from_csv(text: str) -> DegreeDistribution:
     in every row or in none.
 
     Raises MalformedLine for a row that does not parse or has a negative
-    degree, EmptyInput when there is no row, and InputTooLarge when the
-    degrees span more than memory holds.
+    degree, EmptyInput when there is no row, InputTooLarge when the
+    degrees span more than memory holds, and ValidationError when the
+    stored mass exceeds 1 by more than the 1e-9 solve_vdd allows its own.
     """
     rows = _read_csv(text, "degree,probability", "degree", (2, 3))
     degrees = rows["f0"]
     lo = int(degrees.min())
     arr = _dense_zeros(lo, int(degrees.max()), 1)
     arr[degrees - lo] = rows[rows.dtype.names[-1]]
+    mass = float(arr.sum())
+    if mass > 1.0 + 1e-9:
+        raise ValidationError([Violation(
+            "NonNormalized", f"the VDD's stored mass {mass!r} exceeds 1")])
     return DegreeDistribution(min_degree=lo, probs=arr,
-                              truncation_mass=max(0.0, 1.0 - float(arr.sum())))
+                              truncation_mass=max(0.0, 1.0 - mass))
 
 
 def edd_to_csv(mx: EdgeDegreeMatrix) -> str:

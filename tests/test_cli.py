@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
+from npagraph import (BaTreeSpec, DegreeDistribution, IncrementDistribution,
+                      NpaModelSpec,
                       WeightFunction, dump_model, solve_arc_dd, solve_vdd,
                       symmetrize)
 from npagraph.cli import main
@@ -106,6 +107,13 @@ class TestSolveCommand:
         assert main(["solve", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_growth_spec_exit_2(self, tmp_path, capsys):
+        assert main(["solve", str(_write_readme_spec(tmp_path, "aer")),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "solve expects a growth-model spec, got AerModelSpec" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_kmax_below_umax_exit_2(self, tmp_path, capsys):
         spec = _write_ba_spec(tmp_path)
         assert main(["solve", str(spec), "--kmax", "5", "--umax", "300",
@@ -165,8 +173,35 @@ class TestGenerateCommand:
         assert (out2 / "graph_rep0.txt").read_bytes() == rep0
         assert (out2 / "graph_rep1.txt").read_bytes() == rep1
 
-    def test_preset_requires_or_spec(self, tmp_path):
+    def test_preset_requires_or_spec(self, tmp_path, capsys):
         assert main(["generate", "--out", str(tmp_path / "x")]) == 2
+        assert "one of the arguments spec --preset is required" in \
+            capsys.readouterr().err
+
+    def test_spec_and_preset_exit_2(self, tmp_path, capsys):
+        # 0.21.0 grew the preset and ignored the spec.
+        assert main(["generate", str(_write_ba_spec(tmp_path)), "--preset",
+                     "gowalla", "--n", "100", "--out", str(tmp_path / "o")]) == 2
+        assert "argument --preset: not allowed with argument spec" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("spec,key", [
+        ({"type": "npa"}, "missing key 'weights'"),
+        ({"type": "aer", "n1": "x", "a": 2}, "key 'n1' holds 'x'"),
+        ([1, 2], "expected a JSON object holding 'type', got [1, 2]"),
+        ({"type": "npa", "weights": {"g": 1, "rule": "linear"},
+          "increments": {"min_arcs": 1, "probs": "ab"}}, "key 'probs' holds 'ab'"),
+    ], ids=["missing_key", "non_numeric", "not_an_object", "probs_string"])
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, spec, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        for command in (["solve", str(path)],
+                        ["generate", str(path), "--n", "100"]):
+            assert main([*command, "--out", str(out)]) == 2
+            assert f"input error: MalformedSpec: {key}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("name", ["npa", "ba_tree", "aer", "composite",
                                       "nested"])
@@ -240,7 +275,7 @@ class TestGenerateCommand:
     def test_setting_below_one_exit_2(self, tmp_path, capsys, flag, value):
         assert main(["generate", str(_write_ba_spec(tmp_path)), "--n", "100",
                      flag, value, "--out", str(tmp_path / "o")]) == 2
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_vertex_count_writes_nothing(self, tmp_path, capsys):
@@ -345,10 +380,10 @@ class TestIngestCommand:
     @pytest.mark.parametrize("flags,message", [
         (["--edd-extent", "0"], "--edd-extent"),
         # --u-mass is the share of edge mass the selected window holds.
-        (["--u-mass", "0"], "0 < --u-mass <= 1"),
-        (["--u-mass", "-1"], "0 < --u-mass <= 1"),
-        (["--u-mass", "7"], "0 < --u-mass <= 1"),
-        (["--u-mass", "nan"], "0 < --u-mass <= 1"),
+        (["--u-mass", "0"], "argument --u-mass: must be in (0, 1]"),
+        (["--u-mass", "-1"], "argument --u-mass: must be in (0, 1]"),
+        (["--u-mass", "7"], "argument --u-mass: must be in (0, 1]"),
+        (["--u-mass", "nan"], "argument --u-mass: must be in (0, 1]"),
     ])
     def test_setting_out_of_range_exit_2(self, tmp_path, capsys, flags,
                                          message):
@@ -408,6 +443,148 @@ class TestRerunDeterminism:
         assert main(["rerun", str(first / "manifest.json"),
                      "--out", str(second)]) == 0
         self._assert_twin_runs(first, second)
+
+
+    def test_compare_rerun_byte_identical(self, tmp_path):
+        # --g and --u were not given: null in the manifest, left out on rerun.
+        a = _write_ba_target(tmp_path / "target") / "edd.csv"
+        model = NpaModelSpec(
+            weights=WeightFunction.linear(g=1),
+            increments=IncrementDistribution(min_arcs=1, probs=(0.7, 0.3)))
+        b = tmp_path / "b.csv"
+        b.write_text(edd_to_csv(symmetrize(
+            solve_arc_dd(model, solve_vdd(model, 2000), 10))))
+        first = tmp_path / "c1"
+        assert main(["compare", str(a), str(b), "--out", str(first)]) == 0
+        params = json.loads((first / "manifest.json").read_text())["params"]
+        assert params["g"] is None and params["u"] is None
+        second = tmp_path / "c2"
+        assert main(["rerun", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        self._assert_twin_runs(first, second)
+
+    def test_generate_preset_rerun_byte_identical(self, tmp_path):
+        # A preset run's spec is null in the manifest, left out on rerun.
+        first = tmp_path / "g1"
+        assert main(["generate", "--preset", "gowalla", "--n", "2000",
+                     "--seed", "1", "--u", "30", "--out", str(first)]) == 0
+        params = json.loads((first / "manifest.json").read_text())["params"]
+        assert params["spec"] is None
+        second = tmp_path / "g2"
+        assert main(["rerun", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        self._assert_twin_runs(first, second)
+
+
+class TestSettingsChecked:
+    """The parser checks every setting, on a typed command line and in a
+    manifest that rerun replays alike: a bad one exits 2, names the
+    setting and writes nothing."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory) -> dict:
+        """Each data command's arguments (but --out) and the manifest of a
+        small valid run of it."""
+        root = tmp_path_factory.mktemp("runs")
+        spec = str(_write_ba_spec(root))
+        target = _write_ba_target(root / "target")
+        net = root / "net.txt"
+        net.write_text("0 1\n1 2\n2 0\n2 3\n")
+        edd = str(target / "edd.csv")
+        argvs = {"solve": [spec, "--kmax", "500", "--umax", "5"],
+                 "generate": [spec, "--n", "50", "--u", "5"],
+                 "ingest": [str(net)],
+                 "calibrate": [str(target), "--rmax", "2", "--u", "6"],
+                 "compare": [edd, edd]}
+        out = {}
+        for command, argv in argvs.items():
+            assert main([command, *argv, "--out", str(root / command)]) == 0
+            out[command] = (argv, json.loads(
+                (root / command / "manifest.json").read_text()))
+        return out
+
+    def _rerun_exit(self, tmp_path, manifest) -> int:
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["rerun", str(path), "--out", str(tmp_path / "again")])
+        assert not (tmp_path / "again").exists()
+        return code
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("generate", "--u", 0),
+        ("generate", "--reps", 0),
+        ("generate", "--seed", -1),  # 0.21.0 wrote model.json, then failed
+        ("ingest", "--edd-extent", 0),
+        ("ingest", "--u-mass", float("nan")),
+        ("calibrate", "--rmax", 0),
+        ("calibrate", "--rho-min", 0.0),
+        ("calibrate", "--rho-max", 1.0),
+        ("calibrate", "--rho-step", -0.05),
+    ])
+    def test_out_of_range_exit_2(self, runs, tmp_path, capsys, command, flag,
+                                 value):
+        argv, manifest = runs[command]
+        out = tmp_path / "o"
+        assert main([command, *argv, flag, str(value), "--out", str(out)]) == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+        assert not out.exists()
+        params = {**manifest["params"], flag[2:].replace("-", "_"): value}
+        assert self._rerun_exit(tmp_path, {**manifest, "params": params}) == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("solve", "command", "bogus", "got command 'bogus'"),
+        ("solve", "command", "rerun", "got command 'rerun'"),
+        ("solve", "params", None, "holds 'params'"),
+        # 0.21.0 raised from the solver or the smoother (exit 1) ...
+        ("solve", "variant", "bogus", "argument --variant: invalid choice"),
+        ("ingest", "smooth", "bogus", "argument --smooth: invalid choice"),
+        # ... and ran the composite or the AER fit instead.
+        ("calibrate", "mode", "bogus", "argument --mode: invalid choice"),
+        ("calibrate", "first", "bogus", "argument --first: invalid choice"),
+        ("solve", "kmax", "x", "argument --kmax: invalid int value: 'x'"),
+        ("calibrate", "rho_step", "x",
+         "argument --rho-step: invalid float value: 'x'"),
+        ("solve", "kmax", KeyError, "the solve manifest lacks 'kmax'"),
+        ("solve", "spec", KeyError, "the solve manifest lacks 'spec'"),
+        ("solve", "spec", None, "the following arguments are required: spec"),
+        ("compare", "edd_b", None, "required: edd_b"),
+        ("generate", "preset", "gowalla", "--preset: not allowed with argument spec"),
+        ("calibrate", "rho_min", 0.99, "need --rho-min <= --rho-max"),
+    ])
+    def test_bad_manifest_exit_2(self, runs, tmp_path, capsys, command, key,
+                                 value, message):
+        manifest = dict(runs[command][1])
+        if key in manifest:
+            manifest[key] = value
+        else:
+            manifest["params"] = dict(manifest["params"])
+            if value is KeyError:
+                del manifest["params"][key]
+            else:
+                manifest["params"][key] = value
+        assert self._rerun_exit(tmp_path, manifest) == 2
+        assert message in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["rerun", "--help"]) == 0
+        assert "manifest" in capsys.readouterr().out
+
+    def test_only_main_returns_exit_input(self):
+        # The parser checks the settings and the commands raise typed
+        # errors, so main alone maps a failure to exit code 2.
+        import ast
+
+        import npagraph.cli as cli
+        tree = ast.parse(Path(cli.__file__).read_text())
+        returning = sorted(
+            func.name for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if isinstance(node, ast.Return)
+            and (isinstance(node.value, ast.Name) and node.value.id == "EXIT_INPUT"
+                 or isinstance(node.value, ast.Constant) and node.value.value == 2))
+        assert returning == ["main"]
 
 
 class TestEnvironment:
@@ -741,23 +918,46 @@ class TestCalibrateCommand:
         assert seen == [AerModelSpec(n1=round(GOWALLA_RHO * TOTAL_N),
                                      a=GOWALLA_AER_MEAN_DEGREE)]
 
-    def test_missing_target_exit_2(self, tmp_path):
+    def test_target_vdd_above_unit_mass_exit_2(self, tmp_path, capsys):
+        # 0.21.0 fitted the BA tree's VDD times 1.5 with exit 0 and took
+        # its mean increment as 1.499.
+        target = _write_ba_target(tmp_path / "target")
+        q = solve_vdd(BaTreeSpec().to_npa(), 2000).q
+        (target / "vdd.csv").write_text(vdd_to_csv(
+            DegreeDistribution(q.min_degree, q.probs * 1.5)))
+        out = tmp_path / "fit"
+        assert main(["calibrate", str(target), "--rmax", "2", "--u", "6",
+                     "--out", str(out)]) == 2
+        assert "NonNormalized: the VDD's stored mass" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_target_exit_2(self, tmp_path, capsys):
         assert main(["calibrate", str(tmp_path / "void"),
                      "--out", str(tmp_path / "o")]) == 2
+        assert f"input error: [Errno 2] No such file or directory: " \
+               f"'{tmp_path / 'void' / 'vdd.csv'}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--u", "1"], "must exceed the minimum degree 1"),
         (["--u", "0"], "u = 0 must exceed the minimum degree 1"),
         (["--u", "500"], "edge matrix extent 12 is below u = 500"),
-        (["--rmax", "0"], "--rmax >= 1"),
-        (["--mode", "composite", "--rho-step", "0"], "--rho-step > 0"),
-        (["--mode", "composite", "--rho-step", "-0.05"], "--rho-step > 0"),
-        (["--mode", "composite", "--rho-step", "nan"], "--rho-step > 0"),
+        (["--rmax", "0"], "argument --rmax: must be at least 1"),
+        (["--mode", "composite", "--rho-step", "0"],
+         "argument --rho-step: must be above 0"),
+        (["--mode", "composite", "--rho-step", "-0.05"],
+         "argument --rho-step: must be above 0"),
+        (["--mode", "composite", "--rho-step", "nan"],
+         "argument --rho-step: must be above 0"),
         # rho is the first component's vertex fraction, inside (0, 1).
-        (["--mode", "composite", "--rho-min", "0"], "0 < --rho-min"),
-        (["--mode", "composite", "--rho-min", "-0.5"], "0 < --rho-min"),
-        (["--mode", "composite", "--rho-max", "1"], "--rho-max < 1"),
-        (["--mode", "composite", "--rho-min", "nan"], "0 < --rho-min"),
+        (["--mode", "composite", "--rho-min", "0"],
+         "argument --rho-min: must be in (0, 1)"),
+        (["--mode", "composite", "--rho-min", "-0.5"],
+         "argument --rho-min: must be in (0, 1)"),
+        (["--mode", "composite", "--rho-max", "1"],
+         "argument --rho-max: must be in (0, 1)"),
+        (["--mode", "composite", "--rho-min", "nan"],
+         "argument --rho-min: must be in (0, 1)"),
         # An empty grid tries no fraction at all.
         (["--mode", "composite", "--rho-min", "0.5", "--rho-max", "0.3"],
          "--rho-min <= --rho-max"),
@@ -854,6 +1054,19 @@ class TestCalibrateCommand:
         (target_dir / "summary.json").write_text(json.dumps(
             {"derived_m": m_tot, "selected_u": u}))
         return target_dir
+
+    def test_composite_rerun_byte_identical(self, tmp_path):
+        # The rho grid's floats replay as --rho-step=0.05 and so on.
+        target = self._composite_target(tmp_path, (0.3, 0.7), 0.3, 12)
+        first, second = tmp_path / "c1", tmp_path / "c2"
+        assert main(["calibrate", str(target), "--mode", "composite",
+                     "--rmax", "3", "--rho-min", "0.25", "--rho-max", "0.35",
+                     "--rho-step", "0.05", "--out", str(first)]) == 0
+        assert main(["rerun", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        a, b = _tree_bytes(first), _tree_bytes(second)
+        assert a.keys() == b.keys() and "model.json" in a
+        assert all(a[name] == b[name] for name in a if name != "manifest.json")
 
     def test_composite_mode_with_rho_flags(self, tmp_path):
         rho = 0.3

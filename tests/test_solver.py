@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       EmptyInput, InfeasibleComplement,
                       IncrementDistribution, MalformedLine, NoConvergence,
-                      NpaModelSpec, WeightFunction,
+                      NpaModelSpec, ValidationError, WeightFunction,
                       WeightsNotConvex, WindowExceedsMatrix,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
@@ -579,9 +579,11 @@ class TestSolveArcDd:
         assert sol.q.max_degree == 100
         assert sol.control_residual < 1e-6
 
-    @pytest.mark.parametrize("k_max,fp_tolerance", [(0, 1e-10), (100, 0.0)])
-    def test_vdd_settings_out_of_range(self, k_max, fp_tolerance):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("k_max,fp_tolerance,error", [
+        (0, 1e-10, ValidationError),  # no degree stored: a setting against g
+        (100, 0.0, ValueError)])
+    def test_vdd_settings_out_of_range(self, k_max, fp_tolerance, error):
+        with pytest.raises(error):
             solve_vdd(reference_models()["linear"], k_max, fp_tolerance)
 
     @pytest.mark.parametrize("variant", ["printed", "mean-weight"])
@@ -833,6 +835,7 @@ class TestCsvRoundTrip:
     @given(lo=st.integers(0, 3),
            probs=arrays(np.float64, st.integers(0, 40), elements=cells))
     def test_vdd(self, lo, probs):
+        probs = probs / max(len(probs), 1)  # a VDD file holds at most unit mass
         q = DegreeDistribution(min_degree=lo, probs=probs)
         text = vdd_to_csv(q)
         assert text == vdd_csv_060(q)
@@ -979,9 +982,21 @@ class TestCsvSyntax:
 
     @pytest.mark.parametrize("value", ["0", "-0.0", "-0", "0.0", "1.5", "5e-324"])
     def test_good_probability_accepted(self, value):
-        q = vdd_from_csv(f"degree,probability\n1,{value}\n")
-        assert q.probs.tobytes() == np.array([float(value)]).tobytes()
+        # The edge-matrix reader, since a VDD of mass 1.5 is rejected whole.
+        mx = edd_from_csv(f"l,k,probability\n1,1,{value}\n")
+        assert mx.entries.tobytes() == np.array([[float(value)]]).tobytes()
         assert _parses(f"1,{value}", 2)
+
+    @pytest.mark.parametrize("extra", ["1.5e-9", "0.5"])
+    def test_vdd_above_unit_mass_rejected(self, extra):
+        # solve_vdd's own bound: stored mass at most 1 + 1e-9.
+        assert vdd_from_csv("degree,probability\n1,0.5\n2,0.5\n3,5e-10\n"
+                            ).truncation_mass == 0.0
+        with pytest.raises(ValidationError, match="stored mass .* exceeds 1"):
+            vdd_from_csv(f"degree,probability\n1,0.5\n2,0.5\n3,{extra}\n")
+        # An edge matrix may hold more: solve's printed variant writes one.
+        assert edd_from_csv(f"l,k,probability\n1,1,0.5\n1,2,0.5\n"
+                            f"2,1,{extra}\n").truncation_mass < 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="0123456789+-.eE_, \t\xa0\u0661infatyNA",
