@@ -51,7 +51,7 @@ ALPHA_XATOL = 1e-5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # share of a bracket kept per section
 VDD_WEIGHT = 1.0  # weight of the VDD total-variation error in the objective
 PHASE2_THRESHOLD = 1e-3  # table-free fits search alpha above this objective
-AER_REPS = 10  # pooled Monte-Carlo replications of an AER first component
+AER_REPS = 10  # replicates pooled into the profile of an AER first component
 AER_SEED = 987654321
 RHO_OUTER_ITERATIONS = 2  # passes over a composite's ever finer rho grid
 RHO_REFINE_FACTOR = 5  # a composite's rho grid shrinks by this per outer iteration
@@ -544,50 +544,39 @@ def _golden_section(f, a: float, b: float, xatol: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ComponentProfile:
-    """What composite mixing needs to know about a fixed first component."""
+    """What composite mixing needs to know about a fixed first component;
+    kept is the share of its grown vertices that its written graph keeps."""
 
     spec: Union[NpaModelSpec, AerModelSpec]
     m: float
     vdd: DegreeDistribution
     edd: EdgeDegreeMatrix  # kind = edge, up to the target's extent u
+    kept: float = 1.0
 
 
 def component_profile(spec, target: CalibrationTarget) -> ComponentProfile:
-    """Analytic profile for growth models; pooled Monte-Carlo for the
-    autocorrelated graph, which has no distributional recurrence here.
-
-    The edge matrix stops at target.u: only the window [g, u] is mixed and
-    scored, and none of its cells depends on a larger extent. The mixture
-    takes the pruned vertex distribution and the unpruned edge matrix of
-    the Monte-Carlo estimate, since pruning removes whole vertices but
-    barely reshapes edges.
+    """Analytic profile for growth models, which keep every vertex. The
+    autocorrelated graph has no distributional recurrence here: its m, VDD
+    and EDD are all measured on the pruned graph that growth writes for it,
+    pooled over AER_REPS replicates drawn from seed AER_SEED, so its share
+    in the mixture is its vertex share of the written graph. The edge matrix
+    stops at target.u: only the window [g, u] is mixed and scored, and none
+    of its cells depends on a larger extent.
     """
     if isinstance(spec, NpaModelSpec):
         sol, theta = _solve(spec, target.u)
         return ComponentProfile(spec=spec, m=spec.increments.mean,
                                 vdd=sol.q, edd=theta)
     if isinstance(spec, AerModelSpec):
-        vdd, edd = aer_component_estimate(spec, target.u)
-        return ComponentProfile(spec=spec, m=spec.a / 2.0, vdd=vdd, edd=edd)
+        from .growth import RngStream, grow, measure_edd, measure_vdd
+        graph = Graph.disjoint_union([grow(spec, spec.n1, RngStream(AER_SEED, rep))
+                                      for rep in range(AER_REPS)])
+        vdd = measure_vdd(graph)  # EmptyGraph when pruning leaves no vertex
+        return ComponentProfile(
+            spec=spec, m=graph.edge_count / graph.vertex_count, vdd=vdd,
+            edd=measure_edd(graph, target.u),
+            kept=graph.vertex_count / (AER_REPS * spec.n1))
     raise TypeError(f"unsupported first component {type(spec).__name__}")
-
-
-def aer_component_estimate(spec: AerModelSpec, u: int
-                           ) -> tuple[DegreeDistribution, EdgeDegreeMatrix]:
-    """Pooled Monte-Carlo (pruned vertex distribution, unpruned edge matrix
-    up to degree u).
-
-    The pooled law of AER_REPS replicates, drawn from seed AER_SEED, is the
-    one measured on their disjoint union; pruning the union prunes each
-    replicate.
-    """
-    from .growth import (RngStream, _prune_small_components,
-                         grow_aer_unpruned, measure_edd, measure_vdd)
-    union = Graph.disjoint_union(
-        [grow_aer_unpruned(spec, RngStream(AER_SEED, rep))[0]
-         for rep in range(AER_REPS)])
-    keep, _, _ = _prune_small_components(union)
-    return measure_vdd(union.induced(keep)), measure_edd(union, u)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +600,10 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     The first grid runs from rho_min to rho_max in steps of rho_step; it
     shrinks by RHO_REFINE_FACTOR around the best value on each of
     RHO_OUTER_ITERATIONS passes; grid values are rounded to 12 decimals and
-    each is fitted at most once. The composite is written for TOTAL_N
-    vertices.
+    each is fitted at most once. rho is the first component's vertex share
+    of the written graph. The composite, written for TOTAL_N vertices, gives
+    it the growth budget whose pruned graph holds that share, rho /
+    (kept (1 - rho) + rho): rho itself for a growth model (kept = 1).
     """
     profile = component_profile(first, target)
     m_total = target.m
@@ -659,8 +650,9 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     m2 = complement.increments.mean
     m_mix = rho * profile.m + (1.0 - rho) * m2
     gamma = edge_share(profile.m, rho, m_mix)
+    fraction = rho / (profile.kept + rho * (1.0 - profile.kept))  # rho at kept = 1
     composite = CompositeSpec(
-        components=((profile.spec, rho), (complement, 1.0 - rho)),
+        components=((profile.spec, fraction), (complement, 1.0 - fraction)),
         total_n=TOTAL_N,
         metadata={"gamma": gamma, "m_first": profile.m, "m_complement": m2})
     report = {

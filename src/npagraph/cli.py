@@ -379,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # the parser's: --help, or a rejected setting
         return exc.code
     except (ValidationError, MalformedLine, EmptyInput, EmptyGraph,
-            InputTooLarge, WindowExceedsMatrix, FileNotFoundError,
+            InputTooLarge, WindowExceedsMatrix, OSError,
             json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

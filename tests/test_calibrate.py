@@ -7,17 +7,17 @@ from scipy.optimize import linprog
 
 from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       CompositeSpec, DegreeDistribution, EdgeDegreeMatrix,
-                      IncrementDistribution, InfeasibleComplement,
+                      Graph, IncrementDistribution, InfeasibleComplement,
                       NoConvergence, NpaModelSpec, RngStream, SolverFailure,
                       TruncationTooSevere, WeightFunction,
-                      WindowExceedsMatrix, complement_mean, grow_composite,
-                      grow_npa, measure_edd, measure_vdd, mix_edd, mix_vdd,
-                      solve_arc_dd, solve_vdd, symmetrize, validate_model)
+                      WindowExceedsMatrix, complement_mean, grow, grow_aer,
+                      grow_composite, grow_npa, measure_edd, measure_vdd,
+                      mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize,
+                      validate_model)
 from npagraph.solver import edd_to_csv, vdd_to_csv
 from npagraph import calibrate
 from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
-                                OptimizerTrace, aer_component_estimate,
-                                calibrate_composite, calibrate_single,
+                                OptimizerTrace, calibrate_composite, calibrate_single,
                                 edd_distance, gowalla_increments,
                                 preset_brightkite, preset_gowalla, select_u)
 
@@ -612,28 +612,32 @@ class TestCalibrateComposite:
         assert profile.m == wide.m
 
     def test_aer_first_component(self):
-        # The pooled AER estimate as the first component (rho = 0.3) plus a
-        # linear-weight complement: the fit takes its profile from that
-        # estimate and recovers rho and the complement's increments.
+        # The AER profile as the first component (rho = 0.3) plus a
+        # linear-weight complement: the fit recovers rho and the
+        # complement's increments, and writes the AER the growth budget
+        # whose pruned graph holds the share rho.
         aer, u, rho = AerModelSpec(n1=400, a=2.0), 12, 0.3
-        vdd1, edd1 = aer_component_estimate(aer, u)
         comp2 = _model((0.4, 0.6))
         sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
         th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
-        m1, m2 = aer.a / 2.0, comp2.increments.mean
+        first = calibrate.component_profile(
+            aer, CalibrationTarget(vdd=sol2.q, edd=th2, u=u))
+        m1, m2 = first.m, comp2.increments.mean
         m_tot = rho * m1 + (1 - rho) * m2
         target = CalibrationTarget(
-            vdd=mix_vdd([(vdd1, rho), (sol2.q, 1 - rho)]),
-            edd=mix_edd([(edd1, m1, rho), (th2, m2, 1 - rho)]),
+            vdd=mix_vdd([(first.vdd, rho), (sol2.q, 1 - rho)]),
+            edd=mix_edd([(first.edd, m1, rho), (th2, m2, 1 - rho)]),
             u=u, mean_increment=m_tot)
-        profile = calibrate.component_profile(aer, target)
-        assert profile.m == m1
-        assert np.array_equal(profile.vdd.probs, vdd1.probs)
-        assert np.array_equal(profile.edd.entries, edd1.entries)
         res = calibrate_composite(target, aer, r_max=3, rho_min=0.2,
                                   rho_max=0.4, rho_step=0.05)
         assert res.report["rho"] == rho
-        assert res.model.components[0] == (aer, rho)
+        assert res.report["m_first"] == m1
+        kept = sum(grow(aer, aer.n1, RngStream(calibrate.AER_SEED, rep)).vertex_count
+                   for rep in range(calibrate.AER_REPS)) / (calibrate.AER_REPS * aer.n1)
+        assert 0.5 < kept < 1.0
+        written_aer, written_rho = res.model.components[0]
+        assert written_aer == aer
+        assert written_rho == pytest.approx(0.3 / (kept * 0.7 + 0.3), rel=1e-14)
         assert res.distance < 1e-12 and res.vdd_tv_error < 1e-12
         fitted = res.model.components[1][0].increments
         for k, p in ((1, 0.4), (2, 0.6), (3, 0.0)):
@@ -684,26 +688,65 @@ def test_measured_composite_rho_set_by_the_fit():
     assert max(rhos) - min(rhos) <= 0.02, rhos
 
 
+def test_measured_aer_rho_is_the_written_share():
+    # The gowalla preset grown to 1e5 vertices: its AER budget is 0.35, and
+    # pruning leaves about 0.314 of the written vertices to it. The fitted
+    # rho is that written share, and the fitted model, grown from another
+    # seed, writes an AER share of rho again.
+    spec = preset_gowalla(100000)
+    for seed in (1, 2):
+        graph = grow_composite(spec, RngStream(seed))
+        edd = measure_edd(graph, 100)
+        target = CalibrationTarget(vdd=measure_vdd(graph), edd=edd,
+                                   u=min(select_u(edd), 40))
+        res = calibrate_composite(target, AerModelSpec(n1=35000, a=2.75),
+                                  r_max=50)
+        rho = res.report["rho"]
+        assert abs(rho - _first_share(spec, seed)) <= 0.01, (seed, rho)
+        regrown = _first_share(res.model, 1000 + seed)
+        assert abs(regrown - rho) <= 0.005, (seed, rho, regrown)
+
+
+def _first_share(spec, seed):
+    """The first component's vertex share of the composite grown from seed:
+    grow_composite grows component i from substream i."""
+    first, _ = spec.components[0]
+    n1 = grow(first, spec.budgets()[0], RngStream(seed).substream(0)).vertex_count
+    return n1 / grow_composite(spec, RngStream(seed)).vertex_count
+
+
 # ---------------------------------------------------------------------------
-# First-component estimates
+# First-component profiles
 # ---------------------------------------------------------------------------
 
-class TestAerEstimate:
+class TestAerProfile:
     def test_cached_and_well_formed(self, monkeypatch):
+        # The profile is measured on the pruned graph growth writes, pooled
+        # over AER_REPS replicates from AER_SEED: m is its edges per vertex,
+        # and no lone pair is left in its (1, 1) cell.
         monkeypatch.setattr(calibrate, "AER_SEED", 5)
         monkeypatch.setattr(calibrate, "AER_REPS", 2)
         spec = AerModelSpec(n1=800, a=2.0)
-        vdd, edd = aer_component_estimate(spec, u=20)
-        vdd2, edd2 = aer_component_estimate(spec, u=20)
-        assert (vdd.min_degree, vdd.truncation_mass) == (vdd2.min_degree,
-                                                         vdd2.truncation_mass)
-        assert np.array_equal(vdd.probs, vdd2.probs)
-        assert np.array_equal(edd.entries, edd2.entries)
-        assert vdd.stored_mass() == pytest.approx(1.0, abs=1e-12)
-        assert edd.stored_mass() + edd.truncation_mass == pytest.approx(
-            1.0, abs=1e-12)
+        target = _target_from(_model((0.5, 0.5)), u=20)
+        profile = calibrate.component_profile(spec, target)
+        again = calibrate.component_profile(spec, target)
+        assert (profile.m, profile.kept) == (again.m, again.kept)
+        assert np.array_equal(profile.vdd.probs, again.vdd.probs)
+        assert np.array_equal(profile.edd.entries, again.edd.entries)
+        assert profile.m == pytest.approx(profile.vdd.mean() / 2, rel=1e-12)
+        assert profile.edd.min_degree == 1 and profile.edd.entries[0, 0] == 0.0
+        pooled = Graph.disjoint_union([grow_aer(spec, RngStream(5, rep))[0]
+                                       for rep in range(2)])
+        vdd = measure_vdd(pooled)
+        assert (profile.vdd.min_degree, profile.vdd.truncation_mass) == (
+            vdd.min_degree, vdd.truncation_mass)
+        assert np.array_equal(profile.vdd.probs, vdd.probs)
+        assert profile.kept == pooled.vertex_count / 1600
+        assert profile.vdd.stored_mass() == pytest.approx(1.0, abs=1e-12)
+        assert profile.edd.stored_mass() + profile.edd.truncation_mass == \
+            pytest.approx(1.0, abs=1e-12)
         # Pruning removes isolated vertices: no degree-0 mass remains.
-        assert vdd.min_degree >= 1
+        assert profile.vdd.min_degree >= 1
 
 
 # ---------------------------------------------------------------------------

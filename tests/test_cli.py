@@ -646,6 +646,29 @@ def _write_ba_target(path: Path) -> Path:
     return path
 
 
+def _file_as_target(tmp_path: Path) -> list[str]:
+    return ["calibrate", str(_write_ba_spec(tmp_path))]
+
+
+def _directory_as_vdd(tmp_path: Path) -> list[str]:
+    (tmp_path / "target" / "vdd.csv").mkdir(parents=True)
+    return ["calibrate", str(tmp_path / "target")]
+
+
+@pytest.mark.parametrize("command", [
+    lambda tmp_path: ["solve", str(tmp_path)], _directory_as_vdd, _file_as_target],
+    ids=["directory_as_spec", "directory_as_vdd", "file_as_target"])
+def test_unreadable_input_exit_2(tmp_path, capsys, command):
+    # An input that exists but cannot be read as a file is an input error,
+    # like a missing one: exit 2, one line on stderr, and nothing written.
+    out = tmp_path / "o"
+    assert main([*command(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: [Errno ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestStartup:
     """A command loads only the modules it calls, and only the process
     entry freezes the start-up heap. Each check runs in a fresh interpreter."""
