@@ -12,18 +12,22 @@ public API only, so the same file times any version of the calibration
 from 0.16.0 on, where the solver takes its settings as arguments. The
 increment fit alone is timed through calibrate._invert_vdd(q, weight, m,
 phi, u, r_max), the signature 0.16.0 set, on a noisy target at extents up
-to the 500 that ingest allows by default.
+to the 500 that ingest allows by default. A whole rho search is timed on
+measured targets too: the brightkite and gowalla presets grown to 1e5
+vertices, each fitted with the first component the CLI gives it.
 """
 
 import numpy as np
 import pytest
 
-from npagraph import (BaTreeSpec, DegreeDistribution, IncrementDistribution,
-                      NpaModelSpec, WeightFunction, mix_edd,
-                      mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
+from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution,
+                      IncrementDistribution, NpaModelSpec, RngStream,
+                      WeightFunction, grow_composite, measure_edd, measure_vdd,
+                      mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph import calibrate
 from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
-                                calibrate_composite, calibrate_single)
+                                calibrate_composite, calibrate_single,
+                                preset_brightkite, preset_gowalla)
 
 U = 20
 
@@ -76,12 +80,35 @@ def test_table_free_single_fit(benchmark):
     assert res.report["phase"] == 2
 
 
-def test_composite_one_rho(benchmark, composite_target, monkeypatch):
+def test_composite_one_rho(benchmark, composite_target):
     # The first component's profile (one BA solve) is part of the step.
-    monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
     res = benchmark(calibrate_composite, composite_target, BaTreeSpec(),
                     r_max=3, rho_min=0.3, rho_max=0.3)
     assert res.report["rho"] == 0.3
+
+
+@pytest.fixture(scope="module", params=["brightkite", "gowalla"])
+def grown_composite(request):
+    """A preset grown to 1e5 vertices from seed 1 and measured to u = 40,
+    with the first component the CLI's --first names for it."""
+    preset, first = {"brightkite": (preset_brightkite, BaTreeSpec()),
+                     "gowalla": (preset_gowalla, AerModelSpec(n1=35000, a=2.75))
+                     }[request.param]
+    graph = grow_composite(preset(100000), RngStream(1))
+    target = CalibrationTarget(vdd=measure_vdd(graph), edd=measure_edd(graph, 40),
+                               u=40)
+    return target, first
+
+
+def test_grown_composite_rho_search(benchmark, grown_composite):
+    # The whole rho search on the default grid, first-component profile
+    # included; extra_info counts the rhos it fitted.
+    target, first = grown_composite
+    res = benchmark.pedantic(calibrate_composite, args=(target, first),
+                             kwargs={"r_max": 50}, rounds=3, iterations=1)
+    benchmark.extra_info["rho"] = res.report["rho"]
+    benchmark.extra_info["fits"] = len(res.report["grid"])
+    assert 0.1 <= res.report["rho"] <= 0.35
 
 
 @pytest.mark.parametrize("u", [20, 100, 300, 500])

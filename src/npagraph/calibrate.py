@@ -53,8 +53,7 @@ VDD_WEIGHT = 1.0  # weight of the VDD total-variation error in the objective
 PHASE2_THRESHOLD = 1e-3  # table-free fits search alpha above this objective
 AER_REPS = 10  # replicates pooled into the profile of an AER first component
 AER_SEED = 987654321
-RHO_OUTER_ITERATIONS = 2  # passes over a composite's ever finer rho grid
-RHO_REFINE_FACTOR = 5  # a composite's rho grid shrinks by this per outer iteration
+RHO_REFINE_FACTOR = 5  # a composite's rho lattice is this much finer than rho_step
 TOTAL_N = 100000  # vertex count a calibrated composite is written for
 # The increment fit took at most 139 pivots, 0.27 per column, on 900 random
 # noisy and exact targets with r_max up to 200 and u up to 500.
@@ -522,9 +521,9 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     return best
 
 
-def _golden_section(f, a: float, b: float, xatol: float) -> None:
+def _golden_section(f, a: float, b: float, xatol: float) -> tuple:
     """Narrow [a, b] around a minimum of f until it is at most xatol wide,
-    one new evaluation per step (Kiefer, Proc. AMS 4, 502 (1953))."""
+    one new evaluation per step (Kiefer, Proc. AMS 4, 502 (1953)); return it."""
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     while b - a > xatol:
@@ -536,6 +535,7 @@ def _golden_section(f, a: float, b: float, xatol: float) -> None:
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = f(d)
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -590,60 +590,59 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
 
     For each candidate vertex fraction rho, _fit forms the complement's
     target vertex distribution and mean from the mixture equations, inverts
-    them for its increments and scores the mixed model; the rho whose mixed
-    model best matches the target wins. The complement's distribution may
-    go negative where the first component's tail outweighs the target's,
-    and no tolerance skips such a rho: the fit decides. A rho that _fit
-    skips is logged in the grid with its reason: a solver failure, counted
-    in the trace, by its class and message, a complement mean outside
-    [R_MIN, r_max] by its message.
-    The first grid runs from rho_min to rho_max in steps of rho_step; it
-    shrinks by RHO_REFINE_FACTOR around the best value on each of
-    RHO_OUTER_ITERATIONS passes; grid values are rounded to 12 decimals and
-    each is fitted at most once. rho is the first component's vertex share
-    of the written graph. The composite, written for TOTAL_N vertices, gives
-    it the growth budget whose pruned graph holds that share, rho /
-    (kept (1 - rho) + rho): rho itself for a growth model (kept = 1).
+    them for its increments and scores the mixed model. A rho that _fit
+    skips scores infinity and is logged in the grid with its reason, a
+    solver failure's (counted in the trace) by its class and message.
+    The candidates are the lattice rho_min + i h <= rho_max, h = rho_step /
+    RHO_REFINE_FACTOR, rounded to 12 decimals. _golden_section, each probe
+    snapped to the nearest point, narrows it to a bracket at most rho_step
+    wide, whose points are then all fitted; the best wins, the lowest rho
+    on ties. Probes in a wider bracket lie over a point apart, so this
+    finds the lattice's best if it has one local minimum, as every target
+    measured has. The complement mean (m - rho m1) / (1 - rho) is monotone
+    in rho and m at rho = 0, so the rhos skipped for it form one block at
+    the top: a tie of two infinite probes moves the bracket down.
+    rho is the first component's vertex share of the written graph. The
+    composite, written for TOTAL_N vertices, gives it the growth budget
+    whose pruned graph holds that share, rho / (kept (1 - rho) + rho): rho
+    itself for a growth model (kept = 1).
     """
     profile = component_profile(first, target)
-    m_total = target.m
     g_cmp = max(R_MIN, target.edd.min_degree)
     linear = WeightFunction.linear(g=R_MIN)
 
-    grid = np.arange(rho_min, rho_max + 1e-12, rho_step)
+    h = rho_step / RHO_REFINE_FACTOR
+    fits: dict[int, CalibrationResult | NpaGraphError] = {}
     grid_log: list[dict] = []
-    tried: set[float] = set()
-    best: CalibrationResult | None = None
     trace = OptimizerTrace()
-    step = rho_step
-    for outer in range(RHO_OUTER_ITERATIONS):
-        for rho in grid:
-            rho = round(float(rho), 12)
-            if rho in tried:
-                continue
-            tried.add(rho)
-            entry = {"rho": rho, "outer": outer}
-            candidate = _fit(target, linear, m_total, g_cmp, r_max, trace,
-                             profile, rho)
+
+    def at(x: float) -> float:
+        i = int(round(x))
+        if i not in fits:
+            rho = round(rho_min + i * h, 12)
+            fits[i] = candidate = _fit(target, linear, target.m, g_cmp, r_max,
+                                       trace, profile, rho)
+            entry = {"rho": rho}
             if isinstance(candidate, CalibrationResult):
                 entry["objective"] = candidate.objective
-                if best is None or candidate.objective < best.objective:
-                    best = candidate
             else:
                 entry["skipped"] = (f"{type(candidate).__name__}: {candidate}"
                                     if isinstance(candidate, SolverFailure)
                                     else str(candidate))
                 log.info("rho = %.4f skipped: %s", rho, entry["skipped"])
             grid_log.append(entry)
-        if best is None:
-            raise AllRhoInfeasible(
-                "no vertex fraction on the grid admitted a feasible complement"
-                + "".join(f"; {count} failed with {name}"
-                          for name, count in trace.failure_types.items()))
-        step = step / RHO_REFINE_FACTOR
-        lo = max(rho_min, best.report["rho"] - RHO_REFINE_FACTOR * step)
-        hi = min(rho_max, best.report["rho"] + RHO_REFINE_FACTOR * step)
-        grid = np.arange(lo, hi + 1e-12, step)
+        return _objective(fits[i])
+
+    a, b = _golden_section(at, 0, int((rho_max - rho_min) / h + 1e-9),
+                           RHO_REFINE_FACTOR)
+    for i in range(math.ceil(a), math.floor(b) + 1):
+        at(i)
+    best = fits[min(fits, key=lambda i: (_objective(fits[i]), i))]
+    if not isinstance(best, CalibrationResult):
+        raise AllRhoInfeasible(
+            "no vertex fraction searched admitted a feasible complement"
+            + "".join(f"; {count} failed with {name}"
+                      for name, count in trace.failure_types.items()))
 
     rho = best.report["rho"]
     complement: NpaModelSpec = best.model
@@ -659,7 +658,7 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
         "rho": rho,
         "gamma": gamma,
         "m_first": profile.m,
-        "m_total_target": m_total,
+        "m_total_target": target.m,
         "m_complement_target": best.report["m_complement_target"],
         "m_complement_achieved": m2,
         "grid": grid_log,

@@ -189,7 +189,6 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
     preset = preset_brightkite()
     first, rho = preset.components[0]
     assert isinstance(first, BaTreeSpec) and rho == 0.225
-    monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
     monkeypatch.setattr(calibrate, "K_MAX", 20000)
     result = calibrate_composite(target, BaTreeSpec(), r_max=40, rho_min=rho,
                                  rho_max=rho)
@@ -247,7 +246,6 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
     u = min(select_u(edd, 0.95), 40)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
                                mean_increment=summarize(graph).derived_m)
-    monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
     monkeypatch.setattr(calibrate, "K_MAX", 6000)
     result = calibrate_composite(target, BaTreeSpec(), r_max=8, rho_min=rho,
                                  rho_max=rho)

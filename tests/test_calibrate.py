@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,9 +285,9 @@ class TestOptimizerTrace:
             return real(a, observed, ks, m)
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails_at_025)
-        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
+        # A step of 0.25 makes the lattice 0.25, 0.3 and 0.35: all are fitted.
         res = calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.25,
-                                  rho_max=0.35, rho_step=0.05)
+                                  rho_max=0.35, rho_step=0.25)
         assert res.report["rho"] == 0.3
         grid = {e["rho"]: e for e in res.report["grid"]}
         assert sorted(grid) == [0.25, 0.3, 0.35]
@@ -303,11 +304,10 @@ class TestOptimizerTrace:
             raise NoConvergence("cap")
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails)
-        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
         target = _composite_target()
         with pytest.raises(AllRhoInfeasible, match="3 failed with NoConvergence"):
             calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.25,
-                                rho_max=0.35, rho_step=0.05)
+                                rho_max=0.35, rho_step=0.25)
 
         from npagraph.cli import main
         target_dir = tmp_path / "target"
@@ -557,35 +557,35 @@ class TestCalibrateComposite:
         assert validate_model(res.model) is res.model
 
     def test_grid_fits_each_rho_once(self, fitted):
-        # The refined grid overlaps the coarse one; a rho already fitted is
-        # not fitted again, and grid values carry no float-step residue.
+        # The search's probes and the lattice points left in its final
+        # bracket overlap; a rho already fitted is not fitted again, and
+        # lattice values carry no float-step residue.
         res, _ = fitted
         rhos = [e["rho"] for e in res.report["grid"] if "objective" in e]
         assert len({round(r, 9) for r in rhos}) == len(rhos)
         assert all(r == round(r, 12) for r in rhos)
 
-    def test_infeasible_rho_skipped_with_log(self, monkeypatch):
-        # Above rho = 0.1 the complement's mean exceeds r_max = 2, so those
-        # grid points are skipped and the true rho is the best of the rest.
-        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
+    def test_infeasible_rho_skipped_with_log(self):
+        # Above rho = 0.1 the complement's mean exceeds r_max = 2, so the
+        # search's probes there are skipped and the true rho is the best of
+        # the rest.
         res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=2,
                                   rho_min=0.05, rho_max=0.35)
         skipped = [e for e in res.report["grid"] if "skipped" in e]
-        assert len(skipped) == 10
+        assert len(skipped) == 4
         assert all(e["rho"] > 0.1 for e in skipped)
         assert res.report["rho"] == 0.1
 
-    def test_infeasible_rho_is_not_counted(self, monkeypatch):
+    def test_infeasible_rho_is_not_counted(self):
         # A rho whose complement cannot be formed is skipped before any
         # solve: the trace counts only the rhos fitted, and the grid logs
         # the plain message, without a class name.
-        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
         res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=2,
                                   rho_min=0.05, rho_max=0.35)
         grid = res.report["grid"]
         fitted = [e for e in grid if "objective" in e]
         skipped = [e["skipped"] for e in grid if "skipped" in e]
-        assert (len(fitted), len(skipped)) == (3, 10)
+        assert (len(fitted), len(skipped)) == (5, 4)
         assert len(fitted) + len(skipped) == len(grid)
         trace = res.iterations
         assert (trace.evaluations, trace.solver_failures) == (len(fitted), 0)
@@ -648,8 +648,7 @@ class TestCalibrateComposite:
         assert abs(res.report["m_complement_achieved"]
                    - res.report["m_complement_target"]) <= 1e-9
 
-    def test_all_rho_infeasible(self, monkeypatch):
-        monkeypatch.setattr(calibrate, "RHO_OUTER_ITERATIONS", 1)
+    def test_all_rho_infeasible(self):
         comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
         target = _target_from(comp2, u=15)
         with pytest.raises(AllRhoInfeasible):
@@ -686,6 +685,70 @@ def test_measured_composite_rho_set_by_the_fit():
                    for e in res.report["grid"] if "skipped" in e), seed
     assert all(0.2 <= rho <= 0.3 for rho in rhos), rhos
     assert max(rhos) - min(rhos) <= 0.02, rhos
+
+
+@pytest.mark.parametrize("make_target, r_max",
+                         [(_composite_target, 3),
+                          (lambda: _grown_composite_target(7700), 50)],
+                         ids=["planted", "grown_7700"])
+def test_rho_search_finds_the_lattice_argmin(make_target, r_max):
+    # The reference is an exhaustive scan of the default lattice, 0.025 to
+    # 0.975 in steps of 0.005: the search returns its best rho, bit for
+    # bit, in at most 15 fits.
+    target = make_target()
+    profile = calibrate.component_profile(BaTreeSpec(), target)
+    lattice = np.round(0.025 + 0.005 * np.arange(191), 12)
+    scores = [calibrate._objective(calibrate._fit(
+                  target, WeightFunction.linear(g=1), target.m,
+                  max(1, target.edd.min_degree), r_max, OptimizerTrace(),
+                  profile, float(rho)))
+              for rho in lattice]
+    res = calibrate_composite(target, BaTreeSpec(), r_max=r_max)
+    assert res.report["rho"] == lattice[int(np.argmin(scores))]
+    assert res.objective == min(scores)
+    assert len(res.report["grid"]) <= 15
+
+
+@pytest.fixture(scope="module")
+def planted_fit():
+    """The planted composite target and its complement's fit at rho = 0.3."""
+    target = _composite_target()
+    profile = calibrate.component_profile(BaTreeSpec(), target)
+    return target, calibrate._fit(target, WeightFunction.linear(g=1), target.m,
+                                  1, 3, OptimizerTrace(), profile, 0.3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(last=st.integers(0, 190), where=st.floats(0.0, 1.0),
+       top=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(last=190, where=0.0, top=0.0, seed=0)
+@example(last=190, where=1.0, top=1.0, seed=0)
+def test_rho_search_of_unimodal_profiles(planted_fit, last, where, top, seed):
+    # The fits replaced by a strictly unimodal profile over the lattice
+    # 0.025 + 0.005 i, i = 0..last, infinite from some point above its
+    # minimum on (or nowhere): the search returns the profile's argmin and
+    # fits each point at most once.
+    target, fit = planted_fit
+    best = int(where * last)
+    block = best + 1 + int(top * (last - best))  # last + 1: no infinite block
+    rise = np.cumsum(np.random.default_rng(seed).exponential(size=last + 1) + 1e-9)
+    profile = np.abs(rise - rise[best])
+    profile[block:] = np.inf
+    calls = []
+
+    def profiled(target, weight, m, g_cmp, r_max, trace, first, rho):
+        calls.append(i := round((rho - 0.025) / 0.005))
+        if profile[i] == np.inf:
+            return InfeasibleComplement("complement mean outside [1, 3]")
+        return replace(fit, distance=float(profile[i]), vdd_tv_error=0.0,
+                       report={**fit.report, "rho": rho})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibrate, "_fit", profiled)
+        res = calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.025,
+                                  rho_max=0.025 + 0.005 * last)
+    assert res.report["rho"] == round(0.025 + 0.005 * best, 12)
+    assert len(calls) == len(set(calls))
 
 
 def test_measured_aer_rho_is_the_written_share():
