@@ -11,7 +11,7 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyGraph", "EmptyInput",

@@ -4,8 +4,9 @@ The increment law of a candidate is not searched for: for fixed weights the
 stationary vertex degree recurrence is linear in it, so it follows from the
 target's vertex distribution by one small L1 program, solved exactly by a
 simplex in numpy. Each candidate is scored by the Euclidean distance
-between the model's edge degree matrix and the empirical one over a degree
-window, plus the total-variation error of the vertex degree distribution.
+between the model's edge degree matrix and the empirical one over the
+target's degree window [g, u], plus the total-variation error of the vertex
+degree distribution.
 Natural linear weights are tried first; a parametric power-weight family is
 only brought in when the linear phase misses tolerance, its exponent found
 by a golden-section search, and on ties the model with fewer free
@@ -72,8 +73,9 @@ class CalibrationTarget:
     """Empirical distributions a model should reproduce.
 
     u is the comparison extent: the distance is evaluated on the degree
-    window [g, u] squared. mean_increment defaults to half the mean degree of
-    the vertex distribution.
+    window [g, u] squared, g the least degree of both the fits and the edge
+    matrix; an empty window raises WindowExceedsMatrix. mean_increment
+    defaults to half the mean degree of the vertex distribution.
     """
 
     vdd: DegreeDistribution
@@ -90,6 +92,13 @@ class CalibrationTarget:
         if self.edd.max_degree < self.u:
             raise WindowExceedsMatrix(f"edge matrix extent {self.edd.max_degree} "
                                       f"is below u = {self.u}")
+        if self.g > self.u:
+            raise WindowExceedsMatrix(f"the edge matrix starts at degree {self.g}, "
+                                      f"above u = {self.u}")
+
+    @property
+    def g(self) -> int:
+        return max(R_MIN, self.edd.min_degree)
 
     @property
     def m(self) -> float:
@@ -398,47 +407,26 @@ def _solve(model: NpaModelSpec, u: int) -> tuple[VddSolution, EdgeDegreeMatrix]:
     return sol, symmetrize(solve_arc_dd(model, sol, u))
 
 
-def _score(model: NpaModelSpec, target: CalibrationTarget, g_cmp: int,
-           trace: OptimizerTrace, first: ComponentProfile | None = None,
-           rho: float = 0.0) -> CalibrationResult:
-    """The candidate solved, mixed at vertex share rho with the first
-    component when one is given, and scored on the window [g_cmp, target.u].
-
-    The trace counts a candidate that solves; _fit counts one that fails.
-    The report holds the solve's mean weight and control residual.
-    """
-    sol, theta = _solve(model, target.u)
-    trace.evaluations += 1
-    vdd = sol.q
-    if first is not None:
-        theta = mix_edd([(first.edd, first.m, rho),
-                         (theta, model.increments.mean, 1.0 - rho)])
-        vdd = mix_vdd([(first.vdd, rho), (vdd, 1.0 - rho)])
-    return CalibrationResult(
-        model=model, distance=edd_distance(theta, target.edd, g_cmp, target.u),
-        vdd_tv_error=vdd.tv_distance(target.vdd), iterations=trace, edd=theta,
-        report={"mean_weight": sol.mean_weight,
-                "control_residual": sol.control_residual})
-
-
 def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
-         g_cmp: int, r_max: int, trace: OptimizerTrace,
-         first: ComponentProfile | None = None, rho: float = 0.0
-         ) -> CalibrationResult | NpaGraphError:
+         r_max: int, trace: OptimizerTrace, first: ComponentProfile | None = None,
+         rho: float = 0.0) -> CalibrationResult | NpaGraphError:
     """The candidate with these weights whose increments, of mean m, invert
-    the target's VDD, scored by _score; or the error that skipped it.
+    the target's VDD, solved, mixed at vertex share rho with the first
+    component when one is given, and scored on the target's window; or the
+    error that skipped it. The report holds the solve's mean weight and
+    control residual.
 
-    With a first component at vertex share rho, the mean and VDD inverted
-    are the complement's, implied by the mixture equations, and the report
-    adds rho and that mean. The complement VDD is the exact inverse of the
-    mixture, negative entries kept, so the L1 fit weighs them like any
-    other misfit. The mean weight phi is 2m for linear weights (the control
-    identity), otherwise the inverted VDD's sum f_k Q_k.
+    With a first component, the mean and VDD inverted are the complement's,
+    implied by the mixture equations. The complement VDD is the exact
+    inverse of the mixture, negative entries kept, so the L1 fit weighs
+    them like any other misfit. The mean weight phi is 2m for linear weights
+    (the control identity), otherwise the inverted VDD's sum f_k Q_k.
 
     One failure rule for every candidate: one that cannot be formed, its
     mean outside [R_MIN, r_max] (InfeasibleComplement), is skipped before
     any solve and not counted; a SolverFailure of its increment fit or of
-    its solve is recorded in the trace, and the candidate is skipped.
+    its solve is recorded in the trace, and the candidate is skipped. The
+    trace counts every candidate that solves.
     """
     q = target.vdd
     try:
@@ -448,15 +436,23 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
         phi = 2.0 * m if weight.rule == "linear" else _mean_weight(q, weight)
         model = NpaModelSpec(weights=weight, increments=_invert_vdd(
             q, weight, m, phi, target.u, r_max))
-        candidate = _score(model, target, g_cmp, trace, first, rho)
+        sol, theta = _solve(model, target.u)
     except InfeasibleComplement as exc:
         return exc
     except SolverFailure as exc:
         trace.record_failure(exc)
         return exc
+    trace.evaluations += 1
+    vdd = sol.q
     if first is not None:
-        candidate.report.update({"rho": rho, "m_complement_target": m})
-    return candidate
+        theta = mix_edd([(first.edd, first.m, rho),
+                         (theta, model.increments.mean, 1.0 - rho)])
+        vdd = mix_vdd([(first.vdd, rho), (vdd, 1.0 - rho)])
+    return CalibrationResult(
+        model=model, distance=edd_distance(theta, target.edd, target.g, target.u),
+        vdd_tv_error=vdd.tv_distance(target.vdd), iterations=trace, edd=theta,
+        report={"mean_weight": sol.mean_weight,
+                "control_residual": sol.control_residual})
 
 
 def _objective(candidate: CalibrationResult | NpaGraphError) -> float:
@@ -487,17 +483,16 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     """
     if weight_mode not in ("linear", "table-free"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
-    g_cmp = max(R_MIN, target.edd.min_degree)
     m = min(max(target.m, float(R_MIN)), float(r_max))
     trace = OptimizerTrace()
-    best = _fit(target, WeightFunction.linear(g=R_MIN), m, g_cmp, r_max, trace)
+    best = _fit(target, WeightFunction.linear(g=R_MIN), m, r_max, trace)
     phase = 1
     if weight_mode == "table-free" and _objective(best) > PHASE2_THRESHOLD:
         fits = []
 
         def at(alpha: float) -> float:
             fits.append(_fit(target, WeightFunction.power(alpha, g=R_MIN), m,
-                             g_cmp, r_max, trace))
+                             r_max, trace))
             return _objective(fits[-1])
 
         _golden_section(at, ALPHA_MIN, 1.0, ALPHA_XATOL)
@@ -513,7 +508,7 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
         "objective": best.objective,
         "mean_increment": best.model.increments.mean,
         "mean_increment_target": m,
-        "window": [g_cmp, target.u],
+        "window": [target.g, target.u],
         "target_meta": dict(target.source_meta),
     })
     if phase == 2:
@@ -602,13 +597,14 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     measured has. The complement mean (m - rho m1) / (1 - rho) is monotone
     in rho and m at rho = 0, so the rhos skipped for it form one block at
     the top: a tie of two infinite probes moves the bracket down.
+    The winner's rho is its lattice point, and its complement mean follows
+    from the mixture equations, as in _fit.
     rho is the first component's vertex share of the written graph. The
     composite, written for TOTAL_N vertices, gives it the growth budget
     whose pruned graph holds that share, rho / (kept (1 - rho) + rho): rho
     itself for a growth model (kept = 1).
     """
     profile = component_profile(first, target)
-    g_cmp = max(R_MIN, target.edd.min_degree)
     linear = WeightFunction.linear(g=R_MIN)
 
     h = rho_step / RHO_REFINE_FACTOR
@@ -616,12 +612,15 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     grid_log: list[dict] = []
     trace = OptimizerTrace()
 
+    def rho_at(i: int) -> float:
+        return round(rho_min + i * h, 12)
+
     def at(x: float) -> float:
         i = int(round(x))
         if i not in fits:
-            rho = round(rho_min + i * h, 12)
-            fits[i] = candidate = _fit(target, linear, target.m, g_cmp, r_max,
-                                       trace, profile, rho)
+            rho = rho_at(i)
+            fits[i] = candidate = _fit(target, linear, target.m, r_max, trace,
+                                       profile, rho)
             entry = {"rho": rho}
             if isinstance(candidate, CalibrationResult):
                 entry["objective"] = candidate.objective
@@ -637,14 +636,15 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
                            RHO_REFINE_FACTOR)
     for i in range(math.ceil(a), math.floor(b) + 1):
         at(i)
-    best = fits[min(fits, key=lambda i: (_objective(fits[i]), i))]
+    i_best = min(fits, key=lambda i: (_objective(fits[i]), i))
+    best = fits[i_best]
     if not isinstance(best, CalibrationResult):
         raise AllRhoInfeasible(
             "no vertex fraction searched admitted a feasible complement"
             + "".join(f"; {count} failed with {name}"
                       for name, count in trace.failure_types.items()))
 
-    rho = best.report["rho"]
+    rho = rho_at(i_best)
     complement: NpaModelSpec = best.model
     m2 = complement.increments.mean
     m_mix = rho * profile.m + (1.0 - rho) * m2
@@ -659,10 +659,10 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
         "gamma": gamma,
         "m_first": profile.m,
         "m_total_target": target.m,
-        "m_complement_target": best.report["m_complement_target"],
+        "m_complement_target": complement_mean(target.m, profile.m, rho),
         "m_complement_achieved": m2,
         "grid": grid_log,
-        "window": [g_cmp, target.u],
+        "window": [target.g, target.u],
         "target_meta": dict(target.source_meta),
     }
     return replace(best, model=composite, report=report)

@@ -1,16 +1,18 @@
 """Command-line entry point for reproducible batch workflows.
 
-Every command writes a manifest.json capturing its resolved parameters and
-the toolkit version; `npagraph rerun manifest.json --out DIR` re-executes the
-recorded run and reproduces the data files byte for byte.
+A command writes only its data files; `main` then writes the run's
+manifest.json, capturing its resolved parameters and the toolkit version, and
+`npagraph rerun manifest.json --out DIR` re-executes the recorded run and
+reproduces the data files byte for byte.
 
 The parser alone checks the settings: a flag's type holds its range,
 `generate` takes a spec or --preset in a mutually exclusive group, and
 --rho-min <= --rho-max follows the parse. `rerun` parses the command line
 its manifest records, so a manifest is checked like a typed command.
-What depends on input data raises a typed error that `main` maps to an exit
-code: 0 success, 2 input error (a setting the parser rejects among them), 3
-compute error, 4 no feasible vertex fraction in a composite calibration.
+What depends on input data raises a typed error that `main` alone maps to
+an exit code: 0 success, 2 input error (a setting the parser rejects among
+them), 3 compute error, 4 no feasible vertex fraction in a composite
+calibration, which still writes report.json and the manifest.
 
 A process starts on what every command uses (errors, models, solver and
 calibrate); the growth and edge-list modules, and the process pool of
@@ -33,9 +35,9 @@ from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, R_MIN, TOTAL_N,
                         calibrate_composite, calibrate_single, edd_distance,
                         preset_brightkite, preset_gowalla, select_u)
 from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
-                     MalformedLine, NpaGraphError, SolverFailure,
-                     ValidationError, Violation, WindowExceedsMatrix,
-                     ZeroTotalWeight)
+                     InsufficientTail, MalformedLine, NpaGraphError,
+                     SolverFailure, ValidationError, Violation,
+                     WindowExceedsMatrix, ZeroTotalWeight)
 from .models import (AerModelSpec, BaTreeSpec, NpaModelSpec, dump_model,
                      load_model, size_violations, validate_model)
 from .solver import (VARIANTS, _matrix_csv, edd_from_csv, edd_to_csv,
@@ -71,8 +73,7 @@ def _load_spec(path: str):
     return validate_model(load_model(Path(path).read_text()))
 
 
-def cmd_solve(params: dict) -> int:
-    out = Path(params["out"])
+def cmd_solve(params: dict, out: Path) -> None:
     spec = _load_spec(params["spec"])
     if not isinstance(spec, NpaModelSpec):
         raise ValidationError([Violation(
@@ -92,8 +93,6 @@ def cmd_solve(params: dict) -> int:
         "edd_truncation_mass": theta.truncation_mass,
         "recurrence_variant": params["variant"],
     })
-    _write_manifest(out, "solve", params)
-    return EXIT_OK
 
 
 def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
@@ -109,8 +108,7 @@ def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
     return {"rep": rep, "vertices": graph.vertex_count, "edges": graph.edge_count}
 
 
-def cmd_generate(params: dict) -> int:
-    out = Path(params["out"])
+def cmd_generate(params: dict, out: Path) -> None:
     if params["preset"]:
         spec = {"gowalla": preset_gowalla,
                 "brightkite": preset_brightkite}[params["preset"]](params["n"])
@@ -132,12 +130,9 @@ def cmd_generate(params: dict) -> int:
     else:
         infos = [_generate_one(*job) for job in jobs]
     _write_json(out / "runs.json", {"replications": infos})
-    _write_manifest(out, "generate", params)
-    return EXIT_OK
 
 
-def cmd_ingest(params: dict) -> int:
-    out = Path(params["out"])
+def cmd_ingest(params: dict, out: Path) -> None:
     from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
                            vdd_counts_csv)
     from .growth import measure_edd, measure_vdd
@@ -160,12 +155,9 @@ def cmd_ingest(params: dict) -> int:
         "duplicates_collapsed": stats.duplicates_collapsed,
         "max_degree": max_deg,
     })
-    _write_manifest(out, "ingest", params)
-    return EXIT_OK
 
 
-def cmd_calibrate(params: dict) -> int:
-    out = Path(params["out"])
+def cmd_calibrate(params: dict, out: Path) -> None:
     target_dir = Path(params["target"])
     vdd = vdd_from_csv((target_dir / "vdd.csv").read_text())
     edd = edd_from_csv((target_dir / "edd.csv").read_text())
@@ -178,21 +170,14 @@ def cmd_calibrate(params: dict) -> int:
                                mean_increment=meta.get("derived_m"),
                                source_meta=meta)
     r_max = params["rmax"]
-    try:
-        if params["mode"] == "single":
-            result = calibrate_single(target, params["weights"], r_max)
-        else:
-            first = BaTreeSpec() if params["first"] == "ba-tree" else AerModelSpec(
-                n1=int(round(GOWALLA_RHO * TOTAL_N)), a=params["aer_a"])
-            result = calibrate_composite(target, validate_model(first), r_max,
-                                         params["rho_min"], params["rho_max"],
-                                         params["rho_step"])
-    except AllRhoInfeasible as exc:
-        _write_json(out / "report.json", {"error": str(exc)})
-        _write_manifest(out, "calibrate", params)
-        print(f"optimization incomplete: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
-
+    if params["mode"] == "single":
+        result = calibrate_single(target, params["weights"], r_max)
+    else:
+        first = BaTreeSpec() if params["first"] == "ba-tree" else AerModelSpec(
+            n1=int(round(GOWALLA_RHO * TOTAL_N)), a=params["aer_a"])
+        result = calibrate_composite(target, validate_model(first), r_max,
+                                     params["rho_min"], params["rho_max"],
+                                     params["rho_step"])
     _write(out / "model.json", dump_model(result.model) + "\n")
     _write_json(out / "report.json", {
         "distance": result.distance,
@@ -203,21 +188,18 @@ def cmd_calibrate(params: dict) -> int:
         "details": result.report,
     })
     _write(out / "edd_compare.csv", _comparison_csv(result, target))
-    _write_manifest(out, "calibrate", params)
-    return EXIT_OK
 
 
 def _comparison_csv(result: CalibrationResult, target: CalibrationTarget
                     ) -> str:
-    """A fit's edge probabilities against the target's over the window it
-    was scored on."""
-    g, u = result.report["window"]
+    """A fit's edge probabilities against the target's over the target's
+    window, the one it was scored on."""
+    g, u = target.g, target.u
     return _matrix_csv("l,k,model,target", g, result.edd.window(g, u),
                        target.edd.window(g, u))
 
 
-def cmd_compare(params: dict) -> int:
-    out = Path(params["out"])
+def cmd_compare(params: dict, out: Path) -> None:
     a = edd_from_csv(Path(params["edd_a"]).read_text())
     b = edd_from_csv(Path(params["edd_b"]).read_text())
     g = params["g"] if params["g"] is not None else max(a.min_degree, b.min_degree)
@@ -226,9 +208,7 @@ def cmd_compare(params: dict) -> int:
     _write(out / "diff.csv",
            _matrix_csv("l,k,difference", g, a.window(g, u) - b.window(g, u)))
     _write_json(out / "distance.json", {"distance": distance, "g": g, "u": u})
-    _write_manifest(out, "compare", params)
     print(repr(distance))
-    return EXIT_OK
 
 
 _DISPATCH = {
@@ -287,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=at_least_1, default=1)
     p.add_argument("--u", type=at_least_1, default=300,
                    help="extent of the measured edge matrix")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=at_least_1, default=1)
     _add_out(p)
 
     p = sub.add_parser("ingest", help="ingest a network edge list")
@@ -373,13 +353,23 @@ def _parse(argv: list[str] | None) -> tuple[str, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, write its manifest, and return its exit code."""
     try:
         command, params = _parse(argv)
-        return _DISPATCH[command](params)
+        out = Path(params["out"])
+        code = EXIT_OK
+        try:
+            _DISPATCH[command](params, out)
+        except AllRhoInfeasible as exc:
+            _write_json(out / "report.json", {"error": str(exc)})
+            print(f"optimization incomplete: {exc}", file=sys.stderr)
+            code = EXIT_INCOMPLETE
+        _write_manifest(out, command, params)
+        return code
     except SystemExit as exc:  # the parser's: --help, or a rejected setting
         return exc.code
     except (ValidationError, MalformedLine, EmptyInput, EmptyGraph,
-            InputTooLarge, WindowExceedsMatrix, OSError,
+            InputTooLarge, InsufficientTail, WindowExceedsMatrix, OSError,
             json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

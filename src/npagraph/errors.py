@@ -78,7 +78,7 @@ class EmptyInput(NpaGraphError):
 
 class InputTooLarge(NpaGraphError):
     """A degree-distribution CSV spans more degrees than its dense array can
-    hold in memory."""
+    hold in memory, or than numpy can index."""
 
 
 class WindowExceedsMatrix(NpaGraphError):

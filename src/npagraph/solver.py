@@ -678,11 +678,12 @@ def _parses(line: str, width: int) -> bool:
 
 def _dense_zeros(lo: int, hi: int, ndim: int) -> np.ndarray:
     """Zeros over degrees lo..hi along each of `ndim` axes; InputTooLarge
-    when they do not fit in memory."""
+    when they do not fit in memory, or are more than numpy can index (a
+    ValueError)."""
     shape = (hi - lo + 1,) * ndim
     try:
         return np.zeros(shape)
-    except MemoryError:
+    except (MemoryError, ValueError):
         raise InputTooLarge(
             f"degrees {lo} to {hi} span {hi - lo + 1}: a dense "
             f"{' x '.join(map(str, shape))} array does not fit in memory"

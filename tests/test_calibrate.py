@@ -368,6 +368,18 @@ class TestCalibrateSingle:
             CalibrationTarget(vdd=target.vdd, edd=target.edd,
                               u=target.edd.max_degree + 5)
 
+    def test_empty_window_rejected_at_construction(self):
+        # An edge matrix from degree 5 leaves [g, u] = [5, 4] empty. 0.24.0
+        # took the target and failed only after a fit and a solve, naming
+        # the model's matrix.
+        target = _target_from(_model((1.0,)), u=10)
+        edd = EdgeDegreeMatrix(min_degree=5, entries=target.edd.window(5, 10))
+        with pytest.raises(WindowExceedsMatrix, match="starts at degree 5, "
+                                                      "above u = 4"):
+            CalibrationTarget(vdd=target.vdd, edd=edd, u=4)
+        assert CalibrationTarget(vdd=target.vdd, edd=edd, u=5).g == 5
+        assert target.g == 1
+
     def test_table_free_enters_second_phase(self, monkeypatch):
         # A sublinear-weight target cannot be matched by linear weights, so
         # the exponent search must engage and improve the fit.
@@ -699,9 +711,8 @@ def test_rho_search_finds_the_lattice_argmin(make_target, r_max):
     profile = calibrate.component_profile(BaTreeSpec(), target)
     lattice = np.round(0.025 + 0.005 * np.arange(191), 12)
     scores = [calibrate._objective(calibrate._fit(
-                  target, WeightFunction.linear(g=1), target.m,
-                  max(1, target.edd.min_degree), r_max, OptimizerTrace(),
-                  profile, float(rho)))
+                  target, WeightFunction.linear(g=1), target.m, r_max,
+                  OptimizerTrace(), profile, float(rho)))
               for rho in lattice]
     res = calibrate_composite(target, BaTreeSpec(), r_max=r_max)
     assert res.report["rho"] == lattice[int(np.argmin(scores))]
@@ -715,7 +726,7 @@ def planted_fit():
     target = _composite_target()
     profile = calibrate.component_profile(BaTreeSpec(), target)
     return target, calibrate._fit(target, WeightFunction.linear(g=1), target.m,
-                                  1, 3, OptimizerTrace(), profile, 0.3)
+                                  3, OptimizerTrace(), profile, 0.3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -736,7 +747,7 @@ def test_rho_search_of_unimodal_profiles(planted_fit, last, where, top, seed):
     profile[block:] = np.inf
     calls = []
 
-    def profiled(target, weight, m, g_cmp, r_max, trace, first, rho):
+    def profiled(target, weight, m, r_max, trace, first, rho):
         calls.append(i := round((rho - 0.025) / 0.005))
         if profile[i] == np.inf:
             return InfeasibleComplement("complement mean outside [1, 3]")

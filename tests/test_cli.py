@@ -1,11 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from npagraph import (BaTreeSpec, DegreeDistribution, IncrementDistribution,
-                      NpaModelSpec,
+from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
+                      IncrementDistribution, NpaModelSpec,
                       WeightFunction, dump_model, solve_arc_dd, solve_vdd,
                       symmetrize)
 from npagraph.cli import main
@@ -43,16 +46,26 @@ def _tree_bytes(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with these arguments, the package's source
+    first on its path, so that it imports npagraph uninstalled."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
 def _modules_after(code: str, *roots: str) -> list[str]:
     """The modules at or under roots that a fresh interpreter holds after
     running code."""
-    import subprocess
-    import sys
     code += ("\nimport json, sys\n"
              "print(json.dumps(sorted(m for m in sys.modules if any(\n"
              f"    m == r or m.startswith(r + '.') for r in {roots!r}))))\n")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -400,6 +413,17 @@ class TestIngestCommand:
         assert main(["ingest", str(data), "--out", str(tmp_path / "o")]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_tail_too_short_to_smooth_exit_2(self, tmp_path, capsys):
+        # A 50-vertex cycle has no degree in the fitted tail: the input, not
+        # the computation, is at fault. 0.24.0 exited 3 with "error:".
+        data = tmp_path / "net.txt"
+        data.write_text("".join(f"{i} {(i + 1) % 50}\n" for i in range(50)))
+        out = tmp_path / "o"
+        assert main(["ingest", str(data), "--smooth", "tail-powerlaw",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error: only 0 nonzero")
+        assert not out.exists()
+
 
 class TestRerunDeterminism:
     def _assert_twin_runs(self, first, second):
@@ -514,6 +538,7 @@ class TestSettingsChecked:
         ("generate", "--u", 0),
         ("generate", "--reps", 0),
         ("generate", "--seed", -1),  # 0.21.0 wrote model.json, then failed
+        ("generate", "--threads", -3),  # 0.24.0 ran it and recorded it
         ("ingest", "--edd-extent", 0),
         ("ingest", "--u-mass", float("nan")),
         ("calibrate", "--rmax", 0),
@@ -573,18 +598,30 @@ class TestSettingsChecked:
 
     def test_only_main_returns_exit_input(self):
         # The parser checks the settings and the commands raise typed
-        # errors, so main alone maps a failure to exit code 2.
+        # errors; a command writes its data files and returns nothing, and
+        # main alone writes the manifest and returns every exit code.
         import ast
 
         import npagraph.cli as cli
         tree = ast.parse(Path(cli.__file__).read_text())
-        returning = sorted(
-            func.name for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef)
-            for node in ast.walk(func) if isinstance(node, ast.Return)
-            and (isinstance(node.value, ast.Name) and node.value.id == "EXIT_INPUT"
-                 or isinstance(node.value, ast.Constant) and node.value.value == 2))
-        assert returning == ["main"]
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+
+        def returned(func):
+            return [node.value for node in ast.walk(func)
+                    if isinstance(node, ast.Return) and node.value is not None]
+
+        def exit_code(value):
+            return (isinstance(value, ast.Name) and value.id.startswith("EXIT_")
+                    or isinstance(value, ast.Constant)
+                    and type(value.value) is int)
+
+        assert [f.name for f in functions
+                if any(map(exit_code, returned(f)))] == ["main"]
+        commands = {f.name: returned(f) for f in functions
+                    if f.name.startswith("cmd_")}
+        assert commands == {f"cmd_{c}": [] for c in cli._DISPATCH}
+        assert len([node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_write_manifest"]) == 1
 
 
 class TestEnvironment:
@@ -595,10 +632,7 @@ class TestEnvironment:
         assert (tmp_path / "envout" / "solution.json").exists()
 
     def test_console_entry_point(self):
-        import subprocess
-        import sys
-        proc = subprocess.run([sys.executable, "-m", "npagraph.cli", "--help"],
-                              capture_output=True, text=True)
+        proc = _python("-m", "npagraph.cli", "--help")
         assert proc.returncode == 0
         assert "solve" in proc.stdout and "calibrate" in proc.stdout
 
@@ -712,8 +746,6 @@ class TestStartup:
         _modules_after(code)
 
     def test_process_entry_freezes(self, tmp_path):
-        import subprocess
-        import sys
         import tomllib
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
@@ -727,8 +759,7 @@ class TestStartup:
                 "    run()\n"
                 "except SystemExit as exc:\n"
                 "    print(exc.code, gc.get_freeze_count() > 0)\n")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+        proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 True"
 
@@ -784,13 +815,16 @@ class TestCompareCommand:
     @pytest.mark.parametrize("text", ["l,k,probability\n",
                                       "l,k,probability\n1,1,0.5\n1,2\n",
                                       "l,k,probability\n1,1,0.5\n1,2,nan\n",
-                                      "l,k,probability\n1,1,-0.5\n1,2,1.5\n"])
+                                      "l,k,probability\n1,1,-0.5\n1,2,1.5\n",
+                                      # numpy cannot index it (0.24.0: exit 1)
+                                      f"l,k,probability\n1,1,0.5\n{10**12},1,0.5\n"])
     def test_unreadable_matrix_is_input_error(self, tmp_path, capsys, text):
         a = self._write_edd(tmp_path / "a.csv")
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         assert main(["compare", str(a), str(bad), "--out", str(tmp_path / "c")]) == 2
         assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("window", [["--u", "100000"], ["--g", "0"]])
     def test_window_outside_matrix_is_input_error(self, tmp_path, capsys,
@@ -805,8 +839,6 @@ class TestCompareCommand:
         # matrix. Under a 2 GiB address-space limit, set by the child on
         # itself, the allocation fails and must surface as InputTooLarge.
         resource = pytest.importorskip("resource")
-        import subprocess
-        import sys
         small, big = tmp_path / "small.csv", tmp_path / "big.csv"
         small.write_text("l,k,probability\n1,1,1.0\n")
         big.write_text("l,k,probability\n1,1,0.5\n30000,1,0.5\n")
@@ -826,8 +858,7 @@ class TestCompareCommand:
             "    print('vdd:', exc)\n"
             f"sys.exit(main(['compare', {str(small)!r}, {str(big)!r},\n"
             f"                '--out', {str(tmp_path / 'c')!r}]))\n")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+        proc = _python("-c", code)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout.startswith("vdd: degrees 1 to 900000000 span")
         assert "input error: degrees 1 to 30000 span 30000" in proc.stderr
@@ -835,11 +866,31 @@ class TestCompareCommand:
 
 
 class TestCalibrateCommand:
+    def test_empty_window_exit_2_before_any_fit(self, tmp_path, capsys,
+                                                monkeypatch):
+        # An edge matrix from degree 5 and --u 4 leave no window; 0.24.0
+        # fitted and solved a candidate before it failed.
+        from npagraph import cli
+        monkeypatch.setattr(cli, "calibrate_single", None)
+        target_dir = _write_ba_target(tmp_path / "target")
+        edd = edd_from_csv((target_dir / "edd.csv").read_text())
+        (target_dir / "edd.csv").write_text(edd_to_csv(EdgeDegreeMatrix(
+            min_degree=5, entries=edd.window(5, edd.max_degree))))
+        out = tmp_path / "fit"
+        assert main(["calibrate", str(target_dir), "--u", "4",
+                     "--out", str(out)]) == 2
+        assert ("input error: the edge matrix starts at degree 5, above u = 4"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("name,text", [
         ("edd.csv", "l,k,probability\n"),
         ("edd.csv", "l,k,probability\n1,2\n"),
         ("vdd.csv", "degree,probability\n"),
         ("vdd.csv", "degree,probability\n1,0.5\n2\n"),
+        # numpy cannot index these (0.24.0: exit 1, a traceback)
+        ("vdd.csv", f"degree,probability\n1,0.5\n{2**62},0.5\n"),
+        ("vdd.csv", f"degree,probability\n1,0.5\n{2**63 - 1},0.5\n"),
     ])
     def test_unreadable_target_is_input_error(self, tmp_path, capsys, name, text):
         target_dir = _write_ba_target(tmp_path / "target")
@@ -848,6 +899,7 @@ class TestCalibrateCommand:
                      str(tmp_path / "fit")])
         assert code == 2
         assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
 
     def test_single_mode_on_synthetic_target(self, tmp_path):
         model = NpaModelSpec(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
-                      EmptyInput, InfeasibleComplement,
+                      EmptyInput, InfeasibleComplement, InputTooLarge,
                       IncrementDistribution, MalformedLine, NoConvergence,
                       NpaModelSpec, ValidationError, WeightFunction,
                       WeightsNotConvex, WindowExceedsMatrix,
@@ -808,6 +808,17 @@ class TestCsv:
             vdd_from_csv("")
         with pytest.raises(EmptyInput):
             edd_from_csv("l,k,probability\n")
+
+    @pytest.mark.parametrize("read,text", [
+        (vdd_from_csv, f"degree,probability\n1,0.5\n{2**62},0.5\n"),
+        (vdd_from_csv, f"degree,probability\n1,0.5\n{2**63 - 1},0.5\n"),
+        (edd_from_csv, f"l,k,probability\n1,1,0.5\n{10**12},1,0.5\n"),
+    ])
+    def test_span_beyond_numpy_is_input_too_large(self, read, text):
+        # numpy refuses these shapes with a ValueError before it allocates
+        # anything; 0.24.0 let that escape.
+        with pytest.raises(InputTooLarge, match="does not fit in memory"):
+            read(text)
 
 
 def vdd_csv_060(q: DegreeDistribution) -> str:
