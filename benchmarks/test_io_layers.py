@@ -14,9 +14,9 @@ so the same file times any version of the writers and readers.
 import numpy as np
 import pytest
 
-from npagraph import (EdgeDegreeMatrix, Graph, RngStream, grow_composite,
-                      load_edge_list, measure_edd, preset_gowalla,
-                      write_edge_list)
+from npagraph import (EdgeDegreeMatrix, Graph, MalformedLine, RngStream,
+                      grow_composite, load_edge_list, measure_edd,
+                      preset_gowalla, write_edge_list)
 from npagraph.datasets import id_map_csv
 from npagraph.solver import edd_from_csv, edd_to_csv
 
@@ -71,8 +71,51 @@ def test_load_edge_list(benchmark, grown, tmp_path_factory):
     assert graph.edge_count > 0
 
 
+@pytest.fixture(scope="module")
+def commented_lines(grown, tmp_path_factory):
+    """The lines of the grown graph's edge list, with a '%' comment after
+    its first half of pairs: load_edge_list's read by path rejects it."""
+    path = tmp_path_factory.mktemp("edges") / "edges.txt"
+    with open(path, "w") as fh:
+        write_edge_list(grown, fh)
+    lines = path.read_text().splitlines(keepends=True)
+    middle = len(lines) // 2
+    return lines[:middle] + ["% mid-file comment\n"] + lines[middle:]
+
+
+def test_load_edge_list_commented(benchmark, commented_lines, tmp_path):
+    """A '%' comment past the header: the text is read a block of lines at
+    a time."""
+    path = tmp_path / "out.gowalla"
+    path.write_text("".join(commented_lines))
+    graph, _ = benchmark(load_edge_list, path)
+    assert graph.edge_count > 0
+
+
+def test_load_edge_list_bad_last_line(benchmark, commented_lines, tmp_path):
+    """That list with a bad last line, which the block reader names."""
+    path = tmp_path / "out.gowalla"
+    path.write_text("".join(commented_lines) + "1 x\n")
+
+    def read():
+        with pytest.raises(MalformedLine) as err:
+            load_edge_list(path)
+        return err.value
+    assert benchmark(read).line_no == len(commented_lines) + 1
+
+
 def test_edd_from_csv(benchmark, matrix):
     back = benchmark(edd_from_csv, edd_to_csv(matrix))
+    assert np.array_equal(back.entries, matrix.entries)
+
+
+def test_edd_from_csv_repeated_header(benchmark, matrix):
+    """The header repeated in the middle: the text is read a block of lines
+    at a time."""
+    lines = edd_to_csv(matrix).splitlines(keepends=True)
+    middle = len(lines) // 2
+    text = "".join(lines[:middle] + [lines[0]] + lines[middle:])
+    back = benchmark(edd_from_csv, text)
     assert np.array_equal(back.entries, matrix.entries)
 
 

@@ -13,17 +13,15 @@ import gzip
 import itertools
 import logging
 import math
-import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO, Union
 
 import numpy as np
 
-from .errors import EmptyGraph, EmptyInput, InsufficientTail, MalformedLine
+from .errors import EmptyGraph, EmptyInput, InsufficientTail
 from .models import DegreeDistribution, Graph
-from .solver import _column_csv
+from .solver import _column_csv, _loadtxt, _read_blocks
 
 log = logging.getLogger(__name__)
 
@@ -65,70 +63,49 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, ParseStats]:
     lines from a Python iterator, but strips only '#' comments on that
     route. So the leading comment block ('#' or KONECT's '%') is skipped by
     its line count, and a file that this read rejects, for example one with
-    a '%' comment further down, goes through _edge_tokens over its lines,
-    which names the bad line.
+    a '%' comment further down, is read again by _edge_tokens a block of
+    lines at a time, and np.loadtxt's rejection of a block names its bad
+    line.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "rt") as fh:
-        header = sum(1 for _ in itertools.takewhile(_is_header_line, fh))
-        try:
-            with warnings.catch_warnings():  # comment-only text is no error
-                warnings.simplefilter("ignore", UserWarning)
-                pairs = np.loadtxt(str(path), dtype=np.int64, comments="#",
-                                   skiprows=header, ndmin=2)
-        except ValueError:
-            pairs = None
+        header = sum(1 for _ in itertools.takewhile(  # blank or comment
+            lambda ln: not ln.strip() or ln.lstrip()[0] in "#%", fh))
+        pairs = _loadtxt(str(path), dtype=np.int64, comments="#",
+                         skiprows=header, ndmin=2)
         if pairs is None or (pairs.shape[1] != 2 and pairs.size):
             fh.seek(0)
             pairs = _edge_tokens(fh)
     return _simple_graph(pairs.reshape(-1, 2))
 
 
-def _is_header_line(line: str) -> bool:
-    """Whether the line may stand in an edge list's leading block: blank, or
-    a '#' or '%' comment."""
-    return not line.strip() or line.lstrip()[0] in "#%"
-
-
-_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
-
-
 def _edge_tokens(fh: TextIO) -> np.ndarray:
-    """The (E, 2) int64 array of the id pairs in an open, seekable edge-list
-    text, in file order.
+    """The (E, 2) int64 array of the id pairs in an edge-list text, in file
+    order, read by _read_blocks with _edge_pairs.
 
     A data line holds two integer ids separated by spaces or tabs. Text from
     a '#' or '%' to the end of its line is a comment, so a pair may carry a
     trailing comment; blank lines are skipped, and CRLF line ends are
     accepted. Any other line, or an id outside int64, raises MalformedLine
-    with its 1-based line number. The text is parsed in one np.loadtxt call;
-    lines are scanned one by one only after that call has failed.
+    with its 1-based line number.
+    """
+    return _read_blocks(fh, _edge_pairs)
+
+
+def _edge_pairs(lines: list[str]) -> np.ndarray | None:
+    """The (E, 2) id pairs of the lines, or None when np.loadtxt rejects one.
 
     np.loadtxt strips comments in its C tokenizer only when given a single
     comment string; given two, it runs a Python function on every line. So
-    the lines are streamed to it with each '%' made a '#', which starts a
-    comment just as '%' does, and only '#' is passed.
+    each '%' is made a '#', which starts a comment just as '%' does, and
+    only '#' is passed.
     """
-    try:
-        with warnings.catch_warnings():  # comment-only text is no error here
-            warnings.simplefilter("ignore", UserWarning)
-            pairs = np.loadtxt((s.replace("%", "#") for s in fh),
-                               dtype=np.int64, comments="#", ndmin=2)
-    except ValueError:
-        pairs = None
-    if pairs is not None and (pairs.shape[1] == 2 or pairs.size == 0):
-        return pairs.reshape(-1, 2)
-    fh.seek(0)
-    for ln_no, raw in enumerate(fh, 1):
-        tokens = re.split("[#%]", raw, maxsplit=1)[0].split()
-        if tokens and (len(tokens) != 2 or not all(
-                _INT_TOKEN.fullmatch(t) and -2**63 <= int(t) < 2**63
-                for t in tokens)):
-            raise MalformedLine(ln_no, raw.rstrip("\r\n"))
-    # Only a carriage return inside a line, which np.loadtxt reads as a line
-    # break, gets here.
-    raise MalformedLine(0, "a carriage return inside a line")
+    pairs = _loadtxt([s.replace("%", "#") for s in lines], dtype=np.int64,
+                     comments="#", ndmin=2)
+    if pairs is None or (pairs.shape[1] != 2 and pairs.size):
+        return None
+    return pairs.reshape(-1, 2)
 
 
 def _simple_graph(raw: np.ndarray) -> tuple[Graph, ParseStats]:

@@ -27,8 +27,9 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -564,8 +565,11 @@ def mix_edd(parts: Sequence[tuple[EdgeDegreeMatrix, float, float]]
 # distinct value of a matrix once, since a measured EDD holds a few hundred
 # (counts / 2E) among its u^2 cells, and joins each row from those strings.
 # The reader hands the whole text to np.loadtxt as one buffer; only a text
-# that read rejects is split into lines, read again, and then scanned line by
-# line to name the first bad row.
+# that read rejects is read again a block of lines at a time, by _read_blocks.
+
+# Lines per np.loadtxt call once a reader's read of the whole text has failed.
+_READ_BLOCK = 1 << 14
+
 
 def _column_csv(header: str, *columns: Sequence) -> str:
     """The header, then one line per position of the equally long columns of
@@ -607,87 +611,110 @@ def _read_csv(text: str, header: str, skip: str,
     integer fields f0, f1, ... and a float last field.
 
     Lines starting with `skip` (the header, however often it repeats) and
-    empty lines are skipped. Every row has as many fields as the first one,
-    one of `columns`. A row that does not parse, has a negative integer
-    field, or has a last field (the probability) that is not a finite
-    number >= 0, raises MalformedLine with its 1-based line number; no row
-    at all raises EmptyInput.
+    empty lines are skipped; only \n, \r\n and \r end a line. Every row
+    has as many fields as the first one, one of `columns`. A row that
+    np.loadtxt rejects, that has a negative integer field, or whose last
+    field (the probability) is not a finite number >= 0, raises
+    MalformedLine with its 1-based line number; no row at all raises
+    EmptyInput.
 
     The text goes to np.loadtxt in one buffer, a leading header skipped by
-    count; in that read only \n, \r\n and \r end a line, where
-    str.splitlines also splits at form feeds and Unicode line separators.
-    A repeated header or a bad row fails that read, and the text is read
-    again as a list of its lines without those starting with `skip`.
+    count. A repeated header or a bad row fails that read, and the text is
+    read again by _read_blocks, each header line passed as a blank line.
     """
-    rows, _ = _loadtxt_rows(io.StringIO(text, newline=None),
-                            int(text.startswith(skip)), header, columns)
-    if rows is not None:
-        return rows
-    lines = text.splitlines()
-    rows, width = _loadtxt_rows([ln for ln in lines if not ln.startswith(skip)],
-                                0, header, columns)
-    if rows is not None:
-        return rows
-    for no, ln in enumerate(lines, 1):
-        if ln and not ln.startswith(skip) and not _parses(ln, width):
-            raise MalformedLine(no, ln)
-    # Not reached while _parses agrees with np.loadtxt.
-    raise MalformedLine(0, "a row np.loadtxt rejects")
-
-
-def _loadtxt_rows(lines, skiprows: int, header: str, columns: tuple[int, ...]
-                  ) -> tuple[np.ndarray | None, int]:
-    """One np.loadtxt read of the lines after the first `skiprows`, as
-    _read_csv's rows, and their width from the first non-empty line. The
-    rows are None when the read fails or a value breaks _parses's rule."""
-    first = next(filter(None, (ln.rstrip("\n") for ln in
-                               itertools.islice(lines, skiprows, None))), None)
+    buf = io.StringIO(text, newline=None)
+    first = next((ln for ln in buf if ln != "\n" and not ln.startswith(skip)),
+                 None)
     if first is None:
         raise EmptyInput(f"no {header} rows")
     width = first.count(",") + 1
     width = width if width in columns else columns[0]
     dtype = np.dtype(",".join(["i8"] * (width - 1) + ["f8"]))
-    if hasattr(lines, "seek"):
-        lines.seek(0)
+
+    def read(lines, skiprows=0):
+        rows = _loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                        skiprows=skiprows, ndmin=1)
+        if rows is None:
+            return None
+        prob = rows[dtype.names[-1]]
+        valid = (all((rows[f] >= 0).all() for f in dtype.names[:-1])
+                 and ((prob >= 0.0) & (prob < np.inf)).all())
+        return rows if valid else None
+
+    buf.seek(0)
+    rows = read(buf, int(text.startswith(skip)))
+    if rows is None:
+        buf.seek(0)
+        rows = _read_blocks(("\n" if ln.startswith(skip) else ln
+                             for ln in buf), read)
+    return rows
+
+
+def _loadtxt(lines, **kwargs) -> np.ndarray | None:
+    """np.loadtxt of the lines, or None where it raises ValueError. A text
+    without data gives no rows, without a warning."""
     try:
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                          skiprows=skiprows, ndmin=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(lines, **kwargs)
     except ValueError:
-        return None, width
-    prob = rows[dtype.names[-1]]
-    valid = (all(rows[f].min() >= 0 for f in dtype.names[:-1])
-             and ((prob >= 0.0) & (prob < np.inf)).all())
-    return (rows if valid else None), width
+        return None
 
 
-def _parses(line: str, width: int) -> bool:
-    """Whether np.loadtxt takes the line as `width` fields, all but the
-    last non-negative int64s, and the last a finite float >= 0 (-0.0 too).
-    Python's int() and float() accept what np.loadtxt does, and also '_'
-    separators and non-ASCII digits."""
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) != width or not all(f.isascii() and "_" not in f
-                                         for f in fields):
-        return False
+def _read_blocks(lines: Iterable[str],
+                 read: Callable[[list[str]], np.ndarray | None]) -> np.ndarray:
+    """The rows `read` gives for the lines, _READ_BLOCK lines at a time, in
+    order. `read` takes a list of lines and returns their rows, or None when
+    it rejects one of them. No row spans lines, so a rejected block is
+    halved down to the first line `read` rejects, which raises MalformedLine
+    with its 1-based line number."""
+    lines = iter(lines)
+    parts = []
+    for start in itertools.count(0, _READ_BLOCK):
+        block = list(itertools.islice(lines, _READ_BLOCK))
+        rows = read(block)
+        if rows is None:
+            while len(block) > 1:
+                half = len(block) // 2
+                if read(block[:half]) is None:
+                    block = block[:half]
+                else:
+                    start, block = start + half, block[half:]
+            raise MalformedLine(start + 1, block[0].rstrip("\r\n"))
+        parts.append(rows)
+        if len(block) < _READ_BLOCK:
+            return np.concatenate(parts)
+
+
+def _dense(name: str, values: np.ndarray, *keys: np.ndarray
+           ) -> tuple[int, np.ndarray]:
+    """The least degree lo of the keys, and an array over degrees lo..hi
+    along each key axis with each row's value at its keys' cell.
+    InputTooLarge when that does not fit in memory, or is more than numpy
+    can index (a ValueError). ValidationError when two rows share a cell,
+    found by a boolean mark in O(rows), with no sort; `name` formatted with
+    the keys names the first repeated row."""
+    lo = int(min(k.min() for k in keys))
+    hi = int(max(k.max() for k in keys))
+    shape = (hi - lo + 1,) * len(keys)
     try:
-        return 0.0 <= float(fields[-1]) < math.inf and all(
-            0 <= int(f) < 2**63 for f in fields[:-1])
-    except ValueError:
-        return False
-
-
-def _dense_zeros(lo: int, hi: int, ndim: int) -> np.ndarray:
-    """Zeros over degrees lo..hi along each of `ndim` axes; InputTooLarge
-    when they do not fit in memory, or are more than numpy can index (a
-    ValueError)."""
-    shape = (hi - lo + 1,) * ndim
-    try:
-        return np.zeros(shape)
+        out, mark = np.zeros(shape), np.zeros(shape, dtype=bool)
     except (MemoryError, ValueError):
         raise InputTooLarge(
             f"degrees {lo} to {hi} span {hi - lo + 1}: a dense "
             f"{' x '.join(map(str, shape))} array does not fit in memory"
         ) from None
+    cell = keys[0] - lo  # each row's index into the flattened array
+    for k in keys[1:]:
+        cell = cell * shape[0] + (k - lo)
+    mark.reshape(-1)[cell] = True
+    if np.count_nonzero(mark) < len(values):
+        _, first = np.unique(cell, return_index=True)
+        at = np.setdiff1d(np.arange(len(values)), first)[0]
+        raise ValidationError([Violation("DuplicateRow", name.format(
+            *(int(k[at]) for k in keys)) + " has more than one row")])
+    out.reshape(-1)[cell] = values
+    return lo, out
 
 
 def vdd_to_csv(q: DegreeDistribution) -> str:
@@ -701,14 +728,12 @@ def vdd_from_csv(text: str) -> DegreeDistribution:
 
     Raises MalformedLine for a row that does not parse or has a negative
     degree, EmptyInput when there is no row, InputTooLarge when the
-    degrees span more than memory holds, and ValidationError when the
-    stored mass exceeds 1 by more than the 1e-9 solve_vdd allows its own.
+    degrees span more than memory holds, and ValidationError when a degree
+    has more than one row or the stored mass exceeds 1 by more than the
+    1e-9 solve_vdd allows its own.
     """
     rows = _read_csv(text, "degree,probability", "degree", (2, 3))
-    degrees = rows["f0"]
-    lo = int(degrees.min())
-    arr = _dense_zeros(lo, int(degrees.max()), 1)
-    arr[degrees - lo] = rows[rows.dtype.names[-1]]
+    lo, arr = _dense("degree {}", rows[rows.dtype.names[-1]], rows["f0"])
     mass = float(arr.sum())
     if mass > 1.0 + 1e-9:
         raise ValidationError([Violation(
@@ -724,14 +749,11 @@ def edd_to_csv(mx: EdgeDegreeMatrix) -> str:
 def edd_from_csv(text: str) -> EdgeDegreeMatrix:
     """Read l,k,probability rows as an edge matrix. Raises MalformedLine for
     a row that does not parse or has a negative degree, EmptyInput when
-    there is no row, and InputTooLarge when the degrees span more than
-    memory holds."""
+    there is no row, InputTooLarge when the degrees span more than memory
+    holds, and ValidationError when a cell has more than one row."""
     rows = _read_csv(text, "l,k,probability", "l,", (3,))
-    l, k = rows["f0"], rows["f1"]
-    lo = int(min(l.min(), k.min()))
-    hi = int(max(l.max(), k.max()))
-    entries = _dense_zeros(lo, hi, 2)
-    entries[l - lo, k - lo] = rows["f2"]
+    lo, entries = _dense("cell (l, k) = ({}, {})", rows["f2"], rows["f0"],
+                         rows["f1"])
     return EdgeDegreeMatrix(min_degree=lo, entries=entries,
                             truncation_mass=1.0 - float(entries.sum()))
 

@@ -826,6 +826,15 @@ class TestCompareCommand:
         assert "input error" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    def test_repeated_cell_is_input_error(self, tmp_path, capsys):
+        a = self._write_edd(tmp_path / "a.csv")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("l,k,probability\n1,2,0.5\n2,1,0.25\n1,2,0.25\n")
+        assert main(["compare", str(a), str(bad), "--out", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err == ("input error: DuplicateRow: cell "
+                                           "(l, k) = (1, 2) has more than one row\n")
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("window", [["--u", "100000"], ["--g", "0"]])
     def test_window_outside_matrix_is_input_error(self, tmp_path, capsys,
                                                   window):
@@ -899,6 +908,17 @@ class TestCalibrateCommand:
                      str(tmp_path / "fit")])
         assert code == 2
         assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    def test_repeated_degree_is_input_error(self, tmp_path, capsys):
+        # 0.25.0 kept the last row of degree 1 and fitted a VDD of mass 0.5.
+        target_dir = _write_ba_target(tmp_path / "target")
+        (target_dir / "vdd.csv").write_text(
+            "degree,probability\n1,0.5\n1,0.25\n2,0.25\n")
+        assert main(["calibrate", str(target_dir), "--rmax", "2", "--out",
+                     str(tmp_path / "fit")]) == 2
+        assert capsys.readouterr().err == (
+            "input error: DuplicateRow: degree 1 has more than one row\n")
         assert not (tmp_path / "fit").exists()
 
     def test_single_mode_on_synthetic_target(self, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from npagraph import (EmptyInput, Graph, InsufficientTail, MalformedLine,
                       ParseStats, load_edge_list, measure_edd, measure_vdd,
                       smooth_vdd, summarize, write_edge_list)
-from npagraph import datasets
+from npagraph import datasets, solver
 from npagraph.datasets import id_map_csv, vdd_counts_csv
 from npagraph.models import DegreeDistribution
 
@@ -249,6 +249,18 @@ class TestEdgeTokens:
     @given(st.lists(_line, max_size=12), st.sampled_from(["\n", "\r\n"]))
     @settings(max_examples=300, deadline=None)
     def test_against_reference(self, lines, end):
+        self._check_against_reference(lines, end)
+
+    @given(st.lists(_line, max_size=12), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_against_reference_in_small_blocks(self, lines, end):
+        """As above, read 4 lines at a time."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_READ_BLOCK", 4)
+            self._check_against_reference(lines, end)
+
+    @staticmethod
+    def _check_against_reference(lines, end):
         lines = [ln + end for ln in lines]
         expected = _reference_tokens(lines)
         if isinstance(expected, int):
@@ -263,6 +275,56 @@ class TestEdgeTokens:
             old = np.loadtxt(lines, dtype=np.int64, comments=("#", "%"),
                              ndmin=2)
             assert old.tolist() == expected
+
+
+class TestEdgeTokensInSmallBlocks:
+    """_edge_tokens and load_edge_list's fallback to it, with blocks of 4
+    lines: a bad line is named wherever it falls, and a block without pairs
+    adds none."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(solver, "_READ_BLOCK", 4)
+
+    # A '%' comment past the header sends load_edge_list to _edge_tokens.
+    LINES = ["% c", "0 1", "% mid", "1 2", "2 3", "3 4", "4 5", "5 6", "6 7",
+             "7 8", "8 9"]
+
+    @pytest.mark.parametrize("read", ROUTES)
+    @pytest.mark.parametrize("line_no", [5, 6, 8, 9, 11])
+    def test_bad_line_in_later_block(self, read, line_no):
+        lines = list(self.LINES)
+        lines[line_no - 1] = "4 x"
+        with pytest.raises(MalformedLine) as err:
+            read("".join(f"{ln}\n" for ln in lines))
+        assert (err.value.line_no, err.value.content) == (line_no, "4 x")
+
+    @pytest.mark.parametrize("read", ROUTES)
+    # Two bad lines in different blocks, then in one block.
+    @pytest.mark.parametrize("first, second", [(2, 6), (4, 5), (7, 10),
+                                               (2, 4), (5, 6), (9, 11)])
+    def test_first_of_two_bad_lines_named(self, read, first, second):
+        lines = list(self.LINES)
+        lines[first - 1], lines[second - 1] = "1 2 3", "x"
+        with pytest.raises(MalformedLine) as err:
+            read("".join(f"{ln}\n" for ln in lines))
+        assert (err.value.line_no, err.value.content) == (first, "1 2 3")
+
+    @pytest.mark.parametrize("read", ROUTES)
+    @pytest.mark.parametrize("filler", [["", "", "", ""], ["% c"] * 4,
+                                        ["# a", "", "% b", " \t"] * 2])
+    def test_block_without_pairs(self, read, filler):
+        lines = ["0 1", "% mid"] + filler + ["1 2"] + filler * 2 + ["2 3"]
+        assert read("".join(f"{ln}\n" for ln in lines)) == [
+            (0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("text", ["", "\n" * 8, "% a\n# b\n" * 4,
+                                      "% a\n\n# b\n\n"])
+    def test_empty_or_comment_only(self, text):
+        pairs = datasets._edge_tokens(io.StringIO(text))
+        assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
+        with pytest.raises(EmptyInput):
+            _load_text(text)
 
 
 class TestLoadEdgeListRoutes:

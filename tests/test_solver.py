@@ -1,4 +1,3 @@
-import io
 import math
 from dataclasses import replace
 
@@ -15,9 +14,8 @@ from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph import solver
-from npagraph.solver import (_VddEngine, _loadtxt_rows, _matrix_csv, _parses,
-                             _read_csv, edd_from_csv, edd_to_csv, vdd_from_csv,
-                             vdd_to_csv)
+from npagraph.solver import (_VddEngine, _matrix_csv, _read_csv, edd_from_csv,
+                             edd_to_csv, vdd_from_csv, vdd_to_csv)
 from npagraph.validation import reference_models
 
 
@@ -984,7 +982,6 @@ class TestCsvSyntax:
         with pytest.raises(MalformedLine) as err:
             edd_from_csv(f"l,k,probability\n1,1,{value}\n1,2,0.5\n")
         assert (err.value.line_no, err.value.content) == (2, f"1,1,{value}")
-        assert not _parses(f"2,{value}", 2)
 
     def test_negative_and_too_large_probabilities(self):
         with pytest.raises(MalformedLine) as err:
@@ -996,7 +993,6 @@ class TestCsvSyntax:
         # The edge-matrix reader, since a VDD of mass 1.5 is rejected whole.
         mx = edd_from_csv(f"l,k,probability\n1,1,{value}\n")
         assert mx.entries.tobytes() == np.array([[float(value)]]).tobytes()
-        assert _parses(f"1,{value}", 2)
 
     @pytest.mark.parametrize("extra", ["1.5e-9", "0.5"])
     def test_vdd_above_unit_mass_rejected(self, extra):
@@ -1009,28 +1005,66 @@ class TestCsvSyntax:
         assert edd_from_csv(f"l,k,probability\n1,1,0.5\n1,2,0.5\n"
                             f"2,1,{extra}\n").truncation_mass < 0.0
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet="0123456789+-.eE_, \t\xa0\u0661infatyNA",
-                   min_size=1, max_size=14))
-    def test_bad_row_is_named(self, line):
-        """Whatever np.loadtxt rejects, the line scan names the row."""
-        text = f"l,k,probability\n1,1,0.5\n{line}\n"
+    @staticmethod
+    def _check_bad_row_named(line, good_rows):
+        """Whatever np.loadtxt rejects after the good rows, the reader names
+        the row; a good row for a cell they hold is a repeated row."""
+        cells = "".join(f"{i},1,0.5\n" for i in range(1, good_rows + 1))
+        text = f"l,k,probability\n{cells}{line}\n"
         try:
             edd_from_csv(text)
         except MalformedLine as err:
-            assert err.line_no == 3
+            assert err.line_no == good_rows + 2
             assert err.content == line
+        except ValidationError as err:
+            assert err.codes() == ["DuplicateRow"]
+
+    _any_row = st.text(alphabet="0123456789+-.eE_, \t\xa0\u0661infatyNA",
+                       min_size=1, max_size=14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_any_row)
+    def test_bad_row_is_named(self, line):
+        """Whatever np.loadtxt rejects, the line scan names the row."""
+        self._check_bad_row_named(line, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_any_row)
+    def test_bad_row_is_named_in_small_blocks(self, line):
+        """As above with blocks of 4 lines, the row in the second block."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_READ_BLOCK", 4)
+            self._check_bad_row_named(line, 5)
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\u2028", "\x1c", "\x85"])
+    @pytest.mark.parametrize("repeat", [False, True], ids=["once", "repeated"])
+    def test_only_newline_and_return_end_a_line(self, sep, repeat):
+        """A separator str.splitlines breaks at, such as a form feed or
+        U+2028, leaves a row whole and bad, on the one-buffer read and after
+        a repeated header."""
+        head = "degree,probability\n" * (1 + repeat)
+        with pytest.raises(MalformedLine) as err:
+            vdd_from_csv(f"{head}1,0.5{sep}2,0.5\n")
+        assert (err.value.line_no, err.value.content) == (
+            2 + repeat, f"1,0.5{sep}2,0.5")
+        head = "l,k,probability\n" * (1 + repeat)
+        with pytest.raises(MalformedLine) as err:
+            edd_from_csv(f"{head}1,1,0.5\n1,2,0.25{sep}2,1,0.25\n")
+        assert (err.value.line_no, err.value.content) == (
+            3 + repeat, f"1,2,0.25{sep}2,1,0.25")
 
 
 class TestCsvReaderRoutes:
     """_read_csv reads the text in one buffer when at most a leading header
-    holds the `skip` prefix, and from its lines otherwise; both give the
-    rows of the line route."""
+    holds the `skip` prefix, and a block of lines at a time otherwise; both
+    give the rows np.loadtxt reads from the lines without the headers."""
 
     @staticmethod
-    def _line_route(text, skip, columns):
+    def _line_route(text, skip):
         lines = [ln for ln in text.splitlines() if not ln.startswith(skip)]
-        return _loadtxt_rows(lines, 0, "rows", columns)[0]
+        width = next(filter(None, lines)).count(",") + 1
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                          dtype=",".join(["i8"] * (width - 1) + ["f8"]))
 
     @pytest.mark.parametrize("text, one_buffer", [
         ("1,0.25\n2,0.75\n", True),
@@ -1043,16 +1077,22 @@ class TestCsvReaderRoutes:
         ("1,0.25\ndegree,probability\n2,0.75\n", False),
         ("\ndegree,probability\n1,0.25\n2,0.75\n", False),
     ])
-    def test_vdd_routes_agree(self, text, one_buffer):
+    def test_vdd_routes_agree(self, monkeypatch, text, one_buffer):
         rows = _read_csv(text, "degree,probability", "degree", (2, 3))
-        assert np.array_equal(rows, self._line_route(text, "degree", (2, 3)))
-        buffered = _loadtxt_rows(io.StringIO(text, newline=None),
-                                 int(text.startswith("degree")), "rows",
-                                 (2, 3))[0]
-        assert (buffered is not None) == one_buffer
+        expected = self._line_route(text, "degree")
+        assert rows.dtype == expected.dtype
+        assert np.array_equal(rows, expected)
+
+        def refuse(lines, read):
+            raise AssertionError("block route taken")
+        monkeypatch.setattr(solver, "_read_blocks", refuse)
         if one_buffer:
+            buffered = _read_csv(text, "degree,probability", "degree", (2, 3))
             assert buffered.dtype == rows.dtype
             assert np.array_equal(buffered, rows)
+        else:
+            with pytest.raises(AssertionError, match="block route taken"):
+                _read_csv(text, "degree,probability", "degree", (2, 3))
 
     @pytest.mark.parametrize("text", [
         "l,k,probability\n1,1,0.5\n1,2,0.25\n2,1,0.25\n",
@@ -1062,4 +1102,105 @@ class TestCsvReaderRoutes:
     ])
     def test_edd_routes_agree(self, text):
         rows = _read_csv(text, "l,k,probability", "l,", (3,))
-        assert np.array_equal(rows, self._line_route(text, "l,", (3,)))
+        assert np.array_equal(rows, self._line_route(text, "l,"))
+
+
+class TestReadBlocks:
+    """The CSV readers with blocks of 4 lines: a bad line is named wherever
+    it falls, and a block without rows adds none."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(solver, "_READ_BLOCK", 4)
+
+    @staticmethod
+    def _rows(degrees):
+        return "".join(f"{d},0.0625\n" for d in degrees)
+
+    @pytest.mark.parametrize("line_no", [5, 6, 8, 9, 11])
+    def test_bad_line_in_later_block(self, line_no):
+        lines = ("degree,probability\n" + self._rows(range(1, 11))).splitlines()
+        lines[line_no - 1] = "3,x"
+        with pytest.raises(MalformedLine) as err:
+            vdd_from_csv("\n".join(lines) + "\n")
+        assert (err.value.line_no, err.value.content) == (line_no, "3,x")
+
+    # Two bad lines in different blocks, then in one block.
+    @pytest.mark.parametrize("first, second", [(3, 6), (4, 5), (7, 10),
+                                               (2, 4), (5, 6), (9, 12)])
+    def test_first_of_two_bad_lines_named(self, first, second):
+        lines = ("l,k,probability\n" + "".join(
+            f"{i},1,0.0625\n" for i in range(1, 12))).splitlines()
+        lines[first - 1], lines[second - 1] = "1,1", "-2,1,0.0625"
+        with pytest.raises(MalformedLine) as err:
+            edd_from_csv("\n".join(lines) + "\n")
+        assert (err.value.line_no, err.value.content) == (first, "1,1")
+
+    @pytest.mark.parametrize("filler", [
+        "\n" * 4, "degree,probability\n" * 4, "\n\ndegree,probability\n\n",
+        "degree,probability\n" * 3 + "\n" * 6])
+    def test_block_without_rows(self, filler):
+        # The last header fails the one-buffer read.
+        text = "degree,probability\n" + self._rows([1, 2]) + filler \
+            + self._rows([3]) + filler + filler + self._rows([4, 5]) \
+            + "degree,probability\n" + self._rows([6])
+        q = vdd_from_csv(text)
+        assert q.min_degree == 1 and q.probs.tolist() == [0.0625] * 6
+
+    @pytest.mark.parametrize("at", [3, 4, 5, 8, 9])
+    def test_repeated_header_on_block_boundary(self, at):
+        lines = ("l,k,probability\n" + "".join(
+            f"{i},2,0.0625\n" for i in range(1, 11))).splitlines()
+        lines.insert(at - 1, "l,k,probability")
+        rows = _read_csv("\n".join(lines), "l,k,probability", "l,", (3,))
+        assert rows["f0"].tolist() == list(range(1, 11))
+        lines[-1] = "10,2"
+        with pytest.raises(MalformedLine) as err:
+            edd_from_csv("\n".join(lines))
+        assert (err.value.line_no, err.value.content) == (len(lines), "10,2")
+
+    @pytest.mark.parametrize("count", [3, 4, 8])
+    def test_whole_blocks(self, count):
+        # A text of whole blocks ends with an empty one.
+        text = "degree,probability\n" * 2 + self._rows(range(1, count - 1))
+        assert len(text.splitlines()) == count
+        assert vdd_from_csv(text).probs.tolist() == [0.0625] * (count - 2)
+
+    def test_only_headers_and_blanks_is_empty(self):
+        with pytest.raises(EmptyInput):
+            vdd_from_csv("degree,probability\n\n" * 5)
+
+
+class TestRepeatedRows:
+    """A degree or cell given in two rows is an error; 0.25.0 kept the last
+    row and lost the first one's mass."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("degree,probability\n1,0.5\n1,0.25\n2,0.25\n", "degree 1 "),
+        ("degree,count,probability\n3,1,0.5\n1,1,0.25\n3,1,0.25\n",
+         "degree 3 "),
+        ("degree,probability\n2,0.1\n1,0.1\n2,0.1\n1,0.1\n", "degree 2 "),
+    ])
+    def test_vdd(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            vdd_from_csv(text)
+        assert err.value.codes() == ["DuplicateRow"]
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("l,k,probability\n1,2,0.5\n2,1,0.25\n1,2,0.25\n",
+         "cell (l, k) = (1, 2) "),
+        ("l,k,probability\n1,1,0.5\nl,k,probability\n2,3,0.1\n3,2,0.1\n"
+         "2,3,0.1\n1,1,0.1\n", "cell (l, k) = (2, 3) "),
+    ])
+    def test_edd(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            edd_from_csv(text)
+        assert err.value.codes() == ["DuplicateRow"]
+        assert message in str(err.value)
+
+    def test_distinct_rows_kept(self):
+        q = vdd_from_csv("degree,probability\n2,0.25\n1,0.5\n4,0.25\n")
+        assert q.min_degree == 1 and q.probs.tolist() == [0.5, 0.25, 0.0, 0.25]
+        mx = edd_from_csv("l,k,probability\n1,2,0.5\n2,1,0.5\n")
+        assert mx.entries.tolist() == [[0.0, 0.5], [0.5, 0.0]]
