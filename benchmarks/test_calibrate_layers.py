@@ -15,6 +15,11 @@ phi, u, r_max), the signature 0.16.0 set, on a noisy target at extents up
 to the 500 that ingest allows by default. A whole rho search is timed on
 measured targets too: the brightkite and gowalla presets grown to 1e5
 vertices, each fitted with the first component the CLI gives it.
+
+To time another version, copy this file into that version's checkout and
+run the same command from its root: pyproject.toml's pythonpath = ["src"]
+puts the checkout's own src ahead of PYTHONPATH, so a PYTHONPATH that
+points at another tree still times this one.
 """
 
 import numpy as np

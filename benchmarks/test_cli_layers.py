@@ -13,6 +13,11 @@ the command loads and the exit. The package is copied without its bytecode
 cache and run with PYTHONDONTWRITEBYTECODE=1, so every round compiles it
 from source, as a fresh checkout does; numpy and the standard library keep
 their installed caches.
+
+To time another version, copy this file into that version's checkout and
+run the same command from its root: pyproject.toml's pythonpath = ["src"]
+puts the checkout's own src ahead of PYTHONPATH, so a PYTHONPATH that
+points at another tree still times this one.
 """
 
 import os

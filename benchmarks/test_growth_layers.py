@@ -12,6 +12,11 @@ same file times any version of the samplers: "ba" (f_k = k) takes the
 endpoint-list sampler, the three others every other weight function's.
 The AER pair scan is timed at the size of the gowalla preset's AER
 component at n = 1e5.
+
+To time another version, copy this file into that version's checkout and
+run the same command from its root: pyproject.toml's pythonpath = ["src"]
+puts the checkout's own src ahead of PYTHONPATH, so a PYTHONPATH that
+points at another tree still times this one.
 """
 
 import pytest

@@ -9,6 +9,11 @@ Run from the root of a checkout:
 This directory sits outside the test paths in pyproject.toml, so the
 ordinary test run does not collect it. The inputs use only the public API,
 so the same file times any version of the writers and readers.
+
+To time another version, copy this file into that version's checkout and
+run the same command from its root: pyproject.toml's pythonpath = ["src"]
+puts the checkout's own src ahead of PYTHONPATH, so a PYTHONPATH that
+points at another tree still times this one.
 """
 
 import numpy as np

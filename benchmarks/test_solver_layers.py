@@ -9,6 +9,11 @@ This directory sits outside the test paths in pyproject.toml, so the
 ordinary test run does not collect it. The inputs use only the public API,
 so the same file times any version of the solver from 0.16.0 on, where
 solve_vdd and solve_arc_dd take their settings as arguments.
+
+To time another version, copy this file into that version's checkout and
+run the same command from its root: pyproject.toml's pythonpath = ["src"]
+puts the checkout's own src ahead of PYTHONPATH, so a PYTHONPATH that
+points at another tree still times this one.
 """
 
 import pytest

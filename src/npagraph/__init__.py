@@ -11,14 +11,14 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 _EXPORTS = {
-    "errors": ("AllRhoInfeasible", "EmptyGraph", "EmptyInput",
-               "InfeasibleComplement", "InputTooLarge", "InsufficientTail",
-               "MalformedLine", "NoConvergence", "NoEdges", "NpaGraphError",
+    "errors": ("AllRhoInfeasible", "EmptyInput", "InfeasibleComplement",
+               "InputError", "InputTooLarge", "InsufficientTail",
+               "MalformedLine", "NoConvergence", "NpaGraphError",
                "SolverFailure", "TruncationTooSevere", "ValidationError",
-               "WeightsNotConvex", "WindowExceedsMatrix", "ZeroTotalWeight"),
+               "WindowExceedsMatrix", "ZeroTotalWeight"),
     "models": ("AerModelSpec", "BaTreeSpec", "CompositeSpec",
                "DegreeDistribution", "EdgeDegreeMatrix", "Graph",
                "IncrementDistribution", "NpaModelSpec", "SeedGraphSpec",

@@ -29,8 +29,9 @@ from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
 from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution,
                      NpaModelSpec, WeightFunction)
-from .solver import (VddSolution, complement_mean, complement_vdd, edge_share,
-                     mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
+from .solver import (VARIANTS, VddSolution, complement_mean, complement_vdd,
+                     edge_share, mix_edd, mix_vdd, solve_arc_dd, solve_vdd,
+                     symmetrize)
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +51,6 @@ FP_TOLERANCE = 1e-9  # relative bracket width of its mean-weight bisection
 ALPHA_MIN = 0.01  # lower end of the table-free search over f_k = k**alpha
 ALPHA_XATOL = 1e-5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # share of a bracket kept per section
-VDD_WEIGHT = 1.0  # weight of the VDD total-variation error in the objective
 PHASE2_THRESHOLD = 1e-3  # table-free fits search alpha above this objective
 AER_REPS = 10  # replicates pooled into the profile of an AER first component
 AER_SEED = 987654321
@@ -144,9 +144,9 @@ class CalibrationResult:
 
     @property
     def objective(self) -> float:
-        """What calibration minimises: the weighted VDD error plus the
-        edge-matrix distance."""
-        return VDD_WEIGHT * self.vdd_tv_error + self.distance
+        """What calibration minimises: the VDD error plus the edge-matrix
+        distance."""
+        return self.vdd_tv_error + self.distance
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,7 @@ def _mean_weight(q: DegreeDistribution, weight: WeightFunction) -> float:
 def _solve(model: NpaModelSpec, u: int) -> tuple[VddSolution, EdgeDegreeMatrix]:
     """The model's solved vertex distribution and its edge matrix up to u."""
     sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
-    return sol, symmetrize(solve_arc_dd(model, sol, u))
+    return sol, symmetrize(solve_arc_dd(model, sol, u, VARIANTS[0]))
 
 
 def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
@@ -510,6 +510,7 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
         "mean_increment_target": m,
         "window": [target.g, target.u],
         "target_meta": dict(target.source_meta),
+        "recurrence_variant": VARIANTS[0],
     })
     if phase == 2:
         best.report["weight_exponent"] = best.model.weights.alpha
@@ -566,7 +567,7 @@ def component_profile(spec, target: CalibrationTarget) -> ComponentProfile:
         from .growth import RngStream, grow, measure_edd, measure_vdd
         graph = Graph.disjoint_union([grow(spec, spec.n1, RngStream(AER_SEED, rep))
                                       for rep in range(AER_REPS)])
-        vdd = measure_vdd(graph)  # EmptyGraph when pruning leaves no vertex
+        vdd = measure_vdd(graph)  # EmptyInput when pruning leaves no vertex
         return ComponentProfile(
             spec=spec, m=graph.edge_count / graph.vertex_count, vdd=vdd,
             edd=measure_edd(graph, target.u),
@@ -664,6 +665,7 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
         "grid": grid_log,
         "window": [target.g, target.u],
         "target_meta": dict(target.source_meta),
+        "recurrence_variant": VARIANTS[0],
     }
     return replace(best, model=composite, report=report)
 

@@ -9,10 +9,11 @@ The parser alone checks the settings: a flag's type holds its range,
 `generate` takes a spec or --preset in a mutually exclusive group, and
 --rho-min <= --rho-max follows the parse. `rerun` parses the command line
 its manifest records, so a manifest is checked like a typed command.
-What depends on input data raises a typed error that `main` alone maps to
-an exit code: 0 success, 2 input error (a setting the parser rejects among
-them), 3 compute error, 4 no feasible vertex fraction in a composite
-calibration, which still writes report.json and the manifest.
+What depends on input data raises a typed error, and `main` alone returns
+an exit code: 0 success, 2 input error (an `InputError`, an input that
+cannot be read or held in memory, or a setting the parser rejects), 3
+compute error (any other `NpaGraphError`), 4 no feasible vertex fraction in
+a composite calibration, which still writes report.json and the manifest.
 
 A process starts on what every command uses (errors, models, solver and
 calibrate); the growth and edge-list modules, and the process pool of
@@ -34,10 +35,8 @@ from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, R_MIN, TOTAL_N,
                         CalibrationResult, CalibrationTarget,
                         calibrate_composite, calibrate_single, edd_distance,
                         preset_brightkite, preset_gowalla, select_u)
-from .errors import (AllRhoInfeasible, EmptyGraph, EmptyInput, InputTooLarge,
-                     InsufficientTail, MalformedLine, NpaGraphError,
-                     SolverFailure, ValidationError, Violation,
-                     WindowExceedsMatrix, ZeroTotalWeight)
+from .errors import (AllRhoInfeasible, InputError, NpaGraphError,
+                     ValidationError, Violation)
 from .models import (AerModelSpec, BaTreeSpec, NpaModelSpec, dump_model,
                      load_model, size_violations, validate_model)
 from .solver import (VARIANTS, _matrix_csv, edd_from_csv, edd_to_csv,
@@ -368,16 +367,11 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except SystemExit as exc:  # the parser's: --help, or a rejected setting
         return exc.code
-    except (ValidationError, MalformedLine, EmptyInput, EmptyGraph,
-            InputTooLarge, InsufficientTail, WindowExceedsMatrix, OSError,
-            json.JSONDecodeError) as exc:
+    except (InputError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverFailure, ZeroTotalWeight) as exc:
-        print(f"compute error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
     except NpaGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

@@ -19,7 +19,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .errors import EmptyGraph, EmptyInput, InsufficientTail
+from .errors import EmptyInput, InsufficientTail
 from .models import DegreeDistribution, Graph
 from .solver import _column_csv, _loadtxt, _read_blocks
 
@@ -145,7 +145,7 @@ def _simple_graph(raw: np.ndarray) -> tuple[Graph, ParseStats]:
 def summarize(graph: Graph) -> DatasetSummary:
     """Node/edge counts, mean degree, and the implied mean edges per node."""
     if graph.vertex_count == 0:
-        raise EmptyGraph("cannot summarize an empty graph")
+        raise EmptyInput("cannot summarize an empty graph")
     mean_degree = 2.0 * graph.edge_count / graph.vertex_count
     return DatasetSummary(node_count=graph.vertex_count,
                           edge_count=graph.edge_count,

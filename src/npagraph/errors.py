@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit; each says whether the input
+(an `InputError`, CLI exit 2) or the computation (exit 3) is at fault."""
 
 from __future__ import annotations
 
@@ -7,6 +8,11 @@ from dataclasses import dataclass
 
 class NpaGraphError(Exception):
     """Base class for all toolkit errors."""
+
+
+class InputError(NpaGraphError):
+    """The input is at fault: a spec, a setting, a file, or a graph a spec
+    grows with nothing in it to measure; the CLI exits 2."""
 
 
 @dataclass(frozen=True)
@@ -20,7 +26,7 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-class ValidationError(NpaGraphError):
+class ValidationError(InputError):
     """A model spec, a setting checked against one, or a degree
     distribution read from a file violates one or more invariants.
 
@@ -54,15 +60,7 @@ class ZeroTotalWeight(NpaGraphError):
     """Every existing vertex has zero attachment weight; growth cannot proceed."""
 
 
-class EmptyGraph(NpaGraphError):
-    """Operation requires a graph with at least one vertex."""
-
-
-class NoEdges(NpaGraphError):
-    """Operation requires a graph with at least one edge."""
-
-
-class MalformedLine(NpaGraphError):
+class MalformedLine(InputError):
     """An input line could not be parsed: an edge-list line as two integer
     node ids, or a row of a degree-distribution CSV."""
 
@@ -72,21 +70,18 @@ class MalformedLine(NpaGraphError):
         super().__init__(f"line {line_no}: cannot parse {content!r}")
 
 
-class EmptyInput(NpaGraphError):
-    """The input held no edges, or a degree-distribution CSV no rows."""
+class EmptyInput(InputError):
+    """Nothing to read or measure: an edge list or a degree-distribution
+    CSV with no rows, or a graph with no vertex or no edge."""
 
 
-class InputTooLarge(NpaGraphError):
+class InputTooLarge(InputError):
     """A degree-distribution CSV spans more degrees than its dense array can
     hold in memory, or than numpy can index."""
 
 
-class WindowExceedsMatrix(NpaGraphError):
+class WindowExceedsMatrix(InputError):
     """Requested degree window is not covered by the matrix extent."""
-
-
-class WeightsNotConvex(NpaGraphError):
-    """Mixture weights are negative or do not sum to one."""
 
 
 class InfeasibleComplement(NpaGraphError):
@@ -94,7 +89,7 @@ class InfeasibleComplement(NpaGraphError):
     positive at all; the assumed vertex fraction is infeasible."""
 
 
-class InsufficientTail(NpaGraphError):
+class InsufficientTail(InputError):
     """Too few nonzero tail points to fit a power law."""
 
 

@@ -29,7 +29,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import EmptyGraph, NoEdges, ZeroTotalWeight
+from .errors import EmptyInput, ZeroTotalWeight
 from .models import (AerModelSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution, ModelSpec,
                      NpaModelSpec)
@@ -376,7 +376,7 @@ def grow_composite(spec: CompositeSpec, rng: RngStream) -> Graph:
 def measure_vdd(graph: Graph) -> DegreeDistribution:
     """Histogram of degrees normalized by the vertex count."""
     if graph.vertex_count == 0:
-        raise EmptyGraph("cannot measure an empty graph")
+        raise EmptyInput("cannot measure an empty graph")
     counts = np.bincount(graph.degrees(), minlength=1)
     lo = int(np.flatnonzero(counts)[0])
     probs = counts[lo:] / graph.vertex_count
@@ -391,7 +391,7 @@ def measure_edd(graph: Graph, u: int) -> EdgeDegreeMatrix:
     above u go to truncation_mass.
     """
     if graph.edge_count == 0:
-        raise NoEdges("graph has no edges to measure")
+        raise EmptyInput("graph has no edges to measure")
     deg = graph.degrees()
     d1 = deg[graph.pairs[:, 0]]
     d2 = deg[graph.pairs[:, 1]]

@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import (EmptyInput, InfeasibleComplement, InputTooLarge,
                      MalformedLine, NoConvergence, TruncationTooSevere,
-                     ValidationError, Violation, WeightsNotConvex,
-                     WindowExceedsMatrix)
+                     ValidationError, Violation, WindowExceedsMatrix)
 from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
 # Forms of the directed recurrence solve_arc_dd can run, the default first.
@@ -482,7 +481,7 @@ def mix_vdd(parts: Sequence[tuple[DegreeDistribution, float]]) -> DegreeDistribu
     """Pointwise convex combination of degree distributions."""
     weights = [rho for _, rho in parts]
     if any(rho < 0.0 for rho in weights) or abs(math.fsum(weights) - 1.0) > 1e-12:
-        raise WeightsNotConvex(f"fractions {weights} are not a convex combination")
+        raise ValueError(f"fractions {weights} are not a convex combination")
     lo = min(q.min_degree for q, _ in parts)
     hi = max(q.max_degree for q, _ in parts)
     probs = np.zeros(hi - lo + 1, dtype=np.float64)

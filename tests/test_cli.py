@@ -49,14 +49,23 @@ def _tree_bytes(out: Path) -> dict:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, **run) -> subprocess.CompletedProcess:
     """A fresh interpreter run with these arguments, the package's source
-    first on its path, so that it imports npagraph uninstalled."""
+    first on its path, so that it imports npagraph uninstalled; run holds
+    further arguments of subprocess.run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, **run)
+
+
+def _address_space(limit: int) -> int:
+    """limit in bytes, or this process's hard address-space limit if lower;
+    skips the test where the resource module is missing."""
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    return limit if hard == resource.RLIM_INFINITY else min(limit, hard)
 
 
 def _modules_after(code: str, *roots: str) -> list[str]:
@@ -367,6 +376,28 @@ class TestGenerateCommand:
         assert main(["generate", str(path), "--n", "400", "--seed", "0",
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("spec,n,message", [
+        # Three seed vertices, and every arrival brings zero arcs.
+        ({"type": "npa", "weights": {"g": 0, "rule": "constant", "value": 1.0},
+          "increments": {"min_arcs": 0, "probs": [1.0]},
+          "seed_graph": {"vertices": 3, "edges": []}}, 10,
+         "graph has no edges to measure"),
+        # Pruning the isolated vertices of so sparse a graph leaves none.
+        ({"type": "aer", "n1": 50, "a": 0.01}, 50,
+         "cannot measure an empty graph"),
+    ], ids=["edgeless", "pruned_to_nothing"])
+    def test_nothing_to_measure_exit_2(self, tmp_path, capsys, spec, n,
+                                       message):
+        # The spec is at fault, not the computation: 0.26.0 exited 3 with
+        # "error:" on the edgeless graph.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert main(["generate", str(path), "--n", str(n),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (out / "manifest.json").exists()
+
 
 class TestIngestCommand:
     def test_tiny_network(self, tmp_path):
@@ -622,6 +653,55 @@ class TestSettingsChecked:
         assert commands == {f"cmd_{c}": [] for c in cli._DISPATCH}
         assert len([node for node in ast.walk(tree) if isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "_write_manifest"]) == 1
+        # Each error's class, not a list in main, says whether it is an
+        # input or a compute error.
+        from npagraph import errors
+        main_def = next(f for f in functions if f.name == "main")
+        handled = {node.id for handler in ast.walk(main_def)
+                   if isinstance(handler, ast.ExceptHandler)
+                   for node in ast.walk(handler.type)
+                   if isinstance(node, ast.Name)}
+        assert {name for name in handled
+                if isinstance(getattr(errors, name, None), type)
+                and issubclass(getattr(errors, name), errors.NpaGraphError)
+                } == {"InputError", "NpaGraphError", "AllRhoInfeasible"}
+
+    def test_error_class_decides_input_or_compute(self):
+        from npagraph import errors
+        for cls in (errors.ValidationError, errors.MalformedLine,
+                    errors.EmptyInput, errors.InputTooLarge,
+                    errors.InsufficientTail, errors.WindowExceedsMatrix):
+            assert issubclass(cls, errors.InputError), cls
+        for cls in (errors.SolverFailure, errors.ZeroTotalWeight):
+            assert not issubclass(cls, errors.InputError), cls
+
+    @pytest.mark.parametrize("command", [
+        # A 10**6 x 10**6 arc matrix: 7.28 TiB.
+        lambda tmp_path: ["solve", str(_write_ba_spec(tmp_path)),
+                          "--kmax", "1000000", "--umax", "1000000"],
+        # The same edge matrix of a grown graph.
+        lambda tmp_path: ["generate", str(_write_ba_spec(tmp_path)),
+                          "--n", "100", "--u", "1000000"],
+        # The increment fit's 10**7 x 10**7 program: 728 TiB.
+        lambda tmp_path: ["calibrate", str(_write_ba_target(tmp_path / "t")),
+                          "--rmax", "10000000"],
+    ], ids=["solve", "generate", "calibrate"])
+    def test_unallocatable_setting_exit_2(self, tmp_path, monkeypatch,
+                                          command):
+        # The child caps its own address space at 4 GiB, enough to import
+        # numpy, so the allocation raises MemoryError rather than waiting
+        # on the machine's memory. 0.26.0 exited 1 with a traceback.
+        import resource
+        limit = _address_space(4 << 30)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        out = tmp_path / "o"
+        proc = _python("-m", "npagraph.cli", *command(tmp_path),
+                       "--out", str(out), preexec_fn=lambda: resource.setrlimit(
+                           resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("input error: Unable to allocate")
+        assert "Traceback" not in proc.stderr
+        assert not (out / "manifest.json").exists()
 
 
 class TestEnvironment:
@@ -847,14 +927,10 @@ class TestCompareCommand:
         # A three-line file whose degrees span 30000 asks for a 6.7 GiB dense
         # matrix. Under a 2 GiB address-space limit, set by the child on
         # itself, the allocation fails and must surface as InputTooLarge.
-        resource = pytest.importorskip("resource")
         small, big = tmp_path / "small.csv", tmp_path / "big.csv"
         small.write_text("l,k,probability\n1,1,1.0\n")
         big.write_text("l,k,probability\n1,1,0.5\n30000,1,0.5\n")
-        limit = 2 << 30
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        if hard != resource.RLIM_INFINITY:
-            limit = min(limit, hard)
+        limit = _address_space(2 << 30)
         code = (
             "import resource, sys\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
@@ -939,6 +1015,7 @@ class TestCalibrateCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["distance"] < 1e-3
+        assert report["details"]["recurrence_variant"] == "printed"
         fitted = json.loads((out / "model.json").read_text())
         assert fitted["type"] == "npa"
         assert (out / "edd_compare.csv").exists()
@@ -1174,6 +1251,7 @@ class TestCalibrateCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert abs(report["details"]["rho"] - rho) <= 0.05 + 1e-9
+        assert report["details"]["recurrence_variant"] == "printed"
         fitted = json.loads((out / "model.json").read_text())
         assert fitted["type"] == "composite"
 

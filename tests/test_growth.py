@@ -13,7 +13,7 @@ from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
                       grow_aer_unpruned, grow_composite, grow_npa,
                       measure_edd, measure_vdd, write_edge_list)
 from npagraph import growth
-from npagraph.errors import EmptyGraph, NoEdges
+from npagraph.errors import EmptyInput
 
 
 def _components(graph: Graph) -> list[set[int]]:
@@ -331,7 +331,7 @@ class TestMeasure:
         assert q.prob(4) == pytest.approx(0.2)
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(EmptyInput):
             measure_vdd(Graph(0, []))
 
     def test_path_edd(self):
@@ -364,7 +364,7 @@ class TestMeasure:
             1.0, abs=1e-12)
 
     def test_no_edges_rejected(self):
-        with pytest.raises(NoEdges):
+        with pytest.raises(EmptyInput):
             measure_edd(Graph(3, []), 5)
 
     def test_cells_are_exact_count_ratios(self):

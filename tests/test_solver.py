@@ -10,7 +10,7 @@ from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       EmptyInput, InfeasibleComplement, InputTooLarge,
                       IncrementDistribution, MalformedLine, NoConvergence,
                       NpaModelSpec, ValidationError, WeightFunction,
-                      WeightsNotConvex, WindowExceedsMatrix,
+                      WindowExceedsMatrix,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph import solver
@@ -665,7 +665,7 @@ class TestMixVdd:
 
     def test_not_convex(self):
         a = _rand_dist(np.random.default_rng(3))
-        with pytest.raises(WeightsNotConvex):
+        with pytest.raises(ValueError):
             mix_vdd([(a, 0.7), (a, 0.7)])
 
 
