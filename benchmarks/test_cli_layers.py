@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from npagraph import BaTreeSpec, solve_arc_dd, solve_vdd, symmetrize
-from npagraph.solver import edd_to_csv
+from npagraph.formats import edd_to_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

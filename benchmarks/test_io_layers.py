@@ -7,8 +7,9 @@ Run from the root of a checkout:
         --benchmark-json=io_layers.json
 
 This directory sits outside the test paths in pyproject.toml, so the
-ordinary test run does not collect it. The inputs use only the public API,
-so the same file times any version of the writers and readers.
+ordinary test run does not collect it. The inputs use only public names,
+so the same file times any version of the writers and readers from 0.28.0
+on, where npagraph.formats holds them.
 
 To time another version, copy this file into that version's checkout and
 run the same command from its root: pyproject.toml's pythonpath = ["src"]
@@ -22,8 +23,7 @@ import pytest
 from npagraph import (EdgeDegreeMatrix, Graph, MalformedLine, RngStream,
                       grow_composite, load_edge_list, measure_edd,
                       preset_gowalla, write_edge_list)
-from npagraph.datasets import id_map_csv
-from npagraph.solver import edd_from_csv, edd_to_csv
+from npagraph.formats import edd_from_csv, edd_to_csv, id_map_csv
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyInput", "InfeasibleComplement",
@@ -28,9 +28,9 @@ _EXPORTS = {
                "mix_edd", "mix_vdd", "solve_arc_dd", "solve_vdd", "symmetrize"),
     "growth": ("AerRunStats", "GrowthTrace", "RngStream", "grow", "grow_aer",
                "grow_aer_unpruned", "grow_composite", "grow_npa",
-               "measure_edd", "measure_vdd", "write_edge_list"),
-    "datasets": ("DatasetSummary", "ParseStats", "load_edge_list", "smooth_vdd",
-                 "summarize"),
+               "measure_edd", "measure_vdd"),
+    "datasets": ("DatasetSummary", "smooth_vdd", "summarize"),
+    "formats": ("ParseStats", "load_edge_list", "write_edge_list"),
     "calibrate": ("CalibrationResult", "CalibrationTarget", "OptimizerTrace",
                   "calibrate_composite", "calibrate_single", "edd_distance",
                   "gowalla_increments", "preset_brightkite", "preset_gowalla",

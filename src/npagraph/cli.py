@@ -15,9 +15,9 @@ cannot be read or held in memory, or a setting the parser rejects), 3
 compute error (any other `NpaGraphError`), 4 no feasible vertex fraction in
 a composite calibration, which still writes report.json and the manifest.
 
-A process starts on what every command uses (errors, models, solver and
-calibrate); the growth and edge-list modules, and the process pool of
-`generate --threads`, load inside the commands that call them.
+A process starts on what every command uses (errors, models, formats,
+solver and calibrate); the growth and dataset modules, and the process pool
+of `generate --threads`, load inside the commands that call them.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, R_MIN, TOTAL_N,
                         preset_brightkite, preset_gowalla, select_u)
 from .errors import (AllRhoInfeasible, InputError, NpaGraphError,
                      ValidationError, Violation)
+from .formats import (edd_from_csv, edd_to_csv, id_map_csv, load_edge_list,
+                      matrix_csv, vdd_counts_csv, vdd_from_csv, vdd_to_csv,
+                      write_edge_list)
 from .models import (AerModelSpec, BaTreeSpec, NpaModelSpec, dump_model,
                      load_model, size_violations, validate_model)
-from .solver import (VARIANTS, _matrix_csv, edd_from_csv, edd_to_csv,
-                     solve_arc_dd, solve_vdd, symmetrize, vdd_from_csv,
-                     vdd_to_csv)
+from .solver import VARIANTS, solve_arc_dd, solve_vdd, symmetrize
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -96,14 +97,17 @@ def cmd_solve(params: dict, out: Path) -> None:
 
 def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
                   out_dir: str) -> dict:
-    from .growth import (RngStream, grow, measure_edd, measure_vdd,
-                         write_edge_list)
+    from .growth import RngStream, grow, measure_edd, measure_vdd
     graph = grow(load_model(spec_text), n, RngStream(seed, rep))
+    # Measured before any file opens: a graph with nothing to measure
+    # leaves no file of its replication.
+    vdd, edd = vdd_to_csv(measure_vdd(graph)), edd_to_csv(measure_edd(graph, u))
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / f"graph_rep{rep}.txt", "w", newline="\n") as fh:
         write_edge_list(graph, fh)
-    _write(out / f"vdd_rep{rep}.csv", vdd_to_csv(measure_vdd(graph)))
-    _write(out / f"edd_rep{rep}.csv", edd_to_csv(measure_edd(graph, u)))
+    _write(out / f"vdd_rep{rep}.csv", vdd)
+    _write(out / f"edd_rep{rep}.csv", edd)
     return {"rep": rep, "vertices": graph.vertex_count, "edges": graph.edge_count}
 
 
@@ -118,7 +122,6 @@ def cmd_generate(params: dict, out: Path) -> None:
     if too_small:  # before anything is written
         raise ValidationError(too_small)
     spec_text = dump_model(spec)
-    _write(out / "model.json", spec_text + "\n")
     reps = params["reps"]
     jobs = [(spec_text, n, params["seed"], rep, params["u"], str(out))
             for rep in range(reps)]
@@ -128,12 +131,12 @@ def cmd_generate(params: dict, out: Path) -> None:
             infos = list(pool.map(_generate_one, *zip(*jobs)))
     else:
         infos = [_generate_one(*job) for job in jobs]
+    _write(out / "model.json", spec_text + "\n")
     _write_json(out / "runs.json", {"replications": infos})
 
 
 def cmd_ingest(params: dict, out: Path) -> None:
-    from .datasets import (id_map_csv, load_edge_list, smooth_vdd, summarize,
-                           vdd_counts_csv)
+    from .datasets import smooth_vdd, summarize
     from .growth import measure_edd, measure_vdd
     graph, stats = load_edge_list(params["dataset"])
     summary = summarize(graph)
@@ -194,8 +197,8 @@ def _comparison_csv(result: CalibrationResult, target: CalibrationTarget
     """A fit's edge probabilities against the target's over the target's
     window, the one it was scored on."""
     g, u = target.g, target.u
-    return _matrix_csv("l,k,model,target", g, result.edd.window(g, u),
-                       target.edd.window(g, u))
+    return matrix_csv("l,k,model,target", g, result.edd.window(g, u),
+                      target.edd.window(g, u))
 
 
 def cmd_compare(params: dict, out: Path) -> None:
@@ -205,7 +208,7 @@ def cmd_compare(params: dict, out: Path) -> None:
     u = params["u"] if params["u"] is not None else min(a.max_degree, b.max_degree)
     distance = edd_distance(a, b, g, u)
     _write(out / "diff.csv",
-           _matrix_csv("l,k,difference", g, a.window(g, u) - b.window(g, u)))
+           matrix_csv("l,k,difference", g, a.window(g, u) - b.window(g, u)))
     _write_json(out / "distance.json", {"distance": distance, "g": g, "u": u})
     print(repr(distance))
 

@@ -1,29 +1,19 @@
-"""Ingestion of real network edge lists and empirical distribution targets.
+"""Empirical targets from an ingested network: its summary statistics and
+optional smoothing of its degree distribution.
 
-Datasets are treated as undirected simple graphs: duplicate and reversed pairs
-collapse to one edge, self-loops are dropped with a counted warning, and node
-ids are remapped to a dense range with the original ids retained on the graph.
-`load_edge_list` is the one edge-list reader; it returns the graph with those
-counts, as ParseStats.
+The network itself is read by `formats.load_edge_list`, as an undirected
+simple graph.
 """
 
 from __future__ import annotations
 
-import gzip
-import itertools
-import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TextIO, Union
 
 import numpy as np
 
 from .errors import EmptyInput, InsufficientTail
 from .models import DegreeDistribution, Graph
-from .solver import _column_csv, _loadtxt, _read_blocks
-
-log = logging.getLogger(__name__)
 
 # Geometric ratio of consecutive bin edges in "log-bin" smoothing.
 LOG_BIN_BASE = 2.0
@@ -45,103 +35,6 @@ class DatasetSummary:
                 "mean_degree": self.mean_degree, "derived_m": self.derived_m}
 
 
-@dataclass(frozen=True)
-class ParseStats:
-    self_loops_dropped: int
-    duplicates_collapsed: int
-
-
-def load_edge_list(path: Union[str, Path]) -> tuple[Graph, ParseStats]:
-    """Read an edge-list file, transparently handling gzip compression, as
-    an undirected simple graph with the counts of dropped self-loops and
-    collapsed duplicates.
-
-    Lines follow the syntax of _edge_tokens. Self-loops are dropped, ids are
-    remapped to the dense range 0 .. n-1 in increasing order (kept as
-    labels), and duplicate or reversed pairs collapse to one edge.
-    np.loadtxt reads a path in C chunks, several times faster than it takes
-    lines from a Python iterator, but strips only '#' comments on that
-    route. So the leading comment block ('#' or KONECT's '%') is skipped by
-    its line count, and a file that this read rejects, for example one with
-    a '%' comment further down, is read again by _edge_tokens a block of
-    lines at a time, and np.loadtxt's rejection of a block names its bad
-    line.
-    """
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt") as fh:
-        header = sum(1 for _ in itertools.takewhile(  # blank or comment
-            lambda ln: not ln.strip() or ln.lstrip()[0] in "#%", fh))
-        pairs = _loadtxt(str(path), dtype=np.int64, comments="#",
-                         skiprows=header, ndmin=2)
-        if pairs is None or (pairs.shape[1] != 2 and pairs.size):
-            fh.seek(0)
-            pairs = _edge_tokens(fh)
-    return _simple_graph(pairs.reshape(-1, 2))
-
-
-def _edge_tokens(fh: TextIO) -> np.ndarray:
-    """The (E, 2) int64 array of the id pairs in an edge-list text, in file
-    order, read by _read_blocks with _edge_pairs.
-
-    A data line holds two integer ids separated by spaces or tabs. Text from
-    a '#' or '%' to the end of its line is a comment, so a pair may carry a
-    trailing comment; blank lines are skipped, and CRLF line ends are
-    accepted. Any other line, or an id outside int64, raises MalformedLine
-    with its 1-based line number.
-    """
-    return _read_blocks(fh, _edge_pairs)
-
-
-def _edge_pairs(lines: list[str]) -> np.ndarray | None:
-    """The (E, 2) id pairs of the lines, or None when np.loadtxt rejects one.
-
-    np.loadtxt strips comments in its C tokenizer only when given a single
-    comment string; given two, it runs a Python function on every line. So
-    each '%' is made a '#', which starts a comment just as '%' does, and
-    only '#' is passed.
-    """
-    pairs = _loadtxt([s.replace("%", "#") for s in lines], dtype=np.int64,
-                     comments="#", ndmin=2)
-    if pairs is None or (pairs.shape[1] != 2 and pairs.size):
-        return None
-    return pairs.reshape(-1, 2)
-
-
-def _simple_graph(raw: np.ndarray) -> tuple[Graph, ParseStats]:
-    """The undirected simple graph of an (E, 2) array of id pairs, and its
-    parse counts.
-
-    Ids that already are the dense range 0 .. n-1, as `generate` writes
-    them, are kept as they are; np.unique would only sort them to the same
-    labels and the same dense ids. Each edge is kept once, as its (lower,
-    higher) dense id pair, in increasing order.
-    """
-    is_loop = raw[:, 0] == raw[:, 1]
-    kept = raw[~is_loop]
-    if not len(kept):
-        raise EmptyInput("edge list holds no usable edges")
-    loops = int(np.count_nonzero(is_loop))
-    if loops:
-        log.warning("dropped %d self-loop(s)", loops)
-    n = int(kept.max()) + 1
-    if kept.min() == 0 and n <= kept.size and np.bincount(
-            kept.ravel(), minlength=n).all():
-        ids, dense = np.arange(n, dtype=np.int64), kept
-    else:
-        ids, dense = np.unique(kept, return_inverse=True)
-        n = len(ids)
-    a, b = dense.reshape(-1, 2).T
-    # return_counts keeps np.unique on its sort path; NumPy >= 2.3 otherwise
-    # hashes, which is many times slower on int64 keys.
-    packed, _ = np.unique(np.minimum(a, b) * np.int64(n) + np.maximum(a, b),
-                          return_counts=True)
-    graph = Graph(n, np.column_stack([packed // n, packed % n]),
-                  directed=False, labels=ids)
-    return graph, ParseStats(self_loops_dropped=loops,
-                             duplicates_collapsed=len(kept) - graph.edge_count)
-
-
 def summarize(graph: Graph) -> DatasetSummary:
     """Node/edge counts, mean degree, and the implied mean edges per node."""
     if graph.vertex_count == 0:
@@ -151,25 +44,6 @@ def summarize(graph: Graph) -> DatasetSummary:
                           edge_count=graph.edge_count,
                           mean_degree=mean_degree,
                           derived_m=mean_degree / 2.0)
-
-
-def vdd_counts_csv(graph: Graph, smoothed: DegreeDistribution) -> str:
-    """degree,count,probability rows: raw histogram counts next to the
-    (possibly smoothed) probabilities used downstream."""
-    counts = np.bincount(graph.degrees(),
-                         minlength=smoothed.max_degree + 1)
-    degrees = range(smoothed.min_degree, smoothed.max_degree + 1)
-    return _column_csv("degree,count,probability", degrees,
-                       counts[degrees.start:degrees.stop].tolist(),
-                       smoothed.probs.tolist())
-
-
-def id_map_csv(graph: Graph) -> str:
-    """dense_id,original_id mapping retained from parsing."""
-    labels = np.asarray([] if graph.labels is None else graph.labels,
-                        dtype=np.int64)
-    return _column_csv("dense_id,original_id", range(len(labels)),
-                       labels.tolist())
 
 
 # ---------------------------------------------------------------------------

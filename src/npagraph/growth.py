@@ -12,9 +12,8 @@ turns its 1 + k proposal weight into f_k, one Python draw per proposal.
 prunes its one- and two-vertex components, returning the graph with the
 scan's diagnostics.
 `grow` grows any spec to n vertices, a composite as the disjoint union of
-its components, each grown at its budget.
-`write_edge_list` writes a graph as the edge-list text that
-`datasets.load_edge_list` reads.
+its components, each grown at its budget; `formats.write_edge_list`
+writes the grown graph as text.
 Replications are independent given distinct RngStream ids and can be fanned
 out by the caller. Identical spec and stream reproduce a bit-identical graph
 within one version of the package.
@@ -25,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import TextIO
 
 import numpy as np
 
@@ -387,8 +385,9 @@ def measure_edd(graph: Graph, u: int) -> EdgeDegreeMatrix:
     """Symmetric endpoint-degree mass of the edges, truncated beyond degree u.
 
     Every edge puts 1/(2 E) at (d1, d2) and 1/(2 E) at (d2, d1), so each
-    cell is its endpoint count / (2 E), divided once; edges with an endpoint
-    above u go to truncation_mass.
+    cell is its endpoint count / (2 E), divided once; the edges are counted
+    in their stored orientation c, and a cell's count is c + c.T. Edges with
+    an endpoint above u go to truncation_mass.
     """
     if graph.edge_count == 0:
         raise EmptyInput("graph has no edges to measure")
@@ -396,29 +395,10 @@ def measure_edd(graph: Graph, u: int) -> EdgeDegreeMatrix:
     d1 = deg[graph.pairs[:, 0]]
     d2 = deg[graph.pairs[:, 1]]
     inside = (d1 <= u) & (d2 <= u)
-    d1, d2 = d1[inside] - 1, d2[inside] - 1
-    counts = np.bincount(np.concatenate([d1 * u + d2, d2 * u + d1]),
-                         minlength=u * u)
-    entries = counts.reshape(u, u) / (2.0 * graph.edge_count)
+    counts = np.bincount((d1[inside] - 1) * u + (d2[inside] - 1),
+                         minlength=u * u).reshape(u, u)
+    entries = (counts + counts.T) / (2.0 * graph.edge_count)
     trunc = float(np.count_nonzero(~inside)) / graph.edge_count
     return EdgeDegreeMatrix(min_degree=1, entries=entries, kind="edge",
                             truncation_mass=trunc)
-
-
-# ---------------------------------------------------------------------------
-# Edge-list output
-# ---------------------------------------------------------------------------
-
-_WRITE_CHUNK_ROWS = 1 << 16
-
-
-def write_edge_list(graph: Graph, out: TextIO) -> None:
-    """Header lines, then one "a b" line per pair, formatted a chunk at a time."""
-    out.write(f"# Nodes: {graph.vertex_count} Edges: {graph.edge_count}\n")
-    out.write(f"# Directed: {'true' if graph.directed else 'false'}\n")
-    flat = graph.pairs.ravel()
-    step = 2 * _WRITE_CHUNK_ROWS
-    for lo in range(0, len(flat), step):
-        chunk = flat[lo:lo + step].tolist()
-        out.write("%d %d\n" * (len(chunk) // 2) % tuple(chunk))
 

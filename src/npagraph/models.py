@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ValidationError, Violation
 
 NORMALIZATION_TOL = 1e-12
-EDD_NORMALIZATION_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +281,6 @@ class DegreeDistribution:
         diff += abs(self.truncation_mass - other.truncation_mass)
         return 0.5 * float(diff)
 
-    def violations(self) -> list[Violation]:
-        out = []
-        if len(self.probs) == 0:
-            out.append(Violation("EmptySupport", "degree distribution stores no probabilities"))
-            return out
-        if np.any(self.probs < 0.0) or not np.all(np.isfinite(self.probs)):
-            bad = int(np.argmin(self.probs))
-            out.append(Violation(
-                "NonNormalized",
-                f"Q_{self.min_degree + bad} = {self.probs[bad]} is not a probability"))
-        if self.truncation_mass < -NORMALIZATION_TOL:
-            out.append(Violation(
-                "NonNormalized", f"negative truncation mass {self.truncation_mass!r}"))
-        total = float(self.probs.sum()) + self.truncation_mass
-        if abs(total - 1.0) > NORMALIZATION_TOL * max(1.0, len(self.probs) ** 0.5):
-            out.append(Violation("NonNormalized", f"total mass {total!r} differs from 1"))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Edge / arc degree matrix
@@ -358,20 +339,6 @@ class EdgeDegreeMatrix:
             sa = a - self.min_degree
             sb = b - self.min_degree + 1
             out[a - lo:b - lo + 1, a - lo:b - lo + 1] = self.entries[sa:sb, sa:sb]
-        return out
-
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.entries, self.entries.T))
-
-    def violations(self) -> list[Violation]:
-        out = []
-        if np.any(self.entries < 0.0) or not np.all(np.isfinite(self.entries)):
-            out.append(Violation("NonNormalized", "matrix holds a negative or non-finite entry"))
-        total = self.stored_mass() + self.truncation_mass
-        if abs(total - 1.0) > EDD_NORMALIZATION_TOL:
-            out.append(Violation("NonNormalized", f"total mass {total!r} differs from 1"))
-        if self.kind == "edge" and not self.is_symmetric():
-            out.append(Violation("NonNormalized", "edge matrix is not symmetric"))
         return out
 
 

@@ -24,17 +24,13 @@ the tail mass for constant ones; power weights sum it numerically.
 
 from __future__ import annotations
 
-import io
-import itertools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (EmptyInput, InfeasibleComplement, InputTooLarge,
-                     MalformedLine, NoConvergence, TruncationTooSevere,
+from .errors import (InfeasibleComplement, NoConvergence, TruncationTooSevere,
                      ValidationError, Violation, WindowExceedsMatrix)
 from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
@@ -552,207 +548,4 @@ def mix_edd(parts: Sequence[tuple[EdgeDegreeMatrix, float, float]]
         trunc += gamma * mx.truncation_mass
     return EdgeDegreeMatrix(min_degree=lo, entries=entries, kind="edge",
                             truncation_mass=trunc)
-
-
-# ---------------------------------------------------------------------------
-# CSV interchange
-# ---------------------------------------------------------------------------
-
-# A degree-distribution file is a header line, then one line per cell:
-# integer fields, then the cell's values as repr() writes them. The column
-# writer formats many lines in one % operation. The matrix writer formats each
-# distinct value of a matrix once, since a measured EDD holds a few hundred
-# (counts / 2E) among its u^2 cells, and joins each row from those strings.
-# The reader hands the whole text to np.loadtxt as one buffer; only a text
-# that read rejects is read again a block of lines at a time, by _read_blocks.
-
-# Lines per np.loadtxt call once a reader's read of the whole text has failed.
-_READ_BLOCK = 1 << 14
-
-
-def _column_csv(header: str, *columns: Sequence) -> str:
-    """The header, then one line per position of the equally long columns of
-    Python ints and floats: the values comma separated as repr() writes
-    them."""
-    line = ",".join(["%r"] * len(columns)) + "\n"
-    return header + "\n" + (line * len(columns[0])) % tuple(
-        itertools.chain.from_iterable(zip(*columns)))
-
-
-def _matrix_csv(header: str, lo: int, *matrices: np.ndarray) -> str:
-    """One l,k,values line per cell of equally sized square matrices over
-    degrees lo, lo + 1, ..., in row-major order. The lines are joined a
-    matrix row at a time from "l,", "k," and the cells' strings."""
-    n = len(matrices[0])
-    keys = [f"{k}," for k in range(lo, lo + n)]
-    cells = [_cell_strings(mx, "," if j < len(matrices) - 1 else "\n")
-             for j, mx in enumerate(matrices)]
-    return header + "\n" + "".join([
-        "".join(itertools.chain.from_iterable(zip(
-            itertools.repeat(keys[i], n), keys, *(c[i].tolist() for c in cells))))
-        for i in range(n)])
-
-
-def _cell_strings(mx: np.ndarray, end: str) -> np.ndarray:
-    """An object array shaped like `mx`: each cell's repr() followed by
-    `end`. Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep
-    their own strings."""
-    bits, inv = np.unique(np.ascontiguousarray(mx, dtype=np.float64)
-                          .view(np.int64), return_inverse=True)
-    strings = np.array([f"{v!r}{end}" for v in bits.view(np.float64).tolist()],
-                       dtype=object)
-    return strings[inv.reshape(mx.shape)]
-
-
-def _read_csv(text: str, header: str, skip: str,
-              columns: tuple[int, ...]) -> np.ndarray:
-    """The rows of a degree-distribution file as a structured array with
-    integer fields f0, f1, ... and a float last field.
-
-    Lines starting with `skip` (the header, however often it repeats) and
-    empty lines are skipped; only \n, \r\n and \r end a line. Every row
-    has as many fields as the first one, one of `columns`. A row that
-    np.loadtxt rejects, that has a negative integer field, or whose last
-    field (the probability) is not a finite number >= 0, raises
-    MalformedLine with its 1-based line number; no row at all raises
-    EmptyInput.
-
-    The text goes to np.loadtxt in one buffer, a leading header skipped by
-    count. A repeated header or a bad row fails that read, and the text is
-    read again by _read_blocks, each header line passed as a blank line.
-    """
-    buf = io.StringIO(text, newline=None)
-    first = next((ln for ln in buf if ln != "\n" and not ln.startswith(skip)),
-                 None)
-    if first is None:
-        raise EmptyInput(f"no {header} rows")
-    width = first.count(",") + 1
-    width = width if width in columns else columns[0]
-    dtype = np.dtype(",".join(["i8"] * (width - 1) + ["f8"]))
-
-    def read(lines, skiprows=0):
-        rows = _loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                        skiprows=skiprows, ndmin=1)
-        if rows is None:
-            return None
-        prob = rows[dtype.names[-1]]
-        valid = (all((rows[f] >= 0).all() for f in dtype.names[:-1])
-                 and ((prob >= 0.0) & (prob < np.inf)).all())
-        return rows if valid else None
-
-    buf.seek(0)
-    rows = read(buf, int(text.startswith(skip)))
-    if rows is None:
-        buf.seek(0)
-        rows = _read_blocks(("\n" if ln.startswith(skip) else ln
-                             for ln in buf), read)
-    return rows
-
-
-def _loadtxt(lines, **kwargs) -> np.ndarray | None:
-    """np.loadtxt of the lines, or None where it raises ValueError. A text
-    without data gives no rows, without a warning."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(lines, **kwargs)
-    except ValueError:
-        return None
-
-
-def _read_blocks(lines: Iterable[str],
-                 read: Callable[[list[str]], np.ndarray | None]) -> np.ndarray:
-    """The rows `read` gives for the lines, _READ_BLOCK lines at a time, in
-    order. `read` takes a list of lines and returns their rows, or None when
-    it rejects one of them. No row spans lines, so a rejected block is
-    halved down to the first line `read` rejects, which raises MalformedLine
-    with its 1-based line number."""
-    lines = iter(lines)
-    parts = []
-    for start in itertools.count(0, _READ_BLOCK):
-        block = list(itertools.islice(lines, _READ_BLOCK))
-        rows = read(block)
-        if rows is None:
-            while len(block) > 1:
-                half = len(block) // 2
-                if read(block[:half]) is None:
-                    block = block[:half]
-                else:
-                    start, block = start + half, block[half:]
-            raise MalformedLine(start + 1, block[0].rstrip("\r\n"))
-        parts.append(rows)
-        if len(block) < _READ_BLOCK:
-            return np.concatenate(parts)
-
-
-def _dense(name: str, values: np.ndarray, *keys: np.ndarray
-           ) -> tuple[int, np.ndarray]:
-    """The least degree lo of the keys, and an array over degrees lo..hi
-    along each key axis with each row's value at its keys' cell.
-    InputTooLarge when that does not fit in memory, or is more than numpy
-    can index (a ValueError). ValidationError when two rows share a cell,
-    found by a boolean mark in O(rows), with no sort; `name` formatted with
-    the keys names the first repeated row."""
-    lo = int(min(k.min() for k in keys))
-    hi = int(max(k.max() for k in keys))
-    shape = (hi - lo + 1,) * len(keys)
-    try:
-        out, mark = np.zeros(shape), np.zeros(shape, dtype=bool)
-    except (MemoryError, ValueError):
-        raise InputTooLarge(
-            f"degrees {lo} to {hi} span {hi - lo + 1}: a dense "
-            f"{' x '.join(map(str, shape))} array does not fit in memory"
-        ) from None
-    cell = keys[0] - lo  # each row's index into the flattened array
-    for k in keys[1:]:
-        cell = cell * shape[0] + (k - lo)
-    mark.reshape(-1)[cell] = True
-    if np.count_nonzero(mark) < len(values):
-        _, first = np.unique(cell, return_index=True)
-        at = np.setdiff1d(np.arange(len(values)), first)[0]
-        raise ValidationError([Violation("DuplicateRow", name.format(
-            *(int(k[at]) for k in keys)) + " has more than one row")])
-    out.reshape(-1)[cell] = values
-    return lo, out
-
-
-def vdd_to_csv(q: DegreeDistribution) -> str:
-    return _column_csv("degree,probability",
-                       range(q.min_degree, q.max_degree + 1), q.probs.tolist())
-
-
-def vdd_from_csv(text: str) -> DegreeDistribution:
-    """Read degree,probability rows; a middle count column is accepted too,
-    in every row or in none.
-
-    Raises MalformedLine for a row that does not parse or has a negative
-    degree, EmptyInput when there is no row, InputTooLarge when the
-    degrees span more than memory holds, and ValidationError when a degree
-    has more than one row or the stored mass exceeds 1 by more than the
-    1e-9 solve_vdd allows its own.
-    """
-    rows = _read_csv(text, "degree,probability", "degree", (2, 3))
-    lo, arr = _dense("degree {}", rows[rows.dtype.names[-1]], rows["f0"])
-    mass = float(arr.sum())
-    if mass > 1.0 + 1e-9:
-        raise ValidationError([Violation(
-            "NonNormalized", f"the VDD's stored mass {mass!r} exceeds 1")])
-    return DegreeDistribution(min_degree=lo, probs=arr,
-                              truncation_mass=max(0.0, 1.0 - mass))
-
-
-def edd_to_csv(mx: EdgeDegreeMatrix) -> str:
-    return _matrix_csv("l,k,probability", mx.min_degree, mx.entries)
-
-
-def edd_from_csv(text: str) -> EdgeDegreeMatrix:
-    """Read l,k,probability rows as an edge matrix. Raises MalformedLine for
-    a row that does not parse or has a negative degree, EmptyInput when
-    there is no row, InputTooLarge when the degrees span more than memory
-    holds, and ValidationError when a cell has more than one row."""
-    rows = _read_csv(text, "l,k,probability", "l,", (3,))
-    lo, entries = _dense("cell (l, k) = ({}, {})", rows["f2"], rows["f0"],
-                         rows["f1"])
-    return EdgeDegreeMatrix(min_degree=lo, entries=entries,
-                            truncation_mass=1.0 - float(entries.sum()))
 

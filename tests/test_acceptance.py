@@ -23,7 +23,8 @@ from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
                                 calibrate_composite, calibrate_single,
                                 preset_brightkite, select_u)
 from npagraph.cli import main as cli_main
-from npagraph.datasets import load_edge_list, smooth_vdd, summarize
+from npagraph.datasets import smooth_vdd, summarize
+from npagraph.formats import load_edge_list
 from npagraph.growth import measure_edd, measure_vdd
 from npagraph.models import dump_model
 from npagraph.validation import (edd_crosscheck, reference_models,
@@ -224,7 +225,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
     from npagraph.models import (CompositeSpec, IncrementDistribution,
                                  NpaModelSpec, WeightFunction)
     from npagraph import grow_composite
-    from npagraph.growth import write_edge_list
+    from npagraph.formats import write_edge_list
 
     rho = 0.225
     complement = NpaModelSpec(

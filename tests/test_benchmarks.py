@@ -43,5 +43,13 @@ def test_span_targets_resolve():
                   if not hasattr(importlib.import_module(f"npagraph.{module}"),
                                  name)}
     # calibrate._optimize went with the simplex search of 0.5.0; the spans
-    # that counted evaluations through it still name it.
-    assert unresolved == {("calibrate", "_optimize")}
+    # that counted evaluations through it still name it. 0.28.0 moved every
+    # text reader and writer into formats, and the io spans still name their
+    # old homes.
+    formats = importlib.import_module("npagraph.formats")
+    moved = {(module, name) for module, name in unresolved
+             if hasattr(formats, name)}
+    assert unresolved - moved == {("calibrate", "_optimize")}
+    assert sorted(name for _, name in moved) == [
+        "edd_from_csv", "edd_to_csv", "id_map_csv", "load_edge_list",
+        "vdd_counts_csv", "vdd_from_csv", "vdd_to_csv", "write_edge_list"]

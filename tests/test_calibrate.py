@@ -15,7 +15,7 @@ from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       grow_composite, grow_npa, measure_edd, measure_vdd,
                       mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize,
                       validate_model)
-from npagraph.solver import edd_to_csv, vdd_to_csv
+from npagraph.formats import edd_to_csv, vdd_to_csv
 from npagraph import calibrate
 from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
                                 OptimizerTrace, calibrate_composite, calibrate_single,

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from npagraph import (EmptyInput, Graph, InsufficientTail, MalformedLine,
                       ParseStats, load_edge_list, measure_edd, measure_vdd,
                       smooth_vdd, summarize, write_edge_list)
-from npagraph import datasets, solver
-from npagraph.datasets import id_map_csv, vdd_counts_csv
+from npagraph import datasets, formats
+from npagraph.formats import id_map_csv, vdd_counts_csv
 from npagraph.models import DegreeDistribution
 
 
@@ -80,7 +80,7 @@ class TestLoadEdgeList:
     def test_minus_zero_is_id_zero(self):
         g, _ = _load_lines(["-0 1"])
         assert list(g.labels) == [0, 1]
-        assert datasets._edge_tokens(io.StringIO("-0 1\n")).tolist() == [[0, 1]]
+        assert formats._edge_tokens(io.StringIO("-0 1\n")).tolist() == [[0, 1]]
 
     def test_gzip_file(self, tmp_path):
         path = tmp_path / "net.txt.gz"
@@ -146,7 +146,7 @@ def _gz_path_edges(text):
 
 def _line_edges(text):
     """Edges of the line route, _edge_tokens over a text stream."""
-    pairs = datasets._edge_tokens(io.StringIO(text))
+    pairs = formats._edge_tokens(io.StringIO(text))
     return sorted(tuple(sorted(p)) for p in pairs.tolist())
 
 
@@ -256,7 +256,7 @@ class TestEdgeTokens:
     def test_against_reference_in_small_blocks(self, lines, end):
         """As above, read 4 lines at a time."""
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_READ_BLOCK", 4)
+            mp.setattr(formats, "_READ_BLOCK", 4)
             self._check_against_reference(lines, end)
 
     @staticmethod
@@ -265,10 +265,10 @@ class TestEdgeTokens:
         expected = _reference_tokens(lines)
         if isinstance(expected, int):
             with pytest.raises(MalformedLine) as err:
-                datasets._edge_tokens(io.StringIO("".join(lines)))
+                formats._edge_tokens(io.StringIO("".join(lines)))
             assert err.value.line_no == expected
             return
-        pairs = datasets._edge_tokens(io.StringIO("".join(lines)))
+        pairs = formats._edge_tokens(io.StringIO("".join(lines)))
         assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
         assert pairs.tolist() == expected
         if expected:
@@ -284,7 +284,7 @@ class TestEdgeTokensInSmallBlocks:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(solver, "_READ_BLOCK", 4)
+        monkeypatch.setattr(formats, "_READ_BLOCK", 4)
 
     # A '%' comment past the header sends load_edge_list to _edge_tokens.
     LINES = ["% c", "0 1", "% mid", "1 2", "2 3", "3 4", "4 5", "5 6", "6 7",
@@ -321,7 +321,7 @@ class TestEdgeTokensInSmallBlocks:
     @pytest.mark.parametrize("text", ["", "\n" * 8, "% a\n# b\n" * 4,
                                       "% a\n\n# b\n\n"])
     def test_empty_or_comment_only(self, text):
-        pairs = datasets._edge_tokens(io.StringIO(text))
+        pairs = formats._edge_tokens(io.StringIO(text))
         assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
         with pytest.raises(EmptyInput):
             _load_text(text)
@@ -383,7 +383,7 @@ class TestLoadEdgeListRoutes:
 
         def line_route():
             with opener(path, "rt") as fh:
-                return datasets._simple_graph(datasets._edge_tokens(fh))
+                return formats._simple_graph(formats._edge_tokens(fh))
         assert self._outcome(lambda: load_edge_list(path)) \
             == self._outcome(line_route)
 
@@ -398,7 +398,7 @@ class TestLoadEdgeListRoutes:
 
         def refuse(fh):
             raise AssertionError("line route taken")
-        monkeypatch.setattr(datasets, "_edge_tokens", refuse)
+        monkeypatch.setattr(formats, "_edge_tokens", refuse)
         assert self._outcome(
             lambda: load_edge_list(path)) == expected
 

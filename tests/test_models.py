@@ -319,13 +319,7 @@ class TestDegreeDistribution:
     def test_mass_accounting(self):
         q = DegreeDistribution(min_degree=1, probs=np.array([0.5, 0.3]),
                                truncation_mass=0.2)
-        assert not q.violations()
         assert q.mean() == pytest.approx(0.5 + 0.6)
-
-    def test_negative_truncation_flagged(self):
-        q = DegreeDistribution(min_degree=1, probs=np.array([0.6, 0.6]),
-                               truncation_mass=-0.2)
-        assert q.violations()
 
     def test_tv_distance(self):
         a = DegreeDistribution(1, np.array([1.0, 0.0]))
@@ -356,12 +350,6 @@ class TestEdgeDegreeMatrix:
         m = EdgeDegreeMatrix(min_degree=2, entries=np.eye(3) / 3.0, kind="edge")
         with pytest.raises(WindowExceedsMatrix):
             m.window(1, 3)
-
-    def test_asymmetric_edge_matrix_flagged(self):
-        e = np.array([[0.5, 0.5], [0.0, 0.0]])
-        m = EdgeDegreeMatrix(min_degree=1, entries=e, kind="edge")
-        assert m.violations()
-        assert not EdgeDegreeMatrix(min_degree=1, entries=e, kind="arc").violations()
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
                       WindowExceedsMatrix,
                       complement_mean, complement_vdd, edge_share, mix_edd,
                       mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
-from npagraph import solver
-from npagraph.solver import (_VddEngine, _matrix_csv, _read_csv, edd_from_csv,
-                             edd_to_csv, vdd_from_csv, vdd_to_csv)
+from npagraph import formats, solver
+from npagraph.formats import (_read_csv, edd_from_csv, edd_to_csv, matrix_csv,
+                              vdd_from_csv, vdd_to_csv)
+from npagraph.solver import _VddEngine
 from npagraph.validation import reference_models
 
 
@@ -628,7 +629,7 @@ class TestSymmetrize:
         raw /= raw.sum()
         arc = EdgeDegreeMatrix(min_degree=1, entries=raw, kind="arc")
         out = symmetrize(arc)
-        assert out.is_symmetric()
+        assert np.array_equal(out.entries, out.entries.T)
         assert abs(out.stored_mass() - arc.stored_mass()) < 1e-15
         assert out.kind == "edge"
 
@@ -909,12 +910,12 @@ class TestMatrixCsv:
                                      elements=picks))[view:, view:]
                     for _ in range(count)]
         header = ",".join(["l", "k"] + [f"v{j}" for j in range(count)])
-        assert (_matrix_csv(header, lo, *matrices)
+        assert (matrix_csv(header, lo, *matrices)
                 == matrix_csv_080(header, lo, *matrices))
 
     def test_signed_zero_and_nan(self):
         mx = np.array([[0.0, -0.0], [math.nan, -math.inf]])
-        assert _matrix_csv("l,k,p", 1, mx, mx[::-1]) == (
+        assert matrix_csv("l,k,p", 1, mx, mx[::-1]) == (
             "l,k,p\n1,1,0.0,nan\n1,2,-0.0,-inf\n"
             "2,1,nan,0.0\n2,2,-inf,-0.0\n")
 
@@ -1033,7 +1034,7 @@ class TestCsvSyntax:
     def test_bad_row_is_named_in_small_blocks(self, line):
         """As above with blocks of 4 lines, the row in the second block."""
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_READ_BLOCK", 4)
+            mp.setattr(formats, "_READ_BLOCK", 4)
             self._check_bad_row_named(line, 5)
 
     @pytest.mark.parametrize("sep", ["\x0c", "\u2028", "\x1c", "\x85"])
@@ -1085,7 +1086,7 @@ class TestCsvReaderRoutes:
 
         def refuse(lines, read):
             raise AssertionError("block route taken")
-        monkeypatch.setattr(solver, "_read_blocks", refuse)
+        monkeypatch.setattr(formats, "_read_blocks", refuse)
         if one_buffer:
             buffered = _read_csv(text, "degree,probability", "degree", (2, 3))
             assert buffered.dtype == rows.dtype
@@ -1111,7 +1112,7 @@ class TestReadBlocks:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(solver, "_READ_BLOCK", 4)
+        monkeypatch.setattr(formats, "_READ_BLOCK", 4)
 
     @staticmethod
     def _rows(degrees):
