@@ -31,8 +31,8 @@ from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution,
                       mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph import calibrate
 from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
-                                calibrate_composite, calibrate_single,
-                                preset_brightkite, preset_gowalla)
+                                calibrate_composite, calibrate_single)
+from npagraph.models import preset_brightkite, preset_gowalla
 
 U = 20
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
                      NpaGraphError, SolverFailure, WindowExceedsMatrix)
-from .models import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
+from .models import (TOTAL_N, AerModelSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution,
                      NpaModelSpec, WeightFunction)
 from .solver import (VARIANTS, VddSolution, complement_mean, complement_vdd,
@@ -34,16 +34,6 @@ from .solver import (VARIANTS, VddSolution, complement_mean, complement_vdd,
                      symmetrize)
 
 log = logging.getLogger(__name__)
-
-BRIGHTKITE_RHO = 0.225
-BRIGHTKITE_MEAN_INCREMENT = 3.6765
-BRIGHTKITE_COMPLEMENT_SUPPORT = 40
-GOWALLA_RHO = 0.35
-GOWALLA_AER_MEAN_DEGREE = 2.75
-GOWALLA_RK_COEFF = 0.3004
-GOWALLA_RK_SHIFT = 0.1259
-GOWALLA_RK_EXPONENT = -1.2562
-GOWALLA_RK_SUPPORT = 50
 
 R_MIN = 1  # least increment arc count, and so the minimum degree of every fit
 K_MAX = 4000  # last vertex degree each candidate's solve stores
@@ -55,7 +45,6 @@ PHASE2_THRESHOLD = 1e-3  # table-free fits search alpha above this objective
 AER_REPS = 10  # replicates pooled into the profile of an AER first component
 AER_SEED = 987654321
 RHO_REFINE_FACTOR = 5  # a composite's rho lattice is this much finer than rho_step
-TOTAL_N = 100000  # vertex count a calibrated composite is written for
 # The increment fit took at most 139 pivots, 0.27 per column, on 900 random
 # noisy and exact targets with r_max up to 200 and u up to 500.
 SIMPLEX_PIVOTS_PER_COLUMN = 10
@@ -668,75 +657,3 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
         "recurrence_variant": VARIANTS[0],
     }
     return replace(best, model=composite, report=report)
-
-
-# ---------------------------------------------------------------------------
-# Published presets
-# ---------------------------------------------------------------------------
-
-def gowalla_increments() -> tuple[IncrementDistribution, float]:
-    """Power-form increment table over 1..50, renormalized to sum exactly 1.
-
-    Returns the distribution and the raw (pre-normalization) sum, which is
-    recorded in preset metadata instead of altering the exponent.
-    """
-    ks = np.arange(1, GOWALLA_RK_SUPPORT + 1, dtype=float)
-    raw = GOWALLA_RK_COEFF * np.power(ks - GOWALLA_RK_SHIFT, GOWALLA_RK_EXPONENT)
-    raw_sum = float(raw.sum())
-    return (IncrementDistribution(min_arcs=1, probs=tuple(raw / raw_sum)),
-            raw_sum)
-
-
-def preset_gowalla(total_n: int = 100000) -> CompositeSpec:
-    """Autocorrelated component plus a linear-weight growth component."""
-    n1 = int(round(GOWALLA_RHO * total_n))
-    inc, raw_sum = gowalla_increments()
-    complement = NpaModelSpec(weights=WeightFunction.linear(g=1), increments=inc)
-    return CompositeSpec(
-        components=((AerModelSpec(n1=n1, a=GOWALLA_AER_MEAN_DEGREE), GOWALLA_RHO),
-                    (complement, 1.0 - GOWALLA_RHO)),
-        total_n=total_n,
-        metadata={"name": "gowalla", "increment_raw_sum": raw_sum})
-
-
-def preset_brightkite(total_n: int = 100000) -> CompositeSpec:
-    """Single-arc tree component plus a linear-weight complement.
-
-    The complement's increment table is not published; the preset embeds a
-    power-form stand-in over 1..40 matched to the published complement mean,
-    so the spec is growable as-is. Calibration against the real network
-    refines it.
-    """
-    m2 = complement_mean(BRIGHTKITE_MEAN_INCREMENT, 1.0, BRIGHTKITE_RHO)
-    inc = _power_increments_with_mean(BRIGHTKITE_COMPLEMENT_SUPPORT, m2)
-    complement = NpaModelSpec(weights=WeightFunction.linear(g=1), increments=inc)
-    return CompositeSpec(
-        components=((BaTreeSpec(), BRIGHTKITE_RHO),
-                    (complement, 1.0 - BRIGHTKITE_RHO)),
-        total_n=total_n,
-        metadata={"name": "brightkite",
-                  "complement_mean": m2,
-                  "complement_increments": "power-form stand-in matched to the "
-                                           "complement mean; refine by calibration"})
-
-
-def _power_increments_with_mean(support_hi: int, target_mean: float
-                                ) -> IncrementDistribution:
-    """r_k proportional to k**(-beta) on [1, support_hi] with the given mean."""
-    ks = np.arange(1, support_hi + 1, dtype=float)
-
-    def mean_at(beta: float) -> float:
-        w = np.power(ks, -beta)
-        w /= w.sum()
-        return float((ks * w).sum())
-
-    lo, hi = -5.0, 8.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean_at(mid) > target_mean:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
-    w = np.power(ks, -beta)
-    return IncrementDistribution(min_arcs=1, probs=tuple(w / w.sum()))

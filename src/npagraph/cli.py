@@ -28,26 +28,28 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO, R_MIN, TOTAL_N,
-                        CalibrationResult, CalibrationTarget,
+from .calibrate import (R_MIN, CalibrationResult, CalibrationTarget,
                         calibrate_composite, calibrate_single, edd_distance,
-                        preset_brightkite, preset_gowalla, select_u)
+                        select_u)
 from .errors import (AllRhoInfeasible, InputError, NpaGraphError,
                      ValidationError, Violation)
 from .formats import (edd_from_csv, edd_to_csv, id_map_csv, load_edge_list,
                       matrix_csv, vdd_counts_csv, vdd_from_csv, vdd_to_csv,
                       write_edge_list)
-from .models import (AerModelSpec, BaTreeSpec, NpaModelSpec, dump_model,
-                     load_model, size_violations, validate_model)
+from .models import (GOWALLA_AER_MEAN_DEGREE, PRESETS, TOTAL_N, BaTreeSpec,
+                     NpaModelSpec, dump_model, load_model, preset_gowalla,
+                     size_violations, validate_model)
 from .solver import VARIANTS, solve_arc_dd, solve_vdd, symmetrize
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 EXIT_INCOMPLETE = 4
+REP_FILES = ("graph_rep{}.txt", "vdd_rep{}.csv", "edd_rep{}.csv")
 
 
 def _write(path: Path, text: str) -> None:
@@ -69,12 +71,8 @@ def _write_manifest(out: Path, command: str, params: dict) -> None:
     })
 
 
-def _load_spec(path: str):
-    return validate_model(load_model(Path(path).read_text()))
-
-
 def cmd_solve(params: dict, out: Path) -> None:
-    spec = _load_spec(params["spec"])
+    spec = validate_model(load_model(Path(params["spec"]).read_text()))
     if not isinstance(spec, NpaModelSpec):
         raise ValidationError([Violation(
             "UnsupportedModel",
@@ -96,41 +94,48 @@ def cmd_solve(params: dict, out: Path) -> None:
 
 
 def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
-                  out_dir: str) -> dict:
+                  out: Path) -> dict:
     from .growth import RngStream, grow, measure_edd, measure_vdd
     graph = grow(load_model(spec_text), n, RngStream(seed, rep))
     # Measured before any file opens: a graph with nothing to measure
     # leaves no file of its replication.
     vdd, edd = vdd_to_csv(measure_vdd(graph)), edd_to_csv(measure_edd(graph, u))
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"graph_rep{rep}.txt", "w", newline="\n") as fh:
+    graph_path, vdd_path, edd_path = (out / name.format(rep) for name in REP_FILES)
+    with open(graph_path, "w", newline="\n") as fh:
         write_edge_list(graph, fh)
-    _write(out / f"vdd_rep{rep}.csv", vdd)
-    _write(out / f"edd_rep{rep}.csv", edd)
+    _write(vdd_path, vdd)
+    _write(edd_path, edd)
     return {"rep": rep, "vertices": graph.vertex_count, "edges": graph.edge_count}
 
 
 def cmd_generate(params: dict, out: Path) -> None:
-    if params["preset"]:
-        spec = {"gowalla": preset_gowalla,
-                "brightkite": preset_brightkite}[params["preset"]](params["n"])
-    else:
-        spec = _load_spec(params["spec"])
     n = params["n"]
-    too_small = size_violations(spec, n)
+    spec = (PRESETS[params["preset"]](n) if params["preset"]
+            else load_model(Path(params["spec"]).read_text()))
+    too_small = size_violations(spec, n)  # at n alone, whatever size spec holds
     if too_small:  # before anything is written
         raise ValidationError(too_small)
     spec_text = dump_model(spec)
-    reps = params["reps"]
-    jobs = [(spec_text, n, params["seed"], rep, params["u"], str(out))
-            for rep in range(reps)]
-    if params["threads"] > 1 and reps > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=params["threads"]) as pool:
-            infos = list(pool.map(_generate_one, *zip(*jobs)))
-    else:
-        infos = [_generate_one(*job) for job in jobs]
+    jobs = [(spec_text, n, params["seed"], rep, params["u"], out)
+            for rep in range(params["reps"])]
+    infos = []  # the replications whose files are written
+    try:
+        if params["threads"] > 1 and len(jobs) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=params["threads"]) as pool:
+                runs = [pool.submit(_generate_one, *job) for job in jobs]
+            infos = [run.result() for run in runs if not run.exception()]
+            for run in runs:
+                run.result()  # raises the first failure, in replication order
+        else:
+            for job in jobs:  # the first failure ends the run
+                infos.append(_generate_one(*job))
+    except Exception:  # every replication has ended: remove what they wrote
+        for info in infos:
+            for name in REP_FILES:
+                (out / name.format(info["rep"])).unlink()
+        raise
     _write(out / "model.json", spec_text + "\n")
     _write_json(out / "runs.json", {"replications": infos})
 
@@ -141,9 +146,9 @@ def cmd_ingest(params: dict, out: Path) -> None:
     graph, stats = load_edge_list(params["dataset"])
     summary = summarize(graph)
     vdd = measure_vdd(graph)
+    max_deg = vdd.max_degree
     if params["smooth"] != "none":
         vdd = smooth_vdd(vdd, method=params["smooth"])
-    max_deg = int(graph.degrees().max())
     edd = measure_edd(graph, min(max_deg, params["edd_extent"]))
     u = select_u(edd, params["u_mass"])
     _write(out / "vdd.csv", vdd_counts_csv(graph, vdd))
@@ -175,8 +180,8 @@ def cmd_calibrate(params: dict, out: Path) -> None:
     if params["mode"] == "single":
         result = calibrate_single(target, params["weights"], r_max)
     else:
-        first = BaTreeSpec() if params["first"] == "ba-tree" else AerModelSpec(
-            n1=int(round(GOWALLA_RHO * TOTAL_N)), a=params["aer_a"])
+        first = BaTreeSpec() if params["first"] == "ba-tree" else replace(
+            preset_gowalla(TOTAL_N).components[0][0], a=params["aer_a"])
         result = calibrate_composite(target, validate_model(first), r_max,
                                      params["rho_min"], params["rho_max"],
                                      params["rho_step"])
@@ -262,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="grow graphs by simulation")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("spec", nargs="?", help="model spec JSON file")
-    source.add_argument("--preset", choices=["gowalla", "brightkite"])
-    p.add_argument("--n", type=int, default=100000)
+    source.add_argument("--preset", choices=PRESETS)
+    p.add_argument("--n", type=int, default=TOTAL_N)
     p.add_argument("--seed", default=0,
                    type=_ranged(int, lambda v: v >= 0, "at least 0"))
     p.add_argument("--reps", type=at_least_1, default=1)

@@ -1,4 +1,4 @@
-"""Domain types for growing-graph models.
+"""Domain types for growing-graph models, and the two published presets.
 
 Degree-indexed sequences always carry an explicit minimum degree instead of
 assuming index 0 means degree 0; models with minimum degree 0 and 1 both occur.
@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, Violation
+from .errors import ValidationError, Violation, WindowExceedsMatrix
 
 NORMALIZATION_TOL = 1e-12
 
@@ -322,7 +322,6 @@ class EdgeDegreeMatrix:
 
     def window(self, g: int, u: int) -> np.ndarray:
         """Submatrix over degrees [g, u] in both axes."""
-        from .errors import WindowExceedsMatrix
         if g < self.min_degree or u > self.max_degree or u < g:
             raise WindowExceedsMatrix(
                 f"window [{g}, {u}] not covered by matrix over "
@@ -707,3 +706,92 @@ def dump_model(spec: ModelSpec) -> str:
 
 def load_model(text: str) -> ModelSpec:
     return model_from_dict(json.loads(text))
+
+
+# ---------------------------------------------------------------------------
+# Published presets
+# ---------------------------------------------------------------------------
+
+TOTAL_N = 100000  # a preset's, generate's and a composite fit's vertex count
+BRIGHTKITE_RHO = 0.225
+BRIGHTKITE_MEAN_INCREMENT = 3.6765
+BRIGHTKITE_COMPLEMENT_SUPPORT = 40
+BRIGHTKITE_COMPLEMENT_MEAN = ((BRIGHTKITE_MEAN_INCREMENT - BRIGHTKITE_RHO)
+                              / (1.0 - BRIGHTKITE_RHO))
+GOWALLA_RHO = 0.35
+GOWALLA_AER_MEAN_DEGREE = 2.75
+GOWALLA_RK_COEFF = 0.3004
+GOWALLA_RK_SHIFT = 0.1259
+GOWALLA_RK_EXPONENT = -1.2562
+GOWALLA_RK_SUPPORT = 50
+
+
+def gowalla_increments() -> tuple[IncrementDistribution, float]:
+    """Power-form increment table over 1..50, renormalized to sum exactly 1.
+
+    Returns the distribution and the raw (pre-normalization) sum, which is
+    recorded in preset metadata instead of altering the exponent.
+    """
+    ks = np.arange(1, GOWALLA_RK_SUPPORT + 1, dtype=float)
+    raw = GOWALLA_RK_COEFF * np.power(ks - GOWALLA_RK_SHIFT, GOWALLA_RK_EXPONENT)
+    raw_sum = float(raw.sum())
+    return (IncrementDistribution(min_arcs=1, probs=tuple(raw / raw_sum)),
+            raw_sum)
+
+
+def preset_gowalla(total_n: int = TOTAL_N) -> CompositeSpec:
+    """Autocorrelated component plus a linear-weight growth component."""
+    n1 = int(round(GOWALLA_RHO * total_n))
+    inc, raw_sum = gowalla_increments()
+    complement = NpaModelSpec(weights=WeightFunction.linear(g=1), increments=inc)
+    return CompositeSpec(
+        components=((AerModelSpec(n1=n1, a=GOWALLA_AER_MEAN_DEGREE), GOWALLA_RHO),
+                    (complement, 1.0 - GOWALLA_RHO)),
+        total_n=total_n,
+        metadata={"name": "gowalla", "increment_raw_sum": raw_sum})
+
+
+def preset_brightkite(total_n: int = TOTAL_N) -> CompositeSpec:
+    """Single-arc tree component plus a linear-weight complement.
+
+    The complement's increment table is not published; the preset embeds a
+    power-form stand-in over 1..40 whose mean is the complement's mean
+    (m - rho) / (1 - rho) at the published m and rho, so the spec is growable
+    as-is. Calibration against the real network refines it.
+    """
+    inc = _power_increments_with_mean(BRIGHTKITE_COMPLEMENT_SUPPORT,
+                                      BRIGHTKITE_COMPLEMENT_MEAN)
+    complement = NpaModelSpec(weights=WeightFunction.linear(g=1), increments=inc)
+    return CompositeSpec(
+        components=((BaTreeSpec(), BRIGHTKITE_RHO),
+                    (complement, 1.0 - BRIGHTKITE_RHO)),
+        total_n=total_n,
+        metadata={"name": "brightkite",
+                  "complement_mean": BRIGHTKITE_COMPLEMENT_MEAN,
+                  "complement_increments": "power-form stand-in matched to the "
+                                           "complement mean; refine by calibration"})
+
+
+PRESETS = {"gowalla": preset_gowalla, "brightkite": preset_brightkite}
+
+
+def _power_increments_with_mean(support_hi: int, target_mean: float
+                                ) -> IncrementDistribution:
+    """r_k proportional to k**(-beta) on [1, support_hi] with the given mean."""
+    ks = np.arange(1, support_hi + 1, dtype=float)
+
+    def mean_at(beta: float) -> float:
+        w = np.power(ks, -beta)
+        w /= w.sum()
+        return float((ks * w).sum())
+
+    lo, hi = -5.0, 8.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mean_at(mid) > target_mean:
+            lo = mid
+        else:
+            hi = mid
+    beta = 0.5 * (lo + hi)
+    w = np.power(ks, -beta)
+    return IncrementDistribution(min_arcs=1, probs=tuple(w / w.sum()))

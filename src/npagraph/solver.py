@@ -348,7 +348,7 @@ def solve_vdd(model: NpaModelSpec, k_max: int = 10000,
 # ---------------------------------------------------------------------------
 
 def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution, u: int,
-                 variant: str = "printed") -> EdgeDegreeMatrix:
+                 variant: str = VARIANTS[0]) -> EdgeDegreeMatrix:
     """Joint (tail degree, head degree) arc probabilities on [g, u]^2.
 
     Each cell obeys X[l, k] = src[l, k] + up[l, k] X[l-1, k]
@@ -361,14 +361,13 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution, u: int,
     vdd is the model's solved vertex distribution; it must store every
     degree up to u, otherwise WindowExceedsMatrix is raised.
 
-    variant selects the directed-recurrence form. "printed" is the
-    denominator m*(l*f_l + m*f_k + m*f_l); "mean-weight" replaces the l*f_l
-    term with the mean weight, which makes the recurrence conserve
-    probability mass. The printed form is the default and any systematic
-    discrepancy is surfaced by the simulation cross-check rather than
-    silently corrected. The mean-weight form raises TruncationTooSevere when
-    its matrix misses more than EDD_MASS_TOLERANCE of mass beyond what
-    truncation explains.
+    variant selects the directed-recurrence form, VARIANTS[0] by default.
+    "printed" is the denominator m*(l*f_l + m*f_k + m*f_l); "mean-weight"
+    replaces the l*f_l term with the mean weight, which makes the recurrence
+    conserve probability mass. The printed form's systematic discrepancy is
+    not silently corrected: the simulation cross-check surfaces it. The
+    mean-weight form raises TruncationTooSevere when its matrix misses more
+    than EDD_MASS_TOLERANCE of mass beyond what truncation explains.
     """
     g = model.g
     if not g <= u <= vdd.q.max_degree:

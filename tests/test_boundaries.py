@@ -1,6 +1,6 @@
 """Module boundaries of the package, read from its source with ast: no
-module reaches into another's private names, and one module owns the text
-formats."""
+module reaches into another's private names, one module owns the text
+formats, and every module imports only modules of a lower layer."""
 
 import ast
 from pathlib import Path
@@ -84,3 +84,59 @@ def test_formats_alone_reads_and_writes_text():
                         users.setdefault(alias.name, set()).add(path.stem)
     assert users == {name: {"formats"}
                      for name in ("np.loadtxt", "io", "gzip", "warnings")}
+
+
+LAYERS = {"errors": 0, "models": 1, "formats": 2, "solver": 2, "growth": 2,
+          "datasets": 2, "validation": 3, "calibrate": 3, "cli": 4}
+
+
+def npagraph_imports(source: str) -> set[str]:
+    """Each npagraph module the source imports, at any nesting level: by
+    `from .m import x`, `from . import m`, `from npagraph.m import x`,
+    `from npagraph import m` or `import npagraph.m`; "npagraph" for the
+    package itself (`from . import __version__`)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "npagraph"):
+            module = (node.module or "").removeprefix("npagraph").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from the package: each name is a module or a package name
+                found.update(alias.name if alias.name in LAYERS else "npagraph"
+                             for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] if "." in alias.name
+                         else "npagraph" for alias in node.names
+                         if alias.name.split(".")[0] == "npagraph")
+    return found
+
+
+def test_npagraph_imports_found_in_every_form():
+    source = ("from .models import Graph\n"
+              "from . import __version__, growth\n"
+              "import numpy, npagraph.formats\n"
+              "def f():\n"
+              "    from npagraph.solver import solve_vdd\n"
+              "    from npagraph import datasets\n"
+              "    import npagraph\n")
+    assert npagraph_imports(source) == {"models", "npagraph", "growth",
+                                        "formats", "solver", "datasets"}
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in MODULES} == {*LAYERS, "__init__"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_imports_point_to_a_lower_layer(path):
+    """errors < models < {formats, solver, growth, datasets} < {validation,
+    calibrate} < cli, and the package's __init__ imports no module of it;
+    cli's `from . import __version__` reads the package itself."""
+    imports = npagraph_imports(path.read_text())
+    if path.stem == "__init__":
+        assert imports == set()
+        return
+    allowed = {"npagraph"} if path.stem == "cli" else set()
+    assert {m for m in imports - allowed
+            if LAYERS.get(m, len(LAYERS)) >= LAYERS[path.stem]} == set()

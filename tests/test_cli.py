@@ -253,7 +253,15 @@ class TestGenerateCommand:
                                        {"rho": 0.5, "model": {"type": "ba_tree"}},
                                        {"rho": 0.5, "model": {"type": "ba_tree"}}]}}]},
          1000),
-    ], ids=["odd_n", "nested_total_n"])
+        # At its own total_n of 4 the g = 2 half would get 2 vertices, below
+        # its seed graph's 3; 0.28.0 checked it there and exited 2.
+        ({"type": "composite", "total_n": 4, "components": [
+            {"rho": 0.5, "model": {"type": "ba_tree"}},
+            {"rho": 0.5, "model": {"type": "npa",
+                                   "weights": {"g": 2, "rule": "linear"},
+                                   "increments": {"min_arcs": 2, "probs": [1.0]}}}]},
+         1000),
+    ], ids=["odd_n", "nested_total_n", "spec_total_n_below_seed"])
     def test_composite_grows_to_exactly_n(self, tmp_path, spec, n):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec))
@@ -330,6 +338,36 @@ class TestGenerateCommand:
                      "--out", str(tmp_path / "again")]) == 0
         assert (tmp_path / "again" / "graph_rep0.txt").read_bytes() == \
             (out / "graph_rep0.txt").read_bytes()
+
+    def test_aer_spec_checked_at_n_alone(self, tmp_path):
+        # p_a = 2.75 / 2 at the spec's own n1 = 3, but --n scans 2000
+        # vertices; 0.28.0 checked the spec at n1 and exited 2.
+        spec = tmp_path / "aer.json"
+        spec.write_text(json.dumps({"type": "aer", "n1": 3, "a": 2.75}))
+        assert main(["generate", str(spec), "--n", "2000", "--seed", "1",
+                     "--u", "20", "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_replication_removes_the_files_of_its_run(
+            self, tmp_path, capsys, threads):
+        # At seed 1 replication 0 grows an edge and replications 1 and 2
+        # none. 0.28.0 left replication 0's three files behind.
+        spec = tmp_path / "edgeless.json"
+        spec.write_text(json.dumps({
+            "type": "npa",
+            "weights": {"g": 0, "rule": "constant", "value": 1.0},
+            "increments": {"min_arcs": 0, "probs": [0.5, 0.5]},
+            "seed_graph": {"vertices": 3, "edges": []}}))
+        out = tmp_path / "o"
+        out.mkdir()
+        kept = {"notes.txt": b"mine", "graph_rep1.txt": b"an earlier run's"}
+        for name, data in kept.items():
+            (out / name).write_bytes(data)
+        assert main(["generate", str(spec), "--n", "4", "--reps", "3",
+                     "--seed", "1", "--u", "5", "--threads", threads,
+                     "--out", str(out)]) == 2
+        assert "graph has no edges to measure" in capsys.readouterr().err
+        assert _tree_bytes(out) == kept
 
     def test_preset_gowalla_small(self, tmp_path):
         out = tmp_path / "gw"
@@ -1072,8 +1110,8 @@ class TestCalibrateCommand:
 
     def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
         from npagraph import AerModelSpec, AllRhoInfeasible, cli
-        from npagraph.calibrate import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO,
-                                        TOTAL_N)
+        from npagraph.models import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO,
+                                     TOTAL_N)
         model = BaTreeSpec()
         sol = solve_vdd(model, 2000)
         theta = symmetrize(solve_arc_dd(model, sol, 8))

@@ -145,7 +145,7 @@ class TestSolveVdd:
     def test_truncation_recorded_not_raised(self):
         # The Gowalla increments leave 1.7e-6 of vertex mass beyond degree
         # 10000; it is carried as truncation_mass rather than raised.
-        from npagraph.calibrate import gowalla_increments
+        from npagraph.models import gowalla_increments
         inc, _ = gowalla_increments()
         heavy = NpaModelSpec(weights=WeightFunction.linear(g=1), increments=inc)
         short = solve_vdd(heavy, k_max=10000)
@@ -461,7 +461,7 @@ class TestArcKernel:
         model = NpaModelSpec(weights=WeightFunction.linear(g=1, M=6),
                              increments=IncrementDistribution(1, (0.5, 0.5)))
         vdd = solve_vdd(model, k_max=400)
-        got = solve_arc_dd(model, vdd, 12).entries
+        got = solve_arc_dd(model, vdd, 12, "printed").entries
         ref, _ = arc_reference(model, vdd, 12, "printed")
         assert np.all(got[6:, 6:] == 0.0)
         assert np.all(np.abs(got - ref) <= 1e-12 * ref)
@@ -472,7 +472,7 @@ class TestArcKernel:
         # Rows beyond l = 173 fall below the smallest normal double, where
         # values keep only a few bits, so the comparison stops there.
         model = BaTreeSpec().to_npa()
-        got = solve_arc_dd(model, ba_solution, 300).entries
+        got = solve_arc_dd(model, ba_solution, 300, "printed").entries
         ref, _ = arc_reference(model, ba_solution, 300, "printed")
         normal = ref >= np.finfo(np.float64).tiny
         assert np.count_nonzero(normal) > 40000
@@ -504,7 +504,7 @@ class TestSolveArcDd:
         # Hand-unrolled from the printed recurrence at l = 1:
         # Q_{1,2} = f_1 * 1 * r_1 * Q_1 / (1*f_1 + f_2 + f_1) = (2/3)/4
         model = BaTreeSpec().to_npa()
-        mat = solve_arc_dd(model, ba_solution, 10)
+        mat = solve_arc_dd(model, ba_solution, 10, "printed")
         assert mat.entries[0, 1] == pytest.approx((2.0 / 3.0) / 4.0, abs=1e-9)
 
     def test_mean_weight_variant_head_values(self, ba_solution):
@@ -556,7 +556,7 @@ class TestSolveArcDd:
 
     def test_printed_variant_mass_excess_reported(self, ba_solution):
         model = BaTreeSpec().to_npa()
-        mat = solve_arc_dd(model, ba_solution, 300)
+        mat = solve_arc_dd(model, ba_solution, 300, "printed")
         # The printed denominator does not conserve mass; the surplus shows
         # up as a negative truncation remainder instead of being hidden.
         assert mat.stored_mass() > 1.05
