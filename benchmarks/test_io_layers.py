@@ -8,8 +8,8 @@ Run from the root of a checkout:
 
 This directory sits outside the test paths in pyproject.toml, so the
 ordinary test run does not collect it. The inputs use only public names,
-so the same file times any version of the writers and readers from 0.28.0
-on, where npagraph.formats holds them.
+so the same file times any version of the writers and readers from 0.30.0
+on, where npagraph.formats holds them and the CSV reader takes a path.
 
 To time another version, copy this file into that version's checkout and
 run the same command from its root: pyproject.toml's pythonpath = ["src"]
@@ -89,7 +89,7 @@ def commented_lines(grown, tmp_path_factory):
 
 
 def test_load_edge_list_commented(benchmark, commented_lines, tmp_path):
-    """A '%' comment past the header: the text is read a block of lines at
+    """A '%' comment past the header: the file is read a block of lines at
     a time."""
     path = tmp_path / "out.gowalla"
     path.write_text("".join(commented_lines))
@@ -109,18 +109,21 @@ def test_load_edge_list_bad_last_line(benchmark, commented_lines, tmp_path):
     assert benchmark(read).line_no == len(commented_lines) + 1
 
 
-def test_edd_from_csv(benchmark, matrix):
-    back = benchmark(edd_from_csv, edd_to_csv(matrix))
+def test_edd_from_csv(benchmark, matrix, tmp_path):
+    path = tmp_path / "edd.csv"
+    path.write_text(edd_to_csv(matrix))
+    back = benchmark(edd_from_csv, path)
     assert np.array_equal(back.entries, matrix.entries)
 
 
-def test_edd_from_csv_repeated_header(benchmark, matrix):
-    """The header repeated in the middle: the text is read a block of lines
+def test_edd_from_csv_repeated_header(benchmark, matrix, tmp_path):
+    """The header repeated in the middle: the file is read a block of lines
     at a time."""
     lines = edd_to_csv(matrix).splitlines(keepends=True)
     middle = len(lines) // 2
-    text = "".join(lines[:middle] + [lines[0]] + lines[middle:])
-    back = benchmark(edd_from_csv, text)
+    path = tmp_path / "edd.csv"
+    path.write_text("".join(lines[:middle] + [lines[0]] + lines[middle:]))
+    back = benchmark(edd_from_csv, path)
     assert np.array_equal(back.entries, matrix.entries)
 
 

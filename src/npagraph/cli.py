@@ -15,9 +15,9 @@ cannot be read or held in memory, or a setting the parser rejects), 3
 compute error (any other `NpaGraphError`), 4 no feasible vertex fraction in
 a composite calibration, which still writes report.json and the manifest.
 
-A process starts on what every command uses (errors, models, formats,
-solver and calibrate); the growth and dataset modules, and the process pool
-of `generate --threads`, load inside the commands that call them.
+Every command starts on the errors, models, formats, solver and calibrate
+modules; growth, datasets and the process pool of `generate --threads`
+load inside the commands that call them.
 """
 
 from __future__ import annotations
@@ -122,9 +122,13 @@ def cmd_generate(params: dict, out: Path) -> None:
     infos = []  # the replications whose files are written
     try:
         if params["threads"] > 1 and len(jobs) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import (FIRST_EXCEPTION,
+                                            ProcessPoolExecutor, wait)
             with ProcessPoolExecutor(max_workers=params["threads"]) as pool:
                 runs = [pool.submit(_generate_one, *job) for job in jobs]
+                wait(runs, return_when=FIRST_EXCEPTION)
+                pool.shutdown(cancel_futures=True)  # those not yet started
+            runs = [run for run in runs if not run.cancelled()]
             infos = [run.result() for run in runs if not run.exception()]
             for run in runs:
                 run.result()  # raises the first failure, in replication order
@@ -166,8 +170,8 @@ def cmd_ingest(params: dict, out: Path) -> None:
 
 def cmd_calibrate(params: dict, out: Path) -> None:
     target_dir = Path(params["target"])
-    vdd = vdd_from_csv((target_dir / "vdd.csv").read_text())
-    edd = edd_from_csv((target_dir / "edd.csv").read_text())
+    vdd = vdd_from_csv(target_dir / "vdd.csv")
+    edd = edd_from_csv(target_dir / "edd.csv")
     summary = target_dir / "summary.json"
     meta = json.loads(summary.read_text()) if summary.exists() else {}
     u = params["u"]
@@ -207,8 +211,8 @@ def _comparison_csv(result: CalibrationResult, target: CalibrationTarget
 
 
 def cmd_compare(params: dict, out: Path) -> None:
-    a = edd_from_csv(Path(params["edd_a"]).read_text())
-    b = edd_from_csv(Path(params["edd_b"]).read_text())
+    a = edd_from_csv(params["edd_a"])
+    b = edd_from_csv(params["edd_b"])
     g = params["g"] if params["g"] is not None else max(a.min_degree, b.min_degree)
     u = params["u"] if params["u"] is not None else min(a.max_degree, b.max_degree)
     distance = edd_distance(a, b, g, u)

@@ -11,7 +11,6 @@ Model specs are JSON, read and written by `models.load_model` and
 
 from __future__ import annotations
 
-import io
 import itertools
 import logging
 import warnings
@@ -34,11 +33,12 @@ log = logging.getLogger(__name__)
 # The column writer formats many lines in one % operation. The matrix writer
 # formats each distinct value of a matrix once, since a measured EDD holds a
 # few hundred (counts / 2E) among its u^2 cells, and joins each row from
-# those strings. The reader hands the whole text to np.loadtxt as one
-# buffer; only a text that read rejects is read again a block of lines at a
+# those strings. The readers, these and the edge-list reader, hand
+# np.loadtxt the file's path, its leading header lines skipped by count;
+# only a file that read rejects is read again a block of its lines at a
 # time, by _read_blocks.
 
-# Lines per np.loadtxt call once a reader's read of the whole text has failed.
+# Lines per np.loadtxt call once a reader's read of the whole file has failed.
 _READ_BLOCK = 1 << 14
 
 
@@ -76,7 +76,7 @@ def _cell_strings(mx: np.ndarray, end: str) -> np.ndarray:
     return strings[inv.reshape(mx.shape)]
 
 
-def _read_csv(text: str, header: str, skip: str,
+def _read_csv(path: Union[str, Path], header: str, skip: str,
               columns: tuple[int, ...]) -> np.ndarray:
     """The rows of a degree-distribution file as a structured array with
     integer fields f0, f1, ... and a float last field.
@@ -89,45 +89,74 @@ def _read_csv(text: str, header: str, skip: str,
     MalformedLine with its 1-based line number; no row at all raises
     EmptyInput.
 
-    The text goes to np.loadtxt in one buffer, a leading header skipped by
-    count. A repeated header or a bad row fails that read, and the text is
-    read again by _read_blocks, each header line passed as a blank line.
+    The file is read by _read_file: its leading headers and empty lines are
+    skipped by count, and a repeated header or a bad row fails that read,
+    so the file is read again a block of lines at a time, each header line
+    passed as an empty line.
     """
-    buf = io.StringIO(text, newline=None)
-    first = next((ln for ln in buf if ln != "\n" and not ln.startswith(skip)),
-                 None)
-    if first is None:
-        raise EmptyInput(f"no {header} rows")
-    width = first.count(",") + 1
-    width = width if width in columns else columns[0]
-    dtype = np.dtype(",".join(["i8"] * (width - 1) + ["f8"]))
+    def reader(first):
+        if first is None:
+            raise EmptyInput(f"no {header} rows")
+        width = first.count(",") + 1
+        width = width if width in columns else columns[0]
+        dtype = np.dtype(",".join(["i8"] * (width - 1) + ["f8"]))
 
-    def read(lines, skiprows=0):
-        rows = _loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                        skiprows=skiprows, ndmin=1)
+        def read(source, skiprows=0):
+            rows = _loadtxt(source, dtype=dtype, delimiter=",", comments=None,
+                            skiprows=skiprows, ndmin=1)
+            if rows is None:
+                return None
+            prob = rows[dtype.names[-1]]
+            valid = (all((rows[f] >= 0).all() for f in dtype.names[:-1])
+                     and ((prob >= 0.0) & (prob < np.inf)).all())
+            return rows if valid else None
+        return read
+
+    return _read_file(path, lambda ln: ln == "\n" or ln.startswith(skip),
+                      lambda ln: "\n" if ln.startswith(skip) else ln, reader)
+
+
+def _read_file(path: Union[str, Path], is_head: Callable[[str], bool],
+               mend: Callable[[str], str],
+               reader: Callable[[str | None], Callable]) -> np.ndarray:
+    """The rows of the text file at `path` (gzip-compressed when its name
+    ends in .gz), read by np.loadtxt by its path, in C chunks.
+
+    The leading lines `is_head` holds for are counted; reader(first), given
+    the first line after them or None, returns read(source, skiprows=0):
+    the rows np.loadtxt reads from a path or a list of lines, or None when
+    it rejects one. A file read rejects is read again by _read_blocks over
+    its own lines, each passed through `mend` before read takes it, so a
+    bad line is named as written.
+    """
+    path = Path(path)
+    if path.suffix == ".gz":
+        import gzip  # loaded only for a compressed file
+        opener = gzip.open
+    else:
+        opener = open
+    with opener(path, "rt") as fh:
+        head, first = 0, None
+        for line in fh:
+            if not is_head(line):
+                first = line
+                break
+            head += 1
+        read = reader(first)
+        rows = read(str(path), head)
         if rows is None:
-            return None
-        prob = rows[dtype.names[-1]]
-        valid = (all((rows[f] >= 0).all() for f in dtype.names[:-1])
-                 and ((prob >= 0.0) & (prob < np.inf)).all())
-        return rows if valid else None
-
-    buf.seek(0)
-    rows = read(buf, int(text.startswith(skip)))
-    if rows is None:
-        buf.seek(0)
-        rows = _read_blocks(("\n" if ln.startswith(skip) else ln
-                             for ln in buf), read)
+            fh.seek(0)
+            rows = _read_blocks(fh, lambda block: read(list(map(mend, block))))
     return rows
 
 
-def _loadtxt(lines, **kwargs) -> np.ndarray | None:
-    """np.loadtxt of the lines, or None where it raises ValueError. A text
-    without data gives no rows, without a warning."""
+def _loadtxt(source, **kwargs) -> np.ndarray | None:
+    """np.loadtxt of a path or a list of lines, or None where it raises
+    ValueError. A source without data gives no rows, without a warning."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(lines, **kwargs)
+            return np.loadtxt(source, **kwargs)
     except ValueError:
         return None
 
@@ -193,9 +222,9 @@ def vdd_to_csv(q: DegreeDistribution) -> str:
                        range(q.min_degree, q.max_degree + 1), q.probs.tolist())
 
 
-def vdd_from_csv(text: str) -> DegreeDistribution:
-    """Read degree,probability rows; a middle count column is accepted too,
-    in every row or in none.
+def vdd_from_csv(path: Union[str, Path]) -> DegreeDistribution:
+    """Read the degree,probability rows of the file at `path`; a middle
+    count column is accepted too, in every row or in none.
 
     Raises MalformedLine for a row that does not parse or has a negative
     degree, EmptyInput when there is no row, InputTooLarge when the
@@ -203,7 +232,7 @@ def vdd_from_csv(text: str) -> DegreeDistribution:
     has more than one row or the stored mass exceeds 1 by more than the
     1e-9 solve_vdd allows its own.
     """
-    rows = _read_csv(text, "degree,probability", "degree", (2, 3))
+    rows = _read_csv(path, "degree,probability", "degree", (2, 3))
     lo, arr = _dense("degree {}", rows[rows.dtype.names[-1]], rows["f0"])
     mass = float(arr.sum())
     if mass > 1.0 + 1e-9:
@@ -217,12 +246,13 @@ def edd_to_csv(mx: EdgeDegreeMatrix) -> str:
     return matrix_csv("l,k,probability", mx.min_degree, mx.entries)
 
 
-def edd_from_csv(text: str) -> EdgeDegreeMatrix:
-    """Read l,k,probability rows as an edge matrix. Raises MalformedLine for
-    a row that does not parse or has a negative degree, EmptyInput when
-    there is no row, InputTooLarge when the degrees span more than memory
-    holds, and ValidationError when a cell has more than one row."""
-    rows = _read_csv(text, "l,k,probability", "l,", (3,))
+def edd_from_csv(path: Union[str, Path]) -> EdgeDegreeMatrix:
+    """Read the l,k,probability rows of the file at `path` as an edge
+    matrix. Raises MalformedLine for a row that does not parse or has a
+    negative degree, EmptyInput when there is no row, InputTooLarge when the
+    degrees span more than memory holds, and ValidationError when a cell
+    has more than one row."""
+    rows = _read_csv(path, "l,k,probability", "l,", (3,))
     lo, entries = _dense("cell (l, k) = ({}, {})", rows["f2"], rows["f0"],
                          rows["f1"])
     return EdgeDegreeMatrix(min_degree=lo, entries=entries,
@@ -288,61 +318,31 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, ParseStats]:
     an undirected simple graph with the counts of dropped self-loops and
     collapsed duplicates.
 
-    Lines follow the syntax of _edge_tokens. Self-loops are dropped with a
-    counted warning, ids are remapped to the dense range 0 .. n-1 in
-    increasing order (kept as labels), and duplicate or reversed pairs
-    collapse to one edge.
-    np.loadtxt reads a path in C chunks, several times faster than it takes
-    lines from a Python iterator, but strips only '#' comments on that
-    route. So the leading comment block ('#' or KONECT's '%') is skipped by
-    its line count, and a file that this read rejects, for example one with
-    a '%' comment further down, is read again by _edge_tokens a block of
-    lines at a time, and np.loadtxt's rejection of a block names its bad
-    line.
-    """
-    path = Path(path)
-    if path.suffix == ".gz":
-        import gzip  # loaded only for a compressed list
-        opener = gzip.open
-    else:
-        opener = open
-    with opener(path, "rt") as fh:
-        header = sum(1 for _ in itertools.takewhile(  # blank or comment
-            lambda ln: not ln.strip() or ln.lstrip()[0] in "#%", fh))
-        pairs = _loadtxt(str(path), dtype=np.int64, comments="#",
-                         skiprows=header, ndmin=2)
-        if pairs is None or (pairs.shape[1] != 2 and pairs.size):
-            fh.seek(0)
-            pairs = _edge_tokens(fh)
-    return _simple_graph(pairs.reshape(-1, 2))
-
-
-def _edge_tokens(fh: TextIO) -> np.ndarray:
-    """The (E, 2) int64 array of the id pairs in an edge-list text, in file
-    order, read by _read_blocks with _edge_pairs.
-
     A data line holds two integer ids separated by spaces or tabs. Text from
     a '#' or '%' to the end of its line is a comment, so a pair may carry a
     trailing comment; blank lines are skipped, and CRLF line ends are
     accepted. Any other line, or an id outside int64, raises MalformedLine
-    with its 1-based line number.
+    with its 1-based line number. Self-loops are dropped with a counted
+    warning, ids are remapped to the dense range 0 .. n-1 in increasing
+    order (kept as labels), and duplicate or reversed pairs collapse to one
+    edge.
+
+    The file is read by _read_file, its leading blank and comment lines
+    skipped by count. np.loadtxt strips comments in its C tokenizer only
+    when given a single comment string, so only '#' is passed; a file that
+    read rejects, for example one with a '%' comment further down, is read
+    again with each '%' made a '#', which starts a comment just as '%' does.
     """
-    return _read_blocks(fh, _edge_pairs)
+    def read(source, skiprows=0):
+        pairs = _loadtxt(source, dtype=np.int64, comments="#",
+                         skiprows=skiprows, ndmin=2)
+        if pairs is None or (pairs.shape[1] != 2 and pairs.size):
+            return None
+        return pairs.reshape(-1, 2)
 
-
-def _edge_pairs(lines: list[str]) -> np.ndarray | None:
-    """The (E, 2) id pairs of the lines, or None when np.loadtxt rejects one.
-
-    np.loadtxt strips comments in its C tokenizer only when given a single
-    comment string; given two, it runs a Python function on every line. So
-    each '%' is made a '#', which starts a comment just as '%' does, and
-    only '#' is passed.
-    """
-    pairs = _loadtxt([s.replace("%", "#") for s in lines], dtype=np.int64,
-                     comments="#", ndmin=2)
-    if pairs is None or (pairs.shape[1] != 2 and pairs.size):
-        return None
-    return pairs.reshape(-1, 2)
+    return _simple_graph(_read_file(
+        path, lambda ln: not ln.strip() or ln.lstrip()[0] in "#%",
+        lambda ln: ln.replace("%", "#"), lambda first: read))
 
 
 def _simple_graph(raw: np.ndarray) -> tuple[Graph, ParseStats]:
@@ -369,11 +369,11 @@ def _simple_graph(raw: np.ndarray) -> tuple[Graph, ParseStats]:
         ids, dense = np.unique(kept, return_inverse=True)
         n = len(ids)
     a, b = dense.reshape(-1, 2).T
-    # return_counts keeps np.unique on its sort path; NumPy >= 2.3 otherwise
-    # hashes, which is many times slower on int64 keys.
-    packed, _ = np.unique(np.minimum(a, b) * np.int64(n) + np.maximum(a, b),
-                          return_counts=True)
-    graph = Graph(n, np.column_stack([packed // n, packed % n]),
-                  directed=False, labels=ids)
+    keys = np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    graph = Graph(n, pairs, directed=False, labels=ids)
     return graph, ParseStats(self_loops_dropped=loops,
                              duplicates_collapsed=len(kept) - graph.edge_count)

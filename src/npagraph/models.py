@@ -188,12 +188,6 @@ class IncrementDistribution:
     def mean(self) -> float:
         return float(sum((self.min_arcs + i) * p for i, p in enumerate(self.probs)))
 
-    def prob(self, k: int) -> float:
-        idx = k - self.min_arcs
-        if 0 <= idx < len(self.probs):
-            return self.probs[idx]
-        return 0.0
-
     def prob_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=np.float64)
 
@@ -247,12 +241,6 @@ class DegreeDistribution:
     @property
     def max_degree(self) -> int:
         return self.min_degree + len(self.probs) - 1
-
-    def prob(self, k: int) -> float:
-        idx = k - self.min_degree
-        if 0 <= idx < len(self.probs):
-            return float(self.probs[idx])
-        return 0.0
 
     def degrees(self) -> np.ndarray:
         return np.arange(self.min_degree, self.max_degree + 1)
@@ -354,7 +342,7 @@ class Graph:
     not created by any grower.
     """
 
-    __slots__ = ("vertex_count", "pairs", "directed", "labels")
+    __slots__ = ("vertex_count", "pairs", "directed", "labels", "_degrees")
 
     def __init__(self, vertex_count: int, pairs, directed: bool = False, labels=None):
         self.vertex_count = int(vertex_count)
@@ -372,14 +360,21 @@ class Graph:
         self.pairs = arr
         self.directed = bool(directed)
         self.labels = labels
+        self._degrees = None
 
     @property
     def edge_count(self) -> int:
         return self.pairs.shape[0]
 
     def degrees(self) -> np.ndarray:
-        d = np.bincount(self.pairs.reshape(-1), minlength=self.vertex_count)
-        return d[:self.vertex_count]
+        """Each vertex's degree, counted on the first call and kept: the
+        array is read-only, so a caller that writes into it fails."""
+        if self._degrees is None:
+            d = np.bincount(self.pairs.reshape(-1),
+                            minlength=self.vertex_count)[:self.vertex_count]
+            d.setflags(write=False)
+            self._degrees = d
+        return self._degrees
 
     def induced(self, keep: np.ndarray) -> "Graph":
         """Subgraph on the vertices flagged in the boolean mask, relabeled densely."""

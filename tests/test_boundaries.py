@@ -68,8 +68,8 @@ def test_no_private_name_crosses_modules(path):
 
 
 def test_formats_alone_reads_and_writes_text():
-    """np.loadtxt, and the io, gzip and warnings modules, appear in formats
-    and nowhere else in the package."""
+    """np.loadtxt, and the gzip and warnings modules, appear in formats and
+    nowhere else in the package."""
     users = {}
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -80,10 +80,10 @@ def test_formats_alone_reads_and_writes_text():
                     users.setdefault("np.loadtxt", set()).add(path.stem)
             elif isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name in ("io", "gzip", "warnings"):
+                    if alias.name in ("gzip", "warnings"):
                         users.setdefault(alias.name, set()).add(path.stem)
     assert users == {name: {"formats"}
-                     for name in ("np.loadtxt", "io", "gzip", "warnings")}
+                     for name in ("np.loadtxt", "gzip", "warnings")}
 
 
 LAYERS = {"errors": 0, "models": 1, "formats": 2, "solver": 2, "growth": 2,

@@ -335,10 +335,12 @@ class TestCalibrateSingle:
         target = _target_from(true, u=20)
         res = calibrate_single(target, "linear", r_max=4)
         assert res.distance < 1e-3
-        recovered = res.model.increments
+        recovered, planted = (
+            dict(enumerate(inc.probs, inc.min_arcs))
+            for inc in (res.model.increments, true.increments))
         for k in range(1, 5):
-            assert recovered.prob(k) == pytest.approx(true.increments.prob(k),
-                                                      abs=0.05)
+            assert recovered.get(k, 0.0) == pytest.approx(planted.get(k, 0.0),
+                                                          abs=0.05)
 
     def test_distance_reproducible_from_model(self):
         target = _target_from(_model((0.6, 0.4)), u=15)
@@ -414,9 +416,11 @@ class TestCalibrateSingle:
         true = _model((0.4, 0.3, 0.2, 0.1))
         res = calibrate_single(_target_from(true, u=20), "linear")
         assert res.distance < 1e-3
+        fitted, planted = (dict(enumerate(inc.probs, inc.min_arcs))
+                           for inc in (res.model.increments, true.increments))
         for k in range(1, 51):
-            assert res.model.increments.prob(k) == pytest.approx(
-                true.increments.prob(k), abs=0.05)
+            assert fitted.get(k, 0.0) == pytest.approx(planted.get(k, 0.0),
+                                                       abs=0.05)
 
     @given(st.lists(st.integers(0, 10), min_size=1, max_size=6)
            .filter(lambda w: w[-1] > 0))
@@ -425,9 +429,10 @@ class TestCalibrateSingle:
         probs = tuple(w / sum(weights) for w in weights)
         true = _model(probs)
         res = calibrate_single(_target_from(true, u=15), "linear", r_max=6)
+        fitted, planted = (dict(enumerate(inc.probs, inc.min_arcs))
+                           for inc in (res.model.increments, true.increments))
         for k in range(1, 7):
-            assert abs(res.model.increments.prob(k)
-                       - true.increments.prob(k)) <= 1e-6
+            assert abs(fitted.get(k, 0.0) - planted.get(k, 0.0)) <= 1e-6
 
     def test_mean_increment_is_the_target_mean(self):
         target = _target_from(_model((0.2, 0.5, 0.3)), u=15)
@@ -652,9 +657,10 @@ class TestCalibrateComposite:
         assert written_aer == aer
         assert written_rho == pytest.approx(0.3 / (kept * 0.7 + 0.3), rel=1e-14)
         assert res.distance < 1e-12 and res.vdd_tv_error < 1e-12
-        fitted = res.model.components[1][0].increments
+        inc = res.model.components[1][0].increments
+        fitted = dict(enumerate(inc.probs, inc.min_arcs))
         for k, p in ((1, 0.4), (2, 0.6), (3, 0.0)):
-            assert fitted.prob(k) == pytest.approx(p, abs=1e-12)
+            assert fitted.get(k, 0.0) == pytest.approx(p, abs=1e-12)
 
     def test_complement_mean_achieved(self, fitted):
         res, _ = fitted
@@ -843,7 +849,8 @@ class TestPresets:
     def test_gowalla_increment_table(self):
         inc, raw_sum = gowalla_increments()
         assert raw_sum == pytest.approx(GOWALLA_RAW_SUM, abs=1e-12)
-        assert inc.prob(1) * raw_sum == pytest.approx(GOWALLA_RAW_R1, abs=1e-12)
+        assert inc.probs[1 - inc.min_arcs] * raw_sum == pytest.approx(
+            GOWALLA_RAW_R1, abs=1e-12)
         assert inc.max_arcs == 50
         assert sum(inc.probs) == pytest.approx(1.0, abs=1e-12)
         assert preset_gowalla().metadata["increment_raw_sum"] == pytest.approx(
@@ -856,7 +863,7 @@ class TestPresets:
         assert isinstance(first, BaTreeSpec)
         assert rho == 0.225
         npa = first.to_npa()
-        assert npa.increments.prob(1) == 1.0
+        assert npa.increments.probs[1 - npa.increments.min_arcs] == 1.0
         assert npa.weights.rule == "linear"
 
     def test_brightkite_complement_mean_matches(self):

@@ -3,16 +3,31 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
-                      IncrementDistribution, NpaModelSpec,
+                      EmptyInput, IncrementDistribution, NpaModelSpec,
                       WeightFunction, dump_model, solve_arc_dd, solve_vdd,
                       symmetrize)
+from npagraph import cli
 from npagraph.cli import main
 from npagraph.formats import edd_from_csv, edd_to_csv, vdd_to_csv
+
+
+def _first_fails_others_slow(spec_text, n, seed, rep, u, out):
+    """A stand-in for cli._generate_one: replication 0 fails at once; each
+    other one marks that it ran in the folder beside `out`, sleeps, and
+    writes its three files."""
+    if rep == 0:
+        raise EmptyInput("replication 0 fails")
+    (out.parent / "ran" / str(rep)).touch()
+    time.sleep(0.5)
+    for name in cli.REP_FILES:
+        (out / name.format(rep)).write_text("")
+    return {"rep": rep, "vertices": n, "edges": 0}
 
 
 def _write_ba_spec(path: Path) -> Path:
@@ -368,6 +383,20 @@ class TestGenerateCommand:
                      "--out", str(out)]) == 2
         assert "graph has no edges to measure" in capsys.readouterr().err
         assert _tree_bytes(out) == kept
+
+    def test_failed_replication_stops_the_pool(self, tmp_path, capsys,
+                                               monkeypatch):
+        # 0.29.0 ran all 11 replications after replication 0 had failed.
+        monkeypatch.setattr(cli, "_generate_one", _first_fails_others_slow)
+        out, ran = tmp_path / "o", tmp_path / "ran"
+        out.mkdir()
+        ran.mkdir()
+        assert main(["generate", "--preset", "gowalla", "--n", "1000",
+                     "--reps", "12", "--threads", "2",
+                     "--out", str(out)]) == 2
+        assert "replication 0 fails" in capsys.readouterr().err
+        assert len(list(ran.iterdir())) < 11 / 2
+        assert list(out.iterdir()) == []
 
     def test_preset_gowalla_small(self, tmp_path):
         out = tmp_path / "gw"
@@ -925,7 +954,7 @@ class TestCompareCommand:
         b = self._write_edd(tmp_path / "b.csv", perturb=0.125)
         out = tmp_path / "d"
         assert main(["compare", str(a), str(b), "--g", "2", "--out", str(out)]) == 0
-        ma, mb = (edd_from_csv(p.read_text()) for p in (a, b))
+        ma, mb = (edd_from_csv(p) for p in (a, b))
         diff = ma.window(2, 10) - mb.window(2, 10)
         lines = (out / "diff.csv").read_text().splitlines()
         assert lines[0] == "l,k,difference"
@@ -970,8 +999,10 @@ class TestCompareCommand:
         # matrix. Under a 2 GiB address-space limit, set by the child on
         # itself, the allocation fails and must surface as InputTooLarge.
         small, big = tmp_path / "small.csv", tmp_path / "big.csv"
+        vdd = tmp_path / "vdd.csv"
         small.write_text("l,k,probability\n1,1,1.0\n")
         big.write_text("l,k,probability\n1,1,0.5\n30000,1,0.5\n")
+        vdd.write_text("degree,probability\n1,0.5\n900000000,0.5\n")
         limit = _address_space(2 << 30)
         code = (
             "import resource, sys\n"
@@ -980,7 +1011,7 @@ class TestCompareCommand:
             "from npagraph.cli import main\n"
             "from npagraph.formats import vdd_from_csv\n"
             "try:\n"
-            "    vdd_from_csv('degree,probability\\n1,0.5\\n900000000,0.5\\n')\n"
+            f"    vdd_from_csv({str(vdd)!r})\n"
             "except InputTooLarge as exc:\n"
             "    print('vdd:', exc)\n"
             f"sys.exit(main(['compare', {str(small)!r}, {str(big)!r},\n"
@@ -1000,7 +1031,7 @@ class TestCalibrateCommand:
         from npagraph import cli
         monkeypatch.setattr(cli, "calibrate_single", None)
         target_dir = _write_ba_target(tmp_path / "target")
-        edd = edd_from_csv((target_dir / "edd.csv").read_text())
+        edd = edd_from_csv(target_dir / "edd.csv")
         (target_dir / "edd.csv").write_text(edd_to_csv(EdgeDegreeMatrix(
             min_degree=5, entries=edd.window(5, edd.max_degree))))
         out = tmp_path / "fit"

@@ -34,6 +34,30 @@ def _load_lines(lines):
     return _load_text("".join(f"{line}\n" for line in lines))
 
 
+def _line_pairs(source):
+    """The (E, 2) id pairs load_edge_list hands _simple_graph from its line
+    route: np.loadtxt refuses the file's path, so _read_blocks reads every
+    line. `source` is a file's path, or a text written as it stands to a
+    file of its own."""
+    real, pairs = np.loadtxt, []
+
+    def lines_only(lines, **kwargs):
+        if isinstance(lines, str):
+            raise ValueError("read by path refused")
+        return real(lines, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        path = source
+        if isinstance(source, str):
+            path = Path(tmp) / "net.txt"
+            path.write_bytes(source.encode())
+        mp.setattr(np, "loadtxt", lines_only)
+        mp.setattr(formats, "_simple_graph", pairs.append)
+        load_edge_list(path)
+    return pairs[0]
+
+
 class TestLoadEdgeList:
     def test_comments_skipped(self):
         g, _ = _load_lines(["# comment", "0 1", "1 2"])
@@ -80,7 +104,7 @@ class TestLoadEdgeList:
     def test_minus_zero_is_id_zero(self):
         g, _ = _load_lines(["-0 1"])
         assert list(g.labels) == [0, 1]
-        assert formats._edge_tokens(io.StringIO("-0 1\n")).tolist() == [[0, 1]]
+        assert _line_pairs("-0 1\n").tolist() == [[0, 1]]
 
     def test_gzip_file(self, tmp_path):
         path = tmp_path / "net.txt.gz"
@@ -145,14 +169,15 @@ def _gz_path_edges(text):
 
 
 def _line_edges(text):
-    """Edges of the line route, _edge_tokens over a text stream."""
-    pairs = formats._edge_tokens(io.StringIO(text))
+    """Edges of load_edge_list's line route over a file holding the text,
+    before _simple_graph."""
+    pairs = _line_pairs(text)
     return sorted(tuple(sorted(p)) for p in pairs.tolist())
 
 
 ROUTES = [pytest.param(_path_edges, id="load_edge_list"),
           pytest.param(_gz_path_edges, id="load_edge_list_gz"),
-          pytest.param(_line_edges, id="edge_tokens")]
+          pytest.param(_line_edges, id="line_route")]
 
 
 # The text as it stands, and without the line end of its last line.
@@ -243,8 +268,9 @@ _line = st.lists(_piece, max_size=6).map("".join) | st.tuples(
 
 
 class TestEdgeTokens:
-    """_edge_tokens against the syntax spelled out line by line, and against
-    the np.loadtxt call of 0.8.0, which passed both comment strings."""
+    """load_edge_list's line route against the syntax spelled out line by
+    line, and against the np.loadtxt call of 0.8.0, which passed both
+    comment strings."""
 
     @given(st.lists(_line, max_size=12), st.sampled_from(["\n", "\r\n"]))
     @settings(max_examples=300, deadline=None)
@@ -265,10 +291,10 @@ class TestEdgeTokens:
         expected = _reference_tokens(lines)
         if isinstance(expected, int):
             with pytest.raises(MalformedLine) as err:
-                formats._edge_tokens(io.StringIO("".join(lines)))
+                _line_pairs("".join(lines))
             assert err.value.line_no == expected
             return
-        pairs = formats._edge_tokens(io.StringIO("".join(lines)))
+        pairs = _line_pairs("".join(lines))
         assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
         assert pairs.tolist() == expected
         if expected:
@@ -278,15 +304,15 @@ class TestEdgeTokens:
 
 
 class TestEdgeTokensInSmallBlocks:
-    """_edge_tokens and load_edge_list's fallback to it, with blocks of 4
-    lines: a bad line is named wherever it falls, and a block without pairs
-    adds none."""
+    """load_edge_list's line route, alone and as the fallback of its read by
+    path, with blocks of 4 lines: a bad line is named wherever it falls,
+    and a block without pairs adds none."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(formats, "_READ_BLOCK", 4)
 
-    # A '%' comment past the header sends load_edge_list to _edge_tokens.
+    # A '%' comment past the header sends load_edge_list to its line route.
     LINES = ["% c", "0 1", "% mid", "1 2", "2 3", "3 4", "4 5", "5 6", "6 7",
              "7 8", "8 9"]
 
@@ -321,7 +347,7 @@ class TestEdgeTokensInSmallBlocks:
     @pytest.mark.parametrize("text", ["", "\n" * 8, "% a\n# b\n" * 4,
                                       "% a\n\n# b\n\n"])
     def test_empty_or_comment_only(self, text):
-        pairs = formats._edge_tokens(io.StringIO(text))
+        pairs = _line_pairs(text)
         assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
         with pytest.raises(EmptyInput):
             _load_text(text)
@@ -330,8 +356,8 @@ class TestEdgeTokensInSmallBlocks:
 class TestLoadEdgeListRoutes:
     """load_edge_list reads a file by path, its leading comment block skipped
     by count, and falls back to the line route for what that read rejects;
-    either way it gives the simple graph of _edge_tokens over the same
-    file."""
+    either way it gives the simple graph of the line route's pairs from the
+    same file."""
 
     TEXTS = [
         # the format `generate` writes: '#' header, dense ids
@@ -382,8 +408,7 @@ class TestLoadEdgeListRoutes:
             fh.write(text)
 
         def line_route():
-            with opener(path, "rt") as fh:
-                return formats._simple_graph(formats._edge_tokens(fh))
+            return formats._simple_graph(_line_pairs(path))
         assert self._outcome(lambda: load_edge_list(path)) \
             == self._outcome(line_route)
 
@@ -396,11 +421,31 @@ class TestLoadEdgeListRoutes:
         expected = self._outcome(
             lambda: load_edge_list(path))
 
-        def refuse(fh):
+        def refuse(lines, read):
             raise AssertionError("line route taken")
-        monkeypatch.setattr(formats, "_edge_tokens", refuse)
+        monkeypatch.setattr(formats, "_read_blocks", refuse)
         assert self._outcome(
             lambda: load_edge_list(path)) == expected
+
+    def test_clean_file_read_once_by_path(self, tmp_path, monkeypatch):
+        """One np.loadtxt call, on the path, reads a clean file; a bad last
+        line is still named."""
+        calls, real = [], np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            calls.append(source)
+            return real(source, *args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        path = tmp_path / "net.txt"
+        text = "% konect\n# snap\n0 1\n1 2 # a\n2 0\n"
+        path.write_text(text)
+        graph, _ = load_edge_list(path)
+        assert calls == [str(path)]
+        assert graph.edge_count == 3
+        path.write_text(text + "2 x\n")
+        with pytest.raises(MalformedLine) as err:
+            load_edge_list(path)
+        assert (err.value.line_no, err.value.content) == (6, "2 x")
 
     def test_written_graph_keeps_dense_ids(self, tmp_path):
         """A written graph reads back with the labels and pairs np.unique's
@@ -524,7 +569,7 @@ class TestSmoothVdd:
         probs[50] = 0.0  # a noisy empirical zero inside the tail
         noisy = DegreeDistribution(1, probs / probs.sum())
         out = smooth_vdd(noisy, "tail-powerlaw")
-        assert out.prob(51) > 0.0
+        assert out.aligned(51, 51)[0] > 0.0
 
     def test_mass_preserved(self, monkeypatch):
         monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 10)
@@ -538,10 +583,7 @@ class TestSmoothVdd:
         out = smooth_vdd(q, "log-bin")
         # Bins at LOG_BIN_BASE = 2 from degree 1: {1}, {2, 3}, {4}.
         assert datasets.LOG_BIN_BASE == 2.0
-        assert out.prob(1) == pytest.approx(0.4)
-        assert out.prob(2) == pytest.approx(0.25)
-        assert out.prob(3) == pytest.approx(0.25)
-        assert out.prob(4) == pytest.approx(0.1)
+        assert out.aligned(1, 4) == pytest.approx([0.4, 0.25, 0.25, 0.1])
 
     def test_insufficient_tail(self, monkeypatch):
         monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 3)

