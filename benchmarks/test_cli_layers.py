@@ -1,4 +1,4 @@
-"""Layer benchmark of one CLI process from start to exit (pytest-benchmark).
+"""Layer benchmarks of CLI processes from start to exit (pytest-benchmark).
 
 Run from the root of a checkout:
 
@@ -6,10 +6,11 @@ Run from the root of a checkout:
         --benchmark-json=cli_layers.json
 
 This directory sits outside the test paths in pyproject.toml, so the
-ordinary test run does not collect it. Each round runs
-`python -m npagraph.cli compare` of two small edge matrices in a fresh
-interpreter, so the time is mostly the interpreter's start-up, the imports
-the command loads and the exit. The package is copied without its bytecode
+ordinary test run does not collect it. Each round starts a fresh
+interpreter that runs one of: `python -m npagraph.cli compare` of two small
+edge matrices; `import npagraph.cli` alone; or a `generate` whose --seed the
+parser rejects. So the time is mostly the interpreter's start-up, the
+imports each loads and the exit. The package is copied without its bytecode
 cache and run with PYTHONDONTWRITEBYTECODE=1, so every round compiles it
 from source, as a fresh checkout does; numpy and the standard library keep
 their installed caches.
@@ -63,3 +64,19 @@ def test_compare_process(benchmark, fresh_package, edds):
                      capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) == 0.0
+
+
+def test_import_process(benchmark, fresh_package):
+    argv = [sys.executable, "-c", "import npagraph.cli"]
+    proc = benchmark(subprocess.run, argv, env=fresh_package,
+                     capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rejected_setting_process(benchmark, fresh_package, tmp_path):
+    argv = [sys.executable, "-m", "npagraph.cli", "generate", "--preset",
+            "gowalla", "--seed", "-1", "--out", str(tmp_path / "out")]
+    proc = benchmark(subprocess.run, argv, env=fresh_package,
+                     capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "--seed: must be at least 0, got -1" in proc.stderr

@@ -11,7 +11,7 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyInput", "InfeasibleComplement",
@@ -22,9 +22,10 @@ _EXPORTS = {
     "models": ("AerModelSpec", "BaTreeSpec", "CompositeSpec",
                "DegreeDistribution", "EdgeDegreeMatrix", "Graph",
                "IncrementDistribution", "NpaModelSpec", "SeedGraphSpec",
-               "WeightFunction", "dump_model", "gowalla_increments",
-               "load_model", "model_from_dict", "preset_brightkite",
-               "preset_gowalla", "size_violations", "validate_model"),
+               "WeightFunction", "dump_model", "edd_distance",
+               "gowalla_increments", "load_model", "model_from_dict",
+               "preset_brightkite", "preset_gowalla", "select_u",
+               "size_violations", "validate_model"),
     "solver": ("VddSolution", "complement_mean", "complement_vdd", "edge_share",
                "mix_edd", "mix_vdd", "solve_arc_dd", "solve_vdd", "symmetrize"),
     "growth": ("AerRunStats", "GrowthTrace", "RngStream", "grow", "grow_aer",
@@ -33,8 +34,7 @@ _EXPORTS = {
     "datasets": ("DatasetSummary", "smooth_vdd", "summarize"),
     "formats": ("ParseStats", "load_edge_list", "write_edge_list"),
     "calibrate": ("CalibrationResult", "CalibrationTarget", "OptimizerTrace",
-                  "calibrate_composite", "calibrate_single", "edd_distance",
-                  "select_u"),
+                  "calibrate_composite", "calibrate_single"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

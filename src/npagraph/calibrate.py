@@ -24,18 +24,17 @@ from typing import Union
 
 import numpy as np
 
+from .constants import R_MIN, TOTAL_N, VARIANTS
 from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
                      NpaGraphError, SolverFailure, WindowExceedsMatrix)
-from .models import (TOTAL_N, AerModelSpec, CompositeSpec, DegreeDistribution,
+from .models import (AerModelSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution,
-                     NpaModelSpec, WeightFunction)
-from .solver import (VARIANTS, VddSolution, complement_mean, complement_vdd,
-                     edge_share, mix_edd, mix_vdd, solve_arc_dd, solve_vdd,
-                     symmetrize)
+                     NpaModelSpec, WeightFunction, edd_distance)
+from .solver import (VddSolution, complement_mean, complement_vdd, edge_share,
+                     mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 
 log = logging.getLogger(__name__)
 
-R_MIN = 1  # least increment arc count, and so the minimum degree of every fit
 K_MAX = 4000  # last vertex degree each candidate's solve stores
 FP_TOLERANCE = 1e-9  # relative bracket width of its mean-weight bisection
 ALPHA_MIN = 0.01  # lower end of the table-free search over f_k = k**alpha
@@ -136,34 +135,6 @@ class CalibrationResult:
         """What calibration minimises: the VDD error plus the edge-matrix
         distance."""
         return self.vdd_tv_error + self.distance
-
-
-# ---------------------------------------------------------------------------
-# Distance and window selection
-# ---------------------------------------------------------------------------
-
-def edd_distance(theta: EdgeDegreeMatrix, target: EdgeDegreeMatrix,
-                 g: int, u: int) -> float:
-    """Euclidean norm of entrywise differences over the window [g, u]^2."""
-    a = theta.window(g, u)
-    b = target.window(g, u)
-    return float(np.sqrt(((a - b) ** 2).sum()))
-
-
-def select_u(target_edd: EdgeDegreeMatrix, mass_fraction: float = 0.95) -> int:
-    """Smallest extent whose square window holds the requested mass share.
-
-    Falls back to the full matrix extent when the stored mass never reaches
-    the share (heavy truncation).
-    """
-    prefix = np.cumsum(np.cumsum(target_edd.entries, axis=0), axis=1)
-    total = target_edd.stored_mass() + target_edd.truncation_mass
-    needed = mass_fraction * total
-    diag = np.diagonal(prefix)
-    hit = np.flatnonzero(diag >= needed - 1e-15)
-    if len(hit):
-        return target_edd.min_degree + int(hit[0])
-    return target_edd.max_degree
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ cannot be read or held in memory, or a setting the parser rejects), 3
 compute error (any other `NpaGraphError`), 4 no feasible vertex fraction in
 a composite calibration, which still writes report.json and the manifest.
 
-Every command starts on the errors, models, formats, solver and calibrate
-modules; growth, datasets and the process pool of `generate --threads`
-load inside the commands that call them.
+Importing this module loads only the standard library, `errors` and
+`constants`, which holds the values the parser needs, so --help and a
+setting the parser rejects exit before numpy loads. Each command imports
+the modules it calls in its own body.
 """
 
 from __future__ import annotations
@@ -32,18 +33,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .calibrate import (R_MIN, CalibrationResult, CalibrationTarget,
-                        calibrate_composite, calibrate_single, edd_distance,
-                        select_u)
+from .constants import (GOWALLA_AER_MEAN_DEGREE, PRESET_NAMES, R_MIN, TOTAL_N,
+                        VARIANTS)
 from .errors import (AllRhoInfeasible, InputError, NpaGraphError,
                      ValidationError, Violation)
-from .formats import (edd_from_csv, edd_to_csv, id_map_csv, load_edge_list,
-                      matrix_csv, vdd_counts_csv, vdd_from_csv, vdd_to_csv,
-                      write_edge_list)
-from .models import (GOWALLA_AER_MEAN_DEGREE, PRESETS, TOTAL_N, BaTreeSpec,
-                     NpaModelSpec, dump_model, load_model, preset_gowalla,
-                     size_violations, validate_model)
-from .solver import VARIANTS, solve_arc_dd, solve_vdd, symmetrize
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -72,6 +65,9 @@ def _write_manifest(out: Path, command: str, params: dict) -> None:
 
 
 def cmd_solve(params: dict, out: Path) -> None:
+    from .formats import edd_to_csv, vdd_to_csv
+    from .models import NpaModelSpec, load_model, validate_model
+    from .solver import solve_arc_dd, solve_vdd, symmetrize
     spec = validate_model(load_model(Path(params["spec"]).read_text()))
     if not isinstance(spec, NpaModelSpec):
         raise ValidationError([Violation(
@@ -95,7 +91,9 @@ def cmd_solve(params: dict, out: Path) -> None:
 
 def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
                   out: Path) -> dict:
+    from .formats import edd_to_csv, vdd_to_csv, write_edge_list
     from .growth import RngStream, grow, measure_edd, measure_vdd
+    from .models import load_model
     graph = grow(load_model(spec_text), n, RngStream(seed, rep))
     # Measured before any file opens: a graph with nothing to measure
     # leaves no file of its replication.
@@ -110,6 +108,7 @@ def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
 
 
 def cmd_generate(params: dict, out: Path) -> None:
+    from .models import PRESETS, dump_model, load_model, size_violations
     n = params["n"]
     spec = (PRESETS[params["preset"]](n) if params["preset"]
             else load_model(Path(params["spec"]).read_text()))
@@ -146,7 +145,9 @@ def cmd_generate(params: dict, out: Path) -> None:
 
 def cmd_ingest(params: dict, out: Path) -> None:
     from .datasets import smooth_vdd, summarize
+    from .formats import edd_to_csv, id_map_csv, load_edge_list, vdd_counts_csv
     from .growth import measure_edd, measure_vdd
+    from .models import select_u
     graph, stats = load_edge_list(params["dataset"])
     summary = summarize(graph)
     vdd = measure_vdd(graph)
@@ -169,6 +170,11 @@ def cmd_ingest(params: dict, out: Path) -> None:
 
 
 def cmd_calibrate(params: dict, out: Path) -> None:
+    from .calibrate import (CalibrationTarget, calibrate_composite,
+                            calibrate_single)
+    from .formats import edd_from_csv, matrix_csv, vdd_from_csv
+    from .models import (BaTreeSpec, dump_model, preset_gowalla, select_u,
+                         validate_model)
     target_dir = Path(params["target"])
     vdd = vdd_from_csv(target_dir / "vdd.csv")
     edd = edd_from_csv(target_dir / "edd.csv")
@@ -198,19 +204,16 @@ def cmd_calibrate(params: dict, out: Path) -> None:
         "failure_types": result.iterations.failure_types,
         "details": result.report,
     })
-    _write(out / "edd_compare.csv", _comparison_csv(result, target))
-
-
-def _comparison_csv(result: CalibrationResult, target: CalibrationTarget
-                    ) -> str:
-    """A fit's edge probabilities against the target's over the target's
-    window, the one it was scored on."""
+    # The fit's edge probabilities against the target's over the target's
+    # window, the one it was scored on.
     g, u = target.g, target.u
-    return matrix_csv("l,k,model,target", g, result.edd.window(g, u),
-                      target.edd.window(g, u))
+    _write(out / "edd_compare.csv", matrix_csv(
+        "l,k,model,target", g, result.edd.window(g, u), target.edd.window(g, u)))
 
 
 def cmd_compare(params: dict, out: Path) -> None:
+    from .formats import edd_from_csv, matrix_csv
+    from .models import edd_distance
     a = edd_from_csv(params["edd_a"])
     b = edd_from_csv(params["edd_b"])
     g = params["g"] if params["g"] is not None else max(a.min_degree, b.min_degree)
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="grow graphs by simulation")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("spec", nargs="?", help="model spec JSON file")
-    source.add_argument("--preset", choices=PRESETS)
+    source.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--n", type=int, default=TOTAL_N)
     p.add_argument("--seed", default=0,
                    type=_ranged(int, lambda v: v >= 0, "at least 0"))
@@ -379,7 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except SystemExit as exc:  # the parser's: --help, or a rejected setting
         return exc.code
-    except (InputError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, MemoryError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NpaGraphError as exc:

@@ -14,6 +14,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
+from .constants import GOWALLA_AER_MEAN_DEGREE, PRESET_NAMES, TOTAL_N
 from .errors import ValidationError, Violation, WindowExceedsMatrix
 
 NORMALIZATION_TOL = 1e-12
@@ -327,6 +328,30 @@ class EdgeDegreeMatrix:
             sb = b - self.min_degree + 1
             out[a - lo:b - lo + 1, a - lo:b - lo + 1] = self.entries[sa:sb, sa:sb]
         return out
+
+
+def edd_distance(theta: EdgeDegreeMatrix, target: EdgeDegreeMatrix,
+                 g: int, u: int) -> float:
+    """Euclidean norm of entrywise differences over the window [g, u]^2."""
+    a = theta.window(g, u)
+    b = target.window(g, u)
+    return float(np.sqrt(((a - b) ** 2).sum()))
+
+
+def select_u(target_edd: EdgeDegreeMatrix, mass_fraction: float = 0.95) -> int:
+    """Smallest extent whose square window holds the requested mass share.
+
+    Falls back to the full matrix extent when the stored mass never reaches
+    the share (heavy truncation).
+    """
+    prefix = np.cumsum(np.cumsum(target_edd.entries, axis=0), axis=1)
+    total = target_edd.stored_mass() + target_edd.truncation_mass
+    needed = mass_fraction * total
+    diag = np.diagonal(prefix)
+    hit = np.flatnonzero(diag >= needed - 1e-15)
+    if len(hit):
+        return target_edd.min_degree + int(hit[0])
+    return target_edd.max_degree
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +732,12 @@ def load_model(text: str) -> ModelSpec:
 # Published presets
 # ---------------------------------------------------------------------------
 
-TOTAL_N = 100000  # a preset's, generate's and a composite fit's vertex count
 BRIGHTKITE_RHO = 0.225
 BRIGHTKITE_MEAN_INCREMENT = 3.6765
 BRIGHTKITE_COMPLEMENT_SUPPORT = 40
 BRIGHTKITE_COMPLEMENT_MEAN = ((BRIGHTKITE_MEAN_INCREMENT - BRIGHTKITE_RHO)
                               / (1.0 - BRIGHTKITE_RHO))
 GOWALLA_RHO = 0.35
-GOWALLA_AER_MEAN_DEGREE = 2.75
 GOWALLA_RK_COEFF = 0.3004
 GOWALLA_RK_SHIFT = 0.1259
 GOWALLA_RK_EXPONENT = -1.2562
@@ -767,7 +790,7 @@ def preset_brightkite(total_n: int = TOTAL_N) -> CompositeSpec:
                                            "complement mean; refine by calibration"})
 
 
-PRESETS = {"gowalla": preset_gowalla, "brightkite": preset_brightkite}
+PRESETS = dict(zip(PRESET_NAMES, (preset_gowalla, preset_brightkite)))
 
 
 def _power_increments_with_mean(support_hi: int, target_mean: float

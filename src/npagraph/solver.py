@@ -30,12 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .constants import VARIANTS
 from .errors import (InfeasibleComplement, NoConvergence, TruncationTooSevere,
                      ValidationError, Violation, WindowExceedsMatrix)
 from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
 
-# Forms of the directed recurrence solve_arc_dd can run, the default first.
-VARIANTS = ("printed", "mean-weight")
 # Most arc-matrix mass a mass-conserving variant may miss beyond what
 # truncation at the extent u explains.
 EDD_MASS_TOLERANCE = 1e-3

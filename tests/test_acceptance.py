@@ -20,12 +20,12 @@ from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution, RngStream,
                       solve_vdd, symmetrize)
 from npagraph import calibrate, datasets
 from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
-                                calibrate_composite, calibrate_single, select_u)
+                                calibrate_composite, calibrate_single)
 from npagraph.cli import main as cli_main
 from npagraph.datasets import smooth_vdd, summarize
 from npagraph.formats import load_edge_list
 from npagraph.growth import measure_edd, measure_vdd
-from npagraph.models import dump_model, preset_brightkite
+from npagraph.models import dump_model, preset_brightkite, select_u
 from npagraph.validation import (edd_crosscheck, reference_models,
                                  vdd_agreement)
 

@@ -86,8 +86,8 @@ def test_formats_alone_reads_and_writes_text():
                      for name in ("np.loadtxt", "gzip", "warnings")}
 
 
-LAYERS = {"errors": 0, "models": 1, "formats": 2, "solver": 2, "growth": 2,
-          "datasets": 2, "validation": 3, "calibrate": 3, "cli": 4}
+LAYERS = {"errors": 0, "constants": 0, "models": 1, "formats": 2, "solver": 2,
+          "growth": 2, "datasets": 2, "validation": 3, "calibrate": 3, "cli": 4}
 
 
 def npagraph_imports(source: str) -> set[str]:
@@ -130,7 +130,7 @@ def test_every_module_has_a_layer():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_imports_point_to_a_lower_layer(path):
-    """errors < models < {formats, solver, growth, datasets} < {validation,
+    """{errors, constants} < models < {formats, solver, growth, datasets} < {validation,
     calibrate} < cli, and the package's __init__ imports no module of it;
     cli's `from . import __version__` reads the package itself."""
     imports = npagraph_imports(path.read_text())

@@ -18,10 +18,9 @@ from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
 from npagraph.formats import edd_to_csv, vdd_to_csv
 from npagraph import calibrate
 from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
-                                OptimizerTrace, calibrate_composite, calibrate_single,
-                                edd_distance, select_u)
-from npagraph.models import (gowalla_increments, preset_brightkite,
-                             preset_gowalla)
+                                OptimizerTrace, calibrate_composite, calibrate_single)
+from npagraph.models import (edd_distance, gowalla_increments,
+                             preset_brightkite, preset_gowalla, select_u)
 
 GOWALLA_RAW_R1 = 0.3557221013019485
 GOWALLA_RAW_SUM = 1.000024621589985

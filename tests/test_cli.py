@@ -854,14 +854,74 @@ def test_unreadable_input_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _non_utf8_edd(tmp_path: Path) -> list[str]:
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"l,k,probability\n1,1,0.5\n1,2,\xff0.5\n")
+    return ["compare", str(path), str(path)]
+
+
+def _non_utf8_edge_list(tmp_path: Path) -> list[str]:
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 1\n1 \xff2\n")
+    return ["ingest", str(path)]
+
+
+@pytest.mark.parametrize("command", [_non_utf8_edd, _non_utf8_edge_list],
+                         ids=["compare", "ingest"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, command):
+    # 0.30.0 ended both in a UnicodeDecodeError traceback (exit 1).
+    out = tmp_path / "o"
+    assert main([*command(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestStartup:
     """A command loads only the modules it calls, and only the process
     entry freezes the start-up heap. Each check runs in a fresh interpreter."""
 
-    def test_import_loads_no_growth_io_or_pool(self):
-        assert _modules_after("import npagraph.cli", "npagraph.growth",
-                              "npagraph.datasets", "multiprocessing",
-                              "concurrent.futures") == []
+    def test_import_loads_only_the_parser(self):
+        assert _modules_after("import npagraph.cli", "numpy", "npagraph",
+                              "multiprocessing", "concurrent.futures") == [
+            "npagraph", "npagraph.cli", "npagraph.constants", "npagraph.errors"]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--help"], 0),
+        (["generate", "--preset", "gowalla", "--seed", "-1"], 2),
+        (["rerun", "{manifest}"], 2),
+    ], ids=["help", "rejected_setting", "rejected_manifest"])
+    def test_parser_exits_before_numpy(self, tmp_path, argv, code):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "grow", "params": {}}))
+        argv = [arg.format(manifest=manifest) for arg in argv]
+        run = ("from npagraph.cli import main\n"
+               f"assert main({argv + ['--out', str(tmp_path / 'o')]!r}) == {code}\n")
+        assert _modules_after(run, "numpy") == []
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_commands_load_no_calibrate_or_solver(self, tmp_path):
+        out = tmp_path / "gen"
+        edd = str(out / "edd_rep0.csv")
+        code = ("from npagraph.cli import main\n"
+                "assert main(['generate', '--preset', 'gowalla', '--n', '2000',\n"
+                f"             '--u', '20', '--out', {str(out)!r}]) == 0\n"
+                f"assert main(['ingest', {str(out / 'graph_rep0.txt')!r},\n"
+                f"             '--out', {str(tmp_path / 'ing')!r}]) == 0\n"
+                f"assert main(['compare', {edd!r}, {edd!r},\n"
+                f"             '--out', {str(tmp_path / 'cmp')!r}]) == 0\n")
+        assert _modules_after(code, "npagraph.calibrate", "npagraph.solver") == []
+        assert (tmp_path / "ing" / "summary.json").exists()
+        assert (tmp_path / "cmp" / "distance.json").exists()
+
+    def test_presets_are_the_parser_choices(self):
+        from npagraph.models import PRESETS
+        commands = next(a.choices for a in cli.build_parser()._actions
+                        if a.dest == "command")
+        preset = next(a for a in commands["generate"]._actions
+                      if a.dest == "preset")
+        assert list(preset.choices) == list(PRESETS)
 
     def test_calibrate_and_compare_load_no_growth_or_io(self, tmp_path):
         target = _write_ba_target(tmp_path / "target")
@@ -1028,8 +1088,8 @@ class TestCalibrateCommand:
                                                 monkeypatch):
         # An edge matrix from degree 5 and --u 4 leave no window; 0.24.0
         # fitted and solved a candidate before it failed.
-        from npagraph import cli
-        monkeypatch.setattr(cli, "calibrate_single", None)
+        from npagraph import calibrate
+        monkeypatch.setattr(calibrate, "calibrate_single", None)
         target_dir = _write_ba_target(tmp_path / "target")
         edd = edd_from_csv(target_dir / "edd.csv")
         (target_dir / "edd.csv").write_text(edd_to_csv(EdgeDegreeMatrix(
@@ -1094,15 +1154,15 @@ class TestCalibrateCommand:
         assert (out / "edd_compare.csv").exists()
 
     def test_comparison_cells_are_plain_floats(self, tmp_path, monkeypatch):
-        from npagraph import cli
+        from npagraph import calibrate
         fits = []
-        real = cli.calibrate_single
+        real = calibrate.calibrate_single
 
         def spy(*args, **kwargs):
             fits.append(real(*args, **kwargs))
             return fits[-1]
 
-        monkeypatch.setattr(cli, "calibrate_single", spy)
+        monkeypatch.setattr(calibrate, "calibrate_single", spy)
         model = BaTreeSpec().to_npa()
         sol = solve_vdd(model, 2000)
         theta = symmetrize(solve_arc_dd(model, sol, 8))
@@ -1140,7 +1200,7 @@ class TestCalibrateCommand:
                          for k in range(g, u + 1)]
 
     def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
-        from npagraph import AerModelSpec, AllRhoInfeasible, cli
+        from npagraph import AerModelSpec, AllRhoInfeasible, calibrate
         from npagraph.models import (GOWALLA_AER_MEAN_DEGREE, GOWALLA_RHO,
                                      TOTAL_N)
         model = BaTreeSpec()
@@ -1156,7 +1216,7 @@ class TestCalibrateCommand:
             seen.append(first)
             raise AllRhoInfeasible("captured")
 
-        monkeypatch.setattr(cli, "calibrate_composite", capture)
+        monkeypatch.setattr(calibrate, "calibrate_composite", capture)
         code = main(["calibrate", str(target_dir), "--mode", "composite",
                      "--first", "aer", "--u", "8", "--out", str(tmp_path / "o")])
         assert code == 4
