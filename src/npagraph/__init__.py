@@ -11,14 +11,13 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.31.0"
+__version__ = "0.32.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyInput", "InfeasibleComplement",
-               "InputError", "InputTooLarge", "InsufficientTail",
-               "MalformedLine", "NoConvergence", "NpaGraphError",
-               "SolverFailure", "TruncationTooSevere", "ValidationError",
-               "WindowExceedsMatrix", "ZeroTotalWeight"),
+               "InputError", "InputTooLarge", "MalformedLine", "NoConvergence",
+               "NpaGraphError", "SolverFailure", "TruncationTooSevere",
+               "ValidationError", "WindowExceedsMatrix", "ZeroTotalWeight"),
     "models": ("AerModelSpec", "BaTreeSpec", "CompositeSpec",
                "DegreeDistribution", "EdgeDegreeMatrix", "Graph",
                "IncrementDistribution", "NpaModelSpec", "SeedGraphSpec",
@@ -28,10 +27,9 @@ _EXPORTS = {
                "size_violations", "validate_model"),
     "solver": ("VddSolution", "complement_mean", "complement_vdd", "edge_share",
                "mix_edd", "mix_vdd", "solve_arc_dd", "solve_vdd", "symmetrize"),
-    "growth": ("AerRunStats", "GrowthTrace", "RngStream", "grow", "grow_aer",
-               "grow_aer_unpruned", "grow_composite", "grow_npa",
-               "measure_edd", "measure_vdd"),
-    "datasets": ("DatasetSummary", "smooth_vdd", "summarize"),
+    "growth": ("AerRunStats", "DatasetSummary", "GrowthTrace", "RngStream",
+               "grow", "grow_aer", "grow_aer_unpruned", "grow_composite",
+               "grow_npa", "measure_edd", "measure_vdd", "summarize"),
     "formats": ("ParseStats", "load_edge_list", "write_edge_list"),
     "calibrate": ("CalibrationResult", "CalibrationTarget", "OptimizerTrace",
                   "calibrate_composite", "calibrate_single"),

@@ -144,25 +144,20 @@ def cmd_generate(params: dict, out: Path) -> None:
 
 
 def cmd_ingest(params: dict, out: Path) -> None:
-    from .datasets import smooth_vdd, summarize
     from .formats import edd_to_csv, id_map_csv, load_edge_list, vdd_counts_csv
-    from .growth import measure_edd, measure_vdd
+    from .growth import measure_edd, measure_vdd, summarize
     from .models import select_u
     graph, stats = load_edge_list(params["dataset"])
     summary = summarize(graph)
-    vdd = measure_vdd(graph)
-    max_deg = vdd.max_degree
-    if params["smooth"] != "none":
-        vdd = smooth_vdd(vdd, method=params["smooth"])
+    max_deg = measure_vdd(graph).max_degree
     edd = measure_edd(graph, min(max_deg, params["edd_extent"]))
     u = select_u(edd, params["u_mass"])
-    _write(out / "vdd.csv", vdd_counts_csv(graph, vdd))
+    _write(out / "vdd.csv", vdd_counts_csv(graph))
     _write(out / "edd.csv", edd_to_csv(edd))
     _write(out / "id_map.csv", id_map_csv(graph))
     _write_json(out / "summary.json", {
         **summary.to_dict(),
         "selected_u": u,
-        "smoothing": params["smooth"],
         "self_loops_dropped": stats.self_loops_dropped,
         "duplicates_collapsed": stats.duplicates_collapsed,
         "max_degree": max_deg,
@@ -286,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="ingest a network edge list")
     p.add_argument("dataset", help="edge-list file (optionally .gz)")
-    p.add_argument("--smooth", default="none",
-                   choices=["none", "log-bin", "tail-powerlaw"])
     p.add_argument("--u-mass", dest="u_mass", default=0.95,
                    type=_ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
     p.add_argument("--edd-extent", dest="edd_extent", type=at_least_1,
@@ -327,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _replay(commands: dict, args: dict) -> list[str]:
     """The command line a manifest records: each setting of its command as
     --flag=value and each positional in order, a null one left out; rerun's
-    own --out, when given, replaces the recorded one."""
+    own --out, when given, replaces the recorded one. A recorded setting
+    the command does not take is rejected, since the run it records could
+    not be reproduced without it."""
     rerun = commands["rerun"]
     manifest = json.loads(Path(args["manifest"]).read_text())
     command = manifest.get("command") if isinstance(manifest, dict) else None
@@ -335,10 +330,14 @@ def _replay(commands: dict, args: dict) -> list[str]:
         rerun.error(f"a manifest holds 'params' and a 'command' of "
                     f"{', '.join(_DISPATCH)}, got command {command!r}")
     params = {**manifest["params"], "out": args["out"] or manifest["params"].get("out")}
+    settings = [action for action in commands[command]._actions
+                if action.default is not argparse.SUPPRESS]  # not --help or -v
+    unknown = sorted(set(params) - {action.dest for action in settings})
+    if unknown:
+        rerun.error(f"the {command} manifest records a setting {command} "
+                    f"does not take: {', '.join(map(repr, unknown))}")
     argv = [command]
-    for action in commands[command]._actions:
-        if action.default is argparse.SUPPRESS:  # --help and -v are no settings
-            continue
+    for action in settings:
         if action.dest not in params:
             rerun.error(f"the {command} manifest lacks {action.dest!r}")
         value = params[action.dest]

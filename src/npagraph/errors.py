@@ -89,9 +89,5 @@ class InfeasibleComplement(NpaGraphError):
     positive at all; the assumed vertex fraction is infeasible."""
 
 
-class InsufficientTail(InputError):
-    """Too few nonzero tail points to fit a power law."""
-
-
 class AllRhoInfeasible(NpaGraphError):
     """No candidate vertex fraction admitted a feasible complement."""

@@ -259,15 +259,18 @@ def edd_from_csv(path: Union[str, Path]) -> EdgeDegreeMatrix:
                             truncation_mass=1.0 - float(entries.sum()))
 
 
-def vdd_counts_csv(graph: Graph, smoothed: DegreeDistribution) -> str:
-    """degree,count,probability rows: raw histogram counts next to the
-    (possibly smoothed) probabilities used downstream."""
-    counts = np.bincount(graph.degrees(),
-                         minlength=smoothed.max_degree + 1)
-    degrees = range(smoothed.min_degree, smoothed.max_degree + 1)
-    return _column_csv("degree,count,probability", degrees,
-                       counts[degrees.start:degrees.stop].tolist(),
-                       smoothed.probs.tolist())
+def vdd_counts_csv(graph: Graph) -> str:
+    """degree,count,probability rows from the least to the greatest degree
+    of the graph: each degree's vertex count next to that count / n, the
+    probabilities `growth.measure_vdd` measures."""
+    if graph.vertex_count == 0:
+        raise EmptyInput("cannot measure an empty graph")
+    counts = np.bincount(graph.degrees(), minlength=1)
+    lo = int(np.flatnonzero(counts)[0])
+    counts = counts[lo:]
+    return _column_csv("degree,count,probability",
+                       range(lo, lo + len(counts)), counts.tolist(),
+                       (counts / graph.vertex_count).tolist())
 
 
 def id_map_csv(graph: Graph) -> str:

@@ -1,4 +1,5 @@
-"""Monte-Carlo growth of attachment graphs and measurement of grown graphs.
+"""Monte-Carlo growth of attachment graphs, and measurement of grown or
+ingested graphs: their degree distributions and summary statistics.
 
 `grow_npa` has two exact samplers for the same attachment law. Plain linear
 weights (rule "linear", no table, no cap M, g <= 1, so f_k = k for every
@@ -402,3 +403,28 @@ def measure_edd(graph: Graph, u: int) -> EdgeDegreeMatrix:
     return EdgeDegreeMatrix(min_degree=1, entries=entries, kind="edge",
                             truncation_mass=trunc)
 
+
+
+@dataclass(frozen=True)
+class DatasetSummary:
+    """Headline statistics of an ingested network."""
+
+    node_count: int
+    edge_count: int
+    mean_degree: float
+    derived_m: float
+
+    def to_dict(self) -> dict:
+        return {"node_count": self.node_count, "edge_count": self.edge_count,
+                "mean_degree": self.mean_degree, "derived_m": self.derived_m}
+
+
+def summarize(graph: Graph) -> DatasetSummary:
+    """Node/edge counts, mean degree, and the implied mean edges per node."""
+    if graph.vertex_count == 0:
+        raise EmptyInput("cannot summarize an empty graph")
+    mean_degree = 2.0 * graph.edge_count / graph.vertex_count
+    return DatasetSummary(node_count=graph.vertex_count,
+                          edge_count=graph.edge_count,
+                          mean_degree=mean_degree,
+                          derived_m=mean_degree / 2.0)

@@ -18,13 +18,12 @@ from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution, RngStream,
                       complement_vdd, edge_share, grow_aer,
                       grow_aer_unpruned, mix_edd, mix_vdd, solve_arc_dd,
                       solve_vdd, symmetrize)
-from npagraph import calibrate, datasets
+from npagraph import calibrate
 from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
                                 calibrate_composite, calibrate_single)
 from npagraph.cli import main as cli_main
-from npagraph.datasets import smooth_vdd, summarize
 from npagraph.formats import load_edge_list
-from npagraph.growth import measure_edd, measure_vdd
+from npagraph.growth import measure_edd, measure_vdd, summarize
 from npagraph.models import dump_model, preset_brightkite, select_u
 from npagraph.validation import (edd_crosscheck, reference_models,
                                  vdd_agreement)
@@ -179,9 +178,7 @@ def test_criterion_06_brightkite_statistics(brightkite_graph):
 def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
                                                  tmp_path):
     graph = brightkite_graph
-    raw_vdd = measure_vdd(graph)
-    monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 30)
-    vdd = smooth_vdd(raw_vdd, "tail-powerlaw")
+    vdd = measure_vdd(graph)
     edd = measure_edd(graph, 300)
     u = select_u(edd, 0.95)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
@@ -240,8 +237,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
         write_edge_list(grown, fh)
     graph, _ = load_edge_list(path)
 
-    monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 20)
-    vdd = smooth_vdd(measure_vdd(graph), "tail-powerlaw")
+    vdd = measure_vdd(graph)
     edd = measure_edd(graph, 200)
     u = min(select_u(edd, 0.95), 40)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,

@@ -39,19 +39,27 @@ def test_span_targets_resolve():
                    if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "TARGETS"
                            for t in node.targets))
+    def defines(module: str, name: str) -> bool:
+        try:
+            return hasattr(importlib.import_module(f"npagraph.{module}"), name)
+        except ModuleNotFoundError:
+            return False
+
     unresolved = {(module, name) for module, name, _ in targets
-                  if not hasattr(importlib.import_module(f"npagraph.{module}"),
-                                 name)}
-    # calibrate._optimize went with the simplex search of 0.5.0; the spans
-    # that counted evaluations through it still name it. 0.28.0 moved every
-    # text reader and writer into formats, and 0.31.0 moved select_u into
-    # models; their spans still name the old homes.
+                  if not defines(module, name)}
+    # calibrate._optimize went with the simplex search of 0.5.0, and
+    # datasets.smooth_vdd with VDD smoothing in 0.32.0; their spans still
+    # name them. 0.28.0 moved every text reader and writer into formats,
+    # 0.31.0 moved select_u into models, and 0.32.0 moved summarize into
+    # growth when it deleted the datasets module; their spans still name
+    # the old homes.
     homes = [importlib.import_module(f"npagraph.{module}")
-             for module in ("formats", "models")]
+             for module in ("formats", "models", "growth")]
     moved = {(module, name) for module, name in unresolved
              if any(hasattr(home, name) for home in homes)}
-    assert unresolved - moved == {("calibrate", "_optimize")}
+    assert unresolved - moved == {("calibrate", "_optimize"),
+                                  ("datasets", "smooth_vdd")}
     assert sorted(name for _, name in moved) == [
         "edd_from_csv", "edd_to_csv", "id_map_csv", "load_edge_list",
-        "select_u", "vdd_counts_csv", "vdd_from_csv", "vdd_to_csv",
-        "write_edge_list"]
+        "select_u", "summarize", "vdd_counts_csv", "vdd_from_csv",
+        "vdd_to_csv", "write_edge_list"]

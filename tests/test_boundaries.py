@@ -87,7 +87,7 @@ def test_formats_alone_reads_and_writes_text():
 
 
 LAYERS = {"errors": 0, "constants": 0, "models": 1, "formats": 2, "solver": 2,
-          "growth": 2, "datasets": 2, "validation": 3, "calibrate": 3, "cli": 4}
+          "growth": 2, "validation": 3, "calibrate": 3, "cli": 4}
 
 
 def npagraph_imports(source: str) -> set[str]:
@@ -118,10 +118,10 @@ def test_npagraph_imports_found_in_every_form():
               "import numpy, npagraph.formats\n"
               "def f():\n"
               "    from npagraph.solver import solve_vdd\n"
-              "    from npagraph import datasets\n"
+              "    from npagraph import calibrate\n"
               "    import npagraph\n")
     assert npagraph_imports(source) == {"models", "npagraph", "growth",
-                                        "formats", "solver", "datasets"}
+                                        "formats", "solver", "calibrate"}
 
 
 def test_every_module_has_a_layer():
@@ -130,7 +130,7 @@ def test_every_module_has_a_layer():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_imports_point_to_a_lower_layer(path):
-    """{errors, constants} < models < {formats, solver, growth, datasets} < {validation,
+    """{errors, constants} < models < {formats, solver, growth} < {validation,
     calibrate} < cli, and the package's __init__ imports no module of it;
     cli's `from . import __version__` reads the package itself."""
     imports = npagraph_imports(path.read_text())

@@ -515,17 +515,6 @@ class TestIngestCommand:
         assert main(["ingest", str(data), "--out", str(tmp_path / "o")]) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_tail_too_short_to_smooth_exit_2(self, tmp_path, capsys):
-        # A 50-vertex cycle has no degree in the fitted tail: the input, not
-        # the computation, is at fault. 0.24.0 exited 3 with "error:".
-        data = tmp_path / "net.txt"
-        data.write_text("".join(f"{i} {(i + 1) % 50}\n" for i in range(50)))
-        out = tmp_path / "o"
-        assert main(["ingest", str(data), "--smooth", "tail-powerlaw",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("input error: only 0 nonzero")
-        assert not out.exists()
-
 
 class TestRerunDeterminism:
     def _assert_twin_runs(self, first, second):
@@ -542,8 +531,8 @@ class TestRerunDeterminism:
         data.write_text("\n".join(f"{i} {(i * 7 + 1) % 40}"
                                   for i in range(120)) + "\n")
         first = tmp_path / "i1"
-        assert main(["ingest", str(data), "--smooth", "log-bin",
-                     "--out", str(first)]) == 0
+        assert main(["ingest", str(data), "--u-mass", "0.9", "--edd-extent",
+                     "30", "--out", str(first)]) == 0
         second = tmp_path / "i2"
         assert main(["rerun", str(first / "manifest.json"),
                      "--out", str(second)]) == 0
@@ -560,8 +549,7 @@ class TestRerunDeterminism:
         (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
         (target_dir / "edd.csv").write_text(edd_to_csv(theta))
         (target_dir / "summary.json").write_text(json.dumps(
-            {"derived_m": model.increments.mean, "selected_u": 10,
-             "smoothing": "none"}))
+            {"derived_m": model.increments.mean, "selected_u": 10}))
         first = tmp_path / "c1"
         assert main(["calibrate", str(target_dir), "--mode", "single",
                      "--rmax", "2", "--out", str(first)]) == 0
@@ -665,10 +653,15 @@ class TestSettingsChecked:
         ("solve", "params", None, "holds 'params'"),
         # 0.21.0 raised from the solver or the smoother (exit 1) ...
         ("solve", "variant", "bogus", "argument --variant: invalid choice"),
-        ("ingest", "smooth", "bogus", "argument --smooth: invalid choice"),
         # ... and ran the composite or the AER fit instead.
         ("calibrate", "mode", "bogus", "argument --mode: invalid choice"),
         ("calibrate", "first", "bogus", "argument --first: invalid choice"),
+        # 0.32.0 dropped ingest's --smooth: a 0.31.0 ingest manifest records
+        # it, and replayed without it would write other bytes.
+        ("ingest", "smooth", "bogus",
+         "the ingest manifest records a setting ingest does not take: 'smooth'"),
+        ("ingest", "smooth", "none",
+         "the ingest manifest records a setting ingest does not take: 'smooth'"),
         ("solve", "kmax", "x", "argument --kmax: invalid int value: 'x'"),
         ("calibrate", "rho_step", "x",
          "argument --rho-step: invalid float value: 'x'"),
@@ -741,7 +734,7 @@ class TestSettingsChecked:
         from npagraph import errors
         for cls in (errors.ValidationError, errors.MalformedLine,
                     errors.EmptyInput, errors.InputTooLarge,
-                    errors.InsufficientTail, errors.WindowExceedsMatrix):
+                    errors.WindowExceedsMatrix):
             assert issubclass(cls, errors.InputError), cls
         for cls in (errors.SolverFailure, errors.ZeroTotalWeight):
             assert not issubclass(cls, errors.InputError), cls
@@ -931,7 +924,7 @@ class TestStartup:
                 f"             '--u', '6', '--out', {str(tmp_path / 'fit')!r}]) == 0\n"
                 f"assert main(['compare', {edd!r}, {edd!r},\n"
                 f"             '--out', {str(tmp_path / 'cmp')!r}]) == 0\n")
-        assert _modules_after(code, "npagraph.growth", "npagraph.datasets") == []
+        assert _modules_after(code, "npagraph.growth") == []
         assert (tmp_path / "fit" / "model.json").exists()
         assert (tmp_path / "cmp" / "distance.json").exists()
 
@@ -1297,7 +1290,8 @@ class TestCalibrateCommand:
         # A tree target is nearly pure single-arc increments.
         fitted = json.loads((fit / "model.json").read_text())
         assert fitted["increments"]["probs"][0] > 0.9
-        assert report["details"]["target_meta"]["smoothing"] == "none"
+        assert report["details"]["target_meta"] == json.loads(
+            (ing / "summary.json").read_text())
 
     def test_all_rho_infeasible_exit_4(self, tmp_path):
         # Target of two-arc increments: against a tree first component every

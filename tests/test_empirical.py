@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npagraph import (EmptyInput, Graph, InsufficientTail, MalformedLine,
-                      ParseStats, load_edge_list, measure_edd, measure_vdd,
-                      smooth_vdd, summarize, write_edge_list)
-from npagraph import datasets, formats
+from npagraph import (EmptyInput, Graph, MalformedLine, ParseStats,
+                      load_edge_list, measure_edd, measure_vdd, summarize,
+                      write_edge_list)
+from npagraph import formats
 from npagraph.formats import id_map_csv, vdd_counts_csv
-from npagraph.models import DegreeDistribution
 
 
 def _load_text(text, gz=False):
@@ -502,15 +501,18 @@ class TestDatasetCsv:
         ids = np.array([[10, 3], [3, 7], [7, 10], [10, 42], [42, 5]])
         return _load_lines(f"{a} {b}" for a, b in ids)[0]
 
-    @pytest.mark.parametrize("smooth", ["none", "log-bin"])
-    def test_vdd_counts_bytes(self, smooth):
+    def test_vdd_counts_bytes(self):
         graph = self._graph()
-        q = smooth_vdd(measure_vdd(graph), smooth)
+        q = measure_vdd(graph)
         counts = np.bincount(graph.degrees(), minlength=q.max_degree + 1)
         lines = ["degree,count,probability"]
         lines.extend(f"{q.min_degree + i},{int(counts[q.min_degree + i])},{float(p)!r}"
                      for i, p in enumerate(q.probs))
-        assert vdd_counts_csv(graph, q) == "\n".join(lines) + "\n"
+        assert vdd_counts_csv(graph) == "\n".join(lines) + "\n"
+
+    def test_vdd_counts_of_empty_graph(self):
+        with pytest.raises(EmptyInput):
+            vdd_counts_csv(Graph(0, []))
 
     def test_id_map_bytes(self):
         graph = self._graph()
@@ -543,54 +545,3 @@ class TestSummarize:
         theta = measure_edd(g, 2)
         assert theta.stored_mass() + theta.truncation_mass == pytest.approx(
             1.0, abs=1e-12)
-
-
-class TestSmoothVdd:
-    def _power_law(self, beta=2.5, kmax=200):
-        ks = np.arange(1, kmax + 1, dtype=float)
-        p = ks ** -beta
-        p /= p.sum()
-        return DegreeDistribution(min_degree=1, probs=p)
-
-    def test_none_is_identity(self):
-        q = self._power_law()
-        assert smooth_vdd(q, "none") is q
-
-    def test_tail_powerlaw_self_consistency(self, monkeypatch):
-        monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 10)
-        q = self._power_law()
-        out = smooth_vdd(q, "tail-powerlaw")
-        assert np.abs(out.probs - q.probs).max() < 1e-6
-
-    def test_tail_powerlaw_fills_gaps(self, monkeypatch):
-        monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 10)
-        q = self._power_law()
-        probs = np.array(q.probs)
-        probs[50] = 0.0  # a noisy empirical zero inside the tail
-        noisy = DegreeDistribution(1, probs / probs.sum())
-        out = smooth_vdd(noisy, "tail-powerlaw")
-        assert out.aligned(51, 51)[0] > 0.0
-
-    def test_mass_preserved(self, monkeypatch):
-        monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 10)
-        q = self._power_law()
-        for method in ("log-bin", "tail-powerlaw"):
-            out = smooth_vdd(q, method)
-            assert out.stored_mass() == pytest.approx(q.stored_mass(), abs=1e-9)
-
-    def test_log_bin_levels(self):
-        q = DegreeDistribution(1, np.array([0.4, 0.3, 0.2, 0.1]))
-        out = smooth_vdd(q, "log-bin")
-        # Bins at LOG_BIN_BASE = 2 from degree 1: {1}, {2, 3}, {4}.
-        assert datasets.LOG_BIN_BASE == 2.0
-        assert out.aligned(1, 4) == pytest.approx([0.4, 0.25, 0.25, 0.1])
-
-    def test_insufficient_tail(self, monkeypatch):
-        monkeypatch.setattr(datasets, "TAIL_FIT_CUT", 3)
-        q = DegreeDistribution(1, np.array([0.7, 0.1, 0.1, 0.05, 0.05]))
-        with pytest.raises(InsufficientTail):
-            smooth_vdd(q, "tail-powerlaw")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            smooth_vdd(self._power_law(), "boxcar")
