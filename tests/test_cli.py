@@ -515,6 +515,40 @@ class TestIngestCommand:
         assert main(["ingest", str(data), "--out", str(tmp_path / "o")]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_smooth_option_gone_exit_2(self, tmp_path, capsys):
+        # 0.32.0 fits the VDD as measured; --smooth went with smoothing.
+        data = tmp_path / "net.txt"
+        data.write_text("0 1\n1 2\n")
+        out = tmp_path / "o"
+        assert main(["ingest", str(data), "--smooth", "log-bin",
+                     "--out", str(out)]) == 2
+        assert "unrecognized arguments: --smooth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_writes_the_measured_vdd(self, tmp_path):
+        # No vertex has degree 2: vdd.csv still holds each degree from the
+        # least to the greatest, its probability the one measure_vdd gives,
+        # and summary.json's max_degree is that VDD's.
+        from npagraph.formats import load_edge_list, vdd_from_csv
+        from npagraph.growth import measure_vdd
+        data = tmp_path / "net.txt"
+        data.write_text("0 1\n0 2\n0 3\n4 5\n")
+        out = tmp_path / "ing"
+        assert main(["ingest", str(data), "--out", str(out)]) == 0
+        measured = measure_vdd(load_edge_list(data)[0])
+        written = vdd_from_csv(out / "vdd.csv")
+        assert (written.min_degree, written.max_degree) == (1, 3)
+        assert (written.aligned(1, 3).tolist()
+                == measured.aligned(1, 3).tolist())
+        rows = (out / "vdd.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["1", "5"], ["2", "0"], ["3", "1"]]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_degree"] == measured.max_degree
+        assert sorted(summary) == [
+            "derived_m", "duplicates_collapsed", "edge_count", "max_degree",
+            "mean_degree", "node_count", "selected_u", "self_loops_dropped"]
+
 
 class TestRerunDeterminism:
     def _assert_twin_runs(self, first, second):
@@ -685,6 +719,17 @@ class TestSettingsChecked:
                 manifest["params"][key] = value
         assert self._rerun_exit(tmp_path, manifest) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "generate", "ingest",
+                                         "calibrate", "compare"])
+    def test_unknown_setting_exit_2(self, runs, tmp_path, capsys, command):
+        # 0.31.0 ignored a recorded setting its command did not take, and
+        # replayed the run without it.
+        manifest = dict(runs[command][1])
+        manifest["params"] = {**manifest["params"], "bogus_setting": None}
+        assert self._rerun_exit(tmp_path, manifest) == 2
+        assert (f"the {command} manifest records a setting {command} does not "
+                f"take: 'bogus_setting'") in capsys.readouterr().err
 
     def test_help_returns_0(self, capsys):
         assert main(["--help"]) == 0

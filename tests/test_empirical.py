@@ -510,6 +510,24 @@ class TestDatasetCsv:
                      for i, p in enumerate(q.probs))
         assert vdd_counts_csv(graph) == "\n".join(lines) + "\n"
 
+    def test_vdd_counts_span_gaps_and_isolated_vertices(self):
+        # Vertex 4 is isolated and no vertex has degree 2: both rows are
+        # written, counts sum to n and each probability is count / n.
+        graph = Graph(5, np.array([[0, 1], [0, 2], [0, 3]]))
+        rows = [row.split(",") for row in vdd_counts_csv(graph).splitlines()[1:]]
+        assert [(int(d), int(c)) for d, c, _ in rows] == [
+            (0, 1), (1, 3), (2, 0), (3, 1)]
+        assert [float(p) for _, _, p in rows] == [0.2, 0.6, 0.0, 0.2]
+
+    def test_vdd_counts_probabilities_are_measured_vdd(self):
+        graph = self._graph()
+        q = measure_vdd(graph)
+        rows = [row.split(",") for row in vdd_counts_csv(graph).splitlines()[1:]]
+        assert int(rows[0][0]) == q.min_degree
+        assert int(rows[-1][0]) == q.max_degree
+        assert [float(p) for _, _, p in rows] == list(q.probs)
+        assert sum(int(c) for _, c, _ in rows) == graph.vertex_count
+
     def test_vdd_counts_of_empty_graph(self):
         with pytest.raises(EmptyInput):
             vdd_counts_csv(Graph(0, []))
@@ -539,6 +557,26 @@ class TestSummarize:
         g, _ = _load_lines(["0 1", "1 2", "2 3", "3 0", "0 2"])
         s = summarize(g)
         assert s.mean_degree == pytest.approx(measure_vdd(g).mean(), abs=1e-12)
+
+    def test_empty_graph(self):
+        with pytest.raises(EmptyInput):
+            summarize(Graph(0, []))
+
+    def test_to_dict(self):
+        s = summarize(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert s.to_dict() == {"node_count": 4, "edge_count": 3,
+                               "mean_degree": 1.5, "derived_m": 0.75}
+
+    def test_exported_from_growth(self):
+        # 0.32.0 deleted the datasets module; its summary lives in growth.
+        import importlib
+
+        import npagraph
+        from npagraph import growth
+        assert npagraph.summarize is growth.summarize
+        assert npagraph.DatasetSummary is growth.DatasetSummary
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("npagraph.datasets")
 
     def test_edd_mass_complete(self):
         g, _ = _load_lines(["0 1", "1 2", "2 3", "0 2"])
