@@ -120,14 +120,13 @@ class OptimizerTrace:
 
 @dataclass
 class CalibrationResult:
-    """The fitted model, its scores, and its edge matrix (kind edge, at
-    least the comparison window) from which the distance was taken."""
+    """The fitted model and its scores; component_profile(model, u) gives
+    back the edge matrix its distance was taken from."""
 
     model: Union[NpaModelSpec, CompositeSpec]
     distance: float
     vdd_tv_error: float
     iterations: OptimizerTrace
-    edd: EdgeDegreeMatrix
     report: dict = field(default_factory=dict)
 
     @property
@@ -361,12 +360,6 @@ def _mean_weight(q: DegreeDistribution, weight: WeightFunction) -> float:
 # Scoring a candidate
 # ---------------------------------------------------------------------------
 
-def _solve(model: NpaModelSpec, u: int) -> tuple[VddSolution, EdgeDegreeMatrix]:
-    """The model's solved vertex distribution and its edge matrix up to u."""
-    sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
-    return sol, symmetrize(solve_arc_dd(model, sol, u, VARIANTS[0]))
-
-
 def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
          r_max: int, trace: OptimizerTrace, first: ComponentProfile | None = None,
          rho: float = 0.0) -> CalibrationResult | NpaGraphError:
@@ -396,23 +389,19 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
         phi = 2.0 * m if weight.rule == "linear" else _mean_weight(q, weight)
         model = NpaModelSpec(weights=weight, increments=_invert_vdd(
             q, weight, m, phi, target.u, r_max))
-        sol, theta = _solve(model, target.u)
+        fit = component_profile(model, target.u, K_MAX, FP_TOLERANCE, VARIANTS[0])
     except InfeasibleComplement as exc:
         return exc
     except SolverFailure as exc:
         trace.record_failure(exc)
         return exc
     trace.evaluations += 1
-    vdd = sol.q
-    if first is not None:
-        theta = mix_edd([(first.edd, first.m, rho),
-                         (theta, model.increments.mean, 1.0 - rho)])
-        vdd = mix_vdd([(first.vdd, rho), (vdd, 1.0 - rho)])
+    scored = fit if first is None else _mix([(first, rho), (fit, 1.0 - rho)])
     return CalibrationResult(
-        model=model, distance=edd_distance(theta, target.edd, target.g, target.u),
-        vdd_tv_error=vdd.tv_distance(target.vdd), iterations=trace, edd=theta,
-        report={"mean_weight": sol.mean_weight,
-                "control_residual": sol.control_residual})
+        model=model, distance=edd_distance(scored.edd, target.edd, target.g, target.u),
+        vdd_tv_error=scored.vdd.tv_distance(target.vdd), iterations=trace,
+        report={"mean_weight": fit.solution.mean_weight,
+                "control_residual": fit.solution.control_residual})
 
 
 def _objective(candidate: CalibrationResult | NpaGraphError) -> float:
@@ -495,44 +484,61 @@ def _golden_section(f, a: float, b: float, xatol: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# First-component characterization for composite calibration
+# Profiles of specs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class ComponentProfile:
-    """What composite mixing needs to know about a fixed first component;
-    kept is the share of its grown vertices that its written graph keeps."""
+    """What mixing needs to know about a spec; kept is the share of its grown
+    vertices that its written graph keeps. A growth model's profile holds
+    its solve, a composite's its (profile, vertex share) parts."""
 
-    spec: Union[NpaModelSpec, AerModelSpec]
-    m: float
+    m: float  # edges per written vertex
     vdd: DegreeDistribution
-    edd: EdgeDegreeMatrix  # kind = edge, up to the target's extent u
+    edd: EdgeDegreeMatrix  # kind = edge, up to the extent u it was made for
     kept: float = 1.0
+    solution: VddSolution | None = None
+    parts: tuple = ()
 
 
-def component_profile(spec, target: CalibrationTarget) -> ComponentProfile:
-    """Analytic profile for growth models, which keep every vertex. The
-    autocorrelated graph has no distributional recurrence here: its m, VDD
-    and EDD are all measured on the pruned graph that growth writes for it,
-    pooled over AER_REPS replicates drawn from seed AER_SEED, so its share
-    in the mixture is its vertex share of the written graph. The edge matrix
-    stops at target.u: only the window [g, u] is mixed and scored, and none
-    of its cells depends on a larger extent.
-    """
+def component_profile(spec, u: int, k_max: int = K_MAX,
+                      fp_tolerance: float = FP_TOLERANCE,
+                      variant: str = VARIANTS[0]) -> ComponentProfile:
+    """The profile of any spec, its edge matrix up to u (no cell of [g, u]
+    depends on a larger extent). A growth model keeps every vertex and is
+    solved with these settings. An AER model has no distributional
+    recurrence here: it is measured on the pruned graph growth writes for
+    it at its own n1, pooled over AER_REPS replicates from seed AER_SEED. A
+    composite mixes its components at their vertex shares of the written
+    graph: each growth-budget fraction times its kept share, renormalised,
+    which undoes the budget calibrate_composite gives a first component."""
     if isinstance(spec, NpaModelSpec):
-        sol, theta = _solve(spec, target.u)
-        return ComponentProfile(spec=spec, m=spec.increments.mean,
-                                vdd=sol.q, edd=theta)
+        sol = solve_vdd(spec, k_max, fp_tolerance)
+        return ComponentProfile(
+            m=spec.increments.mean, vdd=sol.q,
+            edd=symmetrize(solve_arc_dd(spec, sol, u, variant)), solution=sol)
     if isinstance(spec, AerModelSpec):
         from .growth import RngStream, grow, measure_edd, measure_vdd
         graph = Graph.disjoint_union([grow(spec, spec.n1, RngStream(AER_SEED, rep))
                                       for rep in range(AER_REPS)])
-        vdd = measure_vdd(graph)  # EmptyInput when pruning leaves no vertex
-        return ComponentProfile(
-            spec=spec, m=graph.edge_count / graph.vertex_count, vdd=vdd,
-            edd=measure_edd(graph, target.u),
-            kept=graph.vertex_count / (AER_REPS * spec.n1))
-    raise TypeError(f"unsupported first component {type(spec).__name__}")
+        return ComponentProfile(  # measure_vdd first: EmptyInput for no vertex
+            vdd=measure_vdd(graph), m=graph.edge_count / graph.vertex_count,
+            edd=measure_edd(graph, u), kept=graph.vertex_count / (AER_REPS * spec.n1))
+    parts = [component_profile(model, u, k_max, fp_tolerance, variant)
+             for model, _ in spec.components]
+    written = [part.kept * budget for part, (_, budget) in zip(parts, spec.components)]
+    kept = sum(written)
+    return _mix([(part, w / kept) for part, w in zip(parts, written)], kept)
+
+
+def _mix(parts, kept: float = 1.0) -> ComponentProfile:
+    """The profile of a graph whose vertices are split among the graphs of
+    (profile, vertex share) parts; m is their mean, edges mixed by mix_edd."""
+    return ComponentProfile(
+        m=sum(part.m * share for part, share in parts),
+        vdd=mix_vdd([(part.vdd, share) for part, share in parts]),
+        edd=mix_edd([(part.edd, part.m, share) for part, share in parts]),
+        kept=kept, parts=tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +566,11 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     the top: a tie of two infinite probes moves the bracket down.
     The winner's rho is its lattice point, and its complement mean follows
     from the mixture equations, as in _fit.
-    rho is the first component's vertex share of the written graph. The
+    rho is the first component's vertex share of the written graph; the
     composite, written for TOTAL_N vertices, gives it the growth budget
-    whose pruned graph holds that share, rho / (kept (1 - rho) + rho): rho
-    itself for a growth model (kept = 1).
+    rho / (kept (1 - rho) + rho) whose pruned graph holds that share.
     """
-    profile = component_profile(first, target)
+    profile = component_profile(first, target.u, K_MAX, FP_TOLERANCE, VARIANTS[0])
     linear = WeightFunction.linear(g=R_MIN)
 
     h = rho_step / RHO_REFINE_FACTOR
@@ -612,7 +617,7 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     gamma = edge_share(profile.m, rho, m_mix)
     fraction = rho / (profile.kept + rho * (1.0 - profile.kept))  # rho at kept = 1
     composite = CompositeSpec(
-        components=((profile.spec, fraction), (complement, 1.0 - fraction)),
+        components=((first, fraction), (complement, 1.0 - fraction)),
         total_n=TOTAL_N,
         metadata={"gamma": gamma, "m_first": profile.m, "m_complement": m2})
     report = {

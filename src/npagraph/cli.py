@@ -35,8 +35,7 @@ from pathlib import Path
 from . import __version__
 from .constants import (GOWALLA_AER_MEAN_DEGREE, PRESET_NAMES, R_MIN, TOTAL_N,
                         VARIANTS)
-from .errors import (AllRhoInfeasible, InputError, NpaGraphError,
-                     ValidationError, Violation)
+from .errors import AllRhoInfeasible, InputError, NpaGraphError, ValidationError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -65,28 +64,35 @@ def _write_manifest(out: Path, command: str, params: dict) -> None:
 
 
 def cmd_solve(params: dict, out: Path) -> None:
+    from .calibrate import component_profile
     from .formats import edd_to_csv, vdd_to_csv
-    from .models import NpaModelSpec, load_model, validate_model
-    from .solver import solve_arc_dd, solve_vdd, symmetrize
+    from .models import load_model, validate_model
     spec = validate_model(load_model(Path(params["spec"]).read_text()))
-    if not isinstance(spec, NpaModelSpec):
-        raise ValidationError([Violation(
-            "UnsupportedModel",
-            f"solve expects a growth-model spec, got {type(spec).__name__}")])
-    sol = solve_vdd(spec, params["kmax"])
-    theta = symmetrize(solve_arc_dd(spec, sol, params["umax"],
-                                    params["variant"]))
-    _write(out / "vdd.csv", vdd_to_csv(sol.q))
-    _write(out / "edd.csv", edd_to_csv(theta))
+    profile = component_profile(spec, params["umax"], params["kmax"],
+                                fp_tolerance=1e-10, variant=params["variant"])
+    _write(out / "vdd.csv", vdd_to_csv(profile.vdd))
+    _write(out / "edd.csv", edd_to_csv(profile.edd))
     _write_json(out / "solution.json", {
-        "mean_weight": sol.mean_weight,
-        "mean_degree": sol.mean_degree,
-        "mean_increment": spec.increments.mean,
-        "control_residual": sol.control_residual,
-        "vdd_truncation_mass": sol.q.truncation_mass,
-        "edd_truncation_mass": theta.truncation_mass,
-        "recurrence_variant": params["variant"],
-    })
+        **_solution(profile), "recurrence_variant": params["variant"]})
+
+
+def _solution(profile) -> dict:
+    """solution.json's record of a profile: a growth model's solve; an AER
+    model's kept share, seed and replicate count; a composite's kept share
+    and each component's record with its kept and vertex shares."""
+    out = {"mean_increment": profile.m,
+           "vdd_truncation_mass": profile.vdd.truncation_mass,
+           "edd_truncation_mass": profile.edd.truncation_mass}
+    sol = profile.solution
+    if sol is not None:
+        return {**out, "mean_weight": sol.mean_weight, "mean_degree": sol.mean_degree,
+                "control_residual": sol.control_residual}
+    if profile.parts:
+        return {**out, "kept": profile.kept, "components": [
+            {**_solution(part), "kept": part.kept, "vertex_share": share}
+            for part, share in profile.parts]}
+    from .calibrate import AER_REPS, AER_SEED
+    return {**out, "kept": profile.kept, "aer_seed": AER_SEED, "aer_replicates": AER_REPS}
 
 
 def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
@@ -167,14 +173,13 @@ def cmd_ingest(params: dict, out: Path) -> None:
 def cmd_calibrate(params: dict, out: Path) -> None:
     from .calibrate import (CalibrationTarget, calibrate_composite,
                             calibrate_single)
-    from .formats import edd_from_csv, matrix_csv, vdd_from_csv
+    from .formats import edd_from_csv, vdd_from_csv
     from .models import (BaTreeSpec, dump_model, preset_gowalla, select_u,
                          validate_model)
     target_dir = Path(params["target"])
     vdd = vdd_from_csv(target_dir / "vdd.csv")
     edd = edd_from_csv(target_dir / "edd.csv")
-    summary = target_dir / "summary.json"
-    meta = json.loads(summary.read_text()) if summary.exists() else {}
+    meta = _target_meta(target_dir / "summary.json")
     u = params["u"]
     if u is None:
         u = meta.get("selected_u") or select_u(edd)
@@ -199,11 +204,25 @@ def cmd_calibrate(params: dict, out: Path) -> None:
         "failure_types": result.iterations.failure_types,
         "details": result.report,
     })
-    # The fit's edge probabilities against the target's over the target's
-    # window, the one it was scored on.
-    g, u = target.g, target.u
-    _write(out / "edd_compare.csv", matrix_csv(
-        "l,k,model,target", g, result.edd.window(g, u), target.edd.window(g, u)))
+
+
+def _target_meta(path: Path) -> dict:
+    """The target's summary.json, {} when there is none. An InputError
+    names the file and the key when it holds no object, a selected_u that
+    is no integer, or a derived_m that is no finite number above 0."""
+    if not path.exists():
+        return {}
+    meta = json.loads(path.read_text())
+    if not isinstance(meta, dict):
+        raise InputError(f"{path}: expected a JSON object holding "
+                         f"'selected_u' and 'derived_m', got {meta!r}")
+    u, m = meta.get("selected_u"), meta.get("derived_m")
+    if u is not None and type(u) is not int:
+        raise InputError(f"{path}: 'selected_u' must be an integer, got {u!r}")
+    if m is not None and not (type(m) in (int, float) and 0.0 < m < float("inf")):
+        raise InputError(f"{path}: 'derived_m' must be a finite number "
+                         f"above 0, got {m!r}")
+    return meta
 
 
 def cmd_compare(params: dict, out: Path) -> None:

@@ -51,29 +51,23 @@ def _column_csv(header: str, *columns: Sequence) -> str:
         itertools.chain.from_iterable(zip(*columns)))
 
 
-def matrix_csv(header: str, lo: int, *matrices: np.ndarray) -> str:
-    """One l,k,values line per cell of equally sized square matrices over
-    degrees lo, lo + 1, ..., in row-major order. The lines are joined a
-    matrix row at a time from "l,", "k," and the cells' strings."""
-    n = len(matrices[0])
+def matrix_csv(header: str, lo: int, mx: np.ndarray) -> str:
+    """One l,k,value line per cell of a square matrix over degrees lo,
+    lo + 1, ..., in row-major order, each value as repr() writes it. Each
+    distinct bit pattern is formatted once, so -0.0 and 0.0 keep their own
+    strings; the lines are joined a matrix row at a time from "l,", "k,"
+    and the cells' strings."""
+    n = len(mx)
     keys = [f"{k}," for k in range(lo, lo + n)]
-    cells = [_cell_strings(mx, "," if j < len(matrices) - 1 else "\n")
-             for j, mx in enumerate(matrices)]
-    return header + "\n" + "".join([
-        "".join(itertools.chain.from_iterable(zip(
-            itertools.repeat(keys[i], n), keys, *(c[i].tolist() for c in cells))))
-        for i in range(n)])
-
-
-def _cell_strings(mx: np.ndarray, end: str) -> np.ndarray:
-    """An object array shaped like `mx`: each cell's repr() followed by
-    `end`. Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep
-    their own strings."""
     bits, inv = np.unique(np.ascontiguousarray(mx, dtype=np.float64)
                           .view(np.int64), return_inverse=True)
-    strings = np.array([f"{v!r}{end}" for v in bits.view(np.float64).tolist()],
+    strings = np.array([f"{v!r}\n" for v in bits.view(np.float64).tolist()],
                        dtype=object)
-    return strings[inv.reshape(mx.shape)]
+    cells = strings[inv.reshape(mx.shape)]
+    return header + "\n" + "".join([
+        "".join(itertools.chain.from_iterable(zip(
+            itertools.repeat(keys[i], n), keys, cells[i].tolist())))
+        for i in range(n)])
 
 
 def _read_csv(path: Union[str, Path], header: str, skip: str,

@@ -191,7 +191,7 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
                                  rho_max=rho)
 
     from npagraph.calibrate import component_profile
-    profile = component_profile(BaTreeSpec(), target)
+    profile = component_profile(BaTreeSpec(), target.u)
     complement = result.model.components[1][0]
     sol2 = solve_vdd(complement, 20000, FP_TOLERANCE)
     th2 = symmetrize(solve_arc_dd(complement, sol2, u))
@@ -247,7 +247,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
                                  rho_max=rho)
 
     from npagraph.calibrate import component_profile
-    profile = component_profile(BaTreeSpec(), target)
+    profile = component_profile(BaTreeSpec(), target.u)
     fitted = result.model.components[1][0]
     sol2 = solve_vdd(fitted, 6000, FP_TOLERANCE)
     th2 = symmetrize(solve_arc_dd(fitted, sol2, u))

@@ -348,9 +348,10 @@ class TestCalibrateSingle:
         theta = symmetrize(solve_arc_dd(res.model, sol, target.u))
         again = edd_distance(theta, target.edd, 1, target.u)
         assert again == pytest.approx(res.distance, abs=1e-9)
-        # The result carries that same matrix.
-        assert np.array_equal(res.edd.window(1, target.u), theta.window(1, target.u))
-        assert edd_distance(res.edd, target.edd, 1, target.u) == res.distance
+        # The model's profile is that same matrix.
+        edd = calibrate.component_profile(res.model, target.u).edd
+        assert np.array_equal(edd.window(1, target.u), theta.window(1, target.u))
+        assert edd_distance(edd, target.edd, 1, target.u) == res.distance
 
     def test_result_model_validates(self):
         target = _target_from(_model((0.5, 0.5)), u=12)
@@ -559,9 +560,10 @@ class TestCalibrateComposite:
                   m, share)
                  for spec, m, share in ((first, m1, rho), (second, m2, rho2))]
         mixed = mix_edd(parts)
-        assert np.allclose(res.edd.window(1, target.u),
+        edd = calibrate.component_profile(res.model, target.u).edd
+        assert np.allclose(edd.window(1, target.u),
                            mixed.window(1, target.u), rtol=1e-12, atol=1e-15)
-        assert edd_distance(res.edd, target.edd, *res.report["window"]) == res.distance
+        assert edd_distance(edd, target.edd, *res.report["window"]) == res.distance
 
     def test_objective_best_at_reported_rho(self, fitted):
         res, _ = fitted
@@ -620,8 +622,8 @@ class TestCalibrateComposite:
         wide_target = _target_from(_model((0.5, 0.5)), u=30)
         target = CalibrationTarget(vdd=wide_target.vdd, edd=wide_target.edd,
                                    u=12, mean_increment=wide_target.m)
-        profile = calibrate.component_profile(first, target)
-        wide = calibrate.component_profile(first, wide_target)
+        profile = calibrate.component_profile(first, target.u)
+        wide = calibrate.component_profile(first, wide_target.u)
         assert (profile.edd.max_degree, wide.edd.max_degree) == (12, 30)
         assert (profile.edd.window(1, 12).tobytes()
                 == wide.edd.window(1, 12).tobytes())
@@ -637,8 +639,7 @@ class TestCalibrateComposite:
         comp2 = _model((0.4, 0.6))
         sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
         th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
-        first = calibrate.component_profile(
-            aer, CalibrationTarget(vdd=sol2.q, edd=th2, u=u))
+        first = calibrate.component_profile(aer, u)
         m1, m2 = first.m, comp2.increments.mean
         m_tot = rho * m1 + (1 - rho) * m2
         target = CalibrationTarget(
@@ -714,7 +715,7 @@ def test_rho_search_finds_the_lattice_argmin(make_target, r_max):
     # 0.975 in steps of 0.005: the search returns its best rho, bit for
     # bit, in at most 15 fits.
     target = make_target()
-    profile = calibrate.component_profile(BaTreeSpec(), target)
+    profile = calibrate.component_profile(BaTreeSpec(), target.u)
     lattice = np.round(0.025 + 0.005 * np.arange(191), 12)
     scores = [calibrate._objective(calibrate._fit(
                   target, WeightFunction.linear(g=1), target.m, r_max,
@@ -730,7 +731,7 @@ def test_rho_search_finds_the_lattice_argmin(make_target, r_max):
 def planted_fit():
     """The planted composite target and its complement's fit at rho = 0.3."""
     target = _composite_target()
-    profile = calibrate.component_profile(BaTreeSpec(), target)
+    profile = calibrate.component_profile(BaTreeSpec(), target.u)
     return target, calibrate._fit(target, WeightFunction.linear(g=1), target.m,
                                   3, OptimizerTrace(), profile, 0.3)
 
@@ -808,8 +809,8 @@ class TestAerProfile:
         monkeypatch.setattr(calibrate, "AER_REPS", 2)
         spec = AerModelSpec(n1=800, a=2.0)
         target = _target_from(_model((0.5, 0.5)), u=20)
-        profile = calibrate.component_profile(spec, target)
-        again = calibrate.component_profile(spec, target)
+        profile = calibrate.component_profile(spec, target.u)
+        again = calibrate.component_profile(spec, target.u)
         assert (profile.m, profile.kept) == (again.m, again.kept)
         assert np.array_equal(profile.vdd.probs, again.vdd.probs)
         assert np.array_equal(profile.edd.entries, again.edd.entries)

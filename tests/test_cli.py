@@ -144,12 +144,60 @@ class TestSolveCommand:
         assert main(["solve", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_non_growth_spec_exit_2(self, tmp_path, capsys):
-        assert main(["solve", str(_write_readme_spec(tmp_path, "aer")),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "solve expects a growth-model spec, got AerModelSpec" in \
-            capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize("source", ["aer", "gowalla", "brightkite", "nested"])
+    def test_every_written_spec_solves(self, tmp_path, source):
+        # A bare AER spec, the model.json generate writes for each preset
+        # and a composite nested in a composite: solve writes its three
+        # files, and rerun reproduces them byte for byte.
+        if source in ("aer", "nested"):
+            spec = _write_readme_spec(tmp_path, source)
+        else:
+            assert main(["generate", "--preset", source, "--n", "2000",
+                         "--u", "10", "--out", str(tmp_path / "gen")]) == 0
+            spec = tmp_path / "gen" / "model.json"
+        out, again = tmp_path / "run1", tmp_path / "run2"
+        assert main(["solve", str(spec), "--kmax", "2000", "--umax", "25",
+                     "--out", str(out)]) == 0
+        assert main(["rerun", str(out / "manifest.json"),
+                     "--out", str(again)]) == 0
+        first, second = _tree_bytes(out), _tree_bytes(again)
+        assert sorted(first) == ["edd.csv", "manifest.json", "solution.json",
+                                 "vdd.csv"]
+        assert all(first[name] == second[name] for name in first
+                   if name != "manifest.json")
+        solution = json.loads(first["solution.json"])
+        assert edd_from_csv(out / "edd.csv").max_degree == 25
+        components = solution.get("components", [])
+        for part in components:
+            assert {"mean_increment", "kept", "vertex_share"} <= set(part)
+        if components:
+            shares = [part["vertex_share"] for part in components]
+            assert sum(shares) == pytest.approx(1.0, abs=1e-12)
+            assert solution["mean_increment"] == pytest.approx(
+                sum(s * p["mean_increment"] for s, p in zip(shares, components)),
+                rel=1e-12)
+
+    def test_composite_solution_records_each_component(self, tmp_path):
+        # The gowalla preset: its AER component is measured from AER_REPS
+        # replicates from AER_SEED, and its vertex share is its growth
+        # budget times its kept share, renormalised.
+        from npagraph import calibrate
+        from npagraph.models import GOWALLA_RHO as rho
+        assert main(["generate", "--preset", "gowalla", "--n", "2000",
+                     "--u", "10", "--out", str(tmp_path / "gen")]) == 0
+        out = tmp_path / "solve"
+        assert main(["solve", str(tmp_path / "gen" / "model.json"), "--kmax",
+                     "2000", "--umax", "20", "--out", str(out)]) == 0
+        solution = json.loads((out / "solution.json").read_text())
+        aer, growth = solution["components"]
+        assert (aer["aer_seed"], aer["aer_replicates"]) == (
+            calibrate.AER_SEED, calibrate.AER_REPS)
+        assert 0.5 < aer["kept"] < 1.0 and growth["kept"] == 1.0
+        assert "mean_weight" in growth and "mean_weight" not in aer
+        assert solution["kept"] == pytest.approx(
+            rho * aer["kept"] + 1.0 - rho, rel=1e-12)
+        assert aer["vertex_share"] == pytest.approx(
+            rho * aer["kept"] / solution["kept"], rel=1e-12)
 
     def test_kmax_below_umax_exit_2(self, tmp_path, capsys):
         spec = _write_ba_spec(tmp_path)
@@ -973,6 +1021,19 @@ class TestStartup:
         assert (tmp_path / "fit" / "model.json").exists()
         assert (tmp_path / "cmp" / "distance.json").exists()
 
+    def test_solve_loads_growth_only_for_an_aer_component(self, tmp_path):
+        # A growth model and a composite of growth models are solved; only
+        # an AER component is grown, so only its solve loads npagraph.growth.
+        specs = (_write_ba_spec(tmp_path), _write_readme_spec(tmp_path, "nested"))
+        code = ("from npagraph.cli import main\n"
+                f"for spec in {tuple(map(str, specs))!r}:\n"
+                "    assert main(['solve', spec, '--kmax', '2000', '--umax', '20',\n"
+                f"                 '--out', {str(tmp_path / 'o')!r}]) == 0\n")
+        assert _modules_after(code, "npagraph.growth") == []
+        code += (f"assert main(['solve', {str(_write_readme_spec(tmp_path, 'aer'))!r},\n"
+                 f"             '--out', {str(tmp_path / 'a')!r}]) == 0\n")
+        assert _modules_after(code, "npagraph.growth") == ["npagraph.growth"]
+
     def test_every_export_resolves(self):
         code = ("import sys\n"
                 "import npagraph\n"
@@ -1157,6 +1218,26 @@ class TestCalibrateCommand:
         assert "input error" in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("text,key", [
+        ("[1, 2]", "selected_u"),
+        ('"text"', "selected_u"),
+        ('{"derived_m": "x"}', "derived_m"),
+        ('{"selected_u": "20"}', "selected_u"),
+        ('{"selected_u": 2.5}', "selected_u"),
+        ('{"derived_m": NaN}', "derived_m"),
+    ])
+    def test_malformed_summary_is_input_error(self, tmp_path, capsys, text, key):
+        # 0.32.0 ended the first five in a traceback (exit 1) and the last
+        # as a compute error (exit 3).
+        target_dir = _write_ba_target(tmp_path / "target")
+        (target_dir / "summary.json").write_text(text)
+        assert main(["calibrate", str(target_dir), "--rmax", "2", "--out",
+                     str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {target_dir / 'summary.json'}: ")
+        assert repr(key) in err
+        assert not (tmp_path / "fit").exists()
+
     def test_repeated_degree_is_input_error(self, tmp_path, capsys):
         # 0.25.0 kept the last row of degree 1 and fitted a VDD of mass 0.5.
         target_dir = _write_ba_target(tmp_path / "target")
@@ -1168,74 +1249,44 @@ class TestCalibrateCommand:
             "input error: DuplicateRow: degree 1 has more than one row\n")
         assert not (tmp_path / "fit").exists()
 
-    def test_single_mode_on_synthetic_target(self, tmp_path):
-        model = NpaModelSpec(
-            weights=WeightFunction.linear(g=1),
-            increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.5)))
-        sol = solve_vdd(model, 2000, 1e-9)
-        theta = symmetrize(solve_arc_dd(model, sol, 15))
-        target_dir = tmp_path / "target"
-        target_dir.mkdir()
-        (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
-        (target_dir / "edd.csv").write_text(edd_to_csv(theta))
-        (target_dir / "summary.json").write_text(json.dumps(
-            {"derived_m": model.increments.mean, "selected_u": 15}))
-        out = tmp_path / "fit"
-        code = main(["calibrate", str(target_dir), "--mode", "single",
-                     "--rmax", "3", "--out", str(out)])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["distance"] < 1e-3
+    @pytest.mark.parametrize("flags,alpha,rtol", [
+        (["--mode", "single", "--rmax", "3"], None, 1e-12),
+        (["--mode", "composite", "--first", "ba-tree", "--rmax", "3",
+          "--rho-min", "0.25", "--rho-max", "0.35", "--rho-step", "0.05"],
+         0.8, 1e-12),
+        (["--mode", "composite", "--first", "aer", "--rmax", "3",
+          "--rho-min", "0.05", "--rho-max", "0.35", "--rho-step", "0.05"],
+         None, 1e-12),
+        # solve's mean-weight tolerance is 1e-10, calibrate's FP_TOLERANCE 1e-9
+        (["--mode", "single", "--weights", "table-free", "--rmax", "3"],
+         0.8, 1e-9),
+    ], ids=["single", "ba_tree", "aer", "table_free"])
+    def test_solve_of_the_fit_reproduces_its_distance(self, tmp_path, flags,
+                                                     alpha, rtol):
+        # calibrate writes the fit's model, its report and its manifest, and
+        # nothing else; solving model.json to u, then comparing against the
+        # target over the report's window, gives back the reported distance.
+        # The target's complement has linear weights, or power weights
+        # k**alpha that no linear fit matches exactly.
+        weights = (WeightFunction.linear(g=1) if alpha is None
+                   else WeightFunction.power(alpha, g=1))
+        target = self._composite_target(tmp_path, (0.6, 0.4), 0.3, 12, weights)
+        fit, solved = tmp_path / "fit", tmp_path / "solved"
+        assert main(["calibrate", str(target), *flags, "--out", str(fit)]) == 0
+        assert sorted(p.name for p in fit.iterdir()) == [
+            "manifest.json", "model.json", "report.json"]
+        report = json.loads((fit / "report.json").read_text())
         assert report["details"]["recurrence_variant"] == "printed"
-        fitted = json.loads((out / "model.json").read_text())
-        assert fitted["type"] == "npa"
-        assert (out / "edd_compare.csv").exists()
-
-    def test_comparison_cells_are_plain_floats(self, tmp_path, monkeypatch):
-        from npagraph import calibrate
-        fits = []
-        real = calibrate.calibrate_single
-
-        def spy(*args, **kwargs):
-            fits.append(real(*args, **kwargs))
-            return fits[-1]
-
-        monkeypatch.setattr(calibrate, "calibrate_single", spy)
-        model = BaTreeSpec().to_npa()
-        sol = solve_vdd(model, 2000)
-        theta = symmetrize(solve_arc_dd(model, sol, 8))
-        target_dir = tmp_path / "target"
-        target_dir.mkdir()
-        (target_dir / "vdd.csv").write_text(vdd_to_csv(sol.q))
-        (target_dir / "edd.csv").write_text(edd_to_csv(theta))
-        out = tmp_path / "fit"
-        assert main(["calibrate", str(target_dir), "--rmax", "2", "--u", "6",
-                     "--out", str(out)]) == 0
-        g = max(1, fits[0].edd.min_degree, theta.min_degree)
-        model_cells, target_cells = fits[0].edd.window(g, 6), theta.window(g, 6)
-        lines = (out / "edd_compare.csv").read_text().splitlines()
-        assert lines[0] == "l,k,model,target"
-        assert len(lines) == 1 + model_cells.size
-        for line in lines[1:]:
-            l, k, fit, target = line.split(",")
-            i, j = int(l) - g, int(k) - g
-            assert float(fit) == model_cells[i, j]
-            assert float(target) == target_cells[i, j]
-
-    @pytest.mark.parametrize("flags", [
-        ["--mode", "single", "--rmax", "3"],
-        ["--mode", "composite", "--first", "ba-tree", "--rmax", "3",
-         "--rho-min", "0.25", "--rho-max", "0.35", "--rho-step", "0.05"]])
-    def test_comparison_spans_report_window(self, tmp_path, flags):
-        target = self._composite_target(tmp_path, (0.3, 0.7), 0.3, 12)
-        out = tmp_path / "fit"
-        assert main(["calibrate", str(target), *flags, "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        if "table-free" in flags:  # the power weights won
+            assert report["details"]["phase"] == 2
         g, u = report["details"]["window"]
-        lines = (out / "edd_compare.csv").read_text().splitlines()[1:]
-        cells = [tuple(int(x) for x in line.split(",")[:2]) for line in lines]
-        assert cells == [(l, k) for l in range(g, u + 1)
-                         for k in range(g, u + 1)]
+        assert main(["solve", str(fit / "model.json"), "--umax", str(u),
+                     "--out", str(solved)]) == 0
+        assert main(["compare", str(solved / "edd.csv"), str(target / "edd.csv"),
+                     "--g", str(g), "--u", str(u),
+                     "--out", str(tmp_path / "cmp")]) == 0
+        distance = json.loads((tmp_path / "cmp" / "distance.json").read_text())
+        assert distance["distance"] == pytest.approx(report["distance"], rel=rtol)
 
     def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
         from npagraph import AerModelSpec, AllRhoInfeasible, calibrate
@@ -1376,13 +1427,15 @@ class TestCalibrateCommand:
         assert (tmp_path / "single" / "model.json").exists()
         assert (tmp_path / "composite" / "model.json").exists()
 
-    def _composite_target(self, path: Path, probs, rho: float, u: int) -> Path:
-        """Exact target of a BA tree (share rho) plus a linear-weight
-        complement with increments probs from one arc."""
+    def _composite_target(self, path: Path, probs, rho: float, u: int,
+                          weights=WeightFunction.linear(g=1)) -> Path:
+        """Exact target of a BA tree (share rho) plus a complement with
+        these weights, linear by default, and increments probs from one
+        arc."""
         from npagraph import mix_edd, mix_vdd
         ba = BaTreeSpec().to_npa()
         comp = NpaModelSpec(
-            weights=WeightFunction.linear(g=1),
+            weights=weights,
             increments=IncrementDistribution(min_arcs=1, probs=probs))
         sol1, sol2 = solve_vdd(ba, 4000), solve_vdd(comp, 4000)
         th1 = symmetrize(solve_arc_dd(ba, sol1, u))

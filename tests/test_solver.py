@@ -915,29 +915,25 @@ any_cell = st.one_of(
 
 
 class TestMatrixCsv:
-    """_matrix_csv formats each distinct value once; its bytes must still be
+    """matrix_csv formats each distinct value once; its bytes must still be
     one repr() per cell."""
 
     @settings(max_examples=150, deadline=None)
     @given(lo=st.sampled_from([0, 1, 4]), n=st.integers(0, 12),
-           count=st.integers(1, 3), view=st.booleans(), data=st.data())
-    def test_against_reference(self, lo, n, count, view, data):
+           view=st.booleans(), data=st.data())
+    def test_against_reference(self, lo, n, view, data):
         # A few values drawn once and repeated over the cells, as in a
         # measured EDD, or each cell drawn on its own.
         pool = data.draw(st.lists(any_cell, min_size=1, max_size=5))
         picks = st.sampled_from(pool) if data.draw(st.booleans()) else any_cell
-        matrices = [data.draw(arrays(np.float64, (n + view, n + view),
-                                     elements=picks))[view:, view:]
-                    for _ in range(count)]
-        header = ",".join(["l", "k"] + [f"v{j}" for j in range(count)])
-        assert (matrix_csv(header, lo, *matrices)
-                == matrix_csv_080(header, lo, *matrices))
+        mx = data.draw(arrays(np.float64, (n + view, n + view),
+                              elements=picks))[view:, view:]
+        assert matrix_csv("l,k,v", lo, mx) == matrix_csv_080("l,k,v", lo, mx)
 
     def test_signed_zero_and_nan(self):
         mx = np.array([[0.0, -0.0], [math.nan, -math.inf]])
-        assert matrix_csv("l,k,p", 1, mx, mx[::-1]) == (
-            "l,k,p\n1,1,0.0,nan\n1,2,-0.0,-inf\n"
-            "2,1,nan,0.0\n2,2,-inf,-0.0\n")
+        assert matrix_csv("l,k,p", 1, mx) == (
+            "l,k,p\n1,1,0.0\n1,2,-0.0\n2,1,nan\n2,2,-inf\n")
 
 
 class TestCsvSyntax:
