@@ -30,8 +30,8 @@ from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution,
                       WeightFunction, grow_composite, measure_edd, measure_vdd,
                       mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph import calibrate
-from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
-                                calibrate_composite, calibrate_single)
+from npagraph.calibrate import (K_MAX, CalibrationTarget, calibrate_composite,
+                                calibrate_single)
 from npagraph.models import preset_brightkite, preset_gowalla
 
 U = 20
@@ -43,7 +43,7 @@ def _linear(probs):
 
 
 def _solved(model):
-    sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
+    sol = solve_vdd(model, K_MAX)
     return sol.q, symmetrize(solve_arc_dd(model, sol, U))
 
 
@@ -121,7 +121,7 @@ def test_increment_fit_noisy_rmax50(benchmark, u):
     # The planted single target's vertex distribution, each probability
     # times a log-normal factor (sigma 0.3), fitted at a mean it does not
     # bear exactly.
-    q = solve_vdd(_linear((0.4, 0.3, 0.2, 0.1)), K_MAX, FP_TOLERANCE).q
+    q = solve_vdd(_linear((0.4, 0.3, 0.2, 0.1)), K_MAX).q
     noisy = np.asarray(q.probs) * np.exp(
         np.random.default_rng(11).normal(0.0, 0.3, len(q.probs)))
     noisy *= (1.0 - q.truncation_mass) / noisy.sum()

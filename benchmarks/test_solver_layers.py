@@ -20,6 +20,7 @@ import pytest
 
 from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
                       WeightFunction, solve_arc_dd, solve_vdd)
+from npagraph.calibrate import K_MAX
 from npagraph.validation import reference_models
 
 # A candidate of the kind the calibration search solves thousands of times:
@@ -27,11 +28,10 @@ from npagraph.validation import reference_models
 CANDIDATE = NpaModelSpec(
     weights=WeightFunction.linear(g=1),
     increments=IncrementDistribution(min_arcs=1, probs=(0.4, 0.3, 0.2, 0.1)))
-CALIBRATION_K_MAX = 4000
 
 
 def test_arc_dd_calibration_candidate(benchmark):
-    vdd = solve_vdd(CANDIDATE, CALIBRATION_K_MAX)
+    vdd = solve_vdd(CANDIDATE, K_MAX)
     mat = benchmark(solve_arc_dd, CANDIDATE, vdd, 20)
     assert mat.entries.shape == (20, 20)
 
@@ -45,7 +45,7 @@ def test_arc_dd_ba_u300(benchmark, variant):
 
 
 def test_vdd_calibration_candidate(benchmark):
-    sol = benchmark(solve_vdd, CANDIDATE, CALIBRATION_K_MAX)
+    sol = benchmark(solve_vdd, CANDIDATE, K_MAX)
     assert sol.control_residual < 1e-6
 
 
@@ -63,7 +63,7 @@ def test_vdd_calibration_candidate(benchmark):
                                                   probs=(0.5, 0.3, 0.2))),
 ], ids=["sublinear", "power_0_999", "power_0_9999"])
 def test_vdd_power_weights(benchmark, model):
-    sol = benchmark(solve_vdd, model, CALIBRATION_K_MAX)
+    sol = benchmark(solve_vdd, model, K_MAX)
     assert sol.control_residual < 1e-6
 
 

@@ -36,7 +36,6 @@ from .solver import (VddSolution, complement_mean, complement_vdd, edge_share,
 log = logging.getLogger(__name__)
 
 K_MAX = 4000  # last vertex degree each candidate's solve stores
-FP_TOLERANCE = 1e-9  # relative bracket width of its mean-weight bisection
 ALPHA_MIN = 0.01  # lower end of the table-free search over f_k = k**alpha
 ALPHA_XATOL = 1e-5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # share of a bracket kept per section
@@ -353,7 +352,7 @@ def _with_mean(r: np.ndarray, ks: np.ndarray, m: float) -> np.ndarray:
 
 def _mean_weight(q: DegreeDistribution, weight: WeightFunction) -> float:
     """sum_k f_k Q_k over the stored degrees of q."""
-    return float((weight.weights_upto(q.max_degree)[q.min_degree:] * q.probs).sum())
+    return float((weight.weights_upto(q.max_degree, q.min_degree) * q.probs).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,7 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
         phi = 2.0 * m if weight.rule == "linear" else _mean_weight(q, weight)
         model = NpaModelSpec(weights=weight, increments=_invert_vdd(
             q, weight, m, phi, target.u, r_max))
-        fit = component_profile(model, target.u, K_MAX, FP_TOLERANCE, VARIANTS[0])
+        fit = component_profile(model, target.u)
     except InfeasibleComplement as exc:
         return exc
     except SolverFailure as exc:
@@ -502,7 +501,6 @@ class ComponentProfile:
 
 
 def component_profile(spec, u: int, k_max: int = K_MAX,
-                      fp_tolerance: float = FP_TOLERANCE,
                       variant: str = VARIANTS[0]) -> ComponentProfile:
     """The profile of any spec, its edge matrix up to u (no cell of [g, u]
     depends on a larger extent). A growth model keeps every vertex and is
@@ -513,7 +511,7 @@ def component_profile(spec, u: int, k_max: int = K_MAX,
     graph: each growth-budget fraction times its kept share, renormalised,
     which undoes the budget calibrate_composite gives a first component."""
     if isinstance(spec, NpaModelSpec):
-        sol = solve_vdd(spec, k_max, fp_tolerance)
+        sol = solve_vdd(spec, k_max)
         return ComponentProfile(
             m=spec.increments.mean, vdd=sol.q,
             edd=symmetrize(solve_arc_dd(spec, sol, u, variant)), solution=sol)
@@ -524,7 +522,7 @@ def component_profile(spec, u: int, k_max: int = K_MAX,
         return ComponentProfile(  # measure_vdd first: EmptyInput for no vertex
             vdd=measure_vdd(graph), m=graph.edge_count / graph.vertex_count,
             edd=measure_edd(graph, u), kept=graph.vertex_count / (AER_REPS * spec.n1))
-    parts = [component_profile(model, u, k_max, fp_tolerance, variant)
+    parts = [component_profile(model, u, k_max, variant)
              for model, _ in spec.components]
     written = [part.kept * budget for part, (_, budget) in zip(parts, spec.components)]
     kept = sum(written)
@@ -570,7 +568,7 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     composite, written for TOTAL_N vertices, gives it the growth budget
     rho / (kept (1 - rho) + rho) whose pruned graph holds that share.
     """
-    profile = component_profile(first, target.u, K_MAX, FP_TOLERANCE, VARIANTS[0])
+    profile = component_profile(first, target.u)
     linear = WeightFunction.linear(g=R_MIN)
 
     h = rho_step / RHO_REFINE_FACTOR

@@ -7,8 +7,9 @@ reproduces the data files byte for byte.
 
 The parser alone checks the settings: a flag's type holds its range,
 `generate` takes a spec or --preset in a mutually exclusive group, and
---rho-min <= --rho-max follows the parse. `rerun` parses the command line
-its manifest records, so a manifest is checked like a typed command.
+--rho-min <= --rho-max and the linear --weights of --mode composite
+follow the parse. `rerun` parses the command line its manifest records,
+so a manifest is checked like a typed command.
 What depends on input data raises a typed error, and `main` alone returns
 an exit code: 0 success, 2 input error (an `InputError`, an input that
 cannot be read or held in memory, or a setting the parser rejects), 3
@@ -68,8 +69,7 @@ def cmd_solve(params: dict, out: Path) -> None:
     from .formats import edd_to_csv, vdd_to_csv
     from .models import load_model, validate_model
     spec = validate_model(load_model(Path(params["spec"]).read_text()))
-    profile = component_profile(spec, params["umax"], params["kmax"],
-                                fp_tolerance=1e-10, variant=params["variant"])
+    profile = component_profile(spec, params["umax"], params["kmax"], params["variant"])
     _write(out / "vdd.csv", vdd_to_csv(profile.vdd))
     _write(out / "edd.csv", edd_to_csv(profile.edd))
     _write_json(out / "solution.json", {
@@ -378,9 +378,13 @@ def _parse(argv: list[str] | None) -> tuple[str, dict]:
     if args["command"] == "rerun":
         args = vars(parser.parse_args(_replay(commands, args)))
     command = args.pop("command")
-    if command == "calibrate" and not args["rho_min"] <= args["rho_max"]:
-        commands[command].error(f"need --rho-min <= --rho-max, got "
-                                f"{args['rho_min']} and {args['rho_max']}")
+    if command == "calibrate":
+        if not args["rho_min"] <= args["rho_max"]:
+            commands[command].error(f"need --rho-min <= --rho-max, got "
+                                    f"{args['rho_min']} and {args['rho_max']}")
+        if args["mode"] == "composite" and args["weights"] != "linear":
+            commands[command].error(f"--mode composite fits linear weights, "
+                                    f"got --weights {args['weights']}")
     return command, args
 
 

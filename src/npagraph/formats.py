@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (EmptyInput, InputTooLarge, MalformedLine, ValidationError,
                      Violation)
-from .models import DegreeDistribution, EdgeDegreeMatrix, Graph
+from .models import (STORED_MASS_SLACK, DegreeDistribution, EdgeDegreeMatrix,
+                     Graph)
 
 log = logging.getLogger(__name__)
 
@@ -223,13 +224,13 @@ def vdd_from_csv(path: Union[str, Path]) -> DegreeDistribution:
     Raises MalformedLine for a row that does not parse or has a negative
     degree, EmptyInput when there is no row, InputTooLarge when the
     degrees span more than memory holds, and ValidationError when a degree
-    has more than one row or the stored mass exceeds 1 by more than the
-    1e-9 solve_vdd allows its own.
+    has more than one row or the stored mass exceeds 1 by more than
+    STORED_MASS_SLACK, which solve_vdd allows its own.
     """
     rows = _read_csv(path, "degree,probability", "degree", (2, 3))
     lo, arr = _dense("degree {}", rows[rows.dtype.names[-1]], rows["f0"])
     mass = float(arr.sum())
-    if mass > 1.0 + 1e-9:
+    if mass > 1.0 + STORED_MASS_SLACK:
         raise ValidationError([Violation(
             "NonNormalized", f"the VDD's stored mass {mass!r} exceeds 1")])
     return DegreeDistribution(min_degree=lo, probs=arr,

@@ -17,7 +17,8 @@ import numpy as np
 from .constants import GOWALLA_AER_MEAN_DEGREE, PRESET_NAMES, TOTAL_N
 from .errors import ValidationError, Violation, WindowExceedsMatrix
 
-NORMALIZATION_TOL = 1e-12
+NORMALIZATION_TOL = 1e-12  # how far a sum of probabilities may miss 1
+STORED_MASS_SLACK = 1e-9  # how far a VDD's stored mass may exceed 1
 
 
 # ---------------------------------------------------------------------------
@@ -63,44 +64,27 @@ class WeightFunction:
         return cls(g=g, M=M, rule=rule, alpha=alpha, value=value,
                    table=tuple(float(v) for v in values))
 
-    def _rule_value(self, k: int) -> float:
-        if self.rule == "linear":
-            return float(k)
-        if self.rule == "power":
-            try:
-                return float(k) ** self.alpha
-            except (OverflowError, ZeroDivisionError):
-                return math.inf  # as np.power gives in weights_upto
-        if self.rule == "constant":
-            return self.value
-        raise ValueError(f"no rule to evaluate weight at degree {k}")
-
-    def weight(self, k: int) -> float:
-        """f_k; zero outside [g, M]."""
-        if k < self.g or (self.M is not None and k > self.M):
-            return 0.0
-        idx = k - self.g
-        if 0 <= idx < len(self.table):
-            return self.table[idx]
-        return self._rule_value(k)
-
-    def weights_upto(self, k_top: int) -> np.ndarray:
-        """Vector of f_k for k = 0 .. k_top (index equals degree)."""
-        f = np.zeros(k_top + 1, dtype=np.float64)
+    def weights_upto(self, k_top: int, lo: int = 0) -> np.ndarray:
+        """Vector of f_k for k = lo .. k_top (index k - lo); zero outside
+        [g, M]. A weight that overflows, like 10.0**400, is infinite, and a
+        fractional power of a degree below 0 is NaN; violations names both."""
+        f = np.zeros(k_top - lo + 1, dtype=np.float64)
+        a = max(self.g, lo)
         hi = k_top if self.M is None else min(self.M, k_top)
-        if hi < self.g:
+        if hi < a:
             return f
-        ks = np.arange(self.g, hi + 1)
+        ks = np.arange(a, hi + 1)
         if self.rule == "linear":
-            f[self.g:hi + 1] = ks
+            f[a - lo:hi - lo + 1] = ks
         elif self.rule == "power":
-            f[self.g:hi + 1] = np.power(ks, self.alpha, dtype=np.float64)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                f[a - lo:hi - lo + 1] = np.power(ks, self.alpha, dtype=np.float64)
         elif self.rule == "constant":
-            f[self.g:hi + 1] = self.value
+            f[a - lo:hi - lo + 1] = self.value
         if self.table:
-            t_hi = min(self.g + len(self.table) - 1, hi)
-            if t_hi >= self.g:
-                f[self.g:t_hi + 1] = self.table[:t_hi - self.g + 1]
+            t_hi = min(self.table_end(), hi)
+            if t_hi >= a:
+                f[a - lo:t_hi - lo + 1] = self.table[a - self.g:t_hi - self.g + 1]
         return f
 
     def asymptote(self) -> tuple:
@@ -138,17 +122,18 @@ class WeightFunction:
         if self.rule not in (None, "linear", "power", "constant"):
             out.append(Violation("EmptySupport", f"unknown weight rule {self.rule!r}"))
             return out
-        # Probe inside the support: table entries plus rule values at the edges.
+        # Probe inside the support: table entries plus rule values at the
+        # edges; a rule-less table, whose end is named above, only up to it.
         hi = self.M if self.M is not None else max(self.g + 3, self.table_end() + 2)
-        probes = set(range(self.g, min(self.g + len(self.table), hi) + 1))
-        probes.update((self.g, hi))
-        for k in sorted(probes):
-            if k < self.g or (self.M is not None and k > self.M):
-                continue
-            try:
-                w = self.weight(k)
-            except ValueError:
-                continue
+        if self.rule is None:
+            hi = min(hi, self.table_end())
+        if hi < self.g:
+            return out
+        top = min(self.table_end() + 1, hi)
+        probes = list(enumerate(self.weights_upto(top, self.g).tolist(), self.g))
+        if hi > top:
+            probes.append((hi, self.weights_upto(hi, hi).item()))
+        for k, w in probes:
             if not (w > 0.0) or not math.isfinite(w):
                 out.append(Violation(
                     "WeightSignViolation",
@@ -518,13 +503,11 @@ class NpaModelSpec:
         bad_seed = self.seed_graph.violations()
         if bad_seed:
             return out + bad_seed
-        seed = self.seed_graph.build(self.weights.g)
-        try:
-            weightless = not sum(self.weights.weight(int(k))
-                                 for k in seed.degrees()) > 0.0
-        except ValueError:  # a seed degree without a rule, which the
-            weightless = False  # weights' own violations name
-        if weightless:
+        w = self.weights
+        if w.rule is None and (w.M is None or w.M > w.table_end()):
+            return out  # no weight past the table, which w's violations name
+        degrees = self.seed_graph.build(w.g).degrees()
+        if not w.weights_upto(int(degrees.max(initial=0)))[degrees].sum() > 0.0:
             out.append(Violation(
                 "SeedWeightZero",
                 "seed graph has zero total attachment weight; the attachment rule "

@@ -33,11 +33,13 @@ import numpy as np
 from .constants import VARIANTS
 from .errors import (InfeasibleComplement, NoConvergence, TruncationTooSevere,
                      ValidationError, Violation, WindowExceedsMatrix)
-from .models import DegreeDistribution, EdgeDegreeMatrix, NpaModelSpec
+from .models import (NORMALIZATION_TOL, STORED_MASS_SLACK, DegreeDistribution,
+                     EdgeDegreeMatrix, NpaModelSpec)
 
 # Most arc-matrix mass a mass-conserving variant may miss beyond what
 # truncation at the extent u explains.
 EDD_MASS_TOLERANCE = 1e-3
+FP_TOLERANCE = 1e-10  # relative bracket width of the mean-weight bisection
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +220,7 @@ class _VddEngine:
             k_need = max(k_need, w.M + 1)
         self.k_top = k_need
         self.k_store = k_max
-        self.f = w.weights_upto(self.k_top)[self.g:]
+        self.f = w.weights_upto(self.k_top, self.g)
         self.r = inc.prob_array()
         self.r_start = inc.min_arcs - self.g
         self.ks = np.arange(self.g, self.k_top + 1, dtype=np.float64)
@@ -250,7 +252,7 @@ class _VddEngine:
         return s + t_f
 
 
-def _fixed_point(engine: _VddEngine, fp_tolerance: float) -> float:
+def _fixed_point(engine: _VddEngine) -> float:
     """The mean weight phi solving phi = sum f_k Q_k(phi).
 
     When the weight is the degree at every computed degree and in the tail,
@@ -258,7 +260,7 @@ def _fixed_point(engine: _VddEngine, fp_tolerance: float) -> float:
     point is phi = 2 m, returned exactly. When it is a constant v there,
     sum f_k Q_k(phi) = v sum Q_k = v at every phi, so phi = v. Other weights
     are bracketed by doubling phi from 1 and bisected until the bracket is
-    narrower than fp_tolerance relative to phi, or cannot shrink
+    narrower than FP_TOLERANCE relative to phi, or cannot shrink
     further. A residual that is not positive at phi = 1e-9, or still
     positive after 200 doublings, means there is no stationary regime to
     bracket.
@@ -282,7 +284,7 @@ def _fixed_point(engine: _VddEngine, fp_tolerance: float) -> float:
         lo, hi = hi, 2.0 * hi
     else:
         raise NoConvergence("mean weight diverges; no stationary regime")
-    while hi - lo > fp_tolerance * max(1.0, hi):
+    while hi - lo > FP_TOLERANCE * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
@@ -293,8 +295,7 @@ def _fixed_point(engine: _VddEngine, fp_tolerance: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_vdd(model: NpaModelSpec, k_max: int = 10000,
-              fp_tolerance: float = 1e-10) -> VddSolution:
+def solve_vdd(model: NpaModelSpec, k_max: int = 10000) -> VddSolution:
     """Solve the stationary vertex degree distribution of a growth model.
 
     Returns the distribution up to the last stored degree k_max, the mean
@@ -302,22 +303,19 @@ def solve_vdd(model: NpaModelSpec, k_max: int = 10000,
     naturally extends to the saturation degree M + 1), and the control
     residual against twice the mean increment arc count. The mass beyond
     k_max is recorded as q.truncation_mass, whatever its size; the mean
-    weight already accounts for it through the same tail sums. fp_tolerance
-    is the relative bracket width at which the bisection for the mean weight
-    stops; weights f_k = k or f_k = v need no search. A k_max below g stores
-    no degree and raises ValidationError.
+    weight already accounts for it through the same tail sums, and is
+    bisected to FP_TOLERANCE; weights f_k = k or f_k = v need no search. A
+    k_max below g stores no degree and raises ValidationError.
     """
     if k_max < model.g:
         raise ValidationError([Violation(
             "EmptySupport", f"need k_max >= g, got {k_max} and {model.g}")])
-    if not fp_tolerance > 0:
-        raise ValueError("the fixed-point tolerance must be positive")
     engine = _VddEngine(model, k_max)
     if engine.asym[0] == "power" and engine.asym[1] > 1.0:
         raise NoConvergence(
             "superlinear weights without a degree cap concentrate attachment "
             "on one vertex; no stationary distribution exists")
-    phi = _fixed_point(engine, fp_tolerance)
+    phi = _fixed_point(engine)
     q_full = engine.distribution(phi)
     t_mass, t_kmass, _ = engine.tails(phi, q_full)
     if math.isinf(t_mass):
@@ -329,7 +327,7 @@ def solve_vdd(model: NpaModelSpec, k_max: int = 10000,
     tail_kmass = t_kmass + float((engine.ks[engine.k_store - engine.g + 1:] * beyond).sum())
 
     truncation = 1.0 - float(stored.sum())
-    if truncation < 0.0 and truncation > -1e-9:
+    if truncation < 0.0 and truncation > -STORED_MASS_SLACK:
         truncation = 0.0
     if truncation < 0.0:
         raise NoConvergence(f"stored mass exceeds 1 by {-truncation!r}")
@@ -474,7 +472,8 @@ def symmetrize(q: EdgeDegreeMatrix) -> EdgeDegreeMatrix:
 def mix_vdd(parts: Sequence[tuple[DegreeDistribution, float]]) -> DegreeDistribution:
     """Pointwise convex combination of degree distributions."""
     weights = [rho for _, rho in parts]
-    if any(rho < 0.0 for rho in weights) or abs(math.fsum(weights) - 1.0) > 1e-12:
+    if (any(rho < 0.0 for rho in weights)
+            or abs(math.fsum(weights) - 1.0) > NORMALIZATION_TOL):
         raise ValueError(f"fractions {weights} are not a convex combination")
     lo = min(q.min_degree for q, _ in parts)
     hi = max(q.max_degree for q, _ in parts)

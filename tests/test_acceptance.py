@@ -19,8 +19,8 @@ from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution, RngStream,
                       grow_aer_unpruned, mix_edd, mix_vdd, solve_arc_dd,
                       solve_vdd, symmetrize)
 from npagraph import calibrate
-from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
-                                calibrate_composite, calibrate_single)
+from npagraph.calibrate import (K_MAX, CalibrationTarget, calibrate_composite,
+                                calibrate_single)
 from npagraph.cli import main as cli_main
 from npagraph.formats import load_edge_list
 from npagraph.growth import measure_edd, measure_vdd, summarize
@@ -193,7 +193,7 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
     from npagraph.calibrate import component_profile
     profile = component_profile(BaTreeSpec(), target.u)
     complement = result.model.components[1][0]
-    sol2 = solve_vdd(complement, 20000, FP_TOLERANCE)
+    sol2 = solve_vdd(complement, 20000)
     th2 = symmetrize(solve_arc_dd(complement, sol2, u))
     m2 = complement.increments.mean
     mixed = mix_edd([(profile.edd, 1.0, rho), (th2, m2, 1.0 - rho)])
@@ -249,7 +249,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
     from npagraph.calibrate import component_profile
     profile = component_profile(BaTreeSpec(), target.u)
     fitted = result.model.components[1][0]
-    sol2 = solve_vdd(fitted, 6000, FP_TOLERANCE)
+    sol2 = solve_vdd(fitted, 6000)
     th2 = symmetrize(solve_arc_dd(fitted, sol2, u))
     m2 = fitted.increments.mean
     mixed = mix_edd([(profile.edd, 1.0, rho), (th2, m2, 1.0 - rho)])
@@ -320,7 +320,7 @@ def test_criterion_09_calibration_round_trip():
         weights=WeightFunction.linear(g=1),
         increments=IncrementDistribution(min_arcs=1,
                                          probs=(0.4, 0.3, 0.2, 0.1)))
-    sol = solve_vdd(planted, K_MAX, FP_TOLERANCE)
+    sol = solve_vdd(planted, K_MAX)
     theta = symmetrize(solve_arc_dd(planted, sol, 20))
     target = CalibrationTarget(vdd=sol.q, edd=theta, u=20,
                                mean_increment=planted.increments.mean)
@@ -337,8 +337,8 @@ def test_criterion_09_calibration_round_trip():
         increments=IncrementDistribution(min_arcs=1, probs=(0.3, 0.7)))
     ba = BaTreeSpec().to_npa()
     rho = 0.3
-    sol1 = solve_vdd(ba, K_MAX, FP_TOLERANCE)
-    sol2 = solve_vdd(complement, K_MAX, FP_TOLERANCE)
+    sol1 = solve_vdd(ba, K_MAX)
+    sol2 = solve_vdd(complement, K_MAX)
     th1 = symmetrize(solve_arc_dd(ba, sol1, 20))
     th2 = symmetrize(solve_arc_dd(complement, sol2, 20))
     m2 = complement.increments.mean

@@ -17,8 +17,8 @@ from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       validate_model)
 from npagraph.formats import edd_to_csv, vdd_to_csv
 from npagraph import calibrate
-from npagraph.calibrate import (FP_TOLERANCE, K_MAX, CalibrationTarget,
-                                OptimizerTrace, calibrate_composite, calibrate_single)
+from npagraph.calibrate import (K_MAX, CalibrationTarget, OptimizerTrace,
+                                calibrate_composite, calibrate_single)
 from npagraph.models import (edd_distance, gowalla_increments,
                              preset_brightkite, preset_gowalla, select_u)
 
@@ -34,7 +34,7 @@ def _model(probs, min_arcs=1, weights=None):
 
 
 def _target_from(model, u=20):
-    sol = solve_vdd(model, K_MAX, FP_TOLERANCE)
+    sol = solve_vdd(model, K_MAX)
     theta = symmetrize(solve_arc_dd(model, sol, u))
     return CalibrationTarget(vdd=sol.q, edd=theta, u=u,
                              mean_increment=model.increments.mean)
@@ -100,7 +100,7 @@ LINEAR = WeightFunction.linear(g=1)
 def _noisy_vdd(probs, sigma, seed):
     """The solved vertex distribution of a linear-weight model, each
     probability times a log-normal factor, renormalised."""
-    q = solve_vdd(_model(probs), K_MAX, FP_TOLERANCE).q
+    q = solve_vdd(_model(probs), K_MAX).q
     noisy = np.asarray(q.probs) * np.exp(
         np.random.default_rng(seed).normal(0.0, sigma, len(q.probs)))
     noisy *= (1.0 - q.truncation_mass) / noisy.sum()
@@ -159,7 +159,7 @@ class TestInvertVdd:
         # vertex distribution: the head, the doubling tail bins and the mass
         # beyond k_max.
         true = _model(probs)
-        q = solve_vdd(true, K_MAX, FP_TOLERANCE).q
+        q = solve_vdd(true, K_MAX).q
         m = true.increments.mean
         a, observed = calibrate._vdd_program(q, LINEAR, m, 2.0 * m, u, 50)
         r = np.zeros(50)
@@ -344,7 +344,7 @@ class TestCalibrateSingle:
     def test_distance_reproducible_from_model(self):
         target = _target_from(_model((0.6, 0.4)), u=15)
         res = calibrate_single(target, "linear", r_max=3)
-        sol = solve_vdd(res.model, K_MAX, FP_TOLERANCE)
+        sol = solve_vdd(res.model, K_MAX)
         theta = symmetrize(solve_arc_dd(res.model, sol, target.u))
         again = edd_distance(theta, target.edd, 1, target.u)
         assert again == pytest.approx(res.distance, abs=1e-9)
@@ -495,8 +495,8 @@ def test_noisy_target_no_worse_than_simplex(name, probs, seed):
 def _composite_target(rho=0.3, u=20):
     comp2 = _model((0.3, 0.7))
     ba = BaTreeSpec().to_npa()
-    sol1 = solve_vdd(ba, K_MAX, FP_TOLERANCE)
-    sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
+    sol1 = solve_vdd(ba, K_MAX)
+    sol2 = solve_vdd(comp2, K_MAX)
     th1 = symmetrize(solve_arc_dd(ba, sol1, u))
     th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
     m2 = comp2.increments.mean
@@ -514,8 +514,8 @@ def _degree2_target(rho=0.1, u=15):
     r_max = 2."""
     comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
     ba = BaTreeSpec().to_npa()
-    sol1 = solve_vdd(ba, K_MAX, FP_TOLERANCE)
-    sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
+    sol1 = solve_vdd(ba, K_MAX)
+    sol2 = solve_vdd(comp2, K_MAX)
     th1 = symmetrize(solve_arc_dd(ba, sol1, u))
     th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
     m2 = comp2.increments.mean
@@ -556,7 +556,7 @@ class TestCalibrateComposite:
         (first, rho), (second, rho2) = res.model.components
         m2 = second.increments.mean
         parts = [(symmetrize(solve_arc_dd(
-                      spec, solve_vdd(spec, K_MAX, FP_TOLERANCE), target.u)),
+                      spec, solve_vdd(spec, K_MAX), target.u)),
                   m, share)
                  for spec, m, share in ((first, m1, rho), (second, m2, rho2))]
         mixed = mix_edd(parts)
@@ -637,7 +637,7 @@ class TestCalibrateComposite:
         # whose pruned graph holds the share rho.
         aer, u, rho = AerModelSpec(n1=400, a=2.0), 12, 0.3
         comp2 = _model((0.4, 0.6))
-        sol2 = solve_vdd(comp2, K_MAX, FP_TOLERANCE)
+        sol2 = solve_vdd(comp2, K_MAX)
         th2 = symmetrize(solve_arc_dd(comp2, sol2, u))
         first = calibrate.component_profile(aer, u)
         m1, m2 = first.m, comp2.increments.mean

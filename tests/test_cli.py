@@ -117,6 +117,10 @@ class TestSolveCommand:
          "WeightSignViolation"),
         # No rule and no table: the seed's degree has no weight.
         ({"g": 1}, [1.0], "default", "EmptySupport"),
+        # (-2)**0.5 is NaN, no weight (0.33.0: a TypeError on a complex
+        # number, exit 1).
+        ({"g": -2, "M": None, "rule": "power", "alpha": 0.5}, [1.0], "default",
+         "f_-2 = nan is not positive and finite"),
         # Only the default seed graph has a name.
         ({"g": 1, "M": None, "rule": "linear"}, [1.0], "star",
          "unknown seed graph name 'star'"),
@@ -624,7 +628,7 @@ class TestRerunDeterminism:
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(0.7, 0.3)))
-        sol = solve_vdd(model, 4000, 1e-9)
+        sol = solve_vdd(model, 4000)
         theta = symmetrize(solve_arc_dd(model, sol, 10))
         target_dir = tmp_path / "target"
         target_dir.mkdir()
@@ -1257,9 +1261,8 @@ class TestCalibrateCommand:
         (["--mode", "composite", "--first", "aer", "--rmax", "3",
           "--rho-min", "0.05", "--rho-max", "0.35", "--rho-step", "0.05"],
          None, 1e-12),
-        # solve's mean-weight tolerance is 1e-10, calibrate's FP_TOLERANCE 1e-9
         (["--mode", "single", "--weights", "table-free", "--rmax", "3"],
-         0.8, 1e-9),
+         0.8, 1e-12),
     ], ids=["single", "ba_tree", "aer", "table_free"])
     def test_solve_of_the_fit_reproduces_its_distance(self, tmp_path, flags,
                                                      alpha, rtol):
@@ -1287,6 +1290,28 @@ class TestCalibrateCommand:
                      "--out", str(tmp_path / "cmp")]) == 0
         distance = json.loads((tmp_path / "cmp" / "distance.json").read_text())
         assert distance["distance"] == pytest.approx(report["distance"], rel=rtol)
+
+    def test_solve_of_a_near_exact_power_fit_reproduces_its_distance(self, tmp_path):
+        # The exact target of power(0.8) weights, which the table-free fit
+        # matches to a distance of 4e-8. 0.33.0 bisected the fit's mean
+        # weight to 1e-9 and solve's to 1e-10: 1.9e-4 relative apart here.
+        spec = tmp_path / "spec.json"
+        spec.write_text(dump_model(NpaModelSpec(
+            weights=WeightFunction.power(0.8, g=1),
+            increments=IncrementDistribution(min_arcs=1, probs=(0.6, 0.4)))))
+        target, fit, solved = (tmp_path / name for name in ("target", "fit", "solved"))
+        assert main(["solve", str(spec), "--kmax", "4000", "--umax", "12",
+                     "--out", str(target)]) == 0
+        assert main(["calibrate", str(target), "--weights", "table-free",
+                     "--rmax", "3", "--u", "12", "--out", str(fit)]) == 0
+        report = json.loads((fit / "report.json").read_text())
+        assert report["details"]["phase"] == 2 and report["distance"] < 1e-7
+        assert main(["solve", str(fit / "model.json"), "--umax", "12",
+                     "--out", str(solved)]) == 0
+        assert main(["compare", str(solved / "edd.csv"), str(target / "edd.csv"),
+                     "--g", "1", "--u", "12", "--out", str(tmp_path / "cmp")]) == 0
+        distance = json.loads((tmp_path / "cmp" / "distance.json").read_text())
+        assert distance["distance"] == pytest.approx(report["distance"], rel=1e-12)
 
     def test_first_aer_uses_gowalla_constants(self, tmp_path, monkeypatch):
         from npagraph import AerModelSpec, AllRhoInfeasible, calibrate
@@ -1355,6 +1380,10 @@ class TestCalibrateCommand:
         # An empty grid tries no fraction at all.
         (["--mode", "composite", "--rho-min", "0.5", "--rho-max", "0.3"],
          "--rho-min <= --rho-max"),
+        # The composite's complement has linear weights; 0.33.0 fitted them
+        # and recorded --weights table-free in the manifest.
+        (["--mode", "composite", "--weights", "table-free"],
+         "--mode composite fits linear weights, got --weights table-free"),
         # p_a = a / (n1 - 1) must lie in (0, 1] for the AER first component.
         # (Above 1 it is the same violation; unchecked, that scan would fill
         # every slot of the 35000-vertex graph, gigabytes of pairs.)
@@ -1395,7 +1424,7 @@ class TestCalibrateCommand:
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=2),
             increments=IncrementDistribution(min_arcs=2, probs=(1.0,)))
-        sol = solve_vdd(model, 4000, 1e-9)
+        sol = solve_vdd(model, 4000)
         theta = symmetrize(solve_arc_dd(model, sol, 12))
         target_dir = tmp_path / "target"
         target_dir.mkdir()

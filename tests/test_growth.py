@@ -288,7 +288,8 @@ class TestGeneralWeights:
             increments=IncrementDistribution(min_arcs=2, probs=(1.0,)))
         reps = 6000
         observed = _observed_arc_lists(model, reps)
-        law = _arc_multiset_law(5, 2, weight=weights.weight)
+        law = _arc_multiset_law(5, 2,
+                                weight=lambda k: weights.weights_upto(k, k)[0])
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         assert _chi_square_p(observed, law, reps) > 1e-3
         uniform = _arc_multiset_law(5, 2, weight=_uniform_weight)

@@ -21,33 +21,41 @@ GOWALLA_M = 7.376292489902686  # frozen: mean of the normalized preset table
 class TestWeightFunction:
     def test_linear_support(self):
         w = WeightFunction.linear(g=1)
-        assert w.weight(0) == 0.0
-        assert w.weight(1) == 1.0
-        assert w.weight(7) == 7.0
+        assert w.weights_upto(0, 0)[0] == 0.0
+        assert w.weights_upto(1, 1)[0] == 1.0
+        assert w.weights_upto(7, 7)[0] == 7.0
 
     def test_finite_m_zero_outside(self):
         w = WeightFunction.linear(g=2, M=5)
-        assert w.weight(1) == 0.0
-        assert w.weight(2) == 2.0
-        assert w.weight(5) == 5.0
-        assert w.weight(6) == 0.0
+        assert w.weights_upto(1, 1)[0] == 0.0
+        assert w.weights_upto(2, 2)[0] == 2.0
+        assert w.weights_upto(5, 5)[0] == 5.0
+        assert w.weights_upto(6, 6)[0] == 0.0
 
     def test_power_and_constant(self):
-        assert WeightFunction.power(0.8).weight(4) == pytest.approx(4 ** 0.8)
-        assert WeightFunction.constant(3.5).weight(9) == 3.5
+        assert WeightFunction.power(0.8).weights_upto(4, 4)[0] == pytest.approx(
+            4 ** 0.8)
+        assert WeightFunction.constant(3.5).weights_upto(9, 9)[0] == 3.5
 
     def test_table_overrides_then_rule(self):
         w = WeightFunction.from_table(g=1, values=[10.0, 20.0], rule="linear")
-        assert w.weight(1) == 10.0
-        assert w.weight(2) == 20.0
-        assert w.weight(3) == 3.0  # beyond the table the rule applies
+        assert w.weights_upto(1, 1)[0] == 10.0
+        assert w.weights_upto(2, 2)[0] == 20.0
+        assert w.weights_upto(3, 3)[0] == 3.0  # beyond the table the rule applies
 
-    def test_weights_upto_matches_scalar(self):
-        w = WeightFunction.from_table(g=2, values=[5.0], M=10, rule="power",
-                                      alpha=1.2)
-        arr = w.weights_upto(12)
-        for k in range(13):
-            assert arr[k] == pytest.approx(w.weight(k))
+    @given(g=st.integers(0, 6), extent=st.none() | st.integers(-2, 20),
+           rule=st.sampled_from([None, "linear", "power", "constant"]),
+           alpha=st.floats(-2.0, 400.0), value=st.floats(0.1, 10.0),
+           table=st.lists(st.floats(0.0, 100.0), max_size=5),
+           k_top=st.integers(0, 30), data=st.data())
+    def test_offset_range_is_a_slice(self, g, extent, rule, alpha, value, table,
+                                     k_top, data):
+        # Bit for bit, infinite and zero weights included.
+        w = WeightFunction(g=g, M=None if extent is None else g + extent,
+                           rule=rule, alpha=alpha, value=value, table=tuple(table))
+        lo = data.draw(st.integers(0, k_top))
+        assert (w.weights_upto(k_top, lo).tobytes()
+                == w.weights_upto(k_top)[lo:].tobytes())
 
     def test_zero_inside_support_is_violation(self):
         w = WeightFunction.from_table(g=1, values=[1.0, 2.0, 0.0], M=10,
@@ -62,7 +70,8 @@ class TestWeightFunction:
         # k**alpha overflows at k = 10 in the first, and is 1/0 at k = 0 in
         # the second; both are infinite weights, not a crash.
         assert [v.code for v in w.violations()] == ["WeightSignViolation"]
-        assert math.inf in (w.weight(w.g), w.weight(w.M))
+        assert math.inf in (w.weights_upto(w.g, w.g)[0],
+                            w.weights_upto(w.M, w.M)[0])
 
     def test_pure_table_needs_finite_m(self):
         w = WeightFunction(g=1, M=None, rule=None, table=(1.0, 2.0))

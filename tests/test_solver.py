@@ -41,7 +41,7 @@ def vdd_reference(model, phi, k_top):
     Q_k = (r_k phi + m f_{k-1} Q_{k-1}) / (phi + m f_k), Q_{g-1} = 0."""
     g = model.g
     m = model.increments.mean
-    f = [model.weights.weight(k) for k in range(k_top + 1)]
+    f = [model.weights.weights_upto(k, k)[0] for k in range(k_top + 1)]
     r = dict(enumerate(model.increments.probs, model.increments.min_arcs))
     q, prev = [], 0.0
     for k in range(g, k_top + 1):
@@ -117,14 +117,13 @@ class TestSolveVdd:
     @pytest.mark.parametrize("name", sorted(reference_models()))
     def test_fixed_point_consistency(self, name):
         model = reference_models()[name]
-        tol = 1e-10
-        sol = solve_vdd(model, fp_tolerance=tol)
+        sol = solve_vdd(model)
         f = model.weights.weights_upto(sol.q.max_degree)[sol.q.min_degree:]
         weighted = float((f * sol.q.probs).sum())
         # The stored part plus the analytic linear tail must return phi.
         if model.weights.asymptote()[0] == "linear":
             weighted += sol.tail_degree_mass
-        assert abs(weighted - sol.mean_weight) < 100 * tol
+        assert abs(weighted - sol.mean_weight) < 100 * solver.FP_TOLERANCE
 
     def test_finite_m_saturation_degree(self):
         model = reference_models()["superlinear_m200"]
@@ -389,7 +388,7 @@ def arc_reference(model, vdd, u, variant):
     g = model.g
     m = model.increments.mean
     phi = vdd.mean_weight
-    f = [model.weights.weight(k) for k in range(u + 2)]
+    f = [model.weights.weights_upto(k, k)[0] for k in range(u + 2)]
     r = dict(enumerate(model.increments.probs, model.increments.min_arcs))
     q = vdd.q.aligned(g - 1, u)  # q[k - g] is Q_{k-1}
     x = np.zeros((u - g + 1, u - g + 1))
@@ -583,12 +582,11 @@ class TestSolveArcDd:
         assert sol.q.max_degree == 100
         assert sol.control_residual < 1e-6
 
-    @pytest.mark.parametrize("k_max,fp_tolerance,error", [
-        (0, 1e-10, ValidationError),  # no degree stored: a setting against g
-        (100, 0.0, ValueError)])
-    def test_vdd_settings_out_of_range(self, k_max, fp_tolerance, error):
+    @pytest.mark.parametrize("k_max,error", [
+        (0, ValidationError)])  # no degree stored: a setting against g
+    def test_vdd_settings_out_of_range(self, k_max, error):
         with pytest.raises(error):
-            solve_vdd(reference_models()["linear"], k_max, fp_tolerance)
+            solve_vdd(reference_models()["linear"], k_max)
 
     @pytest.mark.parametrize("variant", ["printed", "mean-weight"])
     @pytest.mark.parametrize("u", [0, 101, 300])
