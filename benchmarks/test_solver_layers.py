@@ -21,7 +21,6 @@ import pytest
 from npagraph import (BaTreeSpec, IncrementDistribution, NpaModelSpec,
                       WeightFunction, solve_arc_dd, solve_vdd)
 from npagraph.calibrate import K_MAX
-from npagraph.validation import reference_models
 
 # A candidate of the kind the calibration search solves thousands of times:
 # linear weights, four increment sizes, the 20 x 20 window of its targets.
@@ -55,7 +54,8 @@ def test_vdd_calibration_candidate(benchmark):
 # of the lower function as well as the continued fraction, the second by the
 # continued fraction alone.
 @pytest.mark.parametrize("model", [
-    reference_models()["sublinear"],
+    NpaModelSpec(weights=WeightFunction.power(0.8, g=1),
+                 increments=IncrementDistribution(min_arcs=1, probs=(0.6, 0.4))),
     NpaModelSpec(weights=WeightFunction.power(0.999, g=1),
                  increments=IncrementDistribution(min_arcs=1, probs=(0.6, 0.4))),
     NpaModelSpec(weights=WeightFunction.power(0.9999, g=1),
@@ -79,8 +79,10 @@ WIDE_SUPPORT = NpaModelSpec(
 
 
 @pytest.mark.parametrize("model", [
-    reference_models()["superlinear_m200"],
-    reference_models()["constant"],
+    NpaModelSpec(weights=WeightFunction.power(1.2, g=2, M=200),
+                 increments=IncrementDistribution(min_arcs=2, probs=(1.0,))),
+    NpaModelSpec(weights=WeightFunction.constant(1.0, g=1),
+                 increments=IncrementDistribution(min_arcs=1, probs=(0.7, 0.3))),
     WIDE_SUPPORT,
 ], ids=["superlinear_m200", "constant", "power_support_300"])
 def test_vdd_default_options(benchmark, model):

@@ -151,11 +151,11 @@ def cmd_generate(params: dict, out: Path) -> None:
 
 def cmd_ingest(params: dict, out: Path) -> None:
     from .formats import edd_to_csv, id_map_csv, load_edge_list, vdd_counts_csv
-    from .growth import measure_edd, measure_vdd, summarize
+    from .growth import measure_edd, summarize
     from .models import select_u
     graph, stats = load_edge_list(params["dataset"])
     summary = summarize(graph)
-    max_deg = measure_vdd(graph).max_degree
+    max_deg = int(graph.degrees().max())
     edd = measure_edd(graph, min(max_deg, params["edd_extent"]))
     u = select_u(edd, params["u_mass"])
     _write(out / "vdd.csv", vdd_counts_csv(graph))

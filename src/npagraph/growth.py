@@ -10,8 +10,7 @@ Every other weight function takes the acceptance sampler: a proposal from
 the vertices and the same endpoint list, accepted with a probability that
 turns its 1 + k proposal weight into f_k, one Python draw per proposal.
 `grow_aer` scans vertex pairs for the autocorrelated random graph and
-prunes its one- and two-vertex components, returning the graph with the
-scan's diagnostics.
+prunes its one- and two-vertex components.
 `grow` grows any spec to n vertices, a composite as the disjoint union of
 its components, each grown at its budget; `formats.write_edge_list`
 writes the grown graph as text.
@@ -23,7 +22,6 @@ within one version of the package.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -197,46 +195,26 @@ def _grow_by_acceptance(seed: Graph, spec: NpaModelSpec, steps: int,
 # Autocorrelated random graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AerRunStats:
-    """Diagnostics from one autocorrelated-graph construction."""
-
-    pre_prune_edge_count: int
-    pre_prune_mean_degree: float
-    slot_count: int
-    pair_count: int
-    adjacent_success_count: int
-    lag1_autocorrelation: float
-    lag1_null_z: float
-    removed_isolated: int = 0
-    removed_pair_vertices: int = 0
-
-
 # Most starter/run pairs drawn in one batch of the AER scan. A run cut at its
 # row end drops the rest of its batch, so a small batch wastes little.
 _AER_BATCH = 1 << 12
 
 
-def grow_aer(spec: AerModelSpec, rng: RngStream) -> tuple[Graph, AerRunStats]:
+def grow_aer(spec: AerModelSpec, rng: RngStream) -> Graph:
     """Build the autocorrelated random graph and prune trivial components.
 
     Scans vertex pairs row by row; each draw succeeds with probability
     (p_a + z)/2 where z indicates whether the immediately preceding target in
     the same row received an edge. z starts at 0 for each row's first target
     (the first draw uses p_a / 2). After the scan, isolated vertices and
-    two-vertex components joined by a single edge are removed. Returns the
-    pruned graph and the scan's diagnostics with the removal counts.
+    two-vertex components joined by a single edge are removed.
     """
-    full, stats = grow_aer_unpruned(spec, rng)
-    keep, removed_isolated, removed_pairs = _prune_small_components(full)
-    stats = replace(stats, removed_isolated=removed_isolated,
-                    removed_pair_vertices=removed_pairs)
-    return full.induced(keep), stats
+    full = grow_aer_unpruned(spec, rng)
+    return full.induced(_prune_small_components(full))
 
 
-def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream
-                      ) -> tuple[Graph, AerRunStats]:
-    """The raw pair-scan graph before any pruning, with scan diagnostics.
+def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream) -> Graph:
+    """The raw pair-scan graph before any pruning.
 
     z starts at 0 for each row's first target. Each slot in the flattened
     row-by-row scan succeeds with probability p_a / 2 after a failure and
@@ -299,36 +277,11 @@ def grow_aer_unpruned(spec: AerModelSpec, rng: RngStream
     slots = np.arange(edge_total) + np.repeat(starts - first, runs)
     rows = np.searchsorted(row_end, slots, side="right")
     targets = rows + 1 + (slots - row_start[rows])
-    full = Graph(n1, np.column_stack([rows, targets]), directed=False)
-    # Within-row adjacencies: each run's length less one, as no run crosses
-    # a row end.
-    adjacent_total = edge_total - len(runs)
-
-    pair_total = total_slots - (n1 - 1)
-
-    p_hat = edge_total / total_slots
-    p11 = adjacent_total / pair_total if pair_total else 0.0
-    denom = p_hat * (1.0 - p_hat)
-    r1 = (p11 - p_hat * p_hat) / denom if denom > 0.0 else 0.0
-    z = r1 * math.sqrt(pair_total) if pair_total else 0.0
-    stats = AerRunStats(
-        pre_prune_edge_count=edge_total,
-        pre_prune_mean_degree=2.0 * edge_total / n1,
-        slot_count=total_slots,
-        pair_count=pair_total,
-        adjacent_success_count=adjacent_total,
-        lag1_autocorrelation=r1,
-        lag1_null_z=z,
-        removed_isolated=0,
-        removed_pair_vertices=0,
-    )
-    return full, stats
+    return Graph(n1, np.column_stack([rows, targets]), directed=False)
 
 
-def _prune_small_components(graph: Graph) -> tuple[np.ndarray, int, int]:
-    """Mask of vertices in components of size >= 3, plus the counts of
-    removed isolated vertices and of removed vertices in two-vertex
-    components.
+def _prune_small_components(graph: Graph) -> np.ndarray:
+    """Mask of vertices in components of size >= 3.
 
     The graph must be simple, as the pair scan makes it: no self-loop and
     no parallel edge. Then a component of one vertex is a vertex of degree
@@ -339,9 +292,7 @@ def _prune_small_components(graph: Graph) -> tuple[np.ndarray, int, int]:
     lone = (deg[a] == 1) & (deg[b] == 1)
     in_pair = np.zeros(graph.vertex_count, dtype=bool)
     in_pair[a[lone]] = in_pair[b[lone]] = True
-    isolated = deg == 0
-    keep = ~(isolated | in_pair)
-    return keep, int(np.count_nonzero(isolated)), 2 * int(np.count_nonzero(lone))
+    return ~((deg == 0) | in_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +306,7 @@ def grow(spec: ModelSpec, n: int, rng: RngStream) -> Graph:
     if isinstance(spec, CompositeSpec):
         return grow_composite(replace(spec, total_n=n), rng)
     if isinstance(spec, AerModelSpec):
-        return grow_aer(replace(spec, n1=n), rng)[0]
+        return grow_aer(replace(spec, n1=n), rng)
     return grow_npa(spec, n, rng).final_graph
 
 

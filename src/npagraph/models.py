@@ -387,7 +387,8 @@ class Graph:
         return self._degrees
 
     def induced(self, keep: np.ndarray) -> "Graph":
-        """Subgraph on the vertices flagged in the boolean mask, relabeled densely."""
+        """Subgraph on the vertices flagged in the boolean mask, relabeled
+        densely; the subgraph carries no labels."""
         new_id = np.full(self.vertex_count, -1, dtype=np.int64)
         kept = np.flatnonzero(keep)
         new_id[kept] = np.arange(len(kept))
@@ -396,10 +397,7 @@ class Graph:
             pairs = new_id[self.pairs[mask]]
         else:
             pairs = self.pairs
-        labels = None
-        if self.labels is not None:
-            labels = np.asarray(self.labels)[kept]
-        return Graph(len(kept), pairs, directed=self.directed, labels=labels)
+        return Graph(len(kept), pairs, directed=self.directed)
 
     @staticmethod
     def disjoint_union(graphs: Sequence["Graph"]) -> "Graph":

@@ -1,18 +1,27 @@
-"""Cross-checks between the analytic solver and Monte-Carlo growth.
+"""Cross-checks between the analytic solver and Monte-Carlo growth, for
+the test suite.
 
 The directed-recurrence cross-check report is the deliverable for the edge
 matrix: it records per-cell deviations against pooled simulation for every
 registered recurrence variant, so a systematic discrepancy of one variant is
 documented next to the agreement of another instead of being patched over.
+`aer_lag1` reads the lag-1 autocorrelation of the AER pair scan off its
+unpruned graph.
+
+pytest imports this file as a top-level module, since tests/ has no
+__init__.py; outside pytest, put src and tests on PYTHONPATH.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .growth import RngStream, grow_aer, grow_npa, measure_edd, measure_vdd
-from .models import Graph, IncrementDistribution, NpaModelSpec, WeightFunction
-from .solver import VARIANTS, solve_arc_dd, solve_vdd, symmetrize
+from npagraph.growth import RngStream, grow_npa, measure_edd, measure_vdd
+from npagraph.models import (Graph, IncrementDistribution, NpaModelSpec,
+                             WeightFunction)
+from npagraph.solver import VARIANTS, solve_arc_dd, solve_vdd, symmetrize
 
 
 def reference_models() -> dict[str, NpaModelSpec]:
@@ -111,21 +120,21 @@ def edd_crosscheck(model: NpaModelSpec, n: int = 100000, reps: int = 20,
     return report
 
 
-def aer_validation(spec, reps: int = 10, rng: RngStream = RngStream(7300)) -> dict:
-    """Mean-degree and autocorrelation diagnostics over replications."""
-    mean_degrees = []
-    autocorrs = []
-    zs = []
-    for rep in range(reps):
-        _, stats = grow_aer(spec, rng.substream(rep))
-        mean_degrees.append(stats.pre_prune_mean_degree)
-        autocorrs.append(stats.lag1_autocorrelation)
-        zs.append(stats.lag1_null_z)
-    return {
-        "reps": reps,
-        "target_mean_degree": spec.a,
-        "mean_degree_avg": float(np.mean(mean_degrees)),
-        "mean_degree_per_rep": mean_degrees,
-        "lag1_autocorrelation_avg": float(np.mean(autocorrs)),
-        "lag1_null_z_min": float(np.min(zs)),
-    }
+def aer_lag1(full: Graph) -> tuple[float, float]:
+    """Lag-1 autocorrelation r1 of the slot sequence of an unpruned AER
+    graph, over the pairs of successive slots in one row, and its z-score
+    r1 sqrt(pairs) against independent slots.
+
+    A slot (a, b), a < b, has key a n1 + b, so two slots follow each other
+    in a row exactly when their keys differ by 1; keys of successive rows
+    differ by at least 3.
+    """
+    n1 = full.vertex_count
+    slots = n1 * (n1 - 1) // 2
+    pairs = slots - (n1 - 1)
+    keys = np.sort(full.pairs[:, 0] * n1 + full.pairs[:, 1])
+    p_hat = full.edge_count / slots
+    p11 = np.count_nonzero(np.diff(keys) == 1) / pairs if pairs else 0.0
+    denom = p_hat * (1.0 - p_hat)
+    r1 = (p11 - p_hat * p_hat) / denom if denom > 0.0 else 0.0
+    return r1, (r1 * math.sqrt(pairs) if pairs else 0.0)

@@ -25,8 +25,8 @@ from npagraph.cli import main as cli_main
 from npagraph.formats import load_edge_list
 from npagraph.growth import measure_edd, measure_vdd, summarize
 from npagraph.models import dump_model, preset_brightkite, select_u
-from npagraph.validation import (edd_crosscheck, reference_models,
-                                 vdd_agreement)
+
+from crosscheck import aer_lag1, edd_crosscheck, reference_models, vdd_agreement
 
 BRIGHTKITE_NODES = 58228
 BRIGHTKITE_EDGES = 214078
@@ -269,21 +269,21 @@ def test_criterion_08_aer_properties():
     mean_degrees = []
     min_z = np.inf
     for rep in range(10):
-        _, stats = grow_aer(spec, RngStream(3800, rep))
-        mean_degrees.append(stats.pre_prune_mean_degree)
-        min_z = min(min_z, stats.lag1_null_z)
+        full = grow_aer_unpruned(spec, RngStream(3800, rep))
+        mean_degrees.append(2.0 * full.edge_count / spec.n1)
+        min_z = min(min_z, aer_lag1(full)[1])
     avg = float(np.mean(mean_degrees))
     assert abs(avg - 2.75) / 2.75 < 0.02
     # One-sided 99% confidence against the independence null.
     assert min_z > 2.326
 
-    full, _ = grow_aer_unpruned(spec, RngStream(3800, 0))
-    pruned, stats0 = grow_aer(spec, RngStream(3800, 0))
+    full = grow_aer_unpruned(spec, RngStream(3800, 0))
+    pruned = grow_aer(spec, RngStream(3800, 0))
     sizes = _component_sizes(full)
     large_before = sorted(s for s in sizes if s >= 3)
     assert sorted(_component_sizes(pruned)) == large_before
-    removed = stats0.removed_isolated + stats0.removed_pair_vertices
-    assert pruned.vertex_count == spec.n1 - removed
+    removed = spec.n1 - pruned.vertex_count
+    assert removed == sum(s for s in sizes if s < 3)
     _announce("8 aer-properties",
               f"mean_degree={avg:.4f} min_z={min_z:.0f} "
               f"removed={removed}")

@@ -87,7 +87,7 @@ def test_formats_alone_reads_and_writes_text():
 
 
 LAYERS = {"errors": 0, "constants": 0, "models": 1, "formats": 2, "solver": 2,
-          "growth": 2, "validation": 3, "calibrate": 3, "cli": 4}
+          "growth": 2, "calibrate": 3, "cli": 4}
 
 
 def npagraph_imports(source: str) -> set[str]:
@@ -128,11 +128,24 @@ def test_every_module_has_a_layer():
     assert {p.stem for p in MODULES} == {*LAYERS, "__init__"}
 
 
+def test_every_module_serves_a_command():
+    """Every module is imported, directly or through others, by cli: a
+    module that only tests use belongs with the tests."""
+    reached, todo = set(), ["cli"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(npagraph_imports((PACKAGE / f"{module}.py").read_text())
+                        - {"npagraph"})
+    assert reached == {p.stem for p in MODULES} - {"__init__"}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_imports_point_to_a_lower_layer(path):
-    """{errors, constants} < models < {formats, solver, growth} < {validation,
-    calibrate} < cli, and the package's __init__ imports no module of it;
-    cli's `from . import __version__` reads the package itself."""
+    """{errors, constants} < models < {formats, solver, growth} < calibrate
+    < cli, and the package's __init__ imports no module of it; cli's
+    `from . import __version__` reads the package itself."""
     imports = npagraph_imports(path.read_text())
     if path.stem == "__init__":
         assert imports == set()

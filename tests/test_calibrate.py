@@ -816,7 +816,7 @@ class TestAerProfile:
         assert np.array_equal(profile.edd.entries, again.edd.entries)
         assert profile.m == pytest.approx(profile.vdd.mean() / 2, rel=1e-12)
         assert profile.edd.min_degree == 1 and profile.edd.entries[0, 0] == 0.0
-        pooled = Graph.disjoint_union([grow_aer(spec, RngStream(5, rep))[0]
+        pooled = Graph.disjoint_union([grow_aer(spec, RngStream(5, rep))
                                        for rep in range(2)])
         vdd = measure_vdd(pooled)
         assert (profile.vdd.min_degree, profile.vdd.truncation_mass) == (

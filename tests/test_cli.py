@@ -883,7 +883,7 @@ class TestEnvironment:
 
     def test_power_weight_solve_loads_no_scipy(self, tmp_path):
         # The incomplete gamma of the power-weight tail is the package's own.
-        from npagraph.validation import reference_models
+        from crosscheck import reference_models
         spec = tmp_path / "sublinear.json"
         spec.write_text(dump_model(reference_models()["sublinear"]) + "\n")
         out = tmp_path / "out"
@@ -895,7 +895,7 @@ class TestEnvironment:
 
     def test_table_free_calibrate_loads_no_scipy(self, tmp_path):
         # The exponent search of phase 2 is the package's own golden section.
-        from npagraph.validation import reference_models
+        from crosscheck import reference_models
         spec = tmp_path / "sublinear.json"
         spec.write_text(dump_model(reference_models()["sublinear"]) + "\n")
         target, out = tmp_path / "target", tmp_path / "fit"

@@ -15,6 +15,8 @@ from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
 from npagraph import formats, growth
 from npagraph.errors import EmptyInput
 
+from crosscheck import aer_lag1
+
 
 def _components(graph: Graph) -> list[set[int]]:
     parent = list(range(graph.vertex_count))
@@ -35,7 +37,7 @@ def _components(graph: Graph) -> list[set[int]]:
     return list(groups.values())
 
 
-def _prune_by_labels(graph: Graph) -> tuple[np.ndarray, int, int]:
+def _prune_by_labels(graph: Graph) -> np.ndarray:
     """What growth._prune_small_components gives, from component labels
     found by min-label hooking: every edge whose ends carry different
     labels hooks the larger root onto the smaller label, then pointer
@@ -54,9 +56,7 @@ def _prune_by_labels(graph: Graph) -> tuple[np.ndarray, int, int]:
             if np.array_equal(jumped, label):
                 break
             label = jumped
-    comp_size = np.bincount(label, minlength=graph.vertex_count)[label]
-    return (comp_size >= 3, int(np.count_nonzero(comp_size == 1)),
-            int(np.count_nonzero(comp_size == 2)))
+    return np.bincount(label, minlength=graph.vertex_count)[label] >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -413,46 +413,38 @@ class TestBaTreeSpec:
 class TestGrowAer:
     def test_reproducible(self):
         spec = AerModelSpec(n1=2000, a=2.5)
-        a, _ = grow_aer(spec, RngStream(31))
-        b, _ = grow_aer(spec, RngStream(31))
+        a = grow_aer(spec, RngStream(31))
+        b = grow_aer(spec, RngStream(31))
         assert np.array_equal(a.pairs, b.pairs)
-
-    def test_slot_accounting(self):
-        spec = AerModelSpec(n1=100, a=2.0)
-        _, stats = grow_aer(spec, RngStream(1))
-        assert stats.slot_count == 100 * 99 // 2
-        assert stats.pair_count == stats.slot_count - 99
 
     def test_mean_degree_near_target(self):
         spec = AerModelSpec(n1=20000, a=2.75)
         degs = []
         for rep in range(3):
-            _, stats = grow_aer(spec, RngStream(77, rep))
-            degs.append(stats.pre_prune_mean_degree)
+            full = grow_aer_unpruned(spec, RngStream(77, rep))
+            degs.append(2.0 * full.edge_count / spec.n1)
         assert np.mean(degs) == pytest.approx(2.75, rel=0.03)
 
     def test_positive_autocorrelation(self):
         spec = AerModelSpec(n1=20000, a=2.75)
-        _, stats = grow_aer(spec, RngStream(78))
-        assert stats.lag1_autocorrelation > 0.3
-        assert stats.lag1_null_z > 10.0
+        r1, z = aer_lag1(grow_aer_unpruned(spec, RngStream(78)))
+        assert r1 > 0.3
+        assert z > 10.0
 
     def test_pruning_removes_only_small_components(self):
         spec = AerModelSpec(n1=1500, a=2.2)
-        full, _ = grow_aer_unpruned(spec, RngStream(41))
-        pruned, stats = grow_aer(spec, RngStream(41))
+        full = grow_aer_unpruned(spec, RngStream(41))
+        pruned = grow_aer(spec, RngStream(41))
         sizes_before = sorted(len(c) for c in _components(full))
         sizes_after = sorted(len(c) for c in _components(pruned))
         assert all(s >= 3 for s in sizes_after)
         # Multiset of large components is untouched.
         assert [s for s in sizes_before if s >= 3] == sizes_after
-        assert stats.removed_isolated == sum(1 for s in sizes_before if s == 1)
-        assert stats.removed_pair_vertices == sum(
-            s for s in sizes_before if s == 2)
+        assert pruned.vertex_count == sum(s for s in sizes_before if s >= 3)
 
     def test_no_self_loops_or_duplicates(self):
         spec = AerModelSpec(n1=3000, a=2.75)
-        full, _ = grow_aer_unpruned(spec, RngStream(55))
+        full = grow_aer_unpruned(spec, RngStream(55))
         assert (full.pairs[:, 0] < full.pairs[:, 1]).all()
         packed = full.pairs[:, 0] * 3000 + full.pairs[:, 1]
         assert len(np.unique(packed)) == len(packed)
@@ -460,15 +452,12 @@ class TestGrowAer:
     @pytest.mark.parametrize("n1, a, seed", [(400, 1.2, 1), (2000, 2.2, 2),
                                              (3000, 2.75, 3)])
     def test_prune_mask_matches_components(self, n1, a, seed):
-        full, _ = grow_aer_unpruned(AerModelSpec(n1=n1, a=a), RngStream(seed))
-        keep, isolated, pairs = growth._prune_small_components(full)
+        full = grow_aer_unpruned(AerModelSpec(n1=n1, a=a), RngStream(seed))
+        keep = growth._prune_small_components(full)
         expected = np.zeros(n1, dtype=bool)
-        sizes = [len(c) for c in _components(full)]
         for comp in _components(full):
             expected[list(comp)] = len(comp) >= 3
         assert np.array_equal(keep, expected)
-        assert isolated == sizes.count(1)
-        assert pairs == 2 * sizes.count(2)
 
     def test_prune_long_path_with_shuffled_ids(self):
         # A 20000-vertex path, 300 two-vertex components and 400 isolated
@@ -478,23 +467,20 @@ class TestGrowAer:
         path = np.column_stack([np.arange(19999), np.arange(1, 20000)])
         duos = np.arange(20000, 20600).reshape(-1, 2)
         graph = Graph(n, perm[np.concatenate([path, duos])])
-        keep, isolated, pairs = growth._prune_small_components(graph)
+        keep = growth._prune_small_components(graph)
         expected = np.zeros(n, dtype=bool)
         for comp in _components(graph):
             expected[list(comp)] = len(comp) >= 3
         assert np.array_equal(keep, expected)
         assert keep.sum() == 20000
-        assert (isolated, pairs) == (400, 600)
 
     @given(st.integers(2, 400), st.floats(0.05, 6.0), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_prune_matches_labels_on_aer(self, n1, a, seed):
-        full, _ = grow_aer_unpruned(AerModelSpec(n1=n1, a=min(a, n1 - 1)),
-                                    RngStream(seed))
-        keep, isolated, pairs = growth._prune_small_components(full)
-        ref_keep, ref_isolated, ref_pairs = _prune_by_labels(full)
-        assert np.array_equal(keep, ref_keep)
-        assert (isolated, pairs) == (ref_isolated, ref_pairs)
+        full = grow_aer_unpruned(AerModelSpec(n1=n1, a=min(a, n1 - 1)),
+                                 RngStream(seed))
+        assert np.array_equal(growth._prune_small_components(full),
+                              _prune_by_labels(full))
 
     @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
         st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
@@ -505,17 +491,15 @@ class TestGrowAer:
         # One edge per unordered pair, in the drawn orientation.
         edges = {frozenset(e): e for e in drawn if e[0] != e[1]}
         graph = Graph(n, list(edges.values()))
-        keep, isolated, pairs = growth._prune_small_components(graph)
-        ref_keep, ref_isolated, ref_pairs = _prune_by_labels(graph)
-        assert np.array_equal(keep, ref_keep)
-        assert (isolated, pairs) == (ref_isolated, ref_pairs)
+        assert np.array_equal(growth._prune_small_components(graph),
+                              _prune_by_labels(graph))
 
     def test_first_draw_uses_half_base_probability(self):
         # A two-vertex graph has exactly one slot, always a row start, so the
         # edge frequency across seeds estimates p_a / 2.
         spec = AerModelSpec(n1=2, a=0.8)  # p_a = 0.8, first draw at 0.4
         hits = sum(
-            grow_aer_unpruned(spec, RngStream(900, rep))[0].edge_count
+            grow_aer_unpruned(spec, RngStream(900, rep)).edge_count
             for rep in range(4000))
         assert hits / 4000 == pytest.approx(0.4, abs=0.03)
 
@@ -525,10 +509,8 @@ class TestGrowAer:
         spec, reps = AerModelSpec(n1=4, a=1.8), 20_000
         observed = Counter()
         for rep in range(reps):
-            full, stats = grow_aer_unpruned(spec, RngStream(4040, rep))
-            slots = _aer_slots(full, 4)
-            observed[tuple(slots)] += 1
-            assert stats.adjacent_success_count == _aer_adjacent(slots, 4)
+            full = grow_aer_unpruned(spec, RngStream(4040, rep))
+            observed[tuple(_aer_slots(full, 4))] += 1
         law = _aer_slot_law(4, spec.p_a, carry=False)
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         assert _chi_square_p(observed, law, reps) > 1e-4
@@ -544,7 +526,7 @@ class TestGrowAer:
         spec, reps = AerModelSpec(n1=5, a=1.6), 20_000
         hits = np.zeros(10)
         for rep in range(reps):
-            hits += _aer_slots(grow_aer_unpruned(spec, RngStream(5050, rep))[0], 5)
+            hits += _aer_slots(grow_aer_unpruned(spec, RngStream(5050, rep)), 5)
         row_starts = [4, 7, 9]
         assert hits[row_starts].sum() / (3 * reps) == pytest.approx(0.2, abs=0.006)
         # Slot 3 ends row 0 and slot 6 row 1: both runs to a row end occur.
@@ -558,16 +540,6 @@ def _aer_slots(graph: Graph, n1: int) -> np.ndarray:
     slots = np.zeros(n1 * (n1 - 1) // 2, dtype=np.int64)
     slots[row_start[i] + j - i - 1] = 1
     return slots
-
-
-def _aer_adjacent(slots, n1: int) -> int:
-    """Successes whose predecessor in the same row is a success."""
-    count, s = 0, 0
-    for length in range(n1 - 1, 0, -1):
-        row = slots[s:s + length]
-        count += sum(int(a and b) for a, b in zip(row, row[1:]))
-        s += length
-    return count
 
 
 def _aer_slot_law(n1: int, p_a: float, carry: bool) -> dict[tuple, float]:

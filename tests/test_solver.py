@@ -19,7 +19,8 @@ from npagraph import formats, solver
 from npagraph.formats import (_read_csv, edd_from_csv, edd_to_csv, matrix_csv,
                               vdd_from_csv, vdd_to_csv)
 from npagraph.solver import _VddEngine
-from npagraph.validation import reference_models
+
+from crosscheck import reference_models
 
 
 def ba_closed_form(k):

@@ -1,8 +1,8 @@
 import pytest
 
-from npagraph import AerModelSpec, RngStream
-from npagraph.validation import (aer_validation, edd_crosscheck,
-                                 reference_models, vdd_agreement)
+from npagraph import RngStream
+
+from crosscheck import edd_crosscheck, reference_models, vdd_agreement
 
 
 def test_reference_models_all_valid():
@@ -33,10 +33,3 @@ def test_crosscheck_variants_against_simulation(name):
     assert alt["fraction_within_3se"] > 0.9
     assert printed["systematic_discrepancy"]
     assert alt["max_abs_deviation"] < printed["max_abs_deviation"] / 5.0
-
-
-def test_aer_validation_reports_mean_degree_and_autocorrelation():
-    report = aer_validation(AerModelSpec(n1=8000, a=2.75), reps=3,
-                            rng=RngStream(61))
-    assert report["mean_degree_avg"] == pytest.approx(2.75, rel=0.05)
-    assert report["lag1_autocorrelation_avg"] > 0.3
