@@ -9,6 +9,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "npagraph"
 MODULES = sorted(PACKAGE.glob("*.py"))
+CROSSCHECK = Path(__file__).resolve().parent / "crosscheck.py"
 
 
 def _private(name: str) -> bool:
@@ -139,6 +140,19 @@ def test_every_module_serves_a_command():
             todo.extend(npagraph_imports((PACKAGE / f"{module}.py").read_text())
                         - {"npagraph"})
     assert reached == {p.stem for p in MODULES} - {"__init__"}
+
+
+def test_crosscheck_takes_no_private_name():
+    """The cross-check harness in the tests reads the package through its
+    public names alone, as the module it came from did."""
+    assert private_imports(CROSSCHECK.read_text()) == []
+
+
+def test_crosscheck_imports_below_calibrate():
+    """The harness compares solver and growth; it needs neither calibrate
+    nor cli."""
+    assert npagraph_imports(CROSSCHECK.read_text()) <= {
+        m for m, layer in LAYERS.items() if layer < LAYERS["calibrate"]}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

@@ -417,6 +417,22 @@ class TestGrowAer:
         b = grow_aer(spec, RngStream(31))
         assert np.array_equal(a.pairs, b.pairs)
 
+    def test_slot_accounting(self):
+        # aer_lag1's counts from edge keys match a row-by-row walk of the
+        # slot vector, and so does its r1.
+        n1 = 100
+        full = grow_aer_unpruned(AerModelSpec(n1=n1, a=2.0), RngStream(1))
+        slots = _aer_slots(full, n1)
+        rows = np.split(slots, np.cumsum(np.arange(n1 - 1, 1, -1)))
+        pairs = sum(len(row) - 1 for row in rows)
+        adjacent = sum(int(row[1:] @ row[:-1]) for row in rows)
+        assert (len(slots), slots.sum(), pairs) == (4950, full.edge_count, 4851)
+        keys = np.sort(full.pairs[:, 0] * n1 + full.pairs[:, 1])
+        assert adjacent == np.count_nonzero(np.diff(keys) == 1) > 0
+        p_hat = full.edge_count / len(slots)
+        r1 = (adjacent / pairs - p_hat ** 2) / (p_hat * (1.0 - p_hat))
+        assert aer_lag1(full)[0] == pytest.approx(r1, rel=1e-12)
+
     def test_mean_degree_near_target(self):
         spec = AerModelSpec(n1=20000, a=2.75)
         degs = []

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
-from npagraph import RngStream
+from npagraph import AerModelSpec, RngStream, grow_aer_unpruned
 
-from crosscheck import edd_crosscheck, reference_models, vdd_agreement
+from crosscheck import (aer_lag1, edd_crosscheck, reference_models,
+                        vdd_agreement)
 
 
 def test_reference_models_all_valid():
@@ -33,3 +35,11 @@ def test_crosscheck_variants_against_simulation(name):
     assert alt["fraction_within_3se"] > 0.9
     assert printed["systematic_discrepancy"]
     assert alt["max_abs_deviation"] < printed["max_abs_deviation"] / 5.0
+
+
+def test_aer_validation_reports_mean_degree_and_autocorrelation():
+    spec, rng = AerModelSpec(n1=8000, a=2.75), RngStream(61)
+    fulls = [grow_aer_unpruned(spec, rng.substream(rep)) for rep in range(3)]
+    mean_degrees = [2.0 * full.edge_count / spec.n1 for full in fulls]
+    assert np.mean(mean_degrees) == pytest.approx(2.75, rel=0.05)
+    assert np.mean([aer_lag1(full)[0] for full in fulls]) > 0.3
