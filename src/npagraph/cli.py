@@ -151,22 +151,21 @@ def cmd_generate(params: dict, out: Path) -> None:
 
 def cmd_ingest(params: dict, out: Path) -> None:
     from .formats import edd_to_csv, id_map_csv, load_edge_list, vdd_counts_csv
-    from .growth import measure_edd, summarize
+    from .growth import measure_edd, measure_vdd, summarize
     from .models import select_u
     graph, stats = load_edge_list(params["dataset"])
-    summary = summarize(graph)
-    max_deg = int(graph.degrees().max())
-    edd = measure_edd(graph, min(max_deg, params["edd_extent"]))
+    vdd = measure_vdd(graph)
+    edd = measure_edd(graph, min(vdd.max_degree, params["edd_extent"]))
     u = select_u(edd, params["u_mass"])
-    _write(out / "vdd.csv", vdd_counts_csv(graph))
+    _write(out / "vdd.csv", vdd_counts_csv(vdd, graph.vertex_count))
     _write(out / "edd.csv", edd_to_csv(edd))
     _write(out / "id_map.csv", id_map_csv(graph))
     _write_json(out / "summary.json", {
-        **summary.to_dict(),
+        **summarize(graph),
         "selected_u": u,
         "self_loops_dropped": stats.self_loops_dropped,
         "duplicates_collapsed": stats.duplicates_collapsed,
-        "max_degree": max_deg,
+        "max_degree": vdd.max_degree,
     })
 
 
@@ -209,7 +208,7 @@ def cmd_calibrate(params: dict, out: Path) -> None:
 def _target_meta(path: Path) -> dict:
     """The target's summary.json, {} when there is none. An InputError
     names the file and the key when it holds no object, a selected_u that
-    is no integer, or a derived_m that is no finite number above 0."""
+    is no integer above 0, or a derived_m that is no finite number above 0."""
     if not path.exists():
         return {}
     meta = json.loads(path.read_text())
@@ -217,8 +216,9 @@ def _target_meta(path: Path) -> dict:
         raise InputError(f"{path}: expected a JSON object holding "
                          f"'selected_u' and 'derived_m', got {meta!r}")
     u, m = meta.get("selected_u"), meta.get("derived_m")
-    if u is not None and type(u) is not int:
-        raise InputError(f"{path}: 'selected_u' must be an integer, got {u!r}")
+    if u is not None and not (type(u) is int and u >= 1):
+        raise InputError(f"{path}: 'selected_u' must be an integer above 0, "
+                         f"got {u!r}")
     if m is not None and not (type(m) in (int, float) and 0.0 < m < float("inf")):
         raise InputError(f"{path}: 'derived_m' must be a finite number "
                          f"above 0, got {m!r}")

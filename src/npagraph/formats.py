@@ -254,18 +254,13 @@ def edd_from_csv(path: Union[str, Path]) -> EdgeDegreeMatrix:
                             truncation_mass=1.0 - float(entries.sum()))
 
 
-def vdd_counts_csv(graph: Graph) -> str:
-    """degree,count,probability rows from the least to the greatest degree
-    of the graph: each degree's vertex count next to that count / n, the
-    probabilities `growth.measure_vdd` measures."""
-    if graph.vertex_count == 0:
-        raise EmptyInput("cannot measure an empty graph")
-    counts = np.bincount(graph.degrees(), minlength=1)
-    lo = int(np.flatnonzero(counts)[0])
-    counts = counts[lo:]
+def vdd_counts_csv(q: DegreeDistribution, n: int) -> str:
+    """degree,count,probability rows of the VDD `growth.measure_vdd` measured
+    on n vertices; a count is probability * n, exact for any n below 2**51."""
     return _column_csv("degree,count,probability",
-                       range(lo, lo + len(counts)), counts.tolist(),
-                       (counts / graph.vertex_count).tolist())
+                       range(q.min_degree, q.max_degree + 1),
+                       np.rint(q.probs * n).astype(np.int64).tolist(),
+                       q.probs.tolist())
 
 
 def id_map_csv(graph: Graph) -> str:

@@ -355,27 +355,11 @@ def measure_edd(graph: Graph, u: int) -> EdgeDegreeMatrix:
                             truncation_mass=trunc)
 
 
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    """Headline statistics of an ingested network."""
-
-    node_count: int
-    edge_count: int
-    mean_degree: float
-    derived_m: float
-
-    def to_dict(self) -> dict:
-        return {"node_count": self.node_count, "edge_count": self.edge_count,
-                "mean_degree": self.mean_degree, "derived_m": self.derived_m}
-
-
-def summarize(graph: Graph) -> DatasetSummary:
-    """Node/edge counts, mean degree, and the implied mean edges per node."""
+def summarize(graph: Graph) -> dict:
+    """Node/edge counts, mean degree, and the implied mean edges per node,
+    under the keys summary.json writes them."""
     if graph.vertex_count == 0:
         raise EmptyInput("cannot summarize an empty graph")
     mean_degree = 2.0 * graph.edge_count / graph.vertex_count
-    return DatasetSummary(node_count=graph.vertex_count,
-                          edge_count=graph.edge_count,
-                          mean_degree=mean_degree,
-                          derived_m=mean_degree / 2.0)
+    return {"node_count": graph.vertex_count, "edge_count": graph.edge_count,
+            "mean_degree": mean_degree, "derived_m": mean_degree / 2.0}

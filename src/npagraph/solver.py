@@ -210,8 +210,6 @@ class _VddEngine:
         inc = model.increments
         self.g = w.g
         self.m = inc.mean
-        if self.m <= 0.0 and len(inc.probs) > 1:
-            raise NoConvergence("mean increment arc count is zero")
         # The stored range is k_max; the computation range additionally covers
         # the increment support, the weight table, and the saturation degree
         # M + 1 so tail formulas start in pure-rule territory.
@@ -365,6 +363,9 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution, u: int,
     not silently corrected: the simulation cross-check surfaces it. The
     mean-weight form raises TruncationTooSevere when its matrix misses more
     than EDD_MASS_TOLERANCE of mass beyond what truncation explains.
+
+    Increments that bring no arcs (mean 0) leave no arc law: every variant
+    returns the empty matrix with all of its mass truncated.
     """
     g = model.g
     if not g <= u <= vdd.q.max_degree:
@@ -380,8 +381,6 @@ def solve_arc_dd(model: NpaModelSpec, vdd: VddSolution, u: int,
     m = model.increments.mean
     n = u - g + 1
     if m == 0.0:
-        # Increments that bring no arcs leave no arc law to solve: every
-        # variant returns the empty matrix with all of its mass truncated.
         return EdgeDegreeMatrix(min_degree=g, entries=np.zeros((n, n)),
                                 kind="arc", truncation_mass=1.0)
 
@@ -527,11 +526,14 @@ def mix_edd(parts: Sequence[tuple[EdgeDegreeMatrix, float, float]]
     parts holds (matrix, m_i, rho_i); the weight of each component is
     gamma_i = m_i rho_i / m with the mixture's mean increment
     m = sum_i m_i rho_i, summed left to right, so the shares sum to one.
+    When no part brings arcs (m = 0), each is weighted by its vertex share
+    rho_i instead, which mixes empty matrices to one with all mass truncated.
     """
     m_total = 0.0
     for _, m_i, rho_i in parts:
         m_total += m_i * rho_i
-    gammas = [edge_share(m_i, rho_i, m_total) for _, m_i, rho_i in parts]
+    gammas = [edge_share(m_i, rho_i, m_total) if m_total else rho_i
+              for _, m_i, rho_i in parts]
     for matrix, _, _ in parts:
         if matrix.kind != "edge":
             raise ValueError("mix_edd expects edge matrices; symmetrize arcs first")

@@ -163,12 +163,12 @@ def test_criterion_05_mixture_algebra():
 
 def test_criterion_06_brightkite_statistics(brightkite_graph):
     summary = summarize(brightkite_graph)
-    assert summary.node_count == BRIGHTKITE_NODES
-    assert summary.edge_count == BRIGHTKITE_EDGES
-    assert abs(summary.derived_m - 3.6765) <= 1e-4
+    assert summary["node_count"] == BRIGHTKITE_NODES
+    assert summary["edge_count"] == BRIGHTKITE_EDGES
+    assert abs(summary["derived_m"] - 3.6765) <= 1e-4
     _announce("6 brightkite-statistics",
-              f"nodes={summary.node_count} edges={summary.edge_count} "
-              f"m={summary.derived_m:.5f}")
+              f"nodes={summary['node_count']} edges={summary['edge_count']} "
+              f"m={summary['derived_m']:.5f}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
     edd = measure_edd(graph, 300)
     u = select_u(edd, 0.95)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
-                               mean_increment=summarize(graph).derived_m)
+                               mean_increment=summarize(graph)["derived_m"])
     preset = preset_brightkite()
     first, rho = preset.components[0]
     assert isinstance(first, BaTreeSpec) and rho == 0.225
@@ -241,7 +241,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
     edd = measure_edd(graph, 200)
     u = min(select_u(edd, 0.95), 40)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
-                               mean_increment=summarize(graph).derived_m)
+                               mean_increment=summarize(graph)["derived_m"])
     monkeypatch.setattr(calibrate, "K_MAX", 6000)
     result = calibrate_composite(target, BaTreeSpec(), r_max=8, rho_min=rho,
                                  rho_max=rho)

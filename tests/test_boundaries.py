@@ -87,6 +87,18 @@ def test_formats_alone_reads_and_writes_text():
                      for name in ("np.loadtxt", "gzip", "warnings")}
 
 
+def test_only_growth_and_models_read_degrees():
+    """A graph's degrees are read (`.degrees()`) where graphs are defined
+    and where they are grown and measured; every other module takes what
+    growth measured."""
+    readers = {path.stem for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "degrees"}
+    assert readers == {"models", "growth"}
+
+
 LAYERS = {"errors": 0, "constants": 0, "models": 1, "formats": 2, "solver": 2,
           "growth": 2, "calibrate": 3, "cli": 4}
 

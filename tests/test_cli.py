@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from npagraph import (BaTreeSpec, DegreeDistribution, EdgeDegreeMatrix,
-                      EmptyInput, IncrementDistribution, NpaModelSpec,
-                      WeightFunction, dump_model, solve_arc_dd, solve_vdd,
-                      symmetrize)
+from npagraph import (BaTreeSpec, CompositeSpec, DegreeDistribution,
+                      EdgeDegreeMatrix, EmptyInput, IncrementDistribution,
+                      NpaModelSpec, WeightFunction, dump_model, solve_arc_dd,
+                      solve_vdd, symmetrize)
 from npagraph import cli
 from npagraph.cli import main
 from npagraph.formats import edd_from_csv, edd_to_csv, vdd_to_csv
@@ -130,6 +130,14 @@ class TestSolveCommand:
         # A seed graph cannot have fewer than no vertices.
         ({"g": 1, "M": None, "rule": "linear"}, [1.0],
          {"vertices": -1, "edges": []}, "EmptySupport"),
+        ({"g": 2, "M": 1, "rule": "linear"}, [1.0], "default",
+         "M = 1 < g = 2"),
+        ({"g": 1, "M": None, "rule": "cubic"}, [1.0], "default",
+         "unknown weight rule 'cubic'"),
+        ({"g": 1, "M": None, "rule": "linear"}, [], "default",
+         "increment distribution has no mass"),
+        ({"g": 1, "M": None, "rule": "linear"}, [1.5, -0.5], "default",
+         "r_2 = -0.5 is not a probability"),
     ])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, weights, probs,
                                  seed_graph, code):
@@ -202,6 +210,26 @@ class TestSolveCommand:
             rho * aer["kept"] + 1.0 - rho, rel=1e-12)
         assert aer["vertex_share"] == pytest.approx(
             rho * aer["kept"] / solution["kept"], rel=1e-12)
+
+    def test_composite_without_arcs(self, tmp_path):
+        # Every component brings no arcs, its law written with and without
+        # a zero tail: the mixture weights them by their vertex shares
+        # (0.35.0 ended in a ZeroDivisionError, exit 1).
+        no_arcs = [NpaModelSpec(weights=WeightFunction.constant(1.0, g=0),
+                                increments=IncrementDistribution(0, probs))
+                   for probs in [(1.0,), (1.0, 0.0)]]
+        spec = tmp_path / "spec.json"
+        spec.write_text(dump_model(CompositeSpec(
+            components=((no_arcs[0], 0.5), (no_arcs[1], 0.5)), total_n=1000)))
+        out = tmp_path / "o"
+        assert main(["solve", str(spec), "--kmax", "50", "--umax", "10",
+                     "--out", str(out)]) == 0
+        solution = json.loads((out / "solution.json").read_text())
+        assert solution["mean_increment"] == 0.0
+        assert solution["edd_truncation_mass"] == 1.0
+        edd = edd_from_csv(out / "edd.csv")
+        assert edd.entries.shape == (11, 11) and not edd.entries.any()
+        assert (out / "vdd.csv").read_text().splitlines()[1] == "0,1.0"
 
     def test_kmax_below_umax_exit_2(self, tmp_path, capsys):
         spec = _write_ba_spec(tmp_path)
@@ -1228,6 +1256,8 @@ class TestCalibrateCommand:
         ('{"derived_m": "x"}', "derived_m"),
         ('{"selected_u": "20"}', "selected_u"),
         ('{"selected_u": 2.5}', "selected_u"),
+        # 0.35.0 took a recorded 0 for no record and fitted at select_u's u.
+        ('{"selected_u": 0}', "selected_u"),
         ('{"derived_m": NaN}', "derived_m"),
     ])
     def test_malformed_summary_is_input_error(self, tmp_path, capsys, text, key):

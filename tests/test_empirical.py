@@ -508,13 +508,14 @@ class TestDatasetCsv:
         lines = ["degree,count,probability"]
         lines.extend(f"{q.min_degree + i},{int(counts[q.min_degree + i])},{float(p)!r}"
                      for i, p in enumerate(q.probs))
-        assert vdd_counts_csv(graph) == "\n".join(lines) + "\n"
+        assert vdd_counts_csv(q, graph.vertex_count) == "\n".join(lines) + "\n"
 
     def test_vdd_counts_span_gaps_and_isolated_vertices(self):
         # Vertex 4 is isolated and no vertex has degree 2: both rows are
         # written, counts sum to n and each probability is count / n.
         graph = Graph(5, np.array([[0, 1], [0, 2], [0, 3]]))
-        rows = [row.split(",") for row in vdd_counts_csv(graph).splitlines()[1:]]
+        rows = [row.split(",") for row in
+                vdd_counts_csv(measure_vdd(graph), 5).splitlines()[1:]]
         assert [(int(d), int(c)) for d, c, _ in rows] == [
             (0, 1), (1, 3), (2, 0), (3, 1)]
         assert [float(p) for _, _, p in rows] == [0.2, 0.6, 0.0, 0.2]
@@ -522,15 +523,27 @@ class TestDatasetCsv:
     def test_vdd_counts_probabilities_are_measured_vdd(self):
         graph = self._graph()
         q = measure_vdd(graph)
-        rows = [row.split(",") for row in vdd_counts_csv(graph).splitlines()[1:]]
+        rows = [row.split(",") for row in
+                vdd_counts_csv(q, graph.vertex_count).splitlines()[1:]]
         assert int(rows[0][0]) == q.min_degree
         assert int(rows[-1][0]) == q.max_degree
         assert [float(p) for _, _, p in rows] == list(q.probs)
         assert sum(int(c) for _, c, _ in rows) == graph.vertex_count
 
     def test_vdd_counts_of_empty_graph(self):
-        with pytest.raises(EmptyInput):
-            vdd_counts_csv(Graph(0, []))
+        # The writer formats a measured VDD; an empty graph has none.
+        with pytest.raises(EmptyInput, match="cannot measure an empty graph"):
+            measure_vdd(Graph(0, []))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**40).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n), min_size=1))))
+    def test_counts_are_exact(self, n_counts):
+        # Each probability is count / n rounded once, so probability * n
+        # rounds back to the count the writer prints.
+        n, counts = n_counts
+        counts = np.array(counts, dtype=np.int64)
+        assert (np.rint((counts / n) * n).astype(np.int64) == counts).all()
 
     def test_id_map_bytes(self):
         graph = self._graph()
@@ -546,26 +559,27 @@ class TestDatasetCsv:
 class TestSummarize:
     def test_triangle(self):
         s = summarize(Graph(3, [(0, 1), (1, 2), (2, 0)]))
-        assert s.mean_degree == pytest.approx(2.0)
-        assert s.derived_m == pytest.approx(1.0)
+        assert s["mean_degree"] == pytest.approx(2.0)
+        assert s["derived_m"] == pytest.approx(1.0)
 
     def test_single_edge(self):
         s = summarize(Graph(2, [(0, 1)]))
-        assert s.mean_degree == pytest.approx(1.0)
+        assert s["mean_degree"] == pytest.approx(1.0)
 
     def test_consistent_with_vdd_mean(self):
         g, _ = _load_lines(["0 1", "1 2", "2 3", "3 0", "0 2"])
         s = summarize(g)
-        assert s.mean_degree == pytest.approx(measure_vdd(g).mean(), abs=1e-12)
+        assert s["mean_degree"] == pytest.approx(measure_vdd(g).mean(), abs=1e-12)
 
     def test_empty_graph(self):
         with pytest.raises(EmptyInput):
             summarize(Graph(0, []))
 
     def test_to_dict(self):
-        s = summarize(Graph(4, [(0, 1), (1, 2), (2, 3)]))
-        assert s.to_dict() == {"node_count": 4, "edge_count": 3,
-                               "mean_degree": 1.5, "derived_m": 0.75}
+        # summary.json's four headline keys, as summarize returns them.
+        assert summarize(Graph(4, [(0, 1), (1, 2), (2, 3)])) == {
+            "node_count": 4, "edge_count": 3, "mean_degree": 1.5,
+            "derived_m": 0.75}
 
     def test_exported_from_growth(self):
         # 0.32.0 deleted the datasets module; its summary lives in growth.
@@ -574,7 +588,6 @@ class TestSummarize:
         import npagraph
         from npagraph import growth
         assert npagraph.summarize is growth.summarize
-        assert npagraph.DatasetSummary is growth.DatasetSummary
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("npagraph.datasets")
 

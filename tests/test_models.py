@@ -258,6 +258,10 @@ class TestValidateModel:
             validate_model(bad)
         assert "NonNormalized" in err.value.codes()
 
+    def test_composite_without_components(self):
+        with pytest.raises(ValidationError, match="composite has no components"):
+            validate_model(CompositeSpec(components=(), total_n=1000))
+
     def test_composite_small_budget(self):
         ba = BaTreeSpec()
         tiny = CompositeSpec(components=((ba, 0.999), (ba, 0.001)), total_n=100)

@@ -567,11 +567,16 @@ class TestSolveArcDd:
         assert mat.stored_mass() > 1.05
         assert mat.truncation_mass < 0.0
 
-    def test_no_arcs_same_empty_matrix_under_both_variants(self):
-        # r_0 = 1 gives mean increment 0: no arcs, so no arc law.
+    @pytest.mark.parametrize("probs", [(1.0,), (1.0, 0.0)],
+                             ids=["r0", "r0_zero_tail"])
+    def test_no_arcs_same_empty_matrix_under_both_variants(self, probs):
+        # r_0 = 1 gives mean increment 0: no arcs, so no arc law. A law
+        # that lists r_1 = 0 as well solves the same (0.35.0 raised
+        # NoConvergence for it).
         model = NpaModelSpec(weights=WeightFunction.constant(1.0, g=0),
-                             increments=IncrementDistribution(0, (1.0,)))
+                             increments=IncrementDistribution(0, probs))
         vdd = solve_vdd(model, k_max=200)
+        assert vdd.q.probs[0] == 1.0 and not vdd.q.probs[1:].any()
         for variant in ("printed", "mean-weight"):
             mat = solve_arc_dd(model, vdd, 10, variant)
             assert mat.entries.shape == (11, 11)
