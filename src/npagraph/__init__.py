@@ -11,7 +11,7 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.36.0"
+__version__ = "0.37.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyInput", "InfeasibleComplement",
@@ -27,10 +27,10 @@ _EXPORTS = {
                "size_violations", "validate_model"),
     "solver": ("VddSolution", "complement_mean", "complement_vdd", "edge_share",
                "mix_edd", "mix_vdd", "solve_arc_dd", "solve_vdd", "symmetrize"),
-    "growth": ("GrowthTrace", "RngStream", "grow", "grow_aer",
-               "grow_aer_unpruned", "grow_composite", "grow_npa",
-               "measure_edd", "measure_vdd", "summarize"),
-    "formats": ("ParseStats", "load_edge_list", "write_edge_list"),
+    "growth": ("RngStream", "grow", "grow_aer", "grow_aer_unpruned",
+               "grow_composite", "grow_npa", "measure_edd", "measure_vdd",
+               "summarize"),
+    "formats": ("load_edge_list", "write_edge_list"),
     "calibrate": ("CalibrationResult", "CalibrationTarget", "OptimizerTrace",
                   "calibrate_composite", "calibrate_single"),
 }

@@ -388,7 +388,7 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
         phi = 2.0 * m if weight.rule == "linear" else _mean_weight(q, weight)
         model = NpaModelSpec(weights=weight, increments=_invert_vdd(
             q, weight, m, phi, target.u, r_max))
-        fit = component_profile(model, target.u)
+        fit = component_profile(model, target.u, K_MAX)
     except InfeasibleComplement as exc:
         return exc
     except SolverFailure as exc:
@@ -568,7 +568,7 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     composite, written for TOTAL_N vertices, gives it the growth budget
     rho / (kept (1 - rho) + rho) whose pruned graph holds that share.
     """
-    profile = component_profile(first, target.u)
+    profile = component_profile(first, target.u, K_MAX)
     linear = WeightFunction.linear(g=R_MIN)
 
     h = rho_step / RHO_REFINE_FACTOR

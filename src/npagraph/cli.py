@@ -153,7 +153,7 @@ def cmd_ingest(params: dict, out: Path) -> None:
     from .formats import edd_to_csv, id_map_csv, load_edge_list, vdd_counts_csv
     from .growth import measure_edd, measure_vdd, summarize
     from .models import select_u
-    graph, stats = load_edge_list(params["dataset"])
+    graph, counts = load_edge_list(params["dataset"])
     vdd = measure_vdd(graph)
     edd = measure_edd(graph, min(vdd.max_degree, params["edd_extent"]))
     u = select_u(edd, params["u_mass"])
@@ -163,8 +163,7 @@ def cmd_ingest(params: dict, out: Path) -> None:
     _write_json(out / "summary.json", {
         **summarize(graph),
         "selected_u": u,
-        "self_loops_dropped": stats.self_loops_dropped,
-        "duplicates_collapsed": stats.duplicates_collapsed,
+        **counts,
         "max_degree": vdd.max_degree,
     })
 

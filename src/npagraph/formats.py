@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import logging
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO, Union
 
@@ -300,16 +299,10 @@ def write_edge_list(graph: Graph, out: TextIO) -> None:
         out.write(rows.tobytes().replace(b"\0", b"").decode("ascii"))
 
 
-@dataclass(frozen=True)
-class ParseStats:
-    self_loops_dropped: int
-    duplicates_collapsed: int
-
-
-def load_edge_list(path: Union[str, Path]) -> tuple[Graph, ParseStats]:
+def load_edge_list(path: Union[str, Path]) -> tuple[Graph, dict]:
     """Read an edge-list file, transparently handling gzip compression, as
-    an undirected simple graph with the counts of dropped self-loops and
-    collapsed duplicates.
+    an undirected simple graph, with the counts of dropped self-loops and
+    collapsed duplicates under the keys summary.json writes them.
 
     A data line holds two integer ids separated by spaces or tabs. Text from
     a '#' or '%' to the end of its line is a comment, so a pair may carry a
@@ -338,7 +331,7 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, ParseStats]:
         lambda ln: ln.replace("%", "#"), lambda first: read))
 
 
-def _simple_graph(raw: np.ndarray) -> tuple[Graph, ParseStats]:
+def _simple_graph(raw: np.ndarray) -> tuple[Graph, dict]:
     """The undirected simple graph of an (E, 2) array of id pairs, and its
     parse counts.
 
@@ -368,5 +361,5 @@ def _simple_graph(raw: np.ndarray) -> tuple[Graph, ParseStats]:
     pairs = np.empty((len(keys), 2), dtype=np.int64)
     np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
     graph = Graph(n, pairs, directed=False, labels=ids)
-    return graph, ParseStats(self_loops_dropped=loops,
-                             duplicates_collapsed=len(kept) - graph.edge_count)
+    return graph, {"self_loops_dropped": loops,
+                   "duplicates_collapsed": len(kept) - graph.edge_count}

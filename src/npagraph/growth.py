@@ -49,13 +49,6 @@ class RngStream:
         return RngStream(self.seed, self.stream_id, self.subpath + (index,))
 
 
-@dataclass(frozen=True)
-class GrowthTrace:
-    """Result of one growth run: the grown graph."""
-
-    final_graph: Graph
-
-
 # ---------------------------------------------------------------------------
 # Preferential-attachment growth
 # ---------------------------------------------------------------------------
@@ -64,7 +57,7 @@ _NO_TARGET = ("every existing vertex is outside the positive-weight degree "
               "range; no attachment target available")
 
 
-def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> GrowthTrace:
+def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> Graph:
     """Grow a graph to n vertices by repeated increments.
 
     Each increment adds one vertex with x ~ {r_k} outgoing arcs; every arc end
@@ -87,8 +80,7 @@ def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> GrowthTrace:
         pairs = _grow_endpoint_list(seed, spec.increments, steps, gen)
     else:
         pairs = _grow_by_acceptance(seed, spec, steps, gen)
-    graph = Graph(n, pairs, directed=True)
-    return GrowthTrace(final_graph=graph)
+    return Graph(n, pairs, directed=True)
 
 
 def _increment_counts(increments: IncrementDistribution, steps: int,
@@ -307,7 +299,7 @@ def grow(spec: ModelSpec, n: int, rng: RngStream) -> Graph:
         return grow_composite(replace(spec, total_n=n), rng)
     if isinstance(spec, AerModelSpec):
         return grow_aer(replace(spec, n1=n), rng)
-    return grow_npa(spec, n, rng).final_graph
+    return grow_npa(spec, n, rng)
 
 
 def grow_composite(spec: CompositeSpec, rng: RngStream) -> Graph:

@@ -303,16 +303,16 @@ def solve_vdd(model: NpaModelSpec, k_max: int = 10000) -> VddSolution:
     k_max is recorded as q.truncation_mass, whatever its size; the mean
     weight already accounts for it through the same tail sums, and is
     bisected to FP_TOLERANCE; weights f_k = k or f_k = v need no search. A
-    k_max below g stores no degree and raises ValidationError.
+    k_max below g, or uncapped superlinear weights, raise ValidationError.
     """
     if k_max < model.g:
         raise ValidationError([Violation(
             "EmptySupport", f"need k_max >= g, got {k_max} and {model.g}")])
     engine = _VddEngine(model, k_max)
     if engine.asym[0] == "power" and engine.asym[1] > 1.0:
-        raise NoConvergence(
+        raise ValidationError([Violation("NoStationaryLaw", (
             "superlinear weights without a degree cap concentrate attachment "
-            "on one vertex; no stationary distribution exists")
+            "on one vertex; no stationary distribution exists"))])
     phi = _fixed_point(engine)
     q_full = engine.distribution(phi)
     t_mass, t_kmass, _ = engine.tails(phi, q_full)

@@ -54,7 +54,7 @@ def vdd_agreement(model: NpaModelSpec, n: int = 100000, reps: int = 5,
     """
     solved = solve_vdd(model)
     measured = measure_vdd(Graph.disjoint_union(
-        [grow_npa(model, n, rng.substream(rep)).final_graph
+        [grow_npa(model, n, rng.substream(rep))
          for rep in range(reps)]))
     return {
         "n": n,
@@ -86,7 +86,7 @@ def edd_crosscheck(model: NpaModelSpec, n: int = 100000, reps: int = 20,
     entries = 0.0
     total_edges = 0
     for rep in range(reps):
-        graph = grow_npa(model, n, rng.substream(rep)).final_graph
+        graph = grow_npa(model, n, rng.substream(rep))
         per_rep.append(measure_edd(graph, window_u).entries)
         entries = entries + per_rep[-1] * graph.edge_count
         total_edges += graph.edge_count

@@ -466,8 +466,27 @@ NOISY_SIMPLEX_OBJECTIVES = {
 }
 
 
+def test_fits_solve_at_the_k_max_of_the_run(monkeypatch):
+    """calibrate.K_MAX is read when a fit runs, by the inversion and by every
+    solve: a patched value reaches each component_profile call of a single
+    and a composite fit (0.36.0 solved them at the value bound on import)."""
+    monkeypatch.setattr(calibrate, "K_MAX", 4500)
+    seen, real = [], calibrate.component_profile
+
+    def spy(*args, **kwargs):
+        seen.append(args[2] if len(args) > 2 else kwargs.get("k_max"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(calibrate, "component_profile", spy)
+    calibrate_single(_target_from(_model((0.5, 0.5))), "linear", r_max=4)
+    single = len(seen)
+    calibrate_composite(_composite_target(), BaTreeSpec(), r_max=3,
+                        rho_min=0.25, rho_max=0.35, rho_step=0.25)
+    assert 0 < single < len(seen)
+    assert set(seen) == {4500}
+
+
 def _noisy_target(probs, seed):
-    graph = grow_npa(_model(probs), 100000, RngStream(seed)).final_graph
+    graph = grow_npa(_model(probs), 100000, RngStream(seed))
     edd = measure_edd(graph, 100)
     return CalibrationTarget(vdd=measure_vdd(graph), edd=edd,
                              u=min(select_u(edd), 40))

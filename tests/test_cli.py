@@ -138,6 +138,14 @@ class TestSolveCommand:
          "increment distribution has no mass"),
         ({"g": 1, "M": None, "rule": "linear"}, [1.5, -0.5], "default",
          "r_2 = -0.5 is not a probability"),
+        # A whole increments object in place of the probabilities.
+        ({"g": 1, "M": None, "rule": "linear"},
+         {"min_arcs": -1, "probs": [1.0]}, "default",
+         "negative minimum arc count -1"),
+        # Uncapped superlinear weights: the spec has no stationary law
+        # (0.36.0: NoConvergence, exit 3).
+        ({"g": 1, "rule": "power", "alpha": 1.5}, [1.0], "default",
+         "NoStationaryLaw"),
     ])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, weights, probs,
                                  seed_graph, code):
@@ -145,7 +153,8 @@ class TestSolveCommand:
         bad.write_text(json.dumps({
             "type": "npa",
             "weights": weights,
-            "increments": {"min_arcs": 1, "probs": probs},
+            "increments": (probs if isinstance(probs, dict)
+                           else {"min_arcs": 1, "probs": probs}),
             "seed_graph": (seed_graph if isinstance(seed_graph, dict)
                            else {"name": seed_graph}),
         }))
@@ -1104,6 +1113,13 @@ class TestStartup:
         proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 True"
+
+    def test_version_matches_pyproject(self):
+        import tomllib
+        import npagraph
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert npagraph.__version__ == project["version"]
 
 
 class TestCompareCommand:

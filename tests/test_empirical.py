@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npagraph import (EmptyInput, Graph, MalformedLine, ParseStats,
-                      load_edge_list, measure_edd, measure_vdd, summarize,
-                      write_edge_list)
+from npagraph import (EmptyInput, Graph, MalformedLine, load_edge_list,
+                      measure_edd, measure_vdd, summarize, write_edge_list)
 from npagraph import formats
 from npagraph.formats import id_map_csv, vdd_counts_csv
 
@@ -67,12 +66,12 @@ class TestLoadEdgeList:
         g, stats = _load_lines(["0 1", "1 0", "0 1"])
         assert g.vertex_count == 2
         assert g.edge_count == 1
-        assert stats.duplicates_collapsed == 2
+        assert stats["duplicates_collapsed"] == 2
 
     def test_self_loops_dropped_counted(self):
         g, stats = _load_lines(["0 0", "0 1"])
         assert g.edge_count == 1
-        assert stats.self_loops_dropped == 1
+        assert stats["self_loops_dropped"] == 1
 
     def test_malformed_line_number(self):
         with pytest.raises(MalformedLine) as err:
@@ -488,9 +487,8 @@ class TestLoadAgainstSets:
         assert graph.edge_count == len(edges)
         assert {frozenset((int(graph.labels[a]), int(graph.labels[b])))
                 for a, b in graph.pairs} == edges
-        assert stats == ParseStats(
-            self_loops_dropped=len(pairs) - len(kept),
-            duplicates_collapsed=len(kept) - len(edges))
+        assert stats == {"self_loops_dropped": len(pairs) - len(kept),
+                         "duplicates_collapsed": len(kept) - len(edges)}
 
 
 class TestDatasetCsv:

@@ -9,8 +9,8 @@ from scipy.stats import chisquare
 
 from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, Graph,
                       IncrementDistribution, NpaModelSpec, RngStream,
-                      SeedGraphSpec, WeightFunction, ZeroTotalWeight, grow_aer,
-                      grow_aer_unpruned, grow_composite, grow_npa,
+                      SeedGraphSpec, WeightFunction, ZeroTotalWeight, grow,
+                      grow_aer, grow_aer_unpruned, grow_composite, grow_npa,
                       measure_edd, measure_vdd, write_edge_list)
 from npagraph import formats, growth
 from npagraph.errors import EmptyInput
@@ -66,28 +66,42 @@ def _prune_by_labels(graph: Graph) -> np.ndarray:
 _POWER = NpaModelSpec(
     weights=WeightFunction.power(0.5, g=1),
     increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.5)))
+_AER = AerModelSpec(n1=200, a=2.75)
+
+
+@pytest.mark.parametrize("grower", [
+    lambda: grow_npa(_POWER, 200, RngStream(1)),
+    lambda: grow_aer(_AER, RngStream(1)),
+    lambda: grow_aer_unpruned(_AER, RngStream(1)),
+    lambda: grow_composite(CompositeSpec(
+        components=((_AER, 0.5), (_POWER, 0.5)), total_n=400), RngStream(1)),
+    lambda: grow(_POWER, 200, RngStream(1)),
+], ids=["grow_npa", "grow_aer", "grow_aer_unpruned", "grow_composite", "grow"])
+def test_every_grower_returns_a_graph(grower):
+    """Each grower returns the graph it grew, with no record to unwrap."""
+    assert type(grower()) is Graph
 
 
 class TestGrowNpa:
     @pytest.mark.parametrize("spec", [BaTreeSpec(), _POWER],
                              ids=["ba", "power"])
     def test_reproducible_bit_identical(self, spec):
-        a = grow_npa(spec, 500, RngStream(123, 4)).final_graph
-        b = grow_npa(spec, 500, RngStream(123, 4)).final_graph
+        a = grow_npa(spec, 500, RngStream(123, 4))
+        b = grow_npa(spec, 500, RngStream(123, 4))
         assert np.array_equal(a.pairs, b.pairs)
 
     def test_different_stream_differs(self):
-        a = grow_npa(BaTreeSpec(), 500, RngStream(123, 0)).final_graph
-        b = grow_npa(BaTreeSpec(), 123, RngStream(123, 1)).final_graph
+        a = grow_npa(BaTreeSpec(), 500, RngStream(123, 0))
+        b = grow_npa(BaTreeSpec(), 123, RngStream(123, 1))
         assert not np.array_equal(a.pairs[:100], b.pairs[:100])
 
     def test_tree_minimal(self):
-        g = grow_npa(BaTreeSpec(), 2, RngStream(1)).final_graph
+        g = grow_npa(BaTreeSpec(), 2, RngStream(1))
         assert g.vertex_count == 2
         assert g.edge_count == 1
 
     def test_tree_edge_count_and_acyclic(self):
-        g = grow_npa(BaTreeSpec(), 1000, RngStream(5)).final_graph
+        g = grow_npa(BaTreeSpec(), 1000, RngStream(5))
         assert g.edge_count == g.vertex_count - 1
         comps = _components(g)
         assert len(comps) == 1  # connected with n - 1 edges: a tree
@@ -96,8 +110,7 @@ class TestGrowNpa:
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.5)))
-        trace = grow_npa(model, 2000, RngStream(9))
-        g = trace.final_graph
+        g = grow_npa(model, 2000, RngStream(9))
         assert g.vertex_count == 2000
         # Past the one-arc, two-vertex seed every arc leaves a grown vertex.
         seed_edges = 1
@@ -110,19 +123,19 @@ class TestGrowNpa:
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(0.2, 0.8)))
-        g = grow_npa(model, 3000, RngStream(14)).final_graph
+        g = grow_npa(model, 3000, RngStream(14))
         assert (g.pairs[:, 0] != g.pairs[:, 1]).all()
 
     def test_degree_cap_respected(self):
         model = NpaModelSpec(
             weights=WeightFunction.linear(g=1, M=5),
             increments=IncrementDistribution(min_arcs=1, probs=(1.0,)))
-        g = grow_npa(model, 3000, RngStream(17)).final_graph
+        g = grow_npa(model, 3000, RngStream(17))
         # Saturated vertices can be hit once at degree M but never beyond M+1.
         assert g.degrees().max() <= 6
 
     def test_ba_degree_distribution_close(self):
-        g = grow_npa(BaTreeSpec(), 100000, RngStream(21)).final_graph
+        g = grow_npa(BaTreeSpec(), 100000, RngStream(21))
         vdd = measure_vdd(g)
         assert vdd.aligned(1, 1)[0] == pytest.approx(2.0 / 3.0, abs=0.01)
 
@@ -205,7 +218,7 @@ def _observed_arc_lists(model: NpaModelSpec, reps: int) -> Counter:
     """Sorted final arc lists of `reps` independent runs to n = 5."""
     return Counter(
         tuple(sorted(map(tuple, grow_npa(model, 5, RngStream(404, rep))
-                         .final_graph.pairs.tolist())))
+                         .pairs.tolist())))
         for rep in range(reps))
 
 
@@ -231,17 +244,16 @@ class TestLinearSamplers:
         model = NpaModelSpec(
             weights=linear_weights(),
             increments=IncrementDistribution(min_arcs=1, probs=(1.0,)))
-        trace = grow_npa(model, 2, RngStream(1))
-        assert trace.final_graph.vertex_count == 2
-        assert trace.final_graph.pairs.tolist() == [[0, 1]]
+        g = grow_npa(model, 2, RngStream(1))
+        assert g.vertex_count == 2
+        assert g.pairs.tolist() == [[0, 1]]
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_zero_arc_increments_are_never_targets(self, linear_weights, g):
         model = NpaModelSpec(
             weights=linear_weights(g),
             increments=IncrementDistribution(min_arcs=0, probs=(0.3, 0.3, 0.4)))
-        trace = grow_npa(model, 3000, RngStream(8))
-        g_ = trace.final_graph
+        g_ = grow_npa(model, 3000, RngStream(8))
         assert g_.vertex_count == 3000
         assert g_.edge_count == 1 + int((g_.pairs[:, 0] >= 2).sum())
         assert (g_.pairs[:, 0] != g_.pairs[:, 1]).all()
@@ -256,7 +268,7 @@ class TestLinearSamplers:
             weights=linear_weights(),
             increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.5)),
             seed_graph=SeedGraphSpec(name=None, vertices=3, edges=((0, 1),)))
-        g_ = grow_npa(model, 500, RngStream(12)).final_graph
+        g_ = grow_npa(model, 500, RngStream(12))
         assert g_.vertex_count == 500
         assert g_.degrees()[2] == 0
         assert set(g_.pairs[:, 1].tolist()) >= {0, 1}
@@ -358,7 +370,7 @@ class TestMeasure:
         assert theta.truncation_mass == pytest.approx(1.0)
 
     def test_edd_mass_accounting(self):
-        g = grow_npa(BaTreeSpec(), 2000, RngStream(2)).final_graph
+        g = grow_npa(BaTreeSpec(), 2000, RngStream(2))
         theta = measure_edd(g, 10)
         assert theta.stored_mass() + theta.truncation_mass == pytest.approx(
             1.0, abs=1e-12)
@@ -370,7 +382,7 @@ class TestMeasure:
     def test_cells_are_exact_count_ratios(self):
         """Each cell is its count divided once by 2E, bit for bit, against
         counts taken one edge at a time."""
-        g = grow_npa(BaTreeSpec(), 3000, RngStream(9)).final_graph
+        g = grow_npa(BaTreeSpec(), 3000, RngStream(9))
         deg, u = g.degrees(), 12
         edge_counts = Counter()
         for a, b in g.pairs.tolist():
@@ -392,8 +404,8 @@ class TestBaTreeSpec:
     """The BA tree is an NpaModelSpec with fixed fields, not a separate kind."""
 
     def test_grows_like_its_npa_form(self):
-        a = grow_npa(BaTreeSpec(), 3000, RngStream(17)).final_graph
-        b = grow_npa(BaTreeSpec().to_npa(), 3000, RngStream(17)).final_graph
+        a = grow_npa(BaTreeSpec(), 3000, RngStream(17))
+        b = grow_npa(BaTreeSpec().to_npa(), 3000, RngStream(17))
         assert np.array_equal(a.pairs, b.pairs)
 
     def test_solves_like_its_npa_form(self):
@@ -610,7 +622,7 @@ class TestGrowComposite:
         g = grow_composite(spec, RngStream(9))
         tree = grow_npa(BaTreeSpec().to_npa(), 1050, RngStream(9).substream(0))
         comp = grow_npa(spec.components[1][0], 1950, RngStream(9).substream(1))
-        assert g.edge_count == tree.final_graph.edge_count + comp.final_graph.edge_count
+        assert g.edge_count == tree.edge_count + comp.edge_count
 
     def test_single_component_matches_direct_growth(self):
         model = NpaModelSpec(
@@ -618,7 +630,7 @@ class TestGrowComposite:
             increments=IncrementDistribution(min_arcs=1, probs=(1.0,)))
         spec = CompositeSpec(components=((model, 1.0),), total_n=500)
         g = grow_composite(spec, RngStream(10))
-        direct = grow_npa(model, 500, RngStream(10).substream(0)).final_graph
+        direct = grow_npa(model, 500, RngStream(10).substream(0))
         assert np.array_equal(g.pairs, direct.pairs)
 
     def test_aer_component_budget_override(self):
@@ -646,7 +658,7 @@ def _read_back(text):
 
 class TestEdgeListIo:
     def test_round_trip_exact(self):
-        g = grow_npa(BaTreeSpec(), 200, RngStream(3)).final_graph
+        g = grow_npa(BaTreeSpec(), 200, RngStream(3))
         buf = io.StringIO()
         write_edge_list(g, buf)
         back = _read_back(buf.getvalue())

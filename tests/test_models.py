@@ -365,6 +365,14 @@ class TestEdgeDegreeMatrix:
         with pytest.raises(WindowExceedsMatrix):
             m.window(1, 3)
 
+    @pytest.mark.parametrize("entries,kind,match", [
+        (np.ones((2, 3)) / 6.0, "edge", "square"),
+        (np.eye(2) / 2.0, "vertex", "kind must be"),
+    ])
+    def test_malformed_rejected(self, entries, kind, match):
+        with pytest.raises(ValueError, match=match):
+            EdgeDegreeMatrix(min_degree=1, entries=entries, kind=kind)
+
 
 # ---------------------------------------------------------------------------
 # Graph
@@ -403,9 +411,10 @@ class TestGraph:
         assert sub.edge_count == 2
 
     @pytest.mark.parametrize("pairs", [[(0, 5)], [(0, 2)], [(-1, 1)],
-                                       [(0, 1), (1, -2)]])
+                                       [(0, 1), (1, -2)], [(0, 1, 1)]])
     def test_ids_outside_vertex_range_rejected(self, pairs):
-        # Graph(2, [(0, 5)]).degrees() used to return [1, 0] silently.
+        # Graph(2, [(0, 5)]).degrees() used to return [1, 0] silently. The
+        # last ids are in range, but three to a row are no pair.
         with pytest.raises(ValueError):
             Graph(2, pairs)
 

@@ -734,6 +734,11 @@ class TestComplementMean:
         with pytest.raises(InfeasibleComplement):
             complement_mean(1.0, 3.0, 0.5)
 
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_rho_bounds(self, rho):
+        with pytest.raises(ValueError, match="strictly inside"):
+            complement_mean(2.0, 1.0, rho)
+
 
 class TestMixEdd:
     def _edge(self, entries):
