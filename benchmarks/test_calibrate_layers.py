@@ -58,7 +58,7 @@ def single_target():
 @pytest.fixture(scope="module")
 def composite_target():
     rho, complement = 0.3, _linear((0.3, 0.7))
-    (q1, th1), (q2, th2) = _solved(BaTreeSpec().to_npa()), _solved(complement)
+    (q1, th1), (q2, th2) = _solved(BaTreeSpec()), _solved(complement)
     m2 = complement.increments.mean
     m_mix = rho + (1.0 - rho) * m2
     return CalibrationTarget(

@@ -49,7 +49,7 @@ def fresh_package(tmp_path_factory):
 @pytest.fixture(scope="module")
 def edds(tmp_path_factory):
     """The BA tree's edge matrix to degree 20, as two files."""
-    model = BaTreeSpec().to_npa()
+    model = BaTreeSpec()
     text = edd_to_csv(symmetrize(solve_arc_dd(model, solve_vdd(model, 2000), 20)))
     root = tmp_path_factory.mktemp("edd")
     for name in ("a.csv", "b.csv"):

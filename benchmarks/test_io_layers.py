@@ -20,7 +20,7 @@ points at another tree still times this one.
 import numpy as np
 import pytest
 
-from npagraph import (EdgeDegreeMatrix, Graph, MalformedLine, RngStream,
+from npagraph import (EdgeDegreeMatrix, MalformedLine, RngStream,
                       grow_composite, load_edge_list, measure_edd,
                       preset_gowalla, write_edge_list)
 from npagraph.formats import edd_from_csv, edd_to_csv, id_map_csv
@@ -61,7 +61,7 @@ def test_load_edge_list_plain(benchmark, grown, tmp_path_factory):
     path = tmp_path_factory.mktemp("edges") / "edges.txt"
     with open(path, "w") as fh:
         write_edge_list(grown, fh)
-    graph, _ = benchmark(load_edge_list, path)
+    graph, _, _ = benchmark(load_edge_list, path)
     assert graph.vertex_count == grown.vertex_count
 
 
@@ -72,7 +72,7 @@ def test_load_edge_list(benchmark, grown, tmp_path_factory):
     with open(path, "w") as fh:
         fh.write("% sym unweighted\n% generated by npagraph\n")
         write_edge_list(grown, fh)
-    graph, _ = benchmark(load_edge_list, path)
+    graph, _, _ = benchmark(load_edge_list, path)
     assert graph.edge_count > 0
 
 
@@ -93,7 +93,7 @@ def test_load_edge_list_commented(benchmark, commented_lines, tmp_path):
     a time."""
     path = tmp_path / "out.gowalla"
     path.write_text("".join(commented_lines))
-    graph, _ = benchmark(load_edge_list, path)
+    graph, _, _ = benchmark(load_edge_list, path)
     assert graph.edge_count > 0
 
 
@@ -129,6 +129,5 @@ def test_edd_from_csv_repeated_header(benchmark, matrix, tmp_path):
 
 def test_id_map_csv(benchmark):
     labels = np.arange(100_000, dtype=np.int64) * 7 + 3
-    graph = Graph(len(labels), np.array([[0, 1]]), labels=labels)
-    text = benchmark(id_map_csv, graph)
+    text = benchmark(id_map_csv, labels)
     assert text.count("\n") == 1 + len(labels)

@@ -37,7 +37,7 @@ def test_arc_dd_calibration_candidate(benchmark):
 
 @pytest.mark.parametrize("variant", ["printed", "mean-weight"])
 def test_arc_dd_ba_u300(benchmark, variant):
-    model = BaTreeSpec().to_npa()
+    model = BaTreeSpec()
     vdd = solve_vdd(model)
     mat = benchmark(solve_arc_dd, model, vdd, 300, variant)
     assert mat.entries.shape == (300, 300)

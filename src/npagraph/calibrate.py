@@ -30,8 +30,8 @@ from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
 from .models import (AerModelSpec, CompositeSpec, DegreeDistribution,
                      EdgeDegreeMatrix, Graph, IncrementDistribution,
                      NpaModelSpec, WeightFunction, edd_distance)
-from .solver import (VddSolution, complement_mean, complement_vdd, edge_share,
-                     mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
+from .solver import (complement_mean, complement_vdd, edge_share, mix_edd,
+                     mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 
 log = logging.getLogger(__name__)
 
@@ -399,8 +399,8 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
     return CalibrationResult(
         model=model, distance=edd_distance(scored.edd, target.edd, target.g, target.u),
         vdd_tv_error=scored.vdd.tv_distance(target.vdd), iterations=trace,
-        report={"mean_weight": fit.solution.mean_weight,
-                "control_residual": fit.solution.control_residual})
+        report={"mean_weight": fit.record["mean_weight"],
+                "control_residual": fit.record["control_residual"]})
 
 
 def _objective(candidate: CalibrationResult | NpaGraphError) -> float:
@@ -489,39 +489,50 @@ def _golden_section(f, a: float, b: float, xatol: float) -> tuple:
 @dataclass(frozen=True, eq=False)
 class ComponentProfile:
     """What mixing needs to know about a spec; kept is the share of its grown
-    vertices that its written graph keeps. A growth model's profile holds
-    its solve, a composite's its (profile, vertex share) parts."""
+    vertices that its written graph keeps, and record what solution.json
+    writes for the spec."""
 
     m: float  # edges per written vertex
     vdd: DegreeDistribution
     edd: EdgeDegreeMatrix  # kind = edge, up to the extent u it was made for
-    kept: float = 1.0
-    solution: VddSolution | None = None
-    parts: tuple = ()
+    kept: float
+    record: dict
+
+
+def _profile(m: float, vdd, edd, record: dict, kept: float = 1.0) -> ComponentProfile:
+    """The profile; its record adds m and the truncated masses to `record`."""
+    return ComponentProfile(m, vdd, edd, kept, {
+        "mean_increment": m, "vdd_truncation_mass": vdd.truncation_mass,
+        "edd_truncation_mass": edd.truncation_mass, **record})
 
 
 def component_profile(spec, u: int, k_max: int = K_MAX,
                       variant: str = VARIANTS[0]) -> ComponentProfile:
     """The profile of any spec, its edge matrix up to u (no cell of [g, u]
     depends on a larger extent). A growth model keeps every vertex and is
-    solved with these settings. An AER model has no distributional
+    solved with these settings; its record holds the solve's mean weight,
+    mean degree and control residual. An AER model has no distributional
     recurrence here: it is measured on the pruned graph growth writes for
-    it at its own n1, pooled over AER_REPS replicates from seed AER_SEED. A
-    composite mixes its components at their vertex shares of the written
-    graph: each growth-budget fraction times its kept share, renormalised,
-    which undoes the budget calibrate_composite gives a first component."""
+    it at its own n1, pooled over AER_REPS replicates from seed AER_SEED,
+    which its record holds with its kept share. A composite mixes its
+    components at their vertex shares of the written graph: each
+    growth-budget fraction times its kept share, renormalised, which undoes
+    the budget calibrate_composite gives a first component."""
     if isinstance(spec, NpaModelSpec):
         sol = solve_vdd(spec, k_max)
-        return ComponentProfile(
-            m=spec.increments.mean, vdd=sol.q,
-            edd=symmetrize(solve_arc_dd(spec, sol, u, variant)), solution=sol)
+        return _profile(spec.increments.mean, sol.q,
+                        symmetrize(solve_arc_dd(spec, sol, u, variant)),
+                        {"mean_weight": sol.mean_weight, "mean_degree": sol.mean_degree,
+                         "control_residual": sol.control_residual})
     if isinstance(spec, AerModelSpec):
         from .growth import RngStream, grow, measure_edd, measure_vdd
         graph = Graph.disjoint_union([grow(spec, spec.n1, RngStream(AER_SEED, rep))
                                       for rep in range(AER_REPS)])
-        return ComponentProfile(  # measure_vdd first: EmptyInput for no vertex
-            vdd=measure_vdd(graph), m=graph.edge_count / graph.vertex_count,
-            edd=measure_edd(graph, u), kept=graph.vertex_count / (AER_REPS * spec.n1))
+        vdd = measure_vdd(graph)  # first: EmptyInput for no vertex
+        kept = graph.vertex_count / (AER_REPS * spec.n1)
+        return _profile(graph.edge_count / graph.vertex_count, vdd,
+                        measure_edd(graph, u), {"kept": kept, "aer_seed": AER_SEED,
+                                                "aer_replicates": AER_REPS}, kept)
     parts = [component_profile(model, u, k_max, variant)
              for model, _ in spec.components]
     written = [part.kept * budget for part, (_, budget) in zip(parts, spec.components)]
@@ -531,12 +542,15 @@ def component_profile(spec, u: int, k_max: int = K_MAX,
 
 def _mix(parts, kept: float = 1.0) -> ComponentProfile:
     """The profile of a graph whose vertices are split among the graphs of
-    (profile, vertex share) parts; m is their mean, edges mixed by mix_edd."""
-    return ComponentProfile(
-        m=sum(part.m * share for part, share in parts),
-        vdd=mix_vdd([(part.vdd, share) for part, share in parts]),
-        edd=mix_edd([(part.edd, part.m, share) for part, share in parts]),
-        kept=kept, parts=tuple(parts))
+    (profile, vertex share) parts; m is their mean, edges mixed by mix_edd,
+    and its record lists each part's with its kept and vertex shares."""
+    return _profile(
+        sum(part.m * share for part, share in parts),
+        mix_vdd([(part.vdd, share) for part, share in parts]),
+        mix_edd([(part.edd, part.m, share) for part, share in parts]),
+        {"kept": kept, "components": [
+            {**part.record, "kept": part.kept, "vertex_share": share}
+            for part, share in parts]}, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -73,26 +73,7 @@ def cmd_solve(params: dict, out: Path) -> None:
     _write(out / "vdd.csv", vdd_to_csv(profile.vdd))
     _write(out / "edd.csv", edd_to_csv(profile.edd))
     _write_json(out / "solution.json", {
-        **_solution(profile), "recurrence_variant": params["variant"]})
-
-
-def _solution(profile) -> dict:
-    """solution.json's record of a profile: a growth model's solve; an AER
-    model's kept share, seed and replicate count; a composite's kept share
-    and each component's record with its kept and vertex shares."""
-    out = {"mean_increment": profile.m,
-           "vdd_truncation_mass": profile.vdd.truncation_mass,
-           "edd_truncation_mass": profile.edd.truncation_mass}
-    sol = profile.solution
-    if sol is not None:
-        return {**out, "mean_weight": sol.mean_weight, "mean_degree": sol.mean_degree,
-                "control_residual": sol.control_residual}
-    if profile.parts:
-        return {**out, "kept": profile.kept, "components": [
-            {**_solution(part), "kept": part.kept, "vertex_share": share}
-            for part, share in profile.parts]}
-    from .calibrate import AER_REPS, AER_SEED
-    return {**out, "kept": profile.kept, "aer_seed": AER_SEED, "aer_replicates": AER_REPS}
+        **profile.record, "recurrence_variant": params["variant"]})
 
 
 def _generate_one(spec_text: str, n: int, seed: int, rep: int, u: int,
@@ -153,13 +134,13 @@ def cmd_ingest(params: dict, out: Path) -> None:
     from .formats import edd_to_csv, id_map_csv, load_edge_list, vdd_counts_csv
     from .growth import measure_edd, measure_vdd, summarize
     from .models import select_u
-    graph, counts = load_edge_list(params["dataset"])
+    graph, ids, counts = load_edge_list(params["dataset"])
     vdd = measure_vdd(graph)
     edd = measure_edd(graph, min(vdd.max_degree, params["edd_extent"]))
     u = select_u(edd, params["u_mass"])
     _write(out / "vdd.csv", vdd_counts_csv(vdd, graph.vertex_count))
     _write(out / "edd.csv", edd_to_csv(edd))
-    _write(out / "id_map.csv", id_map_csv(graph))
+    _write(out / "id_map.csv", id_map_csv(ids))
     _write_json(out / "summary.json", {
         **summarize(graph),
         "selected_u": u,

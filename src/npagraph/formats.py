@@ -262,12 +262,9 @@ def vdd_counts_csv(q: DegreeDistribution, n: int) -> str:
                        q.probs.tolist())
 
 
-def id_map_csv(graph: Graph) -> str:
-    """dense_id,original_id mapping retained from parsing."""
-    labels = np.asarray([] if graph.labels is None else graph.labels,
-                        dtype=np.int64)
-    return _column_csv("dense_id,original_id", range(len(labels)),
-                       labels.tolist())
+def id_map_csv(ids: np.ndarray) -> str:
+    """dense_id,original_id rows of the original ids load_edge_list returns."""
+    return _column_csv("dense_id,original_id", range(len(ids)), ids.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +296,11 @@ def write_edge_list(graph: Graph, out: TextIO) -> None:
         out.write(rows.tobytes().replace(b"\0", b"").decode("ascii"))
 
 
-def load_edge_list(path: Union[str, Path]) -> tuple[Graph, dict]:
+def load_edge_list(path: Union[str, Path]) -> tuple[Graph, np.ndarray, dict]:
     """Read an edge-list file, transparently handling gzip compression, as
-    an undirected simple graph, with the counts of dropped self-loops and
-    collapsed duplicates under the keys summary.json writes them.
+    an undirected simple graph, the original id of each of its vertices, and
+    the counts of dropped self-loops and collapsed duplicates under the keys
+    summary.json writes them.
 
     A data line holds two integer ids separated by spaces or tabs. Text from
     a '#' or '%' to the end of its line is a comment, so a pair may carry a
@@ -310,7 +308,7 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, dict]:
     accepted. Any other line, or an id outside int64, raises MalformedLine
     with its 1-based line number. Self-loops are dropped with a counted
     warning, ids are remapped to the dense range 0 .. n-1 in increasing
-    order (kept as labels), and duplicate or reversed pairs collapse to one
+    order (the ids returned), and duplicate or reversed pairs collapse to one
     edge.
 
     The file is read by _read_file, its leading blank and comment lines
@@ -331,13 +329,13 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, dict]:
         lambda ln: ln.replace("%", "#"), lambda first: read))
 
 
-def _simple_graph(raw: np.ndarray) -> tuple[Graph, dict]:
-    """The undirected simple graph of an (E, 2) array of id pairs, and its
-    parse counts.
+def _simple_graph(raw: np.ndarray) -> tuple[Graph, np.ndarray, dict]:
+    """The undirected simple graph of an (E, 2) array of id pairs, the
+    original id of each of its vertices, and its parse counts.
 
     Ids that already are the dense range 0 .. n-1, as `generate` writes
     them, are kept as they are; np.unique would only sort them to the same
-    labels and the same dense ids. Each edge is kept once, as its (lower,
+    original and dense ids. Each edge is kept once, as its (lower,
     higher) dense id pair, in increasing order.
     """
     is_loop = raw[:, 0] == raw[:, 1]
@@ -360,6 +358,6 @@ def _simple_graph(raw: np.ndarray) -> tuple[Graph, dict]:
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     pairs = np.empty((len(keys), 2), dtype=np.int64)
     np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
-    graph = Graph(n, pairs, directed=False, labels=ids)
-    return graph, {"self_loops_dropped": loops,
-                   "duplicates_collapsed": len(kept) - graph.edge_count}
+    graph = Graph(n, pairs, directed=False)
+    return graph, ids, {"self_loops_dropped": loops,
+                        "duplicates_collapsed": len(kept) - graph.edge_count}

@@ -352,9 +352,9 @@ class Graph:
     not created by any grower.
     """
 
-    __slots__ = ("vertex_count", "pairs", "directed", "labels", "_degrees")
+    __slots__ = ("vertex_count", "pairs", "directed", "_degrees")
 
-    def __init__(self, vertex_count: int, pairs, directed: bool = False, labels=None):
+    def __init__(self, vertex_count: int, pairs, directed: bool = False):
         self.vertex_count = int(vertex_count)
         if self.vertex_count < 0:
             raise ValueError(f"vertex count {self.vertex_count} is negative")
@@ -369,7 +369,6 @@ class Graph:
                 f"{arr.min()} .. {arr.max()}")
         self.pairs = arr
         self.directed = bool(directed)
-        self.labels = labels
         self._degrees = None
 
     @property
@@ -388,7 +387,7 @@ class Graph:
 
     def induced(self, keep: np.ndarray) -> "Graph":
         """Subgraph on the vertices flagged in the boolean mask, relabeled
-        densely; the subgraph carries no labels."""
+        densely."""
         new_id = np.full(self.vertex_count, -1, dtype=np.int64)
         kept = np.flatnonzero(keep)
         new_id[kept] = np.arange(len(kept))
@@ -419,14 +418,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class SeedGraphSpec:
-    """Starting graph for growth: a named default or an explicit edge list.
+    """Starting graph for growth: the default, or an explicit edge list.
 
     The default is a complete undirected graph on max(g, 1) + 1 vertices, so
     every seed vertex has degree >= g and positive attachment weight; the
     stationary distributions do not depend on the seed.
     """
 
-    name: str | None = "default"
     vertices: int | None = None
     edges: tuple[tuple[int, int], ...] | None = None
 
@@ -444,15 +442,10 @@ class SeedGraphSpec:
         return Graph(n, pairs, directed=True)
 
     def violations(self) -> list[Violation]:
-        """A name other than the default, a negative vertex count, or an
-        edge-list id outside [0, vertices); build needs none of them."""
+        """A negative vertex count, or an edge-list id outside [0,
+        vertices); build needs neither."""
         if self.edges is None:
-            if self.name == "default":
-                return []
-            return [Violation(
-                "EmptySupport",
-                f"unknown seed graph name {self.name!r}; give "
-                "'default' or an explicit edge list")]
+            return []
         n = self._listed_vertex_count()
         if n < 0:
             return [Violation("EmptySupport",
@@ -466,16 +459,21 @@ class SeedGraphSpec:
     def to_dict(self) -> dict:
         if self.edges is not None:
             return {"vertices": self.vertices, "edges": [list(e) for e in self.edges]}
-        return {"name": self.name}
+        return {"name": "default"}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SeedGraphSpec":
+        """An edge list, or the default, the one name there is."""
         edges = _read(d, "edges", lambda es: tuple((int(a), int(b))
                                                    for a, b in es), None)
         if edges is not None:
-            return cls(name=None, vertices=_read(d, "vertices", int, None),
-                       edges=edges)
-        return cls(name=d.get("name", "default"))
+            return cls(vertices=_read(d, "vertices", int, None), edges=edges)
+        name = d.get("name", "default")
+        if name != "default":
+            raise ValidationError([Violation(
+                "EmptySupport", f"unknown seed graph name {name!r}; give "
+                "'default' or an explicit edge list")])
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -529,10 +527,6 @@ class BaTreeSpec(NpaModelSpec):
     increments: IncrementDistribution = field(
         default=IncrementDistribution(min_arcs=1, probs=(1.0,)), init=False)
     seed_graph: SeedGraphSpec = field(default=SeedGraphSpec(), init=False)
-
-    def to_npa(self) -> NpaModelSpec:
-        """The same model as a plain spec, which serializes as "npa"."""
-        return NpaModelSpec(self.weights, self.increments, self.seed_graph)
 
     def to_dict(self) -> dict:
         return {"type": "ba_tree"}

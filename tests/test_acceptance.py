@@ -69,7 +69,7 @@ def brightkite_graph():
 
 def test_criterion_01_ba_closed_form_oracle():
     start = time.perf_counter()
-    sol = solve_vdd(BaTreeSpec().to_npa(), k_max=10000)
+    sol = solve_vdd(BaTreeSpec(), k_max=10000)
     elapsed = time.perf_counter() - start
     ks = np.arange(1, 101, dtype=float)
     exact = 4.0 / (ks * (ks + 1.0) * (ks + 2.0))
@@ -112,7 +112,7 @@ def test_criterion_03_simulation_agreement(name):
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_edd_crosscheck_report(tmp_path):
-    report = edd_crosscheck(BaTreeSpec().to_npa(), n=100000, reps=20,
+    report = edd_crosscheck(BaTreeSpec(), n=100000, reps=20,
                             window_u=15, rng=RngStream(3200))
     out = tmp_path / "edd_crosscheck_ba.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -235,7 +235,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
     path = tmp_path / "grown.txt"
     with open(path, "w") as fh:
         write_edge_list(grown, fh)
-    graph, _ = load_edge_list(path)
+    graph, _, _ = load_edge_list(path)
 
     vdd = measure_vdd(graph)
     edd = measure_edd(graph, 200)
@@ -335,7 +335,7 @@ def test_criterion_09_calibration_round_trip():
     complement = NpaModelSpec(
         weights=WeightFunction.linear(g=1),
         increments=IncrementDistribution(min_arcs=1, probs=(0.3, 0.7)))
-    ba = BaTreeSpec().to_npa()
+    ba = BaTreeSpec()
     rho = 0.3
     sol1 = solve_vdd(ba, K_MAX)
     sol2 = solve_vdd(complement, K_MAX)
@@ -364,7 +364,7 @@ def test_criterion_09_calibration_round_trip():
 
 def test_criterion_10_manifest_determinism(tmp_path):
     spec_file = tmp_path / "ba.json"
-    spec_file.write_text(dump_model(BaTreeSpec().to_npa()) + "\n")
+    spec_file.write_text(dump_model(BaTreeSpec()) + "\n")
     run1 = tmp_path / "run1"
     assert cli_main(["solve", str(spec_file), "--kmax", "3000", "--umax", "40",
                      "--out", str(run1)]) == 0

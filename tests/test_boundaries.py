@@ -154,6 +154,32 @@ def test_every_module_serves_a_command():
     assert reached == {p.stem for p in MODULES} - {"__init__"}
 
 
+# Methods that no module of the package calls, each with why it stays.
+UNCALLED_METHODS = {
+    "ValidationError.codes": "the tests' assertions on violation codes "
+                             "read it; spelling it out lengthens each",
+    "WeightFunction.from_table": "the constructor that calibration by "
+                                 "inverting the recurrence for the weights "
+                                 "calls (ROADMAP)",
+    "WeightFunction.constant": "the third rule constructor; calibration "
+                               "calls the other two, linear and power",
+}
+
+
+def test_every_method_serves_the_package():
+    """Every method a class of the package defines, dunders aside, is read
+    as an attribute somewhere in the package: a method that only tests call
+    belongs with the tests. UNCALLED_METHODS names the exceptions."""
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    uncalled = {f"{cls.name}.{fn.name}" for tree in trees
+                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                and not fn.name.startswith("__") and fn.name not in read}
+    assert uncalled == set(UNCALLED_METHODS)
+
+
 def test_crosscheck_takes_no_private_name():
     """The cross-check harness in the tests reads the package through its
     public names alone, as the module it came from did."""

@@ -513,7 +513,7 @@ def test_noisy_target_no_worse_than_simplex(name, probs, seed):
 
 def _composite_target(rho=0.3, u=20):
     comp2 = _model((0.3, 0.7))
-    ba = BaTreeSpec().to_npa()
+    ba = BaTreeSpec()
     sol1 = solve_vdd(ba, K_MAX)
     sol2 = solve_vdd(comp2, K_MAX)
     th1 = symmetrize(solve_arc_dd(ba, sol1, u))
@@ -532,7 +532,7 @@ def _degree2_target(rho=0.1, u=15):
     rho the complement's mean exceeds 2 and has no increment law at
     r_max = 2."""
     comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
-    ba = BaTreeSpec().to_npa()
+    ba = BaTreeSpec()
     sol1 = solve_vdd(ba, K_MAX)
     sol2 = solve_vdd(comp2, K_MAX)
     th1 = symmetrize(solve_arc_dd(ba, sol1, u))
@@ -881,9 +881,8 @@ class TestPresets:
         first, rho = spec.components[0]
         assert isinstance(first, BaTreeSpec)
         assert rho == 0.225
-        npa = first.to_npa()
-        assert npa.increments.probs[1 - npa.increments.min_arcs] == 1.0
-        assert npa.weights.rule == "linear"
+        assert first.increments.probs[1 - first.increments.min_arcs] == 1.0
+        assert first.weights.rule == "linear"
 
     def test_brightkite_complement_mean_matches(self):
         spec = preset_brightkite()

@@ -32,7 +32,7 @@ def _first_fails_others_slow(spec_text, n, seed, rep, u, out):
 
 def _write_ba_spec(path: Path) -> Path:
     spec_file = path / "ba.json"
-    spec_file.write_text(dump_model(BaTreeSpec().to_npa()) + "\n")
+    spec_file.write_text(dump_model(BaTreeSpec()) + "\n")
     return spec_file
 
 
@@ -949,7 +949,7 @@ class TestEnvironment:
 
 def _write_ba_target(path: Path) -> Path:
     """vdd.csv and edd.csv of the BA tree to degree 8, as ingest writes them."""
-    model = BaTreeSpec().to_npa()
+    model = BaTreeSpec()
     sol = solve_vdd(model, 2000)
     path.mkdir()
     (path / "vdd.csv").write_text(vdd_to_csv(sol.q))
@@ -1124,7 +1124,7 @@ class TestStartup:
 
 class TestCompareCommand:
     def _write_edd(self, path: Path, perturb=0.0) -> Path:
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         theta = symmetrize(solve_arc_dd(model, solve_vdd(model, 4000), 10))
         text = edd_to_csv(theta)
         if perturb:
@@ -1387,7 +1387,7 @@ class TestCalibrateCommand:
         # 0.21.0 fitted the BA tree's VDD times 1.5 with exit 0 and took
         # its mean increment as 1.499.
         target = _write_ba_target(tmp_path / "target")
-        q = solve_vdd(BaTreeSpec().to_npa(), 2000).q
+        q = solve_vdd(BaTreeSpec(), 2000).q
         (target / "vdd.csv").write_text(vdd_to_csv(
             DegreeDistribution(q.min_degree, q.probs * 1.5)))
         out = tmp_path / "fit"
@@ -1508,7 +1508,7 @@ class TestCalibrateCommand:
         these weights, linear by default, and increments probs from one
         arc."""
         from npagraph import mix_edd, mix_vdd
-        ba = BaTreeSpec().to_npa()
+        ba = BaTreeSpec()
         comp = NpaModelSpec(
             weights=weights,
             increments=IncrementDistribution(min_arcs=1, probs=probs))

@@ -58,18 +58,18 @@ def _line_pairs(source):
 
 class TestLoadEdgeList:
     def test_comments_skipped(self):
-        g, _ = _load_lines(["# comment", "0 1", "1 2"])
+        g, _, _ = _load_lines(["# comment", "0 1", "1 2"])
         assert g.vertex_count == 3
         assert g.edge_count == 2
 
     def test_duplicates_and_reversals_collapse(self):
-        g, stats = _load_lines(["0 1", "1 0", "0 1"])
+        g, _, stats = _load_lines(["0 1", "1 0", "0 1"])
         assert g.vertex_count == 2
         assert g.edge_count == 1
         assert stats["duplicates_collapsed"] == 2
 
     def test_self_loops_dropped_counted(self):
-        g, stats = _load_lines(["0 0", "0 1"])
+        g, _, stats = _load_lines(["0 0", "0 1"])
         assert g.edge_count == 1
         assert stats["self_loops_dropped"] == 1
 
@@ -87,28 +87,28 @@ class TestLoadEdgeList:
             _load_lines(["# nothing here"])
 
     def test_sparse_ids_remapped_with_labels(self):
-        g, _ = _load_lines(["100 5", "5 9"])
+        g, ids, _ = _load_lines(["100 5", "5 9"])
         assert g.vertex_count == 3
-        assert list(g.labels) == [5, 9, 100]
-        # Edge endpoints refer to dense ids consistent with the labels.
-        back = {(g.labels[a], g.labels[b]) for a, b in g.pairs}
+        assert list(ids) == [5, 9, 100]
+        # Edge endpoints refer to dense ids consistent with the original ids.
+        back = {(ids[a], ids[b]) for a, b in g.pairs}
         assert back == {(5, 100), (5, 9)}
 
     def test_negative_labels_relabeled(self):
-        g, _ = _load_lines(["-5 3", "3 7"])
-        assert list(g.labels) == [-5, 3, 7]
+        g, ids, _ = _load_lines(["-5 3", "3 7"])
+        assert list(ids) == [-5, 3, 7]
         assert sorted(map(sorted, g.pairs.tolist())) == [[0, 1], [1, 2]]
 
     def test_minus_zero_is_id_zero(self):
-        g, _ = _load_lines(["-0 1"])
-        assert list(g.labels) == [0, 1]
+        _, ids, _ = _load_lines(["-0 1"])
+        assert list(ids) == [0, 1]
         assert _line_pairs("-0 1\n").tolist() == [[0, 1]]
 
     def test_gzip_file(self, tmp_path):
         path = tmp_path / "net.txt.gz"
         with gzip.open(path, "wt") as fh:
             fh.write("# demo\n0 1\n1 2\n")
-        g, _ = load_edge_list(path)
+        g, _, _ = load_edge_list(path)
         assert g.edge_count == 2
 
     def test_gzip_file_with_percent_comments(self, tmp_path):
@@ -116,9 +116,9 @@ class TestLoadEdgeList:
         with gzip.open(path, "wt", newline="") as fh:
             fh.write("% sym unweighted\r\n% 3 4 4\r\n10 20 % a\r\n"
                      "20 30\r\n30 10 # b % c\r\n30 40\r\n")
-        g, _ = load_edge_list(path)
-        assert list(g.labels) == [10, 20, 30, 40]
-        assert _edges(g) == [(10, 20), (10, 30), (20, 30), (30, 40)]
+        g, ids, _ = load_edge_list(path)
+        assert list(ids) == [10, 20, 30, 40]
+        assert _edges(g, ids) == [(10, 20), (10, 30), (20, 30), (30, 40)]
 
     def test_gzip_file_malformed_line(self, tmp_path):
         path = tmp_path / "net.txt.gz"
@@ -134,12 +134,12 @@ class TestLoadEdgeList:
     @settings(max_examples=50, deadline=None)
     def test_load_export_load_degree_multiset(self, raw_pairs):
         try:
-            g1, _ = _load_lines(f"{a} {b}" for a, b in raw_pairs)
+            g1, _, _ = _load_lines(f"{a} {b}" for a, b in raw_pairs)
         except EmptyInput:
             return  # all self-loops
         buf = io.StringIO()
         write_edge_list(g1, buf)
-        g2, _ = _load_text(buf.getvalue())
+        g2, _, _ = _load_text(buf.getvalue())
         assert sorted(g1.degrees()[g1.degrees() > 0]) == sorted(
             g2.degrees()[g2.degrees() > 0])
 
@@ -148,22 +148,20 @@ class TestLoadEdgeList:
 # Edge-list syntax, on both routes of the one reader, plain and gzipped
 # ---------------------------------------------------------------------------
 
-def _edges(graph):
-    """Edges in original ids, each as a sorted pair, in a sorted list."""
-    ids = graph.labels if graph.labels is not None else np.arange(
-        graph.vertex_count)
+def _edges(graph, ids):
+    """Edges in the original ids, each as a sorted pair, in a sorted list."""
     return sorted(tuple(sorted((int(ids[a]), int(ids[b]))))
                   for a, b in graph.pairs)
 
 
 def _path_edges(text):
     """Edges of load_edge_list on a file holding the text."""
-    return _edges(_load_text(text)[0])
+    return _edges(*_load_text(text)[:2])
 
 
 def _gz_path_edges(text):
     """Edges of load_edge_list on a gzipped file holding the text."""
-    return _edges(_load_text(text, gz=True)[0])
+    return _edges(*_load_text(text, gz=True)[:2])
 
 
 def _line_edges(text):
@@ -390,12 +388,11 @@ class TestLoadEdgeListRoutes:
     @staticmethod
     def _outcome(read):
         try:
-            graph, stats = read()
+            graph, ids, stats = read()
         except (MalformedLine, EmptyInput) as err:
             return type(err), getattr(err, "line_no", None), getattr(
                 err, "content", None)
-        return (graph.vertex_count, graph.pairs.tolist(),
-                np.asarray(graph.labels).tolist(), stats)
+        return graph.vertex_count, graph.pairs.tolist(), ids.tolist(), stats
 
     @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
     @pytest.mark.parametrize("text", TEXTS)
@@ -437,7 +434,7 @@ class TestLoadEdgeListRoutes:
         path = tmp_path / "net.txt"
         text = "% konect\n# snap\n0 1\n1 2 # a\n2 0\n"
         path.write_text(text)
-        graph, _ = load_edge_list(path)
+        graph, _, _ = load_edge_list(path)
         assert calls == [str(path)]
         assert graph.edge_count == 3
         path.write_text(text + "2 x\n")
@@ -446,18 +443,18 @@ class TestLoadEdgeListRoutes:
         assert (err.value.line_no, err.value.content) == (6, "2 x")
 
     def test_written_graph_keeps_dense_ids(self, tmp_path):
-        """A written graph reads back with the labels and pairs np.unique's
-        remapping would give: the ids themselves."""
+        """A written graph reads back with the original ids and pairs
+        np.unique's remapping would give: the ids themselves."""
         pairs = np.random.default_rng(3).integers(0, 400, size=(3000, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         graph = Graph(400, pairs)
         path = tmp_path / "out.txt"
         with open(path, "w") as fh:
             write_edge_list(graph, fh)
-        back, _ = load_edge_list(path)
+        back, back_ids, _ = load_edge_list(path)
         ids, dense = np.unique(pairs, return_inverse=True)
         assert ids.tolist() == list(range(400))
-        assert np.asarray(back.labels).tolist() == ids.tolist()
+        assert back_ids.tolist() == ids.tolist()
         edges = {tuple(sorted(p)) for p in dense.reshape(-1, 2).tolist()}
         assert back.pairs.tolist() == [list(p) for p in sorted(edges)]
 
@@ -480,12 +477,12 @@ class TestLoadAgainstSets:
             with pytest.raises(EmptyInput):
                 _load_lines(lines)
             return
-        graph, stats = _load_lines(lines)
+        graph, ids, stats = _load_lines(lines)
         labels = sorted(set().union(*edges))
-        assert [int(v) for v in graph.labels] == labels
+        assert [int(v) for v in ids] == labels
         assert graph.vertex_count == len(labels)
         assert graph.edge_count == len(edges)
-        assert {frozenset((int(graph.labels[a]), int(graph.labels[b])))
+        assert {frozenset((int(ids[a]), int(ids[b])))
                 for a, b in graph.pairs} == edges
         assert stats == {"self_loops_dropped": len(pairs) - len(kept),
                          "duplicates_collapsed": len(kept) - len(edges)}
@@ -495,12 +492,13 @@ class TestDatasetCsv:
     """The ingest CSVs keep the bytes of the 0.6.0 writers, one f-string per
     row, reproduced here as the reference."""
 
-    def _graph(self):
+    def _ingested(self):
+        """The graph of a small edge list, and its original ids."""
         ids = np.array([[10, 3], [3, 7], [7, 10], [10, 42], [42, 5]])
-        return _load_lines(f"{a} {b}" for a, b in ids)[0]
+        return _load_lines(f"{a} {b}" for a, b in ids)[:2]
 
     def test_vdd_counts_bytes(self):
-        graph = self._graph()
+        graph, _ = self._ingested()
         q = measure_vdd(graph)
         counts = np.bincount(graph.degrees(), minlength=q.max_degree + 1)
         lines = ["degree,count,probability"]
@@ -519,7 +517,7 @@ class TestDatasetCsv:
         assert [float(p) for _, _, p in rows] == [0.2, 0.6, 0.0, 0.2]
 
     def test_vdd_counts_probabilities_are_measured_vdd(self):
-        graph = self._graph()
+        graph, _ = self._ingested()
         q = measure_vdd(graph)
         rows = [row.split(",") for row in
                 vdd_counts_csv(q, graph.vertex_count).splitlines()[1:]]
@@ -544,14 +542,11 @@ class TestDatasetCsv:
         assert (np.rint((counts / n) * n).astype(np.int64) == counts).all()
 
     def test_id_map_bytes(self):
-        graph = self._graph()
+        _, ids = self._ingested()
         lines = ["dense_id,original_id"]
-        lines.extend(f"{i},{int(orig)}" for i, orig in enumerate(graph.labels))
-        assert id_map_csv(graph) == "\n".join(lines) + "\n"
-        assert id_map_csv(graph).splitlines()[1:3] == ["0,3", "1,5"]
-
-    def test_id_map_without_labels(self):
-        assert id_map_csv(Graph(3, np.array([[0, 1]]))) == "dense_id,original_id\n"
+        lines.extend(f"{i},{int(orig)}" for i, orig in enumerate(ids))
+        assert id_map_csv(ids) == "\n".join(lines) + "\n"
+        assert id_map_csv(ids).splitlines()[1:3] == ["0,3", "1,5"]
 
 
 class TestSummarize:
@@ -565,7 +560,7 @@ class TestSummarize:
         assert s["mean_degree"] == pytest.approx(1.0)
 
     def test_consistent_with_vdd_mean(self):
-        g, _ = _load_lines(["0 1", "1 2", "2 3", "3 0", "0 2"])
+        g, _, _ = _load_lines(["0 1", "1 2", "2 3", "3 0", "0 2"])
         s = summarize(g)
         assert s["mean_degree"] == pytest.approx(measure_vdd(g).mean(), abs=1e-12)
 
@@ -590,7 +585,7 @@ class TestSummarize:
             importlib.import_module("npagraph.datasets")
 
     def test_edd_mass_complete(self):
-        g, _ = _load_lines(["0 1", "1 2", "2 3", "0 2"])
+        g, _, _ = _load_lines(["0 1", "1 2", "2 3", "0 2"])
         theta = measure_edd(g, 2)
         assert theta.stored_mass() + theta.truncation_mass == pytest.approx(
             1.0, abs=1e-12)

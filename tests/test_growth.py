@@ -267,7 +267,7 @@ class TestLinearSamplers:
         model = NpaModelSpec(
             weights=linear_weights(),
             increments=IncrementDistribution(min_arcs=1, probs=(0.5, 0.5)),
-            seed_graph=SeedGraphSpec(name=None, vertices=3, edges=((0, 1),)))
+            seed_graph=SeedGraphSpec(vertices=3, edges=((0, 1),)))
         g_ = grow_npa(model, 500, RngStream(12))
         assert g_.vertex_count == 500
         assert g_.degrees()[2] == 0
@@ -277,7 +277,7 @@ class TestLinearSamplers:
         model = NpaModelSpec(
             weights=linear_weights(),
             increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
-            seed_graph=SeedGraphSpec(name=None, vertices=2, edges=()))
+            seed_graph=SeedGraphSpec(vertices=2, edges=()))
         with pytest.raises(ZeroTotalWeight):
             grow_npa(model, 10, RngStream(2))
 
@@ -405,13 +405,13 @@ class TestBaTreeSpec:
 
     def test_grows_like_its_npa_form(self):
         a = grow_npa(BaTreeSpec(), 3000, RngStream(17))
-        b = grow_npa(BaTreeSpec().to_npa(), 3000, RngStream(17))
+        b = grow_npa(BaTreeSpec(), 3000, RngStream(17))
         assert np.array_equal(a.pairs, b.pairs)
 
     def test_solves_like_its_npa_form(self):
         from npagraph import solve_vdd
         a = solve_vdd(BaTreeSpec()).q
-        b = solve_vdd(BaTreeSpec().to_npa()).q
+        b = solve_vdd(BaTreeSpec()).q
         assert a.min_degree == b.min_degree
         assert np.array_equal(a.probs, b.probs)
 
@@ -620,7 +620,7 @@ class TestGrowComposite:
     def test_edge_counts_sum(self):
         spec = self._spec(3000)
         g = grow_composite(spec, RngStream(9))
-        tree = grow_npa(BaTreeSpec().to_npa(), 1050, RngStream(9).substream(0))
+        tree = grow_npa(BaTreeSpec(), 1050, RngStream(9).substream(0))
         comp = grow_npa(spec.components[1][0], 1950, RngStream(9).substream(1))
         assert g.edge_count == tree.edge_count + comp.edge_count
 

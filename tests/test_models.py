@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from npagraph import (AerModelSpec, BaTreeSpec, CompositeSpec, DegreeDistribution,
                       EdgeDegreeMatrix, Graph, IncrementDistribution, NpaModelSpec,
-                      SeedGraphSpec, ValidationError, WeightFunction, dump_model,
-                      load_model, validate_model)
+                      RngStream, SeedGraphSpec, ValidationError, WeightFunction,
+                      dump_model, grow_npa, load_model, solve_vdd, validate_model)
 
 GOWALLA_M = 7.376292489902686  # frozen: mean of the normalized preset table
 
@@ -131,7 +131,7 @@ class TestIncrementDistribution:
 
 class TestValidateModel:
     def test_ba_tree_valid_and_idempotent(self):
-        spec = BaTreeSpec().to_npa()
+        spec = BaTreeSpec()
         assert validate_model(spec) is spec
         assert validate_model(validate_model(spec)) is spec
 
@@ -168,7 +168,7 @@ class TestValidateModel:
         spec = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
-            seed_graph=SeedGraphSpec(name=None, vertices=2, edges=()))
+            seed_graph=SeedGraphSpec(vertices=2, edges=()))
         with pytest.raises(ValidationError) as err:
             validate_model(spec)
         assert "SeedWeightZero" in err.value.codes()
@@ -181,7 +181,7 @@ class TestValidateModel:
         spec = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
-            seed_graph=SeedGraphSpec(name=None, vertices=vertices, edges=edges))
+            seed_graph=SeedGraphSpec(vertices=vertices, edges=edges))
         with pytest.raises(ValidationError) as err:
             validate_model(spec)
         assert err.value.codes() == ["SeedIdOutOfRange"]
@@ -196,7 +196,7 @@ class TestValidateModel:
         spec = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
-            seed_graph=SeedGraphSpec(name=None, vertices=-1, edges=()))
+            seed_graph=SeedGraphSpec(vertices=-1, edges=()))
         with pytest.raises(ValidationError) as err:
             validate_model(spec)
         assert err.value.codes() == ["EmptySupport"]
@@ -209,7 +209,7 @@ class TestValidateModel:
             Graph(-1, [])
 
     def test_seed_ids_in_range_build(self):
-        seed = SeedGraphSpec(name=None, vertices=3, edges=((0, 2), (1, 2)))
+        seed = SeedGraphSpec(vertices=3, edges=((0, 2), (1, 2)))
         assert seed.violations() == []
         assert seed.build(1).vertex_count == 3
 
@@ -217,7 +217,7 @@ class TestValidateModel:
         spec = NpaModelSpec(
             weights=WeightFunction.linear(g=1),
             increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
-            seed_graph=SeedGraphSpec(name=None, vertices=None, edges=()))
+            seed_graph=SeedGraphSpec(vertices=None, edges=()))
         with pytest.raises(ValidationError) as err:
             validate_model(spec)
         assert "SeedWeightZero" in err.value.codes()
@@ -234,12 +234,11 @@ class TestValidateModel:
 
     @pytest.mark.parametrize("name", ["star", None])
     def test_unknown_seed_graph_name(self, name):
-        spec = NpaModelSpec(
-            weights=WeightFunction.linear(g=1),
-            increments=IncrementDistribution(min_arcs=1, probs=(1.0,)),
-            seed_graph=SeedGraphSpec(name=name))
         with pytest.raises(ValidationError) as err:
-            validate_model(spec)
+            load_model(json.dumps({
+                "type": "npa", "weights": {"g": 1, "rule": "linear"},
+                "increments": {"min_arcs": 1, "probs": [1.0]},
+                "seed_graph": {"name": name}}))
         assert err.value.codes() == ["EmptySupport"]
         assert repr(name) in str(err.value)
 
@@ -448,6 +447,22 @@ class TestSerialization:
     def test_aer_round_trip(self):
         spec = AerModelSpec(n1=35000, a=2.75)
         assert load_model(dump_model(spec)) == spec
+
+    def test_ba_tree_is_the_law_it_names(self):
+        """BaTreeSpec holds the linear-weight single-arc law, solves and
+        grows as that plain spec does, and differs from it in type alone."""
+        ba = BaTreeSpec()
+        npa = NpaModelSpec(WeightFunction.linear(g=1), IncrementDistribution(1, (1.0,)))
+        assert astuple(ba) == astuple(npa)
+        a, b = solve_vdd(ba), solve_vdd(npa)
+        assert a.q.probs.tobytes() == b.q.probs.tobytes()
+        assert a.mean_weight == b.mean_weight
+        assert np.array_equal(grow_npa(ba, 3000, RngStream(11)).pairs,
+                              grow_npa(npa, 3000, RngStream(11)).pairs)
+        assert json.loads(dump_model(ba)) == {"type": "ba_tree"}
+        assert json.loads(dump_model(npa))["type"] == "npa"
+        assert type(load_model(dump_model(ba))) is BaTreeSpec
+        assert type(load_model(dump_model(npa))) is NpaModelSpec
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):

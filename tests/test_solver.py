@@ -30,7 +30,7 @@ def ba_closed_form(k):
 
 @pytest.fixture(scope="module")
 def ba_solution():
-    return solve_vdd(BaTreeSpec().to_npa())
+    return solve_vdd(BaTreeSpec())
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +476,7 @@ class TestArcKernel:
         # far cells (all below 1e-47) that the recurrence keeps positive.
         # Rows beyond l = 173 fall below the smallest normal double, where
         # values keep only a few bits, so the comparison stops there.
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         got = solve_arc_dd(model, ba_solution, 300, "printed").entries
         ref, _ = arc_reference(model, ba_solution, 300, "printed")
         normal = ref >= np.finfo(np.float64).tiny
@@ -488,38 +488,38 @@ class TestArcKernel:
 
 class TestSolveArcDd:
     def test_deterministic_bit_identical(self, ba_solution):
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         a = solve_arc_dd(model, ba_solution, 20)
         b = solve_arc_dd(model, ba_solution, 20)
         assert np.array_equal(a.entries, b.entries)
 
     def test_entries_nonnegative(self, ba_solution):
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         for variant in ("printed", "mean-weight"):
             mat = solve_arc_dd(model, ba_solution, 30, variant)
             assert (mat.entries >= 0.0).all()
 
     def test_head_degree_one_impossible(self, ba_solution):
         # An arc's head gains the arc itself on top of at least degree g.
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         mat = solve_arc_dd(model, ba_solution, 15)
         assert np.all(mat.entries[:, 0] == 0.0)
 
     def test_printed_head_values(self, ba_solution):
         # Hand-unrolled from the printed recurrence at l = 1:
         # Q_{1,2} = f_1 * 1 * r_1 * Q_1 / (1*f_1 + f_2 + f_1) = (2/3)/4
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         mat = solve_arc_dd(model, ba_solution, 10, "printed")
         assert mat.entries[0, 1] == pytest.approx((2.0 / 3.0) / 4.0, abs=1e-9)
 
     def test_mean_weight_variant_head_values(self, ba_solution):
         # Same cell under the mass-conserving denominator: (2/3)/5.
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         mat = solve_arc_dd(model, ba_solution, 10, "mean-weight")
         assert mat.entries[0, 1] == pytest.approx((2.0 / 3.0) / 5.0, abs=1e-9)
 
     def test_row_tails_decay(self, ba_solution):
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         mat = solve_arc_dd(model, ba_solution, 40, "mean-weight")
         for row in mat.entries[:5]:
             mode = int(row.argmax())
@@ -527,7 +527,7 @@ class TestSolveArcDd:
             assert np.all(np.diff(tail) <= 1e-15)
 
     def test_mass_conservation_mean_weight_variant(self, ba_solution):
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         mat = solve_arc_dd(model, ba_solution, 300, "mean-weight")
         # Missing mass is genuine truncation, bounded by the size-biased tail.
         assert 0.0 < mat.truncation_mass < 0.02
@@ -560,7 +560,7 @@ class TestSolveArcDd:
             assert np.abs(mat - exact).max() > 0.01
 
     def test_printed_variant_mass_excess_reported(self, ba_solution):
-        model = BaTreeSpec().to_npa()
+        model = BaTreeSpec()
         mat = solve_arc_dd(model, ba_solution, 300, "printed")
         # The printed denominator does not conserve mass; the surplus shows
         # up as a negative truncation remainder instead of being hidden.
@@ -610,7 +610,7 @@ class TestSolveArcDd:
 
     def test_unknown_variant_rejected(self, ba_solution):
         with pytest.raises(ValueError, match="unknown recurrence variant"):
-            solve_arc_dd(BaTreeSpec().to_npa(), ba_solution, 20, "bogus")
+            solve_arc_dd(BaTreeSpec(), ba_solution, 20, "bogus")
 
 
 class TestSymmetrize:
@@ -792,7 +792,7 @@ def csv_file(tmp_path_factory):
 
 class TestCsv:
     def test_vdd_round_trip(self, csv_file):
-        sol = solve_vdd(BaTreeSpec().to_npa(), k_max=50)
+        sol = solve_vdd(BaTreeSpec(), k_max=50)
         back = vdd_from_csv(csv_file(vdd_to_csv(sol.q)))
         assert np.array_equal(back.probs, sol.q.probs)
         assert back.min_degree == sol.q.min_degree
