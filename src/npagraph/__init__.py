@@ -11,7 +11,7 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.38.0"
+__version__ = "0.39.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyInput", "InfeasibleComplement",

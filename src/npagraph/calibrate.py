@@ -8,9 +8,10 @@ between the model's edge degree matrix and the empirical one over the
 target's degree window [g, u], plus the total-variation error of the vertex
 degree distribution.
 Natural linear weights are tried first; a parametric power-weight family is
-only brought in when the linear phase misses tolerance, its exponent found
-by a golden-section search, and on ties the model with fewer free
-parameters wins. Nothing here needs more than numpy. Settings that no
+only brought in when the linear phase misses tolerance, and on ties the
+model with fewer free parameters wins. One driver, _search, searches every
+calibrated parameter, the power exponent and a composite's vertex share, by
+golden sections. Nothing here needs more than numpy. Settings that no
 workflow varies are the module constants below; the others are arguments of
 the function that reads them.
 """
@@ -69,7 +70,6 @@ class CalibrationTarget:
     edd: EdgeDegreeMatrix
     u: int
     mean_increment: float | None = None
-    source_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.u <= self.vdd.min_degree:
@@ -422,9 +422,9 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     1 fixes natural linear weights, whose mean weight is phi = 2m by the
     control identity, and inverts the vertex recurrence for {r_k}. Phase 2,
     entered only in "table-free" mode when phase 1 misses PHASE2_THRESHOLD,
-    searches the exponent alpha of f_k = k**alpha over (0, 1] by golden
-    sections; at each alpha, phi is the target's sum f_k Q_k and {r_k}
-    is inverted again. Uncapped superlinear weights have no stationary
+    searches the exponent alpha of f_k = k**alpha over (0, 1] by _search,
+    logged in alpha_grid; at each alpha, phi is the target's sum f_k Q_k
+    and {r_k} is inverted again. Uncapped superlinear weights have no stationary
     distribution, so the range loses nothing. Every candidate is fitted,
     scored and, when its increment fit or solve fails, skipped by _fit;
     when every one fails, SolverFailure is raised.
@@ -434,17 +434,11 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     m = min(max(target.m, float(R_MIN)), float(r_max))
     trace = OptimizerTrace()
     best = _fit(target, WeightFunction.linear(g=R_MIN), m, r_max, trace)
-    phase = 1
+    phase, searched = 1, {}
     if weight_mode == "table-free" and _objective(best) > PHASE2_THRESHOLD:
-        fits = []
-
-        def at(alpha: float) -> float:
-            fits.append(_fit(target, WeightFunction.power(alpha, g=R_MIN), m,
-                             r_max, trace))
-            return _objective(fits[-1])
-
-        _golden_section(at, ALPHA_MIN, 1.0, ALPHA_XATOL)
-        alt = min(fits, key=_objective)
+        alt, _, searched["alpha_grid"] = _search(
+            lambda alpha: _fit(target, WeightFunction.power(alpha, g=R_MIN), m,
+                               r_max, trace), ALPHA_MIN, 1.0, ALPHA_XATOL, "alpha")
         # Strictly better only: on ties the model with fewer parameters wins.
         if _objective(alt) < _objective(best):
             best, phase = alt, 2
@@ -457,29 +451,64 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
         "mean_increment": best.model.increments.mean,
         "mean_increment_target": m,
         "window": [target.g, target.u],
-        "target_meta": dict(target.source_meta),
         "recurrence_variant": VARIANTS[0],
+        **searched,
     })
     if phase == 2:
         best.report["weight_exponent"] = best.model.weights.alpha
     return best
 
 
-def _golden_section(f, a: float, b: float, xatol: float) -> tuple:
-    """Narrow [a, b] around a minimum of f until it is at most xatol wide,
-    one new evaluation per step (Kiefer, Proc. AMS 4, 502 (1953)); return it."""
+def _search(fit_at, lo: float, hi: float, xatol: float, name: str, point=None):
+    """(best, its parameter, grid): golden sections narrow [lo, hi] around a
+    minimum of the objective to a bracket at most xatol wide, one new probe
+    per step (Kiefer, Proc. AMS 4, 502 (1953)); the best is the least
+    objective fitted, the lowest parameter on ties.
+
+    Without point, probe x is the parameter. With it, x indexes the lattice
+    point(i): each probe is snapped to the nearest i, and every point left
+    in the final bracket is then fitted. Probes in a wider bracket lie over
+    a point apart, so this finds the lattice's best if it has one local
+    minimum, as every measured target has. A skipped candidate scores
+    infinity, so a tie of two skipped probes moves the bracket down.
+    fit_at(p) runs once per parameter p, and grid logs each fit in order:
+    {name: p} with its "objective", or the reason it was "skipped", a
+    solver failure's (counted in the trace) by its class and message.
+    """
+    fits, grid = {}, []
+
+    def at(x: float) -> float:
+        p = x if point is None else point(int(round(x)))
+        if p not in fits:
+            fits[p] = candidate = fit_at(p)
+            entry = {name: p}
+            if isinstance(candidate, CalibrationResult):
+                entry["objective"] = candidate.objective
+            else:
+                entry["skipped"] = (f"{type(candidate).__name__}: {candidate}"
+                                    if isinstance(candidate, SolverFailure)
+                                    else str(candidate))
+                log.info("%s = %.4f skipped: %s", name, p, entry["skipped"])
+            grid.append(entry)
+        return _objective(fits[p])
+
+    a, b = lo, hi
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = at(c), at(d)
     while b - a > xatol:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
-            fc = f(c)
+            fc = at(c)
         else:
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return a, b
+            fd = at(d)
+    if point is not None:
+        for i in range(math.ceil(a), math.floor(b) + 1):
+            at(i)
+    best = min(fits, key=lambda p: (_objective(fits[p]), p))
+    return fits[best], best, grid
 
 
 # ---------------------------------------------------------------------------
@@ -564,65 +593,31 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
 
     For each candidate vertex fraction rho, _fit forms the complement's
     target vertex distribution and mean from the mixture equations, inverts
-    them for its increments and scores the mixed model. A rho that _fit
-    skips scores infinity and is logged in the grid with its reason, a
-    solver failure's (counted in the trace) by its class and message.
-    The candidates are the lattice rho_min + i h <= rho_max, h = rho_step /
-    RHO_REFINE_FACTOR, rounded to 12 decimals. _golden_section, each probe
-    snapped to the nearest point, narrows it to a bracket at most rho_step
-    wide, whose points are then all fitted; the best wins, the lowest rho
-    on ties. Probes in a wider bracket lie over a point apart, so this
-    finds the lattice's best if it has one local minimum, as every target
-    measured has. The complement mean (m - rho m1) / (1 - rho) is monotone
-    in rho and m at rho = 0, so the rhos skipped for it form one block at
-    the top: a tie of two infinite probes moves the bracket down.
-    The winner's rho is its lattice point, and its complement mean follows
-    from the mixture equations, as in _fit.
+    them for its increments and scores the mixed model. _search tries the
+    lattice rho_min + i h <= rho_max, h = rho_step / RHO_REFINE_FACTOR,
+    rounded to 12 decimals, to a bracket at most rho_step wide, and logs
+    each rho in the grid. The complement mean (m - rho m1) / (1 - rho) is
+    monotone in rho and m at rho = 0, so the rhos skipped for it form one
+    block at the top, which the search leaves downwards. The winner's
+    complement mean follows from the mixture equations, as in _fit.
     rho is the first component's vertex share of the written graph; the
     composite, written for TOTAL_N vertices, gives it the growth budget
     rho / (kept (1 - rho) + rho) whose pruned graph holds that share.
     """
     profile = component_profile(first, target.u, K_MAX)
     linear = WeightFunction.linear(g=R_MIN)
-
     h = rho_step / RHO_REFINE_FACTOR
-    fits: dict[int, CalibrationResult | NpaGraphError] = {}
-    grid_log: list[dict] = []
     trace = OptimizerTrace()
-
-    def rho_at(i: int) -> float:
-        return round(rho_min + i * h, 12)
-
-    def at(x: float) -> float:
-        i = int(round(x))
-        if i not in fits:
-            rho = rho_at(i)
-            fits[i] = candidate = _fit(target, linear, target.m, r_max, trace,
-                                       profile, rho)
-            entry = {"rho": rho}
-            if isinstance(candidate, CalibrationResult):
-                entry["objective"] = candidate.objective
-            else:
-                entry["skipped"] = (f"{type(candidate).__name__}: {candidate}"
-                                    if isinstance(candidate, SolverFailure)
-                                    else str(candidate))
-                log.info("rho = %.4f skipped: %s", rho, entry["skipped"])
-            grid_log.append(entry)
-        return _objective(fits[i])
-
-    a, b = _golden_section(at, 0, int((rho_max - rho_min) / h + 1e-9),
-                           RHO_REFINE_FACTOR)
-    for i in range(math.ceil(a), math.floor(b) + 1):
-        at(i)
-    i_best = min(fits, key=lambda i: (_objective(fits[i]), i))
-    best = fits[i_best]
+    best, rho, grid = _search(
+        lambda rho: _fit(target, linear, target.m, r_max, trace, profile, rho),
+        0, int((rho_max - rho_min) / h + 1e-9), RHO_REFINE_FACTOR, "rho",
+        lambda i: round(rho_min + i * h, 12))
     if not isinstance(best, CalibrationResult):
         raise AllRhoInfeasible(
             "no vertex fraction searched admitted a feasible complement"
             + "".join(f"; {count} failed with {name}"
                       for name, count in trace.failure_types.items()))
 
-    rho = rho_at(i_best)
     complement: NpaModelSpec = best.model
     m2 = complement.increments.mean
     m_mix = rho * profile.m + (1.0 - rho) * m2
@@ -639,9 +634,8 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
         "m_total_target": target.m,
         "m_complement_target": complement_mean(target.m, profile.m, rho),
         "m_complement_achieved": m2,
-        "grid": grid_log,
+        "grid": grid,
         "window": [target.g, target.u],
-        "target_meta": dict(target.source_meta),
         "recurrence_variant": VARIANTS[0],
     }
     return replace(best, model=composite, report=report)

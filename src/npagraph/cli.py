@@ -163,8 +163,7 @@ def cmd_calibrate(params: dict, out: Path) -> None:
     if u is None:
         u = meta.get("selected_u") or select_u(edd)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
-                               mean_increment=meta.get("derived_m"),
-                               source_meta=meta)
+                               mean_increment=meta.get("derived_m"))
     r_max = params["rmax"]
     if params["mode"] == "single":
         result = calibrate_single(target, params["weights"], r_max)
@@ -181,7 +180,7 @@ def cmd_calibrate(params: dict, out: Path) -> None:
         "evaluations": result.iterations.evaluations,
         "solver_failures": result.iterations.solver_failures,
         "failure_types": result.iterations.failure_types,
-        "details": result.report,
+        "details": {**result.report, "target_meta": meta},
     })
 
 

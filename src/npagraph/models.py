@@ -146,6 +146,7 @@ class WeightFunction:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "WeightFunction":
+        _known(d, "g", "M", "rule", "alpha", "value", "table")
         return cls(g=_read(d, "g", int), M=_read(d, "M", int, None),
                    rule=d.get("rule"), alpha=_read(d, "alpha", float, 1.0),
                    value=_read(d, "value", float, 1.0),
@@ -198,6 +199,7 @@ class IncrementDistribution:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "IncrementDistribution":
+        _known(d, "min_arcs", "probs")
         return cls(min_arcs=_read(d, "min_arcs", int),
                    probs=_read(d, "probs", _floats))
 
@@ -466,6 +468,7 @@ class SeedGraphSpec:
         """An edge list, or the default, the one name there is."""
         edges = _read(d, "edges", lambda es: tuple((int(a), int(b))
                                                    for a, b in es), None)
+        _known(d, *(("vertices", "edges") if edges is not None else ("name",)))
         if edges is not None:
             return cls(vertices=_read(d, "vertices", int, None), edges=edges)
         name = d.get("name", "default")
@@ -665,31 +668,44 @@ def _read(d: Mapping, key: str, convert: Callable, *default):
     raise ValidationError([Violation("MalformedSpec", problem)])
 
 
+def _known(d: Mapping, *keys: str) -> Mapping:
+    """d; ValidationError naming each key of the object d not in keys."""
+    unknown = [key for key in d if key not in keys] if isinstance(d, Mapping) else []
+    if unknown:
+        raise ValidationError([Violation(
+            "MalformedSpec", f"unknown keys {unknown}; known keys {list(keys)}")])
+    return d
+
+
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
 def model_from_dict(d: Mapping) -> ModelSpec:
-    """The spec a JSON object describes. A malformed object (a missing key,
-    a value of the wrong kind, not an object at all) raises ValidationError
-    naming the key, as does an unknown type; the invariants are checked by
-    validate_model."""
+    """The spec a JSON object describes. A malformed object (a missing or
+    unknown key, a value of the wrong kind, not an object at all) raises
+    ValidationError naming the key, as does an unknown type; the invariants
+    are checked by validate_model. A composite's metadata is free-form."""
     kind = _read(d, "type", str, None)
     if kind == "npa":
+        _known(d, "type", "weights", "increments", "seed_graph")
         return NpaModelSpec(
             weights=_read(d, "weights", WeightFunction.from_dict),
             increments=_read(d, "increments", IncrementDistribution.from_dict),
             seed_graph=_read(d, "seed_graph", SeedGraphSpec.from_dict,
                              SeedGraphSpec()))
     if kind == "ba_tree":
+        _known(d, "type")
         return BaTreeSpec()
     if kind == "aer":
+        _known(d, "type", "n1", "a")
         return AerModelSpec(n1=_read(d, "n1", int), a=_read(d, "a", float))
     if kind == "composite":
+        _known(d, "type", "components", "total_n", "metadata")
         return CompositeSpec(
             components=_read(d, "components", lambda cs: tuple(
-                (_read(c, "model", model_from_dict), _read(c, "rho", float))
-                for c in cs)),
+                (_read(_known(c, "model", "rho"), "model", model_from_dict),
+                 _read(c, "rho", float)) for c in cs)),
             total_n=_read(d, "total_n", int),
             metadata=_read(d, "metadata", dict, {}))
     raise ValidationError([Violation("EmptySupport", f"unknown model type {kind!r}")])

@@ -99,6 +99,19 @@ def test_only_growth_and_models_read_degrees():
     assert readers == {"models", "growth"}
 
 
+def test_only_search_runs_a_golden_section():
+    """calibrate reads GOLDEN only inside _search, the one driver of every
+    calibrated parameter's search: a new search calls it instead of running
+    its own golden sections."""
+    tree = ast.parse((PACKAGE / "calibrate.py").read_text())
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_search"
+              for node in ast.walk(fn)}
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "GOLDEN" and isinstance(node.ctx, ast.Load)]
+    assert reads and all(id(node) in inside for node in reads)
+
+
 LAYERS = {"errors": 0, "constants": 0, "models": 1, "formats": 2, "solver": 2,
           "growth": 2, "calibrate": 3, "cli": 4}
 

@@ -270,6 +270,14 @@ class TestOptimizerTrace:
         trace = res.iterations
         assert (trace.evaluations, trace.solver_failures) == (len(calls), 1)
         assert trace.failure_types == {"NoConvergence": 1}
+        # The failed exponent, the first probed, is the log's only skipped
+        # entry, named by its class; the winner has the least objective.
+        grid = res.report["alpha_grid"]
+        assert grid[0]["skipped"].startswith("NoConvergence:")
+        assert [e for e in grid if "skipped" in e] == grid[:1]
+        assert trace.evaluations == 1 + len(grid)
+        assert res.report["weight_exponent"] == min(
+            grid[1:], key=lambda e: e["objective"])["alpha"]
 
     def test_composite_skips_a_rho_whose_increment_fit_fails(self, monkeypatch):
         # The increment fit fails at rho = 0.25 only: that rho is skipped,
@@ -394,6 +402,17 @@ class TestCalibrateSingle:
         assert full.report["phase"] == 2
         assert full.report["weight_exponent"] == pytest.approx(0.8, abs=1e-4)
         assert full.iterations.evaluations <= 30
+        # alpha_grid logs each exponent once, in probe order from the two
+        # golden points of [ALPHA_MIN, 1], and the winner is the one of
+        # least objective.
+        grid = full.report["alpha_grid"]
+        alphas = [e["alpha"] for e in grid]
+        width = calibrate.GOLDEN * (1.0 - calibrate.ALPHA_MIN)
+        assert alphas[:2] == [1.0 - width, calibrate.ALPHA_MIN + width]
+        assert len(set(alphas)) == len(alphas)
+        assert full.iterations.evaluations == 1 + len(grid)
+        assert full.report["weight_exponent"] == min(
+            grid, key=lambda e: e["objective"])["alpha"]
         obj_linear = linear_only.distance + linear_only.vdd_tv_error
         obj_full = full.distance + full.vdd_tv_error
         assert obj_full < obj_linear

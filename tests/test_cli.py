@@ -318,7 +318,20 @@ class TestGenerateCommand:
         ([1, 2], "expected a JSON object holding 'type', got [1, 2]"),
         ({"type": "npa", "weights": {"g": 1, "rule": "linear"},
           "increments": {"min_arcs": 1, "probs": "ab"}}, "key 'probs' holds 'ab'"),
-    ], ids=["missing_key", "non_numeric", "not_an_object", "probs_string"])
+        # A misspelt key is rejected, not read as the default of the key
+        # meant: f_k = k, an AER model without a share, the default seed.
+        ({"type": "npa", "weights": {"g": 1, "rule": "power", "alpah": 0.5},
+          "increments": {"min_arcs": 1, "probs": [1.0]}},
+         "unknown keys ['alpah']; known keys ['g', 'M', 'rule', 'alpha', "
+         "'value', 'table']"),
+        ({"type": "aer", "n1": 200, "a": 2.0, "rho": 0.3},
+         "unknown keys ['rho']; known keys ['type', 'n1', 'a']"),
+        ({"type": "npa", "weights": {"g": 1, "rule": "linear"},
+          "increments": {"min_arcs": 1, "probs": [1.0]},
+          "seed_graph": {"vertices": 5}},
+         "unknown keys ['vertices']; known keys ['name']"),
+    ], ids=["missing_key", "non_numeric", "not_an_object", "probs_string",
+            "unknown_weights_key", "unknown_aer_key", "unknown_seed_key"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, spec, key):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
