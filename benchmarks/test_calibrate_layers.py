@@ -82,9 +82,9 @@ def test_table_free_single_fit(benchmark):
     target = CalibrationTarget(vdd=q, edd=theta, u=U,
                                mean_increment=model.increments.mean)
     res = benchmark(calibrate_single, target, "table-free", r_max=3)
-    benchmark.extra_info["fits"] = res.iterations.evaluations
+    benchmark.extra_info["fits"] = res.evaluations
     assert res.report["phase"] == 2
-    assert res.iterations.evaluations == 27
+    assert res.evaluations == 27
 
 
 def test_composite_one_rho(benchmark, composite_target):

@@ -11,7 +11,7 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.39.0"
+__version__ = "0.40.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyInput", "InfeasibleComplement",
@@ -31,7 +31,7 @@ _EXPORTS = {
                "grow_composite", "grow_npa", "measure_edd", "measure_vdd",
                "summarize"),
     "formats": ("load_edge_list", "write_edge_list"),
-    "calibrate": ("CalibrationResult", "CalibrationTarget", "OptimizerTrace",
+    "calibrate": ("CalibrationResult", "CalibrationTarget",
                   "calibrate_composite", "calibrate_single"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -11,9 +11,10 @@ Natural linear weights are tried first; a parametric power-weight family is
 only brought in when the linear phase misses tolerance, and on ties the
 model with fewer free parameters wins. One driver, _search, searches every
 calibrated parameter, the power exponent and a composite's vertex share, by
-golden sections. Nothing here needs more than numpy. Settings that no
-workflow varies are the module constants below; the others are arguments of
-the function that reads them.
+golden sections; a fit's counts are read off the candidates it tried.
+Nothing here needs more than numpy. Settings that no workflow varies are
+the module constants below; the others are arguments of the function that
+reads them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .constants import R_MIN, TOTAL_N, VARIANTS
+from .constants import R_MIN, RHO_REFINE_FACTOR, TOTAL_N, VARIANTS
 from .errors import (AllRhoInfeasible, InfeasibleComplement, NoConvergence,
                      NpaGraphError, SolverFailure, WindowExceedsMatrix)
 from .models import (AerModelSpec, CompositeSpec, DegreeDistribution,
@@ -43,7 +44,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # share of a bracket kept per section
 PHASE2_THRESHOLD = 1e-3  # table-free fits search alpha above this objective
 AER_REPS = 10  # replicates pooled into the profile of an AER first component
 AER_SEED = 987654321
-RHO_REFINE_FACTOR = 5  # a composite's rho lattice is this much finer than rho_step
 # The increment fit took at most 139 pivots, 0.27 per column, on 900 random
 # noisy and exact targets with r_max up to 200 and u up to 500.
 SIMPLEX_PIVOTS_PER_COLUMN = 10
@@ -95,44 +95,27 @@ class CalibrationTarget:
 
 
 @dataclass
-class OptimizerTrace:
-    """Summary of the candidate models a calibration tried.
-
-    evaluations counts every candidate that could be formed, scored or
-    failed; failure_types those whose increment fit or solve failed, by
-    exception class name, and solver_failures their sum.
-    """
-
-    evaluations: int = 0
-    failure_types: dict = field(default_factory=dict)
-
-    @property
-    def solver_failures(self) -> int:
-        return sum(self.failure_types.values())
-
-    def record_failure(self, exc: Exception) -> None:
-        """One candidate's increment fit or solve failed with this error."""
-        self.evaluations += 1
-        name = type(exc).__name__
-        self.failure_types[name] = self.failure_types.get(name, 0) + 1
-
-
-@dataclass
 class CalibrationResult:
     """The fitted model and its scores; component_profile(model, u) gives
-    back the edge matrix its distance was taken from."""
+    back the edge matrix its distance was taken from. The counts are those
+    of the candidates its fit tried (_tally); solver_failures sums failure_types."""
 
     model: Union[NpaModelSpec, CompositeSpec]
     distance: float
     vdd_tv_error: float
-    iterations: OptimizerTrace
     report: dict = field(default_factory=dict)
+    evaluations: int = 0
+    failure_types: dict = field(default_factory=dict)
 
     @property
     def objective(self) -> float:
         """What calibration minimises: the VDD error plus the edge-matrix
         distance."""
         return self.vdd_tv_error + self.distance
+
+    @property
+    def solver_failures(self) -> int:
+        return sum(self.failure_types.values())
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +343,7 @@ def _mean_weight(q: DegreeDistribution, weight: WeightFunction) -> float:
 # ---------------------------------------------------------------------------
 
 def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
-         r_max: int, trace: OptimizerTrace, first: ComponentProfile | None = None,
+         r_max: int, first: ComponentProfile | None = None,
          rho: float = 0.0) -> CalibrationResult | NpaGraphError:
     """The candidate with these weights whose increments, of mean m, invert
     the target's VDD, solved, mixed at vertex share rho with the first
@@ -376,9 +359,9 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
 
     One failure rule for every candidate: one that cannot be formed, its
     mean outside [R_MIN, r_max] (InfeasibleComplement), is skipped before
-    any solve and not counted; a SolverFailure of its increment fit or of
-    its solve is recorded in the trace, and the candidate is skipped. The
-    trace counts every candidate that solves.
+    any solve; one whose increment fit or solve fails returns that
+    SolverFailure and is skipped. Nothing is counted here: each fit counts
+    the candidates it tried by _tally, which leaves out the first kind.
     """
     q = target.vdd
     try:
@@ -389,16 +372,12 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
         model = NpaModelSpec(weights=weight, increments=_invert_vdd(
             q, weight, m, phi, target.u, r_max))
         fit = component_profile(model, target.u, K_MAX)
-    except InfeasibleComplement as exc:
+    except (InfeasibleComplement, SolverFailure) as exc:
         return exc
-    except SolverFailure as exc:
-        trace.record_failure(exc)
-        return exc
-    trace.evaluations += 1
     scored = fit if first is None else _mix([(first, rho), (fit, 1.0 - rho)])
     return CalibrationResult(
         model=model, distance=edd_distance(scored.edd, target.edd, target.g, target.u),
-        vdd_tv_error=scored.vdd.tv_distance(target.vdd), iterations=trace,
+        vdd_tv_error=scored.vdd.tv_distance(target.vdd),
         report={"mean_weight": fit.record["mean_weight"],
                 "control_residual": fit.record["control_residual"]})
 
@@ -408,6 +387,22 @@ def _objective(candidate: CalibrationResult | NpaGraphError) -> float:
     if isinstance(candidate, CalibrationResult):
         return candidate.objective
     return math.inf
+
+
+def _tally(tried) -> dict:
+    """A fit's counts of the candidates it tried: evaluations those that solved
+    or failed, failure_types the SolverFailures by class name. One that could
+    not be formed (InfeasibleComplement) is not counted."""
+    failures = [type(c).__name__ for c in tried if isinstance(c, SolverFailure)]
+    return {"evaluations": len(failures) + sum(
+                isinstance(c, CalibrationResult) for c in tried),
+            "failure_types": {name: failures.count(name) for name in failures}}
+
+
+def _failed(message: str, counts: dict) -> str:
+    """message, then "; N failed with <Class>" for each class of failure."""
+    return message + "".join(f"; {count} failed with {name}"
+                             for name, count in counts["failure_types"].items())
 
 
 # ---------------------------------------------------------------------------
@@ -427,23 +422,26 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     and {r_k} is inverted again. Uncapped superlinear weights have no stationary
     distribution, so the range loses nothing. Every candidate is fitted,
     scored and, when its increment fit or solve fails, skipped by _fit;
-    when every one fails, SolverFailure is raised.
+    when every one fails, SolverFailure names the failures by class. The
+    result counts the phase-1 candidate and those of the exponent search.
     """
     if weight_mode not in ("linear", "table-free"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     m = min(max(target.m, float(R_MIN)), float(r_max))
-    trace = OptimizerTrace()
-    best = _fit(target, WeightFunction.linear(g=R_MIN), m, r_max, trace)
-    phase, searched = 1, {}
+    tried = [_fit(target, WeightFunction.linear(g=R_MIN), m, r_max)]
+    best, phase, searched = tried[0], 1, {}
     if weight_mode == "table-free" and _objective(best) > PHASE2_THRESHOLD:
-        alt, _, searched["alpha_grid"] = _search(
+        alpha, fits, searched["alpha_grid"] = _search(
             lambda alpha: _fit(target, WeightFunction.power(alpha, g=R_MIN), m,
-                               r_max, trace), ALPHA_MIN, 1.0, ALPHA_XATOL, "alpha")
+                               r_max), ALPHA_MIN, 1.0, ALPHA_XATOL, "alpha")
+        tried += fits.values()
         # Strictly better only: on ties the model with fewer parameters wins.
-        if _objective(alt) < _objective(best):
-            best, phase = alt, 2
+        if _objective(fits[alpha]) < _objective(best):
+            best, phase = fits[alpha], 2
     if not isinstance(best, CalibrationResult):
-        raise SolverFailure("every candidate model failed to solve") from best
+        raise SolverFailure(_failed("every candidate model failed to solve",
+                                    _tally(tried))) from best
+    best = replace(best, **_tally(tried))
     best.report.update({
         "weight_mode": weight_mode,
         "phase": phase,
@@ -460,10 +458,11 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
 
 
 def _search(fit_at, lo: float, hi: float, xatol: float, name: str, point=None):
-    """(best, its parameter, grid): golden sections narrow [lo, hi] around a
+    """(parameter, fits, grid): golden sections narrow [lo, hi] around a
     minimum of the objective to a bracket at most xatol wide, one new probe
-    per step (Kiefer, Proc. AMS 4, 502 (1953)); the best is the least
-    objective fitted, the lowest parameter on ties.
+    per step (Kiefer, Proc. AMS 4, 502 (1953)); the parameter is that of the
+    least objective fitted, the lowest on ties, and fits maps each parameter
+    fitted to its candidate, in fit order.
 
     Without point, probe x is the parameter. With it, x indexes the lattice
     point(i): each probe is snapped to the nearest i, and every point left
@@ -473,7 +472,7 @@ def _search(fit_at, lo: float, hi: float, xatol: float, name: str, point=None):
     infinity, so a tie of two skipped probes moves the bracket down.
     fit_at(p) runs once per parameter p, and grid logs each fit in order:
     {name: p} with its "objective", or the reason it was "skipped", a
-    solver failure's (counted in the trace) by its class and message.
+    solver failure's by its class and message.
     """
     fits, grid = {}, []
 
@@ -507,8 +506,7 @@ def _search(fit_at, lo: float, hi: float, xatol: float, name: str, point=None):
     if point is not None:
         for i in range(math.ceil(a), math.floor(b) + 1):
             at(i)
-    best = min(fits, key=lambda p: (_objective(fits[p]), p))
-    return fits[best], best, grid
+    return min(fits, key=lambda p: (_objective(fits[p]), p)), fits, grid
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +593,11 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     target vertex distribution and mean from the mixture equations, inverts
     them for its increments and scores the mixed model. _search tries the
     lattice rho_min + i h <= rho_max, h = rho_step / RHO_REFINE_FACTOR,
-    rounded to 12 decimals, to a bracket at most rho_step wide, and logs
-    each rho in the grid. The complement mean (m - rho m1) / (1 - rho) is
-    monotone in rho and m at rho = 0, so the rhos skipped for it form one
-    block at the top, which the search leaves downwards. The winner's
-    complement mean follows from the mixture equations, as in _fit.
+    rounded to 12 decimals, to a bracket at most rho_step wide; the grid
+    logs each rho, and the result counts them. The complement mean
+    (m - rho m1) / (1 - rho) is monotone in rho and m at rho = 0, so the
+    rhos skipped for it form one block at the top, which the search leaves
+    downwards; the winner's follows from the mixture equations, as in _fit.
     rho is the first component's vertex share of the written graph; the
     composite, written for TOTAL_N vertices, gives it the growth budget
     rho / (kept (1 - rho) + rho) whose pruned graph holds that share.
@@ -607,16 +605,14 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
     profile = component_profile(first, target.u, K_MAX)
     linear = WeightFunction.linear(g=R_MIN)
     h = rho_step / RHO_REFINE_FACTOR
-    trace = OptimizerTrace()
-    best, rho, grid = _search(
-        lambda rho: _fit(target, linear, target.m, r_max, trace, profile, rho),
+    rho, fits, grid = _search(
+        lambda rho: _fit(target, linear, target.m, r_max, profile, rho),
         0, int((rho_max - rho_min) / h + 1e-9), RHO_REFINE_FACTOR, "rho",
         lambda i: round(rho_min + i * h, 12))
+    best, counts = fits[rho], _tally(fits.values())
     if not isinstance(best, CalibrationResult):
-        raise AllRhoInfeasible(
-            "no vertex fraction searched admitted a feasible complement"
-            + "".join(f"; {count} failed with {name}"
-                      for name, count in trace.failure_types.items()))
+        raise AllRhoInfeasible(_failed(
+            "no vertex fraction searched admitted a feasible complement", counts))
 
     complement: NpaModelSpec = best.model
     m2 = complement.increments.mean
@@ -638,4 +634,4 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
         "window": [target.g, target.u],
         "recurrence_variant": VARIANTS[0],
     }
-    return replace(best, model=composite, report=report)
+    return replace(best, model=composite, report=report, **counts)

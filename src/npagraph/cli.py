@@ -7,9 +7,10 @@ reproduces the data files byte for byte.
 
 The parser alone checks the settings: a flag's type holds its range,
 `generate` takes a spec or --preset in a mutually exclusive group, and
---rho-min <= --rho-max and the linear --weights of --mode composite
-follow the parse. `rerun` parses the command line its manifest records,
-so a manifest is checked like a typed command.
+--rho-min <= --rho-max, a rho lattice of at most 2**53 points and the
+linear --weights of --mode composite follow the parse. `rerun` parses the
+command line its manifest records, so a manifest is checked like a typed
+command.
 What depends on input data raises a typed error, and `main` alone returns
 an exit code: 0 success, 2 input error (an `InputError`, an input that
 cannot be read or held in memory, or a setting the parser rejects), 3
@@ -34,8 +35,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .constants import (GOWALLA_AER_MEAN_DEGREE, PRESET_NAMES, R_MIN, TOTAL_N,
-                        VARIANTS)
+from .constants import (GOWALLA_AER_MEAN_DEGREE, PRESET_NAMES, R_MIN,
+                        RHO_REFINE_FACTOR, TOTAL_N, VARIANTS)
 from .errors import AllRhoInfeasible, InputError, NpaGraphError, ValidationError
 
 EXIT_OK = 0
@@ -177,9 +178,9 @@ def cmd_calibrate(params: dict, out: Path) -> None:
     _write_json(out / "report.json", {
         "distance": result.distance,
         "vdd_tv_error": result.vdd_tv_error,
-        "evaluations": result.iterations.evaluations,
-        "solver_failures": result.iterations.solver_failures,
-        "failure_types": result.iterations.failure_types,
+        "evaluations": result.evaluations,
+        "solver_failures": result.solver_failures,
+        "failure_types": result.failure_types,
         "details": {**result.report, "target_meta": meta},
     })
 
@@ -295,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         int, lambda v: v >= R_MIN, f"at least {R_MIN}"))
     p.add_argument("--rho-min", dest="rho_min", type=fraction, default=0.025)
     p.add_argument("--rho-max", dest="rho_max", type=fraction, default=0.975)
-    p.add_argument("--rho-step", dest="rho_step", default=0.025,
-                   type=_ranged(float, lambda v: v > 0.0, "above 0"))
+    p.add_argument("--rho-step", dest="rho_step", default=0.025, type=_ranged(
+        float, lambda v: 0.0 < v < float("inf"), "above 0 and finite"))
     p.add_argument("--aer-a", dest="aer_a", type=float,
                    default=GOWALLA_AER_MEAN_DEGREE)
     _add_out(p)
@@ -361,6 +362,11 @@ def _parse(argv: list[str] | None) -> tuple[str, dict]:
         if not args["rho_min"] <= args["rho_max"]:
             commands[command].error(f"need --rho-min <= --rho-max, got "
                                     f"{args['rho_min']} and {args['rho_max']}")
+        points = ((args["rho_max"] - args["rho_min"]) * RHO_REFINE_FACTOR
+                  / args["rho_step"])
+        if points > 2**53:  # a float lattice index could not narrow the search
+            commands[command].error(f"--rho-step {args['rho_step']} makes a rho "
+                                    f"lattice of {points:.3g} points, above 2**53")
         if args["mode"] == "composite" and args["weights"] != "linear":
             commands[command].error(f"--mode composite fits linear weights, "
                                     f"got --weights {args['weights']}")

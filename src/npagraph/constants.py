@@ -11,3 +11,4 @@ R_MIN = 1  # least increment arc count, and so the minimum degree of every fit
 TOTAL_N = 100000  # a preset's, generate's and a composite fit's vertex count
 GOWALLA_AER_MEAN_DEGREE = 2.75  # the gowalla preset's AER mean degree a
 PRESET_NAMES = ("gowalla", "brightkite")  # the keys of models.PRESETS
+RHO_REFINE_FACTOR = 5  # a composite's rho lattice is this much finer than rho_step

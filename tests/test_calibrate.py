@@ -17,7 +17,7 @@ from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       validate_model)
 from npagraph.formats import edd_to_csv, vdd_to_csv
 from npagraph import calibrate
-from npagraph.calibrate import (K_MAX, CalibrationTarget, OptimizerTrace,
+from npagraph.calibrate import (K_MAX, CalibrationResult, CalibrationTarget,
                                 calibrate_composite, calibrate_single)
 from npagraph.models import (edd_distance, gowalla_increments,
                              preset_brightkite, preset_gowalla, select_u)
@@ -224,30 +224,31 @@ class TestInvertVdd:
             calibrate._invert_vdd(q, LINEAR, 1.5, 3.0, 12, 4)
 
 
-class TestOptimizerTrace:
+class TestFitCounts:
     def test_failures_counted_by_type(self):
-        trace = OptimizerTrace(evaluations=2)
-        trace.record_failure(NoConvergence("x"))
-        trace.record_failure(NoConvergence("y"))
-        trace.record_failure(TruncationTooSevere("z"))
-        assert (trace.evaluations, trace.solver_failures) == (5, 3)
-        assert trace.failure_types == {"NoConvergence": 2,
-                                       "TruncationTooSevere": 1}
+        # Results and solver failures count; a complement that could not be
+        # formed does not.
+        solved = CalibrationResult(model=None, distance=0.0, vdd_tv_error=0.0)
+        counts = calibrate._tally([
+            solved, NoConvergence("x"), InfeasibleComplement("w"),
+            NoConvergence("y"), solved, TruncationTooSevere("z")])
+        res = replace(solved, **counts)
+        assert (res.evaluations, res.solver_failures) == (5, 3)
+        assert res.failure_types == {"NoConvergence": 2,
+                                     "TruncationTooSevere": 1}
 
     def test_single_records_a_failed_increment_fit(self, monkeypatch):
         # A linear fit whose increment fit fails has no candidate left; the
-        # trace still names the failure by type.
+        # error still names the failure by type, and chains it.
         def fails(*args):
             raise NoConvergence("cap")
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails)
         target = _target_from(_model((0.4, 0.3, 0.2, 0.1)), u=15)
-        trace = OptimizerTrace()
-        monkeypatch.setattr(calibrate, "OptimizerTrace", lambda: trace)
-        with pytest.raises(SolverFailure):
+        with pytest.raises(SolverFailure,
+                           match="; 1 failed with NoConvergence") as info:
             calibrate_single(target, "linear", r_max=5)
-        assert (trace.evaluations, trace.solver_failures) == (1, 1)
-        assert trace.failure_types == {"NoConvergence": 1}
+        assert isinstance(info.value.__cause__, NoConvergence)
 
     def test_phase2_skips_a_failed_exponent(self, monkeypatch):
         # The first exponent the golden-section search tries fails its
@@ -267,15 +268,14 @@ class TestOptimizerTrace:
         res = calibrate_single(_target_from(true, u=15), "table-free", r_max=3)
         assert res.report["phase"] == 2
         assert res.report["weight_exponent"] == pytest.approx(0.8, abs=1e-4)
-        trace = res.iterations
-        assert (trace.evaluations, trace.solver_failures) == (len(calls), 1)
-        assert trace.failure_types == {"NoConvergence": 1}
+        assert (res.evaluations, res.solver_failures) == (len(calls), 1)
+        assert res.failure_types == {"NoConvergence": 1}
         # The failed exponent, the first probed, is the log's only skipped
         # entry, named by its class; the winner has the least objective.
         grid = res.report["alpha_grid"]
         assert grid[0]["skipped"].startswith("NoConvergence:")
         assert [e for e in grid if "skipped" in e] == grid[:1]
-        assert trace.evaluations == 1 + len(grid)
+        assert res.evaluations == 1 + len(grid)
         assert res.report["weight_exponent"] == min(
             grid[1:], key=lambda e: e["objective"])["alpha"]
 
@@ -301,8 +301,8 @@ class TestOptimizerTrace:
         assert sorted(grid) == [0.25, 0.3, 0.35]
         assert grid[0.25]["skipped"] == "NoConvergence: cap"
         assert all("objective" in grid[rho] for rho in (0.3, 0.35))
-        assert (res.iterations.evaluations, res.iterations.solver_failures) == (3, 1)
-        assert res.iterations.failure_types == {"NoConvergence": 1}
+        assert (res.evaluations, res.solver_failures) == (3, 1)
+        assert res.failure_types == {"NoConvergence": 1}
 
     def test_composite_fails_when_every_increment_fit_fails(self, monkeypatch,
                                                             tmp_path):
@@ -401,7 +401,7 @@ class TestCalibrateSingle:
         full = calibrate_single(target, "table-free", r_max=3)
         assert full.report["phase"] == 2
         assert full.report["weight_exponent"] == pytest.approx(0.8, abs=1e-4)
-        assert full.iterations.evaluations <= 30
+        assert full.evaluations <= 30
         # alpha_grid logs each exponent once, in probe order from the two
         # golden points of [ALPHA_MIN, 1], and the winner is the one of
         # least objective.
@@ -410,7 +410,7 @@ class TestCalibrateSingle:
         width = calibrate.GOLDEN * (1.0 - calibrate.ALPHA_MIN)
         assert alphas[:2] == [1.0 - width, calibrate.ALPHA_MIN + width]
         assert len(set(alphas)) == len(alphas)
-        assert full.iterations.evaluations == 1 + len(grid)
+        assert full.evaluations == 1 + len(grid)
         assert full.report["weight_exponent"] == min(
             grid, key=lambda e: e["objective"])["alpha"]
         obj_linear = linear_only.distance + linear_only.vdd_tv_error
@@ -419,14 +419,12 @@ class TestCalibrateSingle:
 
     def test_trace_counts_solved_candidates(self):
         # A linear fit inverts the recurrence once and solves that one
-        # candidate; the trace carries no restart or stall state.
+        # candidate, and the result counts it.
         target = _target_from(_model((0.5, 0.5)), u=12)
         res = calibrate_single(target, "linear", r_max=3)
-        trace = res.iterations
-        assert (trace.evaluations, trace.solver_failures) == (1, 0)
+        assert (res.evaluations, res.solver_failures) == (1, 0)
         assert res.report["phase"] == 1
         assert res.report["objective"] == res.distance + res.vdd_tv_error
-        assert not hasattr(trace, "stalled")
 
     def test_default_rmax_recovers_planted(self):
         # The planted model of the calibration round trip, at the default
@@ -635,7 +633,7 @@ class TestCalibrateComposite:
 
     def test_infeasible_rho_is_not_counted(self):
         # A rho whose complement cannot be formed is skipped before any
-        # solve: the trace counts only the rhos fitted, and the grid logs
+        # solve: the result counts only the rhos fitted, and the grid logs
         # the plain message, without a class name.
         res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=2,
                                   rho_min=0.05, rho_max=0.35)
@@ -644,9 +642,8 @@ class TestCalibrateComposite:
         skipped = [e["skipped"] for e in grid if "skipped" in e]
         assert (len(fitted), len(skipped)) == (5, 4)
         assert len(fitted) + len(skipped) == len(grid)
-        trace = res.iterations
-        assert (trace.evaluations, trace.solver_failures) == (len(fitted), 0)
-        assert trace.failure_types == {}
+        assert (res.evaluations, res.solver_failures) == (len(fitted), 0)
+        assert res.failure_types == {}
         assert not any(reason.startswith("InfeasibleComplement")
                        for reason in skipped)
 
@@ -757,7 +754,7 @@ def test_rho_search_finds_the_lattice_argmin(make_target, r_max):
     lattice = np.round(0.025 + 0.005 * np.arange(191), 12)
     scores = [calibrate._objective(calibrate._fit(
                   target, WeightFunction.linear(g=1), target.m, r_max,
-                  OptimizerTrace(), profile, float(rho)))
+                  profile, float(rho)))
               for rho in lattice]
     res = calibrate_composite(target, BaTreeSpec(), r_max=r_max)
     assert res.report["rho"] == lattice[int(np.argmin(scores))]
@@ -771,7 +768,7 @@ def planted_fit():
     target = _composite_target()
     profile = calibrate.component_profile(BaTreeSpec(), target.u)
     return target, calibrate._fit(target, WeightFunction.linear(g=1), target.m,
-                                  3, OptimizerTrace(), profile, 0.3)
+                                  3, profile, 0.3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -792,7 +789,7 @@ def test_rho_search_of_unimodal_profiles(planted_fit, last, where, top, seed):
     profile[block:] = np.inf
     calls = []
 
-    def profiled(target, weight, m, r_max, trace, first, rho):
+    def profiled(target, weight, m, r_max, first, rho):
         calls.append(i := round((rho - 0.025) / 0.005))
         if profile[i] == np.inf:
             return InfeasibleComplement("complement mean outside [1, 3]")

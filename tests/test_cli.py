@@ -1448,6 +1448,12 @@ class TestCalibrateCommand:
         # every slot of the 35000-vertex graph, gigabytes of pairs.)
         (["--mode", "composite", "--first", "aer", "--aer-a", "0"],
          "p_a = 0.0 outside (0, 1]"),
+        # An infinite step made the lattice NaN (exit 1); a lattice of more
+        # than 2**53 points left the rho search narrowing forever.
+        (["--mode", "composite", "--rho-step", "inf"],
+         "argument --rho-step: must be above 0"),
+        (["--mode", "composite", "--rho-step", "1e-20"],
+         "--rho-step 1e-20 makes a rho lattice of"),
     ])
     def test_setting_out_of_range_exit_2(self, tmp_path, capsys, flags,
                                          message):
