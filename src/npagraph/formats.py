@@ -339,10 +339,10 @@ def _simple_graph(raw: np.ndarray) -> tuple[Graph, np.ndarray, dict]:
     higher) dense id pair, in increasing order.
     """
     is_loop = raw[:, 0] == raw[:, 1]
-    kept = raw[~is_loop]
+    loops = int(np.count_nonzero(is_loop))
+    kept = raw[~is_loop] if loops else raw
     if not len(kept):
         raise EmptyInput("edge list holds no usable edges")
-    loops = int(np.count_nonzero(is_loop))
     if loops:
         log.warning("dropped %d self-loop(s)", loops)
     n = int(kept.max()) + 1

@@ -67,8 +67,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def _python(*args: str, **run) -> subprocess.CompletedProcess:
     """A fresh interpreter run with these arguments, the package's source
     first on its path, so that it imports npagraph uninstalled; run holds
-    further arguments of subprocess.run."""
+    further arguments of subprocess.run. Its output to a pipe stays
+    block-buffered, as a plain shell leaves it, so output that the process
+    loses at exit shows."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *args], env=env,
@@ -1106,26 +1109,31 @@ class TestStartup:
                 f"assert main(['compare', {edd!r}, {edd!r},\n"
                 f"             '--out', {str(tmp_path / 'cmp')!r}]) == 0\n"
                 "assert gc.get_freeze_count() == before, "
-                "(before, gc.get_freeze_count())\n")
+                "(before, gc.get_freeze_count())\n"
+                "assert gc.isenabled()\n")
         _modules_after(code)
 
-    def test_process_entry_freezes(self, tmp_path):
+    def test_process_entry_collects_nothing(self, tmp_path):
+        # Each collection the command triggers writes a line to stderr, and
+        # so does the interpreter's teardown, which the entry skips.
         import tomllib
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
         assert scripts["npagraph"] == "npagraph.cli:run"
         edd = str(_write_ba_target(tmp_path / "target") / "edd.csv")
-        code = ("import gc, sys\n"
+        code = ("import atexit, gc, os, sys\n"
                 "from npagraph.cli import run\n"
+                "gc.callbacks.append(lambda phase, info: phase == 'start'\n"
+                "                    and os.write(2, b'collection\\n'))\n"
+                "atexit.register(os.write, 2, b'teardown\\n')\n"
                 f"sys.argv = ['npagraph', 'compare', {edd!r}, {edd!r},\n"
                 f"            '--out', {str(tmp_path / 'cmp')!r}]\n"
-                "try:\n"
-                "    run()\n"
-                "except SystemExit as exc:\n"
-                "    print(exc.code, gc.get_freeze_count() > 0)\n")
+                "run()\n")
         proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 True"
+        assert "collection" not in proc.stderr
+        assert "teardown" not in proc.stderr
+        assert float(proc.stdout) == 0.0
 
     def test_version_matches_pyproject(self):
         import tomllib
@@ -1133,6 +1141,54 @@ class TestStartup:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         project = tomllib.loads(pyproject.read_text())["project"]
         assert npagraph.__version__ == project["version"]
+
+
+@pytest.fixture(scope="class")
+def threaded_generate(tmp_path_factory):
+    """A two-replication generate of a two-worker pool, run as a process."""
+    out = tmp_path_factory.mktemp("gen") / "out"
+    proc = _python("-m", "npagraph.cli", "generate", "--preset", "gowalla",
+                   "--n", "2000", "--reps", "2", "--threads", "2",
+                   "--out", str(out))
+    return proc, out
+
+
+class TestProcessExit:
+    """The process entry ends without the interpreter's teardown, and loses
+    no output by it: what a command prints reaches a pipe, and every file
+    it writes is whole."""
+
+    def test_threaded_generate_writes_every_replication(self, threaded_generate):
+        proc, out = threaded_generate
+        assert proc.returncode == 0, proc.stderr
+        for rep in (0, 1):
+            for name in cli.REP_FILES:
+                assert (out / name.format(rep)).stat().st_size > 0
+        runs = json.loads((out / "runs.json").read_text())
+        assert [info["rep"] for info in runs["replications"]] == [0, 1]
+        assert json.loads((out / "manifest.json").read_text())["command"] == "generate"
+
+    def test_compare_prints_its_distance(self, threaded_generate, tmp_path):
+        _, gen = threaded_generate
+        out = tmp_path / "cmp"
+        proc = _python("-m", "npagraph.cli", "compare", str(gen / "edd_rep0.csv"),
+                       str(gen / "edd_rep1.csv"), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        distance = json.loads((out / "distance.json").read_text())["distance"]
+        assert distance > 0.0
+        assert proc.stdout == repr(distance) + "\n"
+        assert (out / "diff.csv").read_text().startswith("l,k,difference\n")
+        assert json.loads((out / "manifest.json").read_text())["command"] == "compare"
+
+    def test_missing_input_exits_2(self, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        out = tmp_path / "cmp"
+        proc = _python("-m", "npagraph.cli", "compare", missing, missing,
+                       "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error:")
+        assert proc.stdout == ""
+        assert not (out / "manifest.json").exists()
 
 
 class TestCompareCommand:
