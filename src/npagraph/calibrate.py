@@ -19,7 +19,6 @@ reads them.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -35,7 +34,6 @@ from .models import (AerModelSpec, CompositeSpec, DegreeDistribution,
 from .solver import (complement_mean, complement_vdd, edge_share, mix_edd,
                      mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 
-log = logging.getLogger(__name__)
 
 K_MAX = 4000  # last vertex degree each candidate's solve stores
 ALPHA_MIN = 0.01  # lower end of the table-free search over f_k = k**alpha
@@ -487,7 +485,9 @@ def _search(fit_at, lo: float, hi: float, xatol: float, name: str, point=None):
                 entry["skipped"] = (f"{type(candidate).__name__}: {candidate}"
                                     if isinstance(candidate, SolverFailure)
                                     else str(candidate))
-                log.info("%s = %.4f skipped: %s", name, p, entry["skipped"])
+                import logging
+                logging.getLogger(__name__).info(
+                    "%s = %.4f skipped: %s", name, p, entry["skipped"])
             grid.append(entry)
         return _objective(fits[p])
 

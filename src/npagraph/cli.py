@@ -17,10 +17,11 @@ cannot be read or held in memory, or a setting the parser rejects), 3
 compute error (any other `NpaGraphError`), 4 no feasible vertex fraction in
 a composite calibration, which still writes report.json and the manifest.
 
-Importing this module loads only the standard library, `errors` and
-`constants`, which holds the values the parser needs, so --help and a
-setting the parser rejects exit before numpy loads. Each command imports
-the modules it calls in its own body.
+Importing this module loads only argparse, json and pathlib of the
+standard library, and `errors` and `constants`, which holds the values the
+parser needs, so --help and a setting the parser rejects exit before numpy
+loads. Each command imports the modules it calls in its own body, and
+`logging` loads only under -v or where a message is logged.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -151,6 +150,8 @@ def cmd_ingest(params: dict, out: Path) -> None:
 
 
 def cmd_calibrate(params: dict, out: Path) -> None:
+    from dataclasses import replace
+
     from .calibrate import (CalibrationTarget, calibrate_composite,
                             calibrate_single)
     from .formats import edd_from_csv, vdd_from_csv
@@ -354,6 +355,7 @@ def _parse(argv: list[str] | None) -> tuple[str, dict]:
                     if isinstance(a, argparse._SubParsersAction))
     args = vars(parser.parse_args(argv))
     if args.pop("verbose", 0):
+        import logging
         logging.basicConfig(level=logging.INFO)
     if args["command"] == "rerun":
         args = vars(parser.parse_args(_replay(commands, args)))

@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class NpaGraphError(Exception):
@@ -15,12 +15,11 @@ class InputError(NpaGraphError):
     grows with nothing in it to measure; the CLI exits 2."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One violated invariant found during model validation."""
+class Violation(namedtuple("Violation", ("code", "message"))):
+    """One violated invariant found during model validation: a (code,
+    message) tuple."""
 
-    code: str
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"

@@ -12,7 +12,6 @@ Model specs are JSON, read and written by `models.load_model` and
 from __future__ import annotations
 
 import itertools
-import logging
 import warnings
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO, Union
@@ -24,7 +23,6 @@ from .errors import (EmptyInput, InputTooLarge, MalformedLine, ValidationError,
 from .models import (STORED_MASS_SLACK, DegreeDistribution, EdgeDegreeMatrix,
                      Graph)
 
-log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # Degree-distribution CSVs
@@ -344,7 +342,8 @@ def _simple_graph(raw: np.ndarray) -> tuple[Graph, np.ndarray, dict]:
     if not len(kept):
         raise EmptyInput("edge list holds no usable edges")
     if loops:
-        log.warning("dropped %d self-loop(s)", loops)
+        import logging
+        logging.getLogger(__name__).warning("dropped %d self-loop(s)", loops)
     n = int(kept.max()) + 1
     if kept.min() == 0 and n <= kept.size and np.bincount(
             kept.ravel(), minlength=n).all():

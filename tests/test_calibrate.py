@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -250,10 +251,10 @@ class TestFitCounts:
             calibrate_single(target, "linear", r_max=5)
         assert isinstance(info.value.__cause__, NoConvergence)
 
-    def test_phase2_skips_a_failed_exponent(self, monkeypatch):
-        # The first exponent the golden-section search tries fails its
-        # increment fit: it is counted and skipped, and the search still
-        # finds the planted exponent.
+    @staticmethod
+    def _fit_failing_the_first_exponent(monkeypatch):
+        """A table-free fit whose first exponent, the second increment fit,
+        fails; the fit's result and the increment fits it ran."""
         monkeypatch.setattr(calibrate, "PHASE2_THRESHOLD", 1e-4)
         real, calls = calibrate._l1_fit, []
 
@@ -265,7 +266,13 @@ class TestFitCounts:
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails_second)
         true = _model((0.6, 0.4), weights=WeightFunction.power(0.8, g=1))
-        res = calibrate_single(_target_from(true, u=15), "table-free", r_max=3)
+        return calibrate_single(_target_from(true, u=15), "table-free", r_max=3), calls
+
+    def test_phase2_skips_a_failed_exponent(self, monkeypatch):
+        # The first exponent the golden-section search tries fails its
+        # increment fit: it is counted and skipped, and the search still
+        # finds the planted exponent.
+        res, calls = self._fit_failing_the_first_exponent(monkeypatch)
         assert res.report["phase"] == 2
         assert res.report["weight_exponent"] == pytest.approx(0.8, abs=1e-4)
         assert (res.evaluations, res.solver_failures) == (len(calls), 1)
@@ -278,6 +285,14 @@ class TestFitCounts:
         assert res.evaluations == 1 + len(grid)
         assert res.report["weight_exponent"] == min(
             grid[1:], key=lambda e: e["objective"])["alpha"]
+
+    def test_phase2_logs_a_skipped_exponent(self, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="npagraph.calibrate")
+        res, _ = self._fit_failing_the_first_exponent(monkeypatch)
+        alpha = res.report["alpha_grid"][0]["alpha"]
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("npagraph.calibrate", logging.INFO,
+             f"alpha = {alpha:.4f} skipped: NoConvergence: cap")]
 
     def test_composite_skips_a_rho_whose_increment_fit_fails(self, monkeypatch):
         # The increment fit fails at rho = 0.25 only: that rho is skipped,

@@ -1022,13 +1022,33 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, command):
 
 
 class TestStartup:
-    """A command loads only the modules it calls, and only the process
-    entry freezes the start-up heap. Each check runs in a fresh interpreter."""
+    """A command loads only the modules it calls, and `logging` only when it
+    logs; only the process entry turns the collector off. Each check runs
+    in a fresh interpreter."""
 
     def test_import_loads_only_the_parser(self):
         assert _modules_after("import npagraph.cli", "numpy", "npagraph",
-                              "multiprocessing", "concurrent.futures") == [
+                              "multiprocessing", "concurrent.futures", "logging",
+                              "dataclasses", "inspect", "traceback") == [
             "npagraph", "npagraph.cli", "npagraph.constants", "npagraph.errors"]
+
+    def test_commands_that_log_nothing_load_no_logging(self, tmp_path):
+        # No input here holds a self-loop, and the fit skips no candidate.
+        gen, target = tmp_path / "gen", _write_ba_target(tmp_path / "target")
+        edd = str(target / "edd.csv")
+        code = ("from npagraph.cli import main\n"
+                f"assert main(['solve', {str(_write_ba_spec(tmp_path))!r},\n"
+                "             '--kmax', '2000', '--umax', '20',\n"
+                f"             '--out', {str(tmp_path / 'sol')!r}]) == 0\n"
+                "assert main(['generate', '--preset', 'gowalla', '--n', '2000',\n"
+                f"             '--u', '20', '--out', {str(gen)!r}]) == 0\n"
+                f"assert main(['ingest', {str(gen / 'graph_rep0.txt')!r},\n"
+                f"             '--out', {str(tmp_path / 'ing')!r}]) == 0\n"
+                f"assert main(['calibrate', {str(target)!r}, '--rmax', '2',\n"
+                f"             '--u', '6', '--out', {str(tmp_path / 'fit')!r}]) == 0\n"
+                f"assert main(['compare', {edd!r}, {edd!r},\n"
+                f"             '--out', {str(tmp_path / 'cmp')!r}]) == 0\n")
+        assert _modules_after(code, "logging") == []
 
     @pytest.mark.parametrize("argv,code", [
         (["--help"], 0),
@@ -1179,6 +1199,18 @@ class TestProcessExit:
         assert proc.stdout == repr(distance) + "\n"
         assert (out / "diff.csv").read_text().startswith("l,k,difference\n")
         assert json.loads((out / "manifest.json").read_text())["command"] == "compare"
+
+    def test_ingest_warns_of_a_dropped_self_loop(self, tmp_path):
+        # Without -v the warning reaches stderr through logging's last
+        # resort handler, which writes the bare message.
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 1\n1 2\n")
+        out = tmp_path / "ing"
+        proc = _python("-m", "npagraph.cli", "ingest", str(edges), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "dropped 1 self-loop(s)\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["self_loops_dropped"] == 1
 
     def test_missing_input_exits_2(self, tmp_path):
         missing = str(tmp_path / "missing.csv")
