@@ -10,7 +10,9 @@ ordinary test run does not collect it. Each benchmark grows one of the
 reference models of tests/crosscheck.py, built here through the public API
 only, to 1e5 vertices with grow_npa, so the same file times any version of
 the samplers: "ba" (f_k = k) takes the endpoint-list sampler, the three
-others every other weight function's. The AER pair scan is timed at the
+others every other weight function's. "power_1" is f_k = k spelt as
+k**1.0, which the acceptance sampler grew before 0.43.0 and the
+endpoint-list sampler grows since. The AER pair scan is timed at the
 size of the gowalla preset's AER component at n = 1e5; it returns the graph
 alone from 0.35.0 on.
 
@@ -40,6 +42,9 @@ MODELS = {
     "ba": NpaModelSpec(
         weights=WeightFunction.linear(g=1),
         increments=IncrementDistribution(min_arcs=1, probs=(1.0,))),
+    "power_1": NpaModelSpec(
+        weights=WeightFunction.power(1.0, g=1),
+        increments=IncrementDistribution(min_arcs=1, probs=(0.6, 0.4))),
 }
 
 

@@ -11,7 +11,7 @@ never loads the growth module.
 
 import importlib
 
-__version__ = "0.42.0"
+__version__ = "0.43.0"
 
 _EXPORTS = {
     "errors": ("AllRhoInfeasible", "EmptyInput", "InfeasibleComplement",

@@ -7,9 +7,9 @@ simplex in numpy. Each candidate is scored by the Euclidean distance
 between the model's edge degree matrix and the empirical one over the
 target's degree window [g, u], plus the total-variation error of the vertex
 degree distribution.
-Natural linear weights are tried first; a parametric power-weight family is
-only brought in when the linear phase misses tolerance, and on ties the
-model with fewer free parameters wins. One driver, _search, searches every
+Natural linear weights are tried first; table-free mode then searches a
+power exponent, which must beat them strictly, so on ties the model with
+fewer free parameters wins. One driver, _search, searches every
 calibrated parameter, the power exponent and a composite's vertex share, by
 golden sections; a fit's counts are read off the candidates it tried.
 Nothing here needs more than numpy. Settings that no workflow varies are
@@ -39,7 +39,6 @@ K_MAX = 4000  # last vertex degree each candidate's solve stores
 ALPHA_MIN = 0.01  # lower end of the table-free search over f_k = k**alpha
 ALPHA_XATOL = 1e-5
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # share of a bracket kept per section
-PHASE2_THRESHOLD = 1e-3  # table-free fits search alpha above this objective
 AER_REPS = 10  # replicates pooled into the profile of an AER first component
 AER_SEED = 987654321
 # The increment fit took at most 139 pivots, 0.27 per column, on 900 random
@@ -352,7 +351,7 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
     With a first component, the mean and VDD inverted are the complement's,
     implied by the mixture equations. The complement VDD is the exact
     inverse of the mixture, negative entries kept, so the L1 fit weighs
-    them like any other misfit. The mean weight phi is 2m for linear weights
+    them like any other misfit. The mean weight phi is 2m for f_k = k
     (the control identity), otherwise the inverted VDD's sum f_k Q_k.
 
     One failure rule for every candidate: one that cannot be formed, its
@@ -366,7 +365,7 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
         if first is not None:
             m = complement_mean(m, first.m, rho)
             q = complement_vdd(q, first.vdd, rho)
-        phi = 2.0 * m if weight.rule == "linear" else _mean_weight(q, weight)
+        phi = 2.0 * m if weight.is_degree() else _mean_weight(q, weight)
         model = NpaModelSpec(weights=weight, increments=_invert_vdd(
             q, weight, m, phi, target.u, r_max))
         fit = component_profile(model, target.u, K_MAX)
@@ -414,10 +413,11 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     The mean increment m is the target's, clamped into [R_MIN, r_max]. Phase
     1 fixes natural linear weights, whose mean weight is phi = 2m by the
     control identity, and inverts the vertex recurrence for {r_k}. Phase 2,
-    entered only in "table-free" mode when phase 1 misses PHASE2_THRESHOLD,
-    searches the exponent alpha of f_k = k**alpha over (0, 1] by _search,
-    logged in alpha_grid; at each alpha, phi is the target's sum f_k Q_k
-    and {r_k} is inverted again. Uncapped superlinear weights have no stationary
+    run in "table-free" mode, searches the exponent alpha of f_k = k**alpha
+    over (0, 1] by _search, logged in alpha_grid; at each alpha, phi is the
+    target's sum f_k Q_k and {r_k} is inverted again. The best exponent
+    wins only by a strictly lower objective: on ties the model with fewer
+    parameters wins. Uncapped superlinear weights have no stationary
     distribution, so the range loses nothing. Every candidate is fitted,
     scored and, when its increment fit or solve fails, skipped by _fit;
     when every one fails, SolverFailure names the failures by class. The
@@ -428,12 +428,11 @@ def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
     m = min(max(target.m, float(R_MIN)), float(r_max))
     tried = [_fit(target, WeightFunction.linear(g=R_MIN), m, r_max)]
     best, phase, searched = tried[0], 1, {}
-    if weight_mode == "table-free" and _objective(best) > PHASE2_THRESHOLD:
+    if weight_mode == "table-free":
         alpha, fits, searched["alpha_grid"] = _search(
             lambda alpha: _fit(target, WeightFunction.power(alpha, g=R_MIN), m,
                                r_max), ALPHA_MIN, 1.0, ALPHA_XATOL, "alpha")
         tried += fits.values()
-        # Strictly better only: on ties the model with fewer parameters wins.
         if _objective(fits[alpha]) < _objective(best):
             best, phase = fits[alpha], 2
     if not isinstance(best, CalibrationResult):

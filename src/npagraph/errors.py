@@ -36,6 +36,9 @@ class ValidationError(InputError):
         self.violations = list(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
 
+    def __reduce__(self):
+        return type(self), (self.violations,)
+
     def codes(self):
         return [v.code for v in self.violations]
 
@@ -67,6 +70,9 @@ class MalformedLine(InputError):
         self.line_no = line_no
         self.content = content
         super().__init__(f"line {line_no}: cannot parse {content!r}")
+
+    def __reduce__(self):
+        return type(self), (self.line_no, self.content)
 
 
 class EmptyInput(InputError):

@@ -1,11 +1,11 @@
 """Monte-Carlo growth of attachment graphs, and measurement of grown or
 ingested graphs: their degree distributions and summary statistics.
 
-`grow_npa` has two exact samplers for the same attachment law. Plain linear
-weights (rule "linear", no table, no cap M, g <= 1, so f_k = k for every
-degree) take the endpoint-list sampler: a draw proportional to degree is a
-uniform pick from the list of arc endpoints (Batagelj & Brandes, PRE 71,
-036113, 2005), so the whole run is drawn up front and resolved with numpy.
+`grow_npa` has two exact samplers for the same attachment law. Weights with
+f_k = k at every degree (`WeightFunction.is_degree()` and g <= 1) take the
+endpoint-list sampler: a draw proportional to degree is a uniform pick from
+the list of arc endpoints (Batagelj & Brandes, PRE 71, 036113, 2005), so
+the whole run is drawn up front and resolved with numpy.
 Every other weight function takes the acceptance sampler: a proposal from
 the vertices and the same endpoint list, accepted with a probability that
 turns its 1 + k proposal weight into f_k, one Python draw per proposal.
@@ -65,8 +65,8 @@ def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> Graph:
     weight, all x ends sampled with replacement against the degrees as they
     were before the increment. Duplicate targets yield parallel arcs.
 
-    Weights with f_k = k at every degree (rule "linear", no table, M None,
-    g <= 1) are grown by the endpoint-list sampler; all other weights by the
+    Weights with f_k = k at every degree (`is_degree()` and g <= 1) are
+    grown by the endpoint-list sampler; all other weights by the
     acceptance sampler. The two draw differently from the same stream, so
     the same seed gives different graphs of the same law.
     """
@@ -75,8 +75,7 @@ def grow_npa(spec: NpaModelSpec, n: int, rng: RngStream) -> Graph:
     if n < seed.vertex_count:
         raise ValueError(f"n = {n} is below the seed size {seed.vertex_count}")
     steps = n - seed.vertex_count
-    w = spec.weights
-    if w.rule == "linear" and not w.table and w.M is None and w.g <= 1:
+    if spec.weights.is_degree() and spec.weights.g <= 1:
         pairs = _grow_endpoint_list(seed, spec.increments, steps, gen)
     else:
         pairs = _grow_by_acceptance(seed, spec, steps, gen)

@@ -103,6 +103,11 @@ class WeightFunction:
             return ("power", self.alpha)
         return ("finite", self.g + len(self.table) - 1)
 
+    def is_degree(self) -> bool:
+        """f_k = k at every degree from g on, table entries included."""
+        return self.asymptote() == ("linear", 1.0) and all(
+            v == k for k, v in enumerate(self.table, self.g))
+
     def table_end(self) -> int:
         """Last degree covered by explicit table values (g - 1 when no table)."""
         return self.g + len(self.table) - 1

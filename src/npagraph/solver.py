@@ -253,18 +253,13 @@ class _VddEngine:
 def _fixed_point(engine: _VddEngine) -> float:
     """The mean weight phi solving phi = sum f_k Q_k(phi).
 
-    When the weight is the degree at every computed degree and in the tail,
-    sum f_k Q_k(phi) is the mean degree m phi / (phi - m), whose only fixed
-    point is phi = 2 m, returned exactly. When it is a constant v there,
-    sum f_k Q_k(phi) = v sum Q_k = v at every phi, so phi = v. Other weights
-    are bracketed by doubling phi from 1 and bisected until the bracket is
-    narrower than FP_TOLERANCE relative to phi, or cannot shrink
+    When the weight is a constant v at every computed degree and in the
+    tail, sum f_k Q_k(phi) = v sum Q_k = v at every phi, so phi = v. Other
+    weights are bracketed by doubling phi from 1 and bisected until the
+    bracket is narrower than FP_TOLERANCE relative to phi, or cannot shrink
     further. A residual that is not positive at phi = 1e-9, or still
-    positive after 200 doublings, means there is no stationary regime to
-    bracket.
+    positive after 200 doublings, means no stationary regime to bracket.
     """
-    if engine.asym == ("linear", 1.0) and np.array_equal(engine.f, engine.ks):
-        return 2.0 * engine.m
     if engine.asym[0] == "constant" and (engine.f == engine.asym[1]).all():
         return engine.asym[1]
 
@@ -313,7 +308,7 @@ def solve_vdd(model: NpaModelSpec, k_max: int = 10000) -> VddSolution:
         raise ValidationError([Violation("NoStationaryLaw", (
             "superlinear weights without a degree cap concentrate attachment "
             "on one vertex; no stationary distribution exists"))])
-    phi = _fixed_point(engine)
+    phi = 2.0 * engine.m if model.weights.is_degree() else _fixed_point(engine)
     q_full = engine.distribution(phi)
     t_mass, t_kmass, _ = engine.tails(phi, q_full)
     if math.isinf(t_mass):

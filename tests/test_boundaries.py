@@ -99,6 +99,17 @@ def test_only_growth_and_models_read_degrees():
     assert readers == {"models", "growth"}
 
 
+def test_only_models_reads_a_weight_rule():
+    """A weight function's rule and table are read (`.rule`, `.table`) only
+    where it is defined: every other module asks it, as `is_degree()` for
+    f_k = k, so one predicate decides each question about the weights."""
+    readers = {path.stem for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("rule", "table")}
+    assert readers == {"models"}
+
+
 def test_only_search_runs_a_golden_section():
     """calibrate reads GOLDEN only inside _search, the one driver of every
     calibrated parameter's search: a new search calls it instead of running

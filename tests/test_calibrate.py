@@ -255,7 +255,6 @@ class TestFitCounts:
     def _fit_failing_the_first_exponent(monkeypatch):
         """A table-free fit whose first exponent, the second increment fit,
         fails; the fit's result and the increment fits it ran."""
-        monkeypatch.setattr(calibrate, "PHASE2_THRESHOLD", 1e-4)
         real, calls = calibrate._l1_fit, []
 
         def fails_second(*args):
@@ -406,10 +405,9 @@ class TestCalibrateSingle:
         assert CalibrationTarget(vdd=target.vdd, edd=edd, u=5).g == 5
         assert target.g == 1
 
-    def test_table_free_enters_second_phase(self, monkeypatch):
+    def test_table_free_enters_second_phase(self):
         # A sublinear-weight target cannot be matched by linear weights, so
         # the exponent search must engage and improve the fit.
-        monkeypatch.setattr(calibrate, "PHASE2_THRESHOLD", 1e-4)
         true = _model((0.6, 0.4), weights=WeightFunction.power(0.8, g=1))
         target = _target_from(true, u=15)
         linear_only = calibrate_single(target, "linear", r_max=3)
@@ -431,6 +429,20 @@ class TestCalibrateSingle:
         obj_linear = linear_only.distance + linear_only.vdd_tv_error
         obj_full = full.distance + full.vdd_tv_error
         assert obj_full < obj_linear
+
+    def test_table_free_searches_an_exact_linear_target(self):
+        # The exponent search follows the linear fit even when that fit is
+        # exact; no exponent beats it strictly, so phase 1 stands. 0.42.0
+        # skipped the search below an objective of 1e-3 (1 evaluation).
+        target = _target_from(_model((0.6, 0.4)), u=15)
+        res = calibrate_single(target, "table-free", r_max=3)
+        assert res.report["phase"] == 1
+        assert res.model.weights == WeightFunction.linear(g=1)
+        assert res.objective < 1e-12
+        assert len(res.report["alpha_grid"]) == 26
+        assert res.evaluations == 27
+        assert all(e["objective"] > res.objective
+                   for e in res.report["alpha_grid"])
 
     def test_trace_counts_solved_candidates(self):
         # A linear fit inverts the recurrence once and solves that one

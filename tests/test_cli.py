@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -10,9 +12,9 @@ import pytest
 
 from npagraph import (BaTreeSpec, CompositeSpec, DegreeDistribution,
                       EdgeDegreeMatrix, EmptyInput, IncrementDistribution,
-                      NpaModelSpec, WeightFunction, dump_model, solve_arc_dd,
-                      solve_vdd, symmetrize)
-from npagraph import cli
+                      NpaModelSpec, WeightFunction, dump_model, load_model,
+                      solve_arc_dd, solve_vdd, symmetrize, validate_model)
+from npagraph import cli, errors
 from npagraph.cli import main
 from npagraph.formats import edd_from_csv, edd_to_csv, vdd_to_csv
 
@@ -889,6 +891,22 @@ class TestSettingsChecked:
         for cls in (errors.SolverFailure, errors.ZeroTotalWeight):
             assert not issubclass(cls, errors.InputError), cls
 
+    @pytest.mark.parametrize("name", sorted(
+        name for name, cls in vars(errors).items() if isinstance(cls, type)
+        and issubclass(cls, Exception) and cls.__module__ == errors.__name__))
+    def test_error_survives_pickling(self, name):
+        # generate --threads brings a worker's error back by pickle. 0.42.0
+        # split a ValidationError's message into characters and could not
+        # unpickle a MalformedLine.
+        args = {"ValidationError": ([errors.Violation("a", "b"),
+                                     errors.Violation("c", "d")],),
+                "MalformedLine": (3, "x y")}.get(name, ("what went wrong",))
+        error = getattr(errors, name)(*args)
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error)
+        assert vars(back) == vars(error)
+
     @pytest.mark.parametrize("command", [
         # A 10**6 x 10**6 arc matrix: 7.28 TiB.
         lambda tmp_path: ["solve", str(_write_ba_spec(tmp_path)),
@@ -1680,3 +1698,23 @@ class TestCalibrateCommand:
         assert report["evaluations"] == len(fitted)
         assert (report["solver_failures"], report["failure_types"]) == (0, {})
         assert abs(report["details"]["rho"] - rho) <= 0.01 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The byte-identity command set of scripts/output_digests.py
+# ---------------------------------------------------------------------------
+
+def test_output_digests_commands_parse():
+    # Each command of the set is a command line the parser takes, writing
+    # to its own directory, and each spec it solves is a valid model; none
+    # is run here.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    names = [name for name, _ in digests.COMMANDS]
+    assert len(names) == len(set(names)) == 26
+    for name, argv in digests.COMMANDS:
+        assert cli.build_parser().parse_args(argv).out == name
+    for text in map(json.dumps, digests.SPECS.values()):
+        assert validate_model(load_model(text))

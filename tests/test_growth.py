@@ -163,17 +163,27 @@ class TestGrowNpa:
 # The two samplers: endpoint list (f_k = k) and acceptance (any weights)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=["endpoint_list", "acceptance"])
+_DEGREE_WEIGHTS = {
+    "endpoint_list": lambda g=1: WeightFunction.linear(g=g),
+    "endpoint_list_power": lambda g=1: WeightFunction.power(1.0, g=g),
+    "endpoint_list_table": lambda g=1: WeightFunction.from_table(
+        g, range(g, g + 5), rule="linear"),
+}
+
+
+@pytest.fixture(params=[*_DEGREE_WEIGHTS, "acceptance"])
 def linear_weights(request, monkeypatch):
     """f_k = k at every degree from g, grown by one sampler with the other
-    disabled. The acceptance sampler is reached through a cap M that no
-    run of these tests can reach."""
+    disabled. The endpoint-list sampler takes every spelling of f_k = k:
+    linear weights, power(1.0) and a table holding k. The acceptance
+    sampler is reached through a cap M that no run of these tests can
+    reach."""
     def disabled(*_args):
         raise AssertionError("the other sampler was taken")
 
-    if request.param == "endpoint_list":
+    if request.param in _DEGREE_WEIGHTS:
         monkeypatch.setattr(growth, "_grow_by_acceptance", disabled)
-        return lambda g=1: WeightFunction.linear(g=g)
+        return _DEGREE_WEIGHTS[request.param]
     monkeypatch.setattr(growth, "_grow_endpoint_list", disabled)
     return lambda g=1: WeightFunction.linear(g=g, M=10**6)
 

@@ -84,6 +84,41 @@ class TestWeightFunction:
         assert WeightFunction.constant(2.0).asymptote() == ("constant", 2.0)
         assert WeightFunction.linear(M=50).asymptote() == ("finite", 50)
 
+    @pytest.mark.parametrize("g", [0, 1, 2, 3])
+    @pytest.mark.parametrize("make", [
+        lambda g: WeightFunction.linear(g=g),
+        lambda g: WeightFunction.linear(g=g, M=g + 10),
+        lambda g: WeightFunction.power(1.0, g=g),
+        lambda g: WeightFunction.power(0.5, g=g),
+        lambda g: WeightFunction.power(1.0, g=g, M=g + 10),
+        lambda g: WeightFunction.constant(1.0, g=g),
+        lambda g: WeightFunction.constant(float(g + 1), g=g),
+        lambda g: WeightFunction.from_table(g, range(g, g + 5), rule="linear"),
+        lambda g: WeightFunction.from_table(g, range(g, g + 5), rule="power"),
+        lambda g: WeightFunction.from_table(g, range(g, g + 5), rule="power",
+                                            alpha=0.5),
+        lambda g: WeightFunction.from_table(g, range(g, g + 5), rule="constant"),
+        lambda g: WeightFunction.from_table(g, range(g, g + 5)),
+        lambda g: WeightFunction.from_table(g, range(g, g + 5), M=g + 10,
+                                            rule="linear"),
+        lambda g: WeightFunction.from_table(g, [g + 1.0, g + 1.0],
+                                            rule="linear"),
+        lambda g: WeightFunction.from_table(g, [g, g + 1, g + 0.5],
+                                            rule="linear"),
+    ], ids=["linear", "linear_capped", "power_1", "power_half",
+            "power_1_capped", "constant_1", "constant_g_plus_1",
+            "table_linear", "table_power_1", "table_power_half",
+            "table_constant", "table_only", "table_linear_capped",
+            "table_off_at_g", "table_off_at_end"])
+    def test_is_degree_exactly_when_f_is_k(self, make, g):
+        # f_k = k from g on: no cap, and the weights equal k over the table
+        # and two degrees past it (at least g + 2, so that a power of a
+        # degree 0 or 1 alone cannot pass for k).
+        w = make(g)
+        k_top = max(w.table_end(), w.g) + 2
+        assert w.is_degree() == (w.M is None and np.array_equal(
+            w.weights_upto(k_top, g), np.arange(g, k_top + 1)))
+
 
 # ---------------------------------------------------------------------------
 # IncrementDistribution
