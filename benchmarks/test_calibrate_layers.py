@@ -9,7 +9,8 @@ This directory sits outside the test paths in pyproject.toml, so the
 ordinary test run does not collect it. The targets are the exact planted
 targets of the end-to-end benchmark's calibrate workload, built with the
 public API only, so the same file times any version of the calibration
-from 0.16.0 on, where the solver takes its settings as arguments. The
+from 0.44.0 on, where one function, calibrate.fit, fits both kinds of
+model; an older version needs its own copy of this file. The
 increment fit alone is timed through calibrate._invert_vdd(q, weight, m,
 phi, u, r_max), the signature 0.16.0 set, on a noisy target at extents up
 to the 500 that ingest allows by default. A whole rho search is timed on
@@ -30,8 +31,7 @@ from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution,
                       WeightFunction, grow_composite, measure_edd, measure_vdd,
                       mix_edd, mix_vdd, solve_arc_dd, solve_vdd, symmetrize)
 from npagraph import calibrate
-from npagraph.calibrate import (K_MAX, CalibrationTarget, calibrate_composite,
-                                calibrate_single)
+from npagraph.calibrate import K_MAX, CalibrationTarget, fit
 from npagraph.models import preset_brightkite, preset_gowalla
 
 U = 20
@@ -68,20 +68,20 @@ def composite_target():
 
 
 def test_single_fit_rmax50(benchmark, single_target):
-    res = benchmark(calibrate_single, single_target, "linear", r_max=50)
+    res = benchmark(fit, single_target, weights="linear", r_max=50)
     assert res.distance >= 0.0
 
 
 def test_table_free_single_fit(benchmark):
-    # Phase 2 on the exact target of f_k = k**0.8: the linear fit misses the
-    # threshold, and the exponent search solves a candidate per step.
+    # Phase 2 on the exact target of f_k = k**0.8: the exponent search
+    # solves a candidate per step and beats the linear fit.
     model = NpaModelSpec(weights=WeightFunction.power(0.8, g=1),
                          increments=IncrementDistribution(min_arcs=1,
                                                           probs=(0.6, 0.4)))
     q, theta = _solved(model)
     target = CalibrationTarget(vdd=q, edd=theta, u=U,
                                mean_increment=model.increments.mean)
-    res = benchmark(calibrate_single, target, "table-free", r_max=3)
+    res = benchmark(fit, target, weights="table-free", r_max=3)
     benchmark.extra_info["fits"] = res.evaluations
     assert res.report["phase"] == 2
     assert res.evaluations == 27
@@ -89,8 +89,8 @@ def test_table_free_single_fit(benchmark):
 
 def test_composite_one_rho(benchmark, composite_target):
     # The first component's profile (one BA solve) is part of the step.
-    res = benchmark(calibrate_composite, composite_target, BaTreeSpec(),
-                    r_max=3, rho_min=0.3, rho_max=0.3)
+    res = benchmark(fit, composite_target, BaTreeSpec(), r_max=3,
+                    rho_min=0.3, rho_max=0.3)
     assert res.report["rho"] == 0.3
 
 
@@ -111,7 +111,7 @@ def test_grown_composite_rho_search(benchmark, grown_composite):
     # The whole rho search on the default grid, first-component profile
     # included; extra_info counts the rhos it fitted.
     target, first = grown_composite
-    res = benchmark.pedantic(calibrate_composite, args=(target, first),
+    res = benchmark.pedantic(fit, args=(target, first),
                              kwargs={"r_max": 50}, rounds=3, iterations=1)
     benchmark.extra_info["rho"] = res.report["rho"]
     benchmark.extra_info["fits"] = len(res.report["grid"])

@@ -50,6 +50,9 @@ _RECORDED = [  # (output directory, argv without --out); each is rerun
     ("gowalla_rho_range", ["calibrate", _GOWALLA, "--u", "40", "--mode",
                            "composite", "--rho-min", "0.9", "--rho-max",
                            "0.975", "-v"]),
+    ("gowalla_rho_infeasible", ["calibrate", _GOWALLA, "--u", "40", "--mode",
+                                "composite", "--rho-min", "0.95", "--rho-max",
+                                "0.975", "-v"]),
     ("gowalla_table_free", ["calibrate", _GOWALLA, "--u", "40", "--weights",
                             "table-free", "-v"]),
     ("brightkite_ba_tree", ["calibrate", _BRIGHTKITE, "--mode", "composite",

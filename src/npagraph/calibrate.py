@@ -7,11 +7,13 @@ simplex in numpy. Each candidate is scored by the Euclidean distance
 between the model's edge degree matrix and the empirical one over the
 target's degree window [g, u], plus the total-variation error of the vertex
 degree distribution.
+One function, fit, calibrates a growth model alone or mixed with a fixed
+first component, whose vertex share it then searches at each weight tried.
 Natural linear weights are tried first; table-free mode then searches a
 power exponent, which must beat them strictly, so on ties the model with
 fewer free parameters wins. One driver, _search, searches every
 calibrated parameter, the power exponent and a composite's vertex share, by
-golden sections; a fit's counts are read off the candidates it tried.
+golden sections; a search counts what its candidates counted.
 Nothing here needs more than numpy. Settings that no workflow varies are
 the module constants below; the others are arguments of the function that
 reads them.
@@ -94,14 +96,15 @@ class CalibrationTarget:
 @dataclass
 class CalibrationResult:
     """The fitted model and its scores; component_profile(model, u) gives
-    back the edge matrix its distance was taken from. The counts are those
-    of the candidates its fit tried (_tally); solver_failures sums failure_types."""
+    back the edge matrix its distance was taken from. A candidate counts one
+    evaluation, a search the sum of those it tried (_tally); solver_failures
+    sums failure_types."""
 
     model: Union[NpaModelSpec, CompositeSpec]
     distance: float
     vdd_tv_error: float
     report: dict = field(default_factory=dict)
-    evaluations: int = 0
+    evaluations: int = 1
     failure_types: dict = field(default_factory=dict)
 
     @property
@@ -339,9 +342,9 @@ def _mean_weight(q: DegreeDistribution, weight: WeightFunction) -> float:
 # Scoring a candidate
 # ---------------------------------------------------------------------------
 
-def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
-         r_max: int, first: ComponentProfile | None = None,
-         rho: float = 0.0) -> CalibrationResult | NpaGraphError:
+def _candidate(target: CalibrationTarget, weight: WeightFunction, m: float,
+               r_max: int, first: ComponentProfile | None = None,
+               rho: float = 0.0) -> CalibrationResult | NpaGraphError:
     """The candidate with these weights whose increments, of mean m, invert
     the target's VDD, solved, mixed at vertex share rho with the first
     component when one is given, and scored on the target's window; or the
@@ -357,8 +360,8 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
     One failure rule for every candidate: one that cannot be formed, its
     mean outside [R_MIN, r_max] (InfeasibleComplement), is skipped before
     any solve; one whose increment fit or solve fails returns that
-    SolverFailure and is skipped. Nothing is counted here: each fit counts
-    the candidates it tried by _tally, which leaves out the first kind.
+    SolverFailure and is skipped. The search that tried it counts it by
+    _tally, which leaves out the first kind.
     """
     q = target.vdd
     try:
@@ -368,15 +371,15 @@ def _fit(target: CalibrationTarget, weight: WeightFunction, m: float,
         phi = 2.0 * m if weight.is_degree() else _mean_weight(q, weight)
         model = NpaModelSpec(weights=weight, increments=_invert_vdd(
             q, weight, m, phi, target.u, r_max))
-        fit = component_profile(model, target.u, K_MAX)
+        solved = component_profile(model, target.u, K_MAX)
     except (InfeasibleComplement, SolverFailure) as exc:
         return exc
-    scored = fit if first is None else _mix([(first, rho), (fit, 1.0 - rho)])
+    scored = solved if first is None else _mix([(first, rho), (solved, 1.0 - rho)])
     return CalibrationResult(
         model=model, distance=edd_distance(scored.edd, target.edd, target.g, target.u),
         vdd_tv_error=scored.vdd.tv_distance(target.vdd),
-        report={"mean_weight": fit.record["mean_weight"],
-                "control_residual": fit.record["control_residual"]})
+        report={"mean_weight": solved.record["mean_weight"],
+                "control_residual": solved.record["control_residual"]})
 
 
 def _objective(candidate: CalibrationResult | NpaGraphError) -> float:
@@ -387,71 +390,24 @@ def _objective(candidate: CalibrationResult | NpaGraphError) -> float:
 
 
 def _tally(tried) -> dict:
-    """A fit's counts of the candidates it tried: evaluations those that solved
-    or failed, failure_types the SolverFailures by class name. One that could
-    not be formed (InfeasibleComplement) is not counted."""
-    failures = [type(c).__name__ for c in tried if isinstance(c, SolverFailure)]
-    return {"evaluations": len(failures) + sum(
-                isinstance(c, CalibrationResult) for c in tried),
-            "failure_types": {name: failures.count(name) for name in failures}}
+    """A search's counts, the sums of those of what it tried: a result's
+    own, one evaluation failed by its class for a SolverFailure, and none
+    for a candidate that could not be formed (InfeasibleComplement)."""
+    evaluations, failures = 0, {}
+    for c in tried:
+        if isinstance(c, SolverFailure):
+            c = CalibrationResult(None, 0.0, 0.0, failure_types={type(c).__name__: 1})
+        if isinstance(c, CalibrationResult):
+            evaluations += c.evaluations
+            for name, count in c.failure_types.items():
+                failures[name] = failures.get(name, 0) + count
+    return {"evaluations": evaluations, "failure_types": failures}
 
 
 def _failed(message: str, counts: dict) -> str:
     """message, then "; N failed with <Class>" for each class of failure."""
     return message + "".join(f"; {count} failed with {name}"
                              for name, count in counts["failure_types"].items())
-
-
-# ---------------------------------------------------------------------------
-# Single-component calibration
-# ---------------------------------------------------------------------------
-
-def calibrate_single(target: CalibrationTarget, weight_mode: str = "linear",
-                     r_max: int = 50) -> CalibrationResult:
-    """Fit the increment distribution (and optionally a power weight exponent).
-
-    The mean increment m is the target's, clamped into [R_MIN, r_max]. Phase
-    1 fixes natural linear weights, whose mean weight is phi = 2m by the
-    control identity, and inverts the vertex recurrence for {r_k}. Phase 2,
-    run in "table-free" mode, searches the exponent alpha of f_k = k**alpha
-    over (0, 1] by _search, logged in alpha_grid; at each alpha, phi is the
-    target's sum f_k Q_k and {r_k} is inverted again. The best exponent
-    wins only by a strictly lower objective: on ties the model with fewer
-    parameters wins. Uncapped superlinear weights have no stationary
-    distribution, so the range loses nothing. Every candidate is fitted,
-    scored and, when its increment fit or solve fails, skipped by _fit;
-    when every one fails, SolverFailure names the failures by class. The
-    result counts the phase-1 candidate and those of the exponent search.
-    """
-    if weight_mode not in ("linear", "table-free"):
-        raise ValueError(f"unknown weight mode {weight_mode!r}")
-    m = min(max(target.m, float(R_MIN)), float(r_max))
-    tried = [_fit(target, WeightFunction.linear(g=R_MIN), m, r_max)]
-    best, phase, searched = tried[0], 1, {}
-    if weight_mode == "table-free":
-        alpha, fits, searched["alpha_grid"] = _search(
-            lambda alpha: _fit(target, WeightFunction.power(alpha, g=R_MIN), m,
-                               r_max), ALPHA_MIN, 1.0, ALPHA_XATOL, "alpha")
-        tried += fits.values()
-        if _objective(fits[alpha]) < _objective(best):
-            best, phase = fits[alpha], 2
-    if not isinstance(best, CalibrationResult):
-        raise SolverFailure(_failed("every candidate model failed to solve",
-                                    _tally(tried))) from best
-    best = replace(best, **_tally(tried))
-    best.report.update({
-        "weight_mode": weight_mode,
-        "phase": phase,
-        "objective": best.objective,
-        "mean_increment": best.model.increments.mean,
-        "mean_increment_target": m,
-        "window": [target.g, target.u],
-        "recurrence_variant": VARIANTS[0],
-        **searched,
-    })
-    if phase == 2:
-        best.report["weight_exponent"] = best.model.weights.alpha
-    return best
 
 
 def _search(fit_at, lo: float, hi: float, xatol: float, name: str, point=None):
@@ -543,7 +499,7 @@ def component_profile(spec, u: int, k_max: int = K_MAX,
     which its record holds with its kept share. A composite mixes its
     components at their vertex shares of the written graph: each
     growth-budget fraction times its kept share, renormalised, which undoes
-    the budget calibrate_composite gives a first component."""
+    the budget fit gives a first component."""
     if isinstance(spec, NpaModelSpec):
         sol = solve_vdd(spec, k_max)
         return _profile(spec.increments.mean, sol.q,
@@ -580,32 +536,80 @@ def _mix(parts, kept: float = 1.0) -> ComponentProfile:
 
 
 # ---------------------------------------------------------------------------
-# Composite calibration
+# Calibration
 # ---------------------------------------------------------------------------
 
-def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
-                        rho_min: float = 0.025, rho_max: float = 0.975,
-                        rho_step: float = 0.025) -> CalibrationResult:
-    """Two-component fit: a fixed first component plus a calibrated complement.
+def fit(target: CalibrationTarget, first=None, weights: str = "linear",
+        r_max: int = 50, rho_min: float = 0.025, rho_max: float = 0.975,
+        rho_step: float = 0.025) -> CalibrationResult:
+    """Fit the increments (and optionally a power weight exponent) of a
+    growth model, alone or as the complement of the spec first.
 
-    For each candidate vertex fraction rho, _fit forms the complement's
-    target vertex distribution and mean from the mixture equations, inverts
-    them for its increments and scores the mixed model. _search tries the
-    lattice rho_min + i h <= rho_max, h = rho_step / RHO_REFINE_FACTOR,
-    rounded to 12 decimals, to a bracket at most rho_step wide; the grid
-    logs each rho, and the result counts them. The complement mean
-    (m - rho m1) / (1 - rho) is monotone in rho and m at rho = 0, so the
-    rhos skipped for it form one block at the top, which the search leaves
-    downwards; the winner's follows from the mixture equations, as in _fit.
-    rho is the first component's vertex share of the written graph; the
-    composite, written for TOTAL_N vertices, gives it the growth budget
-    rho / (kept (1 - rho) + rho) whose pruned graph holds that share.
+    At given weights the candidate is a _candidate of mean increment the
+    target's, clamped into [R_MIN, r_max], or with first the best composite
+    over its vertex share (_rho_search). Phase 1 fixes natural linear
+    weights, whose mean weight is phi = 2m by the control identity. Phase
+    2, under "table-free" weights, searches the exponent alpha of f_k =
+    k**alpha over (0, 1] by _search, logged in alpha_grid; at each alpha,
+    phi is the inverted VDD's sum f_k Q_k. It wins only by a strictly lower
+    objective: on ties the model with fewer parameters wins. Uncapped
+    superlinear weights have no stationary distribution, so the range loses
+    nothing. When every candidate fails, SolverFailure names the failures
+    by class. The result counts every candidate tried, nested ones included.
     """
-    profile = component_profile(first, target.u, K_MAX)
-    linear = WeightFunction.linear(g=R_MIN)
+    if weights not in ("linear", "table-free"):
+        raise ValueError(f"unknown weight mode {weights!r}")
+    if first is None:
+        m = min(max(target.m, float(R_MIN)), float(r_max))
+        at = lambda weight: _candidate(target, weight, m, r_max)
+    else:
+        profile = component_profile(first, target.u, K_MAX)
+        at = lambda weight: _rho_search(
+            target, first, profile, weight, r_max, rho_min, rho_max, rho_step)
+    tried = [at(WeightFunction.linear(g=R_MIN))]
+    best, phase, searched = tried[0], 1, {}
+    if weights == "table-free":
+        alpha, fits, searched["alpha_grid"] = _search(
+            lambda alpha: at(WeightFunction.power(alpha, g=R_MIN)),
+            ALPHA_MIN, 1.0, ALPHA_XATOL, "alpha")
+        tried += fits.values()
+        if _objective(fits[alpha]) < _objective(best):
+            best, phase, searched["weight_exponent"] = fits[alpha], 2, alpha
+    if not isinstance(best, CalibrationResult):
+        raise SolverFailure(_failed("every candidate model failed to solve",
+                                    _tally(tried))) from best
+    best = replace(best, **_tally(tried))
+    if first is None:
+        best.report.update(weight_mode=weights, phase=phase, objective=best.objective,
+                           mean_increment=best.model.increments.mean,
+                           mean_increment_target=m)
+    best.report.update({"window": [target.g, target.u],
+                        "recurrence_variant": VARIANTS[0], **searched})
+    return best
+
+
+def _rho_search(target: CalibrationTarget, first, profile: ComponentProfile,
+                weight: WeightFunction, r_max: int, rho_min: float,
+                rho_max: float, rho_step: float) -> CalibrationResult:
+    """The composite of first (of the given profile) and a complement with
+    these weights at the best vertex fraction rho.
+
+    For each candidate rho, _candidate forms the complement's target vertex
+    distribution and mean from the mixture equations, inverts them for its
+    increments and scores the mixed model. _search tries the lattice
+    rho_min + i h <= rho_max, h = rho_step / RHO_REFINE_FACTOR, rounded to
+    12 decimals, to a bracket at most rho_step wide; the grid logs each rho.
+    The complement mean (m - rho m1) / (1 - rho) is monotone in rho and m at
+    rho = 0, so the rhos skipped for it form one block at the top, which
+    the search leaves downwards. When every rho is skipped, AllRhoInfeasible
+    names the failures by class. rho is the first component's vertex share
+    of the written graph; the composite, written for TOTAL_N vertices,
+    gives it the growth budget rho / (kept (1 - rho) + rho) whose pruned
+    graph holds that share.
+    """
     h = rho_step / RHO_REFINE_FACTOR
     rho, fits, grid = _search(
-        lambda rho: _fit(target, linear, target.m, r_max, profile, rho),
+        lambda rho: _candidate(target, weight, target.m, r_max, profile, rho),
         0, int((rho_max - rho_min) / h + 1e-9), RHO_REFINE_FACTOR, "rho",
         lambda i: round(rho_min + i * h, 12))
     best, counts = fits[rho], _tally(fits.values())
@@ -630,7 +634,5 @@ def calibrate_composite(target: CalibrationTarget, first, r_max: int = 50,
         "m_complement_target": complement_mean(target.m, profile.m, rho),
         "m_complement_achieved": m2,
         "grid": grid,
-        "window": [target.g, target.u],
-        "recurrence_variant": VARIANTS[0],
     }
     return replace(best, model=composite, report=report, **counts)

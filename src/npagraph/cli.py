@@ -152,8 +152,7 @@ def cmd_ingest(params: dict, out: Path) -> None:
 def cmd_calibrate(params: dict, out: Path) -> None:
     from dataclasses import replace
 
-    from .calibrate import (CalibrationTarget, calibrate_composite,
-                            calibrate_single)
+    from .calibrate import CalibrationTarget, fit
     from .formats import edd_from_csv, vdd_from_csv
     from .models import (BaTreeSpec, dump_model, preset_gowalla, select_u,
                          validate_model)
@@ -166,15 +165,11 @@ def cmd_calibrate(params: dict, out: Path) -> None:
         u = meta.get("selected_u") or select_u(edd)
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
                                mean_increment=meta.get("derived_m"))
-    r_max = params["rmax"]
-    if params["mode"] == "single":
-        result = calibrate_single(target, params["weights"], r_max)
-    else:
-        first = BaTreeSpec() if params["first"] == "ba-tree" else replace(
-            preset_gowalla(TOTAL_N).components[0][0], a=params["aer_a"])
-        result = calibrate_composite(target, validate_model(first), r_max,
-                                     params["rho_min"], params["rho_max"],
-                                     params["rho_step"])
+    first = None if params["mode"] == "single" else validate_model(
+        BaTreeSpec() if params["first"] == "ba-tree"
+        else replace(preset_gowalla(TOTAL_N).components[0][0], a=params["aer_a"]))
+    result = fit(target, first, params["weights"], params["rmax"], params["rho_min"],
+                 params["rho_max"], params["rho_step"])
     _write(out / "model.json", dump_model(result.model) + "\n")
     _write_json(out / "report.json", {
         "distance": result.distance,

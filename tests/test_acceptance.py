@@ -19,8 +19,7 @@ from npagraph import (AerModelSpec, BaTreeSpec, DegreeDistribution, RngStream,
                       grow_aer_unpruned, mix_edd, mix_vdd, solve_arc_dd,
                       solve_vdd, symmetrize)
 from npagraph import calibrate
-from npagraph.calibrate import (K_MAX, CalibrationTarget, calibrate_composite,
-                                calibrate_single)
+from npagraph.calibrate import K_MAX, CalibrationTarget, fit
 from npagraph.cli import main as cli_main
 from npagraph.formats import load_edge_list
 from npagraph.growth import measure_edd, measure_vdd, summarize
@@ -187,8 +186,7 @@ def test_criterion_07_brightkite_composite_range(brightkite_graph, monkeypatch,
     first, rho = preset.components[0]
     assert isinstance(first, BaTreeSpec) and rho == 0.225
     monkeypatch.setattr(calibrate, "K_MAX", 20000)
-    result = calibrate_composite(target, BaTreeSpec(), r_max=40, rho_min=rho,
-                                 rho_max=rho)
+    result = fit(target, BaTreeSpec(), r_max=40, rho_min=rho, rho_max=rho)
 
     from npagraph.calibrate import component_profile
     profile = component_profile(BaTreeSpec(), target.u)
@@ -243,8 +241,7 @@ def test_criterion_07_pipeline_dry_run_on_synthetic_composite(tmp_path,
     target = CalibrationTarget(vdd=vdd, edd=edd, u=u,
                                mean_increment=summarize(graph)["derived_m"])
     monkeypatch.setattr(calibrate, "K_MAX", 6000)
-    result = calibrate_composite(target, BaTreeSpec(), r_max=8, rho_min=rho,
-                                 rho_max=rho)
+    result = fit(target, BaTreeSpec(), r_max=8, rho_min=rho, rho_max=rho)
 
     from npagraph.calibrate import component_profile
     profile = component_profile(BaTreeSpec(), target.u)
@@ -324,7 +321,7 @@ def test_criterion_09_calibration_round_trip():
     theta = symmetrize(solve_arc_dd(planted, sol, 20))
     target = CalibrationTarget(vdd=sol.q, edd=theta, u=20,
                                mean_increment=planted.increments.mean)
-    res = calibrate_single(target, "linear", r_max=5)
+    res = fit(target, weights="linear", r_max=5)
     assert res.distance < 1e-3
     fitted, true = (dict(enumerate(inc.probs, inc.min_arcs))
                     for inc in (res.model.increments, planted.increments))
@@ -348,8 +345,8 @@ def test_criterion_09_calibration_round_trip():
         edd=mix_edd([(th1, 1.0, rho), (th2, m2, 1 - rho)]),
         u=20, mean_increment=m_tot)
     step = 0.025
-    cres = calibrate_composite(ctarget, BaTreeSpec(), r_max=3, rho_min=0.1,
-                               rho_max=0.6, rho_step=step)
+    cres = fit(ctarget, BaTreeSpec(), r_max=3, rho_min=0.1,
+               rho_max=0.6, rho_step=step)
     assert abs(cres.report["rho"] - rho) <= step + 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0

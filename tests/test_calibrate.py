@@ -18,9 +18,8 @@ from npagraph import (AerModelSpec, AllRhoInfeasible, BaTreeSpec,
                       validate_model)
 from npagraph.formats import edd_to_csv, vdd_to_csv
 from npagraph import calibrate
-from npagraph.calibrate import (K_MAX, CalibrationResult, CalibrationTarget,
-                                calibrate_composite, calibrate_single)
-from npagraph.models import (edd_distance, gowalla_increments,
+from npagraph.calibrate import K_MAX, CalibrationResult, CalibrationTarget, fit
+from npagraph.models import (dump_model, edd_distance, gowalla_increments,
                              preset_brightkite, preset_gowalla, select_u)
 
 GOWALLA_RAW_R1 = 0.3557221013019485
@@ -227,16 +226,40 @@ class TestInvertVdd:
 
 class TestFitCounts:
     def test_failures_counted_by_type(self):
-        # Results and solver failures count; a complement that could not be
-        # formed does not.
+        # Results and solver failures count, a search's result by the counts
+        # it carries; a complement that could not be formed does not.
         solved = CalibrationResult(model=None, distance=0.0, vdd_tv_error=0.0)
+        searched = replace(solved, evaluations=12,
+                           failure_types={"NoConvergence": 2})
         counts = calibrate._tally([
             solved, NoConvergence("x"), InfeasibleComplement("w"),
-            NoConvergence("y"), solved, TruncationTooSevere("z")])
+            NoConvergence("y"), solved, TruncationTooSevere("z"), searched])
         res = replace(solved, **counts)
-        assert (res.evaluations, res.solver_failures) == (5, 3)
-        assert res.failure_types == {"NoConvergence": 2,
+        assert (res.evaluations, res.solver_failures) == (17, 5)
+        assert res.failure_types == {"NoConvergence": 4,
                                      "TruncationTooSevere": 1}
+
+    def test_nested_searches_count_every_candidate(self, monkeypatch):
+        # A table-free composite runs a rho search at each weight it tries:
+        # its result counts every candidate formed in all of them, and on
+        # the exact linear target the linear composite still wins.
+        target = _composite_target()
+        linear = fit(target, BaTreeSpec(), r_max=3, rho_min=0.25, rho_max=0.35)
+        real, formed = calibrate._candidate, []
+
+        def counted(*args):
+            candidate = real(*args)
+            if not isinstance(candidate, InfeasibleComplement):
+                formed.append(candidate)
+            return candidate
+
+        monkeypatch.setattr(calibrate, "_candidate", counted)
+        res = fit(target, BaTreeSpec(), "table-free", r_max=3, rho_min=0.25,
+                  rho_max=0.35)
+        assert res.evaluations == len(formed) > linear.evaluations
+        assert dump_model(res.model) == dump_model(linear.model)
+        assert res.report["rho"] == linear.report["rho"] == 0.3
+        assert "weight_exponent" not in res.report
 
     def test_single_records_a_failed_increment_fit(self, monkeypatch):
         # A linear fit whose increment fit fails has no candidate left; the
@@ -248,7 +271,7 @@ class TestFitCounts:
         target = _target_from(_model((0.4, 0.3, 0.2, 0.1)), u=15)
         with pytest.raises(SolverFailure,
                            match="; 1 failed with NoConvergence") as info:
-            calibrate_single(target, "linear", r_max=5)
+            fit(target, weights="linear", r_max=5)
         assert isinstance(info.value.__cause__, NoConvergence)
 
     @staticmethod
@@ -265,7 +288,7 @@ class TestFitCounts:
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails_second)
         true = _model((0.6, 0.4), weights=WeightFunction.power(0.8, g=1))
-        return calibrate_single(_target_from(true, u=15), "table-free", r_max=3), calls
+        return fit(_target_from(true, u=15), weights="table-free", r_max=3), calls
 
     def test_phase2_skips_a_failed_exponent(self, monkeypatch):
         # The first exponent the golden-section search tries fails its
@@ -308,8 +331,8 @@ class TestFitCounts:
 
         monkeypatch.setattr(calibrate, "_l1_fit", fails_at_025)
         # A step of 0.25 makes the lattice 0.25, 0.3 and 0.35: all are fitted.
-        res = calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.25,
-                                  rho_max=0.35, rho_step=0.25)
+        res = fit(target, BaTreeSpec(), r_max=3, rho_min=0.25,
+                  rho_max=0.35, rho_step=0.25)
         assert res.report["rho"] == 0.3
         grid = {e["rho"]: e for e in res.report["grid"]}
         assert sorted(grid) == [0.25, 0.3, 0.35]
@@ -328,8 +351,8 @@ class TestFitCounts:
         monkeypatch.setattr(calibrate, "_l1_fit", fails)
         target = _composite_target()
         with pytest.raises(AllRhoInfeasible, match="3 failed with NoConvergence"):
-            calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.25,
-                                rho_max=0.35, rho_step=0.25)
+            fit(target, BaTreeSpec(), r_max=3, rho_min=0.25,
+                rho_max=0.35, rho_step=0.25)
 
         from npagraph.cli import main
         target_dir = tmp_path / "target"
@@ -354,7 +377,7 @@ class TestCalibrateSingle:
     def test_round_trip_recovers_planted(self):
         true = _model((0.5, 0.5))
         target = _target_from(true, u=20)
-        res = calibrate_single(target, "linear", r_max=4)
+        res = fit(target, weights="linear", r_max=4)
         assert res.distance < 1e-3
         recovered, planted = (
             dict(enumerate(inc.probs, inc.min_arcs))
@@ -365,7 +388,7 @@ class TestCalibrateSingle:
 
     def test_distance_reproducible_from_model(self):
         target = _target_from(_model((0.6, 0.4)), u=15)
-        res = calibrate_single(target, "linear", r_max=3)
+        res = fit(target, weights="linear", r_max=3)
         sol = solve_vdd(res.model, K_MAX)
         theta = symmetrize(solve_arc_dd(res.model, sol, target.u))
         again = edd_distance(theta, target.edd, 1, target.u)
@@ -377,13 +400,13 @@ class TestCalibrateSingle:
 
     def test_result_model_validates(self):
         target = _target_from(_model((0.5, 0.5)), u=12)
-        res = calibrate_single(target, "linear", r_max=3)
+        res = fit(target, weights="linear", r_max=3)
         assert validate_model(res.model) is res.model
 
     def test_unknown_mode_rejected(self):
         target = _target_from(_model((1.0,)), u=10)
         with pytest.raises(ValueError):
-            calibrate_single(target, "cubic-spline")
+            fit(target, weights="cubic-spline")
 
     def test_target_invariants(self):
         target = _target_from(_model((1.0,)), u=10)
@@ -410,8 +433,8 @@ class TestCalibrateSingle:
         # the exponent search must engage and improve the fit.
         true = _model((0.6, 0.4), weights=WeightFunction.power(0.8, g=1))
         target = _target_from(true, u=15)
-        linear_only = calibrate_single(target, "linear", r_max=3)
-        full = calibrate_single(target, "table-free", r_max=3)
+        linear_only = fit(target, weights="linear", r_max=3)
+        full = fit(target, weights="table-free", r_max=3)
         assert full.report["phase"] == 2
         assert full.report["weight_exponent"] == pytest.approx(0.8, abs=1e-4)
         assert full.evaluations <= 30
@@ -435,7 +458,7 @@ class TestCalibrateSingle:
         # exact; no exponent beats it strictly, so phase 1 stands. 0.42.0
         # skipped the search below an objective of 1e-3 (1 evaluation).
         target = _target_from(_model((0.6, 0.4)), u=15)
-        res = calibrate_single(target, "table-free", r_max=3)
+        res = fit(target, weights="table-free", r_max=3)
         assert res.report["phase"] == 1
         assert res.model.weights == WeightFunction.linear(g=1)
         assert res.objective < 1e-12
@@ -448,7 +471,7 @@ class TestCalibrateSingle:
         # A linear fit inverts the recurrence once and solves that one
         # candidate, and the result counts it.
         target = _target_from(_model((0.5, 0.5)), u=12)
-        res = calibrate_single(target, "linear", r_max=3)
+        res = fit(target, weights="linear", r_max=3)
         assert (res.evaluations, res.solver_failures) == (1, 0)
         assert res.report["phase"] == 1
         assert res.report["objective"] == res.distance + res.vdd_tv_error
@@ -458,7 +481,7 @@ class TestCalibrateSingle:
         # r_max = 50, where a simplex search over the 49-dimensional
         # simplex stopped at r_1 = 0.28.
         true = _model((0.4, 0.3, 0.2, 0.1))
-        res = calibrate_single(_target_from(true, u=20), "linear")
+        res = fit(_target_from(true, u=20), weights="linear")
         assert res.distance < 1e-3
         fitted, planted = (dict(enumerate(inc.probs, inc.min_arcs))
                            for inc in (res.model.increments, true.increments))
@@ -472,7 +495,7 @@ class TestCalibrateSingle:
     def test_exact_target_recovered(self, weights):
         probs = tuple(w / sum(weights) for w in weights)
         true = _model(probs)
-        res = calibrate_single(_target_from(true, u=15), "linear", r_max=6)
+        res = fit(_target_from(true, u=15), weights="linear", r_max=6)
         fitted, planted = (dict(enumerate(inc.probs, inc.min_arcs))
                            for inc in (res.model.increments, true.increments))
         for k in range(1, 7):
@@ -480,7 +503,7 @@ class TestCalibrateSingle:
 
     def test_mean_increment_is_the_target_mean(self):
         target = _target_from(_model((0.2, 0.5, 0.3)), u=15)
-        res = calibrate_single(target, "linear", r_max=8)
+        res = fit(target, weights="linear", r_max=8)
         assert abs(res.model.increments.mean - target.m) <= 1e-9
         assert res.report["mean_increment_target"] == target.m
 
@@ -490,12 +513,12 @@ class TestCalibrateSingle:
         tree = _target_from(_model((1.0,)), u=10)
         low = CalibrationTarget(vdd=tree.vdd, edd=tree.edd, u=10,
                                 mean_increment=0.9998)
-        res = calibrate_single(low, "linear", r_max=4)
+        res = fit(low, weights="linear", r_max=4)
         assert abs(res.model.increments.mean - 1.0) <= 1e-9
         assert res.report["mean_increment_target"] == 1.0
         high = CalibrationTarget(vdd=tree.vdd, edd=tree.edd, u=10,
                                  mean_increment=7.5)
-        res = calibrate_single(high, "linear", r_max=4)
+        res = fit(high, weights="linear", r_max=4)
         assert abs(res.model.increments.mean - 4.0) <= 1e-9
 
 
@@ -521,10 +544,10 @@ def test_fits_solve_at_the_k_max_of_the_run(monkeypatch):
         seen.append(args[2] if len(args) > 2 else kwargs.get("k_max"))
         return real(*args, **kwargs)
     monkeypatch.setattr(calibrate, "component_profile", spy)
-    calibrate_single(_target_from(_model((0.5, 0.5))), "linear", r_max=4)
+    fit(_target_from(_model((0.5, 0.5))), weights="linear", r_max=4)
     single = len(seen)
-    calibrate_composite(_composite_target(), BaTreeSpec(), r_max=3,
-                        rho_min=0.25, rho_max=0.35, rho_step=0.25)
+    fit(_composite_target(), BaTreeSpec(), r_max=3,
+        rho_min=0.25, rho_max=0.35, rho_step=0.25)
     assert 0 < single < len(seen)
     assert set(seen) == {4500}
 
@@ -545,7 +568,7 @@ def _noisy_target(probs, seed):
 def test_noisy_target_no_worse_than_simplex(name, probs, seed):
     target = _noisy_target(probs, seed)
     for r_max, simplex in NOISY_SIMPLEX_OBJECTIVES[name].items():
-        res = calibrate_single(target, "linear", r_max=r_max)
+        res = fit(target, weights="linear", r_max=r_max)
         objective = res.distance + res.vdd_tv_error
         bound = simplex if r_max == 50 else 1.01 * simplex
         assert objective <= bound, (r_max, objective, simplex)
@@ -591,8 +614,8 @@ def _degree2_target(rho=0.1, u=15):
 @pytest.fixture(scope="module")
 def fitted():
     target = _composite_target(rho=0.3)
-    return calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.225,
-                               rho_max=0.375), target
+    return fit(target, BaTreeSpec(), r_max=3, rho_min=0.225,
+               rho_max=0.375), target
 
 
 class TestCalibrateComposite:
@@ -651,8 +674,8 @@ class TestCalibrateComposite:
         # Above rho = 0.1 the complement's mean exceeds r_max = 2, so the
         # search's probes there are skipped and the true rho is the best of
         # the rest.
-        res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=2,
-                                  rho_min=0.05, rho_max=0.35)
+        res = fit(_degree2_target(), BaTreeSpec(), r_max=2,
+                  rho_min=0.05, rho_max=0.35)
         skipped = [e for e in res.report["grid"] if "skipped" in e]
         assert len(skipped) == 4
         assert all(e["rho"] > 0.1 for e in skipped)
@@ -662,8 +685,8 @@ class TestCalibrateComposite:
         # A rho whose complement cannot be formed is skipped before any
         # solve: the result counts only the rhos fitted, and the grid logs
         # the plain message, without a class name.
-        res = calibrate_composite(_degree2_target(), BaTreeSpec(), r_max=2,
-                                  rho_min=0.05, rho_max=0.35)
+        res = fit(_degree2_target(), BaTreeSpec(), r_max=2,
+                  rho_min=0.05, rho_max=0.35)
         grid = res.report["grid"]
         fitted = [e for e in grid if "objective" in e]
         skipped = [e["skipped"] for e in grid if "skipped" in e]
@@ -708,8 +731,8 @@ class TestCalibrateComposite:
             vdd=mix_vdd([(first.vdd, rho), (sol2.q, 1 - rho)]),
             edd=mix_edd([(first.edd, m1, rho), (th2, m2, 1 - rho)]),
             u=u, mean_increment=m_tot)
-        res = calibrate_composite(target, aer, r_max=3, rho_min=0.2,
-                                  rho_max=0.4, rho_step=0.05)
+        res = fit(target, aer, r_max=3, rho_min=0.2,
+                  rho_max=0.4, rho_step=0.05)
         assert res.report["rho"] == rho
         assert res.report["m_first"] == m1
         kept = sum(grow(aer, aer.n1, RngStream(calibrate.AER_SEED, rep)).vertex_count
@@ -733,8 +756,7 @@ class TestCalibrateComposite:
         comp2 = _model((1.0,), min_arcs=2, weights=WeightFunction.linear(g=2))
         target = _target_from(comp2, u=15)
         with pytest.raises(AllRhoInfeasible):
-            calibrate_composite(target, BaTreeSpec(), r_max=2, rho_min=0.4,
-                                rho_max=0.6)
+            fit(target, BaTreeSpec(), r_max=2, rho_min=0.4, rho_max=0.6)
 
 
 def _grown_composite_target(seed):
@@ -759,8 +781,7 @@ def test_measured_composite_rho_set_by_the_fit():
     # seeds. It lies above 0.225 by the bias of the printed arc law.
     rhos = []
     for seed in range(7700, 7704):
-        res = calibrate_composite(_grown_composite_target(seed), BaTreeSpec(),
-                                  r_max=50)
+        res = fit(_grown_composite_target(seed), BaTreeSpec(), r_max=50)
         rhos.append(res.report["rho"])
         assert all(e["skipped"].startswith(("mean increment", "complement mean"))
                    for e in res.report["grid"] if "skipped" in e), seed
@@ -779,11 +800,11 @@ def test_rho_search_finds_the_lattice_argmin(make_target, r_max):
     target = make_target()
     profile = calibrate.component_profile(BaTreeSpec(), target.u)
     lattice = np.round(0.025 + 0.005 * np.arange(191), 12)
-    scores = [calibrate._objective(calibrate._fit(
+    scores = [calibrate._objective(calibrate._candidate(
                   target, WeightFunction.linear(g=1), target.m, r_max,
                   profile, float(rho)))
               for rho in lattice]
-    res = calibrate_composite(target, BaTreeSpec(), r_max=r_max)
+    res = fit(target, BaTreeSpec(), r_max=r_max)
     assert res.report["rho"] == lattice[int(np.argmin(scores))]
     assert res.objective == min(scores)
     assert len(res.report["grid"]) <= 15
@@ -794,8 +815,8 @@ def planted_fit():
     """The planted composite target and its complement's fit at rho = 0.3."""
     target = _composite_target()
     profile = calibrate.component_profile(BaTreeSpec(), target.u)
-    return target, calibrate._fit(target, WeightFunction.linear(g=1), target.m,
-                                  3, profile, 0.3)
+    return target, calibrate._candidate(target, WeightFunction.linear(g=1),
+                                        target.m, 3, profile, 0.3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -808,7 +829,7 @@ def test_rho_search_of_unimodal_profiles(planted_fit, last, where, top, seed):
     # 0.025 + 0.005 i, i = 0..last, infinite from some point above its
     # minimum on (or nowhere): the search returns the profile's argmin and
     # fits each point at most once.
-    target, fit = planted_fit
+    target, planted = planted_fit
     best = int(where * last)
     block = best + 1 + int(top * (last - best))  # last + 1: no infinite block
     rise = np.cumsum(np.random.default_rng(seed).exponential(size=last + 1) + 1e-9)
@@ -820,13 +841,13 @@ def test_rho_search_of_unimodal_profiles(planted_fit, last, where, top, seed):
         calls.append(i := round((rho - 0.025) / 0.005))
         if profile[i] == np.inf:
             return InfeasibleComplement("complement mean outside [1, 3]")
-        return replace(fit, distance=float(profile[i]), vdd_tv_error=0.0,
-                       report={**fit.report, "rho": rho})
+        return replace(planted, distance=float(profile[i]), vdd_tv_error=0.0,
+                       report={**planted.report, "rho": rho})
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(calibrate, "_fit", profiled)
-        res = calibrate_composite(target, BaTreeSpec(), r_max=3, rho_min=0.025,
-                                  rho_max=0.025 + 0.005 * last)
+        mp.setattr(calibrate, "_candidate", profiled)
+        res = fit(target, BaTreeSpec(), r_max=3, rho_min=0.025,
+                  rho_max=0.025 + 0.005 * last)
     assert res.report["rho"] == round(0.025 + 0.005 * best, 12)
     assert len(calls) == len(set(calls))
 
@@ -842,8 +863,7 @@ def test_measured_aer_rho_is_the_written_share():
         edd = measure_edd(graph, 100)
         target = CalibrationTarget(vdd=measure_vdd(graph), edd=edd,
                                    u=min(select_u(edd), 40))
-        res = calibrate_composite(target, AerModelSpec(n1=35000, a=2.75),
-                                  r_max=50)
+        res = fit(target, AerModelSpec(n1=35000, a=2.75), r_max=50)
         rho = res.report["rho"]
         assert abs(rho - _first_share(spec, seed)) <= 0.01, (seed, rho)
         regrown = _first_share(res.model, 1000 + seed)

@@ -1355,7 +1355,7 @@ class TestCalibrateCommand:
         # An edge matrix from degree 5 and --u 4 leave no window; 0.24.0
         # fitted and solved a candidate before it failed.
         from npagraph import calibrate
-        monkeypatch.setattr(calibrate, "calibrate_single", None)
+        monkeypatch.setattr(calibrate, "fit", None)
         target_dir = _write_ba_target(tmp_path / "target")
         edd = edd_from_csv(target_dir / "edd.csv")
         (target_dir / "edd.csv").write_text(edd_to_csv(EdgeDegreeMatrix(
@@ -1491,11 +1491,11 @@ class TestCalibrateCommand:
         (target_dir / "edd.csv").write_text(edd_to_csv(theta))
         seen = []
 
-        def capture(target, first, r_max, rho_min, rho_max, rho_step):
+        def capture(target, first, weights, r_max, rho_min, rho_max, rho_step):
             seen.append(first)
             raise AllRhoInfeasible("captured")
 
-        monkeypatch.setattr(calibrate, "calibrate_composite", capture)
+        monkeypatch.setattr(calibrate, "fit", capture)
         code = main(["calibrate", str(target_dir), "--mode", "composite",
                      "--first", "aer", "--u", "8", "--out", str(tmp_path / "o")])
         assert code == 4
@@ -1713,7 +1713,7 @@ def test_output_digests_commands_parse():
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
     names = [name for name, _ in digests.COMMANDS]
-    assert len(names) == len(set(names)) == 26
+    assert len(names) == len(set(names)) == 28
     for name, argv in digests.COMMANDS:
         assert cli.build_parser().parse_args(argv).out == name
     for text in map(json.dumps, digests.SPECS.values()):
